@@ -7,8 +7,7 @@ name of a catalog entry.  Exit codes: 0 when every exact invariant passes,
 Conditional-audit findings never change the exit code.
 
 Reports are deterministic: timings are attached only under --timings so
-default output is byte-identical across runs and thread counts
-(ECONVEX_THREADS controls the sweep parallelism).
+default output is byte-identical across runs.
 """
 
 from __future__ import annotations

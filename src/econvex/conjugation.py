@@ -12,19 +12,31 @@ Functions of two blocks of variables are conjugated with the paired
 coupling on (X x Y) x ((X* x Y*) x (X* x Y*) x R); since inner products
 split over concatenation, a paired dual point is just a dual point of the
 product space, which is what :meth:`DualPairPoint.flatten` returns.
+
+The coupling splits into a gate that depends only on (u*, alpha) and a
+value that depends only on x*, and the grid conjugates follow the split.
+With dom the grid points where f is below +inf, f^c(w) is -inf when dom
+is empty, +inf when f takes -inf on dom, +inf when some point of dom
+fails the gate <p, u*> < alpha, and otherwise the grid Fenchel value
+max over dom of <p, x*> - f(p).  The gate is tested once per distinct
+(u*, alpha) and the Fenchel value computed once per distinct x*, so a
+sweep costs O((#x* + #gates)·|G| + |W|) instead of O(|W|·|G|).  The
+c'-conjugate splits the same way: per distinct u* only the least alpha
+over dom g can close the gate, and per distinct x* only the least value
+of g can attain the sup.  ``_reference_c_conjugate`` and
+``_reference_cprime_conjugate`` keep the definitional sweeps, one dual
+point against every grid point, for the differential tests.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex import extreal
-from econvex.funcrep import Grid, PwAffine1, SampledFn
+from econvex.funcrep import Grid, PwAffine1, SampledFn, _coerce_scalar
 
 __all__ = [
     "DualPoint",
@@ -36,13 +48,10 @@ __all__ = [
     "c_conjugate",
     "cprime_conjugate",
     "biconjugate",
-    "econvex_hull_approx",
     "c_conjugate_exact",
     "tensor_dual_grid",
     "pair_tensor_dual_grid",
     "adapted_dual_grid",
-    "embed_pair",
-    "parallel_map",
 ]
 
 
@@ -58,13 +67,7 @@ def _dot(a: Sequence, b: Sequence):
 def _coerce_vec(v, backend: str) -> Tuple:
     if not isinstance(v, (tuple, list)):
         v = (v,)
-    if backend == "rational":
-        return tuple(Fraction(c) for c in v)
-    return tuple(float(c) for c in v)
-
-
-def _coerce_scalar(v, backend: str):
-    return Fraction(v) if backend == "rational" else float(v)
+    return tuple(_coerce_scalar(c, backend) for c in v)
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,6 @@ class DualPairPoint:
     def x_side(self) -> DualPoint:
         """Projection onto W = X* x X* x R."""
         return DualPoint(self.xstar, self.ustar, self.alpha)
-
-    def y_side(self) -> DualPoint:
-        return DualPoint(self.ystar, self.vstar, self.alpha)
-
-
-def embed_pair(w: DualPoint, x_dim: int, backend: str = "rational") -> DualPairPoint:
-    """Lift a Y-side dual point (y*, v*, alpha) to ((0, y*), (0, v*), alpha)."""
-    zero = tuple(_coerce_scalar(0, backend) for _ in range(x_dim))
-    return DualPairPoint(zero, w.xstar, zero, w.ustar, w.alpha)
 
 
 class DualGrid:
@@ -237,14 +231,123 @@ def coupling_cbar(x, y, pair: DualPairPoint) -> ExtReal:
 # ---------------------------------------------------------------------------
 
 
-def parallel_map(fn, items):
-    """Ordered map, threaded when ECONVEX_THREADS > 1; result order fixed."""
-    items = list(items)
-    workers = int(os.environ.get("ECONVEX_THREADS", "1") or "1")
-    if workers <= 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+def _key(v: Sequence) -> Tuple:
+    """Grouping key of a scalar tuple.  Equal keys give bit-identical
+    arithmetic, so the payload type is part of the key: 1, 1.0 and
+    Fraction(1) compare equal but do not multiply alike."""
+    return tuple((c.__class__, c) for c in v)
+
+
+def _gate_key(w: DualPoint) -> Tuple:
+    """Grouping key of the gate <., u*> < alpha of a dual point."""
+    return (_key(w.ustar), w.alpha.__class__, w.alpha)
+
+
+def _split_dom(f: SampledFn):
+    """(point, payload) rows of dom f, or the constant conjugate.
+
+    An empty domain conjugates to -inf and a -inf value on the domain to
+    +inf, whatever the dual point; the rows are returned only when every
+    value on the domain is finite.
+    """
+    dom = [(p, v) for p, v in zip(f.grid.points, f.values) if not v.is_pos_inf]
+    if not dom:
+        return None, NEG_INF
+    if any(v.is_neg_inf for _, v in dom):
+        return None, POS_INF
+    return [(p, v.value) for p, v in dom], None
+
+
+def _fenchel(dom, xstar) -> ExtReal:
+    """max over dom of <p, x*> - f(p), in the order of the grid."""
+    best = None
+    for p, payload in dom:
+        term = _dot(p, xstar) - payload
+        if best is None or term > best:
+            best = term
+    return ExtReal(best)
+
+
+def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
+    """f^c(w) = sup over the grid of { c(x, w) - f(x) }.
+
+    The gate is tested once per distinct (u*, alpha) and the Fenchel value
+    computed once per distinct x*, and only for an x* that some open gate
+    needs.
+    """
+    dom, constant = _split_dom(f)
+    if dom is None:
+        return SampledFn(w_grid, [constant] * len(w_grid))
+    blocked = {}  # gate key -> some point of dom fails the gate
+    fenchel = {}  # x* key -> grid Fenchel value
+    vals = []
+    for w in w_grid.points:
+        gate = _gate_key(w)
+        shut = blocked.get(gate)
+        if shut is None:
+            ustar, alpha = w.ustar, w.alpha
+            shut = blocked[gate] = any(not (_dot(p, ustar) < alpha) for p, _ in dom)
+        if shut:
+            vals.append(POS_INF)
+            continue
+        slope = _key(w.xstar)
+        value = fenchel.get(slope)
+        if value is None:
+            value = fenchel[slope] = _fenchel(dom, w.xstar)
+        vals.append(value)
+    return SampledFn(w_grid, vals)
+
+
+def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
+    """g^{c'}(x) = sup over the dual grid of { c'(w, x) - g(w) }.
+
+    Per distinct u* only the least alpha over dom g decides the gate (a
+    NaN alpha shuts it at every x), and per distinct x* only the least
+    value of g can attain the sup.  Both tables keep the order in which
+    the dual grid first meets a key, so ties and NaN terms resolve as in
+    the definitional sweep.
+    """
+    dom, constant = _split_dom(g)
+    if dom is None:
+        return SampledFn(x_grid, [constant] * len(x_grid))
+    gates = {}  # u* key -> [u*, least non-NaN alpha or None, some alpha is NaN]
+    slopes = {}  # x* key -> [x*, least value of g]
+    for w, payload in dom:
+        gate = gates.setdefault(_key(w.ustar), [w.ustar, None, False])
+        alpha = w.alpha
+        if alpha != alpha:
+            gate[2] = True
+        elif gate[1] is None or alpha < gate[1]:
+            gate[1] = alpha
+        slope = slopes.setdefault(_key(w.xstar), [w.xstar, payload])
+        if payload < slope[1]:
+            slope[1] = payload
+    gates = list(gates.values())
+    slopes = list(slopes.values())
+    vals = []
+    for x in x_grid.points:
+        if any(nan or not (_dot(x, ustar) < alpha) for ustar, alpha, nan in gates):
+            vals.append(POS_INF)
+            continue
+        best = None
+        for xstar, least in slopes:
+            term = _dot(x, xstar) - least
+            if best is None or term > best:
+                best = term
+        vals.append(ExtReal(best))
+    return SampledFn(x_grid, vals)
+
+
+def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
+    """f^{cc'} back on f's own grid: a minorant of f that tightens as the
+    dual grid is refined."""
+    return cprime_conjugate(c_conjugate(f, w_grid), f.grid)
+
+
+# ---------------------------------------------------------------------------
+# Definitional sweeps: single-point values, and the oracle of the
+# differential tests
+# ---------------------------------------------------------------------------
 
 
 def _classify(values):
@@ -277,12 +380,11 @@ def _sup_coupling_minus(points, rows, w: DualPoint) -> ExtReal:
     return NEG_INF if best is None else ExtReal(best)
 
 
-def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
-    """f^c(w) = sup over the grid of { c(x, w) - f(x) }."""
+def _reference_c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
+    """f^c by the definition: every dual point against every grid point."""
     rows = _classify(f.values)
     points = f.grid.points
-    vals = parallel_map(lambda w: _sup_coupling_minus(points, rows, w), w_grid.points)
-    return SampledFn(w_grid, vals)
+    return SampledFn(w_grid, [_sup_coupling_minus(points, rows, w) for w in w_grid.points])
 
 
 def _sup_prime_minus(w_points, rows, x) -> ExtReal:
@@ -300,23 +402,11 @@ def _sup_prime_minus(w_points, rows, x) -> ExtReal:
     return NEG_INF if best is None else ExtReal(best)
 
 
-def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
-    """g^{c'}(x) = sup over the dual grid of { c'(w, x) - g(w) }."""
+def _reference_cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
+    """g^{c'} by the definition: every grid point against every dual point."""
     rows = _classify(g.values)
     w_points = g.grid.points
-    vals = parallel_map(lambda x: _sup_prime_minus(w_points, rows, x), x_grid.points)
-    return SampledFn(x_grid, vals)
-
-
-def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
-    """f^{cc'} back on f's own grid: a minorant of f that tightens as the
-    dual grid is refined."""
-    return cprime_conjugate(c_conjugate(f, w_grid), f.grid)
-
-
-def econvex_hull_approx(f: SampledFn, w_grid: DualGrid) -> SampledFn:
-    """Grid approximation of the largest evenly convex minorant of f."""
-    return biconjugate(f, w_grid)
+    return SampledFn(x_grid, [_sup_prime_minus(w_points, rows, x) for x in x_grid.points])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from econvex import extreal
-from econvex.conjugation import DualPoint, c_conjugate, coupling_c, parallel_map
+from econvex.conjugation import DualPoint, c_conjugate, coupling_c, cprime_conjugate
 from econvex.duality import PerturbationProblem, converse_duality_report
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import SampledFn, slice_x
@@ -62,7 +62,12 @@ class SaddleCandidate:
 
 
 class CLagrangian:
-    """Cached table of L over x-grid x dual-y-grid."""
+    """Cached table of L over x-grid x dual-y-grid.
+
+    The rows are built cell by cell from the coupling, not through the
+    conjugation kernel: they are the other side of the slice identity
+    that :func:`dual_slice_audit` checks against the kernel.
+    """
 
     def __init__(self, problem: PerturbationProblem):
         if not problem.dual_y_grid.alpha_positive:
@@ -72,11 +77,11 @@ class CLagrangian:
             x: slice_x(problem.phi, x, problem.y_grid)
             for x in problem.x_grid.points
         }
-        rows = parallel_map(self._row, problem.x_grid.points)
         self.table: Dict[Tuple[Tuple, DualPoint], ExtReal] = {}
-        for x, row in zip(problem.x_grid.points, rows):
-            for w, v in zip(problem.dual_y_grid.points, row):
+        for x in problem.x_grid.points:
+            for w, v in zip(problem.dual_y_grid.points, self._row(x)):
                 self.table[(x, w)] = v
+        self._slice_conjugates: Dict[Tuple, SampledFn] = {}
 
     def _row(self, x):
         sl = self.slices[x]
@@ -88,6 +93,15 @@ class CLagrangian:
 
     def value(self, x, w: DualPoint) -> ExtReal:
         return self.table[(tuple(x), w)]
+
+    def slice_conjugate(self, x) -> SampledFn:
+        """phi(x, .)^c on the Y-side dual grid, computed once per x."""
+        x = tuple(x)
+        conj = self._slice_conjugates.get(x)
+        if conj is None:
+            conj = c_conjugate(self.slices[x], self.problem.dual_y_grid)
+            self._slice_conjugates[x] = conj
+        return conj
 
 
 def _lagrangian(P: PerturbationProblem) -> CLagrangian:
@@ -113,7 +127,7 @@ def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
 def dual_slice_audit(P: PerturbationProblem, x) -> dict:
     """-L(x, .) must equal the conjugate of the slice phi(x, .) exactly."""
     L = _lagrangian(P)
-    conj = c_conjugate(L.slices[tuple(x)], P.dual_y_grid)
+    conj = L.slice_conjugate(x)
     rows = []
     ok = True
     for w in P.dual_y_grid.points:
@@ -201,8 +215,7 @@ def prop55_audit(P: PerturbationProblem) -> dict:
     surrogate = True
     for x in P.x_grid.points:
         sl = L.slices[x]
-        recovered = c_conjugate(sl, P.dual_y_grid)
-        back = _prime_back(recovered, P)
+        back = cprime_conjugate(L.slice_conjugate(x), P.y_grid)
         if any(back.value_at(y) != sl.value_at(y) for y in P.y_grid.points):
             surrogate = False
             break
@@ -225,12 +238,6 @@ def prop55_audit(P: PerturbationProblem) -> dict:
         "equals_argmin_x_argmax": matches_expected,
         "report": report,
     }
-
-
-def _prime_back(g: SampledFn, P: PerturbationProblem) -> SampledFn:
-    from econvex.conjugation import cprime_conjugate
-
-    return cprime_conjugate(g, P.y_grid)
 
 
 def find_convexity_violation(

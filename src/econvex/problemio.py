@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from econvex.conjugation import DualGrid, pair_tensor_dual_grid, tensor_dual_grid
+from econvex.conjugation import (
+    DualGrid,
+    _dot,
+    _gate_key,
+    pair_tensor_dual_grid,
+    tensor_dual_grid,
+)
 from econvex.duality import PerturbationProblem
 from econvex.esets import EPolyhedron, Halfspace
 from econvex.funcrep import (
@@ -310,17 +316,23 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
 
     A boundary coincidence flips which branch of the coupling fires under
     the smallest perturbation of the data, so the loader surfaces them.
-    Returns (space, point, dual point) rows.
+    Returns (space, point, dual point) rows, dual point by dual point and
+    each in grid order.  The boundary depends on (u*, alpha) only, so the
+    points on it are found once per distinct gate.
     """
     out = []
-    for w in P.dual_y_grid.points:
-        for y in P.y_grid.points:
-            if _dot(y, w.ustar) == w.alpha:
-                out.append(("y", y, w))
-    for flat in P.full_dual_grid.points:
-        for p in P.product.points:
-            if _dot(p, flat.ustar) == flat.alpha:
-                out.append(("(x,y)", p, flat))
+    for space, w_points, points in (
+        ("y", P.dual_y_grid.points, P.y_grid.points),
+        ("(x,y)", P.full_dual_grid.points, P.product.points),
+    ):
+        on_boundary = {}
+        for w in w_points:
+            gate = _gate_key(w)
+            hits = on_boundary.get(gate)
+            if hits is None:
+                ustar, alpha = w.ustar, w.alpha
+                hits = on_boundary[gate] = [p for p in points if _dot(p, ustar) == alpha]
+            out.extend((space, p, w) for p in hits)
     return out
 
 
@@ -336,10 +348,3 @@ def boundary_warnings(P: PerturbationProblem) -> List[str]:
             f"boundary of {w} (first: {points[0]})"
         )
     return lines
-
-
-def _dot(a, b):
-    total = 0
-    for u, v in zip(a, b):
-        total += u * v
-    return total

@@ -1,5 +1,6 @@
 """Shared builders for duality/subdifferential/lagrangian tests."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -13,6 +14,23 @@ from econvex import catalog
 
 def catalog_problem(name):
     return catalog.load(name).build()
+
+
+def fenchel_abs_duality_grid(n):
+    """fenchel_abs on n-point x and y grids with x* in -4..4, u* in
+    {-1, 0, 1}, y* in {-1, 0, 1}, v* = 0 and alpha = 1: 81 paired dual
+    points that share 3 gates."""
+    doc = copy.deepcopy(catalog.entry("fenchel_abs"))
+    doc["grids"].update(
+        x={"lo": "-5", "hi": "5", "count": n},
+        y={"lo": "-5", "hi": "5", "count": n},
+        xstar=[str(v) for v in range(-4, 5)],
+        ustar=["-1", "0", "1"],
+        ystar=["-1", "0", "1"],
+        vstar=["0"],
+        alpha=["1"],
+    )
+    return doc
 
 
 def abs_pair_problem() -> PerturbationProblem:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +17,9 @@ from econvex.conjugation import (
     coupling_cbar,
     coupling_cprime,
     cprime_conjugate,
-    parallel_map,
     tensor_dual_grid,
+    _reference_c_conjugate,
+    _reference_cprime_conjugate,
 )
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PwAffine1, SampledFn
@@ -351,18 +353,165 @@ class TestExactVsGridCrossValidation:
             ) == c_conjugate_exact(f, ww)
 
 
-class TestParallelMap:
-    def test_threaded_result_identical(self, monkeypatch):
-        items = list(range(50))
-        sequential = parallel_map(lambda i: i * i, items)
-        monkeypatch.setenv("ECONVEX_THREADS", "4")
-        assert parallel_map(lambda i: i * i, items) == sequential
+# ---------------------------------------------------------------------------
+# The split kernel against the definitional sweeps
+# ---------------------------------------------------------------------------
 
-    def test_threaded_conjugate_identical(self, monkeypatch):
-        grid = Grid.uniform(-5, 5, 11)
+# Small coordinate ranges put grid points on gate boundaries <x, u*> =
+# alpha often; the float backend adds infinite coordinates, whose
+# products with 0 are NaN, and NaN alphas.
+COORDS = list(range(-3, 4))
+FLOAT_COORDS = COORDS + [math.inf, -math.inf]
+ALPHAS = list(range(-2, 4))
+FLOAT_ALPHAS = ALPHAS + [math.inf, math.nan]
+
+
+def scalar(v, backend):
+    return Fraction(v) if backend == "rational" else float(v)
+
+
+@st.composite
+def ext_values(draw, n, backend):
+    """n extended reals: finite quarters, +inf and -inf; one draw in
+    five makes every value +inf (an empty domain)."""
+    if draw(st.integers(0, 4)) == 0:
+        return [POS_INF] * n
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["finite"] * 6 + ["+inf", "+inf", "-inf"]))
+        if kind == "finite":
+            out.append(ExtReal(scalar(Fraction(draw(st.integers(-12, 12)), 4), backend)))
+        else:
+            out.append(POS_INF if kind == "+inf" else NEG_INF)
+    return out
+
+
+@st.composite
+def kernel_grid(draw, dim, backend, max_size=8):
+    coords = FLOAT_COORDS if backend == "float" else COORDS
+    vec = st.tuples(*[st.sampled_from(coords)] * dim)
+    pts = draw(st.lists(vec, min_size=1, max_size=max_size, unique=True))
+    return Grid(dim, [tuple(scalar(c, backend) for c in p) for p in pts], backend)
+
+
+@st.composite
+def kernel_dual_grid(draw, dim, backend, max_size=10):
+    """Dual points drawn from a few x*, u* and alpha, so gates share
+    slopes, slopes share gates, and one u* carries several alphas."""
+    coords = FLOAT_COORDS if backend == "float" else COORDS
+    vec = st.tuples(*[st.sampled_from(coords)] * dim)
+    xstars = draw(st.lists(vec, min_size=1, max_size=3, unique=True))
+    ustars = draw(st.lists(vec, min_size=1, max_size=2, unique=True))
+    alphas = draw(
+        st.lists(
+            st.sampled_from(FLOAT_ALPHAS if backend == "float" else ALPHAS),
+            min_size=1,
+            max_size=3,
+            unique_by=str,
+        )
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(xstars) - 1),
+                st.integers(0, len(ustars) - 1),
+                st.integers(0, len(alphas) - 1),
+            ),
+            min_size=1,
+            max_size=max_size,
+            unique=True,
+        )
+    )
+    pts = [DualPoint.of(xstars[i], ustars[j], alphas[k], backend) for i, j, k in picks]
+    return DualGrid(pts, backend)
+
+
+@st.composite
+def conjugate_case(draw):
+    backend = draw(st.sampled_from(["rational", "float"]))
+    dim = draw(st.integers(1, 2))
+    grid = draw(kernel_grid(dim, backend))
+    f = SampledFn(grid, draw(ext_values(len(grid), backend)))
+    return f, draw(kernel_dual_grid(dim, backend))
+
+
+@st.composite
+def prime_conjugate_case(draw):
+    backend = draw(st.sampled_from(["rational", "float"]))
+    dim = draw(st.integers(1, 2))
+    wg = draw(kernel_dual_grid(dim, backend))
+    g = SampledFn(wg, draw(ext_values(len(wg), backend)))
+    return g, draw(kernel_grid(dim, backend))
+
+
+def outcome(fn, *args):
+    """Tagged values with their payload types, or the error raised."""
+    try:
+        values = fn(*args).values
+    except ValueError as exc:
+        return ("raised", str(exc))
+    rows = []
+    for v in values:
+        if v.is_pos_inf:
+            rows.append(("+",))
+        elif v.is_neg_inf:
+            rows.append(("-",))
+        else:
+            rows.append(("f", type(v.value), v.value))
+    return rows
+
+
+class TestKernelMatchesReference:
+    @given(conjugate_case())
+    @settings(max_examples=300, deadline=None)
+    def test_c_conjugate_bit_identical(self, case):
+        f, wg = case
+        assert outcome(c_conjugate, f, wg) == outcome(_reference_c_conjugate, f, wg)
+
+    @given(prime_conjugate_case())
+    @settings(max_examples=300, deadline=None)
+    def test_cprime_conjugate_bit_identical(self, case):
+        g, grid = case
+        assert outcome(cprime_conjugate, g, grid) == outcome(
+            _reference_cprime_conjugate, g, grid
+        )
+
+    def test_nan_gate_blows_up_as_in_the_definition(self):
+        # inf * 0 is NaN, and not (NaN < alpha): the gate fails at (inf, 0),
+        # so the value is +inf although max <p, u*> over the finite dots
+        # (5) is below alpha.
+        grid = Grid(2, [(0, 5), (math.inf, 0)], "float")
+        f = SampledFn(grid, [ExtReal(0.0)] * 2)
+        wg = DualGrid([DualPoint.of((0, 0), (0, 1), 6, "float")], "float")
+        assert c_conjugate(f, wg).values == (POS_INF,)
+        assert _reference_c_conjugate(f, wg).values == (POS_INF,)
+
+    def test_nan_alpha_shuts_the_prime_gate(self):
+        wg = DualGrid(
+            [
+                DualPoint.of((1,), (0,), 1, "float"),
+                DualPoint.of((0,), (0,), math.nan, "float"),
+            ],
+            "float",
+        )
+        g = SampledFn(wg, [ExtReal(0.0), ExtReal(1.0)])
+        grid = Grid(1, [(-1,), (0,)], "float")
+        assert cprime_conjugate(g, grid).values == (POS_INF, POS_INF)
+        assert _reference_cprime_conjugate(g, grid).values == (POS_INF, POS_INF)
+
+    def test_boundary_point_shuts_the_gate_but_not_its_neighbour(self):
+        grid = Grid.uniform(-2, 2, 5)
         f = abs_on(grid)
-        wg = tensor_dual_grid([(-1,), (0,), (1,)], [(0,), (1,)], [1, 2])
-        base = c_conjugate(f, wg)
-        monkeypatch.setenv("ECONVEX_THREADS", "3")
-        threaded = c_conjugate(f, wg)
-        assert list(base.values) == list(threaded.values)
+        wg = tensor_dual_grid([(0,), (1,)], [(1,)], [2, 3])
+        # <2, 1> = 2 sits on the alpha = 2 boundary and shuts that gate.
+        expected = [POS_INF, ExtReal(0), POS_INF, ExtReal(0)]
+        assert list(c_conjugate(f, wg).values) == expected
+        assert list(_reference_c_conjugate(f, wg).values) == expected
+
+    def test_empty_domain_and_neg_inf_are_constant(self):
+        grid = Grid.uniform(-2, 2, 5)
+        wg = tensor_dual_grid([(0,), (1,)], [(0,), (1,)], [1, -1])
+        empty = SampledFn(grid, [POS_INF] * 5)
+        assert set(c_conjugate(empty, wg).values) == {NEG_INF}
+        dips = SampledFn(grid, [POS_INF, NEG_INF, ExtReal(0), POS_INF, ExtReal(1)])
+        assert set(c_conjugate(dips, wg).values) == {POS_INF}
