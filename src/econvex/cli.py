@@ -42,6 +42,7 @@ from econvex.lagrangian import (
     prop55_audit,
     supinf_value,
 )
+from econvex.problemio import _dual, _point, _scalar
 from econvex.subdifferential import (
     eps_c_subdifferential,
     prop43_audit,
@@ -58,21 +59,6 @@ EXIT_INPUT = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exit code 2 collides
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _scalar(v) -> str:
-    return fmt(ExtReal(v))
-
-
-def _point(p) -> str:
-    return "(" + ", ".join(_scalar(c) for c in p) + ")"
-
-
-def _dual(w: DualPoint) -> str:
-    return (
-        "(x*=" + _point(w.xstar) + ", u*=" + _point(w.ustar)
-        + ", alpha=" + _scalar(w.alpha) + ")"
-    )
 
 
 def _emit(lines):
@@ -410,7 +396,7 @@ def cmd_lagrangian(args) -> int:
 
 def _run_exact_suite(P) -> list:
     audits = []
-    report = converse_duality_report(P)
+    report = P.report
     audits += [a for a in report.audits.values() if a.kind == "exact"]
     # Unconditional halves of the conditional audits are validated inside
     # them; surface their kind="conditional" outcomes in the conditional

@@ -213,6 +213,21 @@ class PerturbationProblem:
     def p_biconj(self) -> SampledFn:
         return cprime_conjugate(self.p_conj, self.y_grid)
 
+    @cached_property
+    def psi_prime_x_minima(self) -> Dict[Tuple, Tuple[ExtReal, Tuple]]:
+        """y -> (min over the x-grid of psi^{c'}(x, y), the x attaining it)."""
+        out = {}
+        for y in self.y_grid.points:
+            column = [(x, self.psi_prime.value_at(x + y)) for x in self.x_grid.points]
+            low = extreal.inf(v for _, v in column)
+            out[y] = (low, tuple(x for x, v in column if v == low))
+        return out
+
+    @cached_property
+    def report(self) -> "DualityReport":
+        """The duality report, built once and read by every audit."""
+        return converse_duality_report(self)
+
     # -- misc ------------------------------------------------------------
 
     def close(self, a: ExtReal, b: ExtReal) -> bool:
@@ -339,21 +354,15 @@ def c5bar_audit(P: PerturbationProblem):
     witnesses = []
     truncated = []
     exact_ok = True
-    d = P.x_grid.dim
     for y in P.y_grid.points:
         lhs = P.g_prime.value_at(y)
-        slice_vals = [
-            (x, P.psi_prime.value_at(x + y)) for x in P.x_grid.points
-        ]
-        rhs = extreal.inf(v for _, v in slice_vals)
+        rhs, attaining = P.psi_prime_x_minima[y]
         if not lhs <= rhs:
             exact_ok = False
         if not P.close(lhs, rhs):
             witnesses.append((y, lhs, rhs))
-        elif rhs.is_finite:
-            attaining = [x for x, v in slice_vals if v == rhs]
-            if attaining and all(P.on_x_boundary(x) for x in attaining):
-                truncated.append(y)
+        elif rhs.is_finite and all(P.on_x_boundary(x) for x in attaining):
+            truncated.append(y)
     if not exact_ok:
         return AuditOutcome(
             "c5bar", "exact", FAIL, "lower-bound inequality violated (bug)",
@@ -414,9 +423,7 @@ def corollary310_audit(P: PerturbationProblem) -> AuditOutcome:
     rows = []
     for y in P.y_grid.points:
         lhs = P.p_biconj.value_at(y)
-        rhs = extreal.inf(
-            P.psi_prime.value_at(x + y) for x in P.x_grid.points
-        )
+        rhs = P.psi_prime_x_minima[y][0]
         if not lhs <= rhs:
             bad.append((y, lhs, rhs))
         rows.append((y, lhs, rhs))

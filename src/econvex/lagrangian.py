@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 
 from econvex import extreal
 from econvex.conjugation import DualPoint, c_conjugate, coupling_c, cprime_conjugate
-from econvex.duality import PerturbationProblem, converse_duality_report
+from econvex.duality import PerturbationProblem
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import SampledFn, slice_x
 
@@ -185,13 +185,19 @@ def is_saddle_point(P: PerturbationProblem, xbar, wbar: DualPoint) -> bool:
 
 
 def saddle_search(P: PerturbationProblem) -> Tuple[SaddleCandidate, ...]:
+    """Every saddle cell of the table, in row-major order.  A cell is a
+    saddle iff L(x, w) is both the maximum of its row and the minimum of
+    its column, so the row maxima and column minima are read once."""
     L = _lagrangian(P)
-    out = []
-    for x in P.x_grid.points:
-        for w in P.dual_y_grid.points:
-            if is_saddle_point(P, x, w):
-                out.append(SaddleCandidate(x, w, L.value(x, w)))
-    return tuple(out)
+    xs, ws = P.x_grid.points, P.dual_y_grid.points
+    row_max = {x: extreal.sup(L.value(x, w) for w in ws) for x in xs}
+    col_min = {w: extreal.inf(L.value(x, w) for x in xs) for w in ws}
+    return tuple(
+        SaddleCandidate(x, w, L.value(x, w))
+        for x in xs
+        for w in ws
+        if row_max[x] == L.value(x, w) == col_min[w]
+    )
 
 
 def prop55_audit(P: PerturbationProblem) -> dict:
@@ -204,7 +210,7 @@ def prop55_audit(P: PerturbationProblem) -> dict:
     on the grid, conjugating through the Y-side dual grid).
     """
     L = _lagrangian(P)
-    report = converse_duality_report(P)
+    report = P.report
     saddles = saddle_search(P)
     lo = supinf_value(P)
     hi = infsup_value(P)

@@ -9,6 +9,7 @@ contain JSON floats, which keeps exactness alive across serialization.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -22,6 +23,7 @@ from econvex.conjugation import (
 )
 from econvex.duality import PerturbationProblem
 from econvex.esets import EPolyhedron, Halfspace
+from econvex.extreal import ExtReal, fmt
 from econvex.funcrep import (
     Abs,
     Affine,
@@ -41,6 +43,26 @@ __all__ = ["InputError", "ProblemFile", "EsetFile", "load", "loads", "save_text"
 
 class InputError(ValueError):
     """Schema violation, named field included in the message."""
+
+
+# ---------------------------------------------------------------------------
+# Rendering of scalars, points and dual points in reports and warnings
+# ---------------------------------------------------------------------------
+
+
+def _scalar(v) -> str:
+    return fmt(ExtReal(v))
+
+
+def _point(p) -> str:
+    return "(" + ", ".join(_scalar(c) for c in p) + ")"
+
+
+def _dual(w) -> str:
+    return (
+        "(x*=" + _point(w.xstar) + ", u*=" + _point(w.ustar)
+        + ", alpha=" + _scalar(w.alpha) + ")"
+    )
 
 
 def _require_keys(obj: dict, required, optional=(), where: str = "object"):
@@ -68,16 +90,31 @@ def _num(v, backend: str, where: str):
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"{where}: cannot parse rational {v!r}") from None
         raise InputError(f"{where}: bad number {v!r}")
-    if isinstance(v, bool):
+    if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise InputError(f"{where}: bad number {v!r}")
-    if isinstance(v, (int, float)):
-        return float(v)
-    if isinstance(v, str):
-        try:
-            return float(Fraction(v))
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"{where}: cannot parse number {v!r}") from None
-    raise InputError(f"{where}: bad number {v!r}")
+    try:
+        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise InputError(f"{where}: cannot parse number {v!r}") from None
+    if not math.isfinite(x):
+        raise InputError(f"{where}: numbers must be finite, got {v!r}")
+    return x
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise InputError(f"{where}: expected a list, got {v!r}")
+    return v
+
+
+def _distinct(items: list, where: str) -> list:
+    """items, or an InputError naming the first entry that repeats one."""
+    first = {}
+    for i, item in enumerate(items):
+        j = first.setdefault(item, i)
+        if j != i:
+            raise InputError(f"{where}[{i}]: repeats {where}[{j}]")
+    return items
 
 
 def _vec(v, dim: int, backend: str, where: str) -> Tuple:
@@ -168,20 +205,23 @@ def _parse_expr(obj: dict, x_dim: int, y_dim: int, where: str) -> Expr:
 def _parse_grid(obj, dim: int, backend: str, where: str) -> Grid:
     if isinstance(obj, dict) and "points" in obj:
         _require_keys(obj, ["points"], (), where)
-        pts = [_vec(p, dim, backend, f"{where}.points[{i}]") for i, p in enumerate(obj["points"])]
-        return Grid(dim, pts, backend)
+        pts = [
+            _vec(p, dim, backend, f"{where}.points[{i}]")
+            for i, p in enumerate(_list(obj["points"], f"{where}.points"))
+        ]
+        return Grid(dim, _distinct(pts, f"{where}.points"), backend)
     if isinstance(obj, dict) and {"lo", "hi", "count"} <= set(obj):
         _require_keys(obj, ["lo", "hi", "count"], (), where)
         if dim != 1:
             raise InputError(f"{where}: lo/hi/count ranges are 1-D; use explicit points")
         if not isinstance(obj["count"], int) or obj["count"] < 1:
             raise InputError(f"{where}.count: must be a positive integer")
-        return Grid.uniform(
-            _num(obj["lo"], backend, f"{where}.lo"),
-            _num(obj["hi"], backend, f"{where}.hi"),
-            obj["count"],
-            backend,
-        )
+        lo = _num(obj["lo"], backend, f"{where}.lo")
+        hi = _num(obj["hi"], backend, f"{where}.hi")
+        try:
+            return Grid.uniform(lo, hi, obj["count"], backend)
+        except ValueError:  # the only one left: a repeated point
+            raise InputError(f"{where}: lo, hi and count give repeated points") from None
     raise InputError(f"{where}: expected {{points}} or {{lo, hi, count}}")
 
 
@@ -265,14 +305,22 @@ def loads(text: str):
     def veclist(key, dim, default=None):
         if key not in grids:
             return [tuple(_num(0, backend, key) for _ in range(dim))] if default else None
-        return [
-            _vec(v, dim, backend, f"grids.{key}[{i}]")
-            for i, v in enumerate(grids[key])
+        where = f"grids.{key}"
+        vecs = [
+            _vec(v, dim, backend, f"{where}[{i}]")
+            for i, v in enumerate(_list(grids[key], where))
         ]
+        return _distinct(vecs, where)
 
     ystars = veclist("ystar", y_dim)
     vstars = veclist("vstar", y_dim)
-    alphas = [_num(a, backend, f"grids.alpha[{i}]") for i, a in enumerate(grids["alpha"])]
+    alphas = _distinct(
+        [
+            _num(a, backend, f"grids.alpha[{i}]")
+            for i, a in enumerate(_list(grids["alpha"], "grids.alpha"))
+        ],
+        "grids.alpha",
+    )
     if any(a <= 0 for a in alphas):
         raise InputError("grids.alpha: duality requires every alpha > 0")
     xstars = veclist("xstar", x_dim, default=True)
@@ -345,6 +393,6 @@ def boundary_warnings(P: PerturbationProblem) -> List[str]:
     for (space, w), points in groups.items():
         lines.append(
             f"{len(points)} {space}-grid point(s) lie exactly on the coupling "
-            f"boundary of {w} (first: {points[0]})"
+            f"boundary of {_dual(w)} (first: {_point(points[0])})"
         )
     return lines

@@ -2,10 +2,16 @@
 
 A dual point w = (x*, u*, alpha) is a subgradient of f at x0 when f(x0) is
 finite, the gate <x0, u*> < alpha holds, and the coupling difference
-minorizes the function difference over the whole grid.  The conjugate
-characterization (f(x0) + f^c(w) = c(x0, w), and its epsilon relaxation
-with <= c(x0, w) + eps) is equivalent on finite instances and both routes
-are always computed; disagreement is a bug and raises.
+minorizes the function difference over the whole grid.  On a grid the
+conjugate characterization is exact: w is an eps-subgradient of f at x0
+iff f(x0) and c(x0, w) are finite and f(x0) + f^c(w) <= c(x0, w) + eps.
+Every membership question is answered by that one rule, :func:`_member`,
+read off a conjugate that is computed once per function and dual grid --
+the problem's cached ``f0_conj`` and ``psi``, or one ``c_conjugate`` sweep
+-- instead of a fresh pass over the grid per pair.  The definitional
+tests :func:`is_c_subgradient` and :func:`is_cprime_subgradient` and the
+single-point conjugates stay as public references; the differential tests
+hold the fast routes to them.
 
 The transfer audit moves memberships between a function and its conjugate:
 the forward direction is a grid theorem, the converse requires the grid
@@ -16,16 +22,17 @@ The epsilon-formula audits compare the subdifferential of the restriction
 phi(., 0) with projections of the subdifferential of phi at (x, 0).  The
 projection formula at the same epsilon is a grid theorem; the
 intersection formula's infinite intersection over eta > 0 is approximated
-by a finite decreasing ladder, which by monotonicity collapses to its
-smallest member, so the reported inclusion carries that eta_min slack and
-the report names it.
+by a finite decreasing ladder.  Membership is monotone in eps, so the
+ladder's intersection is its smallest member, the projection at
+eps + eta_min, which is what the audit computes; the reported inclusion
+carries that eta_min slack and the report names it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from econvex.conjugation import (
     DualGrid,
@@ -35,7 +42,7 @@ from econvex.conjugation import (
     cprime_conjugate,
 )
 from econvex.conjugation import _classify, _sup_coupling_minus, _sup_prime_minus
-from econvex.duality import EXACT_PASS, PerturbationProblem, c5_audit, converse_duality_report
+from econvex.duality import EXACT_PASS, PerturbationProblem
 from econvex.extreal import ExtReal
 from econvex.funcrep import SampledFn
 
@@ -68,17 +75,29 @@ class SubdiffSet:
 
 
 def conjugate_value(f: SampledFn, w: DualPoint) -> ExtReal:
-    """f^c at a single dual point."""
+    """f^c at a single dual point, by the definitional sweep."""
     return _sup_coupling_minus(f.grid.points, _classify(f.values), w)
 
 
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
-    """g^{c'} at a single primal point."""
+    """g^{c'} at a single primal point, by the definitional sweep."""
     return _sup_prime_minus(g.grid.points, _classify(g.values), x)
 
 
 def _zero_eps(f: SampledFn):
     return Fraction(0) if f.grid.backend == "rational" else 0.0
+
+
+def _on_grid(f: SampledFn, x0):
+    """x0 as stored on f's grid (raises off-grid) and f(x0)."""
+    x0 = f.grid.points[f.grid.index_of(x0)]
+    return x0, f.value_at(x0)
+
+
+def _member(fx0: ExtReal, conj_w: ExtReal, cx0: ExtReal, eps) -> bool:
+    """w in the eps-subdifferential of f at x0, from f(x0), f^c(w) and
+    c(x0, w): both finite, and f(x0) + f^c(w) <= c(x0, w) + eps."""
+    return fx0.is_finite and cx0.is_finite and fx0 + conj_w <= cx0 + ExtReal(eps)
 
 
 def is_c_subgradient(f: SampledFn, x0, w: DualPoint, eps=None) -> bool:
@@ -87,8 +106,7 @@ def is_c_subgradient(f: SampledFn, x0, w: DualPoint, eps=None) -> bool:
         eps = _zero_eps(f)
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
-    x0 = f.grid.points[f.grid.index_of(x0)]
-    fx0 = f.value_at(x0)
+    x0, fx0 = _on_grid(f, x0)
     if not fx0.is_finite:
         return False
     cx0 = coupling_c(x0, w)
@@ -109,62 +127,37 @@ def is_c_subgradient_via_conjugate(
     """Conjugate-form membership: f(x0) + f^c(w) <= c(x0, w) + eps."""
     if eps is None:
         eps = _zero_eps(f)
-    x0 = f.grid.points[f.grid.index_of(x0)]
-    fx0 = f.value_at(x0)
-    if not fx0.is_finite:
-        return False
-    cx0 = coupling_c(x0, w)
-    if not cx0.is_finite:
-        return False
-    return fx0 + f_conj_at_w <= cx0 + ExtReal(eps)
+    x0, fx0 = _on_grid(f, x0)
+    return _member(fx0, f_conj_at_w, coupling_c(x0, w), eps)
 
 
-def _members(f: SampledFn, x0, eps, w_grid: DualGrid) -> Tuple[DualPoint, ...]:
-    out = []
-    for w in w_grid.points:
-        by_def = is_c_subgradient(f, x0, w, eps)
-        by_conj = is_c_subgradient_via_conjugate(f, conjugate_value(f, w), x0, w, eps)
-        if by_def != by_conj:  # pragma: no cover - grid equivalence is a theorem
-            raise RuntimeError(
-                f"definitional and conjugate membership disagree at {w}"
-            )
-        if by_def:
-            out.append(w)
-    return tuple(out)
+def _members(f: SampledFn, x0, eps, f_conj: SampledFn) -> Tuple[DualPoint, ...]:
+    """The dual points of f_conj's grid in the eps-subdifferential at x0."""
+    x0, fx0 = _on_grid(f, x0)
+    return tuple(
+        w for w, conj in f_conj.items() if _member(fx0, conj, coupling_c(x0, w), eps)
+    )
 
 
 def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
-    eps = _zero_eps(f)
-    return SubdiffSet(tuple(x0), eps, _members(f, x0, eps, w_grid))
+    return eps_c_subdifferential(f, x0, _zero_eps(f), w_grid)
 
 
 def eps_c_subdifferential(f: SampledFn, x0, eps, w_grid: DualGrid) -> SubdiffSet:
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
-    return SubdiffSet(tuple(x0), eps, _members(f, x0, eps, w_grid))
+    return SubdiffSet(tuple(x0), eps, _members(f, x0, eps, c_conjugate(f, w_grid)))
 
 
 def is_cprime_subgradient(g: SampledFn, w0: DualPoint, x) -> bool:
-    """Membership of a primal point in the subdifferential of g at w0.
-
-    The definitional inequality runs over the dual grid carrying g; the
-    conjugate-equality route is evaluated as a cross-check and the two
-    must agree exactly.
-    """
+    """Definitional membership of a primal point in the subdifferential of
+    g at w0: the inequality runs over the dual grid carrying g."""
     g.grid.index_of(w0)  # raises off-grid
     gw0 = g.value_at(w0)
-    gate = gw0.is_finite and coupling_c(x, w0).is_finite
-    if gate:
-        cw0 = coupling_c(x, w0)
-        by_def = all(
-            (gw - gw0) >= (coupling_c(x, w) - cw0) for w, gw in g.items()
-        )
-        by_conj = gw0 + prime_conjugate_value(g, x) == cw0
-    else:
-        by_def = by_conj = False
-    if by_def != by_conj:  # pragma: no cover - grid equivalence is a theorem
-        raise RuntimeError(f"c'-subgradient routes disagree at {w0}")
-    return by_def
+    cw0 = coupling_c(x, w0)
+    if not (gw0.is_finite and cw0.is_finite):
+        return False
+    return all((gw - gw0) >= (coupling_c(x, w) - cw0) for w, gw in g.items())
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +177,24 @@ class TransferReport:
 def transfer_audit(f: SampledFn, w_grid: DualGrid) -> TransferReport:
     """Forward: membership in the subdifferential of f pushes to the
     conjugate.  Converse: holds under the grid surrogate of even
-    convexity; counterexample pairs are listed when it does not."""
+    convexity; counterexample pairs are listed when it does not.
+
+    Both sides read the one conjugate pair: w is in the subdifferential
+    of f at x by the conjugate rule, and x in that of f^c at w iff c(x, w)
+    is finite and f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w)
+    finite too.
+    """
     f_conj = c_conjugate(f, w_grid)
     f_biconj = cprime_conjugate(f_conj, f.grid)
-    surrogate = all(
-        f_biconj.value_at(p) == f.value_at(p) for p in f.grid.points
-    )
+    surrogate = f_biconj.values == f.values
+    zero = _zero_eps(f)
     forward_ok = True
     counterexamples = []
-    checked = 0
-    for x in f.grid.points:
-        for w in w_grid.points:
-            checked += 1
-            primal = is_c_subgradient(f, x, w)
-            dual = is_cprime_subgradient(f_conj, w, x)
+    for x, fx, hull_x in zip(f.grid.points, f.values, f_biconj.values):
+        for w, conj in f_conj.items():
+            cxw = coupling_c(x, w)
+            primal = _member(fx, conj, cxw, zero)
+            dual = cxw.is_finite and conj + hull_x == cxw
             if primal and not dual:
                 forward_ok = False
             if dual and not primal:
@@ -207,7 +204,7 @@ def transfer_audit(f: SampledFn, w_grid: DualGrid) -> TransferReport:
         econvex_surrogate=surrogate,
         converse_ok=not counterexamples,
         counterexamples=tuple(counterexamples),
-        pairs_checked=checked,
+        pairs_checked=len(f.grid) * len(w_grid),
     )
 
 
@@ -216,8 +213,16 @@ def transfer_audit(f: SampledFn, w_grid: DualGrid) -> TransferReport:
 # ---------------------------------------------------------------------------
 
 
-def _full_membership(P: PerturbationProblem, base, flat: DualPoint, eps) -> bool:
-    return is_c_subgradient(P.phi_on_product, base, flat, eps)
+def _embedded_memberships(P: PerturbationProblem) -> Iterator[Tuple[Tuple, DualPoint, bool]]:
+    """(x, w, member) over x-grid x Y-side dual grid: whether the embedded
+    dual point is a subgradient of phi at (x, 0), read off psi at the
+    embedded points (the cached G = g_on_dual_y)."""
+    origin = P.y_grid.origin
+    zero = _zero_eps(P.phi_on_product)
+    for x in P.x_grid.points:
+        base, fx0 = _on_grid(P.phi_on_product, x + origin)
+        for w, conj in P.g_on_dual_y.items():
+            yield x, w, _member(fx0, conj, coupling_c(base, P.embed(w)), zero)
 
 
 def total_duality_certificate(
@@ -226,40 +231,27 @@ def total_duality_certificate(
     """First (x, (y*, v*, alpha)) with the embedded dual point in the
     subdifferential of phi at (x, 0); None when no total duality on the
     grid."""
-    origin = P.y_grid.origin
-    for x in P.x_grid.points:
-        base = x + origin
-        if not P.phi_on_product.value_at(base).is_finite:
-            continue
-        for w in P.dual_y_grid.points:
-            if _full_membership(P, base, P.embed(w), _zero_eps(P.phi_on_product)):
-                return x, w
-    return None
+    return next(((x, w) for x, w, member in _embedded_memberships(P) if member), None)
 
 
 def prop43_audit(P: PerturbationProblem) -> dict:
     """Exhaustive equivalence: the embedded dual point is a subgradient of
     phi at (x, 0) iff x solves the primal, (y*, v*, alpha) solves the
     dual, and the two values agree and are finite."""
-    report = converse_duality_report(P)
-    origin = P.y_grid.origin
+    report = P.report
     mismatches = []
-    for x in P.x_grid.points:
-        base = x + origin
-        for w in P.dual_y_grid.points:
-            member = _full_membership(P, base, P.embed(w), _zero_eps(P.phi_on_product))
-            optimal = (
-                report.zero_gap and x in report.primal_argmin and w in report.dual_argmax
-            )
-            if member != optimal:
-                mismatches.append((x, w, member, optimal))
+    for x, w, member in _embedded_memberships(P):
+        optimal = (
+            report.zero_gap and x in report.primal_argmin and w in report.dual_argmax
+        )
+        if member != optimal:
+            mismatches.append((x, w, member, optimal))
     cert = total_duality_certificate(P)
-    cert_consistent = (cert is not None) == report.total
     return {
         "equivalence_ok": not mismatches,
         "mismatches": tuple(mismatches),
         "certificate": cert,
-        "certificate_consistent": cert_consistent,
+        "certificate_consistent": (cert is not None) == report.total,
     }
 
 
@@ -275,18 +267,14 @@ def _default_ladder(backend: str):
 
 
 def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
-    return _members(P.f0, x, eps, P.x_side_grid)
+    return _members(P.f0, x, eps, P.f0_conj)
 
 
 def _projected_full_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
-    base = x + P.y_grid.origin
-    out = []
-    for flat in P.full_dual_grid.points:
-        if _full_membership(P, base, flat, eps):
-            w = P.x_side(flat)
-            if w not in out:
-                out.append(w)
-    return tuple(out)
+    """x-side projections, in first-appearance order, of the dual points
+    of the full grid in the eps-subdifferential of phi at (x, 0)."""
+    members = _members(P.phi_on_product, x + P.y_grid.origin, eps, P.psi)
+    return tuple(dict.fromkeys(P.x_side(flat) for flat in members))
 
 
 def theorem43_audit(P: PerturbationProblem, x, eps, eta_ladder=None) -> dict:
@@ -306,20 +294,15 @@ def theorem43_audit(P: PerturbationProblem, x, eps, eta_ladder=None) -> dict:
     if list(eta_ladder) != sorted(eta_ladder, reverse=True):
         raise ValueError("the eta ladder must be decreasing")
     lhs = _restriction_subdiff(P, x, eps)
-    projected = [
-        frozenset(_projected_full_subdiff(P, x, eps + eta)) for eta in eta_ladder
-    ]
-    intersection = frozenset.intersection(*projected)
-    superset_ok = intersection <= frozenset(lhs)
-    equal = intersection == frozenset(lhs)
+    intersection = frozenset(_projected_full_subdiff(P, x, eps + eta_ladder[-1]))
     return {
-        "superset_ok": superset_ok,
-        "equal": equal,
+        "superset_ok": intersection <= frozenset(lhs),
+        "equal": intersection == frozenset(lhs),
         "lhs": tuple(lhs),
         "intersection": tuple(sorted(intersection, key=str)),
         "eta_ladder": eta_ladder,
         "eta_min": eta_ladder[-1],
-        "c5_surrogate": c5_audit(P).status == EXACT_PASS,
+        "c5_surrogate": P.report.audits["c5"].status == EXACT_PASS,
     }
 
 
@@ -336,5 +319,5 @@ def theorem44_audit(P: PerturbationProblem, x, eps) -> dict:
         "lhs": tuple(sorted(lhs, key=str)),
         "projection": tuple(sorted(rhs, key=str)),
         "strict_witnesses": witnesses,
-        "c5_surrogate": c5_audit(P).status == EXACT_PASS,
+        "c5_surrogate": P.report.audits["c5"].status == EXACT_PASS,
     }

@@ -4,12 +4,35 @@ import copy
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import PerturbationProblem
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PerturbFn
 
 from econvex import catalog
+
+
+def scalar(v, backend):
+    return Fraction(v) if backend == "rational" else float(v)
+
+
+@st.composite
+def ext_values(draw, n, backend):
+    """n extended reals: finite quarters, +inf and -inf; one draw in
+    five makes every value +inf (an empty domain).  Quarters are dyadic,
+    so float sums and differences of a few of them are exact."""
+    if draw(st.integers(0, 4)) == 4:
+        return [POS_INF] * n
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["finite"] * 6 + ["+inf", "+inf", "-inf"]))
+        if kind == "finite":
+            out.append(ExtReal(scalar(Fraction(draw(st.integers(-12, 12)), 4), backend)))
+        else:
+            out.append(POS_INF if kind == "+inf" else NEG_INF)
+    return out
 
 
 def catalog_problem(name):

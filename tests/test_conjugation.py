@@ -24,6 +24,8 @@ from econvex.conjugation import (
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PwAffine1, SampledFn
 
+from helpers import ext_values, scalar
+
 
 def w(xs, us, a):
     return DualPoint.of((xs,), (us,), a)
@@ -364,26 +366,6 @@ COORDS = list(range(-3, 4))
 FLOAT_COORDS = COORDS + [math.inf, -math.inf]
 ALPHAS = list(range(-2, 4))
 FLOAT_ALPHAS = ALPHAS + [math.inf, math.nan]
-
-
-def scalar(v, backend):
-    return Fraction(v) if backend == "rational" else float(v)
-
-
-@st.composite
-def ext_values(draw, n, backend):
-    """n extended reals: finite quarters, +inf and -inf; one draw in
-    five makes every value +inf (an empty domain)."""
-    if draw(st.integers(0, 4)) == 0:
-        return [POS_INF] * n
-    out = []
-    for _ in range(n):
-        kind = draw(st.sampled_from(["finite"] * 6 + ["+inf", "+inf", "-inf"]))
-        if kind == "finite":
-            out.append(ExtReal(scalar(Fraction(draw(st.integers(-12, 12)), 4), backend)))
-        else:
-            out.append(POS_INF if kind == "+inf" else NEG_INF)
-    return out
 
 
 @st.composite

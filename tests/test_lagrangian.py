@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import abs_pair_problem, catalog_problem, random_problem
 
+from econvex import catalog, problemio
 from econvex.conjugation import DualPoint
 from econvex.duality import converse_duality_report, dual_value, primal_value
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
@@ -198,6 +200,30 @@ class TestSaddlePoints:
         lo, hi = supinf_value(fenchel_abs), infsup_value(fenchel_abs)
         for s in saddle_search(fenchel_abs):
             assert s.value == lo == hi
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_search_matches_brute_force_scan(self, backend):
+        problems = [catalog_problem(name) for name in catalog.names()
+                    if catalog.entry(name)["kind"] == "problem"]
+        if backend == "float":
+            problems = [
+                problemio.loads(json.dumps(dict(catalog.entry(p.name), backend="float"))).build()
+                for p in problems
+            ]
+        problems.append(abs_pair_problem())
+        rng = random.Random(55)
+        problems += [random_problem(rng, backend, max_x=6, max_y=6, max_dual=8) for _ in range(30)]
+        found = 0
+        for P in problems:
+            scan = tuple(
+                (x, ww) for x in P.x_grid.points for ww in P.dual_y_grid.points
+                if is_saddle_point(P, x, ww)
+            )
+            saddles = saddle_search(P)
+            assert tuple((s.xbar, s.wbar) for s in saddles) == scan
+            assert all(s.value == lagrangian_value(P, s.xbar, s.wbar) for s in saddles)
+            found += len(scan)
+        assert found > 0
 
 
 class TestProp55:

@@ -226,6 +226,21 @@ class TestCli:
         assert main(["audit", "fenchel_abs", "--suite", "exact", "--timings"]) == 0
         assert "elapsed_seconds" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["fenchel_abs", "truncated_dual", "example52"])
+    def test_audit_builds_the_duality_report_once(self, name, capsys, monkeypatch):
+        from econvex import duality
+
+        real = duality.converse_duality_report
+        calls = []
+
+        def counted(P):
+            calls.append(P.name)
+            return real(P)
+
+        monkeypatch.setattr(duality, "converse_duality_report", counted)
+        assert main(["audit", name, "--suite", "all"]) == 0
+        assert calls == [name]
+
     def test_boundary_warning_summarized(self, capsys):
         assert main(["lagrangian", "example52"]) == 0
         err = capsys.readouterr().err
@@ -270,3 +285,40 @@ class TestBoundaryScan:
         P = problemio.loads(json.dumps(fenchel_abs_duality_grid(11))).build()
         rows = problemio.boundary_coincidences(P)
         assert rows and rows == definitional_coincidences(P)
+
+
+def file_with(tmp_path, edit):
+    doc = entry("fenchel_abs")
+    edit(doc)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestInputContract:
+    """Malformed grids exit 3 with a message naming the field."""
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["grids"].update(alpha="12"), "grids.alpha"),
+            (lambda d: d["grids"].update(ystar="0"), "grids.ystar"),
+            (lambda d: d["grids"].update(x={"points": "12"}), "grids.x.points"),
+            (lambda d: d["grids"].update(x={"points": [["1"], ["1"]]}), "grids.x.points[1]"),
+            (lambda d: d["grids"].update(ystar=["0", "0"]), "grids.ystar[1]"),
+            (lambda d: d["grids"].update(xstar=["1", "2", "2/2"]), "grids.xstar[2]"),
+            (lambda d: d["grids"].update(alpha=["1", "1"]), "grids.alpha[1]"),
+            (lambda d: d["grids"].update(y={"lo": "0", "hi": "0", "count": 3}), "grids.y"),
+            (lambda d: d["grids"].update(y={"lo": "0", "hi": "1/0", "count": 3}), "grids.y.hi"),
+            (lambda d: d.update(backend="float") or d["grids"].update(alpha=[1e400]),
+             "grids.alpha[0]"),
+        ],
+        ids=["alpha-string", "ystar-string", "points-string", "duplicate-grid-point",
+             "duplicate-ystar", "duplicate-xstar", "duplicate-alpha", "degenerate-range",
+             "bad-range-end", "infinite-float"],
+    )
+    def test_exit_3_naming_the_field(self, edit, field, capsys, tmp_path):
+        assert main(["duality", file_with(tmp_path, edit)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("econvex: input error: " + field + ":"), err
+        assert "Traceback" not in err

@@ -2,14 +2,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import catalog_problem, random_problem
+from helpers import catalog_problem, ext_values, random_problem, scalar
 
-from econvex.conjugation import DualGrid, DualPoint, c_conjugate, tensor_dual_grid
+from econvex.conjugation import (
+    DualGrid,
+    DualPoint,
+    c_conjugate,
+    cprime_conjugate,
+    tensor_dual_grid,
+)
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PerturbFn, SampledFn
 from econvex.duality import PerturbationProblem
 from econvex.subdifferential import (
+    _default_ladder,
+    _projected_full_subdiff,
     c_subdifferential,
     conjugate_value,
     eps_c_subdifferential,
@@ -302,3 +312,145 @@ class TestTheorem44:
         assert not out["c5_surrogate"]
         assert not out["equal"]
         assert DualPoint.of((2,), (0,), 1) in out["strict_witnesses"]
+
+
+# ---------------------------------------------------------------------------
+# The conjugate routes against scans of the definitional references
+# ---------------------------------------------------------------------------
+
+# Coordinates, slopes and alphas are small integers, so grid points sit on
+# gate boundaries <x, u*> = alpha often; values are dyadic quarters and
+# +-inf, so the float backend computes both routes exactly.
+# Each list starts with the value hypothesis shrinks toward.
+COORDS = (0, 1, -1, 2, -2, 3, -3)
+SLOPES = (0, 1, -1, 2, -2)
+
+
+def eps_values(backend):
+    """0, 1/2, 1 and 1/2 + eta_min of the default ladder."""
+    eta_min = _default_ladder(backend)[-1]
+    return [scalar(Fraction(0), backend), scalar(Fraction(1, 2), backend),
+            scalar(Fraction(1), backend), scalar(Fraction(1, 2), backend) + eta_min]
+
+
+@st.composite
+def dual_points(draw, dim, backend, alphas, max_size=8):
+    vec = st.tuples(*[st.sampled_from(SLOPES)] * dim)
+    rows = draw(st.lists(st.tuples(vec, vec, st.sampled_from(alphas)),
+                         min_size=1, max_size=max_size, unique=True))
+    return [DualPoint.of(xs, us, a, backend) for xs, us, a in rows]
+
+
+@st.composite
+def function_case(draw):
+    """A sampled function on a 1-D or 2-D grid with a dual grid."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    dim = draw(st.integers(1, 2))
+    vec = st.tuples(*[st.sampled_from(COORDS)] * dim)
+    pts = draw(st.lists(vec, min_size=1, max_size=7, unique=True))
+    grid = Grid(dim, [tuple(scalar(c, backend) for c in p) for p in pts], backend)
+    f = SampledFn(grid, draw(ext_values(len(grid), backend)))
+    return f, DualGrid(draw(dual_points(dim, backend, (1, 2, 0, -1, 3, -2))), backend)
+
+
+@st.composite
+def problem_case(draw):
+    """A table-backed problem on small 1-D x and y grids."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    xs = draw(st.lists(st.sampled_from(COORDS), min_size=1, max_size=4, unique=True))
+    ys = [0] + draw(st.lists(st.sampled_from(COORDS[1:]), max_size=3, unique=True))
+    x_grid = Grid(1, [(scalar(v, backend),) for v in xs], backend)
+    y_grid = Grid(1, [(scalar(v, backend),) for v in ys], backend)
+    cells = [(x, y) for x in x_grid.points for y in y_grid.points]
+    phi = PerturbFn(1, 1, table=dict(zip(cells, draw(ext_values(len(cells), backend)))))
+    dual_y = DualGrid(draw(dual_points(1, backend, (1, 2, 3))), backend)
+    pairs = DualGrid(draw(dual_points(2, backend, (1, 2, 0, -1, 3))), backend)
+    return PerturbationProblem(phi, x_grid, y_grid, dual_y, pairs)
+
+
+def projected_scan(P, x, eps):
+    base = x + P.y_grid.origin
+    return tuple(dict.fromkeys(
+        P.x_side(flat) for flat in P.full_dual_grid.points
+        if is_c_subgradient(P.phi_on_product, base, flat, eps)
+    ))
+
+
+class TestRoutesMatchDefinition:
+    @given(function_case())
+    @settings(max_examples=200, deadline=None)
+    def test_eps_subdifferential(self, case):
+        f, wg = case
+        for x0 in f.grid.points:
+            for eps in eps_values(f.grid.backend):
+                scan = tuple(w for w in wg.points if is_c_subgradient(f, x0, w, eps))
+                assert eps_c_subdifferential(f, x0, eps, wg).members == scan
+
+    @given(function_case())
+    @settings(max_examples=200, deadline=None)
+    def test_transfer_audit(self, case):
+        f, wg = case
+        f_conj = c_conjugate(f, wg)
+        pairs = [(x, w) for x in f.grid.points for w in wg.points]
+        primal = {p: is_c_subgradient(f, *p) for p in pairs}
+        dual = {(x, w): is_cprime_subgradient(f_conj, w, x) for x, w in pairs}
+        rep = transfer_audit(f, wg)
+        assert rep.forward_ok == all(dual[p] for p in pairs if primal[p])
+        assert rep.counterexamples == tuple(p for p in pairs if dual[p] and not primal[p])
+        assert rep.pairs_checked == len(pairs)
+        hull = cprime_conjugate(f_conj, f.grid)
+        assert rep.econvex_surrogate == all(
+            hull.value_at(x) == f.value_at(x) for x in f.grid.points
+        )
+
+    @given(problem_case())
+    @settings(max_examples=150, deadline=None)
+    def test_projected_full_subdifferential(self, P):
+        for x in P.x_grid.points:
+            for eps in eps_values(P.backend):
+                assert _projected_full_subdiff(P, x, eps) == projected_scan(P, x, eps)
+
+    @given(problem_case())
+    @settings(max_examples=150, deadline=None)
+    def test_total_duality_certificate(self, P):
+        base = P.y_grid.origin
+        scan = [
+            (x, w) for x in P.x_grid.points for w in P.dual_y_grid.points
+            if is_c_subgradient(P.phi_on_product, x + base, P.embed(w))
+        ]
+        assert total_duality_certificate(P) == (scan[0] if scan else None)
+
+    def test_boundary_points_infinite_values_and_empty_domain(self):
+        # x = 1 lies on the gate boundary of (., 1, 1), x = -1 on that of
+        # (., -1, 1); the value lists carry -inf, +inf and an empty domain.
+        g = Grid(1, [(-1,), (0,), (1,)])
+        wg = DualGrid([w(0, 1, 1), w(1, 1, 1), w(0, 0, 1), w(-1, -1, 1)])
+        for values in ([ExtReal(0), ExtReal(1), NEG_INF], [POS_INF] * 3,
+                       [ExtReal(1), ExtReal(0), POS_INF]):
+            f = SampledFn(g, values)
+            for x0 in g.points:
+                for eps in eps_values("rational"):
+                    scan = tuple(v for v in wg.points if is_c_subgradient(f, x0, v, eps))
+                    assert eps_c_subdifferential(f, x0, eps, wg).members == scan
+
+
+class TestLadderIsOneProjection:
+    def ladder_cases(self):
+        yield catalog_problem("fenchel_abs"), None
+        yield catalog_problem("truncated_dual"), (Fraction(1, 2), Fraction(1, 8))
+        rng = random.Random(43)
+        for backend in ("rational", "float"):
+            for _ in range(6):
+                yield random_problem(rng, backend, max_x=5, max_y=5, max_dual=6, max_pairs=6), None
+
+    def test_intersection_over_every_rung(self):
+        for P, ladder in self.ladder_cases():
+            rungs = ladder or _default_ladder(P.backend)
+            for x in P.x_grid.points:
+                for eps in eps_values(P.backend)[:3]:
+                    out = theorem43_audit(P, x, eps, ladder)
+                    explicit = frozenset.intersection(*(
+                        frozenset(_projected_full_subdiff(P, x, eps + eta)) for eta in rungs
+                    ))
+                    assert frozenset(out["intersection"]) == explicit
+                    assert out["eta_ladder"] == tuple(rungs)
