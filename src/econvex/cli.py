@@ -286,12 +286,32 @@ def cmd_duality(args) -> int:
     return EXIT_EXACT_FAILURE if report.has_exact_failure else EXIT_OK
 
 
+def _subdiff_inputs(P, args):
+    """(--at, --eps) in P's backend; an unreadable value, a point of the
+    wrong dimension or off the x-grid, or a negative eps is an input error."""
+    scalar = Fraction if P.backend == "rational" else (lambda c: float(Fraction(c)))
+    try:
+        at = tuple(scalar(c) for c in _parse_point(args.at))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise problemio.InputError(f"--at: {args.at!r} is not a list of numbers") from None
+    if len(at) != P.x_grid.dim:
+        raise problemio.InputError(
+            f"--at: {args.at!r} has {len(at)} coordinates; the x-grid has {P.x_grid.dim}"
+        )
+    if at not in P.x_grid:
+        raise problemio.InputError(f"--at: {args.at!r} is not a point of the x-grid")
+    try:
+        eps = scalar(args.eps)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise problemio.InputError(f"--eps: {args.eps!r} is not a number") from None
+    if eps < 0:
+        raise problemio.InputError(f"--eps: {args.eps!r} is negative")
+    return at, eps
+
+
 def cmd_subdiff(args) -> int:
     P = _build(args.problem)
-    at = _parse_point(args.at)
-    if P.backend == "float":
-        at = tuple(float(c) for c in at)
-    eps = Fraction(args.eps) if P.backend == "rational" else float(Fraction(args.eps))
+    at, eps = _subdiff_inputs(P, args)
     s = eps_c_subdifferential(P.f0, at, eps, P.x_side_grid)
     if args.output == "csv":
         header = (

@@ -23,9 +23,15 @@ max over dom of <p, x*> - f(p).  The gate is tested once per distinct
 sweep costs O((#x* + #gates)·|G| + |W|) instead of O(|W|·|G|).  The
 c'-conjugate splits the same way: per distinct u* only the least alpha
 over dom g can close the gate, and per distinct x* only the least value
-of g can attain the sup.  ``_reference_c_conjugate`` and
-``_reference_cprime_conjugate`` keep the definitional sweeps, one dual
-point against every grid point, for the differential tests.
+of g can attain the sup.  The c-conjugate also keeps, per distinct x*,
+the first row of dom attaining the Fenchel value; the Lagrangian table is
+read off those rows.
+
+``_reference_c_conjugate`` and ``_reference_cprime_conjugate`` keep the
+definitional sweeps, one dual point against every grid point.  They are
+the one definitional reference: the differential tests hold the kernel to
+them, and ``lagrangian.dual_slice_audit`` compares the Lagrangian table
+with ``_reference_c_conjugate`` of every slice.
 """
 
 from __future__ import annotations
@@ -258,29 +264,31 @@ def _split_dom(f: SampledFn):
     return [(p, v.value) for p, v in dom], None
 
 
-def _fenchel(dom, xstar) -> ExtReal:
-    """max over dom of <p, x*> - f(p), in the order of the grid."""
-    best = None
+def _fenchel(dom, xstar):
+    """(max over dom of <p, x*> - f(p), the first (p, payload) row of dom
+    attaining it), in the order of the grid."""
+    best = row = None
     for p, payload in dom:
         term = _dot(p, xstar) - payload
         if best is None or term > best:
-            best = term
-    return ExtReal(best)
+            best, row = term, (p, payload)
+    return ExtReal(best), row
 
 
-def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
-    """f^c(w) = sup over the grid of { c(x, w) - f(x) }.
+def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
+    """(f^c(w), attaining row) per dual point, in the order of the grid.
 
-    The gate is tested once per distinct (u*, alpha) and the Fenchel value
-    computed once per distinct x*, and only for an x* that some open gate
-    needs.
+    The row is the first (point, payload) of dom f attaining the Fenchel
+    value on a finite cell and None on a +-inf cell.  The gate is tested
+    once per distinct (u*, alpha) and the Fenchel value computed once per
+    distinct x*, and only for an x* that some open gate needs.
     """
     dom, constant = _split_dom(f)
     if dom is None:
-        return SampledFn(w_grid, [constant] * len(w_grid))
+        return [(constant, None)] * len(w_grid)
     blocked = {}  # gate key -> some point of dom fails the gate
-    fenchel = {}  # x* key -> grid Fenchel value
-    vals = []
+    fenchel = {}  # x* key -> (grid Fenchel value, attaining row)
+    out = []
     for w in w_grid.points:
         gate = _gate_key(w)
         shut = blocked.get(gate)
@@ -288,14 +296,19 @@ def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
             ustar, alpha = w.ustar, w.alpha
             shut = blocked[gate] = any(not (_dot(p, ustar) < alpha) for p, _ in dom)
         if shut:
-            vals.append(POS_INF)
+            out.append((POS_INF, None))
             continue
         slope = _key(w.xstar)
-        value = fenchel.get(slope)
-        if value is None:
-            value = fenchel[slope] = _fenchel(dom, w.xstar)
-        vals.append(value)
-    return SampledFn(w_grid, vals)
+        cell = fenchel.get(slope)
+        if cell is None:
+            cell = fenchel[slope] = _fenchel(dom, w.xstar)
+        out.append(cell)
+    return out
+
+
+def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
+    """f^c(w) = sup over the grid of { c(x, w) - f(x) }."""
+    return SampledFn(w_grid, [v for v, _ in _c_conjugate_rows(f, w_grid)])
 
 
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
@@ -345,8 +358,8 @@ def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
 
 
 # ---------------------------------------------------------------------------
-# Definitional sweeps: single-point values, and the oracle of the
-# differential tests
+# Definitional sweeps: single-point values, the oracle of the
+# differential tests and the other side of the dual-slice audit
 # ---------------------------------------------------------------------------
 
 

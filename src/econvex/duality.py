@@ -38,7 +38,6 @@ from econvex.funcrep import (
     Grid,
     PerturbFn,
     SampledFn,
-    infimum_value_function,
     product_grid,
     restrict_to_zero,
 )
@@ -155,8 +154,11 @@ class PerturbationProblem:
 
     @cached_property
     def p_fn(self) -> SampledFn:
-        """The infimum value function on the y-grid."""
-        return infimum_value_function(self.phi, self.x_grid, self.y_grid)
+        """The infimum value function on the y-grid: the infimum of each
+        column of phi_on_product (x-major), taken in x-grid order."""
+        values = self.phi_on_product.values
+        n = len(self.y_grid)
+        return SampledFn(self.y_grid, [extreal.inf(values[j::n]) for j in range(n)])
 
     @cached_property
     def psi(self) -> SampledFn:
@@ -383,9 +385,12 @@ def c5bar_audit(P: PerturbationProblem):
     )
 
 
-def theorem31_audit(P: PerturbationProblem) -> AuditOutcome:
+def theorem31_audit(
+    P: PerturbationProblem, c5: Optional[AuditOutcome] = None
+) -> AuditOutcome:
     """Restriction-vs-slice biconjugates: the >= direction is exact; under
-    the c5 surrogate the two sides must agree within tolerance."""
+    the c5 surrogate the two sides must agree within tolerance.  ``c5`` is
+    the outcome of :func:`c5_audit` on P when the caller already has it."""
     bad = []
     gaps = []
     for x in P.x_grid.points:
@@ -398,7 +403,8 @@ def theorem31_audit(P: PerturbationProblem) -> AuditOutcome:
         return AuditOutcome(
             "theorem31", "exact", FAIL, "pointwise >= violated (bug)", tuple(bad)
         )
-    c5 = c5_audit(P)
+    if c5 is None:
+        c5 = c5_audit(P)
     if c5.status != EXACT_PASS:
         return AuditOutcome(
             "theorem31", "conditional", SURROGATE_UNMET,
@@ -416,9 +422,12 @@ def theorem31_audit(P: PerturbationProblem) -> AuditOutcome:
     )
 
 
-def corollary310_audit(P: PerturbationProblem) -> AuditOutcome:
+def corollary310_audit(
+    P: PerturbationProblem, c5bar: Optional[AuditOutcome] = None
+) -> AuditOutcome:
     """(inf_x phi(x, .))^{cc'} <= inf_x phi^{cc'}(x, .) pointwise; equality
-    with attained minimum under the c5bar surrogate."""
+    with attained minimum under the c5bar surrogate.  ``c5bar`` is the
+    outcome of :func:`c5bar_audit` on P when the caller already has it."""
     bad = []
     rows = []
     for y in P.y_grid.points:
@@ -431,8 +440,9 @@ def corollary310_audit(P: PerturbationProblem) -> AuditOutcome:
         return AuditOutcome(
             "corollary310", "exact", FAIL, "pointwise <= violated (bug)", tuple(bad)
         )
-    c5b = c5bar_audit(P)
-    if c5b.status not in (EXACT_PASS, GRID_TRUNCATED):
+    if c5bar is None:
+        c5bar = c5bar_audit(P)
+    if c5bar.status not in (EXACT_PASS, GRID_TRUNCATED):
         return AuditOutcome(
             "corollary310", "conditional", SURROGATE_UNMET,
             "inequality exact; equality not required (c5bar surrogate unmet)",
@@ -443,7 +453,7 @@ def corollary310_audit(P: PerturbationProblem) -> AuditOutcome:
             "corollary310", "conditional", FAIL,
             f"c5bar surrogate holds but equality fails at {len(mism)} points", mism
         )
-    if c5b.status == GRID_TRUNCATED:
+    if c5bar.status == GRID_TRUNCATED:
         return AuditOutcome(
             "corollary310", "conditional", GRID_TRUNCATED,
             "equality holds; minimum attained only at grid edges",
@@ -531,8 +541,8 @@ def converse_duality_report(P: PerturbationProblem) -> DualityReport:
     audits["e1_chain"] = weak_chain_audit(P)
     audits["c5"] = c5_audit(P)
     audits["c5bar"] = c5bar_audit(P)
-    audits["theorem31"] = theorem31_audit(P)
-    audits["corollary310"] = corollary310_audit(P)
+    audits["theorem31"] = theorem31_audit(P, audits["c5"])
+    audits["corollary310"] = corollary310_audit(P, audits["c5bar"])
 
     return DualityReport(
         name=P.name,

@@ -9,10 +9,20 @@ identically.
 Two exact identities anchor the table: -L(x, .) is the conjugate of the
 slice phi(x, .), and the infimum of L(., w) over x is the negated
 conjugate of phi at the embedded dual point, which makes sup-inf equal the
-dual value on every instance.  The sup over dual points of L(x, .) is
-bounded by phi(x, 0) because the coupling vanishes at the origin whenever
-alpha > 0; equality of inf-sup with the primal value is conditional on
-the slices being recoverable from their conjugates.
+dual value on every instance.
+
+The sup over dual points of L(x, .) is bounded by phi(x, 0) because the
+coupling vanishes at the origin whenever alpha > 0; equality of inf-sup
+with the primal value is conditional on the slices being recoverable from
+their conjugates.
+
+The first identity builds the table: each row is read off the conjugation
+kernel's sweep of one slice, which keeps, per distinct y*, the first y of
+Y_x attaining the conjugate.  A finite cell is phi(x, y) - <y, y*> at that
+y and a +-inf cell is the negated conjugate, so the table costs
+O((#y* + #gates)·|Y|·|X| + |W_y|·|X|) instead of one coupling per
+(x, w, y).  :func:`dual_slice_audit` holds the table to the definitional
+sweep of every slice, so the identity stays a check of two routes.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -34,7 +44,14 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from econvex import extreal
-from econvex.conjugation import DualPoint, c_conjugate, coupling_c, cprime_conjugate
+from econvex.conjugation import (
+    DualPoint,
+    _c_conjugate_rows,
+    _dot,
+    _reference_c_conjugate,
+    coupling_c,
+    cprime_conjugate,
+)
 from econvex.duality import PerturbationProblem
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import SampledFn, slice_x
@@ -62,46 +79,44 @@ class SaddleCandidate:
 
 
 class CLagrangian:
-    """Cached table of L over x-grid x dual-y-grid.
+    """Cached table of L over x-grid x dual-y-grid, read off the kernel.
 
-    The rows are built cell by cell from the coupling, not through the
-    conjugation kernel: they are the other side of the slice identity
-    that :func:`dual_slice_audit` checks against the kernel.
+    Slice x is row block x of the cached phi_on_product.  On a finite cell
+    L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
+    first maximiser of <y, y*> - phi(x, y) is the first minimiser of the
+    defining infimum (same grid order, same strict tie rule, exact IEEE
+    negation).  A finite cell is not the negated conjugate, because in the
+    float backend -(c - v) is -0.0 where the definition's v - c is 0.0.
+    A +-inf cell (a shut gate, -inf on Y_x, or an empty Y_x) is
+    -phi(x, .)^c(w).
     """
 
     def __init__(self, problem: PerturbationProblem):
         if not problem.dual_y_grid.alpha_positive:
             raise ValueError("the Lagrangian needs alpha > 0 on every dual point")
-        self.problem = problem
-        self.slices: Dict[Tuple, SampledFn] = {
-            x: slice_x(problem.phi, x, problem.y_grid)
-            for x in problem.x_grid.points
-        }
-        self.table: Dict[Tuple[Tuple, DualPoint], ExtReal] = {}
-        for x in problem.x_grid.points:
-            for w, v in zip(problem.dual_y_grid.points, self._row(x)):
-                self.table[(x, w)] = v
+        y_grid, w_grid = problem.y_grid, problem.dual_y_grid
+        values = problem.phi_on_product.values
+        n = len(y_grid)
+        self.slices: Dict[Tuple, SampledFn] = {}
         self._slice_conjugates: Dict[Tuple, SampledFn] = {}
-
-    def _row(self, x):
-        sl = self.slices[x]
-        dom = [(y, v) for y, v in sl.items() if v < POS_INF]
-        out = []
-        for w in self.problem.dual_y_grid.points:
-            out.append(extreal.inf(v - coupling_c(y, w) for y, v in dom))
-        return out
+        self.table: Dict[Tuple[Tuple, DualPoint], ExtReal] = {}
+        for i, x in enumerate(problem.x_grid.points):
+            sl = self.slices[x] = SampledFn(y_grid, values[i * n:(i + 1) * n])
+            rows = _c_conjugate_rows(sl, w_grid)
+            self._slice_conjugates[x] = SampledFn(w_grid, [v for v, _ in rows])
+            for w, (conj, row) in zip(w_grid.points, rows):
+                if row is None:
+                    self.table[(x, w)] = -conj
+                else:
+                    y, payload = row
+                    self.table[(x, w)] = ExtReal(payload) - ExtReal(_dot(y, w.xstar))
 
     def value(self, x, w: DualPoint) -> ExtReal:
         return self.table[(tuple(x), w)]
 
     def slice_conjugate(self, x) -> SampledFn:
-        """phi(x, .)^c on the Y-side dual grid, computed once per x."""
-        x = tuple(x)
-        conj = self._slice_conjugates.get(x)
-        if conj is None:
-            conj = c_conjugate(self.slices[x], self.problem.dual_y_grid)
-            self._slice_conjugates[x] = conj
-        return conj
+        """phi(x, .)^c on the Y-side dual grid, as the kernel computed it."""
+        return self._slice_conjugates[tuple(x)]
 
 
 def _lagrangian(P: PerturbationProblem) -> CLagrangian:
@@ -125,14 +140,19 @@ def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
 
 
 def dual_slice_audit(P: PerturbationProblem, x) -> dict:
-    """-L(x, .) must equal the conjugate of the slice phi(x, .) exactly."""
+    """-L(x, .) must equal the conjugate of the slice phi(x, .) exactly.
+
+    The table is read off the conjugation kernel, so the conjugate here is
+    the definitional sweep ``_reference_c_conjugate``: the audit holds the
+    kernel to the definition on the slice, not to itself.
+    """
     L = _lagrangian(P)
-    conj = L.slice_conjugate(x)
+    x = tuple(x)
+    conj = _reference_c_conjugate(L.slices[x], P.dual_y_grid)
     rows = []
     ok = True
-    for w in P.dual_y_grid.points:
+    for w, rhs in zip(P.dual_y_grid.points, conj.values):
         lhs = -L.value(x, w)
-        rhs = conj.value_at(w)
         rows.append((w, lhs, rhs))
         if lhs != rhs:
             ok = False

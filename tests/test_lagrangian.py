@@ -3,14 +3,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import abs_pair_problem, catalog_problem, random_problem
+from helpers import abs_pair_problem, catalog_problem, random_problem, scalar
 
-from econvex import catalog, problemio
-from econvex.conjugation import DualPoint
-from econvex.duality import converse_duality_report, dual_value, primal_value
+from econvex import catalog, extreal, problemio
+from econvex.conjugation import DualGrid, DualPoint, coupling_c
+from econvex.duality import (
+    PerturbationProblem,
+    converse_duality_report,
+    dual_value,
+    primal_value,
+)
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.funcrep import Grid, PerturbFn
 from econvex.lagrangian import (
+    CLagrangian,
     dual_slice_audit,
     example52_audit,
     find_convexity_violation,
@@ -123,6 +132,117 @@ class TestDualSliceAudit:
                 break
 
 
+# ---------------------------------------------------------------------------
+# The table read off the kernel against the per-cell definition
+# ---------------------------------------------------------------------------
+
+# Small integer coordinates and slopes put grid points on gate boundaries
+# <y, v*> = alpha often; payloads from a narrow range make v == <y, y*>
+# and ties between rows common.  Each list starts with the value
+# hypothesis shrinks toward.
+COORDS = (0, 1, -1, 2, -2)
+SLOPES = (0, 1, -1, 2)
+PAYLOADS = (0, 1, -1, 2, Fraction(1, 4), Fraction(-3, 4))
+
+
+def definitional_cell(P, x, ww):
+    """L(x, w) as the defining infimum over Y_x, one coupling per y."""
+    values = ((y, P.phi.value(x, y, P.backend)) for y in P.y_grid.points)
+    return extreal.inf(v - coupling_c(y, ww) for y, v in values if v < POS_INF)
+
+
+def tagged(v):
+    """The rendering and the payload type: 0.0 and -0.0 differ here."""
+    return repr(v), type(v.value) if v.is_finite else None
+
+
+def assert_table_matches_definition(P):
+    L = CLagrangian(P)
+    for x in P.x_grid.points:
+        for ww in P.dual_y_grid.points:
+            assert tagged(L.value(x, ww)) == tagged(definitional_cell(P, x, ww)), (x, ww)
+
+
+@st.composite
+def slice_values(draw, n, backend):
+    """One slice: finite, +inf or -inf values; one draw in five leaves
+    Y_x empty.  In the float backend a zero payload may carry either sign."""
+    if draw(st.integers(0, 4)) == 4:
+        return [POS_INF] * n
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["finite"] * 6 + ["+inf", "+inf", "-inf"]))
+        if kind != "finite":
+            out.append(POS_INF if kind == "+inf" else NEG_INF)
+            continue
+        v = scalar(draw(st.sampled_from(PAYLOADS)), backend)
+        if backend == "float" and v == 0 and draw(st.booleans()):
+            v = -0.0
+        out.append(ExtReal(v))
+    return out
+
+
+@st.composite
+def lagrangian_case(draw):
+    """A table-backed problem with a 1-D x-grid and a 1-D or 2-D y-grid."""
+    backend = draw(st.sampled_from(["float", "rational"]))
+    dim = draw(st.integers(1, 2))
+    xs = draw(st.lists(st.sampled_from(COORDS), min_size=1, max_size=3, unique=True))
+    vec = st.tuples(*[st.sampled_from(COORDS)] * dim)
+    ys = [(0,) * dim] + draw(st.lists(vec.filter(any), max_size=4, unique=True))
+    x_grid = Grid(1, [(scalar(v, backend),) for v in xs], backend)
+    y_grid = Grid(dim, [tuple(scalar(c, backend) for c in y) for y in ys], backend)
+    table = {}
+    for x in x_grid.points:
+        table.update(zip(((x, y) for y in y_grid.points),
+                         draw(slice_values(len(y_grid), backend))))
+    slopes = st.tuples(*[st.sampled_from(SLOPES)] * dim)
+    duals = draw(st.lists(st.tuples(slopes, slopes, st.sampled_from((1, 2, 3))),
+                          min_size=1, max_size=8, unique=True))
+    dual_y = DualGrid([DualPoint.of(ys_, vs, a, backend) for ys_, vs, a in duals], backend)
+    return PerturbationProblem(PerturbFn(1, dim, table=table), x_grid, y_grid, dual_y)
+
+
+def float_twin(name):
+    doc = dict(catalog.entry(name), backend="float")
+    return problemio.loads(json.dumps(doc)).build()
+
+
+class TestTableMatchesDefinition:
+    """Every cell of CLagrangian has the rendering and payload type of the
+    defining infimum: the kernel's attaining row, the strict tie rule, the
+    +-inf cells and the sign of a zero."""
+
+    @given(lagrangian_case())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_problems(self, P):
+        assert_table_matches_definition(P)
+
+    @given(st.integers(0, 10**6), st.sampled_from(["float", "rational"]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_problems(self, seed, backend):
+        P = random_problem(random.Random(seed), backend, max_x=5, max_y=6, max_dual=8)
+        assert_table_matches_definition(P)
+
+    @pytest.mark.parametrize("name", [n for n in catalog.names()
+                                      if catalog.entry(n)["kind"] == "problem"])
+    def test_catalog_and_float_twin(self, name):
+        assert_table_matches_definition(catalog_problem(name))
+        assert_table_matches_definition(float_twin(name))
+
+    def test_float_cell_with_v_equal_to_c_is_positive_zero(self):
+        # phi(0, 1) = 1 = <1, y*> at y* = 1: v - c is 0.0, while the
+        # negated conjugate -(c - v) would print -0.0.
+        grid = Grid(1, [(0.0,), (1.0,)], "float")
+        phi = PerturbFn(1, 1, table={((0.0,), (0.0,)): POS_INF, ((0.0,), (1.0,)): ExtReal(1.0)})
+        dual_y = DualGrid([DualPoint.of((1,), (0,), 1, "float")], "float")
+        P = PerturbationProblem(phi, Grid(1, [(0.0,)], "float"), grid, dual_y)
+        L, ww = CLagrangian(P), dual_y.points[0]
+        assert repr(-L.slice_conjugate((0.0,)).value_at(ww)) == "ExtReal(-0.0)"
+        assert repr(L.value((0.0,), ww)) == "ExtReal(0.0)"
+        assert_table_matches_definition(P)
+
+
 class TestMinimax:
     def test_supinf_equals_dual_value_catalog(
         self, fenchel_abs, example52, truncated
@@ -206,10 +326,7 @@ class TestSaddlePoints:
         problems = [catalog_problem(name) for name in catalog.names()
                     if catalog.entry(name)["kind"] == "problem"]
         if backend == "float":
-            problems = [
-                problemio.loads(json.dumps(dict(catalog.entry(p.name), backend="float"))).build()
-                for p in problems
-            ]
+            problems = [float_twin(p.name) for p in problems]
         problems.append(abs_pair_problem())
         rng = random.Random(55)
         problems += [random_problem(rng, backend, max_x=6, max_y=6, max_dual=8) for _ in range(30)]

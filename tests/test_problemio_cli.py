@@ -1,6 +1,11 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +246,31 @@ class TestCli:
         assert main(["audit", name, "--suite", "all"]) == 0
         assert calls == [name]
 
+    @pytest.mark.parametrize("name", ["fenchel_abs", "example52", "truncated_dual"])
+    def test_lagrangian_reads_the_product_table_once(self, name, capsys, monkeypatch):
+        # Counts only, no clock: the table is read off the kernel (no
+        # coupling evaluation) and phi is evaluated once per product cell,
+        # plus once per x for phi(., 0) in the report.
+        from econvex import funcrep, lagrangian
+
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        P = catalog.load(name).build()
+        cells, xs = len(P.x_grid) * len(P.y_grid), len(P.x_grid)
+        monkeypatch.setattr(lagrangian, "coupling_c", counted("c", lagrangian.coupling_c))
+        monkeypatch.setattr(funcrep.PerturbFn, "value", counted("phi", funcrep.PerturbFn.value))
+        assert main(["lagrangian", name]) == 0
+        assert (calls["c"], calls["phi"]) == (0, cells + xs)
+        calls.clear()
+        assert main(["lagrangian", name, "--output", "csv"]) == 0
+        assert (calls["c"], calls["phi"]) == (0, cells)
+
     def test_boundary_warning_summarized(self, capsys):
         assert main(["lagrangian", "example52"]) == 0
         err = capsys.readouterr().err
@@ -322,3 +352,25 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("econvex: input error: " + field + ":"), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--at", "1/3"], "--at"),
+            (["--at", "1,2"], "--at"),
+            (["--at", "abc"], "--at"),
+            (["--at", "0", "--eps", "-1"], "--eps"),
+        ],
+        ids=["off-grid-at", "wrong-dimension-at", "unparsable-at", "negative-eps"],
+    )
+    def test_subdiff_option_exits_3_naming_it(self, argv, option):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "econvex.cli", "subdiff", "fenchel_abs", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert run.returncode == 3, run.stderr
+        assert run.stderr.startswith("econvex: input error: " + option + ":"), run.stderr
+        assert "Traceback" not in run.stderr and run.stdout == ""
