@@ -21,19 +21,15 @@ from fractions import Fraction
 
 from econvex import catalog, problemio
 from econvex.conjugation import DualPoint
-from econvex.duality import (
-    EXACT_PASS,
-    FAIL,
-    AuditOutcome,
-    converse_duality_report,
-)
+from econvex.duality import EXACT_PASS, FAIL, AuditOutcome, converse_duality_report
 from econvex.esets import (
+    GeometryError,
     in_recession_cone,
     is_functionally_representable,
     lower_envelope,
     separate,
 )
-from econvex.extreal import ExtReal, fmt
+from econvex.extreal import ExtReal, fmt, scalar
 from econvex.lagrangian import (
     dual_slice_audit,
     example52_audit,
@@ -102,7 +98,18 @@ def _print_csv(header, rows):
     out.writerows(rows)
 
 
-def _audit_lines(audits):
+def _dual_header(dim: int, names=("xstar", "ustar")):
+    """CSV columns of a dual point: each coordinate of both blocks, then alpha."""
+    return [f"{name}{i}" for name in names for i in range(dim)] + ["alpha"]
+
+
+def _dual_cells(w):
+    return [_scalar(c) for c in w.xstar + w.ustar] + [_scalar(w.alpha)]
+
+
+def _audit_body(audits):
+    """The tail of an audit report: one block of lines per audit, a blank
+    line, then the name/kind/status/detail table."""
     lines = []
     for a in audits:
         lines.append(f"audit.{a.name}.kind = {a.kind}")
@@ -111,19 +118,12 @@ def _audit_lines(audits):
             lines.append(f"audit.{a.name}.detail = {a.detail}")
         for wtn in a.witnesses[:5]:
             lines.append(f"audit.{a.name}.witness = {wtn}")
-    return lines
-
-
-def _audit_table(audits):
-    rows = [(a.name, a.kind, a.status, a.detail) for a in audits]
-    widths = [
-        max(len(str(r[i])) for r in rows + [("name", "kind", "status", "detail")])
-        for i in range(4)
-    ]
-    line = "  ".join(h.ljust(w) for h, w in zip(("name", "kind", "status", "detail"), widths))
-    sep = "  ".join("-" * w for w in widths)
-    body = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in rows]
-    return [line, sep] + body
+    header = ("name", "kind", "status", "detail")
+    rows = [header] + [(a.name, a.kind, a.status, a.detail) for a in audits]
+    widths = [max(len(str(r[i])) for r in rows) for i in range(4)]
+    table = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in rows]
+    table.insert(1, "  ".join("-" * w for w in widths))
+    return lines + [""] + table
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +145,28 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _parse_point(text: str):
-    return tuple(Fraction(part) for part in text.split(","))
+def _option_number(option: str, text: str, backend: str = "rational"):
+    """The number given to ``option``, in ``backend``; an input error names
+    the option when it is unreadable."""
+    try:
+        return scalar(Fraction(text), backend)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise problemio.InputError(f"{option}: {text!r} is not a number") from None
+
+
+def _option_point(option: str, text: str, dim: int, space: str, backend: str = "rational"):
+    """The comma-separated point given to ``option``, in ``backend``; an
+    input error names the option when it is unreadable or its dimension
+    is not that of ``space``."""
+    try:
+        p = tuple(scalar(Fraction(c), backend) for c in text.split(","))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise problemio.InputError(f"{option}: {text!r} is not a list of numbers") from None
+    if len(p) != dim:
+        raise problemio.InputError(
+            f"{option}: {text!r} has {len(p)} coordinates; the {space} has {dim}"
+        )
+    return p
 
 
 def cmd_eset(args) -> int:
@@ -161,17 +181,20 @@ def cmd_eset(args) -> int:
         lines.append(f"empty = {str(empty).lower()}")
     lines.append(f"constant_false_constraints = {str(P.has_constant_false).lower()}")
     if args.contains:
-        x = _parse_point(args.contains)
+        x = _option_point("--contains", args.contains, P.dim, "set")
         lines.append(f"contains{_point(x)} = {str(P.contains(x)).lower()}")
     if args.separate:
-        x = _parse_point(args.separate)
-        cert = separate(P, x)
+        x = _option_point("--separate", args.separate, P.dim, "set")
+        try:
+            cert = separate(P, x)
+        except GeometryError as exc:  # a point of the set, or no set to separate from
+            raise problemio.InputError(f"--separate: {args.separate!r}: {exc}") from None
         lines.append(
             f"separate{_point(x)} = "
             + (_point(cert) if cert is not None else "inconclusive")
         )
     if args.recession:
-        y = _parse_point(args.recession)
+        y = _option_point("--recession", args.recession, P.dim, "set")
         lines.append(
             f"in_recession_cone{_point(y)} = {str(in_recession_cone(P, y)).lower()}"
         )
@@ -196,7 +219,7 @@ def cmd_eset(args) -> int:
                     epi_eq = False
         lines.append(f"epigraph_equals_set_on_sampled_fibers = {str(epi_eq).lower()}")
         if args.envelope_at is not None:
-            v = env.value(Fraction(args.envelope_at))
+            v = env.value(_option_number("--envelope-at", args.envelope_at))
             lines.append(f"envelope({args.envelope_at}) = {fmt(v)}")
     _emit(lines)
     return EXIT_OK
@@ -205,18 +228,10 @@ def cmd_eset(args) -> int:
 def cmd_conjugate(args) -> int:
     P = _build(args.problem)
     if args.output == "csv":
-        header = (
-            [f"xstar{i}" for i in range(P.x_grid.dim)]
-            + [f"ustar{i}" for i in range(P.x_grid.dim)]
-            + ["alpha", "value"]
+        _print_csv(
+            _dual_header(P.x_grid.dim) + ["value"],
+            [_dual_cells(w) + [fmt(v)] for w, v in P.f0_conj.items()],
         )
-        rows = [
-            [_scalar(c) for c in w.xstar]
-            + [_scalar(c) for c in w.ustar]
-            + [_scalar(w.alpha), fmt(v)]
-            for w, v in P.f0_conj.items()
-        ]
-        _print_csv(header, rows)
     else:
         _emit([f"# conjugate of phi(., 0): {P.name}"])
         _emit(
@@ -239,7 +254,6 @@ def cmd_biconjugate(args) -> int:
     worst = None
     for p, v in hull.items():
         f = P.f0.value_at(p)
-        gapv = f - v
         lines.append(f"x={_point(p)}  f={fmt(f)}  hull={fmt(v)}")
         if f.is_finite and v.is_finite:
             d = f.value - v.value
@@ -279,31 +293,17 @@ def cmd_duality(args) -> int:
             "dual_argmax = "
             + ("; ".join(_dual(w) for w in report.dual_argmax) or "none"),
         ]
-        lines += _audit_lines(audits)
-        lines.append("")
-        lines += _audit_table(audits)
-        _emit(lines)
+        _emit(lines + _audit_body(audits))
     return EXIT_EXACT_FAILURE if report.has_exact_failure else EXIT_OK
 
 
 def _subdiff_inputs(P, args):
     """(--at, --eps) in P's backend; an unreadable value, a point of the
     wrong dimension or off the x-grid, or a negative eps is an input error."""
-    scalar = Fraction if P.backend == "rational" else (lambda c: float(Fraction(c)))
-    try:
-        at = tuple(scalar(c) for c in _parse_point(args.at))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise problemio.InputError(f"--at: {args.at!r} is not a list of numbers") from None
-    if len(at) != P.x_grid.dim:
-        raise problemio.InputError(
-            f"--at: {args.at!r} has {len(at)} coordinates; the x-grid has {P.x_grid.dim}"
-        )
+    at = _option_point("--at", args.at, P.x_grid.dim, "x-grid", P.backend)
     if at not in P.x_grid:
         raise problemio.InputError(f"--at: {args.at!r} is not a point of the x-grid")
-    try:
-        eps = scalar(args.eps)
-    except (ValueError, ZeroDivisionError, OverflowError):
-        raise problemio.InputError(f"--eps: {args.eps!r} is not a number") from None
+    eps = _option_number("--eps", args.eps, P.backend)
     if eps < 0:
         raise problemio.InputError(f"--eps: {args.eps!r} is negative")
     return at, eps
@@ -314,20 +314,7 @@ def cmd_subdiff(args) -> int:
     at, eps = _subdiff_inputs(P, args)
     s = eps_c_subdifferential(P.f0, at, eps, P.x_side_grid)
     if args.output == "csv":
-        header = (
-            [f"xstar{i}" for i in range(P.x_grid.dim)]
-            + [f"ustar{i}" for i in range(P.x_grid.dim)]
-            + ["alpha"]
-        )
-        _print_csv(
-            header,
-            [
-                [_scalar(c) for c in w.xstar]
-                + [_scalar(c) for c in w.ustar]
-                + [_scalar(w.alpha)]
-                for w in s.members
-            ],
-        )
+        _print_csv(_dual_header(P.x_grid.dim), [_dual_cells(w) for w in s.members])
         return EXIT_OK
     lines = [
         f"# subdifferential report: {P.name}",
@@ -354,24 +341,24 @@ def cmd_subdiff(args) -> int:
     )
 
 
+def _slice_identity(P) -> bool:
+    """-L(x, .) equals the definitional slice conjugate at every x."""
+    return all(dual_slice_audit(P, x)["ok"] for x in P.x_grid.points)
+
+
 def cmd_lagrangian(args) -> int:
     P = _build(args.problem)
     if args.output == "csv":
         header = (
             [f"x{i}" for i in range(P.x_grid.dim)]
-            + [f"ystar{i}" for i in range(P.y_grid.dim)]
-            + [f"vstar{i}" for i in range(P.y_grid.dim)]
-            + ["alpha", "value"]
+            + _dual_header(P.y_grid.dim, ("ystar", "vstar"))
+            + ["value"]
         )
-        rows = []
-        for x in P.x_grid.points:
-            for w in P.dual_y_grid.points:
-                rows.append(
-                    [_scalar(c) for c in x]
-                    + [_scalar(c) for c in w.xstar]
-                    + [_scalar(c) for c in w.ustar]
-                    + [_scalar(w.alpha), fmt(lagrangian_value(P, x, w))]
-                )
+        rows = [
+            [_scalar(c) for c in x] + _dual_cells(w) + [fmt(lagrangian_value(P, x, w))]
+            for x in P.x_grid.points
+            for w in P.dual_y_grid.points
+        ]
         _print_csv(header, rows)
         return EXIT_OK
     out = prop55_audit(P)
@@ -392,10 +379,9 @@ def cmd_lagrangian(args) -> int:
         + str(out["contains_argmin_x_argmax"]).lower(),
         "saddles_equal_attainers = " + str(out["equals_argmin_x_argmax"]).lower(),
     ]
-    slice_ok = all(dual_slice_audit(P, x)["ok"] for x in P.x_grid.points)
+    slice_ok = _slice_identity(P)
     lines.append(f"dual_slice_identity = {str(slice_ok).lower()}")
-    one = Fraction(1) if P.backend == "rational" else 1.0
-    distinguished = DualPoint.of((one,), (one,), one, P.backend)
+    distinguished = DualPoint.of((1,), (1,), 1, P.backend)
     if P.y_grid.dim == 1 and distinguished in P.dual_y_grid:
         ex = example52_audit(P)
         lines += [
@@ -414,63 +400,39 @@ def cmd_lagrangian(args) -> int:
     return EXIT_OK if ok and out["contains_argmin_x_argmax"] else EXIT_EXACT_FAILURE
 
 
-def _run_exact_suite(P) -> list:
-    audits = []
+def _run_exact_suite(P) -> tuple:
+    # The report's exact outcomes include any exact breakage inside the
+    # conditional audits (c5, c5bar, theorem31, corollary310); their
+    # conditional outcomes belong to the conditional suite.
     report = P.report
-    audits += [a for a in report.audits.values() if a.kind == "exact"]
-    # Unconditional halves of the conditional audits are validated inside
-    # them; surface their kind="conditional" outcomes in the conditional
-    # suite and any exact breakage here.
-    for name in ("c5", "c5bar", "theorem31", "corollary310"):
-        a = report.audits[name]
-        if a.is_exact_failure:
-            audits.append(a)
+    audits = [a for a in report.audits.values() if a.kind == "exact"]
     lo, hi = supinf_value(P), infsup_value(P)
-    audits.append(
-        AuditOutcome(
-            "minimax",
-            "exact",
-            EXACT_PASS if lo <= hi and lo == report.v_gdc else FAIL,
-            f"supinf={fmt(lo)} <= infsup={fmt(hi)}, supinf = v(GD_c)",
-        )
-    )
-    slice_ok = all(dual_slice_audit(P, x)["ok"] for x in P.x_grid.points)
-    audits.append(
-        AuditOutcome(
-            "dual_slice_identity",
-            "exact",
-            EXACT_PASS if slice_ok else FAIL,
-            "-L(x, .) equals the slice conjugate at every x",
-        )
-    )
     p43 = prop43_audit(P)
-    audits.append(
-        AuditOutcome(
-            "total_duality_equivalence",
-            "exact",
-            EXACT_PASS
-            if p43["equivalence_ok"] and p43["certificate_consistent"]
-            else FAIL,
-            "subgradient certificates match primal/dual attainment",
-        )
-    )
     tr = transfer_audit(P.f0, P.x_side_grid)
-    audits.append(
-        AuditOutcome(
-            "transfer_forward",
-            "exact",
-            EXACT_PASS if tr.forward_ok else FAIL,
-            f"checked {tr.pairs_checked} pairs",
-        )
-    )
+    audits += [
+        AuditOutcome.exact(
+            "minimax", lo <= hi and lo == report.v_gdc,
+            f"supinf={fmt(lo)} <= infsup={fmt(hi)}, supinf = v(GD_c)",
+        ),
+        AuditOutcome.exact(
+            "dual_slice_identity", _slice_identity(P),
+            "-L(x, .) equals the slice conjugate at every x",
+        ),
+        AuditOutcome.exact(
+            "total_duality_equivalence",
+            p43["equivalence_ok"] and p43["certificate_consistent"],
+            "subgradient certificates match primal/dual attainment",
+        ),
+        AuditOutcome.exact(
+            "transfer_forward", tr.forward_ok, f"checked {tr.pairs_checked} pairs"
+        ),
+    ]
     probe_points = [P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2]]
     return audits, report, tr, probe_points
 
 
 def _eps_values(P):
-    if P.backend == "rational":
-        return (Fraction(0), Fraction(1, 2), Fraction(1))
-    return (0.0, 0.5, 1.0)
+    return tuple(scalar(e, P.backend) for e in (0, Fraction(1, 2), 1))
 
 
 def cmd_audit(args) -> int:
@@ -484,12 +446,10 @@ def cmd_audit(args) -> int:
         for eps in _eps_values(P):
             t43 = theorem43_audit(P, x, eps)
             t44 = theorem44_audit(P, x, eps)
-            status = EXACT_PASS if t43["superset_ok"] and t44["superset_ok"] else FAIL
             audits.append(
-                AuditOutcome(
+                AuditOutcome.exact(
                     f"eps_formulae_superset[x={_point(x)},eps={_scalar(eps)}]",
-                    "exact",
-                    status,
+                    t43["superset_ok"] and t44["superset_ok"],
                     "intersection and projection superset directions",
                 )
             )
@@ -522,10 +482,7 @@ def cmd_audit(args) -> int:
             )
         )
     elapsed = time.monotonic() - started
-    lines = [f"# audit report: {P.name}", f"suite = {args.suite}"]
-    lines += _audit_lines(audits)
-    lines.append("")
-    lines += _audit_table(audits)
+    lines = [f"# audit report: {P.name}", f"suite = {args.suite}"] + _audit_body(audits)
     exact_fail = any(a.is_exact_failure for a in audits)
     lines.append("")
     lines.append(f"exact_failures = {sum(a.is_exact_failure for a in audits)}")
@@ -541,9 +498,7 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
     P = pf.polyhedron
     audits = []
     empty = P.is_empty()
-    audits.append(
-        AuditOutcome("emptiness_decided", "exact", EXACT_PASS, f"empty = {empty}")
-    )
+    audits.append(AuditOutcome.exact("emptiness_decided", True, f"empty = {empty}"))
     if not empty:
         rng = random.Random(0)
         # Validate a separation certificate on sampled exterior points.
@@ -571,11 +526,8 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
                     ok = False
             checked += 1
         audits.append(
-            AuditOutcome(
-                "separation_certificates",
-                "exact",
-                EXACT_PASS if ok else FAIL,
-                f"validated on {checked} exterior points",
+            AuditOutcome.exact(
+                "separation_certificates", ok, f"validated on {checked} exterior points"
             )
         )
         if P.dim == 2 and in_recession_cone(P, (0, 1)):
@@ -590,11 +542,7 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
                     else f"witness x = {witness}",
                 )
             )
-    lines = [f"# audit report: {pf.name}", f"suite = {args.suite}"]
-    lines += _audit_lines(audits)
-    lines.append("")
-    lines += _audit_table(audits)
-    _emit(lines)
+    _emit([f"# audit report: {pf.name}", f"suite = {args.suite}"] + _audit_body(audits))
     return (
         EXIT_EXACT_FAILURE
         if any(a.is_exact_failure for a in audits)

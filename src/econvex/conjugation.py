@@ -40,9 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
 from econvex import extreal
-from econvex.funcrep import Grid, PwAffine1, SampledFn, _coerce_scalar
+from econvex.funcrep import Grid, PwAffine1, SampledFn
 
 __all__ = [
     "DualPoint",
@@ -73,7 +73,7 @@ def _dot(a: Sequence, b: Sequence):
 def _coerce_vec(v, backend: str) -> Tuple:
     if not isinstance(v, (tuple, list)):
         v = (v,)
-    return tuple(_coerce_scalar(c, backend) for c in v)
+    return tuple(scalar(c, backend) for c in v)
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class DualPoint:
         return DualPoint(
             _coerce_vec(xstar, backend),
             _coerce_vec(ustar, backend),
-            _coerce_scalar(alpha, backend),
+            scalar(alpha, backend),
         )
 
     @property
@@ -118,7 +118,7 @@ class DualPairPoint:
             _coerce_vec(ystar, backend),
             _coerce_vec(ustar, backend),
             _coerce_vec(vstar, backend),
-            _coerce_scalar(alpha, backend),
+            scalar(alpha, backend),
         )
 
     def __post_init__(self):

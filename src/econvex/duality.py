@@ -22,7 +22,6 @@ regularity conditions that live in the continuum; they are labelled
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Optional, Tuple
 
@@ -73,6 +72,11 @@ class AuditOutcome:
     detail: str = ""
     witnesses: Tuple = ()
 
+    @classmethod
+    def exact(cls, name: str, ok: bool, detail: str = "") -> "AuditOutcome":
+        """An exact audit checks a grid theorem: it passes or, on a bug, fails."""
+        return cls(name, "exact", EXACT_PASS if ok else FAIL, detail)
+
     @property
     def is_exact_failure(self) -> bool:
         return self.kind == "exact" and self.status == FAIL
@@ -108,20 +112,10 @@ class PerturbationProblem:
         self.tolerance = tolerance
         self.backend = x_grid.backend
 
-        flats = []
-        seen = set()
-        if full_dual_pairs is not None:
-            for p in full_dual_pairs.points:
-                flat = p.flatten() if hasattr(p, "flatten") else p
-                if flat not in seen:
-                    seen.add(flat)
-                    flats.append(flat)
-        for w in dual_y_grid.points:
-            flat = self.embed(w)
-            if flat not in seen:
-                seen.add(flat)
-                flats.append(flat)
-        self.full_dual_grid = DualGrid(flats, self.backend)
+        pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
+        flats = [p.flatten() if hasattr(p, "flatten") else p for p in pairs]
+        flats += [self.embed(w) for w in dual_y_grid.points]
+        self.full_dual_grid = DualGrid(dict.fromkeys(flats), self.backend)
 
     # -- embeddings and projections ------------------------------------
 
@@ -173,14 +167,8 @@ class PerturbationProblem:
     @cached_property
     def x_side_grid(self) -> DualGrid:
         """Projection of the full dual grid onto W = X* x X* x R."""
-        seen = []
-        marks = set()
-        for flat in self.full_dual_grid.points:
-            w = self.x_side(flat)
-            if w not in marks:
-                marks.add(w)
-                seen.append(w)
-        return DualGrid(seen, self.backend)
+        projected = (self.x_side(flat) for flat in self.full_dual_grid.points)
+        return DualGrid(dict.fromkeys(projected), self.backend)
 
     @cached_property
     def f0_conj(self) -> SampledFn:
@@ -301,7 +289,7 @@ def weak_chain_audit(P: PerturbationProblem) -> AuditOutcome:
     rhs = extreal.sup(-v for v in P.f0.values)
     ok = lhs >= mid >= rhs
     detail = f"inf={lhs} >= sup(-biconj)={mid} >= sup(-phi0)={rhs}"
-    return AuditOutcome("e1_chain", "exact", EXACT_PASS if ok else FAIL, detail)
+    return AuditOutcome.exact("e1_chain", ok, detail)
 
 
 def c5_audit(P: PerturbationProblem):
@@ -500,7 +488,7 @@ def converse_duality_report(P: PerturbationProblem) -> DualityReport:
     v_gpbar, v_gdbar = converse_pair_values(P)
     gap = v_gp - v_gdc
 
-    zero = ExtReal(Fraction(0) if P.backend == "rational" else 0.0)
+    zero = ExtReal(extreal.scalar(0, P.backend))
     weak_ok = v_gdc <= v_gp
     # The conventions make the gap of two equal infinities -inf, so testing
     # the gap against 0 demands a finite common value, which is what the
@@ -511,34 +499,28 @@ def converse_duality_report(P: PerturbationProblem) -> DualityReport:
     total = zero_gap and bool(argmin) and bool(argmax)
     truncated = bool(argmin) and all(P.on_x_boundary(x) for x in argmin)
 
-    audits: Dict[str, AuditOutcome] = {}
-    audits["weak_duality"] = AuditOutcome(
-        "weak_duality", "exact", EXACT_PASS if weak_ok else FAIL,
-        f"v(GD_c)={v_gdc} <= v(GP)={v_gp}",
-    )
     via_p = dual_value_via_p(P)
-    audits["dual_route_identity"] = AuditOutcome(
-        "dual_route_identity", "exact",
-        EXACT_PASS if via_p == v_gdc else FAIL,
-        f"conjugating p gives {via_p}, direct dual gives {v_gdc}",
-    )
-    barred_ok = (v_gpbar == -v_gdc) and (v_gdbar == -v_gp)
-    audits["barred_identities"] = AuditOutcome(
-        "barred_identities", "exact", EXACT_PASS if barred_ok else FAIL,
-        "barred problem values are the negated originals",
-    )
-    barred_chain_ok = v_gdbar <= v_gpbar
     barred_strong = (v_gpbar - v_gdbar == zero) and bool(argmin)
-    audits["barred_weak"] = AuditOutcome(
-        "barred_weak", "exact", EXACT_PASS if barred_chain_ok else FAIL,
-        f"v(GDbar)={v_gdbar} <= v(GPbar_c)={v_gpbar}",
-    )
-    audits["converse_equivalence"] = AuditOutcome(
-        "converse_equivalence", "exact",
-        EXACT_PASS if barred_strong == converse else FAIL,
-        "converse duality coincides with strong duality of the barred pair",
-    )
-    audits["e1_chain"] = weak_chain_audit(P)
+    exact = [
+        AuditOutcome.exact("weak_duality", weak_ok, f"v(GD_c)={v_gdc} <= v(GP)={v_gp}"),
+        AuditOutcome.exact(
+            "dual_route_identity", via_p == v_gdc,
+            f"conjugating p gives {via_p}, direct dual gives {v_gdc}",
+        ),
+        AuditOutcome.exact(
+            "barred_identities", v_gpbar == -v_gdc and v_gdbar == -v_gp,
+            "barred problem values are the negated originals",
+        ),
+        AuditOutcome.exact(
+            "barred_weak", v_gdbar <= v_gpbar, f"v(GDbar)={v_gdbar} <= v(GPbar_c)={v_gpbar}"
+        ),
+        AuditOutcome.exact(
+            "converse_equivalence", barred_strong == converse,
+            "converse duality coincides with strong duality of the barred pair",
+        ),
+        weak_chain_audit(P),
+    ]
+    audits: Dict[str, AuditOutcome] = {a.name: a for a in exact}
     audits["c5"] = c5_audit(P)
     audits["c5bar"] = c5bar_audit(P)
     audits["theorem31"] = theorem31_audit(P, audits["c5"])

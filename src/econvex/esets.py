@@ -300,12 +300,6 @@ class EnvelopeFn:
         fib = self.fiber(x)
         return not fib.is_empty and fib.lo.is_finite and not fib.lo_open
 
-    def graph_point_in_set(self, x) -> bool:
-        v = self.value(x)
-        if not v.is_finite:
-            raise GeometryError("graph point only defined where h is finite")
-        return self.polyhedron.contains((Fraction(x), v.value))
-
 
 def lower_envelope(C: EPolyhedron) -> EnvelopeFn:
     """Envelope of a nonempty C in X x R with (0,1) in its recession cone."""

@@ -24,12 +24,12 @@ __all__ = [
     "ExtReal",
     "POS_INF",
     "NEG_INF",
-    "as_extreal",
     "fold_sum",
     "sup",
     "inf",
     "fmt",
     "parse",
+    "scalar",
 ]
 
 Scalar = Union[int, float, Fraction]
@@ -176,12 +176,6 @@ NEG_INF = ExtReal.__new__(ExtReal)
 object.__setattr__(NEG_INF, "_v", -math.inf)
 
 
-def as_extreal(value: Union[ExtReal, Scalar]) -> ExtReal:
-    if isinstance(value, ExtReal):
-        return value
-    return ExtReal(value)
-
-
 def fold_sum(values: Iterable[ExtReal]) -> ExtReal:
     """Left-to-right fold of the pairwise sum.
 
@@ -234,8 +228,15 @@ def parse(text: str, backend: str = "rational") -> ExtReal:
         return POS_INF
     if s == "-inf":
         return NEG_INF
+    return ExtReal(scalar(s, backend))
+
+
+def scalar(v, backend: str) -> Scalar:
+    """``v`` as a finite payload of ``backend``: a `Fraction` for
+    ``"rational"``, a float for ``"float"``.  The one place a backend name
+    chooses a payload type."""
     if backend == "rational":
-        return ExtReal(Fraction(s))
+        return Fraction(v)
     if backend == "float":
-        return ExtReal(float(s))
+        return float(v)
     raise ValueError(f"unknown backend {backend!r}")

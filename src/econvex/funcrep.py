@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from econvex.esets import EPolyhedron, Interval1
-from econvex.extreal import NEG_INF, POS_INF, ExtReal, fold_sum
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, fold_sum, scalar
 from econvex import extreal
 
 __all__ = [
@@ -48,20 +48,12 @@ __all__ = [
 Point = Tuple  # tuple of scalars, one per coordinate
 
 
-def _coerce_scalar(v, backend: str):
-    if backend == "rational":
-        return Fraction(v)
-    if backend == "float":
-        return float(v)
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def _coerce_point(p, dim: int, backend: str) -> Point:
     if not isinstance(p, (tuple, list)):
         p = (p,)
     if len(p) != dim:
         raise ValueError(f"point {p!r} does not have dimension {dim}")
-    return tuple(_coerce_scalar(v, backend) for v in p)
+    return tuple(scalar(v, backend) for v in p)
 
 
 class Grid:
@@ -99,7 +91,7 @@ class Grid:
 
     @property
     def origin(self) -> Point:
-        return tuple(_coerce_scalar(0, self.backend) for _ in range(self.dim))
+        return (scalar(0, self.backend),) * self.dim
 
     @property
     def has_origin(self) -> bool:
@@ -327,7 +319,7 @@ class Indicator(Expr):
             ok = lhs < rhs if c.strict else lhs <= rhs
             if not ok:
                 return POS_INF
-        return ExtReal(_coerce_scalar(0, backend))
+        return ExtReal(scalar(0, backend))
 
 
 @dataclass(frozen=True)
@@ -402,10 +394,6 @@ def product_grid(x_grid: Grid, y_grid: Grid) -> Grid:
         raise ValueError("product grids need a common backend")
     pts = [x + y for x, y in itertools.product(x_grid.points, y_grid.points)]
     return Grid(x_grid.dim + y_grid.dim, pts, x_grid.backend)
-
-
-def split_point(p: Point, x_dim: int) -> Tuple[Point, Point]:
-    return p[:x_dim], p[x_dim:]
 
 
 def infimum_value_function(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:

@@ -40,7 +40,6 @@ arbitrary coupling space is intentionally not provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from econvex import extreal
@@ -309,7 +308,7 @@ def example52_audit(P: PerturbationProblem) -> dict:
     stated constant -2; the two disagree and the discrepancy is reported,
     never asserted away.
     """
-    one = Fraction(1) if P.backend == "rational" else 1.0
+    one = extreal.scalar(1, P.backend)
     w = DualPoint.of((one,), (one,), one, P.backend)
     if w not in P.dual_y_grid:
         raise ValueError("the instance must carry the dual point (1, 1, 1)")

@@ -125,24 +125,20 @@ def _vec(v, dim: int, backend: str, where: str) -> Tuple:
     return tuple(_num(c, backend, where) for c in v)
 
 
-def _rational_vec(v, dim: int, where: str) -> Tuple:
-    return _vec(v, dim, "rational", where)
-
-
 def _parse_eset(obj: dict, where: str) -> EPolyhedron:
     _require_keys(obj, ["dim", "constraints"], (), where)
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InputError(f"{where}.dim: must be a positive integer")
     constraints = []
-    for i, c in enumerate(obj["constraints"]):
+    for i, c in enumerate(_list(obj["constraints"], f"{where}.constraints")):
         cw = f"{where}.constraints[{i}]"
         _require_keys(c, ["a", "b", "strict"], (), cw)
         if not isinstance(c["strict"], bool):
             raise InputError(f"{cw}.strict: must be a boolean")
         constraints.append(
             Halfspace(
-                _rational_vec(c["a"], dim, f"{cw}.a"),
+                _vec(c["a"], dim, "rational", f"{cw}.a"),
                 _num(c["b"], "rational", f"{cw}.b"),
                 c["strict"],
             )
@@ -152,10 +148,19 @@ def _parse_eset(obj: dict, where: str) -> EPolyhedron:
 
 def _parse_form(obj: dict, x_dim: int, y_dim: int, where: str):
     _require_keys(obj, [], ("x", "y", "const"), where)
-    cx = _rational_vec(obj.get("x", [0] * x_dim), x_dim, f"{where}.x")
-    cy = _rational_vec(obj.get("y", [0] * y_dim), y_dim, f"{where}.y")
+    cx = _vec(obj.get("x", [0] * x_dim), x_dim, "rational", f"{where}.x")
+    cy = _vec(obj.get("y", [0] * y_dim), y_dim, "rational", f"{where}.y")
     const = _num(obj.get("const", 0), "rational", f"{where}.const")
     return _form(cx, cy, const)
+
+
+def _forms(obj: dict, key: str, x_dim: int, y_dim: int, where: str) -> Tuple:
+    """The list of affine forms under ``obj[key]``."""
+    where = f"{where}.{key}"
+    return tuple(
+        _parse_form(r, x_dim, y_dim, f"{where}[{i}]")
+        for i, r in enumerate(_list(obj[key], where))
+    )
 
 
 def _parse_expr(obj: dict, x_dim: int, y_dim: int, where: str) -> Expr:
@@ -172,7 +177,7 @@ def _parse_expr(obj: dict, x_dim: int, y_dim: int, where: str) -> Expr:
         _require_keys(obj, ["op", "terms"], (), where)
         terms = tuple(
             _parse_expr(t, x_dim, y_dim, f"{where}.terms[{i}]")
-            for i, t in enumerate(obj["terms"])
+            for i, t in enumerate(_list(obj["terms"], f"{where}.terms"))
         )
         if not terms:
             raise InputError(f"{where}.terms: must not be empty")
@@ -180,23 +185,14 @@ def _parse_expr(obj: dict, x_dim: int, y_dim: int, where: str) -> Expr:
     if op == "indicator":
         _require_keys(obj, ["op", "set", "rows"], (), where)
         poly = _parse_eset(obj["set"], f"{where}.set")
-        rows = tuple(
-            _parse_form(r, x_dim, y_dim, f"{where}.rows[{i}]")
-            for i, r in enumerate(obj["rows"])
-        )
+        rows = _forms(obj, "rows", x_dim, y_dim, where)
         if len(rows) != poly.dim:
             raise InputError(f"{where}.rows: need one row per set coordinate")
         return Indicator(poly, rows)
     if op == "precompose":
         _require_keys(obj, ["op", "arg", "x_rows", "y_rows"], (), where)
-        x_rows = tuple(
-            _parse_form(r, x_dim, y_dim, f"{where}.x_rows[{i}]")
-            for i, r in enumerate(obj["x_rows"])
-        )
-        y_rows = tuple(
-            _parse_form(r, x_dim, y_dim, f"{where}.y_rows[{i}]")
-            for i, r in enumerate(obj["y_rows"])
-        )
+        x_rows = _forms(obj, "x_rows", x_dim, y_dim, where)
+        y_rows = _forms(obj, "y_rows", x_dim, y_dim, where)
         inner = _parse_expr(obj["arg"], len(x_rows), len(y_rows), f"{where}.arg")
         return Precompose(inner, x_rows, y_rows)
     raise InputError(f"{where}.op: unknown operation {op!r}")
@@ -230,16 +226,12 @@ class ProblemFile:
     """Validated problem file; ``build()`` assembles the grid problem."""
 
     name: str
-    x_dim: int
-    y_dim: int
-    backend: str
     tolerance: float
     phi: PerturbFn
     x_grid: Grid
     y_grid: Grid
     dual_y_grid: DualGrid
     full_dual_pairs: DualGrid
-    raw: dict
 
     def build(self) -> PerturbationProblem:
         return PerturbationProblem(
@@ -257,7 +249,6 @@ class ProblemFile:
 class EsetFile:
     name: str
     polyhedron: EPolyhedron
-    raw: dict
 
 
 def loads(text: str):
@@ -269,7 +260,7 @@ def loads(text: str):
         raise InputError("top level: expected an object with a 'kind' field")
     if obj["kind"] == "eset":
         _require_keys(obj, ["kind", "name", "set"], (), "top level")
-        return EsetFile(str(obj["name"]), _parse_eset(obj["set"], "set"), obj)
+        return EsetFile(str(obj["name"]), _parse_eset(obj["set"], "set"))
     if obj["kind"] != "problem":
         raise InputError(f"kind: unknown kind {obj['kind']!r}")
 
@@ -332,16 +323,12 @@ def loads(text: str):
     phi = PerturbFn(x_dim, y_dim, expr=_parse_expr(obj["phi"], x_dim, y_dim, "phi"))
     return ProblemFile(
         name=str(obj["name"]),
-        x_dim=x_dim,
-        y_dim=y_dim,
-        backend=backend,
         tolerance=float(tolerance),
         phi=phi,
         x_grid=x_grid,
         y_grid=y_grid,
         dual_y_grid=dual_y,
         full_dual_pairs=pairs,
-        raw=obj,
     )
 
 

@@ -43,7 +43,7 @@ from econvex.conjugation import (
 )
 from econvex.conjugation import _classify, _sup_coupling_minus, _sup_prime_minus
 from econvex.duality import EXACT_PASS, PerturbationProblem
-from econvex.extreal import ExtReal
+from econvex.extreal import ExtReal, scalar
 from econvex.funcrep import SampledFn
 
 __all__ = [
@@ -85,7 +85,7 @@ def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
 
 
 def _zero_eps(f: SampledFn):
-    return Fraction(0) if f.grid.backend == "rational" else 0.0
+    return scalar(0, f.grid.backend)
 
 
 def _on_grid(f: SampledFn, x0):
@@ -261,9 +261,7 @@ def prop43_audit(P: PerturbationProblem) -> dict:
 
 
 def _default_ladder(backend: str):
-    if backend == "rational":
-        return (Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-    return (1.0, 0.1, 0.01, 0.001)
+    return tuple(scalar(Fraction(1, 10**k), backend) for k in range(4))
 
 
 def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:

@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import PerturbationProblem
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
 from econvex.funcrep import Grid, PerturbFn
 
 from econvex import catalog
-
-
-def scalar(v, backend):
-    return Fraction(v) if backend == "rational" else float(v)
 
 
 @st.composite
@@ -86,15 +82,12 @@ def random_problem(
     """Random table-backed instance; grids are small, values include
     infinities so the convention arithmetic is exercised end to end."""
 
-    def scalar(v):
-        return float(v) if backend == "float" else Fraction(v)
-
     nx = rng.randint(2, max_x)
     ny = rng.randint(2, max_y)
     xs = rng.sample(range(-50, 51), nx)
     ys = [0] + rng.sample([v for v in range(-50, 51) if v != 0], ny - 1)
-    x_grid = Grid(1, [(scalar(v),) for v in xs], backend)
-    y_grid = Grid(1, [(scalar(v),) for v in ys], backend)
+    x_grid = Grid(1, [(scalar(v, backend),) for v in xs], backend)
+    y_grid = Grid(1, [(scalar(v, backend),) for v in ys], backend)
 
     def cell():
         u = rng.random()
@@ -102,7 +95,7 @@ def random_problem(
             return POS_INF
         if u < 0.12 + neg_inf_rate:
             return NEG_INF
-        return ExtReal(scalar(Fraction(rng.randint(-20, 20), 4)))
+        return ExtReal(scalar(Fraction(rng.randint(-20, 20), 4), backend))
 
     table = {
         (x, y): cell() for x in x_grid.points for y in y_grid.points

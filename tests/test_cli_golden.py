@@ -1,0 +1,112 @@
+"""Default CLI output, pinned command by command.
+
+Each case runs ``econvex.cli.main`` in-process and compares the SHA-256
+of its stdout and of its stderr, and its exit code, with
+``data/cli_golden.json``.  The cases cover every catalog problem and its
+float twin (the same entry with ``"backend": "float"``, written to a
+temporary file) under every report command, plus the commands of the
+set entry.  A refactor that is meant to keep the output must leave this
+test passing unchanged.
+
+When a change is meant to alter the output, regenerate the fixture and
+review the cases whose digests moved:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from econvex import catalog
+from econvex.cli import main
+
+FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
+
+PROBLEM_COMMANDS = (
+    ("audit", "--suite", "all"),
+    ("duality",),
+    ("duality", "--output", "csv"),
+    ("conjugate", "--output", "csv"),
+    ("biconjugate",),
+    ("lagrangian",),
+    ("lagrangian", "--output", "csv"),
+    ("subdiff", "--at", "0", "--eps", "1/2"),
+    ("subdiff", "--at", "1", "--output", "csv"),
+)
+
+ESET_COMMANDS = (
+    ("eset",),
+    ("eset", "--contains", "0,1", "--separate", "1,0", "--recession", "0,1", "--envelope-at", "1/2"),
+    ("eset", "--contains", "1,1", "--envelope-at", "-2"),
+    ("audit", "--suite", "all"),
+    ("audit", "--suite", "exact"),
+)
+
+
+def _problems():
+    return [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+
+
+def _cases():
+    cases = []
+    for name in _problems():
+        for backend in ("rational", "float"):
+            for command in PROBLEM_COMMANDS:
+                cases.append((name, backend, command))
+    for command in ESET_COMMANDS:
+        cases.append(("open_epigraph_eset", "rational", command))
+    return cases
+
+
+def _key(name, backend, command):
+    return f"{name}[{backend}]: {' '.join(command)}"
+
+
+def _problem_arg(name, backend, tmp_path):
+    if backend == "rational":
+        return name
+    path = tmp_path / f"{name}_float.json"
+    path.write_text(json.dumps(dict(catalog.entry(name), backend="float")), encoding="utf-8")
+    return str(path)
+
+
+def _run(name, backend, command, tmp_path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([command[0], _problem_arg(name, backend, tmp_path), *command[1:]])
+    return {
+        "exit": code,
+        "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "stderr_sha256": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+    }
+
+
+CASES = _cases()
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(FIXTURE.read_text(encoding="utf-8"))
+
+
+def test_fixture_covers_exactly_the_cases(pinned):
+    assert sorted(pinned) == sorted(_key(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_key(*c) for c in CASES])
+def test_output_matches_fixture(case, pinned, tmp_path):
+    assert _run(*case, tmp_path) == pinned[_key(*case)]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {_key(*c): _run(*c, Path(tmp)) for c in CASES}
+    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} cases to {FIXTURE}")

@@ -9,6 +9,7 @@ from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import (
     EXACT_PASS,
     FAIL,
+    AuditOutcome,
     PerturbationProblem,
     c5_audit,
     c5bar_audit,
@@ -377,3 +378,22 @@ class TestConstruction:
     def test_embeddings_always_present(self, fenchel_abs):
         for w in fenchel_abs.dual_y_grid.points:
             assert fenchel_abs.embed(w) in fenchel_abs.full_dual_grid
+
+
+class TestAuditOutcomeExact:
+    def test_true_is_an_exact_pass(self):
+        a = AuditOutcome.exact("weak_duality", True, "v(GD_c)=0 <= v(GP)=0")
+        assert (a.name, a.kind, a.status) == ("weak_duality", "exact", EXACT_PASS)
+        assert a.detail == "v(GD_c)=0 <= v(GP)=0" and a.witnesses == ()
+        assert not a.is_exact_failure
+
+    def test_false_is_an_exact_failure(self):
+        a = AuditOutcome.exact("minimax", False)
+        assert (a.kind, a.status, a.detail) == ("exact", FAIL, "")
+        assert a.is_exact_failure
+
+    def test_report_identities_are_exact_outcomes(self, fenchel_abs):
+        audits = converse_duality_report(fenchel_abs).audits
+        for name in ("weak_duality", "dual_route_identity", "barred_identities",
+                     "barred_weak", "converse_equivalence", "e1_chain"):
+            assert audits[name] == AuditOutcome.exact(name, True, audits[name].detail)

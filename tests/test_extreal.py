@@ -14,6 +14,7 @@ from econvex.extreal import (
     fold_sum,
     fmt,
     parse,
+    scalar,
 )
 
 FIVE = [NEG_INF, ExtReal(-1), ExtReal(0), ExtReal(1), POS_INF]
@@ -155,6 +156,30 @@ class TestBackends:
         assert ExtReal(0.5) < POS_INF
         assert NEG_INF < ExtReal(Fraction(1, 2))
         assert ExtReal(0.5) + POS_INF == POS_INF
+
+
+class TestScalar:
+    """scalar() is the one map from a backend name to its payload type."""
+
+    @pytest.mark.parametrize("v", [0, 3, -2, Fraction(-7, 4), "1/3"])
+    def test_rational_payload(self, v):
+        out = scalar(v, "rational")
+        assert type(out) is Fraction and out == Fraction(v)
+
+    @pytest.mark.parametrize("v", [0, 3, -2, Fraction(-7, 4), 0.25])
+    def test_float_payload(self, v):
+        out = scalar(v, "float")
+        assert type(out) is float and out == float(v)
+
+    def test_unknown_backend_raises(self):
+        with pytest.raises(ValueError, match="unknown backend 'decimal'"):
+            scalar(1, "decimal")
+
+    def test_parse_uses_the_same_map(self):
+        assert type(parse("1/2").value) is Fraction
+        assert type(parse("0.5", "float").value) is float
+        with pytest.raises(ValueError, match="unknown backend"):
+            parse("1", "decimal")
 
 
 class TestRendering:

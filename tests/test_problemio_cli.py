@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,31 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "converse_duality_report", broken)
         assert main(["duality", "fenchel_abs"]) == 2
 
+    def test_exact_failure_inside_a_conditional_audit_counted_once(self, capsys, monkeypatch):
+        from econvex import duality
+        from econvex.duality import AuditOutcome
+
+        def broken(P):
+            return AuditOutcome("c5", "exact", "fail", "forced for the count test")
+
+        monkeypatch.setattr(duality, "c5_audit", broken)
+        assert main(["audit", "fenchel_abs", "--suite", "exact"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out.count("audit.c5.status = fail") == 1
+        assert out[-1] == "exact_failures = 1"
+
+    def test_eps_values_per_backend(self):
+        from types import SimpleNamespace
+
+        from econvex.cli import _eps_values
+
+        rational = _eps_values(SimpleNamespace(backend="rational"))
+        assert rational == (Fraction(0), Fraction(1, 2), Fraction(1))
+        assert all(type(e) is Fraction for e in rational)
+        floats = _eps_values(SimpleNamespace(backend="float"))
+        assert floats == (0.0, 0.5, 1.0)
+        assert all(type(e) is float for e in floats)
+
     def test_reports_byte_identical_across_runs(self, capsys):
         assert main(["audit", "fenchel_abs", "--suite", "all"]) == 0
         first = capsys.readouterr().out
@@ -342,10 +368,22 @@ class TestInputContract:
             (lambda d: d["grids"].update(y={"lo": "0", "hi": "1/0", "count": 3}), "grids.y.hi"),
             (lambda d: d.update(backend="float") or d["grids"].update(alpha=[1e400]),
              "grids.alpha[0]"),
+            (lambda d: d["phi"].update(terms=5), "phi.terms"),
+            (lambda d: d["phi"]["terms"][1]["set"].update(constraints=5),
+             "phi.terms[1].set.constraints"),
+            (lambda d: d["phi"]["terms"][1]["set"].update(constraints={"a": 1}),
+             "phi.terms[1].set.constraints"),
+            (lambda d: d["phi"]["terms"][1].update(rows=5), "phi.terms[1].rows"),
+            (lambda d: d.update(phi={"op": "precompose", "arg": d["phi"],
+                                     "x_rows": 5, "y_rows": []}), "phi.x_rows"),
+            (lambda d: d.update(phi={"op": "precompose", "arg": d["phi"],
+                                     "x_rows": [{"x": ["1"]}], "y_rows": {"y": ["1"]}}),
+             "phi.y_rows"),
         ],
         ids=["alpha-string", "ystar-string", "points-string", "duplicate-grid-point",
              "duplicate-ystar", "duplicate-xstar", "duplicate-alpha", "degenerate-range",
-             "bad-range-end", "infinite-float"],
+             "bad-range-end", "infinite-float", "terms-number", "constraints-number",
+             "constraints-object", "rows-number", "x-rows-number", "y-rows-object"],
     )
     def test_exit_3_naming_the_field(self, edit, field, capsys, tmp_path):
         assert main(["duality", file_with(tmp_path, edit)]) == 3
@@ -364,13 +402,35 @@ class TestInputContract:
         ids=["off-grid-at", "wrong-dimension-at", "unparsable-at", "negative-eps"],
     )
     def test_subdiff_option_exits_3_naming_it(self, argv, option):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        run = subprocess.run(
-            [sys.executable, "-m", "econvex.cli", "subdiff", "fenchel_abs", *argv],
-            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-            timeout=120,
-        )
-        assert run.returncode == 3, run.stderr
-        assert run.stderr.startswith("econvex: input error: " + option + ":"), run.stderr
-        assert "Traceback" not in run.stderr and run.stdout == ""
+        assert_input_error_naming(["subdiff", "fenchel_abs", *argv], option)
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--contains", "abc"], "--contains"),
+            (["--contains", "1/0"], "--contains"),
+            (["--contains", "1"], "--contains"),
+            (["--separate", "0,1"], "--separate"),
+            (["--recession", "1,2,3"], "--recession"),
+            (["--envelope-at", "x"], "--envelope-at"),
+        ],
+        ids=["unparsable-contains", "zero-denominator-contains", "wrong-dimension-contains",
+             "separate-inside-point", "wrong-dimension-recession", "unparsable-envelope-at"],
+    )
+    def test_eset_option_exits_3_naming_it(self, argv, option):
+        assert_input_error_naming(["eset", "open_epigraph_eset", *argv], option)
+
+
+def assert_input_error_naming(argv, field):
+    """Run the CLI in a fresh process: exit 3, nothing on stdout, and one
+    input-error message that starts with the field, never a traceback."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "econvex.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert run.returncode == 3, run.stderr
+    assert run.stderr.startswith("econvex: input error: " + field + ":"), run.stderr
+    assert "Traceback" not in run.stderr and run.stdout == ""

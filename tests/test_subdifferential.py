@@ -454,3 +454,19 @@ class TestLadderIsOneProjection:
                     ))
                     assert frozenset(out["intersection"]) == explicit
                     assert out["eta_ladder"] == tuple(rungs)
+
+
+class TestDefaultLadder:
+    def test_float_ladder(self):
+        ladder = _default_ladder("float")
+        assert ladder == (1.0, 0.1, 0.01, 0.001)
+        assert all(type(e) is float for e in ladder)
+
+    def test_rational_ladder(self):
+        ladder = _default_ladder("rational")
+        assert ladder == (Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
+        assert all(type(e) is Fraction for e in ladder)
+
+    def test_unknown_backend_raises(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            _default_ladder("decimal")
