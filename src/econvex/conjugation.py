@@ -27,6 +27,17 @@ of g can attain the sup.  The c-conjugate also keeps, per distinct x*,
 the first row of dom attaining the Fenchel value; the Lagrangian table is
 read off those rows.
 
+A sweep in which every coordinate, slope, alpha and payload it reads is
+exactly a ``Fraction`` runs in plain ints.  ``_scaled`` multiplies a list
+of vectors by the lcm of their denominators: D for the points, e for u*,
+E for x* and L for the values.  A gate is shut iff max over dom of the
+scaled <p, u*> reaches ceil(alpha·D·e); a Fenchel term is an int over
+M = lcm(D·E, L), and the value is ``Fraction(best, M)``.  Scaling by a
+positive int keeps every comparison, so gates, maxima, the first
+attaining row, the value, its type and its rendering are those of the
+``Fraction`` sweep.  Any float, or an ``int`` among the fractions, sends
+the sweep down the plain loop, which keeps IEEE rounding as it was.
+
 ``_reference_c_conjugate`` and ``_reference_cprime_conjugate`` keep the
 definitional sweeps, one dual point against every grid point.  They are
 the one definitional reference: the differential tests hold the kernel to
@@ -38,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
@@ -275,6 +288,69 @@ def _fenchel(dom, xstar):
     return ExtReal(best), row
 
 
+def _scaled(vectors):
+    """(the vectors as int tuples times d, d), d the lcm of every
+    denominator; None unless every coordinate is exactly a Fraction."""
+    dens = set()
+    for v in vectors:
+        for c in v:
+            if c.__class__ is not Fraction:
+                return None
+            dens.add(c.denominator)
+    d = lcm(*dens)
+    return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors], d
+
+
+def _one_length(*lists) -> bool:
+    """Every vector of the lists has one length.  The integer sweeps check
+    this up front and otherwise leave the plain sweep to raise the
+    dimension error of :func:`_dot`."""
+    return len({len(v) for vs in lists for v in vs}) <= 1
+
+
+def _int_dot(a, b):
+    """<a, b> of int tuples of one length."""
+    return sum(map(mul, a, b))
+
+
+def _int_c_conjugate_rows(dom, w_points):
+    """The rows of :func:`_c_conjugate_rows` in scaled ints, or None
+    unless every coordinate, slope, alpha and payload is a Fraction.
+    Alphas scale by a, so ceil(alpha·D·e) is -(-A·D·e // a) for the
+    scaled alpha A; the first maximal term is the first attaining row."""
+    ints = [_scaled(vs) for vs in (
+        [p for p, _ in dom], [(v,) for _, v in dom],
+        [w.ustar for w in w_points], [(w.alpha,) for w in w_points],
+        [w.xstar for w in w_points],
+    )]
+    if None in ints:
+        return None
+    (points, D), (values, L), (ustars, e), (alphas, a), (xstars, E) = ints
+    if not _one_length(points, ustars):
+        return None
+    M = lcm(D * E, L)
+    k = M // (D * E)
+    values = [v * (M // L) for (v,) in values]
+    highest = {}  # scaled u* -> max over dom of the scaled <p, u*>
+    fenchel = {}  # scaled x* -> (grid Fenchel value, attaining row)
+    out = []
+    for u, (alpha,), x in zip(ustars, alphas, xstars):
+        top = highest.get(u)
+        if top is None:
+            top = highest[u] = max(_int_dot(p, u) for p in points)
+        if top >= -(-alpha * D * e // a):
+            out.append((POS_INF, None))
+            continue
+        cell = fenchel.get(x)
+        if cell is None:
+            kx = tuple(k * c for c in x)
+            terms = [_int_dot(p, kx) - v for p, v in zip(points, values)]
+            best = max(terms)
+            cell = fenchel[x] = (ExtReal(Fraction(best, M)), dom[terms.index(best)])
+        out.append(cell)
+    return out
+
+
 def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
     """(f^c(w), attaining row) per dual point, in the order of the grid.
 
@@ -286,6 +362,9 @@ def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
     dom, constant = _split_dom(f)
     if dom is None:
         return [(constant, None)] * len(w_grid)
+    out = _int_c_conjugate_rows(dom, w_grid.points)
+    if out is not None:
+        return out
     blocked = {}  # gate key -> some point of dom fails the gate
     fenchel = {}  # x* key -> (grid Fenchel value, attaining row)
     out = []
@@ -311,6 +390,38 @@ def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     return SampledFn(w_grid, [v for v, _ in _c_conjugate_rows(f, w_grid)])
 
 
+def _int_cprime_values(dom, x_points):
+    """The values of :func:`cprime_conjugate` in scaled ints, or None
+    unless every coordinate, slope, alpha and payload is a Fraction.
+    Per distinct u* the least alpha becomes the threshold ceil(alpha·D·e)
+    and per distinct x* the least value is kept; with no NaN among
+    fractions, the order of either table does not matter."""
+    ints = [_scaled(vs) for vs in (
+        x_points, [w.ustar for w, _ in dom], [(w.alpha,) for w, _ in dom],
+        [w.xstar for w, _ in dom], [(v,) for _, v in dom],
+    )]
+    if None in ints:
+        return None
+    (points, D), (ustars, e), (alphas, a), (xstars, E), (values, L) = ints
+    if not _one_length(points, ustars):
+        return None
+    least_alpha, least_value = {}, {}
+    for u, (alpha,), x, (v,) in zip(ustars, alphas, xstars, values):
+        least_alpha[u] = min(least_alpha.get(u, alpha), alpha)
+        least_value[x] = min(least_value.get(x, v), v)
+    gates = [(u, -(-alpha * D * e // a)) for u, alpha in least_alpha.items()]
+    M = lcm(D * E, L)
+    k, m = M // (D * E), M // L
+    slopes = [(tuple(k * c for c in x), v * m) for x, v in least_value.items()]
+    out = []
+    for p in points:
+        if any(_int_dot(p, u) >= threshold for u, threshold in gates):
+            out.append(POS_INF)
+        else:
+            out.append(ExtReal(Fraction(max(_int_dot(p, x) - v for x, v in slopes), M)))
+    return out
+
+
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     """g^{c'}(x) = sup over the dual grid of { c'(w, x) - g(w) }.
 
@@ -323,6 +434,9 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
+    vals = _int_cprime_values(dom, x_grid.points)
+    if vals is not None:
+        return SampledFn(x_grid, vals)
     gates = {}  # u* key -> [u*, least non-NaN alpha or None, some alpha is NaN]
     slopes = {}  # x* key -> [x*, least value of g]
     for w, payload in dom:

@@ -18,8 +18,9 @@ their conjugates.
 
 The first identity builds the table: each row is read off the conjugation
 kernel's sweep of one slice, which keeps, per distinct y*, the first y of
-Y_x attaining the conjugate.  A finite cell is phi(x, y) - <y, y*> at that
-y and a +-inf cell is the negated conjugate, so the table costs
+Y_x attaining the conjugate.  A finite float cell is phi(x, y) - <y, y*>
+at that y; a finite rational cell and a +-inf cell are the negated
+conjugate, so the table costs
 O((#y* + #gates)·|Y|·|X| + |W_y|·|X|) instead of one coupling per
 (x, w, y).  :func:`dual_slice_audit` holds the table to the definitional
 sweep of every slice, so the identity stays a check of two routes.
@@ -84,10 +85,11 @@ class CLagrangian:
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
     first maximiser of <y, y*> - phi(x, y) is the first minimiser of the
     defining infimum (same grid order, same strict tie rule, exact IEEE
-    negation).  A finite cell is not the negated conjugate, because in the
-    float backend -(c - v) is -0.0 where the definition's v - c is 0.0.
-    A +-inf cell (a shut gate, -inf on Y_x, or an empty Y_x) is
-    -phi(x, .)^c(w).
+    negation).  A finite float cell is not the negated conjugate, because
+    -(c - v) is -0.0 where the definition's v - c is 0.0.  A finite
+    rational cell is -phi(x, .)^c(w), since there -(c - v) is v - c
+    exactly, and so is a +-inf cell (a shut gate, -inf on Y_x, or an
+    empty Y_x).
     """
 
     def __init__(self, problem: PerturbationProblem):
@@ -104,7 +106,7 @@ class CLagrangian:
             rows = _c_conjugate_rows(sl, w_grid)
             self._slice_conjugates[x] = SampledFn(w_grid, [v for v, _ in rows])
             for w, (conj, row) in zip(w_grid.points, rows):
-                if row is None:
+                if row is None or conj.backend == "rational":
                     self.table[(x, w)] = -conj
                 else:
                     y, payload = row
@@ -239,9 +241,9 @@ def prop55_audit(P: PerturbationProblem) -> dict:
     )
     surrogate = True
     for x in P.x_grid.points:
-        sl = L.slices[x]
         back = cprime_conjugate(L.slice_conjugate(x), P.y_grid)
-        if any(back.value_at(y) != sl.value_at(y) for y in P.y_grid.points):
+        # Both live on P.y_grid in its order, so values pair up by position.
+        if any(b != v for b, v in zip(back.values, L.slices[x].values)):
             surrogate = False
             break
     expected = set()

@@ -18,6 +18,9 @@ from econvex.conjugation import (
     DualGrid,
     _dot,
     _gate_key,
+    _int_dot,
+    _one_length,
+    _scaled,
     pair_tensor_dual_grid,
     tensor_dual_grid,
 )
@@ -353,20 +356,36 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  The boundary depends on (u*, alpha) only, so the
-    points on it are found once per distinct gate.
+    points on it are found once per distinct gate.  When every coordinate
+    and alpha is a Fraction the test is in ints, as in the conjugation
+    kernel: p is on the boundary iff its dot, scaled by D·e, is alpha·D·e,
+    so a gate whose alpha·D·e is no integer has no points.
     """
     out = []
     for space, w_points, points in (
         ("y", P.dual_y_grid.points, P.y_grid.points),
         ("(x,y)", P.full_dual_grid.points, P.product.points),
     ):
+        ints = [_scaled(vs) for vs in (
+            points, [w.ustar for w in w_points], [(w.alpha,) for w in w_points]
+        )]
+        exact = None not in ints and _one_length(ints[0][0], ints[1][0])
         on_boundary = {}
-        for w in w_points:
+        for i, w in enumerate(w_points):
             gate = _gate_key(w)
             hits = on_boundary.get(gate)
             if hits is None:
-                ustar, alpha = w.ustar, w.alpha
-                hits = on_boundary[gate] = [p for p in points if _dot(p, ustar) == alpha]
+                if exact:
+                    (scaled, D), (ustars, e), (alphas, a) = ints
+                    level, rest = divmod(alphas[i][0] * D * e, a)
+                    u = ustars[i]
+                    hits = [] if rest else [
+                        p for p, q in zip(points, scaled) if _int_dot(q, u) == level
+                    ]
+                else:
+                    ustar, alpha = w.ustar, w.alpha
+                    hits = [p for p in points if _dot(p, ustar) == alpha]
+                on_boundary[gate] = hits
             out.extend((space, p, w) for p in hits)
     return out
 

@@ -1,6 +1,7 @@
 """Shared builders for duality/subdifferential/lagrangian tests."""
 
 import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,21 +15,59 @@ from econvex.funcrep import Grid, PerturbFn
 from econvex import catalog
 
 
+QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
+
+# Thirds, sevenths and powers of two up to 2**40, with small numerators
+# (which still meet the integers now and then) or numerators up to
+# 10**12: one such scalar in a sweep makes the lcm of its denominators
+# and its scaled ints large.
+WIDE_FRACTIONS = st.builds(
+    Fraction,
+    st.integers(-4, 4) | st.integers(-10**12, 10**12),
+    st.sampled_from([3, 7, 2, 2**5, 2**17, 2**40]),
+)
+
+
+def drawn_from(values, backend):
+    """Draws from values; rational draws also take wide fractions."""
+    if backend == "rational":
+        return st.sampled_from(values) | WIDE_FRACTIONS
+    return st.sampled_from(values)
+
+
 @st.composite
-def ext_values(draw, n, backend):
-    """n extended reals: finite quarters, +inf and -inf; one draw in
-    five makes every value +inf (an empty domain).  Quarters are dyadic,
-    so float sums and differences of a few of them are exact."""
+def ext_values(draw, n, backend, finite=QUARTERS):
+    """n extended reals: finite draws of ``finite`` (quarters unless
+    given), +inf and -inf; one draw in five makes every value +inf (an
+    empty domain).  Quarters are dyadic, so float sums and differences of
+    a few of them are exact."""
     if draw(st.integers(0, 4)) == 4:
         return [POS_INF] * n
     out = []
     for _ in range(n):
         kind = draw(st.sampled_from(["finite"] * 6 + ["+inf", "+inf", "-inf"]))
         if kind == "finite":
-            out.append(ExtReal(scalar(Fraction(draw(st.integers(-12, 12)), 4), backend)))
+            out.append(ExtReal(scalar(draw(finite), backend)))
         else:
             out.append(POS_INF if kind == "+inf" else NEG_INF)
     return out
+
+
+def plain_scalar(draw, c: Fraction):
+    """c as an int (rounded) or as a float: a scalar that is not exactly a
+    Fraction, which sends a sweep off the integer path."""
+    return draw(st.sampled_from([round(c), float(c)]))
+
+
+def with_plain_scalar(draw, w: DualPoint, fields=("xstar", "ustar", "alpha")) -> DualPoint:
+    """w with one coordinate of x* or u*, or alpha, made a plain scalar."""
+    field = draw(st.sampled_from(fields))
+    if field == "alpha":
+        return dataclasses.replace(w, alpha=plain_scalar(draw, w.alpha))
+    vec = list(getattr(w, field))
+    i = draw(st.integers(0, len(vec) - 1))
+    vec[i] = plain_scalar(draw, vec[i])
+    return dataclasses.replace(w, **{field: tuple(vec)})
 
 
 def catalog_problem(name):

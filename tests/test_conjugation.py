@@ -1,10 +1,14 @@
+import copy
+import json
 import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from econvex import catalog, conjugation, duality, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPairPoint,
@@ -18,13 +22,26 @@ from econvex.conjugation import (
     coupling_cprime,
     cprime_conjugate,
     tensor_dual_grid,
+    _c_conjugate_rows,
+    _dot,
+    _int_c_conjugate_rows,
+    _int_cprime_values,
     _reference_c_conjugate,
     _reference_cprime_conjugate,
+    _split_dom,
 )
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PwAffine1, SampledFn
 
-from helpers import ext_values, scalar
+from helpers import (
+    QUARTERS,
+    WIDE_FRACTIONS,
+    drawn_from,
+    ext_values,
+    plain_scalar,
+    scalar,
+    with_plain_scalar,
+)
 
 
 def w(xs, us, a):
@@ -361,17 +378,21 @@ class TestExactVsGridCrossValidation:
 
 # Small coordinate ranges put grid points on gate boundaries <x, u*> =
 # alpha often; the float backend adds infinite coordinates, whose
-# products with 0 are NaN, and NaN alphas.
+# products with 0 are NaN, and NaN alphas.  The rational backend adds
+# wide fractions, so the integer sweeps scale by large lcms.
 COORDS = list(range(-3, 4))
 FLOAT_COORDS = COORDS + [math.inf, -math.inf]
 ALPHAS = list(range(-2, 4))
 FLOAT_ALPHAS = ALPHAS + [math.inf, math.nan]
 
 
+def payloads(backend):
+    return QUARTERS | WIDE_FRACTIONS if backend == "rational" else QUARTERS
+
+
 @st.composite
 def kernel_grid(draw, dim, backend, max_size=8):
-    coords = FLOAT_COORDS if backend == "float" else COORDS
-    vec = st.tuples(*[st.sampled_from(coords)] * dim)
+    vec = st.tuples(*[drawn_from(FLOAT_COORDS if backend == "float" else COORDS, backend)] * dim)
     pts = draw(st.lists(vec, min_size=1, max_size=max_size, unique=True))
     return Grid(dim, [tuple(scalar(c, backend) for c in p) for p in pts], backend)
 
@@ -380,13 +401,12 @@ def kernel_grid(draw, dim, backend, max_size=8):
 def kernel_dual_grid(draw, dim, backend, max_size=10):
     """Dual points drawn from a few x*, u* and alpha, so gates share
     slopes, slopes share gates, and one u* carries several alphas."""
-    coords = FLOAT_COORDS if backend == "float" else COORDS
-    vec = st.tuples(*[st.sampled_from(coords)] * dim)
+    vec = st.tuples(*[drawn_from(FLOAT_COORDS if backend == "float" else COORDS, backend)] * dim)
     xstars = draw(st.lists(vec, min_size=1, max_size=3, unique=True))
     ustars = draw(st.lists(vec, min_size=1, max_size=2, unique=True))
     alphas = draw(
         st.lists(
-            st.sampled_from(FLOAT_ALPHAS if backend == "float" else ALPHAS),
+            drawn_from(FLOAT_ALPHAS if backend == "float" else ALPHAS, backend),
             min_size=1,
             max_size=3,
             unique_by=str,
@@ -409,25 +429,80 @@ def kernel_dual_grid(draw, dim, backend, max_size=10):
 
 
 @st.composite
-def conjugate_case(draw):
-    backend = draw(st.sampled_from(["rational", "float"]))
+def conjugate_case(draw, backends=("rational", "float")):
+    backend = draw(st.sampled_from(backends))
     dim = draw(st.integers(1, 2))
     grid = draw(kernel_grid(dim, backend))
-    f = SampledFn(grid, draw(ext_values(len(grid), backend)))
+    f = SampledFn(grid, draw(ext_values(len(grid), backend, payloads(backend))))
     return f, draw(kernel_dual_grid(dim, backend))
 
 
 @st.composite
-def prime_conjugate_case(draw):
-    backend = draw(st.sampled_from(["rational", "float"]))
+def prime_conjugate_case(draw, backends=("rational", "float")):
+    backend = draw(st.sampled_from(backends))
     dim = draw(st.integers(1, 2))
     wg = draw(kernel_dual_grid(dim, backend))
-    g = SampledFn(wg, draw(ext_values(len(wg), backend)))
+    g = SampledFn(wg, draw(ext_values(len(wg), backend, payloads(backend))))
     return g, draw(kernel_grid(dim, backend))
 
 
+def with_plain_point(draw, grid, candidates):
+    """A copy of a rational grid whose points are used as given, with one
+    coordinate of the point at one of the candidate indices made an int
+    or a float."""
+    points = list(grid.points)
+    i = draw(st.sampled_from(candidates))
+    j = draw(st.integers(0, grid.dim - 1))
+    points[i] = points[i][:j] + (plain_scalar(draw, points[i][j]),) + points[i][j + 1:]
+    out = copy.copy(grid)
+    out.points = tuple(points)
+    return out
+
+
+def with_plain_dual_point(draw, wg, candidates):
+    """wg with the dual point at one of the candidate indices carrying a
+    plain scalar (see helpers.with_plain_scalar)."""
+    points = list(wg.points)
+    k = draw(st.sampled_from(candidates))
+    points[k] = with_plain_scalar(draw, points[k])
+    assume(points[k] not in points[:k] + points[k + 1:])
+    return DualGrid(points, wg.backend)
+
+
+def finite_rows(fn):
+    """Indices of the grid points where fn is below +inf (all of them
+    when there are none): the rows a sweep reads."""
+    return [i for i, v in enumerate(fn.values) if not v.is_pos_inf] or range(len(fn.values))
+
+
+@st.composite
+def plain_conjugate_case(draw):
+    """A rational c-conjugate case with one plain scalar in a point of dom
+    f, an x*, a u* or an alpha: a Fraction sweep that must fall back."""
+    f, wg = draw(conjugate_case(backends=("rational",)))
+    if draw(st.booleans()):
+        f = SampledFn(with_plain_point(draw, f.grid, finite_rows(f)), f.values)
+    else:
+        wg = with_plain_dual_point(draw, wg, range(len(wg)))
+    return f, wg
+
+
+@st.composite
+def plain_prime_conjugate_case(draw):
+    """The same for the c'-conjugate: a plain scalar in an x-grid point
+    or in a dual point of dom g."""
+    g, grid = draw(prime_conjugate_case(backends=("rational",)))
+    if draw(st.booleans()):
+        grid = with_plain_point(draw, grid, range(len(grid)))
+    else:
+        wg = with_plain_dual_point(draw, g.grid, finite_rows(g))
+        g = SampledFn(wg, g.values)
+    return g, grid
+
+
 def outcome(fn, *args):
-    """Tagged values with their payload types, or the error raised."""
+    """Tagged values with their payload types and renderings, or the
+    error raised."""
     try:
         values = fn(*args).values
     except ValueError as exc:
@@ -439,8 +514,17 @@ def outcome(fn, *args):
         elif v.is_neg_inf:
             rows.append(("-",))
         else:
-            rows.append(("f", type(v.value), v.value))
+            rows.append(("f", type(v.value), repr(v)))
     return rows
+
+
+def assert_first_attaining_rows(f, wg):
+    """Each finite cell's row is the first row of dom f, in grid order,
+    whose term <p, x*> - f(p) is the value."""
+    dom = [(p, v.value) for p, v in zip(f.grid.points, f.values) if v.is_finite]
+    for ww, (value, row) in zip(wg.points, _c_conjugate_rows(f, wg)):
+        if value.is_finite:
+            assert row == next(r for r in dom if _dot(r[0], ww.xstar) - r[1] == value.value)
 
 
 class TestKernelMatchesReference:
@@ -448,12 +532,35 @@ class TestKernelMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_c_conjugate_bit_identical(self, case):
         f, wg = case
-        assert outcome(c_conjugate, f, wg) == outcome(_reference_c_conjugate, f, wg)
+        result = outcome(c_conjugate, f, wg)
+        assert result == outcome(_reference_c_conjugate, f, wg)
+        if result[0] != "raised":
+            assert_first_attaining_rows(f, wg)
 
     @given(prime_conjugate_case())
     @settings(max_examples=300, deadline=None)
     def test_cprime_conjugate_bit_identical(self, case):
         g, grid = case
+        assert outcome(cprime_conjugate, g, grid) == outcome(
+            _reference_cprime_conjugate, g, grid
+        )
+
+    @given(plain_conjugate_case())
+    @settings(max_examples=150, deadline=None)
+    def test_plain_scalar_falls_back_to_the_c_sweep(self, case):
+        f, wg = case
+        dom, _ = _split_dom(f)
+        if dom is not None:
+            assert _int_c_conjugate_rows(dom, wg.points) is None
+        assert outcome(c_conjugate, f, wg) == outcome(_reference_c_conjugate, f, wg)
+
+    @given(plain_prime_conjugate_case())
+    @settings(max_examples=150, deadline=None)
+    def test_plain_scalar_falls_back_to_the_cprime_sweep(self, case):
+        g, grid = case
+        dom, _ = _split_dom(g)
+        if dom is not None:
+            assert _int_cprime_values(dom, grid.points) is None
         assert outcome(cprime_conjugate, g, grid) == outcome(
             _reference_cprime_conjugate, g, grid
         )
@@ -490,6 +597,27 @@ class TestKernelMatchesReference:
         assert list(c_conjugate(f, wg).values) == expected
         assert list(_reference_c_conjugate(f, wg).values) == expected
 
+    def test_integer_gate_rounds_a_fractional_alpha_up(self):
+        # Points 0, 1 and u* = 1 scale by D = e = 1, and alpha·D·e = 3/2:
+        # max <p, u*> = 1 stays below it (the threshold is 2, not 1), while
+        # alpha = 1 puts the point 1 on the boundary and shuts the gate.
+        grid = Grid(1, [(0,), (1,)])
+        f = SampledFn(grid, [ExtReal(0), ExtReal(0)])
+        wg = DualGrid([w(1, 1, Fraction(3, 2)), w(1, 1, 1)])
+        assert c_conjugate(f, wg).values == (ExtReal(1), POS_INF)
+        assert _reference_c_conjugate(f, wg).values == (ExtReal(1), POS_INF)
+        for alpha, expected in ((Fraction(3, 2), (ExtReal(0), ExtReal(0))),
+                                (1, (ExtReal(0), POS_INF))):
+            g = SampledFn(DualGrid([w(0, 1, alpha)]), [ExtReal(0)])
+            assert cprime_conjugate(g, grid).values == expected
+            assert _reference_cprime_conjugate(g, grid).values == expected
+
+    def test_tied_rows_resolve_to_the_first(self):
+        grid = Grid(1, [(-1,), (0,), (1,)])
+        f = SampledFn(grid, [ExtReal(Fraction(1, 3)), ExtReal(5), ExtReal(Fraction(1, 3))])
+        ((value, row),) = _c_conjugate_rows(f, DualGrid([w(0, 0, 1)]))
+        assert (value, row) == (ExtReal(Fraction(-1, 3)), ((Fraction(-1),), Fraction(1, 3)))
+
     def test_empty_domain_and_neg_inf_are_constant(self):
         grid = Grid.uniform(-2, 2, 5)
         wg = tensor_dual_grid([(0,), (1,)], [(0,), (1,)], [1, -1])
@@ -497,3 +625,40 @@ class TestKernelMatchesReference:
         assert set(c_conjugate(empty, wg).values) == {NEG_INF}
         dips = SampledFn(grid, [POS_INF, NEG_INF, ExtReal(0), POS_INF, ExtReal(1)])
         assert set(c_conjugate(dips, wg).values) == {POS_INF}
+
+
+class TestIntegerPathRuns:
+    """Counts only: every conjugate sweep of the rational fenchel_abs gets
+    ints from the scaling helper, and no sweep of its float twin does."""
+
+    SWEEPS = ("psi", "psi_prime", "f0_conj", "f0_biconj", "g_prime", "p_conj", "p_biconj")
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_every_sweep_of_fenchel_abs(self, monkeypatch, backend):
+        ints = []  # one bool per call of the scaling helper: ints or None
+        real_scaled = conjugation._scaled
+
+        def scaled(vectors):
+            out = real_scaled(vectors)
+            ints.append(out is not None)
+            return out
+
+        monkeypatch.setattr(conjugation, "_scaled", scaled)
+        per_sweep = []  # non-None returns during each sweep
+        for name in ("c_conjugate", "cprime_conjugate"):
+            def sweep(*args, _real=getattr(duality, name)):
+                before = sum(ints)
+                out = _real(*args)
+                per_sweep.append(sum(ints) - before)
+                return out
+
+            monkeypatch.setattr(duality, name, sweep)
+        doc = dict(catalog.entry("fenchel_abs"), backend=backend)
+        P = problemio.loads(json.dumps(doc)).build()
+        for name in self.SWEEPS:
+            getattr(P, name)
+        assert len(per_sweep) == len(self.SWEEPS)
+        if backend == "rational":
+            assert all(n > 0 for n in per_sweep), per_sweep
+        else:
+            assert per_sweep == [0] * len(self.SWEEPS)

@@ -3,13 +3,26 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import abs_pair_problem, catalog_problem, random_problem, scalar
+from helpers import (
+    abs_pair_problem,
+    catalog_problem,
+    drawn_from,
+    random_problem,
+    scalar,
+    with_plain_scalar,
+)
 
 from econvex import catalog, extreal, problemio
-from econvex.conjugation import DualGrid, DualPoint, coupling_c
+from econvex.conjugation import (
+    DualGrid,
+    DualPoint,
+    _int_c_conjugate_rows,
+    _split_dom,
+    coupling_c,
+)
 from econvex.duality import (
     PerturbationProblem,
     converse_duality_report,
@@ -175,7 +188,7 @@ def slice_values(draw, n, backend):
         if kind != "finite":
             out.append(POS_INF if kind == "+inf" else NEG_INF)
             continue
-        v = scalar(draw(st.sampled_from(PAYLOADS)), backend)
+        v = scalar(draw(drawn_from(PAYLOADS, backend)), backend)
         if backend == "float" and v == 0 and draw(st.booleans()):
             v = -0.0
         out.append(ExtReal(v))
@@ -183,12 +196,12 @@ def slice_values(draw, n, backend):
 
 
 @st.composite
-def lagrangian_case(draw):
+def lagrangian_case(draw, backends=("float", "rational")):
     """A table-backed problem with a 1-D x-grid and a 1-D or 2-D y-grid."""
-    backend = draw(st.sampled_from(["float", "rational"]))
+    backend = draw(st.sampled_from(backends))
     dim = draw(st.integers(1, 2))
-    xs = draw(st.lists(st.sampled_from(COORDS), min_size=1, max_size=3, unique=True))
-    vec = st.tuples(*[st.sampled_from(COORDS)] * dim)
+    xs = draw(st.lists(drawn_from(COORDS, backend), min_size=1, max_size=3, unique=True))
+    vec = st.tuples(*[drawn_from(COORDS, backend)] * dim)
     ys = [(0,) * dim] + draw(st.lists(vec.filter(any), max_size=4, unique=True))
     x_grid = Grid(1, [(scalar(v, backend),) for v in xs], backend)
     y_grid = Grid(dim, [tuple(scalar(c, backend) for c in y) for y in ys], backend)
@@ -196,11 +209,27 @@ def lagrangian_case(draw):
     for x in x_grid.points:
         table.update(zip(((x, y) for y in y_grid.points),
                          draw(slice_values(len(y_grid), backend))))
-    slopes = st.tuples(*[st.sampled_from(SLOPES)] * dim)
-    duals = draw(st.lists(st.tuples(slopes, slopes, st.sampled_from((1, 2, 3))),
+    slopes = st.tuples(*[drawn_from(SLOPES, backend)] * dim)
+    alphas = drawn_from((1, 2, 3), backend).filter(lambda a: a > 0)
+    duals = draw(st.lists(st.tuples(slopes, slopes, alphas),
                           min_size=1, max_size=8, unique=True))
     dual_y = DualGrid([DualPoint.of(ys_, vs, a, backend) for ys_, vs, a in duals], backend)
     return PerturbationProblem(PerturbFn(1, dim, table=table), x_grid, y_grid, dual_y)
+
+
+@st.composite
+def plain_lagrangian_case(draw):
+    """A rational case whose Y-side dual grid has one int slope, or one
+    int or float coordinate of v* or alpha: every slice sweep must fall
+    back.  A float slope is left out: its finite cells would subtract a
+    float coupling from a rational value, which both routes refuse."""
+    P = draw(lagrangian_case(backends=("rational",)))
+    points = list(P.dual_y_grid.points)
+    k = draw(st.integers(0, len(points) - 1))
+    points[k] = with_plain_scalar(draw, points[k])
+    assume(points[k].alpha > 0 and points[k] not in points[:k] + points[k + 1:])
+    assume(not any(isinstance(c, float) for c in points[k].xstar))
+    return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid(points, "rational"))
 
 
 def float_twin(name):
@@ -216,6 +245,16 @@ class TestTableMatchesDefinition:
     @given(lagrangian_case())
     @settings(max_examples=300, deadline=None)
     def test_drawn_problems(self, P):
+        assert_table_matches_definition(P)
+
+    @given(plain_lagrangian_case())
+    @settings(max_examples=100, deadline=None)
+    def test_plain_scalar_falls_back(self, P):
+        L = CLagrangian(P)
+        for x in P.x_grid.points:
+            dom, _ = _split_dom(L.slices[x])
+            if dom is not None:
+                assert _int_c_conjugate_rows(dom, P.dual_y_grid.points) is None
         assert_table_matches_definition(P)
 
     @given(st.integers(0, 10**6), st.sampled_from(["float", "rational"]))

@@ -8,13 +8,20 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from econvex import catalog, problemio
 from econvex.cli import main
-from econvex.duality import converse_duality_report
+from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
+from econvex.duality import PerturbationProblem, converse_duality_report
+from econvex.extreal import ExtReal
+from econvex.funcrep import Grid, PerturbFn
 
-from helpers import fenchel_abs_duality_grid, random_problem
+from helpers import WIDE_FRACTIONS, fenchel_abs_duality_grid, random_problem, with_plain_scalar
 
 
 def entry(name):
@@ -325,7 +332,81 @@ def definitional_coincidences(P):
     return out
 
 
+# Small values put points on the boundary <p, u*> = alpha now and then;
+# wide fractions make the lcm of the scan's denominators large.
+SCAN_VALUES = st.sampled_from([0, 1, -1, 2, Fraction(1, 3), Fraction(-2, 7)]) | WIDE_FRACTIONS
+POSITIVE = SCAN_VALUES.filter(lambda a: a > 0)
+
+
+@st.composite
+def scan_case(draw, plain=False):
+    """A rational table problem with a 1-D x-grid, a 1-D or 2-D y-grid,
+    and dual grids whose entries mix small values and wide fractions.
+    With ``plain``, one u* coordinate or alpha of the Y-side dual grid is
+    an int or a float instead."""
+    dim = draw(st.integers(1, 2))
+    vec = st.tuples(*[SCAN_VALUES] * dim)
+    xs = draw(st.lists(SCAN_VALUES, min_size=1, max_size=4, unique=True))
+    ys = [(0,) * dim] + draw(st.lists(vec.filter(any), max_size=4, unique=True))
+    x_grid, y_grid = Grid(1, [(x,) for x in xs]), Grid(dim, ys)
+    table = {(x, y): ExtReal(0) for x in x_grid.points for y in y_grid.points}
+    duals = draw(st.lists(st.tuples(vec, vec, POSITIVE), min_size=1, max_size=5, unique=True))
+    pairs = draw(st.lists(st.tuples(SCAN_VALUES, vec, SCAN_VALUES, vec, SCAN_VALUES),
+                          max_size=5, unique=True))
+    dual_y = [DualPoint.of(*d) for d in duals]
+    if plain:
+        k = draw(st.integers(0, len(dual_y) - 1))
+        dual_y[k] = with_plain_scalar(draw, dual_y[k], ("ustar", "alpha"))
+        assume(dual_y[k].alpha > 0 and dual_y[k] not in dual_y[:k] + dual_y[k + 1:])
+    return PerturbationProblem(
+        PerturbFn(1, dim, table=table), x_grid, y_grid, DualGrid(dual_y),
+        DualGrid([DualPairPoint.of((a,), b, (c,), d, e) for a, b, c, d, e in pairs]),
+    )
+
+
+def has_plain_gate(w_points):
+    """Some u* coordinate or alpha is not exactly a Fraction."""
+    return any(c.__class__ is not Fraction for w in w_points for c in (*w.ustar, w.alpha))
+
+
 class TestBoundaryScan:
+    @given(scan_case())
+    @settings(max_examples=200, deadline=None)
+    def test_scan_matches_definition_on_wide_fractions(self, P):
+        assert problemio.boundary_coincidences(P) == definitional_coincidences(P)
+
+    @given(scan_case(plain=True))
+    @settings(max_examples=100, deadline=None)
+    def test_plain_scalar_falls_back(self, P):
+        """The Y-side scan falls back; so does the full scan, unless a
+        pair with the same value but Fraction entries took the embedded
+        point's place in the full dual grid."""
+        ints = []  # one bool per call of the scaling helper: ints or None
+        real_scaled = problemio._scaled
+
+        def scaled(vectors):
+            out = real_scaled(vectors)
+            ints.append(out is not None)
+            return out
+
+        with mock.patch.object(problemio, "_scaled", scaled):
+            rows = problemio.boundary_coincidences(P)
+        assert has_plain_gate(P.dual_y_grid.points)
+        assert [False in ints[:3], False in ints[3:]] == [
+            True, has_plain_gate(P.full_dual_grid.points)
+        ]
+        assert rows == definitional_coincidences(P)
+
+    def test_fractional_level_has_no_points(self):
+        # <y, v*> = 1/2 has no solution on the integer y-grid, although
+        # the origin sits on the rounded-down level 0.
+        doc = fenchel_abs_duality_grid(11)
+        doc["grids"].update(vstar=["1"], alpha=["1/2", "1"])
+        P = problemio.loads(json.dumps(doc)).build()
+        rows = problemio.boundary_coincidences(P)
+        assert rows == definitional_coincidences(P)
+        assert {w.alpha for _, _, w in rows} == {1}
+
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_grouped_scan_matches_definition_on_random_problems(self, backend):
         rng = random.Random(20190424)
@@ -343,6 +424,39 @@ class TestBoundaryScan:
         assert rows and rows == definitional_coincidences(P)
 
 
+FUZZ_VALUES = [None, [], {}, "x", "1/0", "nan", True, -1, 1.5]
+
+
+def json_paths(node, prefix=()):
+    """The path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_catalog_file(draw):
+    """A catalog file after one to three mutations, each of which drops a
+    key or puts a value of FUZZ_VALUES anywhere.  No mutation can make a
+    grid count larger than the catalog's own (at most 11): an unbounded
+    count would still allocate without bound."""
+    doc = entry(draw(st.sampled_from(catalog.names())))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(FUZZ_VALUES)))
+    return doc
+
+
 def file_with(tmp_path, edit):
     doc = entry("fenchel_abs")
     edit(doc)
@@ -353,6 +467,16 @@ def file_with(tmp_path, edit):
 
 class TestInputContract:
     """Malformed grids exit 3 with a message naming the field."""
+
+    @given(mutated_catalog_file())
+    @settings(max_examples=400, deadline=None)
+    def test_only_input_errors_escape_the_loader(self, doc):
+        try:
+            loaded = problemio.loads(json.dumps(doc))
+            if hasattr(loaded, "build"):
+                loaded.build()
+        except problemio.InputError:
+            pass
 
     @pytest.mark.parametrize(
         "edit, field",
