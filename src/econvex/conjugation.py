@@ -18,25 +18,29 @@ value that depends only on x*, and the grid conjugates follow the split.
 With dom the grid points where f is below +inf, f^c(w) is -inf when dom
 is empty, +inf when f takes -inf on dom, +inf when some point of dom
 fails the gate <p, u*> < alpha, and otherwise the grid Fenchel value
-max over dom of <p, x*> - f(p).  The gate is tested once per distinct
-(u*, alpha) and the Fenchel value computed once per distinct x*, so a
-sweep costs O((#x* + #gates)·|G| + |W|) instead of O(|W|·|G|).  The
-c'-conjugate splits the same way: per distinct u* only the least alpha
-over dom g can close the gate, and per distinct x* only the least value
-of g can attain the sup.  The c-conjugate also keeps, per distinct x*,
-the first row of dom attaining the Fenchel value; the Lagrangian table is
-read off those rows.
+max over dom of <p, x*> - f(p).  max over dom of <p, u*> is taken once
+per distinct u*, so each alpha costs one comparison, and the Fenchel
+value once per distinct x*: a sweep costs O((#x* + #u*)·|G| + |W|)
+instead of O(|W|·|G|).  The c'-conjugate splits the same way: per
+distinct u* only the least alpha over dom g can close the gate, and per
+distinct x* only the least value of g can attain the sup.  The
+c-conjugate also keeps, per distinct x*, the first row of dom attaining
+the Fenchel value; the Lagrangian table is read off those rows.
 
-A sweep in which every coordinate, slope, alpha and payload it reads is
-exactly a ``Fraction`` runs in plain ints.  ``_scaled`` multiplies a list
-of vectors by the lcm of their denominators: D for the points, e for u*,
-E for x* and L for the values.  A gate is shut iff max over dom of the
-scaled <p, u*> reaches ceil(alpha·D·e); a Fenchel term is an int over
-M = lcm(D·E, L), and the value is ``Fraction(best, M)``.  Scaling by a
+Each sweep is one loop over the lists ``_prepared`` returns, and
+``_scaled`` makes its one exactness decision.  When every coordinate,
+slope, alpha and payload the sweep reads is exactly a ``Fraction``, each
+list comes back as ints times the lcm of its denominators: D for the
+points, e for u*, a for alpha, E for x* and L for the values.  Otherwise
+every list comes back as given with scale 1, since scaling only some
+lists would change IEEE rounding.  A gate is shut iff not
+top·a < alpha·D·e, top the max of <p, u*>; a Fenchel term is
+<p, k·x*> - m·v over M = lcm(D·E, L), and the value is
+``Fraction(best, M)`` for ints and ``best`` otherwise.  Scaling by a
 positive int keeps every comparison, so gates, maxima, the first
 attaining row, the value, its type and its rendering are those of the
-``Fraction`` sweep.  Any float, or an ``int`` among the fractions, sends
-the sweep down the plain loop, which keeps IEEE rounding as it was.
+``Fraction`` sweep; with scale 1 the arithmetic is that of the
+definition, NaN included.
 
 ``_reference_c_conjugate`` and ``_reference_cprime_conjugate`` keep the
 definitional sweeps, one dual point against every grid point.  They are
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, nan
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
@@ -257,11 +261,6 @@ def _key(v: Sequence) -> Tuple:
     return tuple((c.__class__, c) for c in v)
 
 
-def _gate_key(w: DualPoint) -> Tuple:
-    """Grouping key of the gate <., u*> < alpha of a dual point."""
-    return (_key(w.ustar), w.alpha.__class__, w.alpha)
-
-
 def _split_dom(f: SampledFn):
     """(point, payload) rows of dom f, or the constant conjugate.
 
@@ -277,17 +276,6 @@ def _split_dom(f: SampledFn):
     return [(p, v.value) for p, v in dom], None
 
 
-def _fenchel(dom, xstar):
-    """(max over dom of <p, x*> - f(p), the first (p, payload) row of dom
-    attaining it), in the order of the grid."""
-    best = row = None
-    for p, payload in dom:
-        term = _dot(p, xstar) - payload
-        if best is None or term > best:
-            best, row = term, (p, payload)
-    return ExtReal(best), row
-
-
 def _scaled(vectors):
     """(the vectors as int tuples times d, d), d the lcm of every
     denominator; None unless every coordinate is exactly a Fraction."""
@@ -301,11 +289,28 @@ def _scaled(vectors):
     return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors], d
 
 
-def _one_length(*lists) -> bool:
-    """Every vector of the lists has one length.  The integer sweeps check
-    this up front and otherwise leave the plain sweep to raise the
-    dimension error of :func:`_dot`."""
-    return len({len(v) for vs in lists for v in vs}) <= 1
+def _prepared(vectors, scalars):
+    """(exact, [(vectors, d)], [(scalars, d)]): the lists a sweep reads,
+    each with its scale d.
+
+    ``vectors`` are lists of points, u* and x*, which must share one
+    length; ``scalars`` are lists of alphas and payloads.  All or nothing:
+    when every entry is exactly a Fraction, every list comes back from
+    ``_scaled`` as ints times the lcm d of its denominators and exact is
+    True; otherwise every list comes back as given with d = 1, since
+    scaling only some lists would change IEEE rounding.
+    """
+    if len({len(v) for vs in vectors for v in vs}) > 1:
+        raise ValueError("dimension mismatch in inner product")
+    lists = [*vectors, *([(c,) for c in cs] for cs in scalars)]
+    scaled = []
+    for vs in lists:
+        s = _scaled(vs)
+        if s is None:
+            return False, [(vs, 1) for vs in vectors], [(cs, 1) for cs in scalars]
+        scaled.append(s)
+    n = len(vectors)
+    return True, scaled[:n], [([c for (c,) in vs], d) for vs, d in scaled[n:]]
 
 
 def _int_dot(a, b):
@@ -313,74 +318,54 @@ def _int_dot(a, b):
     return sum(map(mul, a, b))
 
 
-def _int_c_conjugate_rows(dom, w_points):
-    """The rows of :func:`_c_conjugate_rows` in scaled ints, or None
-    unless every coordinate, slope, alpha and payload is a Fraction.
-    Alphas scale by a, so ceil(alpha·D·e) is -(-A·D·e // a) for the
-    scaled alpha A; the first maximal term is the first attaining row."""
-    ints = [_scaled(vs) for vs in (
-        [p for p, _ in dom], [(v,) for _, v in dom],
-        [w.ustar for w in w_points], [(w.alpha,) for w in w_points],
-        [w.xstar for w in w_points],
-    )]
-    if None in ints:
-        return None
-    (points, D), (values, L), (ustars, e), (alphas, a), (xstars, E) = ints
-    if not _one_length(points, ustars):
-        return None
-    M = lcm(D * E, L)
-    k = M // (D * E)
-    values = [v * (M // L) for (v,) in values]
-    highest = {}  # scaled u* -> max over dom of the scaled <p, u*>
-    fenchel = {}  # scaled x* -> (grid Fenchel value, attaining row)
-    out = []
-    for u, (alpha,), x in zip(ustars, alphas, xstars):
-        top = highest.get(u)
-        if top is None:
-            top = highest[u] = max(_int_dot(p, u) for p in points)
-        if top >= -(-alpha * D * e // a):
-            out.append((POS_INF, None))
-            continue
-        cell = fenchel.get(x)
-        if cell is None:
-            kx = tuple(k * c for c in x)
-            terms = [_int_dot(p, kx) - v for p, v in zip(points, values)]
-            best = max(terms)
-            cell = fenchel[x] = (ExtReal(Fraction(best, M)), dom[terms.index(best)])
-        out.append(cell)
-    return out
+def _dot_of(exact: bool):
+    """The inner product of a prepared sweep: ints add exactly in any
+    order, and values as given keep the left fold of :func:`_dot`, which
+    ``sum`` of floats does not from Python 3.12 on."""
+    return _int_dot if exact else _dot
 
 
 def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
     """(f^c(w), attaining row) per dual point, in the order of the grid.
 
     The row is the first (point, payload) of dom f attaining the Fenchel
-    value on a finite cell and None on a +-inf cell.  The gate is tested
-    once per distinct (u*, alpha) and the Fenchel value computed once per
-    distinct x*, and only for an x* that some open gate needs.
+    value on a finite cell and None on a +-inf cell.  max over dom of
+    <p, u*> is taken once per distinct u*, NaN when some dot is (inf·0
+    fails every gate, as in the definition), and the Fenchel value once
+    per distinct x*, and only for an x* that some open gate needs.
     """
     dom, constant = _split_dom(f)
     if dom is None:
         return [(constant, None)] * len(w_grid)
-    out = _int_c_conjugate_rows(dom, w_grid.points)
-    if out is not None:
-        return out
-    blocked = {}  # gate key -> some point of dom fails the gate
+    w_points = w_grid.points
+    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+        ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
+        ([w.alpha for w in w_points], [v for _, v in dom]),
+    )
+    dot = _dot_of(exact)
+    M = lcm(D * E, L)
+    k, m, De = M // (D * E), M // L, D * e
+    values = [m * v for v in values]
+    highest = {}  # u* key -> max over dom of <p, u*>, NaN if some dot is
     fenchel = {}  # x* key -> (grid Fenchel value, attaining row)
     out = []
-    for w in w_grid.points:
-        gate = _gate_key(w)
-        shut = blocked.get(gate)
-        if shut is None:
-            ustar, alpha = w.ustar, w.alpha
-            shut = blocked[gate] = any(not (_dot(p, ustar) < alpha) for p, _ in dom)
-        if shut:
+    for u, alpha, x in zip(ustars, alphas, xstars):
+        gate = _key(u)
+        top = highest.get(gate)
+        if top is None:
+            dots = [dot(p, u) for p in points]
+            top = highest[gate] = max(dots) if all(d == d for d in dots) else nan
+        if not (top * a < alpha * De):
             out.append((POS_INF, None))
             continue
-        slope = _key(w.xstar)
+        slope = _key(x)
         cell = fenchel.get(slope)
         if cell is None:
-            cell = fenchel[slope] = _fenchel(dom, w.xstar)
+            kx = tuple(k * c for c in x)
+            terms = [dot(p, kx) - v for p, v in zip(points, values)]
+            best = max(terms)
+            value = ExtReal(Fraction(best, M) if exact else best)
+            cell = fenchel[slope] = (value, dom[terms.index(best)])
         out.append(cell)
     return out
 
@@ -390,78 +375,43 @@ def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     return SampledFn(w_grid, [v for v, _ in _c_conjugate_rows(f, w_grid)])
 
 
-def _int_cprime_values(dom, x_points):
-    """The values of :func:`cprime_conjugate` in scaled ints, or None
-    unless every coordinate, slope, alpha and payload is a Fraction.
-    Per distinct u* the least alpha becomes the threshold ceil(alpha·D·e)
-    and per distinct x* the least value is kept; with no NaN among
-    fractions, the order of either table does not matter."""
-    ints = [_scaled(vs) for vs in (
-        x_points, [w.ustar for w, _ in dom], [(w.alpha,) for w, _ in dom],
-        [w.xstar for w, _ in dom], [(v,) for _, v in dom],
-    )]
-    if None in ints:
-        return None
-    (points, D), (ustars, e), (alphas, a), (xstars, E), (values, L) = ints
-    if not _one_length(points, ustars):
-        return None
-    least_alpha, least_value = {}, {}
-    for u, (alpha,), x, (v,) in zip(ustars, alphas, xstars, values):
-        least_alpha[u] = min(least_alpha.get(u, alpha), alpha)
-        least_value[x] = min(least_value.get(x, v), v)
-    gates = [(u, -(-alpha * D * e // a)) for u, alpha in least_alpha.items()]
-    M = lcm(D * E, L)
-    k, m = M // (D * E), M // L
-    slopes = [(tuple(k * c for c in x), v * m) for x, v in least_value.items()]
-    out = []
-    for p in points:
-        if any(_int_dot(p, u) >= threshold for u, threshold in gates):
-            out.append(POS_INF)
-        else:
-            out.append(ExtReal(Fraction(max(_int_dot(p, x) - v for x, v in slopes), M)))
-    return out
-
-
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     """g^{c'}(x) = sup over the dual grid of { c'(w, x) - g(w) }.
 
     Per distinct u* only the least alpha over dom g decides the gate (a
-    NaN alpha shuts it at every x), and per distinct x* only the least
-    value of g can attain the sup.  Both tables keep the order in which
-    the dual grid first meets a key, so ties and NaN terms resolve as in
-    the definitional sweep.
+    NaN alpha sticks and shuts it at every x), and per distinct x* only
+    the least value of g can attain the sup.  Both tables keep the order
+    in which the dual grid first meets a key, so ties and NaN terms
+    resolve as in the definitional sweep.
     """
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    vals = _int_cprime_values(dom, x_grid.points)
-    if vals is not None:
-        return SampledFn(x_grid, vals)
-    gates = {}  # u* key -> [u*, least non-NaN alpha or None, some alpha is NaN]
+    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+        (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
+        ([w.alpha for w, _ in dom], [v for _, v in dom]),
+    )
+    dot = _dot_of(exact)
+    gates = {}  # u* key -> [u*, least alpha over dom g]
     slopes = {}  # x* key -> [x*, least value of g]
-    for w, payload in dom:
-        gate = gates.setdefault(_key(w.ustar), [w.ustar, None, False])
-        alpha = w.alpha
-        if alpha != alpha:
-            gate[2] = True
-        elif gate[1] is None or alpha < gate[1]:
+    for u, alpha, x, v in zip(ustars, alphas, xstars, values):
+        gate = gates.setdefault(_key(u), [u, alpha])
+        if alpha < gate[1] or alpha != alpha:
             gate[1] = alpha
-        slope = slopes.setdefault(_key(w.xstar), [w.xstar, payload])
-        if payload < slope[1]:
-            slope[1] = payload
-    gates = list(gates.values())
-    slopes = list(slopes.values())
+        slope = slopes.setdefault(_key(x), [x, v])
+        if v < slope[1]:
+            slope[1] = v
+    M = lcm(D * E, L)
+    k, m, De = M // (D * E), M // L, D * e
+    gates = [(u, alpha * De) for u, alpha in gates.values()]
+    slopes = [(tuple(k * c for c in x), m * v) for x, v in slopes.values()]
     vals = []
-    for x in x_grid.points:
-        if any(nan or not (_dot(x, ustar) < alpha) for ustar, alpha, nan in gates):
+    for p in points:
+        if any(not (dot(p, u) * a < level) for u, level in gates):
             vals.append(POS_INF)
-            continue
-        best = None
-        for xstar, least in slopes:
-            term = _dot(x, xstar) - least
-            if best is None or term > best:
-                best = term
-        vals.append(ExtReal(best))
+        else:
+            best = max(dot(p, x) - v for x, v in slopes)
+            vals.append(ExtReal(Fraction(best, M) if exact else best))
     return SampledFn(x_grid, vals)
 
 

@@ -234,9 +234,10 @@ def parse(text: str, backend: str = "rational") -> ExtReal:
 def scalar(v, backend: str) -> Scalar:
     """``v`` as a finite payload of ``backend``: a `Fraction` for
     ``"rational"``, a float for ``"float"``.  The one place a backend name
-    chooses a payload type."""
+    chooses a payload type.  A `Fraction` is returned as it is, so
+    coercing a coerced point again is a type check."""
     if backend == "rational":
-        return Fraction(v)
+        return v if v.__class__ is Fraction else Fraction(v)
     if backend == "float":
         return float(v)
     raise ValueError(f"unknown backend {backend!r}")

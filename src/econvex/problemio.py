@@ -8,19 +8,18 @@ contain JSON floats, which keeps exactness alive across serialization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from econvex.conjugation import (
     DualGrid,
-    _dot,
-    _gate_key,
-    _int_dot,
-    _one_length,
-    _scaled,
+    _dot_of,
+    _key,
+    _prepared,
     pair_tensor_dual_grid,
     tensor_dual_grid,
 )
@@ -356,49 +355,44 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  The boundary depends on (u*, alpha) only, so the
-    points on it are found once per distinct gate.  When every coordinate
-    and alpha is a Fraction the test is in ints, as in the conjugation
-    kernel: p is on the boundary iff its dot, scaled by D·e, is alpha·D·e,
-    so a gate whose alpha·D·e is no integer has no points.
+    points on it are found once per distinct gate, in one loop over the
+    vectors ``conjugation._prepared`` returns: ints scaled by D for the
+    points, e for u* and a for alpha when every coordinate and alpha is a
+    Fraction, the values as given otherwise.  q is on the boundary iff
+    <q, u*>·a = alpha·D·e, so a gate whose alpha·D·e is no multiple of a
+    has no points.
     """
     out = []
     for space, w_points, points in (
         ("y", P.dual_y_grid.points, P.y_grid.points),
         ("(x,y)", P.full_dual_grid.points, P.product.points),
     ):
-        ints = [_scaled(vs) for vs in (
-            points, [w.ustar for w in w_points], [(w.alpha,) for w in w_points]
-        )]
-        exact = None not in ints and _one_length(ints[0][0], ints[1][0])
+        exact, ((qs, D), (ustars, e)), ((alphas, a),) = _prepared(
+            (points, [w.ustar for w in w_points]), ([w.alpha for w in w_points],)
+        )
+        dot = _dot_of(exact)
         on_boundary = {}
-        for i, w in enumerate(w_points):
-            gate = _gate_key(w)
+        for w, u, alpha in zip(w_points, ustars, alphas):
+            gate = _key((*u, alpha))
             hits = on_boundary.get(gate)
             if hits is None:
-                if exact:
-                    (scaled, D), (ustars, e), (alphas, a) = ints
-                    level, rest = divmod(alphas[i][0] * D * e, a)
-                    u = ustars[i]
-                    hits = [] if rest else [
-                        p for p, q in zip(points, scaled) if _int_dot(q, u) == level
-                    ]
-                else:
-                    ustar, alpha = w.ustar, w.alpha
-                    hits = [p for p in points if _dot(p, ustar) == alpha]
-                on_boundary[gate] = hits
+                level = alpha * D * e
+                hits = on_boundary[gate] = [
+                    p for p, q in zip(points, qs) if dot(q, u) * a == level
+                ]
             out.extend((space, p, w) for p in hits)
     return out
 
 
 def boundary_warnings(P: PerturbationProblem) -> List[str]:
-    """Coincidence report grouped per dual point, one line each."""
-    groups: Dict[Tuple[str, object], List[Tuple]] = {}
-    for space, point, w in boundary_coincidences(P):
-        groups.setdefault((space, w), []).append(point)
+    """Coincidence report grouped per dual point, one line each.  The scan
+    emits each (space, dual point) as one run of rows."""
     lines = []
-    for (space, w), points in groups.items():
+    runs = itertools.groupby(boundary_coincidences(P), key=lambda row: (row[0], id(row[2])))
+    for _, run in runs:
+        (space, first, w), *rest = run
         lines.append(
-            f"{len(points)} {space}-grid point(s) lie exactly on the coupling "
-            f"boundary of {_dual(w)} (first: {_point(points[0])})"
+            f"{len(rest) + 1} {space}-grid point(s) lie exactly on the coupling "
+            f"boundary of {_dual(w)} (first: {_point(first)})"
         )
     return lines

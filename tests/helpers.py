@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import strategies as st
 
@@ -12,7 +14,7 @@ from econvex.duality import PerturbationProblem
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
 from econvex.funcrep import Grid, PerturbFn
 
-from econvex import catalog
+from econvex import catalog, conjugation
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -68,6 +70,25 @@ def with_plain_scalar(draw, w: DualPoint, fields=("xstar", "ustar", "alpha")) ->
     i = draw(st.integers(0, len(vec) - 1))
     vec[i] = plain_scalar(draw, vec[i])
     return dataclasses.replace(w, **{field: tuple(vec)})
+
+
+@contextmanager
+def scaling_log():
+    """A list recording, per call of ``conjugation._scaled`` inside the
+    block, whether it returned ints (True) or None (False).  A sweep asks
+    ``_scaled`` for its lists one by one and stops at the first None, so
+    every sweep that ran unscaled leaves exactly one False; a scaled sweep
+    leaves only True."""
+    log = []
+    real = conjugation._scaled
+
+    def scaled(vectors):
+        out = real(vectors)
+        log.append(out is not None)
+        return out
+
+    with mock.patch.object(conjugation, "_scaled", scaled):
+        yield log
 
 
 def catalog_problem(name):

@@ -166,6 +166,16 @@ class TestScalar:
         out = scalar(v, "rational")
         assert type(out) is Fraction and out == Fraction(v)
 
+    def test_a_fraction_is_returned_as_it_is(self):
+        # Re-coercing a coerced grid point is then a type check.
+        q = Fraction(-7, 4)
+        assert scalar(q, "rational") is q
+
+        class Sub(Fraction):
+            pass
+
+        assert type(scalar(Sub(1, 3), "rational")) is Fraction
+
     @pytest.mark.parametrize("v", [0, 3, -2, Fraction(-7, 4), 0.25])
     def test_float_payload(self, v):
         out = scalar(v, "float")

@@ -12,6 +12,7 @@ from helpers import (
     drawn_from,
     random_problem,
     scalar,
+    scaling_log,
     with_plain_scalar,
 )
 
@@ -19,7 +20,6 @@ from econvex import catalog, extreal, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
-    _int_c_conjugate_rows,
     _split_dom,
     coupling_c,
 )
@@ -250,11 +250,11 @@ class TestTableMatchesDefinition:
     @given(plain_lagrangian_case())
     @settings(max_examples=100, deadline=None)
     def test_plain_scalar_falls_back(self, P):
-        L = CLagrangian(P)
-        for x in P.x_grid.points:
-            dom, _ = _split_dom(L.slices[x])
-            if dom is not None:
-                assert _int_c_conjugate_rows(dom, P.dual_y_grid.points) is None
+        with scaling_log() as log:
+            L = CLagrangian(P)
+        # every slice sweep over a nonempty finite domain ran unscaled
+        swept = sum(_split_dom(sl)[0] is not None for sl in L.slices.values())
+        assert log.count(False) == swept
         assert_table_matches_definition(P)
 
     @given(st.integers(0, 10**6), st.sampled_from(["float", "rational"]))

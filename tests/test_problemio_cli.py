@@ -8,8 +8,6 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from unittest import mock
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,7 +19,13 @@ from econvex.duality import PerturbationProblem, converse_duality_report
 from econvex.extreal import ExtReal
 from econvex.funcrep import Grid, PerturbFn
 
-from helpers import WIDE_FRACTIONS, fenchel_abs_duality_grid, random_problem, with_plain_scalar
+from helpers import (
+    WIDE_FRACTIONS,
+    fenchel_abs_duality_grid,
+    random_problem,
+    scaling_log,
+    with_plain_scalar,
+)
 
 
 def entry(name):
@@ -381,20 +385,12 @@ class TestBoundaryScan:
         """The Y-side scan falls back; so does the full scan, unless a
         pair with the same value but Fraction entries took the embedded
         point's place in the full dual grid."""
-        ints = []  # one bool per call of the scaling helper: ints or None
-        real_scaled = problemio._scaled
-
-        def scaled(vectors):
-            out = real_scaled(vectors)
-            ints.append(out is not None)
-            return out
-
-        with mock.patch.object(problemio, "_scaled", scaled):
+        with scaling_log() as log:
             rows = problemio.boundary_coincidences(P)
         assert has_plain_gate(P.dual_y_grid.points)
-        assert [False in ints[:3], False in ints[3:]] == [
-            True, has_plain_gate(P.full_dual_grid.points)
-        ]
+        plain_full = has_plain_gate(P.full_dual_grid.points)
+        # one False per scan that ran unscaled; the full scan comes last
+        assert (log.count(False), log[-1]) == (1 + plain_full, not plain_full)
         assert rows == definitional_coincidences(P)
 
     def test_fractional_level_has_no_points(self):
