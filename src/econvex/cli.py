@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from econvex import catalog, problemio
 from econvex.conjugation import DualPoint
-from econvex.duality import EXACT_PASS, FAIL, AuditOutcome, converse_duality_report
+from econvex.duality import EXACT_PASS, FAIL, SURROGATE_UNMET, AuditOutcome
+from econvex.duality import converse_duality_report
 from econvex.esets import (
     GeometryError,
     in_recession_cone,
@@ -34,7 +35,7 @@ from econvex.lagrangian import (
     dual_slice_audit,
     example52_audit,
     infsup_value,
-    lagrangian_value,
+    lagrangian_table,
     prop55_audit,
     supinf_value,
 )
@@ -355,9 +356,9 @@ def cmd_lagrangian(args) -> int:
             + ["value"]
         )
         rows = [
-            [_scalar(c) for c in x] + _dual_cells(w) + [fmt(lagrangian_value(P, x, w))]
-            for x in P.x_grid.points
-            for w in P.dual_y_grid.points
+            [_scalar(c) for c in x] + _dual_cells(w) + [fmt(cell)]
+            for x, row in zip(P.x_grid.points, lagrangian_table(P).rows)
+            for w, cell in zip(P.dual_y_grid.points, row)
         ]
         _print_csv(header, rows)
         return EXIT_OK
@@ -461,7 +462,7 @@ def cmd_audit(args) -> int:
         status = (
             EXACT_PASS
             if p55["equals_argmin_x_argmax"]
-            else ("surrogate-unmet" if not p55["slice_surrogate"] else FAIL)
+            else (SURROGATE_UNMET if not p55["slice_surrogate"] else FAIL)
         )
         audits.append(
             AuditOutcome(
@@ -477,7 +478,7 @@ def cmd_audit(args) -> int:
                 "conditional",
                 EXACT_PASS
                 if tr.converse_ok
-                else ("surrogate-unmet" if not tr.econvex_surrogate else FAIL),
+                else (SURROGATE_UNMET if not tr.econvex_surrogate else FAIL),
                 f"{len(tr.counterexamples)} counterexample pairs",
             )
         )

@@ -53,10 +53,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm, nan
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
+from econvex.esets import Interval1, dot
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
 from econvex import extreal
 from econvex.funcrep import Grid, PwAffine1, SampledFn
@@ -76,15 +78,6 @@ __all__ = [
     "pair_tensor_dual_grid",
     "adapted_dual_grid",
 ]
-
-
-def _dot(a: Sequence, b: Sequence):
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch in inner product")
-    total = 0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
 
 
 def _coerce_vec(v, backend: str) -> Tuple:
@@ -234,8 +227,8 @@ def adapted_dual_grid(f: PwAffine1, alphas, ustars=((0,),)) -> DualGrid:
 
 def coupling_c(x, w: DualPoint) -> ExtReal:
     """<x, x*> if <x, u*> < alpha, +inf otherwise."""
-    if _dot(x, w.ustar) < w.alpha:
-        return ExtReal(_dot(x, w.xstar))
+    if dot(x, w.ustar) < w.alpha:
+        return ExtReal(dot(x, w.xstar))
     return POS_INF
 
 
@@ -320,9 +313,9 @@ def _int_dot(a, b):
 
 def _dot_of(exact: bool):
     """The inner product of a prepared sweep: ints add exactly in any
-    order, and values as given keep the left fold of :func:`_dot`, which
+    order, and values as given keep the left fold of ``esets.dot``, which
     ``sum`` of floats does not from Python 3.12 on."""
-    return _int_dot if exact else _dot
+    return _int_dot if exact else dot
 
 
 def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
@@ -440,18 +433,18 @@ def _classify(values):
     return rows
 
 
-def _sup_coupling_minus(points, rows, w: DualPoint) -> ExtReal:
-    """sup over the rows of coupling(x, w) - value, with the conventions."""
-    ustar, alpha, xstar = w.ustar, w.alpha, w.xstar
+def _sup_minus(pairs, rows) -> ExtReal:
+    """sup over the (x, w) pairs of c(x, w) minus the paired row's value,
+    with the conventions: f^c(w) pairs w with every grid point, g^{c'}(x) x."""
     best = None  # raw finite payload of the running sup, None = -inf so far
-    for p, (tag, payload) in zip(points, rows):
+    for (x, w), (tag, payload) in zip(pairs, rows):
         if tag == "+":
             continue  # both (+inf)-(+inf) and finite-(+inf) are -inf
-        if not (_dot(p, ustar) < alpha):
+        if not (dot(x, w.ustar) < w.alpha):
             return POS_INF  # +inf - (finite or -inf) = +inf
         if tag == "-":
             return POS_INF  # finite - (-inf) = +inf
-        term = _dot(p, xstar) - payload
+        term = dot(x, w.xstar) - payload
         if best is None or term > best:
             best = term
     return NEG_INF if best is None else ExtReal(best)
@@ -461,29 +454,14 @@ def _reference_c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     """f^c by the definition: every dual point against every grid point."""
     rows = _classify(f.values)
     points = f.grid.points
-    return SampledFn(w_grid, [_sup_coupling_minus(points, rows, w) for w in w_grid.points])
-
-
-def _sup_prime_minus(w_points, rows, x) -> ExtReal:
-    best = None
-    for w, (tag, payload) in zip(w_points, rows):
-        if tag == "+":
-            continue  # anything - (+inf) = -inf
-        if not (_dot(x, w.ustar) < w.alpha):
-            return POS_INF  # +inf - (finite or -inf) = +inf
-        if tag == "-":
-            return POS_INF  # finite - (-inf) = +inf
-        term = _dot(x, w.xstar) - payload
-        if best is None or term > best:
-            best = term
-    return NEG_INF if best is None else ExtReal(best)
+    return SampledFn(w_grid, [_sup_minus(zip(points, repeat(w)), rows) for w in w_grid.points])
 
 
 def _reference_cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     """g^{c'} by the definition: every grid point against every dual point."""
     rows = _classify(g.values)
     w_points = g.grid.points
-    return SampledFn(x_grid, [_sup_prime_minus(w_points, rows, x) for x in x_grid.points])
+    return SampledFn(x_grid, [_sup_minus(zip(repeat(x), w_points), rows) for x in x_grid.points])
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +471,6 @@ def _reference_cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
 
 def _gate_intervals(w: DualPoint):
     """({x : x*u* < alpha}, its complement) as 1-D intervals."""
-    from econvex.esets import Interval1
-
     (u,) = w.ustar
     if u == 0:
         if 0 < w.alpha:

@@ -37,6 +37,7 @@ from econvex.funcrep import (
     Grid,
     PerturbFn,
     SampledFn,
+    columns,
     product_grid,
     restrict_to_zero,
 )
@@ -149,10 +150,9 @@ class PerturbationProblem:
     @cached_property
     def p_fn(self) -> SampledFn:
         """The infimum value function on the y-grid: the infimum of each
-        column of phi_on_product (x-major), taken in x-grid order."""
-        values = self.phi_on_product.values
-        n = len(self.y_grid)
-        return SampledFn(self.y_grid, [extreal.inf(values[j::n]) for j in range(n)])
+        column of phi_on_product, taken in x-grid order."""
+        cols = columns(self.phi_on_product.values, len(self.y_grid))
+        return SampledFn(self.y_grid, [extreal.inf(c) for c in cols])
 
     @cached_property
     def psi(self) -> SampledFn:
@@ -180,9 +180,9 @@ class PerturbationProblem:
 
     @cached_property
     def phi_biconj_at_zero(self) -> SampledFn:
-        origin = self.y_grid.origin
-        vals = [self.psi_prime.value_at(x + origin) for x in self.x_grid.points]
-        return SampledFn(self.x_grid, vals)
+        """x -> psi^{c'}(x, 0): the column of psi_prime at the y-origin."""
+        cols = columns(self.psi_prime.values, len(self.y_grid))
+        return SampledFn(self.x_grid, cols[self.y_grid.index_of(self.y_grid.origin)])
 
     @cached_property
     def g_on_dual_y(self) -> SampledFn:
@@ -204,14 +204,15 @@ class PerturbationProblem:
         return cprime_conjugate(self.p_conj, self.y_grid)
 
     @cached_property
-    def psi_prime_x_minima(self) -> Dict[Tuple, Tuple[ExtReal, Tuple]]:
-        """y -> (min over the x-grid of psi^{c'}(x, y), the x attaining it)."""
-        out = {}
-        for y in self.y_grid.points:
-            column = [(x, self.psi_prime.value_at(x + y)) for x in self.x_grid.points]
-            low = extreal.inf(v for _, v in column)
-            out[y] = (low, tuple(x for x, v in column if v == low))
-        return out
+    def psi_prime_x_minima(self) -> Tuple[Tuple[ExtReal, Tuple], ...]:
+        """Per y, in y-grid order: (min over the x-grid of psi^{c'}(x, y),
+        the x attaining it), read off column y of psi_prime."""
+        xs = self.x_grid.points
+        out = []
+        for column in columns(self.psi_prime.values, len(self.y_grid)):
+            low = extreal.inf(column)
+            out.append((low, tuple(x for x, v in zip(xs, column) if v == low)))
+        return tuple(out)
 
     @cached_property
     def report(self) -> "DualityReport":
@@ -344,9 +345,7 @@ def c5bar_audit(P: PerturbationProblem):
     witnesses = []
     truncated = []
     exact_ok = True
-    for y in P.y_grid.points:
-        lhs = P.g_prime.value_at(y)
-        rhs, attaining = P.psi_prime_x_minima[y]
+    for (y, lhs), (rhs, attaining) in zip(P.g_prime.items(), P.psi_prime_x_minima):
         if not lhs <= rhs:
             exact_ok = False
         if not P.close(lhs, rhs):
@@ -381,9 +380,7 @@ def theorem31_audit(
     the outcome of :func:`c5_audit` on P when the caller already has it."""
     bad = []
     gaps = []
-    for x in P.x_grid.points:
-        lhs = P.f0_biconj.value_at(x)
-        rhs = P.phi_biconj_at_zero.value_at(x)
+    for (x, lhs), rhs in zip(P.f0_biconj.items(), P.phi_biconj_at_zero.values):
         if not lhs >= rhs:
             bad.append((x, lhs, rhs))
         gaps.append((x, lhs, rhs))
@@ -418,9 +415,7 @@ def corollary310_audit(
     outcome of :func:`c5bar_audit` on P when the caller already has it."""
     bad = []
     rows = []
-    for y in P.y_grid.points:
-        lhs = P.p_biconj.value_at(y)
-        rhs = P.psi_prime_x_minima[y][0]
+    for (y, lhs), (rhs, _) in zip(P.p_biconj.items(), P.psi_prime_x_minima):
         if not lhs <= rhs:
             bad.append((y, lhs, rhs))
         rows.append((y, lhs, rhs))

@@ -51,10 +51,15 @@ def ratvec(values: Iterable) -> Vec:
     return tuple(Fraction(v) for v in values)
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def dot(a: Sequence, b: Sequence):
+    """<a, b> as a left fold from 0, so Fractions stay exact and floats
+    round coordinate by coordinate, in one order for every caller."""
     if len(a) != len(b):
         raise GeometryError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    total = 0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 @dataclass(frozen=True)

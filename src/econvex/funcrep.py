@@ -39,6 +39,8 @@ __all__ = [
     "Precompose",
     "PerturbFn",
     "product_grid",
+    "rows",
+    "columns",
     "infimum_value_function",
     "restrict_to_zero",
     "slice_x",
@@ -389,11 +391,25 @@ class PerturbFn:
 
 
 def product_grid(x_grid: Grid, y_grid: Grid) -> Grid:
-    """Grid over X x Y with concatenated coordinates, x-major order."""
+    """Grid over X x Y with concatenated coordinates, x-major order.  Only
+    :func:`rows` and :func:`columns` read a table over it by that order."""
     if x_grid.backend != y_grid.backend:
         raise ValueError("product grids need a common backend")
     pts = [x + y for x, y in itertools.product(x_grid.points, y_grid.points)]
     return Grid(x_grid.dim + y_grid.dim, pts, x_grid.backend)
+
+
+def rows(values: Sequence, n: int) -> list:
+    """The n rows of an x-major table over a product: row i holds the
+    cells of the i-th x, in the order of the second grid."""
+    size = len(values) // n if n else 0
+    return [values[i * size:(i + 1) * size] for i in range(n)]
+
+
+def columns(values: Sequence, n: int) -> list:
+    """The n columns of an x-major table over a product: column j holds
+    the cells of the j-th point of the second grid, in x-grid order."""
+    return [values[j::n] for j in range(n)]
 
 
 def infimum_value_function(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:

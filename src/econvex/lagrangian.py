@@ -41,24 +41,26 @@ arbitrary coupling space is intentionally not provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
-from econvex import extreal
+from econvex import extreal, funcrep
 from econvex.conjugation import (
     DualPoint,
     _c_conjugate_rows,
-    _dot,
     _reference_c_conjugate,
     coupling_c,
     cprime_conjugate,
 )
 from econvex.duality import PerturbationProblem
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.esets import dot
+from econvex.extreal import POS_INF, ExtReal
 from econvex.funcrep import SampledFn, slice_x
 
 __all__ = [
     "CLagrangian",
     "SaddleCandidate",
+    "lagrangian_table",
     "lagrangian_value",
     "dual_slice_audit",
     "supinf_value",
@@ -81,7 +83,10 @@ class SaddleCandidate:
 class CLagrangian:
     """Cached table of L over x-grid x dual-y-grid, read off the kernel.
 
-    Slice x is row block x of the cached phi_on_product.  On a finite cell
+    ``table`` is flat and x-major like phi_on_product; its rows, columns,
+    row suprema and column infima are each taken once, on first use.
+
+    Slice x is row x of the cached phi_on_product.  On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
     first maximiser of <y, y*> - phi(x, y) is the first minimiser of the
     defining infimum (same grid order, same strict tie rule, exact IEEE
@@ -95,37 +100,53 @@ class CLagrangian:
     def __init__(self, problem: PerturbationProblem):
         if not problem.dual_y_grid.alpha_positive:
             raise ValueError("the Lagrangian needs alpha > 0 on every dual point")
+        self.x_grid, self.w_grid = problem.x_grid, problem.dual_y_grid
         y_grid, w_grid = problem.y_grid, problem.dual_y_grid
-        values = problem.phi_on_product.values
-        n = len(y_grid)
+        phi_rows = funcrep.rows(problem.phi_on_product.values, len(self.x_grid))
         self.slices: Dict[Tuple, SampledFn] = {}
         self._slice_conjugates: Dict[Tuple, SampledFn] = {}
-        self.table: Dict[Tuple[Tuple, DualPoint], ExtReal] = {}
-        for i, x in enumerate(problem.x_grid.points):
-            sl = self.slices[x] = SampledFn(y_grid, values[i * n:(i + 1) * n])
+        cells = []
+        for x, phi_row in zip(self.x_grid.points, phi_rows):
+            sl = self.slices[x] = SampledFn(y_grid, phi_row)
             rows = _c_conjugate_rows(sl, w_grid)
             self._slice_conjugates[x] = SampledFn(w_grid, [v for v, _ in rows])
             for w, (conj, row) in zip(w_grid.points, rows):
                 if row is None or conj.backend == "rational":
-                    self.table[(x, w)] = -conj
+                    cells.append(-conj)
                 else:
                     y, payload = row
-                    self.table[(x, w)] = ExtReal(payload) - ExtReal(_dot(y, w.xstar))
+                    cells.append(ExtReal(payload) - ExtReal(dot(y, w.xstar)))
+        self.table: Tuple[ExtReal, ...] = tuple(cells)
+
+    @cached_property
+    def rows(self) -> list:
+        return funcrep.rows(self.table, len(self.x_grid))
+
+    @cached_property
+    def columns(self) -> list:
+        return funcrep.columns(self.table, len(self.w_grid))
+
+    @cached_property
+    def row_sup(self) -> Tuple[ExtReal, ...]:
+        return tuple(extreal.sup(row) for row in self.rows)
+
+    @cached_property
+    def col_inf(self) -> Tuple[ExtReal, ...]:
+        return tuple(extreal.inf(column) for column in self.columns)
 
     def value(self, x, w: DualPoint) -> ExtReal:
-        return self.table[(tuple(x), w)]
+        return self.rows[self.x_grid.index_of(x)][self.w_grid.index_of(w)]
 
     def slice_conjugate(self, x) -> SampledFn:
         """phi(x, .)^c on the Y-side dual grid, as the kernel computed it."""
         return self._slice_conjugates[tuple(x)]
 
 
-def _lagrangian(P: PerturbationProblem) -> CLagrangian:
-    cached = getattr(P, "_lagrangian_cache", None)
-    if cached is None:
-        cached = CLagrangian(P)
-        P._lagrangian_cache = cached
-    return cached
+def lagrangian_table(P: PerturbationProblem) -> CLagrangian:
+    """The Lagrangian table of P, built on first use and cached on P."""
+    if not hasattr(P, "_lagrangian_cache"):
+        P._lagrangian_cache = CLagrangian(P)
+    return P._lagrangian_cache
 
 
 def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
@@ -133,7 +154,7 @@ def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
     if not w.alpha > 0:
         raise ValueError("the Lagrangian is defined for alpha > 0 only")
     if w in P.dual_y_grid:
-        return _lagrangian(P).value(x, w)
+        return lagrangian_table(P).value(x, w)
     sl = slice_x(P.phi, x, P.y_grid)
     return extreal.inf(
         v - coupling_c(y, w) for y, v in sl.items() if v < POS_INF
@@ -147,77 +168,56 @@ def dual_slice_audit(P: PerturbationProblem, x) -> dict:
     the definitional sweep ``_reference_c_conjugate``: the audit holds the
     kernel to the definition on the slice, not to itself.
     """
-    L = _lagrangian(P)
-    x = tuple(x)
-    conj = _reference_c_conjugate(L.slices[x], P.dual_y_grid)
-    rows = []
-    ok = True
-    for w, rhs in zip(P.dual_y_grid.points, conj.values):
-        lhs = -L.value(x, w)
-        rows.append((w, lhs, rhs))
-        if lhs != rhs:
-            ok = False
-    return {"ok": ok, "rows": tuple(rows)}
+    L = lagrangian_table(P)
+    conj = _reference_c_conjugate(L.slices[tuple(x)], P.dual_y_grid)
+    row = L.rows[P.x_grid.index_of(x)]
+    rows = tuple(
+        (w, -cell, rhs) for w, cell, rhs in zip(P.dual_y_grid.points, row, conj.values)
+    )
+    return {"ok": all(lhs == rhs for _, lhs, rhs in rows), "rows": rows}
 
 
 def supinf_value(P: PerturbationProblem) -> ExtReal:
     """sup over dual points of inf over x of L; asserts the pointwise
     identity with the negated conjugate at the embedded point, so the
     result equals the dual value exactly."""
-    L = _lagrangian(P)
-    best = NEG_INF
-    for w in P.dual_y_grid.points:
-        column = extreal.inf(L.value(x, w) for x in P.x_grid.points)
-        expected = -P.psi.value_at(P.embed(w))
-        if column != expected:  # pragma: no cover - finite sup interchange
-            raise RuntimeError(
-                f"inf_x L(., {w}) = {column} disagrees with -phi^c = {expected}"
-            )
-        if best < column:
-            best = column
-    return best
+    L = lagrangian_table(P)
+    for w, column, g in zip(P.dual_y_grid.points, L.col_inf, P.g_on_dual_y.values):
+        if column != -g:  # pragma: no cover - finite sup interchange
+            raise RuntimeError(f"inf_x L(., {w}) = {column} disagrees with -phi^c = {-g}")
+    return extreal.sup(L.col_inf)
 
 
 def infsup_value(P: PerturbationProblem) -> ExtReal:
     """inf over x of sup over dual points of L; asserts the unconditional
     bound sup_w L(x, .) <= phi(x, 0) at every x."""
-    L = _lagrangian(P)
-    best = POS_INF
-    for x in P.x_grid.points:
-        row = extreal.sup(L.value(x, w) for w in P.dual_y_grid.points)
-        phi_x0 = P.f0.value_at(x)
+    L = lagrangian_table(P)
+    for x, row, phi_x0 in zip(P.x_grid.points, L.row_sup, P.f0.values):
         if not row <= phi_x0:  # pragma: no cover - coupling vanishes at 0
             raise RuntimeError(f"sup_w L({x}, .) = {row} exceeds phi(x,0) = {phi_x0}")
-        if row < best:
-            best = row
-    return best
+    return extreal.inf(L.row_sup)
 
 
 def is_saddle_point(P: PerturbationProblem, xbar, wbar: DualPoint) -> bool:
     """Both inequality families over the full grids, exactly."""
     if not wbar.alpha > 0:
         raise ValueError("saddle points live on alpha > 0")
-    L = _lagrangian(P)
-    xbar = tuple(xbar)
-    center = L.value(xbar, wbar)
-    if not all(L.value(xbar, w) <= center for w in P.dual_y_grid.points):
-        return False
-    return all(center <= L.value(x, wbar) for x in P.x_grid.points)
+    L = lagrangian_table(P)
+    i, j = P.x_grid.index_of(xbar), P.dual_y_grid.index_of(wbar)
+    center = L.rows[i][j]
+    return all(v <= center for v in L.rows[i]) and all(center <= v for v in L.columns[j])
 
 
 def saddle_search(P: PerturbationProblem) -> Tuple[SaddleCandidate, ...]:
     """Every saddle cell of the table, in row-major order.  A cell is a
     saddle iff L(x, w) is both the maximum of its row and the minimum of
-    its column, so the row maxima and column minima are read once."""
-    L = _lagrangian(P)
-    xs, ws = P.x_grid.points, P.dual_y_grid.points
-    row_max = {x: extreal.sup(L.value(x, w) for w in ws) for x in xs}
-    col_min = {w: extreal.inf(L.value(x, w) for x in xs) for w in ws}
+    its column, so the table's row suprema and column infima decide it."""
+    L = lagrangian_table(P)
     return tuple(
-        SaddleCandidate(x, w, L.value(x, w))
-        for x in xs
-        for w in ws
-        if row_max[x] == L.value(x, w) == col_min[w]
+        SaddleCandidate(x, w, cell)
+        for x, row, top in zip(P.x_grid.points, L.rows, L.row_sup)
+        for w, cell, low in zip(P.dual_y_grid.points, row, L.col_inf)
+        if top == cell == low
     )
 
 
@@ -230,7 +230,7 @@ def prop55_audit(P: PerturbationProblem) -> dict:
     the per-slice recovery surrogate (phi(x,.)^{cc'} = phi(x,.) for all x
     on the grid, conjugating through the Y-side dual grid).
     """
-    L = _lagrangian(P)
+    L = lagrangian_table(P)
     report = P.report
     saddles = saddle_search(P)
     lo = supinf_value(P)
@@ -314,7 +314,7 @@ def example52_audit(P: PerturbationProblem) -> dict:
     w = DualPoint.of((one,), (one,), one, P.backend)
     if w not in P.dual_y_grid:
         raise ValueError("the instance must carry the dual point (1, 1, 1)")
-    L = _lagrangian(P)
+    column = lagrangian_table(P).columns[P.dual_y_grid.index_of(w)]
     minus_one = -one
     # Grid adequacy for the -inf branch: each x <= -1 needs a y-grid point
     # with 1 <= y <= -x, where the coupling gate fails inside Y_x.
@@ -323,16 +323,12 @@ def example52_audit(P: PerturbationProblem) -> dict:
         for x in P.x_grid.points
         if x[0] <= minus_one
     )
-    neg_branch = all(
-        L.value(x, w) == NEG_INF for x in P.x_grid.points if x[0] <= minus_one
-    )
-    fin_branch = all(
-        L.value(x, w).is_finite for x in P.x_grid.points if x[0] > minus_one
-    )
-    rows = [(x[0], L.value(x, w)) for x in P.x_grid.points]
-    witness = find_convexity_violation(rows)
+    cells = list(zip(P.x_grid.points, column))
+    neg_branch = all(v.is_neg_inf for x, v in cells if x[0] <= minus_one)
+    fin_branch = all(v.is_finite for x, v in cells if x[0] > minus_one)
+    witness = find_convexity_violation([(x[0], v) for x, v in cells])
     oracle_at_zero = (
-        L.value(P.x_grid.origin, w) if P.x_grid.has_origin else None
+        column[P.x_grid.index_of(P.x_grid.origin)] if P.x_grid.has_origin else None
     )
     stated = ExtReal(-2 * one)
     return {

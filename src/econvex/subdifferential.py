@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Optional, Tuple
 
 from econvex.conjugation import (
@@ -41,10 +42,10 @@ from econvex.conjugation import (
     coupling_c,
     cprime_conjugate,
 )
-from econvex.conjugation import _classify, _sup_coupling_minus, _sup_prime_minus
+from econvex.conjugation import _classify, _sup_minus
 from econvex.duality import EXACT_PASS, PerturbationProblem
 from econvex.extreal import ExtReal, scalar
-from econvex.funcrep import SampledFn
+from econvex.funcrep import SampledFn, columns
 
 __all__ = [
     "SubdiffSet",
@@ -76,12 +77,12 @@ class SubdiffSet:
 
 def conjugate_value(f: SampledFn, w: DualPoint) -> ExtReal:
     """f^c at a single dual point, by the definitional sweep."""
-    return _sup_coupling_minus(f.grid.points, _classify(f.values), w)
+    return _sup_minus(zip(f.grid.points, repeat(w)), _classify(f.values))
 
 
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
     """g^{c'} at a single primal point, by the definitional sweep."""
-    return _sup_prime_minus(g.grid.points, _classify(g.values), x)
+    return _sup_minus(zip(repeat(x), g.grid.points), _classify(g.values))
 
 
 def _zero_eps(f: SampledFn):
@@ -216,13 +217,16 @@ def transfer_audit(f: SampledFn, w_grid: DualGrid) -> TransferReport:
 def _embedded_memberships(P: PerturbationProblem) -> Iterator[Tuple[Tuple, DualPoint, bool]]:
     """(x, w, member) over x-grid x Y-side dual grid: whether the embedded
     dual point is a subgradient of phi at (x, 0), read off psi at the
-    embedded points (the cached G = g_on_dual_y)."""
-    origin = P.y_grid.origin
+    embedded points (the cached G = g_on_dual_y) and the y-origin columns
+    of the product grid and of phi_on_product."""
+    n, j = len(P.y_grid), P.y_grid.index_of(P.y_grid.origin)
+    bases = columns(P.product.points, n)[j]
+    phi_x0 = columns(P.phi_on_product.values, n)[j]
+    duals = [(w, conj, P.embed(w)) for w, conj in P.g_on_dual_y.items()]
     zero = _zero_eps(P.phi_on_product)
-    for x in P.x_grid.points:
-        base, fx0 = _on_grid(P.phi_on_product, x + origin)
-        for w, conj in P.g_on_dual_y.items():
-            yield x, w, _member(fx0, conj, coupling_c(base, P.embed(w)), zero)
+    for x, base, fx0 in zip(P.x_grid.points, bases, phi_x0):
+        for w, conj, flat in duals:
+            yield x, w, _member(fx0, conj, coupling_c(base, flat), zero)
 
 
 def total_duality_certificate(
@@ -237,16 +241,19 @@ def total_duality_certificate(
 def prop43_audit(P: PerturbationProblem) -> dict:
     """Exhaustive equivalence: the embedded dual point is a subgradient of
     phi at (x, 0) iff x solves the primal, (y*, v*, alpha) solves the
-    dual, and the two values agree and are finite."""
+    dual, and the two values agree and are finite.  The certificate is
+    the first member of the same pass."""
     report = P.report
     mismatches = []
+    cert = None
     for x, w, member in _embedded_memberships(P):
+        if member and cert is None:
+            cert = (x, w)
         optimal = (
             report.zero_gap and x in report.primal_argmin and w in report.dual_argmax
         )
         if member != optimal:
             mismatches.append((x, w, member, optimal))
-    cert = total_duality_certificate(P)
     return {
         "equivalence_ok": not mismatches,
         "mismatches": tuple(mismatches),

@@ -23,11 +23,11 @@ from econvex.conjugation import (
     cprime_conjugate,
     tensor_dual_grid,
     _c_conjugate_rows,
-    _dot,
     _reference_c_conjugate,
     _reference_cprime_conjugate,
     _split_dom,
 )
+from econvex.esets import dot
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PwAffine1, SampledFn
 
@@ -523,7 +523,7 @@ def assert_first_attaining_rows(f, wg):
     dom = [(p, v.value) for p, v in zip(f.grid.points, f.values) if v.is_finite]
     for ww, (value, row) in zip(wg.points, _c_conjugate_rows(f, wg)):
         if value.is_finite:
-            assert row == next(r for r in dom if _dot(r[0], ww.xstar) - r[1] == value.value)
+            assert row == next(r for r in dom if dot(r[0], ww.xstar) - r[1] == value.value)
 
 
 # inf·0 is NaN: the dot of the second point with u* = 0 is NaN after a

@@ -16,10 +16,12 @@ from econvex.funcrep import (
     PwAffine1,
     SampledFn,
     Sum,
+    columns,
     infimum_value_function,
     materialize,
     product_grid,
     restrict_to_zero,
+    rows,
     slice_x,
 )
 
@@ -278,3 +280,19 @@ class TestMaterialize:
         assert pg.points[0] == (Fraction(0), Fraction(5))
         assert pg.points[1] == (Fraction(0), Fraction(6))
         assert len(pg) == 4
+
+    def test_rows_and_columns_follow_the_product_order(self):
+        xg = Grid(1, [(0,), (1,), (2,)])
+        yg = Grid(1, [(5,), (6,)])
+        pg = product_grid(xg, yg)
+        assert rows(pg.points, 3) == [
+            tuple(x + y for y in yg.points) for x in xg.points
+        ]
+        assert columns(pg.points, 2) == [
+            tuple(x + y for x in xg.points) for y in yg.points
+        ]
+
+    def test_rows_and_columns_of_an_empty_second_grid(self):
+        # |X| rows with no cells each, and no columns.
+        assert rows((), 3) == [(), (), ()]
+        assert columns((), 0) == []

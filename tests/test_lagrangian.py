@@ -43,6 +43,7 @@ from econvex.lagrangian import (
     saddle_search,
     supinf_value,
 )
+from econvex.subdifferential import prop43_audit
 
 
 def w(ys, vs, a):
@@ -170,10 +171,16 @@ def tagged(v):
 
 
 def assert_table_matches_definition(P):
+    """Cell i·|W_y| + j of the flat x-major table, and L.value, is the
+    defining infimum at (x_i, w_j)."""
     L = CLagrangian(P)
-    for x in P.x_grid.points:
-        for ww in P.dual_y_grid.points:
-            assert tagged(L.value(x, ww)) == tagged(definitional_cell(P, x, ww)), (x, ww)
+    m = len(P.dual_y_grid)
+    assert len(L.table) == len(P.x_grid) * m
+    for i, x in enumerate(P.x_grid.points):
+        for j, ww in enumerate(P.dual_y_grid.points):
+            cell = L.table[i * m + j]
+            assert tagged(cell) == tagged(definitional_cell(P, x, ww)), (x, ww)
+            assert L.value(x, ww) is cell
 
 
 @st.composite
@@ -237,6 +244,36 @@ def float_twin(name):
     return problemio.loads(json.dumps(doc)).build()
 
 
+CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+
+
+@pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_product_tables_are_read_by_rows_and_columns(name, backend, monkeypatch):
+    """The report, the audits and the Lagrangian queries read every table
+    over a product grid by rows and columns: no point lookup into the
+    product grid."""
+    P = catalog_problem(name) if backend == "rational" else float_twin(name)
+    product, index_of, lookups = P.product, Grid.index_of, []
+
+    def spy(grid, point):
+        if grid is product:
+            lookups.append(point)
+        return index_of(grid, point)
+
+    monkeypatch.setattr(Grid, "index_of", spy)
+    P.report
+    prop55_audit(P)
+    prop43_audit(P)
+    supinf_value(P), infsup_value(P)
+    for x in P.x_grid.points:
+        dual_slice_audit(P, x)
+    lagrangian_value(P, P.x_grid.points[-1], P.dual_y_grid.points[-1])
+    assert lookups == []
+    product.index_of(product.points[0])  # the spy is live
+    assert len(lookups) == 1
+
+
 class TestTableMatchesDefinition:
     """Every cell of CLagrangian has the rendering and payload type of the
     defining infimum: the kernel's attaining row, the strict tie rule, the
@@ -263,8 +300,7 @@ class TestTableMatchesDefinition:
         P = random_problem(random.Random(seed), backend, max_x=5, max_y=6, max_dual=8)
         assert_table_matches_definition(P)
 
-    @pytest.mark.parametrize("name", [n for n in catalog.names()
-                                      if catalog.entry(n)["kind"] == "problem"])
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_catalog_and_float_twin(self, name):
         assert_table_matches_definition(catalog_problem(name))
         assert_table_matches_definition(float_twin(name))

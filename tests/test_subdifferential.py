@@ -182,6 +182,7 @@ class TestTotalDuality:
             out = prop43_audit(P)
             assert out["equivalence_ok"], out["mismatches"]
             assert out["certificate_consistent"]
+            assert out["certificate"] == total_duality_certificate(P)
 
     def test_prop43_equivalence_on_random_instances(self):
         rng = random.Random(31)
@@ -190,6 +191,7 @@ class TestTotalDuality:
             out = prop43_audit(P)
             assert out["equivalence_ok"], out["mismatches"]
             assert out["certificate_consistent"]
+            assert out["certificate"] == total_duality_certificate(P)
 
 
 class TestEpsSubdifferential:
