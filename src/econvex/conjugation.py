@@ -139,10 +139,6 @@ class DualPairPoint:
         """The same functional on the product space X x Y."""
         return DualPoint(self.xstar + self.ystar, self.ustar + self.vstar, self.alpha)
 
-    def x_side(self) -> DualPoint:
-        """Projection onto W = X* x X* x R."""
-        return DualPoint(self.xstar, self.ustar, self.alpha)
-
 
 class DualGrid:
     """Finite list of pairwise-distinct dual points, usable as a grid."""

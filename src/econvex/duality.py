@@ -308,8 +308,7 @@ def c5_audit(P: PerturbationProblem):
             groups[w] = v
     witnesses = []
     exact_ok = True
-    for w in P.x_side_grid.points:
-        lhs = P.f0_conj.value_at(w)
+    for w, lhs in P.f0_conj.items():
         rhs = groups[w]
         if not lhs <= rhs:
             exact_ok = False
@@ -372,12 +371,10 @@ def c5bar_audit(P: PerturbationProblem):
     )
 
 
-def theorem31_audit(
-    P: PerturbationProblem, c5: Optional[AuditOutcome] = None
-) -> AuditOutcome:
+def theorem31_audit(P: PerturbationProblem, c5: AuditOutcome) -> AuditOutcome:
     """Restriction-vs-slice biconjugates: the >= direction is exact; under
     the c5 surrogate the two sides must agree within tolerance.  ``c5`` is
-    the outcome of :func:`c5_audit` on P when the caller already has it."""
+    the outcome of :func:`c5_audit` on P."""
     bad = []
     gaps = []
     for (x, lhs), rhs in zip(P.f0_biconj.items(), P.phi_biconj_at_zero.values):
@@ -388,8 +385,6 @@ def theorem31_audit(
         return AuditOutcome(
             "theorem31", "exact", FAIL, "pointwise >= violated (bug)", tuple(bad)
         )
-    if c5 is None:
-        c5 = c5_audit(P)
     if c5.status != EXACT_PASS:
         return AuditOutcome(
             "theorem31", "conditional", SURROGATE_UNMET,
@@ -407,12 +402,10 @@ def theorem31_audit(
     )
 
 
-def corollary310_audit(
-    P: PerturbationProblem, c5bar: Optional[AuditOutcome] = None
-) -> AuditOutcome:
+def corollary310_audit(P: PerturbationProblem, c5bar: AuditOutcome) -> AuditOutcome:
     """(inf_x phi(x, .))^{cc'} <= inf_x phi^{cc'}(x, .) pointwise; equality
     with attained minimum under the c5bar surrogate.  ``c5bar`` is the
-    outcome of :func:`c5bar_audit` on P when the caller already has it."""
+    outcome of :func:`c5bar_audit` on P."""
     bad = []
     rows = []
     for (y, lhs), (rhs, _) in zip(P.p_biconj.items(), P.psi_prime_x_minima):
@@ -423,8 +416,6 @@ def corollary310_audit(
         return AuditOutcome(
             "corollary310", "exact", FAIL, "pointwise <= violated (bug)", tuple(bad)
         )
-    if c5bar is None:
-        c5bar = c5bar_audit(P)
     if c5bar.status not in (EXACT_PASS, GRID_TRUNCATED):
         return AuditOutcome(
             "corollary310", "conditional", SURROGATE_UNMET,

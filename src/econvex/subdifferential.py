@@ -8,15 +8,18 @@ iff f(x0) and c(x0, w) are finite and f(x0) + f^c(w) <= c(x0, w) + eps.
 Every membership question is answered by that one rule, :func:`_member`,
 read off a conjugate that is computed once per function and dual grid --
 the problem's cached ``f0_conj`` and ``psi``, or one ``c_conjugate`` sweep
--- instead of a fresh pass over the grid per pair.  The definitional
+when :func:`eps_c_subdifferential` is given a function and a dual grid --
+instead of a fresh pass over the grid per pair.  The definitional
 tests :func:`is_c_subgradient` and :func:`is_cprime_subgradient` and the
 single-point conjugates stay as public references; the differential tests
 hold the fast routes to them.
 
-The transfer audit moves memberships between a function and its conjugate:
-the forward direction is a grid theorem, the converse requires the grid
-surrogate of even convexity, namely f^{cc'} = f pointwise.  Membership
-transfers at the same pair (x, w) on both sides.
+The transfer audit moves memberships between a function and the
+conjugate pair f^c, f^{cc'} it is given, such as the problem's cached
+``f0_conj`` and ``f0_biconj``: the forward direction is a grid theorem,
+the converse requires the grid surrogate of even convexity, namely
+f^{cc'} = f pointwise.  Membership transfers at the same pair (x, w) on
+both sides.
 
 The epsilon-formula audits compare the subdifferential of the restriction
 phi(., 0) with projections of the subdifferential of phi at (x, 0).  The
@@ -35,13 +38,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterator, Optional, Tuple
 
-from econvex.conjugation import (
-    DualGrid,
-    DualPoint,
-    c_conjugate,
-    coupling_c,
-    cprime_conjugate,
-)
+from econvex.conjugation import DualGrid, DualPoint, c_conjugate, coupling_c
 from econvex.conjugation import _classify, _sup_minus
 from econvex.duality import EXACT_PASS, PerturbationProblem
 from econvex.extreal import ExtReal, scalar
@@ -175,18 +172,19 @@ class TransferReport:
     pairs_checked: int
 
 
-def transfer_audit(f: SampledFn, w_grid: DualGrid) -> TransferReport:
+def transfer_audit(f: SampledFn, f_conj: SampledFn, f_biconj: SampledFn) -> TransferReport:
     """Forward: membership in the subdifferential of f pushes to the
     conjugate.  Converse: holds under the grid surrogate of even
     convexity; counterexample pairs are listed when it does not.
 
-    Both sides read the one conjugate pair: w is in the subdifferential
-    of f at x by the conjugate rule, and x in that of f^c at w iff c(x, w)
-    is finite and f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w)
-    finite too.
+    The audit checks the conjugate pair it is given, f_conj = f^c on a
+    dual grid and f_biconj = (f_conj)^{c'} on f's grid, and sweeps
+    neither again: w is in the subdifferential of f at x by the conjugate
+    rule, and x in that of f^c at w iff c(x, w) is finite and
+    f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w) finite too.
     """
-    f_conj = c_conjugate(f, w_grid)
-    f_biconj = cprime_conjugate(f_conj, f.grid)
+    if len(f_biconj.values) != len(f.values):
+        raise ValueError("f_biconj must lie on the grid of f")
     surrogate = f_biconj.values == f.values
     zero = _zero_eps(f)
     forward_ok = True
@@ -205,7 +203,7 @@ def transfer_audit(f: SampledFn, w_grid: DualGrid) -> TransferReport:
         econvex_surrogate=surrogate,
         converse_ok=not counterexamples,
         counterexamples=tuple(counterexamples),
-        pairs_checked=len(f.grid) * len(w_grid),
+        pairs_checked=len(f.grid) * len(f_conj.grid),
     )
 
 

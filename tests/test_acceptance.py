@@ -291,7 +291,7 @@ def test_criterion_6_transfer_and_total_duality():
     detail = []
     for name in CATALOG_PROBLEMS:
         P = catalog_problem(name)
-        rep = transfer_audit(P.f0, P.x_side_grid)
+        rep = transfer_audit(P.f0, P.f0_conj, P.f0_biconj)
         ok &= rep.forward_ok
         out = prop43_audit(P)
         ok &= out["equivalence_ok"] and out["certificate_consistent"]

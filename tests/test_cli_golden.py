@@ -9,7 +9,8 @@ set entry.  A refactor that is meant to keep the output must leave this
 test passing unchanged.
 
 When a change is meant to alter the output, regenerate the fixture and
-review the cases whose digests moved:
+review the cases whose digests moved; the script prints the key of each
+case that moved, was added or was dropped before it rewrites the fixture:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -108,5 +109,9 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = {_key(*c): _run(*c, Path(tmp)) for c in CASES}
+    old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    for key in sorted(digests.keys() | old.keys()):
+        if digests.get(key) != old.get(key):
+            print(f"moved: {key}")
     FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} cases to {FIXTURE}")

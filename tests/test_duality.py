@@ -128,11 +128,11 @@ class TestRandomInstances:
         rng = random.Random(4096)
         for _ in range(15):
             P = random_problem(rng)
-            for audit in (c5_audit, c5bar_audit, theorem31_audit, corollary310_audit):
-                out = audit(P)
+            c5, c5bar = c5_audit(P), c5bar_audit(P)
+            for out in (c5, c5bar, theorem31_audit(P, c5), corollary310_audit(P, c5bar)):
                 # The exact halves never fail; conditional failure carries
                 # kind "conditional".
-                assert not out.is_exact_failure, (audit.__name__, out)
+                assert not out.is_exact_failure, out
 
 
 class TestChain:
@@ -182,29 +182,30 @@ class TestC5Bar:
 class TestTheorem31:
     def test_inequality_on_catalog(self, fenchel_abs, example52, truncated):
         for P in (fenchel_abs, example52, truncated):
-            out = theorem31_audit(P)
+            out = theorem31_audit(P, c5_audit(P))
             assert not out.is_exact_failure
 
     def test_equality_under_c5(self, fenchel_abs):
-        out = theorem31_audit(fenchel_abs)
+        out = theorem31_audit(fenchel_abs, c5_audit(fenchel_abs))
         assert out.status == EXACT_PASS
 
     def test_surrogate_unmet_on_truncated(self, truncated):
-        out = theorem31_audit(truncated)
+        out = theorem31_audit(truncated, c5_audit(truncated))
         assert out.status == "surrogate-unmet"
 
     def test_all_infinite_phi(self):
-        out = theorem31_audit(all_plus_inf_problem())
+        P = all_plus_inf_problem()
+        out = theorem31_audit(P, c5_audit(P))
         assert not out.is_exact_failure
 
 
 class TestCorollary310:
     def test_inequality_on_catalog(self, fenchel_abs, example52, truncated):
         for P in (fenchel_abs, example52, truncated):
-            assert not corollary310_audit(P).is_exact_failure
+            assert not corollary310_audit(P, c5bar_audit(P)).is_exact_failure
 
     def test_equality_under_c5bar(self, fenchel_abs):
-        out = corollary310_audit(fenchel_abs)
+        out = corollary310_audit(fenchel_abs, c5bar_audit(fenchel_abs))
         assert out.status == EXACT_PASS
 
     def test_single_x_grid_trivial_equality(self):
@@ -222,7 +223,7 @@ class TestCorollary310:
             Grid(1, [(-1,), (0,), (1,)]),
             DualGrid([DualPoint.of((v,), (0,), 1) for v in (-1, 0, 1)]),
         )
-        out = corollary310_audit(P)
+        out = corollary310_audit(P, c5bar_audit(P))
         assert out.status in (EXACT_PASS, "grid-truncated")
 
 

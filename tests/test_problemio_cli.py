@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, problemio
+from econvex import catalog, conjugation, problemio
 from econvex.cli import main
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import PerturbationProblem, converse_duality_report
@@ -308,6 +308,39 @@ class TestCli:
         assert main(["lagrangian", name, "--output", "csv"]) == 0
         assert (calls["c"], calls["phi"]) == (0, cells)
 
+    def test_a_wrong_separation_certificate_exits_2(self, capsys, monkeypatch):
+        # The normal of x1 - x2 < 0 tilted by (0, 1/100) fails only far out
+        # along the set's recession direction (1, 1).
+        from econvex import cli as cli_mod
+
+        real = cli_mod.separate
+
+        def tilted(P, x):
+            a1, a2 = real(P, x)
+            return a1, a2 + Fraction(1, 100)
+
+        monkeypatch.setattr(cli_mod, "separate", tilted)
+        assert main(["audit", "open_epigraph_eset", "--suite", "all"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert "audit.separation_certificates.status = fail" in out
+
+    def test_separation_is_decided_exactly(self):
+        from econvex.cli import _separates
+
+        P = catalog.load("open_epigraph_eset").polyhedron  # x1 - x2 < 0
+        on_boundary = (Fraction(1), Fraction(1))
+        assert _separates(P, on_boundary, (Fraction(1), Fraction(-1)))
+        assert not _separates(P, on_boundary, (Fraction(1), Fraction(-99, 100)))
+        assert not _separates(P, on_boundary, (Fraction(0), Fraction(0)))
+        assert not _separates(P, on_boundary, None)
+
+    def test_exact_suite_on_a_set_runs_only_exact_audits(self, capsys):
+        assert main(["audit", "open_epigraph_eset", "--suite", "exact"]) == 0
+        out = capsys.readouterr().out
+        assert "functional_representability" not in out
+        assert main(["audit", "open_epigraph_eset", "--suite", "conditional"]) == 0
+        assert "audit.functional_representability.kind = conditional" in capsys.readouterr().out
+
     def test_boundary_warning_summarized(self, capsys):
         assert main(["lagrangian", "example52"]) == 0
         err = capsys.readouterr().err
@@ -540,6 +573,14 @@ class TestInputContract:
     def test_eset_option_exits_3_naming_it(self, argv, option):
         assert_input_error_naming(["eset", "open_epigraph_eset", *argv], option)
 
+    def test_audit_of_a_3d_set_exits_3_naming_the_dimension(self, tmp_path):
+        doc = dict(entry("open_epigraph_eset"), set={
+            "dim": 3, "constraints": [{"a": ["1", "-1", "0"], "b": "0", "strict": True}],
+        })
+        path = tmp_path / "set3.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert_input_error_naming(["audit", str(path)], "set.dim")
+
 
 def assert_input_error_naming(argv, field):
     """Run the CLI in a fresh process: exit 3, nothing on stdout, and one
@@ -554,3 +595,63 @@ def assert_input_error_naming(argv, field):
     assert run.returncode == 3, run.stderr
     assert run.stderr.startswith("econvex: input error: " + field + ":"), run.stderr
     assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+
+
+def sweep_log(monkeypatch):
+    """A Counter of (sweep, calling module) per call of c_conjugate or
+    cprime_conjugate, patched wherever an econvex module binds them."""
+    log = Counter()
+
+    def counted(name, real):
+        def sweep(*args, **kwargs):
+            log[name, sys._getframe(1).f_globals["__name__"]] += 1
+            return real(*args, **kwargs)
+        return sweep
+
+    for name in ("c_conjugate", "cprime_conjugate"):
+        real = getattr(conjugation, name)
+        for key, module in list(sys.modules.items()):
+            if key.startswith("econvex") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    return log
+
+
+def totals(log):
+    return tuple(sum(n for (name, _), n in log.items() if name == sweep)
+                 for sweep in ("c_conjugate", "cprime_conjugate"))
+
+
+@pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_audits_read_the_cached_conjugates(name, backend, capsys, monkeypatch, tmp_path):
+    """audit and subdiff read the problem's cached f0_conj and f0_biconj:
+    subdifferential sweeps no conjugate again, and the report reads
+    f0_conj by position, with no lookup into the x-side dual grid."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(entry(name), backend=backend)), encoding="utf-8")
+    log = sweep_log(monkeypatch)
+    assert main(["audit", str(path), "--suite", "all"]) == 0
+    audit_sweeps = totals(log)
+    assert not [key for key in log if key[1] == "econvex.subdifferential"]
+    log.clear()
+    assert main(["subdiff", str(path), "--at", "0"]) == 0
+    assert not [key for key in log if key[1] == "econvex.subdifferential"]
+    if name == "fenchel_abs":
+        assert (audit_sweeps, totals(log)) == ((3, 6), (3, 4))
+
+    P = problemio.load(str(path)).build()
+    x_side_grid, index_of, lookups = P.x_side_grid, DualGrid.index_of, []
+
+    def spy(grid, point):
+        if grid is x_side_grid:
+            lookups.append(point)
+        return index_of(grid, point)
+
+    monkeypatch.setattr(DualGrid, "index_of", spy)
+    P.report
+    assert lookups == []
+    x_side_grid.index_of(x_side_grid.points[0])  # the spy is live
+    assert len(lookups) == 1

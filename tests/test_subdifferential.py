@@ -38,6 +38,12 @@ def w(xs, us, a):
     return DualPoint.of((xs,), (us,), a)
 
 
+def conjugate_pair(f, wg):
+    """f^c on wg and f^{cc'} back on f's grid: the pair transfer_audit checks."""
+    f_conj = c_conjugate(f, wg)
+    return f_conj, cprime_conjugate(f_conj, f.grid)
+
+
 @pytest.fixture(scope="module")
 def abs_fn():
     g = Grid.uniform(-5, 5, 11)
@@ -120,19 +126,20 @@ class TestTransferAudit:
         wg = tensor_dual_grid(
             [(-2,), (-1,), (0,), (1,), (2,)], [(-1,), (0,), (1,)], [1, 2]
         )
-        assert transfer_audit(abs_fn, wg).forward_ok
+        assert transfer_audit(abs_fn, *conjugate_pair(abs_fn, wg)).forward_ok
         for _ in range(10):
             g = Grid(1, [(v,) for v in rng.sample(range(-6, 7), 5)])
             vals = [
                 random.choice([POS_INF, ExtReal(rng.randint(-3, 3))]) for _ in g.points
             ]
-            rep = transfer_audit(SampledFn(g, vals), wg)
+            f = SampledFn(g, vals)
+            rep = transfer_audit(f, *conjugate_pair(f, wg))
             assert rep.forward_ok
 
     def test_converse_under_surrogate(self, abs_fn):
         # |x| restricted to an adapted dual grid: hull equals the function.
         wg = tensor_dual_grid([(-1,), (0,), (1,)], [(0,)], [1])
-        rep = transfer_audit(abs_fn, wg)
+        rep = transfer_audit(abs_fn, *conjugate_pair(abs_fn, wg))
         assert rep.econvex_surrogate
         assert rep.converse_ok and rep.counterexamples == ()
 
@@ -146,11 +153,18 @@ class TestTransferAudit:
             ],
         )
         wg = tensor_dual_grid([(-1,), (0,), (1,)], [(0,)], [1])
-        rep = transfer_audit(f, wg)
+        rep = transfer_audit(f, *conjugate_pair(f, wg))
         assert rep.forward_ok
         assert not rep.econvex_surrogate
         assert not rep.converse_ok
         assert ((Fraction(0),), w(0, 0, 1)) in rep.counterexamples
+
+
+    def test_biconjugate_off_the_grid_of_f_is_refused(self, abs_fn):
+        wg = tensor_dual_grid([(-1,), (0,), (1,)], [(0,)], [1])
+        f_conj = c_conjugate(abs_fn, wg)
+        with pytest.raises(ValueError):
+            transfer_audit(abs_fn, f_conj, cprime_conjugate(f_conj, Grid.uniform(-1, 1, 3)))
 
 
 class TestTotalDuality:
@@ -396,11 +410,11 @@ class TestRoutesMatchDefinition:
         pairs = [(x, w) for x in f.grid.points for w in wg.points]
         primal = {p: is_c_subgradient(f, *p) for p in pairs}
         dual = {(x, w): is_cprime_subgradient(f_conj, w, x) for x, w in pairs}
-        rep = transfer_audit(f, wg)
+        hull = cprime_conjugate(f_conj, f.grid)
+        rep = transfer_audit(f, f_conj, hull)
         assert rep.forward_ok == all(dual[p] for p in pairs if primal[p])
         assert rep.counterexamples == tuple(p for p in pairs if dual[p] and not primal[p])
         assert rep.pairs_checked == len(pairs)
-        hull = cprime_conjugate(f_conj, f.grid)
         assert rep.econvex_surrogate == all(
             hull.value_at(x) == f.value_at(x) for x in f.grid.points
         )
