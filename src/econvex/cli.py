@@ -152,7 +152,7 @@ def _option_number(option: str, text: str, backend: str = "rational"):
     """The number given to ``option``, in ``backend``; an input error names
     the option when it is unreadable."""
     try:
-        return scalar(Fraction(text), backend)
+        return scalar(problemio._fraction(text), backend)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise problemio.InputError(f"{option}: {text!r} is not a number") from None
 
@@ -162,7 +162,7 @@ def _option_point(option: str, text: str, dim: int, space: str, backend: str = "
     input error names the option when it is unreadable or its dimension
     is not that of ``space``."""
     try:
-        p = tuple(scalar(Fraction(c), backend) for c in text.split(","))
+        p = tuple(scalar(problemio._fraction(c), backend) for c in text.split(","))
     except (ValueError, ZeroDivisionError, OverflowError):
         raise problemio.InputError(f"{option}: {text!r} is not a list of numbers") from None
     if len(p) != dim:

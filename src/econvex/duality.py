@@ -137,10 +137,7 @@ class PerturbationProblem:
 
     @cached_property
     def phi_on_product(self) -> SampledFn:
-        d = self.x_grid.dim
-        return SampledFn.from_callable(
-            self.product, lambda p: self.phi.value(p[:d], p[d:], self.backend)
-        )
+        return SampledFn(self.product, self.phi.sample(self.product.points, self.backend))
 
     @cached_property
     def f0(self) -> SampledFn:

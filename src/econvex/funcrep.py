@@ -9,14 +9,16 @@ Three carriers:
   with per-piece open/closed endpoints and infinite constant pieces.
 * `PerturbFn` -- a bivariate perturbation function over X x Y, either a
   small expression tree (affine, abs, indicator of an `EPolyhedron`, sum,
-  pointwise max/min, affine precomposition) or an explicit table.  All
-  sums inside expressions use the extended-real conventions, so they
-  propagate into every derived object.
+  pointwise max/min, affine precomposition) or an explicit table, sampled
+  a column of points at a time: every table of phi comes from one
+  `PerturbFn.sample` call.  Sums use the extended-real conventions, so
+  they propagate into every derived object.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
@@ -144,10 +146,6 @@ class SampledFn:
     def is_proper(self) -> bool:
         return all(v > NEG_INF for v in self.values) and bool(self.dom_points())
 
-    @classmethod
-    def from_callable(cls, grid, fn) -> "SampledFn":
-        return cls(grid, [fn(p) for p in grid.points])
-
 
 # ---------------------------------------------------------------------------
 # Exact 1-D piecewise-affine functions
@@ -246,29 +244,40 @@ def _form(cx, cy, const=0) -> AffineForm:
     )
 
 
-def _eval_form(form: AffineForm, x: Point, y: Point, backend: str):
-    cx, cy, const = form
-    if len(cx) != len(x) or len(cy) != len(y):
-        raise ValueError("affine form dimensions do not match the point")
-    if backend == "float":
-        total = float(const)
+def _affine(form: AffineForm, xs: Sequence[Point], ys: Sequence[Point], backend: str) -> list:
+    """The form at each pair of the columns xs, ys: a left fold from the
+    constant adding c * v over x, then y.  Zero coefficients are folded too,
+    so float rounding, -0.0 and inf * 0 = NaN are those of the definition."""
+    cx, cy = ([scalar(c, backend) for c in cs] for cs in form[:2])
+    const = scalar(form[2], backend)
+    out = []
+    for x, y in zip(xs, ys):
+        if len(cx) != len(x) or len(cy) != len(y):
+            raise ValueError("affine form dimensions do not match the point")
+        total = const
         for c, v in zip(cx, x):
-            total += float(c) * v
+            total += c * v
         for c, v in zip(cy, y):
-            total += float(c) * v
-        return total
-    total = const
-    for c, v in zip(cx, x):
-        total += c * v
-    for c, v in zip(cy, y):
-        total += c * v
-    return total
+            total += c * v
+        out.append(total)
+    return out
+
+
+def _transpose(columns: list, n: int) -> list:
+    """The n rows across the columns; n empty rows when there are none."""
+    return list(zip(*columns)) if columns else [()] * n
+
+
+def _image(forms: Tuple[AffineForm, ...], xs, ys, backend: str) -> list:
+    """The point (r(x, y) for r in forms) at each pair of the columns."""
+    return _transpose([_affine(r, xs, ys, backend) for r in forms], len(xs))
 
 
 class Expr:
     """Node of the perturbation-function expression grammar."""
 
-    def evaluate(self, x: Point, y: Point, backend: str) -> ExtReal:
+    def sample(self, xs: Sequence[Point], ys: Sequence[Point], backend: str) -> list:
+        """One value per pair (xs[i], ys[i]) of the parallel columns."""
         raise NotImplementedError
 
 
@@ -280,19 +289,17 @@ class Affine(Expr):
     def of(cx, cy, const=0) -> "Affine":
         return Affine(_form(cx, cy, const))
 
-    def evaluate(self, x, y, backend):
-        return ExtReal(_eval_form(self.form, x, y, backend))
+    def sample(self, xs, ys, backend):
+        return [ExtReal(v) for v in _affine(self.form, xs, ys, backend)]
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
     arg: Expr
 
-    def evaluate(self, x, y, backend):
-        v = self.arg.evaluate(x, y, backend)
-        if not v.is_finite:
-            return POS_INF
-        return ExtReal(abs(v.value))
+    def sample(self, xs, ys, backend):
+        values = self.arg.sample(xs, ys, backend)
+        return [ExtReal(abs(v.value)) if v.is_finite else POS_INF for v in values]
 
 
 @dataclass(frozen=True)
@@ -311,41 +318,40 @@ class Indicator(Expr):
     def of(polyhedron, rows) -> "Indicator":
         return Indicator(polyhedron, tuple(_form(*r) for r in rows))
 
-    def evaluate(self, x, y, backend):
+    def sample(self, xs, ys, backend):
         if len(self.rows) != self.polyhedron.dim:
             raise ValueError("one affine row per polyhedron coordinate required")
-        mapped = tuple(_eval_form(r, x, y, backend) for r in self.rows)
+        mapped = _image(self.rows, xs, ys, backend)
+        inside, no_y = range(len(mapped)), [()] * len(mapped)
         for c in self.polyhedron.constraints:
-            lhs = _eval_form((c.normal, (), Fraction(0)), mapped, (), backend)
-            rhs = float(c.offset) if backend == "float" else c.offset
-            ok = lhs < rhs if c.strict else lhs <= rhs
-            if not ok:
-                return POS_INF
-        return ExtReal(scalar(0, backend))
+            if not inside:
+                break
+            holds, rhs = operator.lt if c.strict else operator.le, scalar(c.offset, backend)
+            lhs = _affine((c.normal, (), 0), [mapped[i] for i in inside], no_y, backend)
+            inside = [i for i, v in zip(inside, lhs) if holds(v, rhs)]
+        zero, inside = ExtReal(scalar(0, backend)), set(inside)
+        return [zero if i in inside else POS_INF for i in range(len(mapped))]
 
 
 @dataclass(frozen=True)
-class Sum(Expr):
+class _Fold(Expr):
     terms: Tuple[Expr, ...]
 
-    def evaluate(self, x, y, backend):
-        return fold_sum(t.evaluate(x, y, backend) for t in self.terms)
+    def sample(self, xs, ys, backend):
+        values = [t.sample(xs, ys, backend) for t in self.terms]
+        return [self.fold(v) for v in _transpose(values, len(xs))]
 
 
-@dataclass(frozen=True)
-class Max(Expr):
-    terms: Tuple[Expr, ...]
-
-    def evaluate(self, x, y, backend):
-        return extreal.sup(t.evaluate(x, y, backend) for t in self.terms)
+class Sum(_Fold):
+    fold = staticmethod(fold_sum)
 
 
-@dataclass(frozen=True)
-class Min(Expr):
-    terms: Tuple[Expr, ...]
+class Max(_Fold):
+    fold = staticmethod(extreal.sup)
 
-    def evaluate(self, x, y, backend):
-        return extreal.inf(t.evaluate(x, y, backend) for t in self.terms)
+
+class Min(_Fold):
+    fold = staticmethod(extreal.inf)
 
 
 @dataclass(frozen=True)
@@ -356,10 +362,10 @@ class Precompose(Expr):
     x_rows: Tuple[AffineForm, ...]
     y_rows: Tuple[AffineForm, ...]
 
-    def evaluate(self, x, y, backend):
-        x2 = tuple(_eval_form(r, x, y, backend) for r in self.x_rows)
-        y2 = tuple(_eval_form(r, x, y, backend) for r in self.y_rows)
-        return self.inner.evaluate(x2, y2, backend)
+    def sample(self, xs, ys, backend):
+        return self.inner.sample(
+            _image(self.x_rows, xs, ys, backend), _image(self.y_rows, xs, ys, backend), backend
+        )
 
 
 class PerturbFn:
@@ -379,15 +385,20 @@ class PerturbFn:
         self.expr = expr
         self.table = table
 
-    def value(self, x, y, backend: str = "rational") -> ExtReal:
-        x = _coerce_point(x, self.x_dim, backend)
-        y = _coerce_point(y, self.y_dim, backend)
+    def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
+        """phi at points of X x Y stored as grids store them (coerced, x then
+        y coordinates), one value each; a table-backed phi looks them up."""
+        d = self.x_dim
         if self.expr is not None:
-            return self.expr.evaluate(x, y, backend)
+            return self.expr.sample([p[:d] for p in points], [p[d:] for p in points], backend)
         try:
-            return self.table[(x, y)]
-        except KeyError:
-            raise KeyError(f"({x!r}, {y!r}) is not in the table") from None
+            return [self.table[(p[:d], p[d:])] for p in points]
+        except KeyError as exc:
+            raise KeyError(f"{exc.args[0]!r} is not in the table") from None
+
+    def value(self, x, y, backend: str = "rational") -> ExtReal:
+        point = _coerce_point(x, self.x_dim, backend) + _coerce_point(y, self.y_dim, backend)
+        return self.sample([point], backend)[0]
 
 
 def product_grid(x_grid: Grid, y_grid: Grid) -> Grid:
@@ -414,35 +425,26 @@ def columns(values: Sequence, n: int) -> list:
 
 def infimum_value_function(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:
     """p(y) = inf over the x-grid of phi(x, y)."""
-    backend = y_grid.backend
-    vals = [
-        extreal.inf(phi.value(x, y, backend) for x in x_grid.points)
-        for y in y_grid.points
-    ]
-    return SampledFn(y_grid, vals)
+    values = phi.sample(product_grid(x_grid, y_grid).points, y_grid.backend)
+    return SampledFn(y_grid, [extreal.inf(c) for c in columns(values, len(y_grid))])
 
 
 def restrict_to_zero(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:
     """The map x -> phi(x, 0); requires the origin on the y-grid."""
     if not y_grid.has_origin:
         raise ValueError("the origin is missing from the y-grid")
-    backend = x_grid.backend
     origin = y_grid.origin
-    return SampledFn(x_grid, [phi.value(x, origin, backend) for x in x_grid.points])
+    return SampledFn(x_grid, phi.sample([x + origin for x in x_grid.points], x_grid.backend))
 
 
 def slice_x(phi: PerturbFn, x, y_grid: Grid) -> SampledFn:
     """The map y -> phi(x, y); its dom_points() realize Y_x on the grid."""
-    backend = y_grid.backend
-    return SampledFn(y_grid, [phi.value(x, y, backend) for y in y_grid.points])
+    x = _coerce_point(x, phi.x_dim, y_grid.backend)
+    return SampledFn(y_grid, phi.sample([x + y for y in y_grid.points], y_grid.backend))
 
 
 def materialize(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> PerturbFn:
     """Tabulate an expression-backed phi over the grid product."""
-    backend = x_grid.backend
-    table = {
-        (x, y): phi.value(x, y, backend)
-        for x in x_grid.points
-        for y in y_grid.points
-    }
+    points, d = product_grid(x_grid, y_grid).points, phi.x_dim
+    table = {(p[:d], p[d:]): v for p, v in zip(points, phi.sample(points, x_grid.backend))}
     return PerturbFn(phi.x_dim, phi.y_dim, table=table)

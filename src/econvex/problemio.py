@@ -47,6 +47,35 @@ class InputError(ValueError):
     """Schema violation, named field included in the message."""
 
 
+# The size budget, checked from counts and list lengths before any grid is
+# built, so that no input file decides how much memory loading takes.
+MAX_RANGE_COUNT = 10**4  # points of one {lo, hi, count} range
+MAX_PRODUCT = 10**6  # |x|·|y|, the points of the product grid
+MAX_DUAL_PAIRS = 10**6  # |xstar|·|ystar|·|ustar|·|vstar|·|alpha|
+# Fraction("1e<k>") builds the int 10**|k|, so a number string's exponent
+# is bounded like the digits of an integer literal.
+MAX_EXPONENT = 4300
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text); a ValueError for an exponent beyond MAX_EXPONENT.
+    In a string Fraction reads, whatever follows the last "e" is the
+    exponent, so anything else there is an error either way."""
+    _, e, exponent = text.lower().rpartition("e")
+    if e and abs(int(exponent)) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT}")
+    return Fraction(text)
+
+
+def _json_int(digits: str):
+    """A JSON integer literal; past Python's limit on the digits of an int,
+    a string the schema checks reject by field."""
+    try:
+        return int(digits)
+    except ValueError:
+        return f"<{len(digits)}-digit integer>"
+
+
 # ---------------------------------------------------------------------------
 # Rendering of scalars, points and dual points in reports and warnings
 # ---------------------------------------------------------------------------
@@ -88,14 +117,14 @@ def _num(v, backend: str, where: str):
             return Fraction(v)
         if isinstance(v, str):
             try:
-                return Fraction(v)
+                return _fraction(v)
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"{where}: cannot parse rational {v!r}") from None
         raise InputError(f"{where}: bad number {v!r}")
     if isinstance(v, bool) or not isinstance(v, (int, float, str)):
         raise InputError(f"{where}: bad number {v!r}")
     try:
-        x = float(Fraction(v)) if isinstance(v, str) else float(v)
+        x = float(_fraction(v)) if isinstance(v, str) else float(v)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise InputError(f"{where}: cannot parse number {v!r}") from None
     if not math.isfinite(x):
@@ -223,6 +252,35 @@ def _parse_grid(obj, dim: int, backend: str, where: str) -> Grid:
     raise InputError(f"{where}: expected {{points}} or {{lo, hi, count}}")
 
 
+def _grid_size(obj, where: str) -> int:
+    """The number of points a grid entry asks for; 1 for an entry that
+    ``_parse_grid`` will reject anyway."""
+    if isinstance(obj, dict) and "points" in obj:
+        return len(obj["points"]) if isinstance(obj["points"], list) else 1
+    count = obj.get("count") if isinstance(obj, dict) else None
+    if not isinstance(count, int) or count < 1:
+        return 1
+    if count > MAX_RANGE_COUNT:
+        raise InputError(f"{where}.count: {count} exceeds the budget of {MAX_RANGE_COUNT}")
+    return count
+
+
+def _check_budget(grids: dict) -> None:
+    """Refuse grids beyond the size budget before any of them is built."""
+    cells = _grid_size(grids["x"], "grids.x") * _grid_size(grids["y"], "grids.y")
+    if cells > MAX_PRODUCT:
+        raise InputError(f"grids: |x|*|y| = {cells} exceeds the budget of {MAX_PRODUCT}")
+    pairs = math.prod(
+        len(grids[k]) if isinstance(grids.get(k), list) else 1
+        for k in ("xstar", "ystar", "ustar", "vstar", "alpha")
+    )
+    if pairs > MAX_DUAL_PAIRS:
+        raise InputError(
+            f"grids: |xstar|*|ystar|*|ustar|*|vstar|*|alpha| = {pairs}"
+            f" exceeds the budget of {MAX_DUAL_PAIRS}"
+        )
+
+
 @dataclass
 class ProblemFile:
     """Validated problem file; ``build()`` assembles the grid problem."""
@@ -255,7 +313,7 @@ class EsetFile:
 
 def loads(text: str):
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -290,6 +348,7 @@ def loads(text: str):
         ("xstar", "ustar"),
         "grids",
     )
+    _check_budget(grids)
     x_grid = _parse_grid(grids["x"], x_dim, backend, "grids.x")
     y_grid = _parse_grid(grids["y"], y_dim, backend, "grids.y")
     if not y_grid.has_origin:

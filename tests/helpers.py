@@ -10,11 +10,22 @@ from unittest import mock
 from hypothesis import strategies as st
 
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
+from econvex.esets import EPolyhedron, Halfspace
 from econvex.duality import PerturbationProblem
-from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
-from econvex.funcrep import Grid, PerturbFn
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, fold_sum, scalar
+from econvex.funcrep import (
+    Abs,
+    Affine,
+    Grid,
+    Indicator,
+    Max,
+    Min,
+    PerturbFn,
+    Precompose,
+    Sum,
+)
 
-from econvex import catalog, conjugation
+from econvex import catalog, conjugation, extreal
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -116,7 +127,6 @@ def abs_pair_problem() -> PerturbationProblem:
     """phi(x, y) = |x| + |x + y|: every slice is finite piecewise-affine
     with slopes in {-1, 0, 1}, so the Y-side dual grid below recovers all
     slices exactly and the saddle-point equivalence has its hypothesis."""
-    from econvex.funcrep import Abs, Affine, Sum
     from econvex.conjugation import pair_tensor_dual_grid, tensor_dual_grid
 
     expr = Sum((Abs(Affine.of((1,), (0,))), Abs(Affine.of((1,), (1,)))))
@@ -188,3 +198,105 @@ def random_problem(
             )
     full = DualGrid(pairs, backend)
     return PerturbationProblem(phi, x_grid, y_grid, dual_y, full, name="random")
+
+
+# ---------------------------------------------------------------------------
+# Pointwise reference for expression sampling
+# ---------------------------------------------------------------------------
+
+
+def _eval_form(form, x, y, backend):
+    cx, cy, const = form
+    if len(cx) != len(x) or len(cy) != len(y):
+        raise ValueError("affine form dimensions do not match the point")
+    if backend == "float":
+        total = float(const)
+        for c, v in zip(cx, x):
+            total += float(c) * v
+        for c, v in zip(cy, y):
+            total += float(c) * v
+        return total
+    total = const
+    for c, v in zip(cx, x):
+        total += c * v
+    for c, v in zip(cy, y):
+        total += c * v
+    return total
+
+
+def evaluate(expr, x, y, backend):
+    """expr at the one point (x, y), walking the tree node by node: the
+    pointwise definition that ``Expr.sample`` over columns is held to.
+    An indicator stops at the first constraint the point fails."""
+    if isinstance(expr, Affine):
+        return ExtReal(_eval_form(expr.form, x, y, backend))
+    if isinstance(expr, Abs):
+        v = evaluate(expr.arg, x, y, backend)
+        if not v.is_finite:
+            return POS_INF
+        return ExtReal(abs(v.value))
+    if isinstance(expr, Indicator):
+        if len(expr.rows) != expr.polyhedron.dim:
+            raise ValueError("one affine row per polyhedron coordinate required")
+        mapped = tuple(_eval_form(r, x, y, backend) for r in expr.rows)
+        for c in expr.polyhedron.constraints:
+            lhs = _eval_form((c.normal, (), Fraction(0)), mapped, (), backend)
+            rhs = float(c.offset) if backend == "float" else c.offset
+            ok = lhs < rhs if c.strict else lhs <= rhs
+            if not ok:
+                return POS_INF
+        return ExtReal(scalar(0, backend))
+    if isinstance(expr, (Sum, Max, Min)):
+        fold = {Sum: fold_sum, Max: extreal.sup, Min: extreal.inf}[type(expr)]
+        return fold(evaluate(t, x, y, backend) for t in expr.terms)
+    if isinstance(expr, Precompose):
+        x2 = tuple(_eval_form(r, x, y, backend) for r in expr.x_rows)
+        y2 = tuple(_eval_form(r, x, y, backend) for r in expr.y_rows)
+        return evaluate(expr.inner, x2, y2, backend)
+    raise TypeError(f"unknown expression node {expr!r}")  # pragma: no cover
+
+
+# Small coefficients and coordinates meet often, so mapped points land
+# exactly on constraint boundaries; +-10**308 make float folds overflow
+# to +-inf (and inf - inf or inf * 0 to NaN).
+SMALL_VALUES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
+SMALL = st.sampled_from(SMALL_VALUES)
+COEFFICIENTS = st.sampled_from(SMALL_VALUES * 3 + [Fraction(10**308), Fraction(-10**308)])
+
+
+def affine_forms(x_dim, y_dim):
+    return st.tuples(
+        st.tuples(*[COEFFICIENTS] * x_dim),
+        st.tuples(*[COEFFICIENTS] * y_dim),
+        COEFFICIENTS,
+    )
+
+
+@st.composite
+def expressions(draw, x_dim, y_dim, depth=3):
+    """An expression tree over X x Y of the given dimensions using the
+    seven node types; indicators have strict and non-strict constraints
+    whose offsets the mapped points often meet exactly."""
+    ops = ["affine", "indicator"]
+    if depth > 0:
+        ops += ["abs", "sum", "max", "min", "precompose"]
+    op = draw(st.sampled_from(ops))
+    if op == "affine":
+        return Affine(draw(affine_forms(x_dim, y_dim)))
+    if op == "indicator":
+        dim = draw(st.integers(1, 2))
+        halfspaces = st.builds(
+            Halfspace, st.tuples(*[SMALL] * dim), SMALL, st.booleans()
+        )
+        constraints = draw(st.lists(halfspaces, max_size=3))
+        rows = tuple(draw(affine_forms(x_dim, y_dim)) for _ in range(dim))
+        return Indicator(EPolyhedron(dim, constraints), rows)
+    if op == "abs":
+        return Abs(draw(expressions(x_dim, y_dim, depth - 1)))
+    if op == "precompose":
+        x_rows = draw(st.lists(affine_forms(x_dim, y_dim), max_size=2))
+        y_rows = draw(st.lists(affine_forms(x_dim, y_dim), max_size=2))
+        inner = draw(expressions(len(x_rows), len(y_rows), depth - 1))
+        return Precompose(inner, tuple(x_rows), tuple(y_rows))
+    terms = draw(st.lists(expressions(x_dim, y_dim, depth - 1), max_size=3))
+    return {"sum": Sum, "max": Max, "min": Min}[op](tuple(terms))

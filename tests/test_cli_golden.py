@@ -2,11 +2,11 @@
 
 Each case runs ``econvex.cli.main`` in-process and compares the SHA-256
 of its stdout and of its stderr, and its exit code, with
-``data/cli_golden.json``.  The cases cover every catalog problem and its
-float twin (the same entry with ``"backend": "float"``, written to a
-temporary file) under every report command, plus the commands of the
-set entry.  A refactor that is meant to keep the output must leave this
-test passing unchanged.
+``data/cli_golden.json``.  The cases cover every catalog problem and
+every problem file of DATA_PROBLEMS, each with its float twin (the same
+entry with ``"backend": "float"``, written to a temporary file), under
+every report command, plus the commands of the set entry.  A refactor
+that is meant to keep the output must leave this test passing unchanged.
 
 When a change is meant to alter the output, regenerate the fixture and
 review the cases whose digests moved; the script prints the key of each
@@ -27,6 +27,11 @@ from econvex import catalog
 from econvex.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
+
+# Problem files beside the fixture.  mixed_ops uses the operations no
+# catalog entry does: max, precompose (one with empty y_rows) and a
+# strict indicator constraint that grid points meet with equality.
+DATA_PROBLEMS = {"mixed_ops": Path(__file__).parent / "data" / "mixed_ops.json"}
 
 PROBLEM_COMMANDS = (
     ("audit", "--suite", "all"),
@@ -50,7 +55,14 @@ ESET_COMMANDS = (
 
 
 def _problems():
-    return [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+    names = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+    return names + list(DATA_PROBLEMS)
+
+
+def _entry(name):
+    if name in DATA_PROBLEMS:
+        return json.loads(DATA_PROBLEMS[name].read_text(encoding="utf-8"))
+    return catalog.entry(name)
 
 
 def _cases():
@@ -70,9 +82,9 @@ def _key(name, backend, command):
 
 def _problem_arg(name, backend, tmp_path):
     if backend == "rational":
-        return name
+        return str(DATA_PROBLEMS.get(name, name))
     path = tmp_path / f"{name}_float.json"
-    path.write_text(json.dumps(dict(catalog.entry(name), backend="float")), encoding="utf-8")
+    path.write_text(json.dumps(dict(_entry(name), backend="float")), encoding="utf-8")
     return str(path)
 
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from econvex.esets import EPolyhedron, Halfspace, Interval1
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
 from econvex.funcrep import (
     Abs,
     Affine,
@@ -24,6 +26,8 @@ from econvex.funcrep import (
     rows,
     slice_x,
 )
+
+from helpers import SMALL, evaluate, expressions, ext_values
 
 LEQ_ZERO = EPolyhedron(1, [Halfspace((Fraction(1),), Fraction(0), False)])  # {t <= 0}
 
@@ -296,3 +300,68 @@ class TestMaterialize:
         # |X| rows with no cells each, and no columns.
         assert rows((), 3) == [(), (), ()]
         assert columns((), 0) == []
+
+
+def _shape(v):
+    """What the reports can tell apart: the repr (signed zeros included)
+    and the payload type of a finite value."""
+    return repr(v), type(v.value) if v.is_finite else None
+
+
+def _outcome(thunk):
+    """What thunk() returns, or the type of the error it raises: a
+    ValueError when a float fold reaches NaN, a BackendMismatchError when
+    the rational 0 of an empty sum meets a float."""
+    try:
+        return thunk()
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+@st.composite
+def phi_and_points(draw, backend):
+    x_dim, y_dim = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    phi = PerturbFn(x_dim, y_dim, expr=draw(expressions(x_dim, y_dim)))
+    coordinate = SMALL.map(lambda c: scalar(c, backend))
+    point = st.tuples(*[coordinate] * (x_dim + y_dim))
+    return phi, draw(st.lists(point, min_size=1, max_size=6))
+
+
+class TestColumnSampling:
+    """``PerturbFn.sample`` over a column of points against one-point
+    samples and the pointwise reference walk of ``helpers.evaluate``."""
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sample_is_pointwise(self, backend, data):
+        phi, points = data.draw(phi_and_points(backend))
+        d = phi.x_dim
+        expected = [
+            _outcome(lambda p=p: _shape(evaluate(phi.expr, p[:d], p[d:], backend)))
+            for p in points
+        ]
+        singles = [_outcome(lambda p=p: _shape(phi.sample([p], backend)[0])) for p in points]
+        assert singles == expected
+        column = _outcome(lambda: [_shape(v) for v in phi.sample(points, backend)])
+        errors = [e for e in expected if isinstance(e, type)]
+        # Nodes run in the same order either way, so the column stops at
+        # an error one of its points raises on its own.
+        assert column in errors if errors else column == expected
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_table_cells_are_looked_up(self, backend, data):
+        coordinate = SMALL.map(lambda c: (scalar(c, backend),))
+        keys = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6, unique=True))
+        phi = PerturbFn(1, 1, table=dict(zip(keys, data.draw(ext_values(len(keys), backend)))))
+        pairs = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=8))
+        values = phi.sample([x + y for x, y in pairs], backend)
+        assert all(v is phi.table[k] for v, k in zip(values, pairs))
+        assert values == [phi.value(x, y, backend) for x, y in pairs]
+
+    def test_a_point_off_the_table_is_named(self):
+        phi = PerturbFn(1, 1, table={((Fraction(0),), (Fraction(0),)): POS_INF})
+        with pytest.raises(KeyError, match=r"\(\(Fraction\(1, 1\),\), \(Fraction\(0, 1\),\)\) is not"):
+            phi.sample([(Fraction(1), Fraction(0))])

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import random
 import subprocess
@@ -286,22 +287,25 @@ class TestCli:
     @pytest.mark.parametrize("name", ["fenchel_abs", "example52", "truncated_dual"])
     def test_lagrangian_reads_the_product_table_once(self, name, capsys, monkeypatch):
         # Counts only, no clock: the table is read off the kernel (no
-        # coupling evaluation) and phi is evaluated once per product cell,
+        # coupling evaluation) and phi is sampled once per product cell,
         # plus once per x for phi(., 0) in the report.
         from econvex import funcrep, lagrangian
 
         calls = Counter()
+        real_coupling, real_sample = lagrangian.coupling_c, funcrep.PerturbFn.sample
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def coupling(*args):
+            calls["c"] += 1
+            return real_coupling(*args)
+
+        def sample(phi, points, *args):
+            calls["phi"] += len(points)
+            return real_sample(phi, points, *args)
 
         P = catalog.load(name).build()
         cells, xs = len(P.x_grid) * len(P.y_grid), len(P.x_grid)
-        monkeypatch.setattr(lagrangian, "coupling_c", counted("c", lagrangian.coupling_c))
-        monkeypatch.setattr(funcrep.PerturbFn, "value", counted("phi", funcrep.PerturbFn.value))
+        monkeypatch.setattr(lagrangian, "coupling_c", coupling)
+        monkeypatch.setattr(funcrep.PerturbFn, "sample", sample)
         assert main(["lagrangian", name]) == 0
         assert (calls["c"], calls["phi"]) == (0, cells + xs)
         calls.clear()
@@ -453,7 +457,14 @@ class TestBoundaryScan:
         assert rows and rows == definitional_coincidences(P)
 
 
-FUZZ_VALUES = [None, [], {}, "x", "1/0", "nan", True, -1, 1.5]
+# HUGE_INT stands for a JSON integer literal of more digits than Python
+# converts; json.dumps cannot write one, so the test puts it in the text.
+HUGE_INT = "<huge integer literal>"
+FUZZ_VALUES = [None, [], {}, "x", "1/0", "nan", True, -1, 1.5, 10**9, "1e10000000", HUGE_INT]
+
+
+def with_huge_int(text: str) -> str:
+    return text.replace(json.dumps(HUGE_INT), "9" * 4301)
 
 
 def json_paths(node, prefix=()):
@@ -467,9 +478,8 @@ def json_paths(node, prefix=()):
 @st.composite
 def mutated_catalog_file(draw):
     """A catalog file after one to three mutations, each of which drops a
-    key or puts a value of FUZZ_VALUES anywhere.  No mutation can make a
-    grid count larger than the catalog's own (at most 11): an unbounded
-    count would still allocate without bound."""
+    key or puts a value of FUZZ_VALUES anywhere, grid counts of 10**9
+    included: the loader's size budget refuses them before allocating."""
     doc = entry(draw(st.sampled_from(catalog.names())))
     for _ in range(draw(st.integers(1, 3))):
         paths = list(json_paths(doc))
@@ -490,8 +500,18 @@ def file_with(tmp_path, edit):
     doc = entry("fenchel_abs")
     edit(doc)
     path = tmp_path / "problem.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(with_huge_int(json.dumps(doc)), encoding="utf-8")
     return str(path)
+
+
+def refuse_to_build(monkeypatch):
+    """Make building a range grid or the paired dual grid an error, so a
+    test can show that the size budget refused a file before either."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built before the budget check")
+
+    monkeypatch.setattr(Grid, "uniform", refuse)
+    monkeypatch.setattr(problemio, "pair_tensor_dual_grid", refuse)
 
 
 class TestInputContract:
@@ -501,7 +521,7 @@ class TestInputContract:
     @settings(max_examples=400, deadline=None)
     def test_only_input_errors_escape_the_loader(self, doc):
         try:
-            loaded = problemio.loads(json.dumps(doc))
+            loaded = problemio.loads(with_huge_int(json.dumps(doc)))
             if hasattr(loaded, "build"):
                 loaded.build()
         except problemio.InputError:
@@ -532,11 +552,18 @@ class TestInputContract:
             (lambda d: d.update(phi={"op": "precompose", "arg": d["phi"],
                                      "x_rows": [{"x": ["1"]}], "y_rows": {"y": ["1"]}}),
              "phi.y_rows"),
+            (lambda d: d["grids"].update(alpha=["1e10000000"]), "grids.alpha[0]"),
+            (lambda d: d.update(backend="float") or d["grids"].update(alpha=["1e-10000000"]),
+             "grids.alpha[0]"),
+            (lambda d: d["grids"].update(ystar=[HUGE_INT]), "grids.ystar[0]"),
+            (lambda d: d["grids"]["y"].update(count=HUGE_INT), "grids.y.count"),
         ],
         ids=["alpha-string", "ystar-string", "points-string", "duplicate-grid-point",
              "duplicate-ystar", "duplicate-xstar", "duplicate-alpha", "degenerate-range",
              "bad-range-end", "infinite-float", "terms-number", "constraints-number",
-             "constraints-object", "rows-number", "x-rows-number", "y-rows-object"],
+             "constraints-object", "rows-number", "x-rows-number", "y-rows-object",
+             "huge-exponent", "huge-negative-exponent-float", "huge-integer-literal",
+             "huge-integer-count"],
     )
     def test_exit_3_naming_the_field(self, edit, field, capsys, tmp_path):
         assert main(["duality", file_with(tmp_path, edit)]) == 3
@@ -551,8 +578,10 @@ class TestInputContract:
             (["--at", "1,2"], "--at"),
             (["--at", "abc"], "--at"),
             (["--at", "0", "--eps", "-1"], "--eps"),
+            (["--at", "0", "--eps", "1e10000000"], "--eps"),
         ],
-        ids=["off-grid-at", "wrong-dimension-at", "unparsable-at", "negative-eps"],
+        ids=["off-grid-at", "wrong-dimension-at", "unparsable-at", "negative-eps",
+             "huge-exponent-eps"],
     )
     def test_subdiff_option_exits_3_naming_it(self, argv, option):
         assert_input_error_naming(["subdiff", "fenchel_abs", *argv], option)
@@ -572,6 +601,41 @@ class TestInputContract:
     )
     def test_eset_option_exits_3_naming_it(self, argv, option):
         assert_input_error_naming(["eset", "open_epigraph_eset", *argv], option)
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["grids"]["x"].update(count=10**9), "grids.x.count"),
+            (lambda d: d["grids"].update(x={"lo": "0", "hi": "1", "count": 10**4},
+                                         y={"lo": "-1", "hi": "1", "count": 101}), "grids"),
+            (lambda d: d["grids"].update({k: [str(i + 1) for i in range(16)] for k in
+                                          ("xstar", "ystar", "ustar", "vstar", "alpha")}),
+             "grids"),
+        ],
+        ids=["range-count", "product-grid", "paired-dual-grid"],
+    )
+    def test_size_budget_refuses_before_building(self, edit, field, capsys, tmp_path,
+                                                 monkeypatch):
+        refuse_to_build(monkeypatch)
+        assert main(["duality", file_with(tmp_path, edit)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("econvex: input error: " + field + ":"), err
+        assert "exceeds the budget" in err
+
+    def test_size_budget_admits_its_bounds(self, monkeypatch):
+        # The paired dual grid, a million points here, is asked for but
+        # not built.
+        monkeypatch.setattr(problemio, "pair_tensor_dual_grid", lambda *lists: lists)
+        doc = entry("fenchel_abs")
+        doc["grids"].update(x={"lo": "0", "hi": "1", "count": problemio.MAX_RANGE_COUNT},
+                            y={"points": [str(i) for i in range(-50, 50)]})
+        doc["grids"].update({k: [str(i + 1) for i in range(10)] for k in
+                             ("xstar", "ystar", "ustar", "vstar")})
+        doc["grids"]["alpha"] = [str(i + 1) for i in range(100)]
+        loaded = problemio.loads(json.dumps(doc))
+        assert len(loaded.x_grid) * len(loaded.y_grid) == problemio.MAX_PRODUCT
+        lists = loaded.full_dual_pairs[:5]
+        assert math.prod(len(v) for v in lists) == problemio.MAX_DUAL_PAIRS
 
     def test_audit_of_a_3d_set_exits_3_naming_the_dimension(self, tmp_path):
         doc = dict(entry("open_epigraph_eset"), set={
