@@ -39,6 +39,7 @@ from econvex.lagrangian import (
     example52_audit,
     infsup_value,
     lagrangian_table,
+    minimax_ok,
     prop55_audit,
     supinf_value,
 )
@@ -344,11 +345,6 @@ def cmd_subdiff(args) -> int:
     )
 
 
-def _slice_identity(P) -> bool:
-    """-L(x, .) equals the definitional slice conjugate at every x."""
-    return all(dual_slice_audit(P, x)["ok"] for x in P.x_grid.points)
-
-
 def cmd_lagrangian(args) -> int:
     P = _build(args.problem)
     if args.output == "csv":
@@ -382,7 +378,7 @@ def cmd_lagrangian(args) -> int:
         + str(out["contains_argmin_x_argmax"]).lower(),
         "saddles_equal_attainers = " + str(out["equals_argmin_x_argmax"]).lower(),
     ]
-    slice_ok = _slice_identity(P)
+    slice_ok = dual_slice_audit(P)["ok"]
     lines.append(f"dual_slice_identity = {str(slice_ok).lower()}")
     distinguished = DualPoint.of((1,), (1,), 1, P.backend)
     if P.y_grid.dim == 1 and distinguished in P.dual_y_grid:
@@ -414,11 +410,11 @@ def _run_exact_suite(P) -> tuple:
     tr = transfer_audit(P.f0, P.f0_conj, P.f0_biconj)
     audits += [
         AuditOutcome.exact(
-            "minimax", lo <= hi and lo == report.v_gdc,
+            "minimax", minimax_ok(P),
             f"supinf={fmt(lo)} <= infsup={fmt(hi)}, supinf = v(GD_c)",
         ),
         AuditOutcome.exact(
-            "dual_slice_identity", _slice_identity(P),
+            "dual_slice_identity", dual_slice_audit(P)["ok"],
             "-L(x, .) equals the slice conjugate at every x",
         ),
         AuditOutcome.exact(

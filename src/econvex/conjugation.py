@@ -42,18 +42,18 @@ attaining row, the value, its type and its rendering are those of the
 ``Fraction`` sweep; with scale 1 the arithmetic is that of the
 definition, NaN included.
 
-``_reference_c_conjugate`` and ``_reference_cprime_conjugate`` keep the
-definitional sweeps, one dual point against every grid point.  They are
-the one definitional reference: the differential tests hold the kernel to
-them, and ``lagrangian.dual_slice_audit`` compares the Lagrangian table
-with ``_reference_c_conjugate`` of every slice.
+``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
+coupling minus value, with the +-inf conventions only) are the one
+definitional reference.  ``_reference_c_conjugate`` and
+``_reference_cprime_conjugate`` feed them one dual point against every
+grid point, as the differential tests' oracle, and
+``lagrangian.dual_slice_audit`` each dual point's coupling column over Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from math import lcm, nan
 from operator import mul
 from typing import Iterable, Sequence, Tuple
@@ -221,11 +221,18 @@ def adapted_dual_grid(f: PwAffine1, alphas, ustars=((0,),)) -> DualGrid:
 # ---------------------------------------------------------------------------
 
 
+def _coupling(x, w: DualPoint):
+    """The raw coupling: <x, x*> if <x, u*> < alpha, None (+inf)
+    otherwise.  A NaN gate shuts."""
+    if dot(x, w.ustar) < w.alpha:
+        return dot(x, w.xstar)
+    return None
+
+
 def coupling_c(x, w: DualPoint) -> ExtReal:
     """<x, x*> if <x, u*> < alpha, +inf otherwise."""
-    if dot(x, w.ustar) < w.alpha:
-        return ExtReal(dot(x, w.xstar))
-    return POS_INF
+    c = _coupling(x, w)
+    return POS_INF if c is None else ExtReal(c)
 
 
 def coupling_cprime(w: DualPoint, x) -> ExtReal:
@@ -429,18 +436,17 @@ def _classify(values):
     return rows
 
 
-def _sup_minus(pairs, rows) -> ExtReal:
-    """sup over the (x, w) pairs of c(x, w) minus the paired row's value,
-    with the conventions: f^c(w) pairs w with every grid point, g^{c'}(x) x."""
+def _sup_minus(couplings, rows) -> ExtReal:
+    """sup of each raw coupling (None for +inf) minus its row's value,
+    with the +-inf conventions: f^c(w) pairs w with every grid point,
+    g^{c'}(x) x with every dual point."""
     best = None  # raw finite payload of the running sup, None = -inf so far
-    for (x, w), (tag, payload) in zip(pairs, rows):
+    for c, (tag, payload) in zip(couplings, rows):
         if tag == "+":
             continue  # both (+inf)-(+inf) and finite-(+inf) are -inf
-        if not (dot(x, w.ustar) < w.alpha):
-            return POS_INF  # +inf - (finite or -inf) = +inf
-        if tag == "-":
-            return POS_INF  # finite - (-inf) = +inf
-        term = dot(x, w.xstar) - payload
+        if c is None or tag == "-":
+            return POS_INF  # +inf - (finite or -inf), finite - (-inf)
+        term = c - payload
         if best is None or term > best:
             best = term
     return NEG_INF if best is None else ExtReal(best)
@@ -449,15 +455,15 @@ def _sup_minus(pairs, rows) -> ExtReal:
 def _reference_c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     """f^c by the definition: every dual point against every grid point."""
     rows = _classify(f.values)
-    points = f.grid.points
-    return SampledFn(w_grid, [_sup_minus(zip(points, repeat(w)), rows) for w in w_grid.points])
+    columns = ((_coupling(p, w) for p in f.grid.points) for w in w_grid.points)
+    return SampledFn(w_grid, [_sup_minus(column, rows) for column in columns])
 
 
 def _reference_cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     """g^{c'} by the definition: every grid point against every dual point."""
     rows = _classify(g.values)
-    w_points = g.grid.points
-    return SampledFn(x_grid, [_sup_minus(zip(repeat(x), w_points), rows) for x in x_grid.points])
+    columns = ((_coupling(x, w) for w in g.grid.points) for x in x_grid.points)
+    return SampledFn(x_grid, [_sup_minus(column, rows) for column in columns])
 
 
 # ---------------------------------------------------------------------------

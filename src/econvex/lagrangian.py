@@ -23,7 +23,8 @@ at that y; a finite rational cell and a +-inf cell are the negated
 conjugate, so the table costs
 O((#y* + #gates)·|Y|·|X| + |W_y|·|X|) instead of one coupling per
 (x, w, y).  :func:`dual_slice_audit` holds the table to the definitional
-sweep of every slice, so the identity stays a check of two routes.
+conjugate of every slice, taking each dual point's coupling column over
+Y once per problem, so the identity stays a check of two routes.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -42,13 +43,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from econvex import extreal, funcrep
 from econvex.conjugation import (
     DualPoint,
     _c_conjugate_rows,
-    _reference_c_conjugate,
+    _classify,
+    _coupling,
+    _sup_minus,
     coupling_c,
     cprime_conjugate,
 )
@@ -63,6 +66,7 @@ __all__ = [
     "lagrangian_table",
     "lagrangian_value",
     "dual_slice_audit",
+    "minimax_ok",
     "supinf_value",
     "infsup_value",
     "is_saddle_point",
@@ -85,8 +89,10 @@ class CLagrangian:
 
     ``table`` is flat and x-major like phi_on_product; its rows, columns,
     row suprema and column infima are each taken once, on first use.
+    ``slices`` and ``slice_conjugates`` list, in x-grid order, the rows of
+    the cached phi_on_product and the kernel's conjugates of them.
 
-    Slice x is row x of the cached phi_on_product.  On a finite cell
+    On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
     first maximiser of <y, y*> - phi(x, y) is the first minimiser of the
     defining infimum (same grid order, same strict tie rule, exact IEEE
@@ -103,13 +109,12 @@ class CLagrangian:
         self.x_grid, self.w_grid = problem.x_grid, problem.dual_y_grid
         y_grid, w_grid = problem.y_grid, problem.dual_y_grid
         phi_rows = funcrep.rows(problem.phi_on_product.values, len(self.x_grid))
-        self.slices: Dict[Tuple, SampledFn] = {}
-        self._slice_conjugates: Dict[Tuple, SampledFn] = {}
+        self.slices = [SampledFn(y_grid, row) for row in phi_rows]
+        self.slice_conjugates = []
         cells = []
-        for x, phi_row in zip(self.x_grid.points, phi_rows):
-            sl = self.slices[x] = SampledFn(y_grid, phi_row)
+        for sl in self.slices:
             rows = _c_conjugate_rows(sl, w_grid)
-            self._slice_conjugates[x] = SampledFn(w_grid, [v for v, _ in rows])
+            self.slice_conjugates.append(SampledFn(w_grid, [v for v, _ in rows]))
             for w, (conj, row) in zip(w_grid.points, rows):
                 if row is None or conj.backend == "rational":
                     cells.append(-conj)
@@ -137,10 +142,6 @@ class CLagrangian:
     def value(self, x, w: DualPoint) -> ExtReal:
         return self.rows[self.x_grid.index_of(x)][self.w_grid.index_of(w)]
 
-    def slice_conjugate(self, x) -> SampledFn:
-        """phi(x, .)^c on the Y-side dual grid, as the kernel computed it."""
-        return self._slice_conjugates[tuple(x)]
-
 
 def lagrangian_table(P: PerturbationProblem) -> CLagrangian:
     """The Lagrangian table of P, built on first use and cached on P."""
@@ -161,41 +162,39 @@ def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
     )
 
 
-def dual_slice_audit(P: PerturbationProblem, x) -> dict:
+def dual_slice_audit(P: PerturbationProblem) -> dict:
     """-L(x, .) must equal the conjugate of the slice phi(x, .) exactly.
 
     The table is read off the conjugation kernel, so the conjugate here is
-    the definitional sweep ``_reference_c_conjugate``: the audit holds the
-    kernel to the definition on the slice, not to itself.
+    the definition: each dual point's coupling column over Y is taken
+    once, and each (x, w) is its own ``_sup_minus`` of the column against
+    the slice.  ``rows`` holds phi(x, .)^c per x, in x-grid order.
     """
     L = lagrangian_table(P)
-    conj = _reference_c_conjugate(L.slices[tuple(x)], P.dual_y_grid)
-    row = L.rows[P.x_grid.index_of(x)]
-    rows = tuple(
-        (w, -cell, rhs) for w, cell, rhs in zip(P.dual_y_grid.points, row, conj.values)
+    columns = [[_coupling(y, w) for y in P.y_grid.points] for w in P.dual_y_grid.points]
+    classified = (_classify(sl.values) for sl in L.slices)
+    rows = tuple(tuple(_sup_minus(column, sl) for column in columns) for sl in classified)
+    ok = all(-cell == conj for row, conjs in zip(L.rows, rows) for cell, conj in zip(row, conjs))
+    return {"ok": ok, "rows": rows}
+
+
+def minimax_ok(P: PerturbationProblem) -> bool:
+    """inf_x L(., w) = -G(w) at every w, so sup-inf is the dual value, and
+    sup_w L(x, .) <= phi(x, 0) at every x, as the coupling vanishes at 0."""
+    L = lagrangian_table(P)
+    return all(low == -g for low, g in zip(L.col_inf, P.g_on_dual_y.values)) and all(
+        top <= phi_x0 for top, phi_x0 in zip(L.row_sup, P.f0.values)
     )
-    return {"ok": all(lhs == rhs for _, lhs, rhs in rows), "rows": rows}
 
 
 def supinf_value(P: PerturbationProblem) -> ExtReal:
-    """sup over dual points of inf over x of L; asserts the pointwise
-    identity with the negated conjugate at the embedded point, so the
-    result equals the dual value exactly."""
-    L = lagrangian_table(P)
-    for w, column, g in zip(P.dual_y_grid.points, L.col_inf, P.g_on_dual_y.values):
-        if column != -g:  # pragma: no cover - finite sup interchange
-            raise RuntimeError(f"inf_x L(., {w}) = {column} disagrees with -phi^c = {-g}")
-    return extreal.sup(L.col_inf)
+    """sup over dual points of inf over x of L."""
+    return extreal.sup(lagrangian_table(P).col_inf)
 
 
 def infsup_value(P: PerturbationProblem) -> ExtReal:
-    """inf over x of sup over dual points of L; asserts the unconditional
-    bound sup_w L(x, .) <= phi(x, 0) at every x."""
-    L = lagrangian_table(P)
-    for x, row, phi_x0 in zip(P.x_grid.points, L.row_sup, P.f0.values):
-        if not row <= phi_x0:  # pragma: no cover - coupling vanishes at 0
-            raise RuntimeError(f"sup_w L({x}, .) = {row} exceeds phi(x,0) = {phi_x0}")
-    return extreal.inf(L.row_sup)
+    """inf over x of sup over dual points of L."""
+    return extreal.inf(lagrangian_table(P).row_sup)
 
 
 def is_saddle_point(P: PerturbationProblem, xbar, wbar: DualPoint) -> bool:
@@ -224,28 +223,26 @@ def saddle_search(P: PerturbationProblem) -> Tuple[SaddleCandidate, ...]:
 def prop55_audit(P: PerturbationProblem) -> dict:
     """Saddle points against primal/dual attainment.
 
-    Exact parts: every saddle value equals sup-inf = inf-sup; sup-inf is
-    the dual value; argmin x argmax is contained in the saddle set when
-    the gap is zero and finite.  The reverse containment is reported with
-    the per-slice recovery surrogate (phi(x,.)^{cc'} = phi(x,.) for all x
-    on the grid, conjugating through the Y-side dual grid).
+    Exact parts: every saddle value equals sup-inf = inf-sup; the
+    identities of :func:`minimax_ok` hold; argmin x argmax is contained in
+    the saddle set when the gap is zero and finite.  The reverse
+    containment is reported with the per-slice recovery surrogate
+    (phi(x,.)^{cc'} = phi(x,.) for all x on the grid, conjugating through
+    the Y-side dual grid).
     """
     L = lagrangian_table(P)
     report = P.report
     saddles = saddle_search(P)
     lo = supinf_value(P)
     hi = infsup_value(P)
-    minimax_ok = lo <= hi and lo == report.v_gdc
     saddle_values_ok = all(
         s.value == lo == hi for s in saddles
     )
-    surrogate = True
-    for x in P.x_grid.points:
-        back = cprime_conjugate(L.slice_conjugate(x), P.y_grid)
-        # Both live on P.y_grid in its order, so values pair up by position.
-        if any(b != v for b, v in zip(back.values, L.slices[x].values)):
-            surrogate = False
-            break
+    # Both live on P.y_grid in its order, so values pair up by position.
+    surrogate = all(
+        cprime_conjugate(conj, P.y_grid).values == sl.values
+        for sl, conj in zip(L.slices, L.slice_conjugates)
+    )
     expected = set()
     if report.zero_gap:
         expected = {
@@ -258,7 +255,7 @@ def prop55_audit(P: PerturbationProblem) -> dict:
         "saddles": saddles,
         "supinf": lo,
         "infsup": hi,
-        "minimax_ok": minimax_ok,
+        "minimax_ok": minimax_ok(P),
         "saddle_values_ok": saddle_values_ok,
         "slice_surrogate": surrogate,
         "contains_argmin_x_argmax": contains_expected,

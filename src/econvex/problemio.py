@@ -148,15 +148,27 @@ def _distinct(items: list, where: str) -> list:
     return items
 
 
-def _vec(v, dim: int, backend: str, where: str) -> Tuple:
+def _coefficient(v, backend: str, where: str) -> Fraction:
+    """A coefficient of phi, read as a rational in either backend.  In a
+    float file its float must be finite, since sampling phi converts it."""
+    c = _num(v, "rational", where)
+    if backend == "float":
+        try:
+            float(c)
+        except OverflowError:
+            raise InputError(f"{where}: beyond the float range, got {v!r}") from None
+    return c
+
+
+def _vec(v, dim: int, backend: str, where: str, num=_num) -> Tuple:
     if not isinstance(v, list):
         v = [v]
     if len(v) != dim:
         raise InputError(f"{where}: expected {dim} coordinate(s), got {len(v)}")
-    return tuple(_num(c, backend, where) for c in v)
+    return tuple(num(c, backend, where) for c in v)
 
 
-def _parse_eset(obj: dict, where: str) -> EPolyhedron:
+def _parse_eset(obj: dict, backend: str, where: str) -> EPolyhedron:
     _require_keys(obj, ["dim", "constraints"], (), where)
     dim = obj["dim"]
     if not isinstance(dim, int) or dim < 1:
@@ -169,45 +181,46 @@ def _parse_eset(obj: dict, where: str) -> EPolyhedron:
             raise InputError(f"{cw}.strict: must be a boolean")
         constraints.append(
             Halfspace(
-                _vec(c["a"], dim, "rational", f"{cw}.a"),
-                _num(c["b"], "rational", f"{cw}.b"),
+                _vec(c["a"], dim, backend, f"{cw}.a", _coefficient),
+                _coefficient(c["b"], backend, f"{cw}.b"),
                 c["strict"],
             )
         )
     return EPolyhedron(dim, constraints)
 
 
-def _parse_form(obj: dict, x_dim: int, y_dim: int, where: str):
+def _parse_form(obj: dict, x_dim: int, y_dim: int, backend: str, where: str):
     _require_keys(obj, [], ("x", "y", "const"), where)
-    cx = _vec(obj.get("x", [0] * x_dim), x_dim, "rational", f"{where}.x")
-    cy = _vec(obj.get("y", [0] * y_dim), y_dim, "rational", f"{where}.y")
-    const = _num(obj.get("const", 0), "rational", f"{where}.const")
+    cx = _vec(obj.get("x", [0] * x_dim), x_dim, backend, f"{where}.x", _coefficient)
+    cy = _vec(obj.get("y", [0] * y_dim), y_dim, backend, f"{where}.y", _coefficient)
+    const = _coefficient(obj.get("const", 0), backend, f"{where}.const")
     return _form(cx, cy, const)
 
 
-def _forms(obj: dict, key: str, x_dim: int, y_dim: int, where: str) -> Tuple:
+def _forms(obj: dict, key: str, x_dim: int, y_dim: int, backend: str, where: str) -> Tuple:
     """The list of affine forms under ``obj[key]``."""
     where = f"{where}.{key}"
     return tuple(
-        _parse_form(r, x_dim, y_dim, f"{where}[{i}]")
+        _parse_form(r, x_dim, y_dim, backend, f"{where}[{i}]")
         for i, r in enumerate(_list(obj[key], where))
     )
 
 
-def _parse_expr(obj: dict, x_dim: int, y_dim: int, where: str) -> Expr:
+def _parse_expr(obj: dict, x_dim: int, y_dim: int, backend: str, where: str) -> Expr:
     if not isinstance(obj, dict) or "op" not in obj:
         raise InputError(f"{where}: expected an expression object with 'op'")
     op = obj["op"]
     if op == "affine":
         _require_keys(obj, ["op"], ("x", "y", "const"), where)
-        return Affine(_parse_form({k: v for k, v in obj.items() if k != "op"}, x_dim, y_dim, where))
+        form = {k: v for k, v in obj.items() if k != "op"}
+        return Affine(_parse_form(form, x_dim, y_dim, backend, where))
     if op == "abs":
         _require_keys(obj, ["op", "arg"], (), where)
-        return Abs(_parse_expr(obj["arg"], x_dim, y_dim, f"{where}.arg"))
+        return Abs(_parse_expr(obj["arg"], x_dim, y_dim, backend, f"{where}.arg"))
     if op in ("sum", "max", "min"):
         _require_keys(obj, ["op", "terms"], (), where)
         terms = tuple(
-            _parse_expr(t, x_dim, y_dim, f"{where}.terms[{i}]")
+            _parse_expr(t, x_dim, y_dim, backend, f"{where}.terms[{i}]")
             for i, t in enumerate(_list(obj["terms"], f"{where}.terms"))
         )
         if not terms:
@@ -215,16 +228,16 @@ def _parse_expr(obj: dict, x_dim: int, y_dim: int, where: str) -> Expr:
         return {"sum": Sum, "max": Max, "min": Min}[op](terms)
     if op == "indicator":
         _require_keys(obj, ["op", "set", "rows"], (), where)
-        poly = _parse_eset(obj["set"], f"{where}.set")
-        rows = _forms(obj, "rows", x_dim, y_dim, where)
+        poly = _parse_eset(obj["set"], backend, f"{where}.set")
+        rows = _forms(obj, "rows", x_dim, y_dim, backend, where)
         if len(rows) != poly.dim:
             raise InputError(f"{where}.rows: need one row per set coordinate")
         return Indicator(poly, rows)
     if op == "precompose":
         _require_keys(obj, ["op", "arg", "x_rows", "y_rows"], (), where)
-        x_rows = _forms(obj, "x_rows", x_dim, y_dim, where)
-        y_rows = _forms(obj, "y_rows", x_dim, y_dim, where)
-        inner = _parse_expr(obj["arg"], len(x_rows), len(y_rows), f"{where}.arg")
+        x_rows = _forms(obj, "x_rows", x_dim, y_dim, backend, where)
+        y_rows = _forms(obj, "y_rows", x_dim, y_dim, backend, where)
+        inner = _parse_expr(obj["arg"], len(x_rows), len(y_rows), backend, f"{where}.arg")
         return Precompose(inner, x_rows, y_rows)
     raise InputError(f"{where}.op: unknown operation {op!r}")
 
@@ -320,7 +333,7 @@ def loads(text: str):
         raise InputError("top level: expected an object with a 'kind' field")
     if obj["kind"] == "eset":
         _require_keys(obj, ["kind", "name", "set"], (), "top level")
-        return EsetFile(str(obj["name"]), _parse_eset(obj["set"], "set"))
+        return EsetFile(str(obj["name"]), _parse_eset(obj["set"], "rational", "set"))
     if obj["kind"] != "problem":
         raise InputError(f"kind: unknown kind {obj['kind']!r}")
 
@@ -381,7 +394,7 @@ def loads(text: str):
     dual_y = tensor_dual_grid(ystars, vstars, alphas, backend)
     pairs = pair_tensor_dual_grid(xstars, ystars, ustars, vstars, alphas, backend)
 
-    phi = PerturbFn(x_dim, y_dim, expr=_parse_expr(obj["phi"], x_dim, y_dim, "phi"))
+    phi = PerturbFn(x_dim, y_dim, expr=_parse_expr(obj["phi"], x_dim, y_dim, backend, "phi"))
     return ProblemFile(
         name=str(obj["name"]),
         tolerance=float(tolerance),

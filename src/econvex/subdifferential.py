@@ -35,11 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterator, Optional, Tuple
 
 from econvex.conjugation import DualGrid, DualPoint, c_conjugate, coupling_c
-from econvex.conjugation import _classify, _sup_minus
+from econvex.conjugation import _classify, _coupling, _sup_minus
 from econvex.duality import EXACT_PASS, PerturbationProblem
 from econvex.extreal import ExtReal, scalar
 from econvex.funcrep import SampledFn, columns
@@ -74,12 +73,12 @@ class SubdiffSet:
 
 def conjugate_value(f: SampledFn, w: DualPoint) -> ExtReal:
     """f^c at a single dual point, by the definitional sweep."""
-    return _sup_minus(zip(f.grid.points, repeat(w)), _classify(f.values))
+    return _sup_minus((_coupling(p, w) for p in f.grid.points), _classify(f.values))
 
 
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
     """g^{c'} at a single primal point, by the definitional sweep."""
-    return _sup_minus(zip(repeat(x), g.grid.points), _classify(g.values))
+    return _sup_minus((_coupling(x, w) for w in g.grid.points), _classify(g.values))
 
 
 def _zero_eps(f: SampledFn):

@@ -49,6 +49,7 @@ from econvex.lagrangian import (
     example52_audit,
     infsup_value,
     lagrangian_value,
+    minimax_ok,
     saddle_search,
     supinf_value,
 )
@@ -351,10 +352,11 @@ def test_criterion_8_lagrangian_identities():
     ok = True
     for name in CATALOG_PROBLEMS:
         P = catalog_problem(name)
-        ok &= all(dual_slice_audit(P, x)["ok"] for x in P.x_grid.points)
+        ok &= dual_slice_audit(P)["ok"]
+        ok &= minimax_ok(P)  # Eq-18 at every w and the Eq-19 bound at every x
         v_gdc, _ = dual_value(P)
-        ok &= supinf_value(P) == v_gdc  # raises internally if Eq-18 breaks
-        infsup_value(P)  # raises internally if the Eq-19 bound breaks
+        ok &= supinf_value(P) == v_gdc
+        ok &= supinf_value(P) <= infsup_value(P)
     fen = catalog_problem("fenchel_abs")
     report = converse_duality_report(fen)
     saddles = {(s.xbar, s.wbar) for s in saddle_search(fen)}

@@ -1,9 +1,10 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -16,10 +17,11 @@ from helpers import (
     with_plain_scalar,
 )
 
-from econvex import catalog, extreal, problemio
+from econvex import catalog, conjugation, extreal, lagrangian, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
+    _reference_c_conjugate,
     _split_dom,
     coupling_c,
 )
@@ -30,7 +32,7 @@ from econvex.duality import (
     primal_value,
 )
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
-from econvex.funcrep import Grid, PerturbFn
+from econvex.funcrep import Grid, PerturbFn, SampledFn
 from econvex.lagrangian import (
     CLagrangian,
     dual_slice_audit,
@@ -38,7 +40,9 @@ from econvex.lagrangian import (
     find_convexity_violation,
     infsup_value,
     is_saddle_point,
+    lagrangian_table,
     lagrangian_value,
+    minimax_ok,
     prop55_audit,
     saddle_search,
     supinf_value,
@@ -115,15 +119,13 @@ class TestLagrangianValue:
 class TestDualSliceAudit:
     def test_catalog_instances(self, fenchel_abs, example52, truncated):
         for P in (fenchel_abs, example52, truncated):
-            for x in P.x_grid.points:
-                assert dual_slice_audit(P, x)["ok"]
+            assert dual_slice_audit(P)["ok"]
 
     def test_random_instances(self):
         rng = random.Random(13)
         for _ in range(10):
             P = random_problem(rng, max_x=5, max_y=5, max_dual=8)
-            for x in P.x_grid.points:
-                assert dual_slice_audit(P, x)["ok"]
+            assert dual_slice_audit(P)["ok"]
 
     def test_empty_slice_row(self):
         # Slice identically +inf: L = +inf and the conjugate is -inf.
@@ -131,18 +133,18 @@ class TestDualSliceAudit:
         while True:
             Q = random_problem(rng, max_x=4, max_y=4)
             empty = [
-                x
-                for x in Q.x_grid.points
+                i
+                for i, x in enumerate(Q.x_grid.points)
                 if all(
                     Q.phi.value(x, y, Q.backend) == POS_INF
                     for y in Q.y_grid.points
                 )
             ]
             if empty and len(Q.dual_y_grid) > 0:
-                audit = dual_slice_audit(Q, empty[0])
+                audit = dual_slice_audit(Q)
                 assert audit["ok"]
-                _, lhs, rhs = audit["rows"][0]
-                assert lhs == NEG_INF and rhs == NEG_INF
+                assert set(audit["rows"][empty[0]]) == {NEG_INF}
+                assert set(lagrangian_table(Q).rows[empty[0]]) == {POS_INF}
                 break
 
 
@@ -265,13 +267,59 @@ def test_product_tables_are_read_by_rows_and_columns(name, backend, monkeypatch)
     P.report
     prop55_audit(P)
     prop43_audit(P)
-    supinf_value(P), infsup_value(P)
-    for x in P.x_grid.points:
-        dual_slice_audit(P, x)
+    supinf_value(P), infsup_value(P), minimax_ok(P)
+    dual_slice_audit(P)
     lagrangian_value(P, P.x_grid.points[-1], P.dual_y_grid.points[-1])
     assert lookups == []
     product.index_of(product.points[0])  # the spy is live
     assert len(lookups) == 1
+
+
+def nan_gate_case():
+    """A float y-grid point with an inf coordinate: at v* = 0 its gate dot
+    is inf·0, NaN, which shuts the gate as in the definition, so the
+    conjugate is +inf although the other point's gate is open; at v* = 1
+    the dot is inf, which shuts the gate too."""
+    x_grid = Grid(1, [(0.0,), (1.0,)], "float")
+    y_grid = Grid(1, [(0.0,), (math.inf,)], "float")
+    table = {(x, y): ExtReal(1.0) for x in x_grid.points for y in y_grid.points}
+    dual_y = DualGrid(
+        [DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((0,), (1,), 2, "float")], "float"
+    )
+    return PerturbationProblem(PerturbFn(1, 1, table=table), x_grid, y_grid, dual_y)
+
+
+class TestDualSliceSweep:
+    """The audit's one sweep per problem is the definitional conjugate of
+    every slice, and takes each dual point's coupling column once."""
+
+    @given(lagrangian_case())
+    @example(nan_gate_case())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_the_reference_slice_conjugates(self, P):
+        audit = dual_slice_audit(P)
+        assert len(audit["rows"]) == len(P.x_grid)
+        for x, row in zip(P.x_grid.points, audit["rows"]):
+            values = [P.phi.value(x, y, P.backend) for y in P.y_grid.points]
+            reference = _reference_c_conjugate(SampledFn(P.y_grid, values), P.dual_y_grid)
+            assert [tagged(v) for v in row] == [tagged(v) for v in reference.values], x
+        assert audit["ok"]
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_one_coupling_per_dual_point_and_y(self, name, backend, monkeypatch):
+        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        lagrangian_table(P)
+        calls, real = [], conjugation._coupling
+
+        def counted(y, ww):
+            calls.append(ww)
+            return real(y, ww)
+
+        monkeypatch.setattr(conjugation, "_coupling", counted)
+        monkeypatch.setattr(lagrangian, "_coupling", counted)
+        assert dual_slice_audit(P)["ok"]
+        assert len(calls) == len(P.dual_y_grid) * len(P.y_grid)
 
 
 class TestTableMatchesDefinition:
@@ -290,7 +338,7 @@ class TestTableMatchesDefinition:
         with scaling_log() as log:
             L = CLagrangian(P)
         # every slice sweep over a nonempty finite domain ran unscaled
-        swept = sum(_split_dom(sl)[0] is not None for sl in L.slices.values())
+        swept = sum(_split_dom(sl)[0] is not None for sl in L.slices)
         assert log.count(False) == swept
         assert_table_matches_definition(P)
 
@@ -313,7 +361,7 @@ class TestTableMatchesDefinition:
         dual_y = DualGrid([DualPoint.of((1,), (0,), 1, "float")], "float")
         P = PerturbationProblem(phi, Grid(1, [(0.0,)], "float"), grid, dual_y)
         L, ww = CLagrangian(P), dual_y.points[0]
-        assert repr(-L.slice_conjugate((0.0,)).value_at(ww)) == "ExtReal(-0.0)"
+        assert repr(-L.slice_conjugates[0].value_at(ww)) == "ExtReal(-0.0)"
         assert repr(L.value((0.0,), ww)) == "ExtReal(0.0)"
         assert_table_matches_definition(P)
 

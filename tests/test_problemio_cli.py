@@ -232,6 +232,23 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "converse_duality_report", broken)
         assert main(["duality", "fenchel_abs"]) == 2
 
+    @pytest.mark.parametrize("command", ["lagrangian", "audit"])
+    @pytest.mark.parametrize("value", [-100, 100])
+    def test_a_corrupted_lagrangian_cell_exits_2(self, command, value, capsys, monkeypatch):
+        from econvex import lagrangian
+
+        real = lagrangian.CLagrangian.__init__
+
+        def corrupted(L, P):
+            real(L, P)
+            cells = list(L.table)
+            cells[len(cells) // 2] = ExtReal(Fraction(value))
+            L.table = tuple(cells)
+
+        monkeypatch.setattr(lagrangian.CLagrangian, "__init__", corrupted)
+        assert main([command, "fenchel_abs"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_exact_failure_inside_a_conditional_audit_counted_once(self, capsys, monkeypatch):
         from econvex import duality
         from econvex.duality import AuditOutcome
@@ -569,6 +586,29 @@ class TestInputContract:
         assert main(["duality", file_with(tmp_path, edit)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("econvex: input error: " + field + ":"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d["phi"]["terms"][0]["arg"].update(x=["1e400"]), "phi.terms[0].arg.x"),
+            (lambda d: d["phi"]["terms"][1]["set"]["constraints"][0].update(b="1e400"),
+             "phi.terms[1].set.constraints[0].b"),
+        ],
+        ids=["affine-coefficient", "indicator-offset"],
+    )
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_coefficient_beyond_the_float_range(self, edit, field, backend, capsys, tmp_path):
+        # A float file samples phi in floats, so it refuses a coefficient
+        # whose float is not finite; a rational file keeps it exact.
+        path = file_with(tmp_path, lambda d: edit(d) or d.update(backend=backend))
+        code = main(["duality", path])
+        err = capsys.readouterr().err
+        if backend == "float":
+            assert code == 3
+            assert err.startswith("econvex: input error: " + field + ":"), err
+        else:
+            assert code == 0, err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
