@@ -22,7 +22,7 @@ from fractions import Fraction
 from econvex import catalog, problemio
 from econvex.conjugation import DualPoint
 from econvex.duality import EXACT_PASS, FAIL, SURROGATE_UNMET, AuditOutcome
-from econvex.duality import converse_duality_report
+from econvex.duality import c5_audit, converse_duality_report
 from econvex.esets import (
     EPolyhedron,
     GeometryError,
@@ -173,6 +173,17 @@ def _option_point(option: str, text: str, dim: int, space: str, backend: str = "
     return p
 
 
+def _why_no_envelope(P: EPolyhedron, empty) -> str:
+    """Why the eset report has no lower envelope of P; "" when it has one."""
+    if P.dim != 2:
+        return f"the set has dimension {P.dim}, not 2"
+    if empty:
+        return "the set is empty"
+    if not in_recession_cone(P, (0, 1)):
+        return "(0, 1) is not in the recession cone of the set"
+    return ""
+
+
 def cmd_eset(args) -> int:
     pf = _resolve(args.problem)
     if not isinstance(pf, problemio.EsetFile):
@@ -180,6 +191,11 @@ def cmd_eset(args) -> int:
     P = pf.polyhedron
     lines = [f"# eset report: {pf.name}", f"dim = {P.dim}"]
     empty = P.is_empty() if P.dim <= 2 else None
+    no_envelope = _why_no_envelope(P, empty)
+    if args.envelope_at is not None:
+        envelope_at = _option_number("--envelope-at", args.envelope_at)
+        if no_envelope:
+            raise problemio.InputError(f"--envelope-at: no envelope, since {no_envelope}")
     lines.append(f"constraints = {len(P.constraints)}")
     if empty is not None:
         lines.append(f"empty = {str(empty).lower()}")
@@ -202,7 +218,7 @@ def cmd_eset(args) -> int:
         lines.append(
             f"in_recession_cone{_point(y)} = {str(in_recession_cone(P, y)).lower()}"
         )
-    if P.dim == 2 and empty is False and in_recession_cone(P, (0, 1)):
+    if not no_envelope:
         ok, witness = is_functionally_representable(P)
         lines.append(f"functionally_representable = {str(ok).lower()}")
         env = lower_envelope(P)
@@ -223,8 +239,7 @@ def cmd_eset(args) -> int:
                     epi_eq = False
         lines.append(f"epigraph_equals_set_on_sampled_fibers = {str(epi_eq).lower()}")
         if args.envelope_at is not None:
-            v = env.value(_option_number("--envelope-at", args.envelope_at))
-            lines.append(f"envelope({args.envelope_at}) = {fmt(v)}")
+            lines.append(f"envelope({args.envelope_at}) = {fmt(env.value(envelope_at))}")
     _emit(lines)
     return EXIT_OK
 
@@ -335,7 +350,7 @@ def cmd_subdiff(args) -> int:
         f"intersection_formula.eta_min = {_scalar(t43['eta_min'])}",
         f"projection_formula.superset_ok = {str(t44['superset_ok']).lower()}",
         f"projection_formula.equal = {str(t44['equal']).lower()}",
-        f"c5_surrogate = {str(t44['c5_surrogate']).lower()}",
+        f"c5_surrogate = {str(c5_audit(P).status == EXACT_PASS).lower()}",
     ]
     _emit(lines)
     return (
@@ -529,7 +544,7 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
                 "separation_certificates", ok, f"validated on {checked} exterior points"
             )
         )
-        if args.suite != "exact" and P.dim == 2 and in_recession_cone(P, (0, 1)):
+        if args.suite != "exact" and not _why_no_envelope(P, empty):
             rep, witness = is_functionally_representable(P)
             audits.append(
                 AuditOutcome(

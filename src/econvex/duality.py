@@ -168,6 +168,16 @@ class PerturbationProblem:
         return DualGrid(dict.fromkeys(projected), self.backend)
 
     @cached_property
+    def psi_block_min(self) -> SampledFn:
+        """At each w of x_side_grid, the least psi over the flats projecting to w."""
+        least: Dict[DualPoint, ExtReal] = {}
+        for flat, v in self.psi.items():
+            w = self.x_side(flat)
+            if w not in least or v < least[w]:
+                least[w] = v
+        return SampledFn(self.x_side_grid, [least[w] for w in self.x_side_grid.points])
+
+    @cached_property
     def f0_conj(self) -> SampledFn:
         return c_conjugate(self.f0, self.x_side_grid)
 
@@ -294,24 +304,17 @@ def c5_audit(P: PerturbationProblem):
     """Surrogate for the closedness condition on the projected epigraph.
 
     For every (x*, u*, alpha) in the projected dual grid, compares
-    phi(.,0)^c with the minimum of phi^c over the (y*, v*) block.  The <=
-    direction is a grid theorem; equality everywhere is the surrogate.
+    ``f0_conj`` with ``psi_block_min``, the minimum of phi^c over the
+    (y*, v*) block, by position.  The <= direction is a grid theorem;
+    equality everywhere is the surrogate.
     """
-    groups: Dict[DualPoint, ExtReal] = {}
-    for flat, v in P.psi.items():
-        w = P.x_side(flat)
-        cur = groups.get(w)
-        if cur is None or v < cur:
-            groups[w] = v
     witnesses = []
     exact_ok = True
-    for w, lhs in P.f0_conj.items():
-        rhs = groups[w]
+    for (w, lhs), rhs in zip(P.f0_conj.items(), P.psi_block_min.values):
         if not lhs <= rhs:
             exact_ok = False
         if not P.close(lhs, rhs):
             witnesses.append((w, lhs, rhs))
-    holds = exact_ok and not witnesses
     if not exact_ok:
         status = FAIL
         kind = "exact"
@@ -325,8 +328,7 @@ def c5_audit(P: PerturbationProblem):
             if not witnesses
             else f"{len(witnesses)} projected dual points miss the minimum"
         )
-    out = AuditOutcome("c5", kind, status, detail, tuple(witnesses))
-    return out
+    return AuditOutcome("c5", kind, status, detail, tuple(witnesses))
 
 
 def c5bar_audit(P: PerturbationProblem):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -25,7 +26,7 @@ from econvex.funcrep import (
     Sum,
 )
 
-from econvex import catalog, conjugation, extreal
+from econvex import catalog, conjugation, extreal, problemio
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -102,8 +103,17 @@ def scaling_log():
         yield log
 
 
+CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+
+
 def catalog_problem(name):
     return catalog.load(name).build()
+
+
+def float_twin(name):
+    """The catalog problem with ``"backend": "float"``, loaded from its JSON."""
+    doc = dict(catalog.entry(name), backend="float")
+    return problemio.loads(json.dumps(doc)).build()
 
 
 def fenchel_abs_duality_grid(n):

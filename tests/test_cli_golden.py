@@ -8,11 +8,14 @@ entry with ``"backend": "float"``, written to a temporary file), under
 every report command, plus the commands of the set entry.  A refactor
 that is meant to keep the output must leave this test passing unchanged.
 
-When a change is meant to alter the output, regenerate the fixture and
-review the cases whose digests moved; the script prints the key of each
-case that moved, was added or was dropped before it rewrites the fixture:
+Run as a script, it checks the fixture: it prints ``moved: <key>`` for
+each case whose digests moved, was added or was dropped, and exits 1 if
+any did.  It never rewrites the fixture unless given ``--write``; when a
+change is meant to alter the output, rewrite it and review the cases the
+script printed:
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py            # check
+    PYTHONPATH=src python tests/test_cli_golden.py --write    # re-pin
 """
 
 import hashlib
@@ -117,13 +120,24 @@ def test_output_matches_fixture(case, pinned, tmp_path):
 
 
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Check or re-pin the CLI golden fixture.")
+    parser.add_argument("--write", action="store_true",
+                        help="rewrite the fixture from the checked-out code")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         digests = {_key(*c): _run(*c, Path(tmp)) for c in CASES}
     old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
-    for key in sorted(digests.keys() | old.keys()):
-        if digests.get(key) != old.get(key):
-            print(f"moved: {key}")
-    FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} cases to {FIXTURE}")
+    moved = [key for key in sorted(digests.keys() | old.keys())
+             if digests.get(key) != old.get(key)]
+    for key in moved:
+        print(f"moved: {key}")
+    if args.write:
+        FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
+                           encoding="utf-8")
+        print(f"wrote {len(digests)} cases to {FIXTURE}")
+    else:
+        print(f"{len(moved)} of {len(digests.keys() | old.keys())} cases moved")
+        raise SystemExit(1 if moved else 0)

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -8,16 +7,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CATALOG_PROBLEMS,
     abs_pair_problem,
     catalog_problem,
     drawn_from,
+    float_twin,
     random_problem,
     scalar,
     scaling_log,
     with_plain_scalar,
 )
 
-from econvex import catalog, conjugation, extreal, lagrangian, problemio
+from econvex import catalog, conjugation, extreal, lagrangian
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
@@ -239,14 +240,6 @@ def plain_lagrangian_case(draw):
     assume(points[k].alpha > 0 and points[k] not in points[:k] + points[k + 1:])
     assume(not any(isinstance(c, float) for c in points[k].xstar))
     return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid(points, "rational"))
-
-
-def float_twin(name):
-    doc = dict(catalog.entry(name), backend="float")
-    return problemio.loads(json.dumps(doc)).build()
-
-
-CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
 
 
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)

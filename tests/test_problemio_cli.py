@@ -21,6 +21,7 @@ from econvex.extreal import ExtReal
 from econvex.funcrep import Grid, PerturbFn
 
 from helpers import (
+    CATALOG_PROBLEMS,
     WIDE_FRACTIONS,
     fenchel_abs_duality_grid,
     random_problem,
@@ -643,6 +644,30 @@ class TestInputContract:
         assert_input_error_naming(["eset", "open_epigraph_eset", *argv], option)
 
     @pytest.mark.parametrize(
+        "dim, constraints, reason",
+        [
+            (1, [{"a": ["1"], "b": "0", "strict": False}], "dimension 1"),
+            (2, [{"a": ["0", "1"], "b": "1", "strict": False}], "recession cone"),
+            (2, [{"a": ["0", "1"], "b": "0", "strict": True},
+                 {"a": ["0", "-1"], "b": "0", "strict": False}], "empty"),
+            (3, [{"a": ["1", "-1", "0"], "b": "0", "strict": True}], "dimension 3"),
+        ],
+        ids=["1d-set", "b-at-most-1", "empty-set", "3d-set"],
+    )
+    def test_envelope_at_without_an_envelope_exits_3(self, dim, constraints, reason,
+                                                     tmp_path, capsys):
+        doc = dict(entry("open_epigraph_eset"), set={"dim": dim, "constraints": constraints})
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eset", str(path)]) == 0
+        capsys.readouterr()
+        for value, why in (("zz", "is not a number"), ("1/2", reason)):
+            assert main(["eset", str(path), "--envelope-at", value]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("econvex: input error: --envelope-at: ")
+            assert why in err, err
+
+    @pytest.mark.parametrize(
         "edit, field",
         [
             (lambda d: d["grids"]["x"].update(count=10**9), "grids.x.count"),
@@ -701,9 +726,6 @@ def assert_input_error_naming(argv, field):
     assert "Traceback" not in run.stderr and run.stdout == ""
 
 
-CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
-
-
 def sweep_log(monkeypatch):
     """A Counter of (sweep, calling module) per call of c_conjugate or
     cprime_conjugate, patched wherever an econvex module binds them."""
@@ -732,8 +754,10 @@ def totals(log):
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_audits_read_the_cached_conjugates(name, backend, capsys, monkeypatch, tmp_path):
     """audit and subdiff read the problem's cached f0_conj and f0_biconj:
-    subdifferential sweeps no conjugate again, and the report reads
-    f0_conj by position, with no lookup into the x-side dual grid."""
+    subdifferential sweeps no conjugate again, subdiff builds no duality
+    report (on fenchel_abs its only sweeps are psi and f0_conj), and the
+    report reads f0_conj by position, with no lookup into the x-side dual
+    grid."""
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(dict(entry(name), backend=backend)), encoding="utf-8")
     log = sweep_log(monkeypatch)
@@ -744,7 +768,7 @@ def test_audits_read_the_cached_conjugates(name, backend, capsys, monkeypatch, t
     assert main(["subdiff", str(path), "--at", "0"]) == 0
     assert not [key for key in log if key[1] == "econvex.subdifferential"]
     if name == "fenchel_abs":
-        assert (audit_sweeps, totals(log)) == ((3, 6), (3, 4))
+        assert (audit_sweeps, totals(log)) == ((3, 6), (2, 0))
 
     P = problemio.load(str(path)).build()
     x_side_grid, index_of, lookups = P.x_side_grid, DualGrid.index_of, []

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import catalog_problem, ext_values, random_problem, scalar
+from helpers import (
+    CATALOG_PROBLEMS,
+    catalog_problem,
+    ext_values,
+    float_twin,
+    random_problem,
+    scalar,
+)
 
+from econvex import conjugation
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
@@ -16,7 +24,7 @@ from econvex.conjugation import (
 )
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PerturbFn, SampledFn
-from econvex.duality import PerturbationProblem
+from econvex.duality import EXACT_PASS, PerturbationProblem, c5_audit
 from econvex.subdifferential import (
     _default_ladder,
     _projected_full_subdiff,
@@ -265,7 +273,7 @@ class TestTheorem43:
 
     def test_equality_on_c5_instance(self, fenchel_abs):
         out = theorem43_audit(fenchel_abs, (0,), Fraction(0))
-        assert out["c5_surrogate"]
+        assert c5_audit(fenchel_abs).status == EXACT_PASS
         assert out["equal"]
         assert out["eta_min"] == Fraction(1, 1000)
 
@@ -321,11 +329,11 @@ class TestTheorem44:
 
     def test_equality_on_c5_instance(self, fenchel_abs):
         out = theorem44_audit(fenchel_abs, (0,), Fraction(0))
-        assert out["c5_surrogate"] and out["equal"]
+        assert c5_audit(fenchel_abs).status == EXACT_PASS and out["equal"]
 
     def test_strict_inclusion_with_witness_on_truncated(self, truncated):
         out = theorem44_audit(truncated, (0,), Fraction(0))
-        assert not out["c5_surrogate"]
+        assert c5_audit(truncated).status != EXACT_PASS
         assert not out["equal"]
         assert DualPoint.of((2,), (0,), 1) in out["strict_witnesses"]
 
@@ -385,11 +393,14 @@ def problem_case(draw):
 
 
 def projected_scan(P, x, eps):
+    """The x-side projections of the full dual grid's members at (x, 0) by
+    the definitional test, listed in x_side_grid order."""
     base = x + P.y_grid.origin
-    return tuple(dict.fromkeys(
+    hit = {
         P.x_side(flat) for flat in P.full_dual_grid.points
         if is_c_subgradient(P.phi_on_product, base, flat, eps)
-    ))
+    }
+    return tuple(w for w in P.x_side_grid.points if w in hit)
 
 
 class TestRoutesMatchDefinition:
@@ -426,6 +437,23 @@ class TestRoutesMatchDefinition:
             for eps in eps_values(P.backend):
                 assert _projected_full_subdiff(P, x, eps) == projected_scan(P, x, eps)
 
+    def test_projection_comes_in_grid_order_not_first_member_order(self):
+        # Flats A and C project to w1 and B to w2, in the order A, B, C.
+        # phi is 0 on (0, 0) and (0, 1): A gains 1 at y = 1, so it is not
+        # a subgradient at (0, 0); B and C are.  The first member, B,
+        # projects to w2, but the x-side grid lists w1 first.
+        x_grid, y_grid = Grid(1, [(0,)]), Grid(1, [(0,), (1,)])
+        phi = PerturbFn(1, 1, table={((0,), (0,)): ExtReal(0), ((0,), (1,)): ExtReal(0)})
+        flats = [DualPoint.of((0, 1), (0, 0), 1), DualPoint.of((1, 0), (0, 0), 1),
+                 DualPoint.of((0, -1), (0, 0), 1)]
+        P = PerturbationProblem(phi, x_grid, y_grid, DualGrid([w(0, 0, 1)]), DualGrid(flats))
+        w1, w2 = w(0, 0, 1), w(1, 0, 1)
+        assert P.x_side_grid.points == (w1, w2)
+        members = [f for f in flats if is_c_subgradient(P.phi_on_product, (0, 0), f)]
+        assert [P.x_side(f) for f in members] == [w2, w1]
+        assert _projected_full_subdiff(P, (0,), Fraction(0)) == (w1, w2)
+        assert projected_scan(P, (0,), Fraction(0)) == (w1, w2)
+
     @given(problem_case())
     @settings(max_examples=150, deadline=None)
     def test_total_duality_certificate(self, P):
@@ -448,6 +476,40 @@ class TestRoutesMatchDefinition:
                 for eps in eps_values("rational"):
                     scan = tuple(v for v in wg.points if is_c_subgradient(f, x0, v, eps))
                     assert eps_c_subdifferential(f, x0, eps, wg).members == scan
+
+
+@pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_projection_reads_the_cached_block_minimum(name, backend, monkeypatch):
+    """The projection formula sweeps no conjugate once psi is cached, makes
+    one coupling per x-side dual point, and reads the very table c5 reads."""
+    P = catalog_problem(name) if backend == "rational" else float_twin(name)
+    P.psi
+    reads, real_table = [], vars(PerturbationProblem)["psi_block_min"]
+
+    def table(problem):
+        reads.append(real_table.__get__(problem, PerturbationProblem))
+        return reads[-1]
+
+    def no_sweep(*args):
+        raise AssertionError("c_conjugate swept again")
+
+    couplings, real_coupling = [], conjugation._coupling
+
+    def coupling(x, dual):
+        couplings.append(dual)
+        return real_coupling(x, dual)
+
+    monkeypatch.setattr(PerturbationProblem, "psi_block_min", property(table))
+    with monkeypatch.context() as m:
+        for module in ("conjugation", "duality", "subdifferential"):
+            m.setattr(f"econvex.{module}.c_conjugate", no_sweep)
+        m.setattr(conjugation, "_coupling", coupling)
+        for x in P.x_grid.points:
+            _projected_full_subdiff(P, x, scalar(Fraction(0), backend))
+    assert len(couplings) == len(P.x_grid) * len(P.x_side_grid)
+    c5_audit(P)
+    assert len(reads) == len(P.x_grid) + 1 and all(r is reads[0] for r in reads)
 
 
 class TestLadderIsOneProjection:
