@@ -11,15 +11,20 @@ Three carriers:
   small expression tree (affine, abs, indicator of an `EPolyhedron`, sum,
   pointwise max/min, affine precomposition) or an explicit table, sampled
   a column of points at a time: every table of phi comes from one
-  `PerturbFn.sample` call.  Sums use the extended-real conventions, so
-  they propagate into every derived object.
+  `PerturbFn.sample` call.  In the rational backend the nodes fold exact
+  ints over scales they know, and one `Fraction` is built per finite
+  cell at the root; the float backend folds floats node by node in the
+  order of the pointwise definition.  Sums use the extended-real
+  conventions, so they propagate into every derived object.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -101,11 +106,24 @@ class Grid:
     def has_origin(self) -> bool:
         return self.origin in self._index
 
+    @classmethod
+    def _of(cls, dim: int, points: Tuple[Point, ...], backend: str) -> "Grid":
+        """The grid of points that are already coerced and pairwise
+        distinct; its index is built at the first lookup."""
+        grid = cls.__new__(cls)
+        grid.dim, grid.backend, grid.points = dim, backend, points
+        return grid
+
+    @cached_property
+    def _index(self) -> Dict[Point, int]:
+        return {p: i for i, p in enumerate(self.points)}
+
     def index_of(self, point) -> int:
-        p = _coerce_point(point, self.dim, self.backend)
+        """The position of point; a KeyError off the grid, also for a
+        coordinate (such as +-inf) that the backend cannot hold."""
         try:
-            return self._index[p]
-        except KeyError:
+            return self._index[_coerce_point(point, self.dim, self.backend)]
+        except (KeyError, OverflowError):
             raise KeyError(f"point {point!r} is not on the grid") from None
 
     def __contains__(self, point) -> bool:
@@ -244,12 +262,13 @@ def _form(cx, cy, const=0) -> AffineForm:
     )
 
 
-def _affine(form: AffineForm, xs: Sequence[Point], ys: Sequence[Point], backend: str) -> list:
-    """The form at each pair of the columns xs, ys: a left fold from the
-    constant adding c * v over x, then y.  Zero coefficients are folded too,
-    so float rounding, -0.0 and inf * 0 = NaN are those of the definition."""
-    cx, cy = ([scalar(c, backend) for c in cs] for cs in form[:2])
-    const = scalar(form[2], backend)
+def _affine(form: AffineForm, xs: Sequence[Point], ys: Sequence[Point]) -> list:
+    """Float backend: the form at each pair of the columns xs, ys, a left
+    fold from the constant adding c * v over x, then y.  Zero coefficients
+    are folded too, so float rounding, -0.0 and inf * 0 = NaN are those of
+    the definition."""
+    cx, cy = ([float(c) for c in cs] for cs in form[:2])
+    const = float(form[2])
     out = []
     for x, y in zip(xs, ys):
         if len(cx) != len(x) or len(cy) != len(y):
@@ -268,16 +287,82 @@ def _transpose(columns: list, n: int) -> list:
     return list(zip(*columns)) if columns else [()] * n
 
 
-def _image(forms: Tuple[AffineForm, ...], xs, ys, backend: str) -> list:
-    """The point (r(x, y) for r in forms) at each pair of the columns."""
-    return _transpose([_affine(r, xs, ys, backend) for r in forms], len(xs))
+def _image(forms: Tuple[AffineForm, ...], xs, ys) -> list:
+    """Float backend: the point (r(x, y) for r in forms) at each pair."""
+    return _transpose([_affine(r, xs, ys) for r in forms], len(xs))
+
+
+# The rational backend samples in scaled ints.  A node reads its n points
+# as coordinate columns of ints over one scale d (a coordinate is int / d;
+# None stands for points of unequal lengths) and returns (values, s): one
+# value per point, an int equal to the value times s, or a float +-inf.
+
+
+def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
+    """The values as ints over e, the lcm of their denominators."""
+    e = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (e // v.denominator) for v in values], e
+
+
+def _int_affine(form: AffineForm, xc, yc, n: int, d: int) -> Tuple[list, int]:
+    """The form at the n points as ints over e * d, e the lcm of the form's
+    denominators: const * e * d plus each (c * e) * (v * d)."""
+    cx, cy, const = form
+    if n and (xc is None or len(cx) != len(xc) or len(cy) != len(yc)):
+        raise ValueError("affine form dimensions do not match the point")
+    (k0, *ks), e = _over_lcm((const, *cx, *cy))
+    out = [k0 * d] * n
+    for k, column in zip(ks, xc + yc):
+        if k:
+            out = [t + k * v for t, v in zip(out, column)]
+    return out, e * d
+
+
+def _rescaled(values: list, k: int) -> list:
+    """Int values times k; infinities as they are."""
+    return values if k == 1 else [v * k if v.__class__ is int else v for v in values]
+
+
+def _common_scale(sampled: list) -> Tuple[list, int]:
+    """The (values, scale) pairs brought to the lcm of their scales."""
+    s = math.lcm(*(e for _, e in sampled))
+    return [_rescaled(v, s // e) for v, e in sampled], s
+
+
+def _int_sum(row) -> Union[int, float]:
+    """fold_sum over ints and infinities: -inf absorbs, then +inf."""
+    if -math.inf in row:
+        return -math.inf
+    return math.inf if math.inf in row else sum(row)
+
+
+def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
+    """expr at points of Fractions: the coordinates scaled once by the lcm
+    of their denominators, and one `Fraction` per finite value at the end."""
+    n, columns = len(points), list(zip(*points))
+    ints, d = _over_lcm([v for column in columns for v in column])
+    columns = rows(ints, len(columns))
+    xc, yc = columns[:x_dim], columns[x_dim:]
+    if len({len(p) for p in points}) > 1:
+        xc = yc = None
+    values, s = expr.sample_ints(xc, yc, n, d)
+    return [
+        ExtReal(Fraction(v, s)) if v.__class__ is int else POS_INF if v > 0 else NEG_INF
+        for v in values
+    ]
 
 
 class Expr:
-    """Node of the perturbation-function expression grammar."""
+    """Node of the perturbation-function expression grammar.  A node
+    samples whole columns of points in the arithmetic of the backend:
+    float points to `ExtReal` values, or scaled ints to scaled ints."""
 
-    def sample(self, xs: Sequence[Point], ys: Sequence[Point], backend: str) -> list:
+    def sample_floats(self, xs: Sequence[Point], ys: Sequence[Point]) -> list:
         """One value per pair (xs[i], ys[i]) of the parallel columns."""
+        raise NotImplementedError
+
+    def sample_ints(self, xc, yc, n: int, d: int) -> Tuple[list, int]:
+        """(values, scale) at the n points of the int columns over d."""
         raise NotImplementedError
 
 
@@ -289,17 +374,24 @@ class Affine(Expr):
     def of(cx, cy, const=0) -> "Affine":
         return Affine(_form(cx, cy, const))
 
-    def sample(self, xs, ys, backend):
-        return [ExtReal(v) for v in _affine(self.form, xs, ys, backend)]
+    def sample_floats(self, xs, ys):
+        return [ExtReal(v) for v in _affine(self.form, xs, ys)]
+
+    def sample_ints(self, xc, yc, n, d):
+        return _int_affine(self.form, xc, yc, n, d)
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
     arg: Expr
 
-    def sample(self, xs, ys, backend):
-        values = self.arg.sample(xs, ys, backend)
+    def sample_floats(self, xs, ys):
+        values = self.arg.sample_floats(xs, ys)
         return [ExtReal(abs(v.value)) if v.is_finite else POS_INF for v in values]
+
+    def sample_ints(self, xc, yc, n, d):
+        values, s = self.arg.sample_ints(xc, yc, n, d)
+        return [abs(v) for v in values], s
 
 
 @dataclass(frozen=True)
@@ -308,7 +400,8 @@ class Indicator(Expr):
 
     ``rows`` holds one affine form per coordinate of the set.  Containment
     uses exact comparisons in the rational backend and raw IEEE
-    comparisons in the float backend; never a tolerance.
+    comparisons in the float backend; never a tolerance.  Each constraint
+    is tested only at the points that met the ones before it.
     """
 
     polyhedron: EPolyhedron
@@ -318,40 +411,69 @@ class Indicator(Expr):
     def of(polyhedron, rows) -> "Indicator":
         return Indicator(polyhedron, tuple(_form(*r) for r in rows))
 
-    def sample(self, xs, ys, backend):
+    def _check_rows(self):
         if len(self.rows) != self.polyhedron.dim:
             raise ValueError("one affine row per polyhedron coordinate required")
-        mapped = _image(self.rows, xs, ys, backend)
+
+    def sample_floats(self, xs, ys):
+        self._check_rows()
+        mapped = _image(self.rows, xs, ys)
         inside, no_y = range(len(mapped)), [()] * len(mapped)
         for c in self.polyhedron.constraints:
             if not inside:
                 break
-            holds, rhs = operator.lt if c.strict else operator.le, scalar(c.offset, backend)
-            lhs = _affine((c.normal, (), 0), [mapped[i] for i in inside], no_y, backend)
+            holds, rhs = operator.lt if c.strict else operator.le, float(c.offset)
+            lhs = _affine((c.normal, (), 0), [mapped[i] for i in inside], no_y)
             inside = [i for i, v in zip(inside, lhs) if holds(v, rhs)]
-        zero, inside = ExtReal(scalar(0, backend)), set(inside)
+        zero, inside = ExtReal(0.0), set(inside)
         return [zero if i in inside else POS_INF for i in range(len(mapped))]
+
+    def sample_ints(self, xc, yc, n, d):
+        """<normal, mapped> against offset, both as ints over e * s: e clears
+        the constraint's denominators, s is the scale of the mapped ints."""
+        self._check_rows()
+        mapped, s = _common_scale([_int_affine(r, xc, yc, n, d) for r in self.rows])
+        inside = range(n)
+        for c in self.polyhedron.constraints:
+            if not inside:
+                break
+            holds = operator.lt if c.strict else operator.le
+            (offset, *normal), _ = _over_lcm((c.offset, *c.normal))
+            rhs, lhs = offset * s, [0] * len(inside)
+            for k, column in zip(normal, mapped):
+                if k:
+                    lhs = [t + k * column[i] for t, i in zip(lhs, inside)]
+            inside = [i for i, v in zip(inside, lhs) if holds(v, rhs)]
+        inside = set(inside)
+        return [0 if i in inside else math.inf for i in range(n)], 1
 
 
 @dataclass(frozen=True)
 class _Fold(Expr):
     terms: Tuple[Expr, ...]
 
-    def sample(self, xs, ys, backend):
-        values = [t.sample(xs, ys, backend) for t in self.terms]
+    def sample_floats(self, xs, ys):
+        values = [t.sample_floats(xs, ys) for t in self.terms]
         return [self.fold(v) for v in _transpose(values, len(xs))]
+
+    def sample_ints(self, xc, yc, n, d):
+        values, s = _common_scale([t.sample_ints(xc, yc, n, d) for t in self.terms])
+        return [self.int_fold(v) for v in _transpose(values, n)], s
 
 
 class Sum(_Fold):
     fold = staticmethod(fold_sum)
+    int_fold = staticmethod(_int_sum)
 
 
 class Max(_Fold):
     fold = staticmethod(extreal.sup)
+    int_fold = staticmethod(lambda row: max(row, default=-math.inf))
 
 
 class Min(_Fold):
     fold = staticmethod(extreal.inf)
+    int_fold = staticmethod(lambda row: min(row, default=math.inf))
 
 
 @dataclass(frozen=True)
@@ -362,10 +484,13 @@ class Precompose(Expr):
     x_rows: Tuple[AffineForm, ...]
     y_rows: Tuple[AffineForm, ...]
 
-    def sample(self, xs, ys, backend):
-        return self.inner.sample(
-            _image(self.x_rows, xs, ys, backend), _image(self.y_rows, xs, ys, backend), backend
-        )
+    def sample_floats(self, xs, ys):
+        return self.inner.sample_floats(_image(self.x_rows, xs, ys), _image(self.y_rows, xs, ys))
+
+    def sample_ints(self, xc, yc, n, d):
+        images, s = _common_scale([_int_affine(r, xc, yc, n, d) for r in self.x_rows + self.y_rows])
+        k = len(self.x_rows)
+        return self.inner.sample_ints(images[:k], images[k:], n, s)
 
 
 class PerturbFn:
@@ -387,14 +512,20 @@ class PerturbFn:
 
     def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
         """phi at points of X x Y stored as grids store them (coerced, x then
-        y coordinates), one value each; a table-backed phi looks them up."""
+        y coordinates), one value each; a table-backed phi looks them up.
+        The backend picks the arithmetic of the nodes: scaled ints for
+        rationals, the float fold for floats."""
         d = self.x_dim
-        if self.expr is not None:
-            return self.expr.sample([p[:d] for p in points], [p[d:] for p in points], backend)
-        try:
-            return [self.table[(p[:d], p[d:])] for p in points]
-        except KeyError as exc:
-            raise KeyError(f"{exc.args[0]!r} is not in the table") from None
+        if self.table is not None:
+            try:
+                return [self.table[(p[:d], p[d:])] for p in points]
+            except KeyError as exc:
+                raise KeyError(f"{exc.args[0]!r} is not in the table") from None
+        if backend == "rational":
+            return _sample_ints(self.expr, points, d)
+        if backend == "float":
+            return self.expr.sample_floats([p[:d] for p in points], [p[d:] for p in points])
+        raise ValueError(f"unknown backend {backend!r}")
 
     def value(self, x, y, backend: str = "rational") -> ExtReal:
         point = _coerce_point(x, self.x_dim, backend) + _coerce_point(y, self.y_dim, backend)
@@ -403,11 +534,12 @@ class PerturbFn:
 
 def product_grid(x_grid: Grid, y_grid: Grid) -> Grid:
     """Grid over X x Y with concatenated coordinates, x-major order.  Only
-    :func:`rows` and :func:`columns` read a table over it by that order."""
+    :func:`rows` and :func:`columns` read a table over it by that order.
+    The factors' points are coerced and distinct, so their pairs are too."""
     if x_grid.backend != y_grid.backend:
         raise ValueError("product grids need a common backend")
-    pts = [x + y for x, y in itertools.product(x_grid.points, y_grid.points)]
-    return Grid(x_grid.dim + y_grid.dim, pts, x_grid.backend)
+    pts = tuple(x + y for x, y in itertools.product(x_grid.points, y_grid.points))
+    return Grid._of(x_grid.dim + y_grid.dim, pts, x_grid.backend)
 
 
 def rows(values: Sequence, n: int) -> list:

@@ -271,42 +271,45 @@ def evaluate(expr, x, y, backend):
 # to +-inf (and inf - inf or inf * 0 to NaN).
 SMALL_VALUES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
 SMALL = st.sampled_from(SMALL_VALUES)
-COEFFICIENTS = st.sampled_from(SMALL_VALUES * 3 + [Fraction(10**308), Fraction(-10**308)])
+COEFFICIENT_VALUES = SMALL_VALUES * 3 + [Fraction(10**308), Fraction(-10**308)]
+COEFFICIENTS = st.sampled_from(COEFFICIENT_VALUES)
 
 
-def affine_forms(x_dim, y_dim):
+def affine_forms(x_dim, y_dim, coefficients=COEFFICIENTS):
     return st.tuples(
-        st.tuples(*[COEFFICIENTS] * x_dim),
-        st.tuples(*[COEFFICIENTS] * y_dim),
-        COEFFICIENTS,
+        st.tuples(*[coefficients] * x_dim),
+        st.tuples(*[coefficients] * y_dim),
+        coefficients,
     )
 
 
 @st.composite
-def expressions(draw, x_dim, y_dim, depth=3):
+def expressions(draw, x_dim, y_dim, depth=3, coefficients=COEFFICIENTS):
     """An expression tree over X x Y of the given dimensions using the
-    seven node types; indicators have strict and non-strict constraints
+    seven node types, with affine coefficients drawn from
+    ``coefficients``; indicators have strict and non-strict constraints
     whose offsets the mapped points often meet exactly."""
+    forms = affine_forms(x_dim, y_dim, coefficients)
     ops = ["affine", "indicator"]
     if depth > 0:
         ops += ["abs", "sum", "max", "min", "precompose"]
     op = draw(st.sampled_from(ops))
     if op == "affine":
-        return Affine(draw(affine_forms(x_dim, y_dim)))
+        return Affine(draw(forms))
     if op == "indicator":
         dim = draw(st.integers(1, 2))
         halfspaces = st.builds(
             Halfspace, st.tuples(*[SMALL] * dim), SMALL, st.booleans()
         )
         constraints = draw(st.lists(halfspaces, max_size=3))
-        rows = tuple(draw(affine_forms(x_dim, y_dim)) for _ in range(dim))
+        rows = tuple(draw(forms) for _ in range(dim))
         return Indicator(EPolyhedron(dim, constraints), rows)
     if op == "abs":
-        return Abs(draw(expressions(x_dim, y_dim, depth - 1)))
+        return Abs(draw(expressions(x_dim, y_dim, depth - 1, coefficients)))
     if op == "precompose":
-        x_rows = draw(st.lists(affine_forms(x_dim, y_dim), max_size=2))
-        y_rows = draw(st.lists(affine_forms(x_dim, y_dim), max_size=2))
-        inner = draw(expressions(len(x_rows), len(y_rows), depth - 1))
+        x_rows = draw(st.lists(forms, max_size=2))
+        y_rows = draw(st.lists(forms, max_size=2))
+        inner = draw(expressions(len(x_rows), len(y_rows), depth - 1, coefficients))
         return Precompose(inner, tuple(x_rows), tuple(y_rows))
-    terms = draw(st.lists(expressions(x_dim, y_dim, depth - 1), max_size=3))
+    terms = draw(st.lists(expressions(x_dim, y_dim, depth - 1, coefficients), max_size=3))
     return {"sum": Sum, "max": Max, "min": Min}[op](tuple(terms))

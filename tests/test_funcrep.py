@@ -1,11 +1,15 @@
+import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from econvex import funcrep
 from econvex.esets import EPolyhedron, Halfspace, Interval1
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
+from econvex.lagrangian import lagrangian_table
 from econvex.funcrep import (
     Abs,
     Affine,
@@ -27,7 +31,18 @@ from econvex.funcrep import (
     slice_x,
 )
 
-from helpers import SMALL, evaluate, expressions, ext_values
+from helpers import (
+    CATALOG_PROBLEMS,
+    COEFFICIENT_VALUES,
+    SMALL,
+    SMALL_VALUES,
+    catalog_problem,
+    drawn_from,
+    evaluate,
+    expressions,
+    ext_values,
+    float_twin,
+)
 
 LEQ_ZERO = EPolyhedron(1, [Halfspace((Fraction(1),), Fraction(0), False)])  # {t <= 0}
 
@@ -74,6 +89,17 @@ class TestGrid:
         g = Grid.uniform(0, 1, 2)
         with pytest.raises(KeyError):
             g.index_of((Fraction(1, 2),))
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_infinite_coordinates_are_off_the_grid(self, backend):
+        # A rational grid cannot hold +-inf (Fraction(inf) overflows); the
+        # lookup says so as it does for any other point off the grid.
+        g = Grid.uniform(-1, 1, 3, backend)
+        for v in (math.inf, -math.inf):
+            assert (v,) not in g
+            with pytest.raises(KeyError, match=r"is not on the grid"):
+                g.index_of((v,))
+        assert (math.nan,) not in g
 
 
 class TestSampledFn:
@@ -285,6 +311,23 @@ class TestMaterialize:
         assert pg.points[1] == (Fraction(0), Fraction(6))
         assert len(pg) == 4
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_product_grid_is_the_grid_of_its_points(self, backend):
+        # The factors' points are coerced and distinct already: the product
+        # coerces none again and holds what Grid would make of its points.
+        xg = Grid.uniform(-1, 1, 3, backend)
+        yg = Grid(2, [(0, 1), (1, 0), (Fraction(1, 3), -2)], backend)
+        for a, b in ((xg, yg), (yg, xg), (xg, xg)):
+            with mock.patch.object(funcrep, "_coerce_point", wraps=funcrep._coerce_point) as coerce:
+                pg = product_grid(a, b)
+            assert coerce.call_count == 0
+            ref = Grid(a.dim + b.dim, [x + y for x in a.points for y in b.points], backend)
+            assert (pg.dim, pg.backend, pg.points) == (ref.dim, ref.backend, ref.points)
+            assert [type(v) for p in pg.points for v in p] == [type(v) for p in ref.points for v in p]
+            assert [pg.index_of(p) for p in ref.points] == list(range(len(ref)))
+            with pytest.raises(KeyError):
+                pg.index_of((5,) * pg.dim)
+
     def test_rows_and_columns_follow_the_product_order(self):
         xg = Grid(1, [(0,), (1,), (2,)])
         yg = Grid(1, [(5,), (6,)])
@@ -320,11 +363,53 @@ def _outcome(thunk):
 
 @st.composite
 def phi_and_points(draw, backend):
+    """phi and a few points of X x Y; rational coordinates and affine
+    coefficients also take wide fractions, so scales grow large."""
     x_dim, y_dim = draw(st.integers(1, 2)), draw(st.integers(0, 2))
-    phi = PerturbFn(x_dim, y_dim, expr=draw(expressions(x_dim, y_dim)))
-    coordinate = SMALL.map(lambda c: scalar(c, backend))
+    coefficients = drawn_from(COEFFICIENT_VALUES, backend)
+    phi = PerturbFn(x_dim, y_dim, expr=draw(expressions(x_dim, y_dim, coefficients=coefficients)))
+    coordinate = drawn_from(SMALL_VALUES, backend).map(lambda c: scalar(c, backend))
     point = st.tuples(*[coordinate] * (x_dim + y_dim))
     return phi, draw(st.lists(point, min_size=1, max_size=6))
+
+
+class _Case:
+    """Stands in for ``st.data()`` in an ``@example``: every draw gives
+    phi and its points, which the test makes scalars of its backend."""
+
+    def __init__(self, expr, points, x_dim=1):
+        points = [tuple(Fraction(v) for v in p) for p in points]
+        self.case = PerturbFn(x_dim, len(points[0]) - x_dim, expr=expr), points
+
+    def draw(self, strategy):
+        return self.case
+
+
+def _on_the_line(strict):
+    """phi(x) = indicator of {t < 1/3} (strict) or {t <= 1/3} at t = 2x/3;
+    x = 1/2 maps exactly onto the boundary."""
+    line = Halfspace((Fraction(1),), Fraction(1, 3), strict)
+    return _Case(
+        Indicator(EPolyhedron(1, [line]), (((Fraction(2, 3),), (), Fraction(0)),)),
+        [(Fraction(1, 2),), (0,), (1,)],
+    )
+
+
+def _nested_precompose():
+    """A Precompose inside a Precompose: the images of the outer one are
+    over 3 * D, those of the inner one over 2**40 * 3 * D."""
+    third, tiny = Fraction(1, 3), Fraction(1, 2**40)
+    inner = Precompose(
+        Affine.of((1,), (-1,), third),
+        (((tiny,), (Fraction(1),), Fraction(0)),),
+        (((Fraction(1),), (tiny,), tiny),),
+    )
+    outer = Precompose(inner, (((third,), (Fraction(1),), Fraction(0)),), (((Fraction(1),), (third,), third),))
+    return _Case(outer, [(Fraction(1, 7), Fraction(2, 5)), (0, 0), (-3, tiny)])
+
+
+PLANE = [(0, 1), (Fraction(-1, 2), 2)]
+X_ONLY = Affine.of((1,), (0,))
 
 
 class TestColumnSampling:
@@ -333,9 +418,19 @@ class TestColumnSampling:
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     @given(data=st.data())
+    @example(data=_Case(Sum(()), PLANE))  # rational 0
+    @example(data=_Case(Max(()), PLANE))  # -inf
+    @example(data=_Case(Min(()), PLANE))  # +inf
+    @example(data=_Case(Abs(Max(())), PLANE))  # |-inf| = +inf
+    @example(data=_Case(Sum((X_ONLY, Min(()), Max(()))), PLANE))  # -inf beside +inf
+    @example(data=_Case(Min((X_ONLY, Max(()))), PLANE))  # -inf
+    @example(data=_nested_precompose())
+    @example(data=_on_the_line(strict=True))
+    @example(data=_on_the_line(strict=False))
     @settings(max_examples=300, deadline=None)
     def test_sample_is_pointwise(self, backend, data):
         phi, points = data.draw(phi_and_points(backend))
+        points = [tuple(scalar(v, backend) for v in p) for p in points]
         d = phi.x_dim
         expected = [
             _outcome(lambda p=p: _shape(evaluate(phi.expr, p[:d], p[d:], backend)))
@@ -348,6 +443,21 @@ class TestColumnSampling:
         # Nodes run in the same order either way, so the column stops at
         # an error one of its points raises on its own.
         assert column in errors if errors else column == expected
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_shape_errors_come_in_node_order(self, backend):
+        wide = Affine.of((1, 1), (0,))  # two x coefficients, one x coordinate
+        one_row = Indicator(EPolyhedron(2), (((Fraction(1),), (Fraction(0),), Fraction(0)),))
+        point = [(scalar(0, backend), scalar(1, backend))]
+        for first, second, message in ((wide, one_row, "affine form"), (one_row, wide, "one affine row")):
+            phi = PerturbFn(1, 1, expr=Sum((first, second)))
+            with pytest.raises(ValueError, match=message):
+                phi.sample(point, backend)
+            # With no points an affine form has nothing to mismatch, but
+            # the row count of an indicator is still checked.
+            with pytest.raises(ValueError, match="one affine row"):
+                phi.sample([], backend)
+        assert PerturbFn(1, 1, expr=wide).sample([], backend) == []
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     @given(data=st.data())
@@ -365,3 +475,26 @@ class TestColumnSampling:
         phi = PerturbFn(1, 1, table={((Fraction(0),), (Fraction(0),)): POS_INF})
         with pytest.raises(KeyError, match=r"\(\(Fraction\(1, 1\),\), \(Fraction\(0, 1\),\)\) is not"):
             phi.sample([(Fraction(1), Fraction(0))])
+
+
+class TestIntegerPath:
+    """Counts, not clocks: rational tables of phi are sampled in scaled
+    ints, one ``_sample_ints`` call per table, and float tables never."""
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_catalog_tables_take_the_integer_path(self, name):
+        for P, per_table in ((catalog_problem(name), 1), (float_twin(name), 0)):
+            calls, real = [], funcrep._sample_ints
+
+            def counted(*args):
+                calls.append(args)
+                return real(*args)
+
+            with mock.patch.object(funcrep, "_sample_ints", counted):
+                P.phi_on_product
+                P.f0
+                L = lagrangian_table(P)  # its slices are rows of phi_on_product
+                assert len(calls) == 2 * per_table
+                slices = [slice_x(P.phi, x, P.y_grid) for x in P.x_grid.points]
+            assert len(calls) == (2 + len(P.x_grid)) * per_table
+            assert [sl.values for sl in slices] == [sl.values for sl in L.slices]
