@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from econvex import catalog, problemio
 from econvex.conjugation import DualPoint
-from econvex.duality import EXACT_PASS, FAIL, SURROGATE_UNMET, AuditOutcome
+from econvex.duality import EXACT_PASS, AuditOutcome
 from econvex.duality import c5_audit, converse_duality_report
 from econvex.esets import (
     EPolyhedron,
@@ -33,7 +33,7 @@ from econvex.esets import (
     lower_envelope,
     separate,
 )
-from econvex.extreal import ExtReal, fmt, scalar
+from econvex.extreal import ExtReal, NaNError, fmt, scalar
 from econvex.lagrangian import (
     dual_slice_audit,
     example52_audit,
@@ -414,7 +414,16 @@ def cmd_lagrangian(args) -> int:
     return EXIT_OK if ok and out["contains_argmin_x_argmax"] else EXIT_EXACT_FAILURE
 
 
-def _run_exact_suite(P) -> tuple:
+def _eps_values(P):
+    return tuple(scalar(e, P.backend) for e in (0, Fraction(1, 2), 1))
+
+
+def cmd_audit(args) -> int:
+    pf = _resolve(args.problem)
+    if isinstance(pf, problemio.EsetFile):
+        return _audit_eset(pf, args)
+    P = pf.build()
+    started = time.monotonic()
     # The report's exact outcomes include any exact breakage inside the
     # conditional audits (c5, c5bar, theorem31, corollary310); their
     # conditional outcomes belong to the conditional suite.
@@ -441,22 +450,7 @@ def _run_exact_suite(P) -> tuple:
             "transfer_forward", tr.forward_ok, f"checked {tr.pairs_checked} pairs"
         ),
     ]
-    probe_points = [P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2]]
-    return audits, report, tr, probe_points
-
-
-def _eps_values(P):
-    return tuple(scalar(e, P.backend) for e in (0, Fraction(1, 2), 1))
-
-
-def cmd_audit(args) -> int:
-    pf = _resolve(args.problem)
-    if isinstance(pf, problemio.EsetFile):
-        return _audit_eset(pf, args)
-    P = pf.build()
-    started = time.monotonic()
-    audits, report, tr, probes = _run_exact_suite(P)
-    for x in probes:
+    for x in (P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2]):
         for eps in _eps_values(P):
             t43 = theorem43_audit(P, x, eps)
             t44 = theorem44_audit(P, x, eps)
@@ -472,26 +466,15 @@ def cmd_audit(args) -> int:
             if not report.audits[name].is_exact_failure:
                 audits.append(report.audits[name])
         p55 = prop55_audit(P)
-        status = (
-            EXACT_PASS
-            if p55["equals_argmin_x_argmax"]
-            else (SURROGATE_UNMET if not p55["slice_surrogate"] else FAIL)
-        )
         audits.append(
-            AuditOutcome(
-                "saddle_equivalence",
-                "conditional",
-                status,
+            AuditOutcome.conditional(
+                "saddle_equivalence", p55["equals_argmin_x_argmax"], p55["slice_surrogate"],
                 f"slice surrogate {'holds' if p55['slice_surrogate'] else 'unmet'}",
             )
         )
         audits.append(
-            AuditOutcome(
-                "transfer_converse",
-                "conditional",
-                EXACT_PASS
-                if tr.converse_ok
-                else (SURROGATE_UNMET if not tr.econvex_surrogate else FAIL),
+            AuditOutcome.conditional(
+                "transfer_converse", tr.converse_ok, tr.econvex_surrogate,
                 f"{len(tr.counterexamples)} counterexample pairs",
             )
         )
@@ -547,10 +530,8 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
         if args.suite != "exact" and not _why_no_envelope(P, empty):
             rep, witness = is_functionally_representable(P)
             audits.append(
-                AuditOutcome(
-                    "functional_representability",
-                    "conditional",
-                    EXACT_PASS if rep else FAIL,
+                AuditOutcome.conditional(
+                    "functional_representability", rep, True,
                     "graph of the lower envelope inside the set"
                     if rep
                     else f"witness x = {witness}",
@@ -613,7 +594,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except problemio.InputError as exc:
+    except (problemio.InputError, NaNError) as exc:
         print(f"econvex: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,6 +21,7 @@ regularity conditions that live in the continuum; they are labelled
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Optional, Tuple
@@ -78,6 +79,15 @@ class AuditOutcome:
         """An exact audit checks a grid theorem: it passes or, on a bug, fails."""
         return cls(name, "exact", EXACT_PASS if ok else FAIL, detail)
 
+    @classmethod
+    def conditional(
+        cls, name: str, holds: bool, surrogate: bool, detail: str = ""
+    ) -> "AuditOutcome":
+        """A conditional audit decided equality first: it passes when the
+        equality holds, and otherwise fails only under its surrogate."""
+        status = EXACT_PASS if holds else (FAIL if surrogate else SURROGATE_UNMET)
+        return cls(name, "conditional", status, detail)
+
     @property
     def is_exact_failure(self) -> bool:
         return self.kind == "exact" and self.status == FAIL
@@ -112,6 +122,7 @@ class PerturbationProblem:
         self.name = name
         self.tolerance = tolerance
         self.backend = x_grid.backend
+        self._x_ends = [(min(axis), max(axis)) for axis in zip(*x_grid.points)]
 
         pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
         flats = [p.flatten() if hasattr(p, "flatten") else p for p in pairs]
@@ -238,15 +249,9 @@ class PerturbationProblem:
         return abs(a.value - b.value) <= self.tolerance
 
     def on_x_boundary(self, x) -> bool:
-        return _on_boundary(self.x_grid, x)
-
-
-def _on_boundary(grid: Grid, point) -> bool:
-    for i in range(grid.dim):
-        coords = [p[i] for p in grid.points]
-        if point[i] in (min(coords), max(coords)):
-            return True
-    return False
+        """Whether some coordinate of x is the least or greatest of its
+        axis on the x-grid."""
+        return any(c in ends for c, ends in zip(x, self._x_ends))
 
 
 def _argbest(fn: SampledFn, best: ExtReal) -> Tuple:
@@ -300,6 +305,20 @@ def weak_chain_audit(P: PerturbationProblem) -> AuditOutcome:
     return AuditOutcome.exact("e1_chain", ok, detail)
 
 
+def _split(P: PerturbationProblem, rows, sign: str):
+    """The one pass of the four restriction audits: of the (point, lhs,
+    rhs) rows, those breaking the grid inequality ``lhs <sign> rhs`` and
+    those whose sides ``P.close`` does not equate."""
+    holds = operator.le if sign == "<=" else operator.ge
+    violations, mismatches = [], []
+    for point, lhs, rhs in rows:
+        if not holds(lhs, rhs):
+            violations.append((point, lhs, rhs))
+        if not P.close(lhs, rhs):
+            mismatches.append((point, lhs, rhs))
+    return tuple(violations), tuple(mismatches)
+
+
 def c5_audit(P: PerturbationProblem):
     """Surrogate for the closedness condition on the projected epigraph.
 
@@ -308,27 +327,19 @@ def c5_audit(P: PerturbationProblem):
     (y*, v*) block, by position.  The <= direction is a grid theorem;
     equality everywhere is the surrogate.
     """
-    witnesses = []
-    exact_ok = True
-    for (w, lhs), rhs in zip(P.f0_conj.items(), P.psi_block_min.values):
-        if not lhs <= rhs:
-            exact_ok = False
-        if not P.close(lhs, rhs):
-            witnesses.append((w, lhs, rhs))
-    if not exact_ok:
-        status = FAIL
-        kind = "exact"
+    rows = zip(P.f0_conj.grid.points, P.f0_conj.values, P.psi_block_min.values)
+    violations, mismatches = _split(P, rows, "<=")
+    if violations:
         detail = "restriction inequality violated (bug)"
-    else:
-        kind = "conditional"
-        status = EXACT_PASS if not witnesses else FAIL
-        detail = (
-            "phi(.,0)^c equals the (y*,v*)-minimum of phi^c at every projected "
-            "dual point (surrogate)"
-            if not witnesses
-            else f"{len(witnesses)} projected dual points miss the minimum"
-        )
-    return AuditOutcome("c5", kind, status, detail, tuple(witnesses))
+        return AuditOutcome("c5", "exact", FAIL, detail, mismatches)
+    if mismatches:
+        detail = f"{len(mismatches)} projected dual points miss the minimum"
+        return AuditOutcome("c5", "conditional", FAIL, detail, mismatches)
+    return AuditOutcome(
+        "c5", "conditional", EXACT_PASS,
+        "phi(.,0)^c equals the (y*,v*)-minimum of phi^c at every projected "
+        "dual point (surrogate)",
+    )
 
 
 def c5bar_audit(P: PerturbationProblem):
@@ -340,102 +351,71 @@ def c5bar_audit(P: PerturbationProblem):
     the surrogate.  Attainment at an x-grid edge is flagged as possibly
     truncated.
     """
-    witnesses = []
-    truncated = []
-    exact_ok = True
-    for (y, lhs), (rhs, attaining) in zip(P.g_prime.items(), P.psi_prime_x_minima):
-        if not lhs <= rhs:
-            exact_ok = False
-        if not P.close(lhs, rhs):
-            witnesses.append((y, lhs, rhs))
-        elif rhs.is_finite and all(P.on_x_boundary(x) for x in attaining):
-            truncated.append(y)
-    if not exact_ok:
-        return AuditOutcome(
-            "c5bar", "exact", FAIL, "lower-bound inequality violated (bug)",
-            tuple(witnesses),
-        )
-    if witnesses:
-        detail = f"{len(witnesses)} y-points miss the attained minimum"
-        return AuditOutcome("c5bar", "conditional", FAIL, detail, tuple(witnesses))
+    minima = P.psi_prime_x_minima
+    rows = zip(P.g_prime.grid.points, P.g_prime.values, (low for low, _ in minima))
+    violations, mismatches = _split(P, rows, "<=")
+    if violations:
+        detail = "lower-bound inequality violated (bug)"
+        return AuditOutcome("c5bar", "exact", FAIL, detail, mismatches)
+    if mismatches:
+        detail = f"{len(mismatches)} y-points miss the attained minimum"
+        return AuditOutcome("c5bar", "conditional", FAIL, detail, mismatches)
+    truncated = tuple(
+        y for y, (low, attaining) in zip(P.g_prime.grid.points, minima)
+        if low.is_finite and all(P.on_x_boundary(x) for x in attaining)
+    )
     if truncated:
         detail = (
             "equality holds but the minimum is attained only at x-grid edges "
             f"for {len(truncated)} y-points"
         )
-        return AuditOutcome("c5bar", "conditional", GRID_TRUNCATED, detail, tuple(truncated))
+        return AuditOutcome("c5bar", "conditional", GRID_TRUNCATED, detail, truncated)
     return AuditOutcome(
         "c5bar", "conditional", EXACT_PASS,
         "G^{c'} equals the attained x-minimum of psi^{c'} at every y (surrogate)",
     )
 
 
+def _surrogate_gated(P, name, rows, sign, surrogate: AuditOutcome, claim) -> AuditOutcome:
+    """The rule of theorem31 and corollary310: the grid inequality
+    ``lhs <sign> rhs`` is exact; equality is required only when the
+    surrogate outcome passed, and inherits its grid truncation."""
+    violations, mismatches = _split(P, rows, sign)
+    if violations:
+        return AuditOutcome(name, "exact", FAIL, f"pointwise {sign} violated (bug)", violations)
+    if surrogate.status not in (EXACT_PASS, GRID_TRUNCATED):
+        return AuditOutcome(
+            name, "conditional", SURROGATE_UNMET,
+            f"inequality exact; equality not required ({surrogate.name} surrogate unmet)",
+        )
+    if mismatches:
+        detail = f"{surrogate.name} surrogate holds but equality fails at {len(mismatches)} points"
+        return AuditOutcome(name, "conditional", FAIL, detail, mismatches)
+    if surrogate.status == GRID_TRUNCATED:
+        return AuditOutcome(
+            name, "conditional", GRID_TRUNCATED,
+            "equality holds; minimum attained only at grid edges",
+        )
+    status = EXACT_PASS if P.backend == "rational" else TOLERANCE_PASS
+    detail = f"inequality exact and {claim} holds under {surrogate.name}"
+    return AuditOutcome(name, "conditional", status, detail)
+
+
 def theorem31_audit(P: PerturbationProblem, c5: AuditOutcome) -> AuditOutcome:
     """Restriction-vs-slice biconjugates: the >= direction is exact; under
     the c5 surrogate the two sides must agree within tolerance.  ``c5`` is
     the outcome of :func:`c5_audit` on P."""
-    bad = []
-    gaps = []
-    for (x, lhs), rhs in zip(P.f0_biconj.items(), P.phi_biconj_at_zero.values):
-        if not lhs >= rhs:
-            bad.append((x, lhs, rhs))
-        gaps.append((x, lhs, rhs))
-    if bad:
-        return AuditOutcome(
-            "theorem31", "exact", FAIL, "pointwise >= violated (bug)", tuple(bad)
-        )
-    if c5.status != EXACT_PASS:
-        return AuditOutcome(
-            "theorem31", "conditional", SURROGATE_UNMET,
-            "inequality exact; equality not required (c5 surrogate unmet)",
-        )
-    mism = tuple((x, a, b) for x, a, b in gaps if not P.close(a, b))
-    if mism:
-        return AuditOutcome(
-            "theorem31", "conditional", FAIL,
-            f"c5 surrogate holds but equality fails at {len(mism)} points", mism
-        )
-    status = EXACT_PASS if P.backend == "rational" else TOLERANCE_PASS
-    return AuditOutcome(
-        "theorem31", "conditional", status, "inequality exact and equality holds under c5"
-    )
+    rows = zip(P.f0_biconj.grid.points, P.f0_biconj.values, P.phi_biconj_at_zero.values)
+    return _surrogate_gated(P, "theorem31", rows, ">=", c5, "equality")
 
 
 def corollary310_audit(P: PerturbationProblem, c5bar: AuditOutcome) -> AuditOutcome:
     """(inf_x phi(x, .))^{cc'} <= inf_x phi^{cc'}(x, .) pointwise; equality
     with attained minimum under the c5bar surrogate.  ``c5bar`` is the
     outcome of :func:`c5bar_audit` on P."""
-    bad = []
-    rows = []
-    for (y, lhs), (rhs, _) in zip(P.p_biconj.items(), P.psi_prime_x_minima):
-        if not lhs <= rhs:
-            bad.append((y, lhs, rhs))
-        rows.append((y, lhs, rhs))
-    if bad:
-        return AuditOutcome(
-            "corollary310", "exact", FAIL, "pointwise <= violated (bug)", tuple(bad)
-        )
-    if c5bar.status not in (EXACT_PASS, GRID_TRUNCATED):
-        return AuditOutcome(
-            "corollary310", "conditional", SURROGATE_UNMET,
-            "inequality exact; equality not required (c5bar surrogate unmet)",
-        )
-    mism = tuple((y, a, b) for y, a, b in rows if not P.close(a, b))
-    if mism:
-        return AuditOutcome(
-            "corollary310", "conditional", FAIL,
-            f"c5bar surrogate holds but equality fails at {len(mism)} points", mism
-        )
-    if c5bar.status == GRID_TRUNCATED:
-        return AuditOutcome(
-            "corollary310", "conditional", GRID_TRUNCATED,
-            "equality holds; minimum attained only at grid edges",
-        )
-    status = EXACT_PASS if P.backend == "rational" else TOLERANCE_PASS
-    return AuditOutcome(
-        "corollary310", "conditional", status,
-        "inequality exact and min-attainment equality holds under c5bar",
-    )
+    lows = (low for low, _ in P.psi_prime_x_minima)
+    rows = zip(P.p_biconj.grid.points, P.p_biconj.values, lows)
+    return _surrogate_gated(P, "corollary310", rows, "<=", c5bar, "min-attainment equality")
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,13 @@ raises :class:`BackendMismatchError` instead of silently coercing.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
     "BackendMismatchError",
+    "NaNError",
     "ExtReal",
     "POS_INF",
     "NEG_INF",
@@ -37,6 +39,11 @@ Scalar = Union[int, float, Fraction]
 
 class BackendMismatchError(TypeError):
     """Raised when rational-backed and float-backed finite values meet."""
+
+
+class NaNError(ValueError):
+    """Raised when float arithmetic reaches NaN, which has no extended-real
+    meaning."""
 
 
 class ExtReal:
@@ -56,7 +63,7 @@ class ExtReal:
             value = Fraction(value)
         elif isinstance(value, float):
             if math.isnan(value):
-                raise ValueError("NaN has no extended-real meaning")
+                raise NaNError("NaN has no extended-real meaning")
         elif not isinstance(value, Fraction):
             raise TypeError(f"unsupported payload type {type(value).__name__}")
         object.__setattr__(self, "_v", value)
@@ -209,6 +216,16 @@ def inf(values: Iterable[ExtReal]) -> ExtReal:
     return best
 
 
+def _digits(n: int) -> str:
+    """n in decimal.  Past the interpreter's limit on int-to-str digits,
+    which the loader relies on and so stays in force, through `Decimal`,
+    which prints any number of digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def fmt(x: ExtReal) -> str:
     """Render as ``inf``, ``-inf``, ``p/q``/``p`` (rational) or repr (float)."""
     if x.is_pos_inf:
@@ -217,7 +234,8 @@ def fmt(x: ExtReal) -> str:
         return "-inf"
     v = x.value
     if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        p = _digits(v.numerator)
+        return p if v.denominator == 1 else f"{p}/{_digits(v.denominator)}"
     return repr(v)
 
 

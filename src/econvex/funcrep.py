@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from econvex.esets import EPolyhedron, Interval1
-from econvex.extreal import NEG_INF, POS_INF, ExtReal, fold_sum, scalar
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, fold_sum, scalar
 from econvex import extreal
 
 __all__ = [
@@ -524,7 +524,10 @@ class PerturbFn:
         if backend == "rational":
             return _sample_ints(self.expr, points, d)
         if backend == "float":
-            return self.expr.sample_floats([p[:d] for p in points], [p[d:] for p in points])
+            try:
+                return self.expr.sample_floats([p[:d] for p in points], [p[d:] for p in points])
+            except NaNError:
+                raise NaNError("phi: its float arithmetic overflows to NaN") from None
         raise ValueError(f"unknown backend {backend!r}")
 
     def value(self, x, y, backend: str = "rational") -> ExtReal:

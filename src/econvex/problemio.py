@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -55,16 +56,24 @@ MAX_DUAL_PAIRS = 10**6  # |xstar|·|ystar|·|ustar|·|vstar|·|alpha|
 # Fraction("1e<k>") builds the int 10**|k|, so a number string's exponent
 # is bounded like the digits of an integer literal.
 MAX_EXPONENT = 4300
+# Reports print input numbers, and Python prints an int of at most 4300
+# digits.  2**14284 < 10**4300, so a numerator or denominator of at most
+# MAX_BITS bits prints.
+MAX_BITS = 14284
 
 
 def _fraction(text: str) -> Fraction:
-    """Fraction(text); a ValueError for an exponent beyond MAX_EXPONENT.
-    In a string Fraction reads, whatever follows the last "e" is the
-    exponent, so anything else there is an error either way."""
+    """Fraction(text); a ValueError for an exponent beyond MAX_EXPONENT or
+    a numerator or denominator beyond MAX_BITS.  In a string Fraction
+    reads, whatever follows the last "e" is the exponent, so anything else
+    there is an error either way."""
     _, e, exponent = text.lower().rpartition("e")
     if e and abs(int(exponent)) > MAX_EXPONENT:
         raise ValueError(f"exponent beyond {MAX_EXPONENT}")
-    return Fraction(text)
+    c = Fraction(text)
+    if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS:
+        raise ValueError(f"more than {MAX_BITS} bits")
+    return c
 
 
 def _json_int(digits: str):
@@ -171,7 +180,7 @@ def _vec(v, dim: int, backend: str, where: str, num=_num) -> Tuple:
 def _parse_eset(obj: dict, backend: str, where: str) -> EPolyhedron:
     _require_keys(obj, ["dim", "constraints"], (), where)
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise InputError(f"{where}.dim: must be a positive integer")
     constraints = []
     for i, c in enumerate(_list(obj["constraints"], f"{where}.constraints")):
@@ -249,12 +258,14 @@ def _parse_grid(obj, dim: int, backend: str, where: str) -> Grid:
             _vec(p, dim, backend, f"{where}.points[{i}]")
             for i, p in enumerate(_list(obj["points"], f"{where}.points"))
         ]
+        if not pts:
+            raise InputError(f"{where}.points: must not be empty")
         return Grid(dim, _distinct(pts, f"{where}.points"), backend)
     if isinstance(obj, dict) and {"lo", "hi", "count"} <= set(obj):
         _require_keys(obj, ["lo", "hi", "count"], (), where)
         if dim != 1:
             raise InputError(f"{where}: lo/hi/count ranges are 1-D; use explicit points")
-        if not isinstance(obj["count"], int) or obj["count"] < 1:
+        if type(obj["count"]) is not int or obj["count"] < 1:
             raise InputError(f"{where}.count: must be a positive integer")
         lo = _num(obj["lo"], backend, f"{where}.lo")
         hi = _num(obj["hi"], backend, f"{where}.hi")
@@ -271,7 +282,7 @@ def _grid_size(obj, where: str) -> int:
     if isinstance(obj, dict) and "points" in obj:
         return len(obj["points"]) if isinstance(obj["points"], list) else 1
     count = obj.get("count") if isinstance(obj, dict) else None
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:
         return 1
     if count > MAX_RANGE_COUNT:
         raise InputError(f"{where}.count: {count} exceeds the budget of {MAX_RANGE_COUNT}")
@@ -345,14 +356,14 @@ def loads(text: str):
     )
     x_dim, y_dim = obj["x_dim"], obj["y_dim"]
     for label, d in (("x_dim", x_dim), ("y_dim", y_dim)):
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:
             raise InputError(f"{label}: must be a positive integer")
     backend = obj["backend"]
     if backend not in ("rational", "float"):
         raise InputError("backend: must be 'rational' or 'float'")
     tolerance = obj.get("tolerance", 1e-9)
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) or tolerance < 0:
-        raise InputError("tolerance: must be a nonnegative number")
+    if type(tolerance) not in (int, float) or not 0 <= tolerance <= sys.float_info.max:
+        raise InputError("tolerance: must be a finite nonnegative number")
 
     grids = obj["grids"]
     _require_keys(

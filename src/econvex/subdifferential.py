@@ -42,7 +42,7 @@ from econvex.conjugation import DualGrid, DualPoint, c_conjugate, coupling_c
 from econvex.conjugation import _classify, _coupling, _sup_minus
 from econvex.duality import PerturbationProblem
 from econvex.extreal import ExtReal, scalar
-from econvex.funcrep import SampledFn, columns
+from econvex.funcrep import SampledFn
 
 __all__ = [
     "SubdiffSet",
@@ -214,17 +214,18 @@ def transfer_audit(f: SampledFn, f_conj: SampledFn, f_biconj: SampledFn) -> Tran
 
 def _embedded_memberships(P: PerturbationProblem) -> Iterator[Tuple[Tuple, DualPoint, bool]]:
     """(x, w, member) over x-grid x Y-side dual grid: whether the embedded
-    dual point is a subgradient of phi at (x, 0), read off psi at the
-    embedded points (the cached G = g_on_dual_y) and the y-origin columns
-    of the product grid and of phi_on_product."""
-    n, j = len(P.y_grid), P.y_grid.index_of(P.y_grid.origin)
-    bases = columns(P.product.points, n)[j]
-    phi_x0 = columns(P.phi_on_product.values, n)[j]
-    duals = [(w, conj, P.embed(w)) for w, conj in P.g_on_dual_y.items()]
-    zero = _zero_eps(P.phi_on_product)
-    for x, base, fx0 in zip(P.x_grid.points, bases, phi_x0):
-        for w, conj, flat in duals:
-            yield x, w, _member(fx0, conj, coupling_c(base, flat), zero)
+    dual point ((0, y*), (0, v*), alpha) is a subgradient of phi at (x, 0).
+    Its coupling there is <x, 0> + <0, y*> = 0 behind the gate
+    <x, 0> + <0, v*> = 0 < alpha, which alpha > 0 keeps open, so membership
+    reads only phi(x, 0) = f0(x) and psi at the embedded point, the cached
+    G = g_on_dual_y.  Grid points are finite, so a float dot is +-0.0,
+    which compares as 0."""
+    zero = _zero_eps(P.f0)
+    coupling = ExtReal(zero)
+    duals = list(P.g_on_dual_y.items())
+    for x, fx0 in P.f0.items():
+        for w, conj in duals:
+            yield x, w, _member(fx0, conj, coupling, zero)
 
 
 def total_duality_certificate(

@@ -40,8 +40,10 @@ PROBLEM_COMMANDS = (
     ("audit", "--suite", "all"),
     ("duality",),
     ("duality", "--output", "csv"),
+    ("conjugate",),
     ("conjugate", "--output", "csv"),
     ("biconjugate",),
+    ("biconjugate", "--output", "csv"),
     ("lagrangian",),
     ("lagrangian", "--output", "csv"),
     ("subdiff", "--at", "0", "--eps", "1/2"),

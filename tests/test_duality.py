@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import catalog_problem, random_problem
+from helpers import catalog_problem, float_twin, random_problem
 
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import (
     EXACT_PASS,
     FAIL,
+    GRID_TRUNCATED,
+    SURROGATE_UNMET,
+    TOLERANCE_PASS,
     AuditOutcome,
     PerturbationProblem,
     c5_audit,
@@ -22,8 +25,8 @@ from econvex.duality import (
     theorem31_audit,
     weak_chain_audit,
 )
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
-from econvex.funcrep import Grid, PerturbFn
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
+from econvex.funcrep import Grid, PerturbFn, SampledFn
 
 
 @pytest.fixture(scope="module")
@@ -398,3 +401,146 @@ class TestAuditOutcomeExact:
         for name in ("weak_duality", "dual_route_identity", "barred_identities",
                      "barred_weak", "converse_equivalence", "e1_chain"):
             assert audits[name] == AuditOutcome.exact(name, True, audits[name].detail)
+
+
+# ---------------------------------------------------------------------------
+# Every branch of the four restriction audits, reached by overwriting a
+# cached table of a catalog problem
+# ---------------------------------------------------------------------------
+
+
+BACKENDS = ("rational", "float")
+
+
+def problem(name, backend):
+    return catalog_problem(name) if backend == "rational" else float_twin(name)
+
+
+def shift(P, table, steps, rhs):
+    """Overwrite the cached table ``P.<table>`` with a copy whose k-th
+    finite cell (counting cells where it and ``rhs`` are both finite) moves
+    by ``steps[k]``; the moved rows (point, new value, rhs), in grid order."""
+    fn = getattr(P, table)
+    finite = [i for i, (a, b) in enumerate(zip(fn.values, rhs)) if a.is_finite and b.is_finite]
+    values = list(fn.values)
+    for k, step in steps.items():
+        values[finite[k]] = values[finite[k]] + ExtReal(scalar(step, P.backend))
+    P.__dict__[table] = SampledFn(fn.grid, values)
+    moved = sorted(finite[k] for k in steps)
+    return [(fn.grid.points[i], values[i], rhs[i]) for i in moved]
+
+
+def minima(P):
+    return [low for low, _ in P.psi_prime_x_minima]
+
+
+def passed(backend):
+    return EXACT_PASS if backend == "rational" else TOLERANCE_PASS
+
+
+def assert_outcome(out, kind, status, detail, witnesses=()):
+    assert (out.kind, out.status, out.detail) == (kind, status, detail)
+    assert out.witnesses == tuple(witnesses)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestAuditBranches:
+    def test_c5_pass(self, backend):
+        assert_outcome(
+            c5_audit(problem("fenchel_abs", backend)), "conditional", EXACT_PASS,
+            "phi(.,0)^c equals the (y*,v*)-minimum of phi^c at every projected "
+            "dual point (surrogate)",
+        )
+
+    def test_c5_conditional_fail(self, backend):
+        P = problem("truncated_dual", backend)
+        rows = [(w, a, b) for (w, a), b in zip(P.f0_conj.items(), P.psi_block_min.values)
+                if a != b]
+        assert_outcome(c5_audit(P), "conditional", FAIL,
+                       f"{len(rows)} projected dual points miss the minimum", rows)
+
+    def test_c5_exact_fail_lists_every_mismatch(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "f0_conj", {0: 1, 1: -1}, P.psi_block_min.values)
+        assert_outcome(c5_audit(P), "exact", FAIL, "restriction inequality violated (bug)", moved)
+
+    def test_c5bar_pass(self, backend):
+        assert_outcome(
+            c5bar_audit(problem("fenchel_abs", backend)), "conditional", EXACT_PASS,
+            "G^{c'} equals the attained x-minimum of psi^{c'} at every y (surrogate)",
+        )
+
+    def test_c5bar_grid_truncated(self, backend):
+        P = problem("example52", backend)
+        edges = {P.x_grid.points[0], P.x_grid.points[-1]}
+        ys = [y for y, (low, at) in zip(P.y_grid.points, P.psi_prime_x_minima)
+              if low.is_finite and set(at) <= edges]
+        assert_outcome(
+            c5bar_audit(P), "conditional", GRID_TRUNCATED,
+            f"equality holds but the minimum is attained only at x-grid edges for {len(ys)} "
+            "y-points", ys,
+        )
+
+    def test_c5bar_conditional_fail(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "g_prime", {1: -1}, minima(P))
+        assert_outcome(c5bar_audit(P), "conditional", FAIL,
+                       "1 y-points miss the attained minimum", moved)
+
+    def test_c5bar_exact_fail_lists_every_mismatch(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "g_prime", {0: 1, 1: -1}, minima(P))
+        assert_outcome(c5bar_audit(P), "exact", FAIL, "lower-bound inequality violated (bug)",
+                       moved)
+
+    def test_theorem31_pass(self, backend):
+        P = problem("fenchel_abs", backend)
+        assert_outcome(theorem31_audit(P, c5_audit(P)), "conditional", passed(backend),
+                       "inequality exact and equality holds under c5")
+
+    def test_theorem31_surrogate_unmet(self, backend):
+        P = problem("truncated_dual", backend)
+        assert_outcome(theorem31_audit(P, c5_audit(P)), "conditional", SURROGATE_UNMET,
+                       "inequality exact; equality not required (c5 surrogate unmet)")
+
+    def test_theorem31_conditional_fail(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "f0_biconj", {1: 1}, P.phi_biconj_at_zero.values)
+        assert_outcome(theorem31_audit(P, c5_audit(P)), "conditional", FAIL,
+                       "c5 surrogate holds but equality fails at 1 points", moved)
+
+    def test_theorem31_exact_fail_lists_only_violations(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "f0_biconj", {0: -1, 1: 1}, P.phi_biconj_at_zero.values)
+        assert_outcome(theorem31_audit(P, c5_audit(P)), "exact", FAIL,
+                       "pointwise >= violated (bug)", moved[:1])
+
+    def test_corollary310_pass(self, backend):
+        P = problem("fenchel_abs", backend)
+        assert_outcome(
+            corollary310_audit(P, c5bar_audit(P)), "conditional", passed(backend),
+            "inequality exact and min-attainment equality holds under c5bar",
+        )
+
+    def test_corollary310_grid_truncated(self, backend):
+        P = problem("example52", backend)
+        assert_outcome(corollary310_audit(P, c5bar_audit(P)), "conditional", GRID_TRUNCATED,
+                       "equality holds; minimum attained only at grid edges")
+
+    def test_corollary310_surrogate_unmet(self, backend):
+        P = problem("fenchel_abs", backend)
+        shift(P, "g_prime", {1: -1}, minima(P))
+        assert_outcome(corollary310_audit(P, c5bar_audit(P)), "conditional", SURROGATE_UNMET,
+                       "inequality exact; equality not required (c5bar surrogate unmet)")
+
+    def test_corollary310_conditional_fail(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "p_biconj", {1: -1}, minima(P))
+        assert_outcome(corollary310_audit(P, c5bar_audit(P)), "conditional", FAIL,
+                       "c5bar surrogate holds but equality fails at 1 points", moved)
+
+    def test_corollary310_exact_fail_lists_only_violations(self, backend):
+        P = problem("fenchel_abs", backend)
+        moved = shift(P, "p_biconj", {0: 1, 1: -1}, minima(P))
+        assert_outcome(corollary310_audit(P, c5bar_audit(P)), "exact", FAIL,
+                       "pointwise <= violated (bug)", moved[:1])

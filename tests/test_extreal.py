@@ -11,6 +11,7 @@ from econvex.extreal import (
     POS_INF,
     BackendMismatchError,
     ExtReal,
+    NaNError,
     fold_sum,
     fmt,
     parse,
@@ -139,7 +140,7 @@ class TestBackends:
         assert not ExtReal(float("inf")).is_finite
 
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NaNError):
             ExtReal(float("nan"))
 
     def test_cross_backend_comparison_forbidden(self):
@@ -200,6 +201,9 @@ class TestRendering:
             (NEG_INF, "-inf"),
             (ExtReal(Fraction(3, 4)), "3/4"),
             (ExtReal(Fraction(-7)), "-7"),
+            # Past the interpreter's 4300-digit limit on int-to-str.
+            (ExtReal(Fraction(10**5000)), "1" + "0" * 5000),
+            (ExtReal(Fraction(-1, 10**5000)), "-1/1" + "0" * 5000),
         ],
     )
     def test_fmt(self, value, text):

@@ -575,13 +575,26 @@ class TestInputContract:
              "grids.alpha[0]"),
             (lambda d: d["grids"].update(ystar=[HUGE_INT]), "grids.ystar[0]"),
             (lambda d: d["grids"]["y"].update(count=HUGE_INT), "grids.y.count"),
+            (lambda d: d["grids"].update(alpha=["1e4300"]), "grids.alpha[0]"),
+            (lambda d: d["grids"].update(ystar=["1e-4300"]), "grids.ystar[0]"),
+            (lambda d: d["phi"]["terms"][0]["arg"].update(x=["123.456e4299"]),
+             "phi.terms[0].arg.x"),
+            (lambda d: d["grids"].update(x={"points": []}), "grids.x.points"),
+            (lambda d: d.update(tolerance=float("nan")), "tolerance"),
+            (lambda d: d.update(tolerance=float("inf")), "tolerance"),
+            (lambda d: d.update(tolerance=10**400), "tolerance"),
+            (lambda d: d.update(x_dim=True), "x_dim"),
+            (lambda d: d["grids"]["y"].update(count=True), "grids.y.count"),
+            (lambda d: d["phi"]["terms"][1]["set"].update(dim=True), "phi.terms[1].set.dim"),
         ],
         ids=["alpha-string", "ystar-string", "points-string", "duplicate-grid-point",
              "duplicate-ystar", "duplicate-xstar", "duplicate-alpha", "degenerate-range",
              "bad-range-end", "infinite-float", "terms-number", "constraints-number",
              "constraints-object", "rows-number", "x-rows-number", "y-rows-object",
              "huge-exponent", "huge-negative-exponent-float", "huge-integer-literal",
-             "huge-integer-count"],
+             "huge-integer-count", "digits-past-the-limit", "denominator-past-the-limit",
+             "mantissa-past-the-limit", "empty-points", "nan-tolerance", "infinite-tolerance",
+             "huge-tolerance", "boolean-dimension", "boolean-count", "boolean-set-dimension"],
     )
     def test_exit_3_naming_the_field(self, edit, field, capsys, tmp_path):
         assert main(["duality", file_with(tmp_path, edit)]) == 3
@@ -611,6 +624,26 @@ class TestInputContract:
         else:
             assert code == 0, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["duality", "lagrangian", "audit"])
+    def test_a_float_fold_reaching_nan_exits_3_naming_phi(self, command, capsys, tmp_path):
+        # 1e308·x - 1e308·y overflows to inf - inf at x = 2, y = 2.
+        phi = {"op": "affine", "x": ["1e308"], "y": ["-1e308"]}
+        path = file_with(tmp_path, lambda d: d.update(backend="float", phi=phi))
+        assert main([command, path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("econvex: input error: phi:"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["duality", "conjugate", "lagrangian", "audit"])
+    def test_values_past_the_int_digit_limit_print(self, command, capsys, tmp_path):
+        # phi(1e3000, 0) = 1e6000, whose 6001 digits str() of an int refuses.
+        def edit(d):
+            d["phi"] = {"op": "affine", "x": ["1e3000"]}
+            d["grids"]["x"] = {"points": [["1e3000"]]}
+
+        assert main([command, file_with(tmp_path, edit)]) == 0
+        assert "0" * 6000 in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv, option",

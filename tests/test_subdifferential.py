@@ -25,8 +25,10 @@ from econvex.conjugation import (
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PerturbFn, SampledFn
 from econvex.duality import EXACT_PASS, PerturbationProblem, c5_audit
+from econvex import subdifferential
 from econvex.subdifferential import (
     _default_ladder,
+    _embedded_memberships,
     _projected_full_subdiff,
     c_subdifferential,
     conjugate_value,
@@ -457,12 +459,15 @@ class TestRoutesMatchDefinition:
     @given(problem_case())
     @settings(max_examples=150, deadline=None)
     def test_total_duality_certificate(self, P):
+        # Every membership, not only the first, is held to the definition.
         base = P.y_grid.origin
         scan = [
-            (x, w) for x in P.x_grid.points for w in P.dual_y_grid.points
-            if is_c_subgradient(P.phi_on_product, x + base, P.embed(w))
+            (x, w, is_c_subgradient(P.phi_on_product, x + base, P.embed(w)))
+            for x in P.x_grid.points for w in P.dual_y_grid.points
         ]
-        assert total_duality_certificate(P) == (scan[0] if scan else None)
+        assert list(_embedded_memberships(P)) == scan
+        members = [(x, w) for x, w, member in scan if member]
+        assert total_duality_certificate(P) == (members[0] if members else None)
 
     def test_boundary_points_infinite_values_and_empty_domain(self):
         # x = 1 lies on the gate boundary of (., 1, 1), x = -1 on that of
@@ -510,6 +515,26 @@ def test_projection_reads_the_cached_block_minimum(name, backend, monkeypatch):
     assert len(couplings) == len(P.x_grid) * len(P.x_side_grid)
     c5_audit(P)
     assert len(reads) == len(P.x_grid) + 1 and all(r is reads[0] for r in reads)
+
+
+@pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_total_duality_evaluates_no_coupling(name, backend, monkeypatch):
+    """Once phi(., 0), G and the duality report are cached, the embedded
+    memberships are read off them: the coupling of (x, 0) with an embedded
+    dual point is 0, so neither coupling function runs."""
+    P = catalog_problem(name) if backend == "rational" else float_twin(name)
+    P.f0, P.g_on_dual_y, P.report
+    calls = []
+
+    def counted(real):
+        return lambda *args: calls.append(args) or real(*args)
+
+    monkeypatch.setattr(conjugation, "_coupling", counted(conjugation._coupling))
+    monkeypatch.setattr(subdifferential, "coupling_c", counted(subdifferential.coupling_c))
+    out = prop43_audit(P)
+    assert out["certificate"] == total_duality_certificate(P)
+    assert calls == []
 
 
 class TestLadderIsOneProjection:
