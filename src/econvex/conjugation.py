@@ -27,19 +27,23 @@ distinct x* only the least value of g can attain the sup.  The
 c-conjugate also keeps, per distinct x*, the first row of dom attaining
 the Fenchel value; the Lagrangian table is read off those rows.
 
-Each sweep is one loop over the lists ``_prepared`` returns, and
-``_scaled`` makes its one exactness decision.  When every coordinate,
-slope, alpha and payload the sweep reads is exactly a ``Fraction``, each
-list comes back as ints times the lcm of its denominators: D for the
-points, e for u*, a for alpha, E for x* and L for the values.  Otherwise
-every list comes back as given with scale 1, since scaling only some
-lists would change IEEE rounding.  A gate is shut iff not
-top·a < alpha·D·e, top the max of <p, u*>; a Fenchel term is
-<p, k·x*> - m·v over M = lcm(D·E, L), and the value is
-``Fraction(best, M)`` for ints and ``best`` otherwise.  Scaling by a
-positive int keeps every comparison, so gates, maxima, the first
-attaining row, the value, its type and its rendering are those of the
-``Fraction`` sweep; with scale 1 the arithmetic is that of the
+Each sweep reads the lists ``_prepared`` returns through ``_dots``: <p,
+v> at every point, one coordinate column of ``_columns`` at a time from
+int 0, which is the left fold of ``esets.dot`` at each point, so both
+backends run one kernel.  The c'-sweep is slope-major: a shut mask per
+distinct u*, then a running max per distinct x* at the open points,
+which keeps builtin ``max``'s first maximiser and NaN.  ``_scaled``
+makes the one exactness decision.  When every coordinate, slope, alpha
+and payload the sweep reads is exactly a ``Fraction``, each list comes
+back as ints times the lcm of its denominators: D for the points, e for
+u*, a for alpha, E for x* and L for the values.  Otherwise every list
+comes back as given with scale 1, since scaling only some lists would
+change IEEE rounding.  A gate is shut iff not top·a < alpha·D·e, top the
+max of <p, u*>; a Fenchel term is <p, k·x*> - m·v over M = lcm(D·E, L),
+and the value is ``Fraction(best, M)`` for ints and ``best`` otherwise.
+Scaling by a positive int keeps every comparison, so gates, maxima, the
+first attaining row, the value, its type and its rendering are those of
+the ``Fraction`` sweep; with scale 1 the arithmetic is that of the
 definition, NaN included.
 
 ``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
@@ -55,11 +59,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, nan
-from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 from econvex.esets import Interval1, dot
-from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, scalar
 from econvex import extreal
 from econvex.funcrep import Grid, PwAffine1, SampledFn
 
@@ -309,16 +312,27 @@ def _prepared(vectors, scalars):
     return True, scaled[:n], [([c for (c,) in vs], d) for vs, d in scaled[n:]]
 
 
-def _int_dot(a, b):
-    """<a, b> of int tuples of one length."""
-    return sum(map(mul, a, b))
+def _columns(points):
+    """The coordinate columns of points; no points give one empty column."""
+    return list(zip(*points)) or [()]
 
 
-def _dot_of(exact: bool):
-    """The inner product of a prepared sweep: ints add exactly in any
-    order, and values as given keep the left fold of ``esets.dot``, which
-    ``sum`` of floats does not from Python 3.12 on."""
-    return _int_dot if exact else dot
+def _dots(cols, v):
+    """<p, v> at every point p of the columns cols: ints stay exact, and
+    floats round, overflow and reach NaN as in ``esets.dot``."""
+    out = [0] * len(cols[0])
+    for col, c in zip(cols, v):
+        out = [t + q * c for t, q in zip(out, col)]
+    return out
+
+
+def _value(best) -> ExtReal:
+    """ExtReal(best).  A term <p, x*> - f(p) is NaN only where <p, x*> adds
+    opposite infinities, so the error names the slopes."""
+    try:
+        return ExtReal(best)
+    except NaNError:
+        raise NaNError("grids.xstar/grids.ystar: <grid point, slope> overflows to NaN") from None
 
 
 def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
@@ -338,7 +352,7 @@ def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
         ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
         ([w.alpha for w in w_points], [v for _, v in dom]),
     )
-    dot = _dot_of(exact)
+    cols = _columns(points)
     M = lcm(D * E, L)
     k, m, De = M // (D * E), M // L, D * e
     values = [m * v for v in values]
@@ -349,7 +363,7 @@ def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
         gate = _key(u)
         top = highest.get(gate)
         if top is None:
-            dots = [dot(p, u) for p in points]
+            dots = _dots(cols, u)
             top = highest[gate] = max(dots) if all(d == d for d in dots) else nan
         if not (top * a < alpha * De):
             out.append((POS_INF, None))
@@ -357,10 +371,9 @@ def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
         slope = _key(x)
         cell = fenchel.get(slope)
         if cell is None:
-            kx = tuple(k * c for c in x)
-            terms = [dot(p, kx) - v for p, v in zip(points, values)]
+            terms = [t - v for t, v in zip(_dots(cols, [k * c for c in x]), values)]
             best = max(terms)
-            value = ExtReal(Fraction(best, M) if exact else best)
+            value = _value(Fraction(best, M) if exact else best)
             cell = fenchel[slope] = (value, dom[terms.index(best)])
         out.append(cell)
     return out
@@ -387,7 +400,6 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
         ([w.alpha for w, _ in dom], [v for _, v in dom]),
     )
-    dot = _dot_of(exact)
     gates = {}  # u* key -> [u*, least alpha over dom g]
     slopes = {}  # x* key -> [x*, least value of g]
     for u, alpha, x, v in zip(ustars, alphas, xstars, values):
@@ -399,16 +411,19 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
             slope[1] = v
     M = lcm(D * E, L)
     k, m, De = M // (D * E), M // L, D * e
-    gates = [(u, alpha * De) for u, alpha in gates.values()]
-    slopes = [(tuple(k * c for c in x), m * v) for x, v in slopes.values()]
-    vals = []
-    for p in points:
-        if any(not (dot(p, u) * a < level) for u, level in gates):
-            vals.append(POS_INF)
-        else:
-            best = max(dot(p, x) - v for x, v in slopes)
-            vals.append(ExtReal(Fraction(best, M) if exact else best))
-    return SampledFn(x_grid, vals)
+    cols = _columns(points)
+    shut = [False] * len(points)
+    for u, alpha in gates.values():
+        level = alpha * De
+        shut = [s or not (t * a < level) for s, t in zip(shut, _dots(cols, u))]
+    cols = _columns([p for p, s in zip(points, shut) if not s])
+    best = None
+    for x, v in slopes.values():
+        mv = m * v
+        terms = [t - mv for t in _dots(cols, [k * c for c in x])]
+        best = terms if best is None else [t if t > b else b for t, b in zip(terms, best)]
+    best = iter([Fraction(b, M) for b in best] if exact else best)
+    return SampledFn(x_grid, [POS_INF if s else _value(next(best)) for s in shut])
 
 
 def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
@@ -449,7 +464,7 @@ def _sup_minus(couplings, rows) -> ExtReal:
         term = c - payload
         if best is None or term > best:
             best = term
-    return NEG_INF if best is None else ExtReal(best)
+    return NEG_INF if best is None else _value(best)
 
 
 def _reference_c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:

@@ -20,11 +20,13 @@ The first identity builds the table: each row is read off the conjugation
 kernel's sweep of one slice, which keeps, per distinct y*, the first y of
 Y_x attaining the conjugate.  A finite float cell is phi(x, y) - <y, y*>
 at that y; a finite rational cell and a +-inf cell are the negated
-conjugate, so the table costs
-O((#y* + #gates)·|Y|·|X| + |W_y|·|X|) instead of one coupling per
-(x, w, y).  :func:`dual_slice_audit` holds the table to the definitional
-conjugate of every slice, taking each dual point's coupling column over
-Y once per problem, so the identity stays a check of two routes.
+conjugate.  Each slice sweep takes one column of dots over Y_x per
+distinct v* and per y* that an open gate needs, so the table costs
+O((#y* + #v*)·|Y|·|X| + |W_y|·|X|) list steps instead of one coupling
+per (x, w, y).  :func:`dual_slice_audit` holds the table to the
+definitional conjugate of every slice, taking each dual point's coupling
+column over Y once per problem, so the identity stays a check of two
+routes.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -55,7 +57,7 @@ from econvex.conjugation import (
     coupling_c,
     cprime_conjugate,
 )
-from econvex.duality import PerturbationProblem
+from econvex.duality import PerturbationProblem, dual_value, primal_value
 from econvex.esets import dot
 from econvex.extreal import POS_INF, ExtReal
 from econvex.funcrep import SampledFn, slice_x
@@ -231,7 +233,6 @@ def prop55_audit(P: PerturbationProblem) -> dict:
     the Y-side dual grid).
     """
     L = lagrangian_table(P)
-    report = P.report
     saddles = saddle_search(P)
     lo = supinf_value(P)
     hi = infsup_value(P)
@@ -243,11 +244,10 @@ def prop55_audit(P: PerturbationProblem) -> dict:
         cprime_conjugate(conj, P.y_grid).values == sl.values
         for sl, conj in zip(L.slices, L.slice_conjugates)
     )
+    (v_gp, argmin), (v_gdc, argmax) = primal_value(P), dual_value(P)
     expected = set()
-    if report.zero_gap:
-        expected = {
-            (x, w) for x in report.primal_argmin for w in report.dual_argmax
-        }
+    if v_gp - v_gdc == ExtReal(extreal.scalar(0, P.backend)):  # the report's zero_gap
+        expected = {(x, w) for x in argmin for w in argmax}
     saddle_set = {(s.xbar, s.wbar) for s in saddles}
     contains_expected = expected <= saddle_set
     matches_expected = saddle_set == expected
@@ -260,7 +260,6 @@ def prop55_audit(P: PerturbationProblem) -> dict:
         "slice_surrogate": surrogate,
         "contains_argmin_x_argmax": contains_expected,
         "equals_argmin_x_argmax": matches_expected,
-        "report": report,
     }
 
 

@@ -18,7 +18,8 @@ from typing import List, Tuple
 
 from econvex.conjugation import (
     DualGrid,
-    _dot_of,
+    _columns,
+    _dots,
     _key,
     _prepared,
     pair_tensor_dual_grid,
@@ -438,12 +439,12 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  The boundary depends on (u*, alpha) only, so the
-    points on it are found once per distinct gate, in one loop over the
-    vectors ``conjugation._prepared`` returns: ints scaled by D for the
-    points, e for u* and a for alpha when every coordinate and alpha is a
-    Fraction, the values as given otherwise.  q is on the boundary iff
-    <q, u*>·a = alpha·D·e, so a gate whose alpha·D·e is no multiple of a
-    has no points.
+    points on it are read off one ``conjugation._dots`` column per gate,
+    over the vectors ``conjugation._prepared`` returns: ints scaled by D
+    for the points, e for u* and a for alpha when every coordinate and
+    alpha is a Fraction, the values as given otherwise.  q is on the
+    boundary iff <q, u*>·a = alpha·D·e, so a gate whose alpha·D·e is no
+    multiple of a has no points.
     """
     out = []
     for space, w_points, points in (
@@ -453,7 +454,7 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
         exact, ((qs, D), (ustars, e)), ((alphas, a),) = _prepared(
             (points, [w.ustar for w in w_points]), ([w.alpha for w in w_points],)
         )
-        dot = _dot_of(exact)
+        cols = _columns(qs)
         on_boundary = {}
         for w, u, alpha in zip(w_points, ustars, alphas):
             gate = _key((*u, alpha))
@@ -461,7 +462,7 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
             if hits is None:
                 level = alpha * D * e
                 hits = on_boundary[gate] = [
-                    p for p, q in zip(points, qs) if dot(q, u) * a == level
+                    p for p, t in zip(points, _dots(cols, u)) if t * a == level
                 ]
             out.extend((space, p, w) for p in hits)
     return out

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, duality, problemio
+from econvex import catalog, conjugation, duality, esets, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPairPoint,
@@ -23,19 +24,26 @@ from econvex.conjugation import (
     cprime_conjugate,
     tensor_dual_grid,
     _c_conjugate_rows,
+    _columns,
+    _dots,
+    _key,
+    _prepared,
     _reference_c_conjugate,
     _reference_cprime_conjugate,
     _split_dom,
 )
 from econvex.esets import dot
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
 from econvex.funcrep import Grid, PwAffine1, SampledFn
 
 from helpers import (
+    CATALOG_PROBLEMS,
     QUARTERS,
     WIDE_FRACTIONS,
+    catalog_problem,
     drawn_from,
     ext_values,
+    float_twin,
     plain_scalar,
     scalar,
     scaling_log,
@@ -390,17 +398,17 @@ def payloads(backend):
 
 
 @st.composite
-def kernel_grid(draw, dim, backend, max_size=8):
-    vec = st.tuples(*[drawn_from(FLOAT_COORDS if backend == "float" else COORDS, backend)] * dim)
+def kernel_grid(draw, dim, backend, max_size=8, float_coords=FLOAT_COORDS):
+    vec = st.tuples(*[drawn_from(float_coords if backend == "float" else COORDS, backend)] * dim)
     pts = draw(st.lists(vec, min_size=1, max_size=max_size, unique=True))
     return Grid(dim, [tuple(scalar(c, backend) for c in p) for p in pts], backend)
 
 
 @st.composite
-def kernel_dual_grid(draw, dim, backend, max_size=10):
+def kernel_dual_grid(draw, dim, backend, max_size=10, float_coords=FLOAT_COORDS):
     """Dual points drawn from a few x*, u* and alpha, so gates share
     slopes, slopes share gates, and one u* carries several alphas."""
-    vec = st.tuples(*[drawn_from(FLOAT_COORDS if backend == "float" else COORDS, backend)] * dim)
+    vec = st.tuples(*[drawn_from(float_coords if backend == "float" else COORDS, backend)] * dim)
     xstars = draw(st.lists(vec, min_size=1, max_size=3, unique=True))
     ustars = draw(st.lists(vec, min_size=1, max_size=2, unique=True))
     alphas = draw(
@@ -676,3 +684,271 @@ class TestIntegerPathRuns:
             assert all(calls and all(calls) for calls in per_sweep), per_sweep
         else:
             assert per_sweep == [[False]] * len(self.SWEEPS)
+
+
+# ---------------------------------------------------------------------------
+# The column kernel against the row-major sweeps it replaced
+# ---------------------------------------------------------------------------
+
+
+def _row_major_dot(exact):
+    """The inner product of the row-major sweeps: ints in any order,
+    values as given by the left fold of ``esets.dot``."""
+    return (lambda a, b: sum(map(operator.mul, a, b))) if exact else dot
+
+
+def row_major_c_conjugate_rows(f, w_grid):
+    """The c-sweep as it was before the column kernel: one dot per
+    (point, gate) and per (point, slope)."""
+    dom, constant = _split_dom(f)
+    if dom is None:
+        return [(constant, None)] * len(w_grid)
+    w_points = w_grid.points
+    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+        ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
+        ([w.alpha for w in w_points], [v for _, v in dom]),
+    )
+    inner = _row_major_dot(exact)
+    M = math.lcm(D * E, L)
+    k, m, De = M // (D * E), M // L, D * e
+    values = [m * v for v in values]
+    highest, fenchel, out = {}, {}, []
+    for u, alpha, x in zip(ustars, alphas, xstars):
+        gate = _key(u)
+        top = highest.get(gate)
+        if top is None:
+            dots = [inner(p, u) for p in points]
+            top = highest[gate] = max(dots) if all(d == d for d in dots) else math.nan
+        if not (top * a < alpha * De):
+            out.append((POS_INF, None))
+            continue
+        slope = _key(x)
+        cell = fenchel.get(slope)
+        if cell is None:
+            kx = tuple(k * c for c in x)
+            terms = [inner(p, kx) - v for p, v in zip(points, values)]
+            best = max(terms)
+            value = ExtReal(Fraction(best, M) if exact else best)
+            cell = fenchel[slope] = (value, dom[terms.index(best)])
+        out.append(cell)
+    return out
+
+
+def row_major_cprime_conjugate(g, x_grid):
+    """The c'-sweep as it was before the column kernel: point by point,
+    every gate, then the max over every slope."""
+    dom, constant = _split_dom(g)
+    if dom is None:
+        return SampledFn(x_grid, [constant] * len(x_grid))
+    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+        (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
+        ([w.alpha for w, _ in dom], [v for _, v in dom]),
+    )
+    inner = _row_major_dot(exact)
+    gates, slopes = {}, {}
+    for u, alpha, x, v in zip(ustars, alphas, xstars, values):
+        gate = gates.setdefault(_key(u), [u, alpha])
+        if alpha < gate[1] or alpha != alpha:
+            gate[1] = alpha
+        slope = slopes.setdefault(_key(x), [x, v])
+        if v < slope[1]:
+            slope[1] = v
+    M = math.lcm(D * E, L)
+    k, m, De = M // (D * E), M // L, D * e
+    gates = [(u, alpha * De) for u, alpha in gates.values()]
+    slopes = [(tuple(k * c for c in x), m * v) for x, v in slopes.values()]
+    vals = []
+    for p in points:
+        if any(not (inner(p, u) * a < level) for u, level in gates):
+            vals.append(POS_INF)
+        else:
+            best = max(inner(p, x) - v for x, v in slopes)
+            vals.append(ExtReal(Fraction(best, M) if exact else best))
+    return SampledFn(x_grid, vals)
+
+
+def rendered(x):
+    """repr with the payload type of every scalar inside, recursively."""
+    if isinstance(x, tuple):
+        return tuple(rendered(c) for c in x)
+    if isinstance(x, ExtReal):
+        return ("ExtReal", repr(x), type(x.value).__name__ if x.is_finite else None)
+    return (repr(x), type(x).__name__)
+
+
+def swept(fn, *args):
+    """Every value (and attaining row) of a sweep, rendered, or the class
+    of the error it raised: the kernel names the fields behind a NaN, the
+    row-major sweep does not."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return ("raised", type(exc).__name__)
+    return [rendered(cell) for cell in (out.values if isinstance(out, SampledFn) else out)]
+
+
+# Coordinates whose products overflow to +-inf and whose sums then reach
+# inf - inf = NaN, next to the small ones, the infinities and -0.0.
+EDGE_COORDS = FLOAT_COORDS + [-0.0, 0.5, 1e308, -1e308, 1.5e308, -1.5e308]
+TIED_ZEROS = (
+    # Tied terms 0.0 - (-0.0) and 0.0 - 0.0: the first row, whose payload
+    # is -0.0, attains.
+    SampledFn(Grid(1, [(1,), (2,)], "float"), [ExtReal(-0.0), ExtReal(0.0)]),
+    DualGrid([DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((0,), (1,), -0.0, "float")],
+             "float"),
+)
+OVERFLOWING = (
+    # <p, x*> is inf + -inf = NaN at the first point, the first term of
+    # the max, and inf at the second; the second gate's dot overflows to
+    # inf at the third.
+    SampledFn(Grid(2, [(1e308, 1e308), (1e308, -1e308), (1.5e308, 0)], "float"),
+              [ExtReal(0.0), ExtReal(1.0), ExtReal(0.0)]),
+    DualGrid([DualPoint.of((1e308, -1e308), (0, 0), 1, "float"),
+              DualPoint.of((-1e308, 1e308), (1e308, 0), 1, "float")], "float"),
+)
+NAN_GATES = (
+    # inf·0 and inf - inf make NaN gates; a NaN alpha shuts its gate too.
+    SampledFn(Grid(3, [(math.inf, 0, 1), (1, 1, 1), (-1e308, 1e308, 0)], "float"),
+              [ExtReal(0.0), ExtReal(0.5), ExtReal(-1.0)]),
+    DualGrid([DualPoint.of((1, 0, 0), (0, 1, 0), 2, "float"),
+              DualPoint.of((0, 0, 1), (1e308, 1e308, 0), 1, "float"),
+              DualPoint.of((1, 1, 1), (0, 0, 1), math.nan, "float")], "float"),
+)
+
+
+def nan_slope(first):
+    """A c'-case whose first point meets a NaN term <(1e308, 1e308),
+    (1e308, -1e308)> - 0 before or after a finite one: the running max
+    keeps the NaN only when it comes first, as builtin max does."""
+    nan_w = DualPoint.of((1e308, -1e308), (0, 0), 1, "float")
+    finite_w = DualPoint.of((0, 0), (0, 0), 2, "float")
+    wg = DualGrid([nan_w, finite_w] if first else [finite_w, nan_w], "float")
+    return SampledFn(wg, [ExtReal(0.0)] * 2), Grid(2, [(1e308, 1e308), (1, 1)], "float")
+
+
+@st.composite
+def edge_case(draw):
+    """(function on a grid, dual grid, function on the dual grid, grid) in
+    one backend and one dimension from 1 to 3."""
+    backend = draw(st.sampled_from(("rational", "float")))
+    dim = draw(st.integers(1, 3))
+    grid = draw(kernel_grid(dim, backend, float_coords=EDGE_COORDS))
+    wg = draw(kernel_dual_grid(dim, backend, float_coords=EDGE_COORDS))
+    finite = payloads(backend) | st.sampled_from([Fraction(0), Fraction(10**308)])
+    if backend == "float":
+        finite = finite | st.just(-0.0)
+    f = SampledFn(grid, draw(ext_values(len(grid), backend, finite)))
+    g = SampledFn(wg, draw(ext_values(len(wg), backend, finite)))
+    return f, wg, g, grid
+
+
+@st.composite
+def dots_case(draw):
+    """(points, v) of one backend and one dimension from 1 to 3."""
+    backend = draw(st.sampled_from(("rational", "float")))
+    dim = draw(st.integers(1, 3))
+    grid = draw(kernel_grid(dim, backend, float_coords=EDGE_COORDS))
+    coords = drawn_from(EDGE_COORDS if backend == "float" else COORDS, backend)
+    return grid.points, draw(st.tuples(*[coords] * dim))
+
+
+def as_edge_case(f, wg):
+    """An example of edge_case: f on its grid against wg, and the same
+    values on wg conjugated back to f's grid."""
+    values = (list(f.values) * len(wg))[:len(wg)]
+    return f, wg, SampledFn(wg, values), f.grid
+
+
+def as_prime_case(g, grid):
+    """An example of edge_case built around the c'-case (g, grid)."""
+    return SampledFn(grid, [ExtReal(0.0)] * len(grid)), g.grid, g, grid
+
+
+class TestColumnKernel:
+    @given(edge_case())
+    @example(as_edge_case(*TIED_ZEROS))
+    @example(as_edge_case(*OVERFLOWING))
+    @example(as_edge_case(*NAN_GATES))
+    @example(as_edge_case(*NAN_DOT_AFTER_A_FINITE_ONE))
+    @example(as_prime_case(*nan_slope(first=True)))
+    @example(as_prime_case(*nan_slope(first=False)))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_identical_to_the_row_major_sweeps(self, case):
+        f, wg, g, grid = case
+        assert swept(_c_conjugate_rows, f, wg) == swept(row_major_c_conjugate_rows, f, wg)
+        assert swept(cprime_conjugate, g, grid) == swept(row_major_cprime_conjugate, g, grid)
+
+    def test_the_examples_reach_what_they_name(self):
+        (_, row), _ = _c_conjugate_rows(*TIED_ZEROS)
+        assert rendered(row[1]) == ("-0.0", "float")  # the first of two tied rows
+        with pytest.raises(NaNError, match="^grids.xstar/grids.ystar:"):
+            _c_conjugate_rows(*OVERFLOWING)
+        f, wg = NAN_GATES
+        assert c_conjugate(f, wg).values == (POS_INF,) * 3
+        with pytest.raises(NaNError, match="^grids.xstar/grids.ystar:"):
+            cprime_conjugate(*nan_slope(first=True))
+        assert cprime_conjugate(*nan_slope(first=False)).values[0] == ExtReal(0.0)
+
+    @given(dots_case())
+    # Left to right, 1e308 + 1e308 overflows before -1e308 can cancel it.
+    @example(([(1e308, 1e308, -1e308), (1e308, -1e308, 1e308)], (1.0, 1.0, 1.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_dots_fold_like_esets_dot(self, case):
+        points, v = case
+        got = _dots(_columns(points), v)
+        assert [rendered(t) for t in got] == [rendered(dot(p, v)) for p in points]
+
+    def test_no_points_give_no_dots(self):
+        assert _dots(_columns([]), (1, 2)) == []
+
+
+def _distinct(vectors):
+    return len({_key(v) for v in vectors})
+
+
+class TestColumnWork:
+    """Counts only: the product-grid sweeps and the boundary scan take no
+    per-point inner product, and each ``_dots`` column is taken once per
+    distinct key a sweep needs."""
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_one_column_per_distinct_key(self, name, backend, monkeypatch):
+        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        f = P.phi_on_product
+        counts = {"dot": 0, "_dots": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (conjugation, esets, problemio):
+            if getattr(module, "dot", None) is dot:
+                monkeypatch.setattr(module, "dot", counted(dot, "dot"))
+        monkeypatch.setattr(conjugation, "_dots", counted(_dots, "_dots"))
+        monkeypatch.setattr(problemio, "_dots", counted(_dots, "_dots"))
+
+        def work(build):
+            before = dict(counts)
+            build()
+            return {key: counts[key] - before[key] for key in counts}
+
+        dom, _ = _split_dom(f)
+        expected = 0
+        if dom is not None:
+            needed = [w.xstar for w in P.full_dual_grid
+                      if all(dot(p, w.ustar) < w.alpha for p, _ in dom)]
+            expected = _distinct(w.ustar for w in P.full_dual_grid) + _distinct(needed)
+        assert work(lambda: P.psi) == {"dot": 0, "_dots": expected}
+
+        dom, _ = _split_dom(P.psi)
+        expected = 0
+        if dom is not None:
+            expected = _distinct(w.ustar for w, _ in dom) + _distinct(w.xstar for w, _ in dom)
+        assert work(lambda: P.psi_prime) == {"dot": 0, "_dots": expected}
+
+        gates = sum(_distinct((*w.ustar, w.alpha) for w in grid)
+                    for grid in (P.dual_y_grid, P.full_dual_grid))
+        assert work(lambda: problemio.boundary_coincidences(P)) == {"dot": 0, "_dots": gates}

@@ -18,7 +18,7 @@ from helpers import (
     with_plain_scalar,
 )
 
-from econvex import catalog, conjugation, extreal, lagrangian
+from econvex import catalog, cli, conjugation, extreal, lagrangian
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
@@ -460,6 +460,31 @@ class TestSaddlePoints:
 
 
 class TestProp55:
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_reads_the_values_not_the_report(self, name, backend):
+        # The zero gap and the attainers come from primal_value and
+        # dual_value, so neither the duality report nor the biconjugate
+        # of phi is built.
+        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        prop55_audit(P)
+        assert "report" not in P.__dict__
+        assert "psi_prime" not in P.__dict__
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_command_builds_only_what_it_reads(self, name, monkeypatch):
+        built = []
+
+        def build(problem, _real=cli._build):
+            built.append(_real(problem))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build", build)
+        assert cli.main(["lagrangian", name]) == 0
+        unread = {"report", "psi_prime", "p_fn", "p_conj", "p_biconj", "f0_conj",
+                  "f0_biconj", "g_prime", "psi_block_min", "psi_prime_x_minima"}
+        assert not unread & set(vars(built[0]))
+
     def test_fenchel_abs_saddles_match_attainers(self, fenchel_abs):
         out = prop55_audit(fenchel_abs)
         assert out["minimax_ok"]
@@ -472,12 +497,13 @@ class TestProp55:
         assert not out["slice_surrogate"]
 
     def test_abs_pair_equivalence_with_surrogate(self):
-        out = prop55_audit(abs_pair_problem())
+        P = abs_pair_problem()
+        out = prop55_audit(P)
         assert out["slice_surrogate"]
         assert out["minimax_ok"] and out["saddle_values_ok"]
         assert out["contains_argmin_x_argmax"]
         assert out["equals_argmin_x_argmax"]
-        assert out["report"].total
+        assert P.report.total
         assert out["saddles"] != ()
 
     def test_truncated_equivalence_breaks_only_with_surrogate(self, truncated):
@@ -495,7 +521,7 @@ class TestProp55:
         # at the edge, where a saddle appears and is flagged as truncated.
         out = prop55_audit(example52)
         assert out["minimax_ok"] and out["saddle_values_ok"]
-        assert out["report"].primal_truncated
+        assert example52.report.primal_truncated
         saddles = {(s.xbar, s.wbar) for s in out["saddles"]}
         assert ((Fraction(-5),), w(0, 0, 1)) in saddles
         assert out["supinf"] == ExtReal(-5)
@@ -509,7 +535,7 @@ class TestProp55:
             assert out["minimax_ok"]
             assert out["saddle_values_ok"]
             assert out["contains_argmin_x_argmax"]
-            if out["report"].total:
+            if P.report.total:
                 checked += 1
         assert checked > 0  # the sweep really hit zero-gap instances
 

@@ -635,6 +635,43 @@ class TestInputContract:
         assert err.startswith("econvex: input error: phi:"), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["duality", "lagrangian", "audit"])
+    def test_a_sweep_reaching_nan_exits_3_naming_the_slopes(self, command, capsys, tmp_path):
+        # On the product grid, <(1e300, 1e300), (1e300, -1e300)> is
+        # inf + -inf: psi^{c'} meets it at that point.  The lagrangian
+        # report never takes psi^{c'}, and its slice sweeps are 1-D, so it
+        # meets no NaN on this file.
+        def edit(d):
+            d["backend"] = "float"
+            d["grids"].update(x={"points": [["0"], ["1e300"]]}, y={"points": [["0"], ["1e300"]]},
+                              xstar=["1e300"], ystar=["-1e300"])
+
+        code = main([command, file_with(tmp_path, edit)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command == "lagrangian":
+            assert code == 0, err
+        else:
+            assert code == 3
+            assert err.startswith("econvex: input error: grids.xstar/grids.ystar:"), err
+
+    @pytest.mark.parametrize("command", ["duality", "lagrangian", "audit"])
+    def test_a_slice_sweep_reaching_nan_exits_3_naming_the_slopes(self, command, capsys, tmp_path):
+        # With a 2-D y, the NaN <(1e300, 1e300), (1e300, -1e300)> is met by
+        # the Lagrangian's slice sweeps as well as by the product sweeps.
+        doc = {
+            "kind": "problem", "name": "flat", "x_dim": 1, "y_dim": 2, "backend": "float",
+            "phi": {"op": "affine", "x": ["0"], "y": ["0", "0"]},
+            "grids": {"x": {"points": [["0"]]}, "y": {"points": [["0", "0"], ["1e300", "1e300"]]},
+                      "ystar": [["1e300", "-1e300"]], "vstar": [["0", "0"]], "alpha": ["1"]},
+        }
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main([command, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("econvex: input error: grids.xstar/grids.ystar:"), err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["duality", "conjugate", "lagrangian", "audit"])
     def test_values_past_the_int_digit_limit_print(self, command, capsys, tmp_path):
         # phi(1e3000, 0) = 1e6000, whose 6001 digits str() of an int refuses.
