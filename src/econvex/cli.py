@@ -368,10 +368,12 @@ def cmd_lagrangian(args) -> int:
             + _dual_header(P.y_grid.dim, ("ystar", "vstar"))
             + ["value"]
         )
+        x_cells = [[_scalar(c) for c in x] for x in P.x_grid.points]
+        w_cells = [_dual_cells(w) for w in P.dual_y_grid.points]
         rows = [
-            [_scalar(c) for c in x] + _dual_cells(w) + [fmt(cell)]
-            for x, row in zip(P.x_grid.points, lagrangian_table(P).rows)
-            for w, cell in zip(P.dual_y_grid.points, row)
+            xs + ws + [fmt(cell)]
+            for xs, row in zip(x_cells, lagrangian_table(P).rows)
+            for ws, cell in zip(w_cells, row)
         ]
         _print_csv(header, rows)
         return EXIT_OK

@@ -451,10 +451,11 @@ def _classify(values):
     return rows
 
 
-def _sup_minus(couplings, rows) -> ExtReal:
+def _sup_minus(couplings, rows, d=None) -> ExtReal:
     """sup of each raw coupling (None for +inf) minus its row's value,
     with the +-inf conventions: f^c(w) pairs w with every grid point,
-    g^{c'}(x) x with every dual point."""
+    g^{c'}(x) x with every dual point.  Given a scale d, couplings and
+    payloads are ints times d and a finite sup is Fraction(best, d)."""
     best = None  # raw finite payload of the running sup, None = -inf so far
     for c, (tag, payload) in zip(couplings, rows):
         if tag == "+":
@@ -464,7 +465,7 @@ def _sup_minus(couplings, rows) -> ExtReal:
         term = c - payload
         if best is None or term > best:
             best = term
-    return NEG_INF if best is None else _value(best)
+    return NEG_INF if best is None else _value(best if d is None else Fraction(best, d))
 
 
 def _reference_c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:

@@ -26,7 +26,10 @@ O((#y* + #v*)·|Y|·|X| + |W_y|·|X|) list steps instead of one coupling
 per (x, w, y).  :func:`dual_slice_audit` holds the table to the
 definitional conjugate of every slice, taking each dual point's coupling
 column over Y once per problem, so the identity stays a check of two
-routes.
+routes: every (x, y, w) is its own term, nothing is grouped by slope and
+no attaining row is read.  On rational data the terms are ints over one
+scale per problem, taken by the check itself and not by the kernel's
+scaling, so one fault cannot reach both routes.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -44,7 +47,9 @@ arbitrary coupling space is intentionally not provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional, Tuple
 
 from econvex import extreal, funcrep
@@ -170,14 +175,36 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     The table is read off the conjugation kernel, so the conjugate here is
     the definition: each dual point's coupling column over Y is taken
     once, and each (x, w) is its own ``_sup_minus`` of the column against
-    the slice.  ``rows`` holds phi(x, .)^c per x, in x-grid order.
+    the slice, one term per y, grouped by no slope.  When every finite
+    coupling and payload is exactly a Fraction, columns and slices are
+    scaled once to ints by the lcm d of their denominators, here and not
+    by the kernel's scaling, so each term is an int and each finite cell
+    one Fraction(best, d); otherwise the terms are the values as given.
+    ``rows`` holds phi(x, .)^c per x, in x-grid order.
     """
     L = lagrangian_table(P)
     columns = [[_coupling(y, w) for y in P.y_grid.points] for w in P.dual_y_grid.points]
-    classified = (_classify(sl.values) for sl in L.slices)
-    rows = tuple(tuple(_sup_minus(column, sl) for column in columns) for sl in classified)
+    slices = [_classify(sl.values) for sl in L.slices]
+    d = _scale([c for column in columns for c in column if c is not None]
+               + [p for sl in slices for tag, p in sl if tag == "f"])
+    if d is not None:
+        columns = [[_times(c, d) for c in column] for column in columns]
+        slices = [[(tag, _times(p, d)) for tag, p in sl] for sl in slices]
+    rows = tuple(tuple(_sup_minus(column, sl, d) for column in columns) for sl in slices)
     ok = all(-cell == conj for row, conjs in zip(L.rows, rows) for cell, conj in zip(row, conjs))
     return {"ok": ok, "rows": rows}
+
+
+def _scale(values):
+    """The lcm of the denominators if every value is exactly a Fraction."""
+    if all(c.__class__ is Fraction for c in values):
+        return lcm(*{c.denominator for c in values})
+    return None
+
+
+def _times(c, d):
+    """c·d as an int, d a multiple of the Fraction c's denominator."""
+    return None if c is None else c.numerator * (d // c.denominator)
 
 
 def minimax_ok(P: PerturbationProblem) -> bool:
@@ -270,32 +297,37 @@ def find_convexity_violation(
 
     +inf endpoints never witness a violation; a -inf endpoint forces the
     chord to -inf, so any finite middle value violates.  Finite triples
-    are tested in exact cross-multiplied form.
+    are tested in exact cross-multiplied form: in ints times the lcm of
+    every denominator when each x and finite value is exactly a Fraction,
+    on the values as given otherwise.  The x objects are returned as given.
     """
     rows = sorted(values, key=lambda r: r[0])
+    points = [x for x, _ in rows]
+    tags = _classify(v for _, v in rows)
+    xs, d = points, _scale(points + [p for tag, p in tags if tag == "f"])
+    if d is not None:
+        xs = [_times(x, d) for x in points]
+        tags = [(tag, _times(p, d)) for tag, p in tags]
     n = len(rows)
     for i in range(n):
-        x1, v1 = rows[i]
-        if v1.is_pos_inf:
+        t1, v1 = tags[i]
+        if t1 == "+":
             continue
         for k in range(i + 2, n):
-            x3, v3 = rows[k]
-            if v3.is_pos_inf:
+            t3, v3 = tags[k]
+            if t3 == "+":
                 continue
+            ends_neg_inf = t1 == "-" or t3 == "-"
             for j in range(i + 1, k):
-                x2, v2 = rows[j]
-                if v1.is_neg_inf or v3.is_neg_inf:
-                    if not v2.is_neg_inf:
-                        return (x1, x2, x3)
+                t2, v2 = tags[j]
+                if ends_neg_inf:
+                    if t2 != "-":
+                        return (points[i], points[j], points[k])
                     continue
-                if v2.is_pos_inf:
+                if t2 != "f":
                     continue
-                if v2.is_neg_inf:
-                    continue
-                lhs = v2.value * (x3 - x1)
-                rhs = v1.value * (x3 - x2) + v3.value * (x2 - x1)
-                if lhs > rhs:
-                    return (x1, x2, x3)
+                if v2 * (xs[k] - xs[i]) > v1 * (xs[k] - xs[j]) + v3 * (xs[j] - xs[i]):
+                    return (points[i], points[j], points[k])
     return None
 
 

@@ -26,7 +26,7 @@ from econvex.funcrep import (
     Sum,
 )
 
-from econvex import catalog, conjugation, extreal, problemio
+from econvex import catalog, conjugation, extreal, lagrangian, problemio
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -102,6 +102,35 @@ def scaling_log():
     with mock.patch.object(conjugation, "_scaled", scaled):
         yield log
 
+
+
+@contextmanager
+def slice_path_log():
+    """A list recording, per ``lagrangian.dual_slice_audit`` called through
+    the module inside the block, whether its terms ran on ints (True) or
+    on the values as given (False): True when every ``_sup_minus`` call of
+    the check got a scale and only int couplings and payloads.  A check
+    that mixed the two paths, or made no call, records None."""
+    log = []
+    real_audit, real_sup = lagrangian.dual_slice_audit, lagrangian._sup_minus
+
+    def audit(P):
+        paths = set()
+
+        def sup_minus(couplings, rows, d=None):
+            payloads = [p for _, p in rows]
+            paths.add(d is not None and all(
+                c is None or c.__class__ is int for c in [*couplings, *payloads]
+            ))
+            return real_sup(couplings, rows, d)
+
+        with mock.patch.object(lagrangian, "_sup_minus", sup_minus):
+            out = real_audit(P)
+        log.append(paths.pop() if len(paths) == 1 else None)
+        return out
+
+    with mock.patch.object(lagrangian, "dual_slice_audit", audit):
+        yield log
 
 CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
 

@@ -15,6 +15,7 @@ from helpers import (
     random_problem,
     scalar,
     scaling_log,
+    slice_path_log,
     with_plain_scalar,
 )
 
@@ -22,8 +23,11 @@ from econvex import catalog, cli, conjugation, extreal, lagrangian
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
+    _classify,
+    _coupling,
     _reference_c_conjugate,
     _split_dom,
+    _sup_minus,
     coupling_c,
 )
 from econvex.duality import (
@@ -32,6 +36,7 @@ from econvex.duality import (
     dual_value,
     primal_value,
 )
+from econvex.esets import dot
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, PerturbFn, SampledFn
 from econvex.lagrangian import (
@@ -315,6 +320,61 @@ class TestDualSliceSweep:
         assert len(calls) == len(P.dual_y_grid) * len(P.y_grid)
 
 
+@st.composite
+def gate_boundary_case(draw):
+    """A drawn case plus one dual point whose gate passes exactly through
+    a grid point y: <y, v*> = alpha > 0, so y shuts the gate."""
+    P = draw(lagrangian_case())
+    y = draw(st.sampled_from(P.y_grid.points))
+    vstar = tuple(scalar(draw(drawn_from(SLOPES, P.backend)), P.backend) for _ in y)
+    ystar = tuple(scalar(draw(drawn_from(SLOPES, P.backend)), P.backend) for _ in y)
+    alpha = dot(y, vstar)
+    assume(alpha > 0)
+    ww = DualPoint.of(ystar, vstar, alpha, P.backend)
+    assume(ww not in P.dual_y_grid)
+    dual_y = DualGrid([*P.dual_y_grid.points, ww], P.backend)
+    return PerturbationProblem(P.phi, P.x_grid, P.y_grid, dual_y)
+
+
+class TestIntegerSliceCheck:
+    """The check's int terms against ``_sup_minus`` on the values as given,
+    one (x, w) at a time, and the path each problem takes.  A plain int
+    slope or alpha sends the kernel's sweeps off the ints but leaves every
+    coupling a Fraction, so the check, which scales on its own, stays on
+    them."""
+
+    @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case())
+    @example(nan_gate_case())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_are_sup_minus_per_cell(self, P):
+        with slice_path_log() as paths:
+            rows = lagrangian.dual_slice_audit(P)["rows"]
+        columns = [[_coupling(y, ww) for y in P.y_grid.points] for ww in P.dual_y_grid.points]
+        finite = [c for column in columns for c in column if c is not None]
+        for x, row in zip(P.x_grid.points, rows):
+            sl = _classify(P.phi.value(x, y, P.backend) for y in P.y_grid.points)
+            finite += [p for tag, p in sl if tag == "f"]
+            for ww, column, cell in zip(P.dual_y_grid.points, columns, row):
+                assert tagged(cell) == tagged(_sup_minus(column, sl)), (x, ww)
+        assert paths == [all(c.__class__ is Fraction for c in finite)]
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_rational_problems_take_the_ints_and_float_twins_do_not(self, name, monkeypatch):
+        problems = catalog_problem(name), float_twin(name)
+        for P in problems:
+            lagrangian_table(P)
+
+        def refuse(*args):
+            raise AssertionError("the check reached the kernel's scaling")
+
+        monkeypatch.setattr(conjugation, "_prepared", refuse)
+        with scaling_log() as scaled, slice_path_log() as paths:
+            for P in problems:
+                assert lagrangian.dual_slice_audit(P)["ok"]
+        assert paths == [True, False]
+        assert scaled == []
+
+
 class TestTableMatchesDefinition:
     """Every cell of CLagrangian has the rendering and payload type of the
     defining infimum: the kernel's attaining row, the strict tie rule, the
@@ -572,6 +632,76 @@ class TestConvexityWitness:
             (Fraction(1), POS_INF),
         ]
         assert find_convexity_violation(rows) is None
+
+
+def cubic_convexity_violation(values):
+    """The witness search as the cubic loop on the ExtReal values
+    themselves, without scaling: the oracle of the integer search."""
+    rows = sorted(values, key=lambda r: r[0])
+    n = len(rows)
+    for i in range(n):
+        x1, v1 = rows[i]
+        if v1.is_pos_inf:
+            continue
+        for k in range(i + 2, n):
+            x3, v3 = rows[k]
+            if v3.is_pos_inf:
+                continue
+            for j in range(i + 1, k):
+                x2, v2 = rows[j]
+                if v1.is_neg_inf or v3.is_neg_inf:
+                    if not v2.is_neg_inf:
+                        return (x1, x2, x3)
+                    continue
+                if v2.is_pos_inf or v2.is_neg_inf:
+                    continue
+                if v2.value * (x3 - x1) > v1.value * (x3 - x2) + v3.value * (x2 - x1):
+                    return (x1, x2, x3)
+    return None
+
+
+@st.composite
+def convexity_rows(draw):
+    """Rows on one line a·x + b, most of them exactly on it (a point on
+    the chord never witnesses), some nudged above or below, some +-inf; in
+    the rational backend one x may be a plain int, which leaves the ints."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    xs = draw(st.lists(drawn_from(COORDS + (3, -3, Fraction(1, 2)), backend),
+                       max_size=7, unique=True))
+    a, b = draw(drawn_from(PAYLOADS, backend)), draw(drawn_from(PAYLOADS, backend))
+    rows, seen = [], set()
+    for x in xs:
+        x = scalar(x, backend)
+        if x in seen:
+            continue  # distinct fractions may round to one float
+        seen.add(x)
+        kind = draw(st.sampled_from(["line"] * 6 + ["above", "below", "+inf", "-inf"]))
+        if kind in ("+inf", "-inf"):
+            rows.append((x, POS_INF if kind == "+inf" else NEG_INF))
+            continue
+        nudge = {"line": 0, "above": Fraction(1, 4), "below": Fraction(-1, 4)}[kind]
+        rows.append((x, ExtReal(scalar(a, backend) * x + scalar(b + nudge, backend))))
+    if backend == "rational" and rows and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(rows) - 1))
+        x, v = rows[k]
+        if x.denominator == 1:
+            rows[k] = (int(x), v)
+    return draw(st.permutations(rows))
+
+
+class TestConvexityWitnessAgainstCubicLoop:
+    @given(convexity_rows())
+    @example([(Fraction(-1), ExtReal(Fraction(0))), (Fraction(0), ExtReal(Fraction(1))),
+              (Fraction(1), ExtReal(Fraction(2)))])
+    @example([(-1.0, NEG_INF), (0.0, POS_INF), (1.0, ExtReal(0.0))])
+    @example([(Fraction(-1), ExtReal(Fraction(1))), (Fraction(0), NEG_INF),
+              (Fraction(1), ExtReal(Fraction(1)))])
+    @settings(max_examples=500, deadline=None)
+    def test_same_triple_and_same_objects(self, rows):
+        got, want = find_convexity_violation(rows), cubic_convexity_violation(rows)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert all(g is w_ for g, w_ in zip(got, want))
 
 
 class TestExample52Audit:
