@@ -27,24 +27,24 @@ distinct x* only the least value of g can attain the sup.  The
 c-conjugate also keeps, per distinct x*, the first row of dom attaining
 the Fenchel value; the Lagrangian table is read off those rows.
 
-Each sweep reads the lists ``_prepared`` returns through ``_dots``: <p,
-v> at every point, one coordinate column of ``_columns`` at a time from
-int 0, which is the left fold of ``esets.dot`` at each point, so both
-backends run one kernel.  The c'-sweep is slope-major: a shut mask per
-distinct u*, then a running max per distinct x* at the open points,
-which keeps builtin ``max``'s first maximiser and NaN.  ``_scaled``
-makes the one exactness decision.  When every coordinate, slope, alpha
-and payload the sweep reads is exactly a ``Fraction``, each list comes
-back as ints times the lcm of its denominators: D for the points, e for
-u*, a for alpha, E for x* and L for the values.  Otherwise every list
-comes back as given with scale 1, since scaling only some lists would
-change IEEE rounding.  A gate is shut iff not top·a < alpha·D·e, top the
-max of <p, u*>; a Fenchel term is <p, k·x*> - m·v over M = lcm(D·E, L),
-and the value is ``Fraction(best, M)`` for ints and ``best`` otherwise.
-Scaling by a positive int keeps every comparison, so gates, maxima, the
-first attaining row, the value, its type and its rendering are those of
-the ``Fraction`` sweep; with scale 1 the arithmetic is that of the
-definition, NaN included.
+Each sweep reads the lists ``_prepared`` returns through ``esets.dots``:
+<p, v> at every point, one coordinate column at a time, which is the
+left fold of ``esets.dot`` at each point, so both backends run one
+kernel.  The c'-sweep is slope-major: a shut mask per distinct u*, then
+a running max per distinct x* at the open points, which keeps builtin
+``max``'s first maximiser and NaN.  ``_prepared`` makes the one
+exactness decision, about one scale D.  When every coordinate, slope,
+alpha and payload the sweep reads is exactly a ``Fraction``, every list
+comes back as ints times D, the lcm of all their denominators.
+Otherwise D is None and every list comes back as given, since scaling
+only some lists would change IEEE rounding.  With P, U, X, A and V the
+lists a sweep reads and D taken as 1 for lists as given, a gate is shut
+iff not <P, U> < D·A, a Fenchel term is <P, X> - D·V, and a value is
+``Fraction(best, D·D)`` for ints and ``best`` otherwise.  Scaling by a
+positive int keeps every comparison, so gates, maxima, the first
+attaining row, the value, its type and its rendering are those of the
+``Fraction`` sweep; on lists as given the factor is 1·alpha and 1·v, so
+the arithmetic is that of the definition, NaN and -0.0 included.
 
 ``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
 coupling minus value, with the +-inf conventions only) are the one
@@ -58,13 +58,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, nan
+from itertools import islice
+from math import nan
 from typing import Iterable, Sequence, Tuple
 
-from econvex.esets import Interval1, dot
+from econvex.esets import Interval1, dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, scalar
 from econvex import extreal
-from econvex.funcrep import Grid, PwAffine1, SampledFn
+from econvex.funcrep import Grid, PwAffine1, SampledFn, _over_lcm
 
 __all__ = [
     "DualPoint",
@@ -275,55 +276,25 @@ def _split_dom(f: SampledFn):
     return [(p, v.value) for p, v in dom], None
 
 
-def _scaled(vectors):
-    """(the vectors as int tuples times d, d), d the lcm of every
-    denominator; None unless every coordinate is exactly a Fraction."""
-    dens = set()
-    for v in vectors:
-        for c in v:
-            if c.__class__ is not Fraction:
-                return None
-            dens.add(c.denominator)
-    d = lcm(*dens)
-    return [tuple(c.numerator * (d // c.denominator) for c in v) for v in vectors], d
-
-
 def _prepared(vectors, scalars):
-    """(exact, [(vectors, d)], [(scalars, d)]): the lists a sweep reads,
-    each with its scale d.
+    """(D, vectors, scalars): the lists a sweep reads, over one scale D.
 
     ``vectors`` are lists of points, u* and x*, which must share one
-    length; ``scalars`` are lists of alphas and payloads.  All or nothing:
-    when every entry is exactly a Fraction, every list comes back from
-    ``_scaled`` as ints times the lcm d of its denominators and exact is
-    True; otherwise every list comes back as given with d = 1, since
-    scaling only some lists would change IEEE rounding.
+    length; ``scalars`` are lists of alphas and payloads.  When every
+    entry is exactly a Fraction, D is the lcm of every denominator of
+    every list and each list comes back as ints times D.  Otherwise D is
+    None and the lists come back as given, since scaling only some of
+    them would change IEEE rounding.
     """
     if len({len(v) for vs in vectors for v in vs}) > 1:
         raise ValueError("dimension mismatch in inner product")
-    lists = [*vectors, *([(c,) for c in cs] for cs in scalars)]
-    scaled = []
-    for vs in lists:
-        s = _scaled(vs)
-        if s is None:
-            return False, [(vs, 1) for vs in vectors], [(cs, 1) for cs in scalars]
-        scaled.append(s)
-    n = len(vectors)
-    return True, scaled[:n], [([c for (c,) in vs], d) for vs, d in scaled[n:]]
-
-
-def _columns(points):
-    """The coordinate columns of points; no points give one empty column."""
-    return list(zip(*points)) or [()]
-
-
-def _dots(cols, v):
-    """<p, v> at every point p of the columns cols: ints stay exact, and
-    floats round, overflow and reach NaN as in ``esets.dot``."""
-    out = [0] * len(cols[0])
-    for col, c in zip(cols, v):
-        out = [t + q * c for t, q in zip(out, col)]
-    return out
+    entries = [c for vs in vectors for v in vs for c in v] + [c for cs in scalars for c in cs]
+    if any(c.__class__ is not Fraction for c in entries):
+        return None, vectors, scalars
+    ints, D = _over_lcm(entries)
+    ints = iter(ints)
+    vectors = [[tuple(islice(ints, len(v))) for v in vs] for vs in vectors]
+    return D, vectors, [list(islice(ints, len(cs))) for cs in scalars]
 
 
 def _value(best) -> ExtReal:
@@ -348,14 +319,12 @@ def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
     if dom is None:
         return [(constant, None)] * len(w_grid)
     w_points = w_grid.points
-    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+    D, (points, ustars, xstars), (alphas, values) = _prepared(
         ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
         ([w.alpha for w in w_points], [v for _, v in dom]),
     )
-    cols = _columns(points)
-    M = lcm(D * E, L)
-    k, m, De = M // (D * E), M // L, D * e
-    values = [m * v for v in values]
+    scale, columns, n = D or 1, list(zip(*points)), len(points)
+    values = [scale * v for v in values]
     highest = {}  # u* key -> max over dom of <p, u*>, NaN if some dot is
     fenchel = {}  # x* key -> (grid Fenchel value, attaining row)
     out = []
@@ -363,17 +332,17 @@ def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
         gate = _key(u)
         top = highest.get(gate)
         if top is None:
-            dots = _dots(cols, u)
-            top = highest[gate] = max(dots) if all(d == d for d in dots) else nan
-        if not (top * a < alpha * De):
+            tops = dots(columns, u, n)
+            top = highest[gate] = max(tops) if all(t == t for t in tops) else nan
+        if not (top < scale * alpha):
             out.append((POS_INF, None))
             continue
         slope = _key(x)
         cell = fenchel.get(slope)
         if cell is None:
-            terms = [t - v for t, v in zip(_dots(cols, [k * c for c in x]), values)]
+            terms = [t - v for t, v in zip(dots(columns, x, n), values)]
             best = max(terms)
-            value = _value(Fraction(best, M) if exact else best)
+            value = _value(best if D is None else Fraction(best, D * D))
             cell = fenchel[slope] = (value, dom[terms.index(best)])
         out.append(cell)
     return out
@@ -396,7 +365,7 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+    D, (points, ustars, xstars), (alphas, values) = _prepared(
         (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
         ([w.alpha for w, _ in dom], [v for _, v in dom]),
     )
@@ -409,20 +378,19 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         slope = slopes.setdefault(_key(x), [x, v])
         if v < slope[1]:
             slope[1] = v
-    M = lcm(D * E, L)
-    k, m, De = M // (D * E), M // L, D * e
-    cols = _columns(points)
-    shut = [False] * len(points)
+    scale, columns, n = D or 1, list(zip(*points)), len(points)
+    shut = [False] * n
     for u, alpha in gates.values():
-        level = alpha * De
-        shut = [s or not (t * a < level) for s, t in zip(shut, _dots(cols, u))]
-    cols = _columns([p for p, s in zip(points, shut) if not s])
+        level = scale * alpha
+        shut = [s or not (t < level) for s, t in zip(shut, dots(columns, u, n))]
+    points = [p for p, s in zip(points, shut) if not s]
+    columns, n = list(zip(*points)), len(points)
     best = None
     for x, v in slopes.values():
-        mv = m * v
-        terms = [t - mv for t in _dots(cols, [k * c for c in x])]
+        dv = scale * v
+        terms = [t - dv for t in dots(columns, x, n)]
         best = terms if best is None else [t if t > b else b for t, b in zip(terms, best)]
-    best = iter([Fraction(b, M) for b in best] if exact else best)
+    best = iter(best if D is None else [Fraction(b, D * D) for b in best])
     return SampledFn(x_grid, [POS_INF if s else _value(next(best)) for s in shut])
 
 

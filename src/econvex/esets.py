@@ -26,6 +26,7 @@ __all__ = [
     "Vec",
     "ratvec",
     "dot",
+    "dots",
     "Halfspace",
     "EPolyhedron",
     "Interval1",
@@ -60,6 +61,17 @@ def dot(a: Sequence, b: Sequence):
     for x, y in zip(a, b):
         total += x * y
     return total
+
+
+def dots(columns: Sequence, v: Sequence, n: int, start=0) -> list:
+    """start + <p, v> at the n points whose coordinate columns are columns,
+    one column at a time: the left fold of :func:`dot` from start at each
+    point, so ints stay exact and floats round, overflow and reach NaN
+    alike.  No columns give n copies of start."""
+    out = [start] * n
+    for column, c in zip(columns, v):
+        out = [t + q * c for t, q in zip(out, column)]
+    return out
 
 
 @dataclass(frozen=True)

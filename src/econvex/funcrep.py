@@ -10,11 +10,12 @@ Three carriers:
 * `PerturbFn` -- a bivariate perturbation function over X x Y, either a
   small expression tree (affine, abs, indicator of an `EPolyhedron`, sum,
   pointwise max/min, affine precomposition) or an explicit table, sampled
-  a column of points at a time: every table of phi comes from one
-  `PerturbFn.sample` call.  In the rational backend the nodes fold exact
-  ints over scales they know, and one `Fraction` is built per finite
-  cell at the root; the float backend folds floats node by node in the
-  order of the pointwise definition.  Sums use the extended-real
+  over the coordinate columns of its points: every table of phi comes
+  from one `PerturbFn.sample` call, and every affine form is one
+  `esets.dots` fold in both backends.  In the rational backend the nodes
+  fold exact ints over scales they know, and one `Fraction` is built per
+  finite cell at the root; the float backend folds floats node by node
+  in the order of the pointwise definition.  Sums use the extended-real
   conventions, so they propagate into every derived object.
 """
 
@@ -28,7 +29,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
-from econvex.esets import EPolyhedron, Interval1
+from econvex.esets import EPolyhedron, Interval1, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, fold_sum, scalar
 from econvex import extreal
 
@@ -262,40 +263,18 @@ def _form(cx, cy, const=0) -> AffineForm:
     )
 
 
-def _affine(form: AffineForm, xs: Sequence[Point], ys: Sequence[Point]) -> list:
-    """Float backend: the form at each pair of the columns xs, ys, a left
-    fold from the constant adding c * v over x, then y.  Zero coefficients
-    are folded too, so float rounding, -0.0 and inf * 0 = NaN are those of
-    the definition."""
-    cx, cy = ([float(c) for c in cs] for cs in form[:2])
-    const = float(form[2])
-    out = []
-    for x, y in zip(xs, ys):
-        if len(cx) != len(x) or len(cy) != len(y):
-            raise ValueError("affine form dimensions do not match the point")
-        total = const
-        for c, v in zip(cx, x):
-            total += c * v
-        for c, v in zip(cy, y):
-            total += c * v
-        out.append(total)
-    return out
-
-
 def _transpose(columns: list, n: int) -> list:
     """The n rows across the columns; n empty rows when there are none."""
     return list(zip(*columns)) if columns else [()] * n
 
 
-def _image(forms: Tuple[AffineForm, ...], xs, ys) -> list:
-    """Float backend: the point (r(x, y) for r in forms) at each pair."""
-    return _transpose([_affine(r, xs, ys) for r in forms], len(xs))
-
-
-# The rational backend samples in scaled ints.  A node reads its n points
-# as coordinate columns of ints over one scale d (a coordinate is int / d;
-# None stands for points of unequal lengths) and returns (values, s): one
-# value per point, an int equal to the value times s, or a float +-inf.
+# The sampler reads its n points as coordinate columns: floats as they
+# are, or in the rational backend ints over one scale d (a coordinate is
+# int / d).  None stands for points of unequal lengths.  Every affine form
+# is one ``esets.dots`` fold from its constant over the x, then the y
+# columns.  A float node returns one `ExtReal` per point; an int node
+# returns (values, s): one value per point, an int equal to the value
+# times s, or a float +-inf.
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
@@ -304,17 +283,36 @@ def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
     return [v.numerator * (e // v.denominator) for v in values], e
 
 
-def _int_affine(form: AffineForm, xc, yc, n: int, d: int) -> Tuple[list, int]:
-    """The form at the n points as ints over e * d, e the lcm of the form's
-    denominators: const * e * d plus each (c * e) * (v * d)."""
-    cx, cy, const = form
-    if n and (xc is None or len(cx) != len(xc) or len(cy) != len(yc)):
+def _coefficients(values: Sequence[Fraction], d: Optional[int]) -> Tuple[list, int]:
+    """The values as a node multiplies them into columns over d, with their
+    scale: floats over 1 for float columns (d None), else ints over the
+    lcm of their denominators."""
+    return ([float(v) for v in values], 1) if d is None else _over_lcm(values)
+
+
+def _fold(columns: Sequence, ks: Sequence, n: int, start) -> list:
+    """``esets.dots`` less the columns whose coefficient is an int 0, which
+    adds nothing to an int column; a float 0 still folds, since inf·0 is
+    NaN."""
+    keep = [k.__class__ is float or k != 0 for k in ks]
+    return dots(list(itertools.compress(columns, keep)), list(itertools.compress(ks, keep)), n, start)
+
+
+def _forms(forms: Sequence[AffineForm], xc, yc, n: int, d: Optional[int] = None) -> Tuple[list, int]:
+    """(one column of values per affine form, their scale s) at the n points
+    of the columns xc, yc.  Float columns (d None) give s = 1 and fold the
+    float coefficients, zeros too, so rounding, -0.0 and NaN are those of
+    the pointwise definition; int columns over d give s = e·d, e the lcm
+    of every denominator of every form."""
+    if n and (xc is None or any(len(cx) != len(xc) or len(cy) != len(yc) for cx, cy, _ in forms)):
         raise ValueError("affine form dimensions do not match the point")
-    (k0, *ks), e = _over_lcm((const, *cx, *cy))
-    out = [k0 * d] * n
-    for k, column in zip(ks, xc + yc):
-        if k:
-            out = [t + k * v for t, v in zip(out, column)]
+    ks, e = _coefficients([c for cx, cy, const in forms for c in (const, *cx, *cy)], d)
+    ks, d = iter(ks), 1 if d is None else d
+    columns = [] if xc is None else [*xc, *yc]
+    out = []
+    for cx, cy, _ in forms:
+        start, *coefficients = itertools.islice(ks, 1 + len(cx) + len(cy))
+        out.append(_fold(columns, coefficients, n, start * d))
     return out, e * d
 
 
@@ -336,16 +334,21 @@ def _int_sum(row) -> Union[int, float]:
     return math.inf if math.inf in row else sum(row)
 
 
+def _split(columns: list, points: Sequence[Point], x_dim: int) -> tuple:
+    """The x and the y columns of the points; None for both when the points
+    have unequal lengths."""
+    if len({len(p) for p in points}) > 1:
+        return None, None
+    return columns[:x_dim], columns[x_dim:]
+
+
 def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
     """expr at points of Fractions: the coordinates scaled once by the lcm
     of their denominators, and one `Fraction` per finite value at the end."""
-    n, columns = len(points), list(zip(*points))
+    columns = list(zip(*points))
     ints, d = _over_lcm([v for column in columns for v in column])
-    columns = rows(ints, len(columns))
-    xc, yc = columns[:x_dim], columns[x_dim:]
-    if len({len(p) for p in points}) > 1:
-        xc = yc = None
-    values, s = expr.sample_ints(xc, yc, n, d)
+    xc, yc = _split(rows(ints, len(columns)), points, x_dim)
+    values, s = expr.sample_ints(xc, yc, len(points), d)
     return [
         ExtReal(Fraction(v, s)) if v.__class__ is int else POS_INF if v > 0 else NEG_INF
         for v in values
@@ -355,10 +358,10 @@ def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
 class Expr:
     """Node of the perturbation-function expression grammar.  A node
     samples whole columns of points in the arithmetic of the backend:
-    float points to `ExtReal` values, or scaled ints to scaled ints."""
+    float columns to `ExtReal` values, or scaled ints to scaled ints."""
 
-    def sample_floats(self, xs: Sequence[Point], ys: Sequence[Point]) -> list:
-        """One value per pair (xs[i], ys[i]) of the parallel columns."""
+    def sample_floats(self, xc, yc, n: int) -> list:
+        """One value at each of the n points of the float columns."""
         raise NotImplementedError
 
     def sample_ints(self, xc, yc, n: int, d: int) -> Tuple[list, int]:
@@ -374,19 +377,21 @@ class Affine(Expr):
     def of(cx, cy, const=0) -> "Affine":
         return Affine(_form(cx, cy, const))
 
-    def sample_floats(self, xs, ys):
-        return [ExtReal(v) for v in _affine(self.form, xs, ys)]
+    def sample_floats(self, xc, yc, n):
+        (values,), _ = _forms((self.form,), xc, yc, n)
+        return [ExtReal(v) for v in values]
 
     def sample_ints(self, xc, yc, n, d):
-        return _int_affine(self.form, xc, yc, n, d)
+        (values,), s = _forms((self.form,), xc, yc, n, d)
+        return values, s
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
     arg: Expr
 
-    def sample_floats(self, xs, ys):
-        values = self.arg.sample_floats(xs, ys)
+    def sample_floats(self, xc, yc, n):
+        values = self.arg.sample_floats(xc, yc, n)
         return [ExtReal(abs(v.value)) if v.is_finite else POS_INF for v in values]
 
     def sample_ints(self, xc, yc, n, d):
@@ -411,40 +416,29 @@ class Indicator(Expr):
     def of(polyhedron, rows) -> "Indicator":
         return Indicator(polyhedron, tuple(_form(*r) for r in rows))
 
-    def _check_rows(self):
+    def _inside(self, xc, yc, n, d=None) -> set:
+        """The indices of the points inside: <normal, mapped> against offset,
+        on int columns both over e·s, e clearing the constraint's
+        denominators and s the scale of the mapped ints."""
         if len(self.rows) != self.polyhedron.dim:
             raise ValueError("one affine row per polyhedron coordinate required")
-
-    def sample_floats(self, xs, ys):
-        self._check_rows()
-        mapped = _image(self.rows, xs, ys)
-        inside, no_y = range(len(mapped)), [()] * len(mapped)
-        for c in self.polyhedron.constraints:
-            if not inside:
-                break
-            holds, rhs = operator.lt if c.strict else operator.le, float(c.offset)
-            lhs = _affine((c.normal, (), 0), [mapped[i] for i in inside], no_y)
-            inside = [i for i, v in zip(inside, lhs) if holds(v, rhs)]
-        zero, inside = ExtReal(0.0), set(inside)
-        return [zero if i in inside else POS_INF for i in range(len(mapped))]
-
-    def sample_ints(self, xc, yc, n, d):
-        """<normal, mapped> against offset, both as ints over e * s: e clears
-        the constraint's denominators, s is the scale of the mapped ints."""
-        self._check_rows()
-        mapped, s = _common_scale([_int_affine(r, xc, yc, n, d) for r in self.rows])
+        mapped, s = _forms(self.rows, xc, yc, n, d)
         inside = range(n)
         for c in self.polyhedron.constraints:
             if not inside:
                 break
             holds = operator.lt if c.strict else operator.le
-            (offset, *normal), _ = _over_lcm((c.offset, *c.normal))
-            rhs, lhs = offset * s, [0] * len(inside)
-            for k, column in zip(normal, mapped):
-                if k:
-                    lhs = [t + k * column[i] for t, i in zip(lhs, inside)]
-            inside = [i for i, v in zip(inside, lhs) if holds(v, rhs)]
-        inside = set(inside)
+            (offset, *normal), _ = _coefficients((c.offset, *c.normal), d)
+            lhs = _fold([[column[i] for i in inside] for column in mapped], normal, len(inside), 0)
+            inside = [i for i, v in zip(inside, lhs) if holds(v, offset * s)]
+        return set(inside)
+
+    def sample_floats(self, xc, yc, n):
+        inside, zero = self._inside(xc, yc, n), ExtReal(0.0)
+        return [zero if i in inside else POS_INF for i in range(n)]
+
+    def sample_ints(self, xc, yc, n, d):
+        inside = self._inside(xc, yc, n, d)
         return [0 if i in inside else math.inf for i in range(n)], 1
 
 
@@ -452,9 +446,9 @@ class Indicator(Expr):
 class _Fold(Expr):
     terms: Tuple[Expr, ...]
 
-    def sample_floats(self, xs, ys):
-        values = [t.sample_floats(xs, ys) for t in self.terms]
-        return [self.fold(v) for v in _transpose(values, len(xs))]
+    def sample_floats(self, xc, yc, n):
+        values = [t.sample_floats(xc, yc, n) for t in self.terms]
+        return [self.fold(v) for v in _transpose(values, n)]
 
     def sample_ints(self, xc, yc, n, d):
         values, s = _common_scale([t.sample_ints(xc, yc, n, d) for t in self.terms])
@@ -484,11 +478,13 @@ class Precompose(Expr):
     x_rows: Tuple[AffineForm, ...]
     y_rows: Tuple[AffineForm, ...]
 
-    def sample_floats(self, xs, ys):
-        return self.inner.sample_floats(_image(self.x_rows, xs, ys), _image(self.y_rows, xs, ys))
+    def sample_floats(self, xc, yc, n):
+        images, _ = _forms(self.x_rows + self.y_rows, xc, yc, n)
+        k = len(self.x_rows)
+        return self.inner.sample_floats(images[:k], images[k:], n)
 
     def sample_ints(self, xc, yc, n, d):
-        images, s = _common_scale([_int_affine(r, xc, yc, n, d) for r in self.x_rows + self.y_rows])
+        images, s = _forms(self.x_rows + self.y_rows, xc, yc, n, d)
         k = len(self.x_rows)
         return self.inner.sample_ints(images[:k], images[k:], n, s)
 
@@ -525,7 +521,7 @@ class PerturbFn:
             return _sample_ints(self.expr, points, d)
         if backend == "float":
             try:
-                return self.expr.sample_floats([p[:d] for p in points], [p[d:] for p in points])
+                return self.expr.sample_floats(*_split(list(zip(*points)), points, d), len(points))
             except NaNError:
                 raise NaNError("phi: its float arithmetic overflows to NaN") from None
         raise ValueError(f"unknown backend {backend!r}")

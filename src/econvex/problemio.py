@@ -18,15 +18,13 @@ from typing import List, Tuple
 
 from econvex.conjugation import (
     DualGrid,
-    _columns,
-    _dots,
     _key,
     _prepared,
     pair_tensor_dual_grid,
     tensor_dual_grid,
 )
 from econvex.duality import PerturbationProblem
-from econvex.esets import EPolyhedron, Halfspace
+from econvex.esets import EPolyhedron, Halfspace, dots
 from econvex.extreal import ExtReal, fmt
 from econvex.funcrep import (
     Abs,
@@ -339,7 +337,7 @@ class EsetFile:
 def loads(text: str):
     try:
         obj = json.loads(text, parse_int=_json_int)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested past the decoder's limit
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("top level: expected an object with a 'kind' field")
@@ -439,30 +437,29 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  The boundary depends on (u*, alpha) only, so the
-    points on it are read off one ``conjugation._dots`` column per gate,
-    over the vectors ``conjugation._prepared`` returns: ints scaled by D
-    for the points, e for u* and a for alpha when every coordinate and
-    alpha is a Fraction, the values as given otherwise.  q is on the
-    boundary iff <q, u*>·a = alpha·D·e, so a gate whose alpha·D·e is no
-    multiple of a has no points.
+    points on it are read off one ``esets.dots`` column per gate, over the
+    lists ``conjugation._prepared`` returns with their one scale D: the
+    points Q, u* U and alpha A as ints times D when every coordinate and
+    alpha is a Fraction, the values as given otherwise (D taken as 1).
+    q is on the boundary iff <Q, U> == D·A.
     """
     out = []
     for space, w_points, points in (
         ("y", P.dual_y_grid.points, P.y_grid.points),
         ("(x,y)", P.full_dual_grid.points, P.product.points),
     ):
-        exact, ((qs, D), (ustars, e)), ((alphas, a),) = _prepared(
+        D, (qs, ustars), (alphas,) = _prepared(
             (points, [w.ustar for w in w_points]), ([w.alpha for w in w_points],)
         )
-        cols = _columns(qs)
+        scale, columns, n = D or 1, list(zip(*qs)), len(qs)
         on_boundary = {}
         for w, u, alpha in zip(w_points, ustars, alphas):
             gate = _key((*u, alpha))
             hits = on_boundary.get(gate)
             if hits is None:
-                level = alpha * D * e
+                level = scale * alpha
                 hits = on_boundary[gate] = [
-                    p for p, t in zip(points, _dots(cols, u)) if t * a == level
+                    p for p, t in zip(points, dots(columns, u, n)) if t == level
                 ]
             out.extend((space, p, w) for p in hits)
     return out

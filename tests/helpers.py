@@ -86,22 +86,22 @@ def with_plain_scalar(draw, w: DualPoint, fields=("xstar", "ustar", "alpha")) ->
 
 @contextmanager
 def scaling_log():
-    """A list recording, per call of ``conjugation._scaled`` inside the
-    block, whether it returned ints (True) or None (False).  A sweep asks
-    ``_scaled`` for its lists one by one and stops at the first None, so
-    every sweep that ran unscaled leaves exactly one False; a scaled sweep
-    leaves only True."""
+    """A list recording, per call of ``conjugation._prepared`` inside the
+    block, whether it returned the one scale D of a sweep on ints (True)
+    or None for lists used as given (False).  Every kernel sweep and each
+    of the loader's two boundary scans asks once, so a sweep that ran
+    unscaled leaves exactly one False and a scaled sweep one True."""
     log = []
-    real = conjugation._scaled
+    real = conjugation._prepared
 
-    def scaled(vectors):
-        out = real(vectors)
-        log.append(out is not None)
+    def prepared(vectors, scalars):
+        out = real(vectors, scalars)
+        log.append(out[0] is not None)
         return out
 
-    with mock.patch.object(conjugation, "_scaled", scaled):
+    with mock.patch.object(conjugation, "_prepared", prepared), \
+            mock.patch.object(problemio, "_prepared", prepared):
         yield log
-
 
 
 @contextmanager

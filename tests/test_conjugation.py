@@ -24,15 +24,13 @@ from econvex.conjugation import (
     cprime_conjugate,
     tensor_dual_grid,
     _c_conjugate_rows,
-    _columns,
-    _dots,
     _key,
     _prepared,
     _reference_c_conjugate,
     _reference_cprime_conjugate,
     _split_dom,
 )
-from econvex.esets import dot
+from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
 from econvex.funcrep import Grid, PwAffine1, SampledFn
 
@@ -614,9 +612,10 @@ class TestKernelMatchesReference:
         assert list(_reference_c_conjugate(f, wg).values) == expected
 
     def test_integer_gate_rounds_a_fractional_alpha_up(self):
-        # Points 0, 1 and u* = 1 scale by D = e = 1, and alpha·D·e = 3/2:
-        # max <p, u*> = 1 stays below it (the threshold is 2, not 1), while
-        # alpha = 1 puts the point 1 on the boundary and shuts the gate.
+        # alpha = 3/2 lies between the dots 1 and 2 of the points 0, 1 with
+        # u* = 1.  The sweep's one scale D clears its denominator, so
+        # max <P, U> = D² stays below D·A = (3/2)·D², while alpha = 1 puts
+        # the point 1 on the boundary and shuts the gate.
         grid = Grid(1, [(0,), (1,)])
         f = SampledFn(grid, [ExtReal(0), ExtReal(0)])
         wg = DualGrid([w(1, 1, Fraction(3, 2)), w(1, 1, 1)])
@@ -658,14 +657,15 @@ class TestKernelMatchesReference:
 
 
 class TestIntegerPathRuns:
-    """Counts only: every conjugate sweep of the rational fenchel_abs gets
-    ints from the scaling helper, and no sweep of its float twin does."""
+    """Counts only: every conjugate sweep of the rational fenchel_abs asks
+    ``_prepared`` once and gets one scale, and every sweep of its float
+    twin asks once and gets none."""
 
     SWEEPS = ("psi", "psi_prime", "f0_conj", "f0_biconj", "g_prime", "p_conj", "p_biconj")
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_every_sweep_of_fenchel_abs(self, monkeypatch, backend):
-        per_sweep = []  # the scaling helper's returns during each sweep
+        per_sweep = []  # whether _prepared gave a scale, per call during each sweep
         with scaling_log() as log:
             for name in ("c_conjugate", "cprime_conjugate"):
                 def sweep(*args, _real=getattr(duality, name)):
@@ -682,6 +682,7 @@ class TestIntegerPathRuns:
         assert len(per_sweep) == len(self.SWEEPS)
         if backend == "rational":
             assert all(calls and all(calls) for calls in per_sweep), per_sweep
+            assert per_sweep == [[True]] * len(self.SWEEPS)
         else:
             assert per_sweep == [[False]] * len(self.SWEEPS)
 
@@ -704,31 +705,29 @@ def row_major_c_conjugate_rows(f, w_grid):
     if dom is None:
         return [(constant, None)] * len(w_grid)
     w_points = w_grid.points
-    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+    D, (points, ustars, xstars), (alphas, values) = _prepared(
         ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
         ([w.alpha for w in w_points], [v for _, v in dom]),
     )
-    inner = _row_major_dot(exact)
-    M = math.lcm(D * E, L)
-    k, m, De = M // (D * E), M // L, D * e
-    values = [m * v for v in values]
+    inner = _row_major_dot(D is not None)
+    scale = D or 1
+    values = [scale * v for v in values]
     highest, fenchel, out = {}, {}, []
     for u, alpha, x in zip(ustars, alphas, xstars):
         gate = _key(u)
         top = highest.get(gate)
         if top is None:
-            dots = [inner(p, u) for p in points]
-            top = highest[gate] = max(dots) if all(d == d for d in dots) else math.nan
-        if not (top * a < alpha * De):
+            tops = [inner(p, u) for p in points]
+            top = highest[gate] = max(tops) if all(t == t for t in tops) else math.nan
+        if not (top < scale * alpha):
             out.append((POS_INF, None))
             continue
         slope = _key(x)
         cell = fenchel.get(slope)
         if cell is None:
-            kx = tuple(k * c for c in x)
-            terms = [inner(p, kx) - v for p, v in zip(points, values)]
+            terms = [inner(p, x) - v for p, v in zip(points, values)]
             best = max(terms)
-            value = ExtReal(Fraction(best, M) if exact else best)
+            value = ExtReal(best if D is None else Fraction(best, D * D))
             cell = fenchel[slope] = (value, dom[terms.index(best)])
         out.append(cell)
     return out
@@ -740,11 +739,11 @@ def row_major_cprime_conjugate(g, x_grid):
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    exact, ((points, D), (ustars, e), (xstars, E)), ((alphas, a), (values, L)) = _prepared(
+    D, (points, ustars, xstars), (alphas, values) = _prepared(
         (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
         ([w.alpha for w, _ in dom], [v for _, v in dom]),
     )
-    inner = _row_major_dot(exact)
+    inner = _row_major_dot(D is not None)
     gates, slopes = {}, {}
     for u, alpha, x, v in zip(ustars, alphas, xstars, values):
         gate = gates.setdefault(_key(u), [u, alpha])
@@ -753,17 +752,16 @@ def row_major_cprime_conjugate(g, x_grid):
         slope = slopes.setdefault(_key(x), [x, v])
         if v < slope[1]:
             slope[1] = v
-    M = math.lcm(D * E, L)
-    k, m, De = M // (D * E), M // L, D * e
-    gates = [(u, alpha * De) for u, alpha in gates.values()]
-    slopes = [(tuple(k * c for c in x), m * v) for x, v in slopes.values()]
+    scale = D or 1
+    gates = [(u, scale * alpha) for u, alpha in gates.values()]
+    slopes = [(x, scale * v) for x, v in slopes.values()]
     vals = []
     for p in points:
-        if any(not (inner(p, u) * a < level) for u, level in gates):
+        if any(not (inner(p, u) < level) for u, level in gates):
             vals.append(POS_INF)
         else:
             best = max(inner(p, x) - v for x, v in slopes)
-            vals.append(ExtReal(Fraction(best, M) if exact else best))
+            vals.append(ExtReal(best if D is None else Fraction(best, D * D)))
     return SampledFn(x_grid, vals)
 
 
@@ -842,14 +840,29 @@ def edge_case(draw):
     return f, wg, g, grid
 
 
+# Starts of a fold: int 0 as the kernel folds from, signed zeros, and
+# values whose sums with the first product overflow or cancel.
+START_FLOATS = [0, 0.0, -0.0, 0.5, 1e308, -1e308]
+START_FRACTIONS = [0, Fraction(0), Fraction(-7, 3), Fraction(10**308), Fraction(-10**308)]
+
+
 @st.composite
 def dots_case(draw):
-    """(points, v) of one backend and one dimension from 1 to 3."""
+    """(points, v, start) of one backend and one dimension from 1 to 3."""
     backend = draw(st.sampled_from(("rational", "float")))
     dim = draw(st.integers(1, 3))
     grid = draw(kernel_grid(dim, backend, float_coords=EDGE_COORDS))
     coords = drawn_from(EDGE_COORDS if backend == "float" else COORDS, backend)
-    return grid.points, draw(st.tuples(*[coords] * dim))
+    start = draw(st.sampled_from(START_FLOATS if backend == "float" else START_FRACTIONS))
+    return grid.points, draw(st.tuples(*[coords] * dim)), start
+
+
+def fold_from(start, p, v):
+    """The left fold of ``esets.dot`` at the point p, from start."""
+    total = start
+    for q, c in zip(p, v):
+        total += q * c
+    return total
 
 
 def as_edge_case(f, wg):
@@ -891,15 +904,26 @@ class TestColumnKernel:
 
     @given(dots_case())
     # Left to right, 1e308 + 1e308 overflows before -1e308 can cancel it.
-    @example(([(1e308, 1e308, -1e308), (1e308, -1e308, 1e308)], (1.0, 1.0, 1.0)))
+    @example(([(1e308, 1e308, -1e308), (1e308, -1e308, 1e308)], (1.0, 1.0, 1.0), 0))
+    # From -1e308 the first product cancels; from -0.0 a 0.0 product is 0.0.
+    @example(([(1e308, 1e308), (0.0, -1.0)], (1.0, 1.0), -1e308))
+    @example(([(0.0, 0.0), (-0.0, 1.0)], (1.0, -0.0), -0.0))
     @settings(max_examples=200, deadline=None)
     def test_dots_fold_like_esets_dot(self, case):
-        points, v = case
-        got = _dots(_columns(points), v)
-        assert [rendered(t) for t in got] == [rendered(dot(p, v)) for p in points]
+        points, v, start = case
+        got = dots(list(zip(*points)), v, len(points), start)
+        assert [rendered(t) for t in got] == [rendered(fold_from(start, p, v)) for p in points]
+        if start.__class__ is int:
+            assert [rendered(t) for t in got] == [rendered(dot(p, v)) for p in points]
 
     def test_no_points_give_no_dots(self):
-        assert _dots(_columns([]), (1, 2)) == []
+        for start in START_FLOATS + START_FRACTIONS:
+            assert dots([], (1, 2), 0, start) == []
+
+    def test_no_columns_give_copies_of_the_start(self):
+        for start in START_FLOATS + START_FRACTIONS:
+            got = dots([], (), 3, start)
+            assert len(got) == 3 and all(t is start for t in got)
 
 
 def _distinct(vectors):
@@ -908,15 +932,15 @@ def _distinct(vectors):
 
 class TestColumnWork:
     """Counts only: the product-grid sweeps and the boundary scan take no
-    per-point inner product, and each ``_dots`` column is taken once per
-    distinct key a sweep needs."""
+    per-point inner product, and each ``esets.dots`` column is taken once
+    per distinct key a sweep needs."""
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_one_column_per_distinct_key(self, name, backend, monkeypatch):
         P = catalog_problem(name) if backend == "rational" else float_twin(name)
         f = P.phi_on_product
-        counts = {"dot": 0, "_dots": 0}
+        counts = {"dot": 0, "dots": 0}
 
         def counted(fn, key):
             def wrapper(*args):
@@ -927,8 +951,8 @@ class TestColumnWork:
         for module in (conjugation, esets, problemio):
             if getattr(module, "dot", None) is dot:
                 monkeypatch.setattr(module, "dot", counted(dot, "dot"))
-        monkeypatch.setattr(conjugation, "_dots", counted(_dots, "_dots"))
-        monkeypatch.setattr(problemio, "_dots", counted(_dots, "_dots"))
+        monkeypatch.setattr(conjugation, "dots", counted(dots, "dots"))
+        monkeypatch.setattr(problemio, "dots", counted(dots, "dots"))
 
         def work(build):
             before = dict(counts)
@@ -941,14 +965,14 @@ class TestColumnWork:
             needed = [w.xstar for w in P.full_dual_grid
                       if all(dot(p, w.ustar) < w.alpha for p, _ in dom)]
             expected = _distinct(w.ustar for w in P.full_dual_grid) + _distinct(needed)
-        assert work(lambda: P.psi) == {"dot": 0, "_dots": expected}
+        assert work(lambda: P.psi) == {"dot": 0, "dots": expected}
 
         dom, _ = _split_dom(P.psi)
         expected = 0
         if dom is not None:
             expected = _distinct(w.ustar for w, _ in dom) + _distinct(w.xstar for w, _ in dom)
-        assert work(lambda: P.psi_prime) == {"dot": 0, "_dots": expected}
+        assert work(lambda: P.psi_prime) == {"dot": 0, "dots": expected}
 
         gates = sum(_distinct((*w.ustar, w.alpha) for w in grid)
                     for grid in (P.dual_y_grid, P.full_dual_grid))
-        assert work(lambda: problemio.boundary_coincidences(P)) == {"dot": 0, "_dots": gates}
+        assert work(lambda: problemio.boundary_coincidences(P)) == {"dot": 0, "dots": gates}

@@ -408,6 +408,16 @@ def _nested_precompose():
     return _Case(outer, [(Fraction(1, 7), Fraction(2, 5)), (0, 0), (-3, tiny)])
 
 
+def _overflowing_row():
+    """phi = indicator of {t : 0·t <= 1} at t = 1e308 + 1e308·y.  At y = 1
+    the float row overflows to inf and 0·inf = NaN shuts the indicator
+    (+inf), while in rationals 0·t <= 1 holds (0): a float fold that
+    skipped the zero coefficient would sample 0.0."""
+    big = Fraction(10**308)
+    zero_normal = Halfspace((Fraction(0),), Fraction(1), False)
+    return _Case(Indicator(EPolyhedron(1, [zero_normal]), (((Fraction(0),), (big,), big),)), [(0, 1)])
+
+
 PLANE = [(0, 1), (Fraction(-1, 2), 2)]
 X_ONLY = Affine.of((1,), (0,))
 
@@ -427,6 +437,7 @@ class TestColumnSampling:
     @example(data=_nested_precompose())
     @example(data=_on_the_line(strict=True))
     @example(data=_on_the_line(strict=False))
+    @example(data=_overflowing_row())
     @settings(max_examples=300, deadline=None)
     def test_sample_is_pointwise(self, backend, data):
         phi, points = data.draw(phi_and_points(backend))

@@ -780,6 +780,16 @@ class TestInputContract:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert_input_error_naming(["audit", str(path)], "set.dim")
 
+    def test_a_file_nested_past_the_decoder_limit_exits_3(self, tmp_path):
+        # phi wrapped in 100,000 abs nodes: the JSON decoder gives up with a
+        # RecursionError, which is an input error like any malformed file.
+        depth = 100_000
+        doc = entry("fenchel_abs")
+        phi = '{"op": "abs", "arg": ' * depth + json.dumps(doc["phi"]) + "}" * depth
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(dict(doc, phi=None)).replace("null", phi), encoding="utf-8")
+        assert_input_error_naming(["duality", str(path)], "not valid JSON")
+
 
 def assert_input_error_naming(argv, field):
     """Run the CLI in a fresh process: exit 3, nothing on stdout, and one
