@@ -25,7 +25,8 @@ instead of O(|W|·|G|).  The c'-conjugate splits the same way: per
 distinct u* only the least alpha over dom g can close the gate, and per
 distinct x* only the least value of g can attain the sup.  The
 c-conjugate also keeps, per distinct x*, the first row of dom attaining
-the Fenchel value; the Lagrangian table is read off those rows.
+the Fenchel value; the Lagrangian table is read off those rows, from one
+c-sweep of all its slices, which share each column of inner products.
 
 Each sweep reads the lists ``_prepared`` returns through ``esets.dots``:
 <p, v> at every point, one coordinate column at a time, which is the
@@ -35,7 +36,8 @@ a running max per distinct x* at the open points, which keeps builtin
 ``max``'s first maximiser and NaN.  ``_prepared`` makes the one
 exactness decision, about one scale D.  When every coordinate, slope,
 alpha and payload the sweep reads is exactly a ``Fraction``, every list
-comes back as ints times D, the lcm of all their denominators.
+comes back as ints times D, the lcm of all their denominators (of all
+functions' payloads in a sweep of several).
 Otherwise D is None and every list comes back as given, since scaling
 only some lists would change IEEE rounding.  With P, U, X, A and V the
 lists a sweep reads and D taken as 1 for lists as given, a gate is shut
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, islice
 from math import nan
 from typing import Iterable, Sequence, Tuple
 
@@ -306,51 +308,72 @@ def _value(best) -> ExtReal:
         raise NaNError("grids.xstar/grids.ystar: <grid point, slope> overflows to NaN") from None
 
 
-def _c_conjugate_rows(f: SampledFn, w_grid: DualGrid):
-    """(f^c(w), attaining row) per dual point, in the order of the grid.
+def _c_conjugate_rows(fs, w_grid: DualGrid):
+    """Per function of fs, all on one grid, (f^c(w), attaining row) per
+    dual point, in the order of the dual grid.
 
     The row is the first (point, payload) of dom f attaining the Fenchel
-    value on a finite cell and None on a +-inf cell.  max over dom of
-    <p, u*> is taken once per distinct u*, NaN when some dot is (inf·0
-    fails every gate, as in the definition), and the Fenchel value once
-    per distinct x*, and only for an x* that some open gate needs.
-    """
-    dom, constant = _split_dom(f)
-    if dom is None:
-        return [(constant, None)] * len(w_grid)
-    w_points = w_grid.points
-    D, (points, ustars, xstars), (alphas, values) = _prepared(
-        ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
-        ([w.alpha for w in w_points], [v for _, v in dom]),
+    value on a finite cell and None on a +-inf cell.  The dots column of
+    each distinct u*, and of each x* some open gate needs, is taken once
+    over the union of the domains and read by each function (by index if
+    its domain is smaller): per function, max over dom of <p, u*>, NaN if
+    some dot is (inf·0 fails every gate, as in the definition), and the
+    Fenchel value for each x* its own open gates need."""
+    splits = [_split_dom(f) for f in fs]
+    out = [[(constant, None)] * len(w_grid) for _, constant in splits]
+    swept = [(r, dom) for r, (dom, _) in enumerate(splits) if dom is not None]
+    if not swept:
+        return out
+    # the union of the domains; per function, its positions there (None: all)
+    if len(swept) == 1:
+        points, picks = [p for p, _ in swept[0][1]], [None]
+    else:
+        grid = fs[0].grid.points
+        inside = [[not v.is_pos_inf for v in fs[r].values] for r, _ in swept]
+        union = list(compress(range(len(grid)), map(any, zip(*inside))))
+        points = [grid[i] for i in union]
+        picks = [None if len(dom) == len(union) else [k for k, i in enumerate(union) if mask[i]]
+                 for (_, dom), mask in zip(swept, inside)]
+    D, (points, ustars, xstars), (alphas, *payloads) = _prepared(
+        (points, [w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
+        [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom in swept],
     )
     scale, columns, n = D or 1, list(zip(*points)), len(points)
-    values = [scale * v for v in values]
-    highest = {}  # u* key -> max over dom of <p, u*>, NaN if some dot is
-    fenchel = {}  # x* key -> (grid Fenchel value, attaining row)
-    out = []
-    for u, alpha, x in zip(ustars, alphas, xstars):
-        gate = _key(u)
-        top = highest.get(gate)
-        if top is None:
-            tops = dots(columns, u, n)
-            top = highest[gate] = max(tops) if all(t == t for t in tops) else nan
-        if not (top < scale * alpha):
-            out.append((POS_INF, None))
-            continue
-        slope = _key(x)
-        cell = fenchel.get(slope)
-        if cell is None:
-            terms = [t - v for t, v in zip(dots(columns, x, n), values)]
-            best = max(terms)
-            value = _value(best if D is None else Fraction(best, D * D))
-            cell = fenchel[slope] = (value, dom[terms.index(best)])
-        out.append(cell)
+    values = [[scale * v for v in payload] for payload in payloads]
+
+    def read(column, pick):
+        return column if pick is None else [column[k] for k in pick]
+
+    firsts = {}, {}  # u* and x* key -> index of the first dual point with it
+    gates = [firsts[0].setdefault(_key(u), j) for j, u in enumerate(ustars)]
+    slopes = [firsts[1].setdefault(_key(x), j) for j, x in enumerate(xstars)]
+    tops = [{} for _ in swept]  # per function: gate -> max over dom of <p, u*>
+    for j in firsts[0].values():
+        column = dots(columns, ustars[j], n)
+        for top, t in zip(tops, (read(column, pick) for pick in picks)):
+            top[j] = max(t) if all(c == c for c in t) else nan
+    levels = [scale * alpha for alpha in alphas]
+    opens = [[top[g] < level for g, level in zip(gates, levels)] for top in tops]
+    needs = [{s for is_open, s in zip(row, slopes) if is_open} for row in opens]
+    cells = [{} for _ in swept]  # per function: slope -> (Fenchel value, attaining row)
+    for j in firsts[1].values():
+        column = None
+        for need, cell, pick, vs, (_, dom) in zip(needs, cells, picks, values, swept):
+            if j in need:
+                column = column or dots(columns, xstars[j], n)
+                terms = [t - v for t, v in zip(read(column, pick), vs)]
+                best = max(terms)
+                value = _value(best if D is None else Fraction(best, D * D))
+                cell[j] = (value, dom[terms.index(best)])
+    shut = (POS_INF, None)
+    for (r, _), row, cell in zip(swept, opens, cells):
+        out[r] = [cell[s] if is_open else shut for is_open, s in zip(row, slopes)]
     return out
 
 
 def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     """f^c(w) = sup over the grid of { c(x, w) - f(x) }."""
-    return SampledFn(w_grid, [v for v, _ in _c_conjugate_rows(f, w_grid)])
+    return SampledFn(w_grid, [v for v, _ in _c_conjugate_rows([f], w_grid)[0]])
 
 
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:

@@ -16,20 +16,20 @@ coupling vanishes at the origin whenever alpha > 0; equality of inf-sup
 with the primal value is conditional on the slices being recoverable from
 their conjugates.
 
-The first identity builds the table: each row is read off the conjugation
-kernel's sweep of one slice, which keeps, per distinct y*, the first y of
-Y_x attaining the conjugate.  A finite float cell is phi(x, y) - <y, y*>
+The first identity builds the table: its rows are read off one kernel
+sweep of every slice, which keeps, per slice and distinct y*, the first y
+of Y_x attaining the conjugate.  A finite float cell is phi(x, y) - <y, y*>
 at that y; a finite rational cell and a +-inf cell are the negated
-conjugate.  Each slice sweep takes one column of dots over Y_x per
-distinct v* and per y* that an open gate needs, so the table costs
-O((#y* + #v*)·|Y|·|X| + |W_y|·|X|) list steps instead of one coupling
-per (x, w, y).  :func:`dual_slice_audit` holds the table to the
-definitional conjugate of every slice, taking each dual point's coupling
-column over Y once per problem, so the identity stays a check of two
-routes: every (x, y, w) is its own term, nothing is grouped by slope and
-no attaining row is read.  On rational data the terms are ints over one
-scale per problem, taken by the check itself and not by the kernel's
-scaling, so one fault cannot reach both routes.
+conjugate.  The sweep takes one column of dots over Y per distinct v* and
+per y* that an open gate needs, once per problem, so the table costs
+O((#y* + #v*)·|Y|) inner products and O((#y* + #v*)·|Y|·|X| + |W_y|·|X|)
+reads, not one coupling per (x, w, y).  :func:`dual_slice_audit` holds the
+table to the definitional conjugate of every slice, taking each dual
+point's coupling column over Y once per problem, so the identity stays a
+check of two routes: every (x, y, w) is its own term, nothing is grouped
+by slope and no attaining row is read.  On exact data the couplings are
+ints over one scale per problem, taken by the check itself and not by the
+kernel's scaling, so one fault cannot reach both routes.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -97,7 +97,7 @@ class CLagrangian:
     ``table`` is flat and x-major like phi_on_product; its rows, columns,
     row suprema and column infima are each taken once, on first use.
     ``slices`` and ``slice_conjugates`` list, in x-grid order, the rows of
-    the cached phi_on_product and the kernel's conjugates of them.
+    the cached phi_on_product and their conjugates, from one kernel sweep.
 
     On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
@@ -117,17 +117,17 @@ class CLagrangian:
         y_grid, w_grid = problem.y_grid, problem.dual_y_grid
         phi_rows = funcrep.rows(problem.phi_on_product.values, len(self.x_grid))
         self.slices = [SampledFn(y_grid, row) for row in phi_rows]
-        self.slice_conjugates = []
+        conjugates = _c_conjugate_rows(self.slices, w_grid)
+        self.slice_conjugates = [SampledFn(w_grid, [v for v, _ in rows]) for rows in conjugates]
         cells = []
-        for sl in self.slices:
-            rows = _c_conjugate_rows(sl, w_grid)
-            self.slice_conjugates.append(SampledFn(w_grid, [v for v, _ in rows]))
-            for w, (conj, row) in zip(w_grid.points, rows):
-                if row is None or conj.backend == "rational":
-                    cells.append(-conj)
-                else:
-                    y, payload = row
-                    cells.append(ExtReal(payload) - ExtReal(dot(y, w.xstar)))
+        for rows in conjugates:
+            seen = {}  # id of a kernel cell (one per x* key, kept alive by rows) -> its L
+            for w, cell in zip(w_grid.points, rows):
+                if id(cell) not in seen:
+                    conj, row = cell
+                    seen[id(cell)] = (-conj if row is None or conj.backend == "rational"
+                                      else ExtReal(row[1]) - ExtReal(dot(row[0], w.xstar)))
+                cells.append(seen[id(cell)])
         self.table: Tuple[ExtReal, ...] = tuple(cells)
 
     @cached_property
@@ -175,35 +175,40 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     The table is read off the conjugation kernel, so the conjugate here is
     the definition: each dual point's coupling column over Y is taken
     once, and each (x, w) is its own ``_sup_minus`` of the column against
-    the slice, one term per y, grouped by no slope.  When every finite
-    coupling and payload is exactly a Fraction, columns and slices are
-    scaled once to ints by the lcm d of their denominators, here and not
-    by the kernel's scaling, so each term is an int and each finite cell
-    one Fraction(best, d); otherwise the terms are the values as given.
-    ``rows`` holds phi(x, .)^c per x, in x-grid order.
+    the slice, one term per y, grouped by no slope.  When every y
+    coordinate, slope, alpha and finite payload is exact (a Fraction or
+    an int), y and the slopes are scaled by d, the lcm of all their
+    denominators, and alpha and the payloads by d², here and not by the
+    kernel's scaling, so ``_coupling`` gives d²·coupling as an int and
+    each finite cell is one Fraction(best, d²); otherwise the values are
+    taken as given.  ``rows`` holds phi(x, .)^c per x, in x-grid order.
     """
     L = lagrangian_table(P)
-    columns = [[_coupling(y, w) for y in P.y_grid.points] for w in P.dual_y_grid.points]
+    ys, ws = P.y_grid.points, P.dual_y_grid.points
     slices = [_classify(sl.values) for sl in L.slices]
-    d = _scale([c for column in columns for c in column if c is not None]
+    d = _scale([c for y in ys for c in y] + [c for w in ws for c in (*w.xstar, *w.ustar, w.alpha)]
                + [p for sl in slices for tag, p in sl if tag == "f"])
+    dd = None if d is None else d * d
     if d is not None:
-        columns = [[_times(c, d) for c in column] for column in columns]
-        slices = [[(tag, _times(p, d)) for tag, p in sl] for sl in slices]
-    rows = tuple(tuple(_sup_minus(column, sl, d) for column in columns) for sl in slices)
+        ys = [tuple(_times(c, d) for c in y) for y in ys]
+        ws = [DualPoint(*(tuple(_times(c, d) for c in v) for v in (w.xstar, w.ustar)),
+                        _times(w.alpha, dd)) for w in ws]
+        slices = [[(tag, _times(p, dd)) for tag, p in sl] for sl in slices]
+    columns = [[_coupling(y, w) for y in ys] for w in ws]
+    rows = tuple(tuple(_sup_minus(column, sl, dd) for column in columns) for sl in slices)
     ok = all(-cell == conj for row, conjs in zip(L.rows, rows) for cell, conj in zip(row, conjs))
     return {"ok": ok, "rows": rows}
 
 
 def _scale(values):
-    """The lcm of the denominators if every value is exactly a Fraction."""
-    if all(c.__class__ is Fraction for c in values):
+    """The lcm of the denominators if every value is a Fraction or an int."""
+    if all(c.__class__ is Fraction or c.__class__ is int for c in values):
         return lcm(*{c.denominator for c in values})
     return None
 
 
 def _times(c, d):
-    """c·d as an int, d a multiple of the Fraction c's denominator."""
+    """c·d as an int, d a multiple of the exact c's denominator."""
     return None if c is None else c.numerator * (d // c.denominator)
 
 

@@ -55,6 +55,8 @@ MAX_DUAL_PAIRS = 10**6  # |xstar|·|ystar|·|ustar|·|vstar|·|alpha|
 # Fraction("1e<k>") builds the int 10**|k|, so a number string's exponent
 # is bounded like the digits of an integer literal.
 MAX_EXPONENT = 4300
+# Parsing and sampling phi recurse about once per level of JSON nesting.
+MAX_PHI_DEPTH = 500  # well under Python's recursion limit of 1000
 # Reports print input numbers, and Python prints an int of at most 4300
 # digits.  2**14284 < 10**4300, so a numerator or denominator of at most
 # MAX_BITS bits prints.
@@ -73,6 +75,15 @@ def _fraction(text: str) -> Fraction:
     if max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_BITS:
         raise ValueError(f"more than {MAX_BITS} bits")
     return c
+
+
+def _nesting(obj) -> int:
+    """The levels of JSON nesting in obj, counted without recursion."""
+    depth, level = 0, [obj]
+    while level:
+        depth, level = depth + 1, [c for o in level if isinstance(o, (dict, list))
+                                   for c in (o.values() if isinstance(o, dict) else o)]
+    return depth
 
 
 def _json_int(digits: str):
@@ -341,9 +352,12 @@ def loads(text: str):
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InputError("top level: expected an object with a 'kind' field")
+    name = obj.get("name", "")  # reports print it on a line of its own
+    if not isinstance(name, str) or "".join(name.splitlines()) != name:
+        raise InputError("name: must be a string without line breaks")
     if obj["kind"] == "eset":
         _require_keys(obj, ["kind", "name", "set"], (), "top level")
-        return EsetFile(str(obj["name"]), _parse_eset(obj["set"], "rational", "set"))
+        return EsetFile(name, _parse_eset(obj["set"], "rational", "set"))
     if obj["kind"] != "problem":
         raise InputError(f"kind: unknown kind {obj['kind']!r}")
 
@@ -404,9 +418,11 @@ def loads(text: str):
     dual_y = tensor_dual_grid(ystars, vstars, alphas, backend)
     pairs = pair_tensor_dual_grid(xstars, ystars, ustars, vstars, alphas, backend)
 
+    if _nesting(obj["phi"]) > MAX_PHI_DEPTH:
+        raise InputError(f"phi: nested deeper than the budget of {MAX_PHI_DEPTH} levels")
     phi = PerturbFn(x_dim, y_dim, expr=_parse_expr(obj["phi"], x_dim, y_dim, backend, "phi"))
     return ProblemFile(
-        name=str(obj["name"]),
+        name=name,
         tolerance=float(tolerance),
         phi=phi,
         x_grid=x_grid,

@@ -162,6 +162,23 @@ def fenchel_abs_duality_grid(n):
     return doc
 
 
+def fenchel_abs_wide_grid(nx, ny):
+    """fenchel_abs on an nx-point x grid and an ny-point y grid with the
+    wide Y side of the Lagrangian benchmark: x* = u* = 0, y* in -4..4,
+    v* in {-1, 0, 1} and alpha in {1, 2}, 54 dual points."""
+    doc = copy.deepcopy(catalog.entry("fenchel_abs"))
+    doc["grids"].update(
+        x={"lo": "-5", "hi": "5", "count": nx},
+        y={"lo": "-5", "hi": "5", "count": ny},
+        xstar=["0"],
+        ustar=["0"],
+        ystar=[str(v) for v in range(-4, 5)],
+        vstar=["-1", "0", "1"],
+        alpha=["1", "2"],
+    )
+    return doc
+
+
 def abs_pair_problem() -> PerturbationProblem:
     """phi(x, y) = |x| + |x + y|: every slice is finite piecewise-affine
     with slopes in {-1, 0, 1}, so the Y-side dual grid below recovers all

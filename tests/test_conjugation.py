@@ -505,6 +505,12 @@ def plain_prime_conjugate_case(draw):
     return g, grid
 
 
+def one_row(f, wg):
+    """The kernel's (value, attaining row) list of the one function f."""
+    (rows,) = _c_conjugate_rows([f], wg)
+    return rows
+
+
 def outcome(fn, *args):
     """Tagged values with their payload types and renderings, or the
     error raised."""
@@ -527,7 +533,7 @@ def assert_first_attaining_rows(f, wg):
     """Each finite cell's row is the first row of dom f, in grid order,
     whose term <p, x*> - f(p) is the value."""
     dom = [(p, v.value) for p, v in zip(f.grid.points, f.values) if v.is_finite]
-    for ww, (value, row) in zip(wg.points, _c_conjugate_rows(f, wg)):
+    for ww, (value, row) in zip(wg.points, one_row(f, wg)):
         if value.is_finite:
             assert row == next(r for r in dom if dot(r[0], ww.xstar) - r[1] == value.value)
 
@@ -630,7 +636,7 @@ class TestKernelMatchesReference:
     def test_tied_rows_resolve_to_the_first(self):
         grid = Grid(1, [(-1,), (0,), (1,)])
         f = SampledFn(grid, [ExtReal(Fraction(1, 3)), ExtReal(5), ExtReal(Fraction(1, 3))])
-        ((value, row),) = _c_conjugate_rows(f, DualGrid([w(0, 0, 1)]))
+        ((value, row),) = one_row(f, DualGrid([w(0, 0, 1)]))
         assert (value, row) == (ExtReal(Fraction(-1, 3)), ((Fraction(-1),), Fraction(1, 3)))
 
     def test_equal_slopes_of_two_types_keep_their_own_arithmetic(self):
@@ -888,14 +894,14 @@ class TestColumnKernel:
     @settings(max_examples=300, deadline=None)
     def test_byte_identical_to_the_row_major_sweeps(self, case):
         f, wg, g, grid = case
-        assert swept(_c_conjugate_rows, f, wg) == swept(row_major_c_conjugate_rows, f, wg)
+        assert swept(one_row, f, wg) == swept(row_major_c_conjugate_rows, f, wg)
         assert swept(cprime_conjugate, g, grid) == swept(row_major_cprime_conjugate, g, grid)
 
     def test_the_examples_reach_what_they_name(self):
-        (_, row), _ = _c_conjugate_rows(*TIED_ZEROS)
+        (_, row), _ = one_row(*TIED_ZEROS)
         assert rendered(row[1]) == ("-0.0", "float")  # the first of two tied rows
         with pytest.raises(NaNError, match="^grids.xstar/grids.ystar:"):
-            _c_conjugate_rows(*OVERFLOWING)
+            one_row(*OVERFLOWING)
         f, wg = NAN_GATES
         assert c_conjugate(f, wg).values == (POS_INF,) * 3
         with pytest.raises(NaNError, match="^grids.xstar/grids.ystar:"):
@@ -924,6 +930,94 @@ class TestColumnKernel:
         for start in START_FLOATS + START_FRACTIONS:
             got = dots([], (), 3, start)
             assert len(got) == 3 and all(t is start for t in got)
+
+
+@st.composite
+def batch_case(draw):
+    """Several functions on one grid and a dual grid.  Each draw of
+    ``ext_values`` may be +inf anywhere (so domains differ and need not
+    cover the grid), take -inf, or be +inf everywhere; rational draws take
+    wide fractions, and now and then one rational function is made float
+    among the Fraction ones."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    dim = draw(st.integers(1, 2))
+    grid = draw(kernel_grid(dim, backend))
+    rows = draw(st.lists(ext_values(len(grid), backend, payloads(backend)), min_size=1, max_size=4))
+    if backend == "rational" and draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = [ExtReal(float(v.value)) if v.is_finite else v for v in rows[i]]
+    return [SampledFn(grid, values) for values in rows], draw(kernel_dual_grid(dim, backend))
+
+
+def batch_outcome(fs, wg):
+    """The kernel's rows for all of fs in one call, rendered, or the error."""
+    try:
+        return [[rendered(cell) for cell in rows] for rows in _c_conjugate_rows(fs, wg)]
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+def single_outcomes(fs, wg):
+    """The same with one call per function: the first error raised, if any."""
+    try:
+        return [[rendered(cell) for cell in one_row(f, wg)] for f in fs]
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+_MIXED_GRID = Grid(1, [(-1,), (0,), (1,), (2,)])
+# Fraction functions whose domains differ and leave the point 2 out, an
+# empty domain, a -inf value, wide fractions and one float function.
+MIXED_ROWS = (
+    [SampledFn(_MIXED_GRID, [ExtReal(Fraction(1, 3)), POS_INF,
+                             ExtReal(Fraction(10**12 + 1, 2**40)), POS_INF]),
+     SampledFn(_MIXED_GRID, [POS_INF, ExtReal(Fraction(-5, 7)), ExtReal(Fraction(1, 4)), POS_INF]),
+     SampledFn(_MIXED_GRID, [POS_INF] * 4),
+     SampledFn(_MIXED_GRID, [ExtReal(Fraction(0)), NEG_INF, POS_INF, POS_INF]),
+     SampledFn(_MIXED_GRID, [ExtReal(0.25), POS_INF, ExtReal(-1.5), POS_INF])],
+    DualGrid([w(Fraction(1, 3), 1, 2), w(Fraction(-2, 7), 0, 1), w(1, 1, Fraction(3, 2)),
+              w(Fraction(1, 3), 1, 1)]),
+)
+# The NaN gates, next to a function on part of their grid.
+NAN_GATE_ROWS = (
+    [NAN_GATES[0], SampledFn(NAN_GATES[0].grid, [POS_INF, ExtReal(0.5), POS_INF])],
+    NAN_GATES[1],
+)
+
+
+class TestBatchedSweep:
+    """One kernel call for several functions on one grid gives, value by
+    value and row by row, what one call per function gives."""
+
+    @given(batch_case())
+    @example(MIXED_ROWS)
+    @example(NAN_GATE_ROWS)
+    @example(([NAN_DOT_AFTER_A_FINITE_ONE[0]] * 2, NAN_DOT_AFTER_A_FINITE_ONE[1]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_one_call_per_function(self, case):
+        fs, wg = case
+        assert batch_outcome(fs, wg) == single_outcomes(fs, wg)
+
+    def test_the_examples_reach_what_they_name(self):
+        fs, wg = MIXED_ROWS
+        with scaling_log() as log:
+            rows = _c_conjugate_rows(fs, wg)
+        assert log == [False]  # the float function sends every function off the ints
+        # the point 1 of the first domain sits on the last gate's boundary
+        assert [v.is_finite for v, _ in rows[0]] == [True, True, True, False]
+        assert rows[2] == [(NEG_INF, None)] * 4 and rows[3] == [(POS_INF, None)] * 4
+        assert [rendered(v)[2] for v, _ in rows[4]] == ["float", "float", "float", None]
+        # the first gate, shut by inf·0 on the whole grid, is open on (1, 1, 1)
+        fs, wg = NAN_GATE_ROWS
+        nan_rows, part_rows = _c_conjugate_rows(fs, wg)
+        assert [v for v, _ in nan_rows] == [POS_INF] * 3
+        assert [v for v, _ in part_rows] == [ExtReal(0.5), POS_INF, POS_INF]
+
+    def test_constant_functions_ask_for_no_scale(self):
+        fs = [SampledFn(_MIXED_GRID, [POS_INF] * 4), SampledFn(_MIXED_GRID, [NEG_INF] * 4)]
+        with scaling_log() as log:
+            rows = _c_conjugate_rows(fs, MIXED_ROWS[1])
+        assert log == [] and rows == [[(NEG_INF, None)] * 4, [(POS_INF, None)] * 4]
 
 
 def _distinct(vectors):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from helpers import (
     abs_pair_problem,
     catalog_problem,
     drawn_from,
+    fenchel_abs_wide_grid,
     float_twin,
     random_problem,
     scalar,
@@ -19,7 +21,7 @@ from helpers import (
     with_plain_scalar,
 )
 
-from econvex import catalog, cli, conjugation, extreal, lagrangian
+from econvex import catalog, cli, conjugation, extreal, lagrangian, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
@@ -29,6 +31,7 @@ from econvex.conjugation import (
     _split_dom,
     _sup_minus,
     coupling_c,
+    cprime_conjugate,
 )
 from econvex.duality import (
     PerturbationProblem,
@@ -338,10 +341,11 @@ def gate_boundary_case(draw):
 
 class TestIntegerSliceCheck:
     """The check's int terms against ``_sup_minus`` on the values as given,
-    one (x, w) at a time, and the path each problem takes.  A plain int
-    slope or alpha sends the kernel's sweeps off the ints but leaves every
-    coupling a Fraction, so the check, which scales on its own, stays on
-    them."""
+    one (x, w) at a time, and the path each problem takes.  The check
+    takes the ints when every y coordinate, y*, v*, alpha and finite
+    payload is exact, a Fraction or an int: a plain int slope or alpha
+    sends the kernel's sweeps off the ints but not the check, which
+    scales on its own; a float v* or alpha sends both off."""
 
     @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case())
     @example(nan_gate_case())
@@ -350,13 +354,14 @@ class TestIntegerSliceCheck:
         with slice_path_log() as paths:
             rows = lagrangian.dual_slice_audit(P)["rows"]
         columns = [[_coupling(y, ww) for y in P.y_grid.points] for ww in P.dual_y_grid.points]
-        finite = [c for column in columns for c in column if c is not None]
+        inputs = [c for y in P.y_grid.points for c in y]
+        inputs += [c for ww in P.dual_y_grid.points for c in (*ww.xstar, *ww.ustar, ww.alpha)]
         for x, row in zip(P.x_grid.points, rows):
             sl = _classify(P.phi.value(x, y, P.backend) for y in P.y_grid.points)
-            finite += [p for tag, p in sl if tag == "f"]
+            inputs += [p for tag, p in sl if tag == "f"]
             for ww, column, cell in zip(P.dual_y_grid.points, columns, row):
                 assert tagged(cell) == tagged(_sup_minus(column, sl)), (x, ww)
-        assert paths == [all(c.__class__ is Fraction for c in finite)]
+        assert paths == [all(c.__class__ in (Fraction, int) for c in inputs)]
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_rational_problems_take_the_ints_and_float_twins_do_not(self, name, monkeypatch):
@@ -375,6 +380,77 @@ class TestIntegerSliceCheck:
         assert scaled == []
 
 
+def wide_problem(nx, ny, backend):
+    doc = dict(fenchel_abs_wide_grid(nx, ny), backend=backend)
+    return problemio.loads(json.dumps(doc)).build()
+
+
+class TestYSideWorkOncePerProblem:
+    """Counts only: the table and the check do their Y-side work once per
+    problem, not once per x."""
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_the_table_asks_for_one_scale(self, name, backend):
+        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        P.phi_on_product
+        with scaling_log() as log:
+            L = CLagrangian(P)
+        swept = any(_split_dom(sl)[0] is not None for sl in L.slices)
+        assert log == [backend == "rational"] * swept
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_doubling_the_x_grid_takes_no_more_columns(self, backend, monkeypatch):
+        columns, real = [], conjugation.dots
+
+        def counted(*args):
+            columns.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(conjugation, "dots", counted)
+        per_size = []
+        for nx in (11, 22):
+            P = wide_problem(nx, 11, backend)
+            P.phi_on_product
+            before = len(columns)
+            CLagrangian(P)
+            per_size.append(len(columns) - before)
+        # one column per distinct v*, and per y* that some open gate needs
+        assert per_size == [3 + 9] * 2
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_check_couples_ints_once_per_dual_point_and_y(self, name, monkeypatch):
+        P = catalog_problem(name)
+        lagrangian_table(P)
+        ints, real = [], lagrangian._coupling
+
+        def spy(y, ww):
+            out = real(y, ww)
+            scalars = (*y, *ww.xstar, *ww.ustar, ww.alpha) + (() if out is None else (out,))
+            ints.append(all(c.__class__ is int for c in scalars))
+            return out
+
+        monkeypatch.setattr(lagrangian, "_coupling", spy)
+        assert dual_slice_audit(P)["ok"]
+        assert ints == [True] * (len(P.dual_y_grid) * len(P.y_grid))
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_the_surrogate_stops_at_the_first_failing_slice(self, backend, monkeypatch):
+        P = wide_problem(41, 41, backend)
+        L = lagrangian_table(P)
+        recovered = [cprime_conjugate(conj, P.y_grid).values == sl.values
+                     for sl, conj in zip(L.slices, L.slice_conjugates)]
+        calls, real = [], lagrangian.cprime_conjugate
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lagrangian, "cprime_conjugate", counted)
+        assert prop55_audit(P)["slice_surrogate"] is False
+        assert len(calls) == recovered.index(False) + 1 < len(P.x_grid)
+
+
 class TestTableMatchesDefinition:
     """Every cell of CLagrangian has the rendering and payload type of the
     defining infimum: the kernel's attaining row, the strict tie rule, the
@@ -390,9 +466,10 @@ class TestTableMatchesDefinition:
     def test_plain_scalar_falls_back(self, P):
         with scaling_log() as log:
             L = CLagrangian(P)
-        # every slice sweep over a nonempty finite domain ran unscaled
-        swept = sum(_split_dom(sl)[0] is not None for sl in L.slices)
-        assert log.count(False) == swept
+        # the table's one sweep ran unscaled, and only if some slice has a
+        # nonempty finite domain
+        swept = any(_split_dom(sl)[0] is not None for sl in L.slices)
+        assert log == [False] * swept
         assert_table_matches_definition(P)
 
     @given(st.integers(0, 10**6), st.sampled_from(["float", "rational"]))

@@ -783,24 +783,69 @@ class TestInputContract:
     def test_a_file_nested_past_the_decoder_limit_exits_3(self, tmp_path):
         # phi wrapped in 100,000 abs nodes: the JSON decoder gives up with a
         # RecursionError, which is an input error like any malformed file.
-        depth = 100_000
-        doc = entry("fenchel_abs")
-        phi = '{"op": "abs", "arg": ' * depth + json.dumps(doc["phi"]) + "}" * depth
         path = tmp_path / "deep.json"
-        path.write_text(json.dumps(dict(doc, phi=None)).replace("null", phi), encoding="utf-8")
+        path.write_text(nested_phi_file("abs", 100_000), encoding="utf-8")
         assert_input_error_naming(["duality", str(path)], "not valid JSON")
+
+    @pytest.mark.parametrize("op, depth", [("abs", 975), ("sum", 488)])
+    def test_a_phi_nested_under_the_decoder_limit_exits_3_naming_phi(self, op, depth,
+                                                                     tmp_path):
+        # The decoder reads these, but parsing or sampling phi would exhaust
+        # Python's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text(nested_phi_file(op, depth), encoding="utf-8")
+        assert_input_error_naming(["duality", str(path)], "phi")
+        assert_input_error_naming(["audit", str(path)], "phi")
+
+    @pytest.mark.parametrize("op", ["abs", "sum"])
+    def test_a_phi_at_the_depth_budget_runs(self, op, tmp_path):
+        # fenchel_abs's phi is 8 levels deep; an abs adds one level, a sum
+        # two (its object and its list of terms).
+        depth = (problemio.MAX_PHI_DEPTH - 8) // (1 if op == "abs" else 2)
+        path = tmp_path / "deep.json"
+        path.write_text(nested_phi_file(op, depth), encoding="utf-8")
+        assert problemio._nesting(json.loads(path.read_text())["phi"]) == problemio.MAX_PHI_DEPTH
+        for command in (["audit", "--suite", "all"], ["lagrangian"]):
+            run = run_cli([*command, str(path)])
+            assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+
+    @pytest.mark.parametrize("kind", ["fenchel_abs", "open_epigraph_eset"])
+    @pytest.mark.parametrize("name", [5, {"a": [1, 2]}, "x\ny", "x\r", "\u2028"],
+                             ids=["int", "object", "newline", "carriage-return",
+                                  "line-separator"])
+    def test_a_name_that_is_no_single_line_string_exits_3(self, kind, name, tmp_path):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(dict(entry(kind), name=name)), encoding="utf-8")
+        command = "duality" if kind == "fenchel_abs" else "eset"
+        assert_input_error_naming([command, str(path)], "name")
+        with pytest.raises(problemio.InputError, match="^name: must be a string without line breaks$"):
+            problemio.load(str(path))
+
+
+def nested_phi_file(op, depth):
+    """fenchel_abs with its phi wrapped in depth abs or sum nodes."""
+    doc = entry("fenchel_abs")
+    head = {"abs": '{"op": "abs", "arg": ', "sum": '{"op": "sum", "terms": ['}[op]
+    tail = {"abs": "}", "sum": "]}"}[op]
+    phi = head * depth + json.dumps(doc["phi"]) + tail * depth
+    return json.dumps(dict(doc, phi=None)).replace("null", phi)
+
+
+def run_cli(argv):
+    """The CLI in a fresh process, with the repository's src first on the path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "econvex.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
 
 
 def assert_input_error_naming(argv, field):
     """Run the CLI in a fresh process: exit 3, nothing on stdout, and one
     input-error message that starts with the field, never a traceback."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "econvex.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
-        timeout=120,
-    )
+    run = run_cli(argv)
     assert run.returncode == 3, run.stderr
     assert run.stderr.startswith("econvex: input error: " + field + ":"), run.stderr
     assert "Traceback" not in run.stderr and run.stdout == ""
