@@ -325,15 +325,12 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     if not swept:
         return out
     # the union of the domains; per function, its positions there (None: all)
-    if len(swept) == 1:
-        points, picks = [p for p, _ in swept[0][1]], [None]
-    else:
-        grid = fs[0].grid.points
-        inside = [[not v.is_pos_inf for v in fs[r].values] for r, _ in swept]
-        union = list(compress(range(len(grid)), map(any, zip(*inside))))
-        points = [grid[i] for i in union]
-        picks = [None if len(dom) == len(union) else [k for k, i in enumerate(union) if mask[i]]
-                 for (_, dom), mask in zip(swept, inside)]
+    grid = fs[0].grid.points
+    inside = [[not v.is_pos_inf for v in fs[r].values] for r, _ in swept]
+    union = list(compress(range(len(grid)), map(any, zip(*inside))))
+    points = [grid[i] for i in union]
+    picks = [None if len(dom) == len(union) else [k for k, i in enumerate(union) if mask[i]]
+             for (_, dom), mask in zip(swept, inside)]
     D, (points, ustars, xstars), (alphas, *payloads) = _prepared(
         (points, [w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
         [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom in swept],

@@ -121,13 +121,12 @@ class CLagrangian:
         self.slice_conjugates = [SampledFn(w_grid, [v for v, _ in rows]) for rows in conjugates]
         cells = []
         for rows in conjugates:
-            seen = {}  # id of a kernel cell (one per x* key, kept alive by rows) -> its L
-            for w, cell in zip(w_grid.points, rows):
-                if id(cell) not in seen:
-                    conj, row = cell
-                    seen[id(cell)] = (-conj if row is None or conj.backend == "rational"
-                                      else ExtReal(row[1]) - ExtReal(dot(row[0], w.xstar)))
-                cells.append(seen[id(cell)])
+            for w, (conj, row) in zip(w_grid.points, rows):
+                if row is None or conj.backend == "rational":
+                    cells.append(-conj)
+                else:
+                    y, payload = row
+                    cells.append(ExtReal(payload) - ExtReal(dot(y, w.xstar)))
         self.table: Tuple[ExtReal, ...] = tuple(cells)
 
     @cached_property
@@ -303,7 +302,7 @@ def find_convexity_violation(
     +inf endpoints never witness a violation; a -inf endpoint forces the
     chord to -inf, so any finite middle value violates.  Finite triples
     are tested in exact cross-multiplied form: in ints times the lcm of
-    every denominator when each x and finite value is exactly a Fraction,
+    every denominator when each x and finite value is a Fraction or an int,
     on the values as given otherwise.  The x objects are returned as given.
     """
     rows = sorted(values, key=lambda r: r[0])
