@@ -11,6 +11,10 @@ Finite payloads come in two backends: exact `fractions.Fraction`
 doubles ("float", used by grid sweeps).  Infinities are backend-neutral;
 arithmetic or comparison between finite values of different backends
 raises :class:`BackendMismatchError` instead of silently coercing.
+
+Operations dispatch on the exact class of the payloads, not on
+``isinstance(v, Fraction)``, which runs ``ABCMeta.__instancecheck__`` on
+a float; a payload subclass or a Fraction meeting a float takes the checks.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
 ]
 
 Scalar = Union[int, float, Fraction]
+_EXACT = (Fraction, float)
 
 
 class BackendMismatchError(TypeError):
@@ -57,16 +62,18 @@ class ExtReal:
     __slots__ = ("_v",)
 
     def __init__(self, value: Scalar):
-        if isinstance(value, bool):
+        if value.__class__ is Fraction or value.__class__ is float and value == value:
+            pass
+        elif isinstance(value, bool):
             raise TypeError("bool is not a scalar payload")
-        if isinstance(value, int):
+        elif isinstance(value, int):
             value = Fraction(value)
         elif isinstance(value, float):
             if math.isnan(value):
                 raise NaNError("NaN has no extended-real meaning")
         elif not isinstance(value, Fraction):
             raise TypeError(f"unsupported payload type {type(value).__name__}")
-        object.__setattr__(self, "_v", value)
+        _SET(self, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExtReal is immutable")
@@ -83,14 +90,14 @@ class ExtReal:
 
     @property
     def is_finite(self) -> bool:
-        return not (isinstance(self._v, float) and math.isinf(self._v))
+        return self._v.__class__ is Fraction or not (isinstance(self._v, float) and math.isinf(self._v))
 
     @property
     def backend(self) -> str | None:
         """``"rational"`` or ``"float"`` for finite values, None for infinities."""
         if not self.is_finite:
             return None
-        return "rational" if isinstance(self._v, Fraction) else "float"
+        return "float" if self._v.__class__ is float or not isinstance(self._v, Fraction) else "rational"
 
     @property
     def value(self) -> Scalar:
@@ -112,6 +119,8 @@ class ExtReal:
             )
 
     def __eq__(self, other: object) -> bool:
+        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
+            return self._v == other._v
         if not isinstance(other, ExtReal):
             return NotImplemented
         if self.is_finite != other.is_finite:
@@ -122,6 +131,8 @@ class ExtReal:
         return self._v == other._v
 
     def __lt__(self, other: "ExtReal") -> bool:
+        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
+            return self._v < other._v
         if not isinstance(other, ExtReal):
             return NotImplemented
         if self.is_finite and other.is_finite:
@@ -130,6 +141,8 @@ class ExtReal:
         return self._v < other._v
 
     def __le__(self, other: "ExtReal") -> bool:
+        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
+            return self._v <= other._v
         return self == other or self < other
 
     def __gt__(self, other: "ExtReal") -> bool:
@@ -144,6 +157,8 @@ class ExtReal:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "ExtReal":
+        if self._v.__class__ is Fraction or self._v.__class__ is float and math.isfinite(self._v):
+            return ExtReal(-self._v)
         if self.is_pos_inf:
             return NEG_INF
         if self.is_neg_inf:
@@ -151,6 +166,10 @@ class ExtReal:
         return ExtReal(-self._v)
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
+        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
+            s = self._v + other._v  # finite only if both are
+            if s.__class__ is Fraction or math.isfinite(s):
+                return ExtReal(s)
         if not isinstance(other, ExtReal):
             return NotImplemented
         if self.is_finite and other.is_finite:
@@ -164,6 +183,8 @@ class ExtReal:
         return other + self
 
     def __sub__(self, other: "ExtReal") -> "ExtReal":
+        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
+            return self + ExtReal(-other._v)
         if not isinstance(other, ExtReal):
             return NotImplemented
         return self + (-other)
@@ -177,10 +198,8 @@ class ExtReal:
         return fmt(self)
 
 
-POS_INF = ExtReal.__new__(ExtReal)
-object.__setattr__(POS_INF, "_v", math.inf)
-NEG_INF = ExtReal.__new__(ExtReal)
-object.__setattr__(NEG_INF, "_v", -math.inf)
+_SET = ExtReal._v.__set__  # the slot's own setter, past __setattr__
+POS_INF, NEG_INF = ExtReal(math.inf), ExtReal(-math.inf)
 
 
 def fold_sum(values: Iterable[ExtReal]) -> ExtReal:
@@ -228,6 +247,8 @@ def _digits(n: int) -> str:
 
 def fmt(x: ExtReal) -> str:
     """Render as ``inf``, ``-inf``, ``p/q``/``p`` (rational) or repr (float)."""
+    if x._v.__class__ is float and math.isfinite(x._v):
+        return repr(x._v)
     if x.is_pos_inf:
         return "inf"
     if x.is_neg_inf:

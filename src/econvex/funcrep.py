@@ -12,10 +12,10 @@ Three carriers:
   pointwise max/min, affine precomposition) or an explicit table, sampled
   over the coordinate columns of its points: every table of phi comes
   from one `PerturbFn.sample` call, and every affine form is one
-  `esets.dots` fold in both backends.  In the rational backend the nodes
-  fold exact ints over scales they know, and one `Fraction` is built per
-  finite cell at the root; the float backend folds floats node by node
-  in the order of the pointwise definition.  Sums use the extended-real
+  `esets.dots` fold in both backends.  The nodes fold raw payloads, exact
+  ints over scales they know in the rational backend and floats in the
+  float backend, in the order of the pointwise definition, and the root
+  builds one `ExtReal` per point.  Sums use the extended-real
   conventions, so they propagate into every derived object.
 """
 
@@ -25,7 +25,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -269,12 +269,13 @@ def _transpose(columns: list, n: int) -> list:
 
 
 # The sampler reads its n points as coordinate columns: floats as they
-# are, or in the rational backend ints over one scale d (a coordinate is
-# int / d).  None stands for points of unequal lengths.  Every affine form
-# is one ``esets.dots`` fold from its constant over the x, then the y
-# columns.  A float node returns one `ExtReal` per point; an int node
-# returns (values, s): one value per point, an int equal to the value
-# times s, or a float +-inf.
+# are (d None), or in the rational backend ints over one scale d (a
+# coordinate is int / d).  None stands for points of unequal lengths.
+# Every affine form is one ``esets.dots`` fold from its constant over the
+# x, then the y columns.  A node returns (values, s), one raw payload per
+# point: on int columns an int equal to the value times s, or a float
+# +-inf; on float columns floats and s None, or s 1 where an empty fold
+# (the empty Sum is rational 0) gave ints or `ExtReal` payloads.
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
@@ -327,11 +328,16 @@ def _common_scale(sampled: list) -> Tuple[list, int]:
     return [_rescaled(v, s // e) for v, e in sampled], s
 
 
-def _int_sum(row) -> Union[int, float]:
-    """fold_sum over ints and infinities: -inf absorbs, then +inf."""
+def _sum(row) -> Union[int, float]:
+    """fold_sum over ints or floats and infinities, a left fold (``sum``
+    turns -0.0 into 0.0 and, from 3.12, compensates): -inf absorbs, then a
+    -inf that floats overflow to before the first +inf, then +inf."""
     if -math.inf in row:
         return -math.inf
-    return math.inf if math.inf in row else sum(row)
+    if math.inf in row:
+        row = row[:row.index(math.inf)]
+        return -math.inf if row and reduce(operator.add, row) == -math.inf else math.inf
+    return reduce(operator.add, row) if row else 0
 
 
 def _split(columns: list, points: Sequence[Point], x_dim: int) -> tuple:
@@ -348,7 +354,7 @@ def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
     columns = list(zip(*points))
     ints, d = _over_lcm([v for column in columns for v in column])
     xc, yc = _split(rows(ints, len(columns)), points, x_dim)
-    values, s = expr.sample_ints(xc, yc, len(points), d)
+    values, s = expr.sample(xc, yc, len(points), d)
     return [
         ExtReal(Fraction(v, s)) if v.__class__ is int else POS_INF if v > 0 else NEG_INF
         for v in values
@@ -357,15 +363,11 @@ def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
 
 class Expr:
     """Node of the perturbation-function expression grammar.  A node
-    samples whole columns of points in the arithmetic of the backend:
-    float columns to `ExtReal` values, or scaled ints to scaled ints."""
+    samples whole columns of points in the arithmetic of the backend."""
 
-    def sample_floats(self, xc, yc, n: int) -> list:
-        """One value at each of the n points of the float columns."""
-        raise NotImplementedError
-
-    def sample_ints(self, xc, yc, n: int, d: int) -> Tuple[list, int]:
-        """(values, scale) at the n points of the int columns over d."""
+    def sample(self, xc, yc, n: int, d: Optional[int]) -> Tuple[list, Optional[int]]:
+        """(values, scale) at the n points of the int columns over d, or of
+        the float columns (d None)."""
         raise NotImplementedError
 
 
@@ -377,25 +379,19 @@ class Affine(Expr):
     def of(cx, cy, const=0) -> "Affine":
         return Affine(_form(cx, cy, const))
 
-    def sample_floats(self, xc, yc, n):
-        (values,), _ = _forms((self.form,), xc, yc, n)
-        return [ExtReal(v) for v in values]
-
-    def sample_ints(self, xc, yc, n, d):
+    def sample(self, xc, yc, n, d):
         (values,), s = _forms((self.form,), xc, yc, n, d)
-        return values, s
+        if d is None and any(map(math.isnan, values)):
+            raise NaNError("NaN has no extended-real meaning")  # before a Max or Min drops it
+        return values, None if d is None else s
 
 
 @dataclass(frozen=True)
 class Abs(Expr):
     arg: Expr
 
-    def sample_floats(self, xc, yc, n):
-        values = self.arg.sample_floats(xc, yc, n)
-        return [ExtReal(abs(v.value)) if v.is_finite else POS_INF for v in values]
-
-    def sample_ints(self, xc, yc, n, d):
-        values, s = self.arg.sample_ints(xc, yc, n, d)
+    def sample(self, xc, yc, n, d):
+        values, s = self.arg.sample(xc, yc, n, d)
         return [abs(v) for v in values], s
 
 
@@ -433,41 +429,36 @@ class Indicator(Expr):
             inside = [i for i, v in zip(inside, lhs) if holds(v, offset * s)]
         return set(inside)
 
-    def sample_floats(self, xc, yc, n):
-        inside, zero = self._inside(xc, yc, n), ExtReal(0.0)
-        return [zero if i in inside else POS_INF for i in range(n)]
-
-    def sample_ints(self, xc, yc, n, d):
-        inside = self._inside(xc, yc, n, d)
-        return [0 if i in inside else math.inf for i in range(n)], 1
+    def sample(self, xc, yc, n, d):
+        inside, (zero, s) = self._inside(xc, yc, n, d), (0.0, None) if d is None else (0, 1)
+        return [zero if i in inside else math.inf for i in range(n)], s
 
 
 @dataclass(frozen=True)
 class _Fold(Expr):
     terms: Tuple[Expr, ...]
 
-    def sample_floats(self, xc, yc, n):
-        values = [t.sample_floats(xc, yc, n) for t in self.terms]
-        return [self.fold(v) for v in _transpose(values, n)]
-
-    def sample_ints(self, xc, yc, n, d):
-        values, s = _common_scale([t.sample_ints(xc, yc, n, d) for t in self.terms])
-        return [self.int_fold(v) for v in _transpose(values, n)], s
+    def sample(self, xc, yc, n, d):
+        sampled = [t.sample(xc, yc, n, d) for t in self.terms]
+        if d is not None or not sampled:  # on float columns an empty Sum is rational 0
+            values, s = _common_scale(sampled)
+        elif all(s is None for _, s in sampled):
+            values, s = [v for v, _ in sampled], None
+        else:  # floats meet what an empty fold gave: the ExtReal fold decides
+            return [self.fold(map(ExtReal, row))._v for row in _transpose([v for v, _ in sampled], n)], 1
+        return [self.raw_fold(row) for row in _transpose(values, n)], s
 
 
 class Sum(_Fold):
-    fold = staticmethod(fold_sum)
-    int_fold = staticmethod(_int_sum)
+    fold, raw_fold = staticmethod(fold_sum), staticmethod(_sum)
 
 
 class Max(_Fold):
-    fold = staticmethod(extreal.sup)
-    int_fold = staticmethod(lambda row: max(row, default=-math.inf))
+    fold, raw_fold = staticmethod(extreal.sup), staticmethod(lambda row: max(row, default=-math.inf))
 
 
 class Min(_Fold):
-    fold = staticmethod(extreal.inf)
-    int_fold = staticmethod(lambda row: min(row, default=math.inf))
+    fold, raw_fold = staticmethod(extreal.inf), staticmethod(lambda row: min(row, default=math.inf))
 
 
 @dataclass(frozen=True)
@@ -478,15 +469,10 @@ class Precompose(Expr):
     x_rows: Tuple[AffineForm, ...]
     y_rows: Tuple[AffineForm, ...]
 
-    def sample_floats(self, xc, yc, n):
-        images, _ = _forms(self.x_rows + self.y_rows, xc, yc, n)
-        k = len(self.x_rows)
-        return self.inner.sample_floats(images[:k], images[k:], n)
-
-    def sample_ints(self, xc, yc, n, d):
+    def sample(self, xc, yc, n, d):
         images, s = _forms(self.x_rows + self.y_rows, xc, yc, n, d)
         k = len(self.x_rows)
-        return self.inner.sample_ints(images[:k], images[k:], n, s)
+        return self.inner.sample(images[:k], images[k:], n, None if d is None else s)
 
 
 class PerturbFn:
@@ -521,9 +507,10 @@ class PerturbFn:
             return _sample_ints(self.expr, points, d)
         if backend == "float":
             try:
-                return self.expr.sample_floats(*_split(list(zip(*points)), points, d), len(points))
+                values, _ = self.expr.sample(*_split(list(zip(*points)), points, d), len(points), None)
             except NaNError:
                 raise NaNError("phi: its float arithmetic overflows to NaN") from None
+            return [ExtReal(v) if -math.inf < v < math.inf else POS_INF if v > 0 else NEG_INF for v in values]
         raise ValueError(f"unknown backend {backend!r}")
 
     def value(self, x, y, backend: str = "rational") -> ExtReal:

@@ -124,9 +124,11 @@ class CLagrangian:
             for w, (conj, row) in zip(w_grid.points, rows):
                 if row is None or conj.backend == "rational":
                     cells.append(-conj)
-                else:
+                else:  # IEEE a - b is a + (-b); other payloads meet as ExtReals
                     y, payload = row
-                    cells.append(ExtReal(payload) - ExtReal(dot(y, w.xstar)))
+                    c = dot(y, w.xstar)
+                    exact = payload.__class__ is c.__class__ is float
+                    cells.append(ExtReal(payload - c) if exact else ExtReal(payload) - ExtReal(c))
         self.table: Tuple[ExtReal, ...] = tuple(cells)
 
     @cached_property

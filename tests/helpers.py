@@ -132,6 +132,20 @@ def slice_path_log():
     with mock.patch.object(lagrangian, "dual_slice_audit", audit):
         yield log
 
+@contextmanager
+def built_extreals():
+    """A list of the payload of every ExtReal the constructor builds inside
+    the block, in order."""
+    built, real = [], ExtReal.__init__
+
+    def init(self, value):
+        built.append(value)
+        real(self, value)
+
+    with mock.patch.object(ExtReal, "__init__", init):
+        yield built
+
+
 CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
 
 
@@ -254,6 +268,175 @@ def random_problem(
             )
     full = DualGrid(pairs, backend)
     return PerturbationProblem(phi, x_grid, y_grid, dual_y, full, name="random")
+
+
+# ---------------------------------------------------------------------------
+# Reference ExtReal
+# ---------------------------------------------------------------------------
+
+
+def _reference_extreal():
+    """The ExtReal class, its two infinities and fmt as they were before
+    the operations dispatched on exact payload classes, kept verbatim as
+    the oracle of the differential tests: every method tests payloads with
+    ``isinstance`` and builds every result through the constructor."""
+    import math
+
+    from econvex.extreal import BackendMismatchError, NaNError, Scalar, _digits
+
+    class ExtReal:
+        """An element of the extended real line.
+
+        Immutable.  ``_v`` is a `Fraction` or `float` for finite values and
+        ``math.inf`` / ``-math.inf`` for the two infinities; a finite value
+        never stores a non-finite payload.
+        """
+
+        __slots__ = ("_v",)
+
+        def __init__(self, value: Scalar):
+            if isinstance(value, bool):
+                raise TypeError("bool is not a scalar payload")
+            if isinstance(value, int):
+                value = Fraction(value)
+            elif isinstance(value, float):
+                if math.isnan(value):
+                    raise NaNError("NaN has no extended-real meaning")
+            elif not isinstance(value, Fraction):
+                raise TypeError(f"unsupported payload type {type(value).__name__}")
+            object.__setattr__(self, "_v", value)
+
+        def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+            raise AttributeError("ExtReal is immutable")
+
+        # -- classification -------------------------------------------------
+
+        @property
+        def is_pos_inf(self) -> bool:
+            return isinstance(self._v, float) and self._v == math.inf
+
+        @property
+        def is_neg_inf(self) -> bool:
+            return isinstance(self._v, float) and self._v == -math.inf
+
+        @property
+        def is_finite(self) -> bool:
+            return not (isinstance(self._v, float) and math.isinf(self._v))
+
+        @property
+        def backend(self) -> str | None:
+            """``"rational"`` or ``"float"`` for finite values, None for infinities."""
+            if not self.is_finite:
+                return None
+            return "rational" if isinstance(self._v, Fraction) else "float"
+
+        @property
+        def value(self) -> Scalar:
+            """The finite payload; raises on infinities."""
+            if not self.is_finite:
+                raise ValueError("infinite ExtReal has no finite payload")
+            return self._v
+
+        # -- order -----------------------------------------------------------
+
+        def _check_comparable(self, other: "ExtReal") -> None:
+            if (
+                self.is_finite
+                and other.is_finite
+                and isinstance(self._v, Fraction) != isinstance(other._v, Fraction)
+            ):
+                raise BackendMismatchError(
+                    "cannot compare rational-backed and float-backed values"
+                )
+
+        def __eq__(self, other: object) -> bool:
+            if not isinstance(other, ExtReal):
+                return NotImplemented
+            if self.is_finite != other.is_finite:
+                return False
+            if not self.is_finite:
+                return self._v == other._v
+            self._check_comparable(other)
+            return self._v == other._v
+
+        def __lt__(self, other: "ExtReal") -> bool:
+            if not isinstance(other, ExtReal):
+                return NotImplemented
+            if self.is_finite and other.is_finite:
+                self._check_comparable(other)
+            # float infinities compare correctly against Fraction payloads.
+            return self._v < other._v
+
+        def __le__(self, other: "ExtReal") -> bool:
+            return self == other or self < other
+
+        def __gt__(self, other: "ExtReal") -> bool:
+            return not self <= other
+
+        def __ge__(self, other: "ExtReal") -> bool:
+            return not self < other
+
+        def __hash__(self) -> int:
+            return hash(self._v)
+
+        # -- arithmetic --------------------------------------------------------
+
+        def __neg__(self) -> "ExtReal":
+            if self.is_pos_inf:
+                return NEG_INF
+            if self.is_neg_inf:
+                return POS_INF
+            return ExtReal(-self._v)
+
+        def __add__(self, other: "ExtReal") -> "ExtReal":
+            if not isinstance(other, ExtReal):
+                return NotImplemented
+            if self.is_finite and other.is_finite:
+                self._check_comparable(other)
+                return ExtReal(self._v + other._v)
+            # At least one infinity: opposite signs collapse to -inf.
+            if self.is_pos_inf:
+                return NEG_INF if other.is_neg_inf else POS_INF
+            if self.is_neg_inf:
+                return NEG_INF
+            return other + self
+
+        def __sub__(self, other: "ExtReal") -> "ExtReal":
+            if not isinstance(other, ExtReal):
+                return NotImplemented
+            return self + (-other)
+
+        # -- rendering ---------------------------------------------------------
+
+        def __repr__(self) -> str:
+            return f"ExtReal({fmt(self)})"
+
+        def __str__(self) -> str:
+            return fmt(self)
+
+
+    POS_INF = ExtReal.__new__(ExtReal)
+    object.__setattr__(POS_INF, "_v", math.inf)
+    NEG_INF = ExtReal.__new__(ExtReal)
+    object.__setattr__(NEG_INF, "_v", -math.inf)
+
+
+    def fmt(x: ExtReal) -> str:
+        """Render as ``inf``, ``-inf``, ``p/q``/``p`` (rational) or repr (float)."""
+        if x.is_pos_inf:
+            return "inf"
+        if x.is_neg_inf:
+            return "-inf"
+        v = x.value
+        if isinstance(v, Fraction):
+            p = _digits(v.numerator)
+            return p if v.denominator == 1 else f"{p}/{_digits(v.denominator)}"
+        return repr(v)
+
+    return ExtReal, POS_INF, NEG_INF, fmt
+
+
+ReferenceExtReal, REFERENCE_POS_INF, REFERENCE_NEG_INF, reference_fmt = _reference_extreal()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from econvex import extreal
@@ -16,6 +18,14 @@ from econvex.extreal import (
     fmt,
     parse,
     scalar,
+)
+
+from helpers import (
+    REFERENCE_NEG_INF,
+    REFERENCE_POS_INF,
+    WIDE_FRACTIONS,
+    ReferenceExtReal,
+    reference_fmt,
 )
 
 FIVE = [NEG_INF, ExtReal(-1), ExtReal(0), ExtReal(1), POS_INF]
@@ -224,3 +234,132 @@ class TestRendering:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             ExtReal(True)
+
+
+class _Third(Fraction):
+    """A Fraction subclass: a payload that the exact-class dispatch leaves
+    to the checks."""
+
+
+# Payloads of every kind the constructor takes: wide fractions, ints,
+# floats (signed zeros, near the overflow threshold, subnormals), the
+# infinities, and a Fraction subclass; an operand is also one of the two
+# infinities as the module defines them.
+KINDS = [
+    WIDE_FRACTIONS,
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0.0, -0.0, 0.5, -1.5, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, "POS_INF", "NEG_INF"]),
+    WIDE_FRACTIONS.map(lambda q: _Third(q.numerator, q.denominator)),
+]
+PAYLOADS = st.one_of(KINDS[:4] + [st.sampled_from([math.inf, -math.inf]), KINDS[5]])
+OPERANDS = st.one_of(KINDS)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two operands of one kind (floats with floats, Fractions with
+    Fractions) or of any two kinds."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(KINDS))
+        return draw(kind), draw(kind)
+    return draw(OPERANDS), draw(OPERANDS)
+
+
+def _pair(operand):
+    """The operand as an ExtReal and as a reference ExtReal."""
+    if operand == "POS_INF":
+        return POS_INF, REFERENCE_POS_INF
+    if operand == "NEG_INF":
+        return NEG_INF, REFERENCE_NEG_INF
+    return ExtReal(operand), ReferenceExtReal(operand)
+
+
+def _seen(thunk, infinities):
+    """What a caller can tell of thunk(): the class of the error it raises,
+    or for an ExtReal its repr, its payload class and whether it is one of
+    the two infinities, or any other result as it is."""
+    try:
+        out = thunk()
+    except Exception as exc:  # either side's error; its class is compared
+        return type(exc)
+    if isinstance(out, (ExtReal, ReferenceExtReal)):
+        return repr(out), type(out._v), [out is inf for inf in infinities]
+    if isinstance(out, (Fraction, float)):
+        return repr(out), type(out)
+    return out
+
+
+def _same(op, a, b=None):
+    """op on the ExtReals a (and b) and on the reference ExtReals."""
+    new_a, old_a = a
+    new_b, old_b = b if b is not None else (None, None)
+    new = _seen(lambda: op(new_a, new_b), (POS_INF, NEG_INF))
+    old = _seen(lambda: op(old_a, old_b), (REFERENCE_POS_INF, REFERENCE_NEG_INF))
+    assert new == old
+
+
+UNARY = {
+    "is_pos_inf": lambda a, _: a.is_pos_inf,
+    "is_neg_inf": lambda a, _: a.is_neg_inf,
+    "is_finite": lambda a, _: a.is_finite,
+    "backend": lambda a, _: a.backend,
+    "value": lambda a, _: a.value,
+    "neg": lambda a, _: -a,
+    "repr": lambda a, _: repr(a),
+    "str": lambda a, _: str(a),
+    "hash": lambda a, _: hash(a),
+}
+BINARY = {
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "add": operator.add,
+    "sub": operator.sub,
+}
+
+
+class TestAgainstTheReference:
+    """Every operation against the reference ExtReal of ``helpers``: the
+    same repr and payload class, the same infinity objects, or the same
+    error class, on same-backend, mixed and subclass payloads."""
+
+    @given(PAYLOADS)
+    @settings(max_examples=300)
+    def test_construction(self, payload):
+        new = _seen(lambda: ExtReal(payload), (POS_INF, NEG_INF))
+        old = _seen(lambda: ReferenceExtReal(payload), (REFERENCE_POS_INF, REFERENCE_NEG_INF))
+        assert new == old
+
+    @pytest.mark.parametrize("name", UNARY)
+    @given(OPERANDS)
+    @settings(max_examples=200)
+    def test_unary(self, name, a):
+        _same(UNARY[name], _pair(a))
+
+    @given(OPERANDS)
+    @settings(max_examples=200)
+    def test_fmt(self, a):
+        new, old = _pair(a)
+        assert fmt(new) == reference_fmt(old)
+
+    @pytest.mark.parametrize("name", BINARY)
+    @given(operand_pairs())
+    @settings(max_examples=400)
+    def test_binary(self, name, pair):
+        a, b = pair
+        _same(BINARY[name], _pair(a), _pair(b))
+
+    @pytest.mark.parametrize("name", BINARY)
+    @pytest.mark.parametrize("other", [1, 0.5, Fraction(1, 2), None, "inf"])
+    @given(OPERANDS)
+    @settings(max_examples=40)
+    def test_other_operands(self, name, other, a):
+        # NotImplemented for a non-ExtReal operand, on either side
+        new_a, old_a = _pair(a)
+        for op in (BINARY[name], lambda x, y: BINARY[name](y, x)):
+            assert _seen(lambda: op(new_a, other), ()) == _seen(lambda: op(old_a, other), ())

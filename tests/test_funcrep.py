@@ -33,6 +33,7 @@ from econvex.funcrep import (
 
 from helpers import (
     CATALOG_PROBLEMS,
+    built_extreals,
     COEFFICIENT_VALUES,
     SMALL,
     SMALL_VALUES,
@@ -420,6 +421,14 @@ def _overflowing_row():
 
 PLANE = [(0, 1), (Fraction(-1, 2), 2)]
 X_ONLY = Affine.of((1,), (0,))
+# 1e308·x - 1e308·y: at (2, 2) the float fold is inf - inf = NaN (0 in
+# rationals), which a bare max or min keeps or drops by position.
+NAN_AT_TWO = Affine.of((10**308,), (-10**308,))
+NAN_POINTS = [(0, 0), (2, 2)]
+# -1e308·x: two of them at x = 1 overflow to -inf, which then absorbs a
+# +inf; OUTSIDE is +inf there (the indicator of {x <= 0}).
+NEG_BIG = Affine.of((-10**308,), (0,))
+OUTSIDE = Indicator.of(LEQ_ZERO, [((1,), (0,), 0)])
 
 
 class TestColumnSampling:
@@ -438,6 +447,15 @@ class TestColumnSampling:
     @example(data=_on_the_line(strict=True))
     @example(data=_on_the_line(strict=False))
     @example(data=_overflowing_row())
+    @example(data=_Case(Max((X_ONLY, NAN_AT_TWO)), NAN_POINTS))  # NaN after a finite term
+    @example(data=_Case(Max((NAN_AT_TWO, X_ONLY)), NAN_POINTS))  # NaN before it
+    @example(data=_Case(Min((X_ONLY, NAN_AT_TWO)), NAN_POINTS))
+    @example(data=_Case(Min((NAN_AT_TWO, X_ONLY)), NAN_POINTS))
+    @example(data=_Case(Max((Sum(()), X_ONLY)), PLANE))  # rational 0 against a float
+    @example(data=_Case(Sum((Min(()), Sum(()), X_ONLY)), PLANE))  # +inf first: no check
+    @example(data=_Case(Sum((Sum(()), X_ONLY, Min(()))), PLANE))  # 0 + float first
+    @example(data=_Case(Sum((NEG_BIG, NEG_BIG, OUTSIDE)), [(1, 0)]))  # -inf, then +inf
+    @example(data=_Case(Sum((OUTSIDE, NEG_BIG, NEG_BIG)), [(1, 0)]))  # +inf absorbs first
     @settings(max_examples=300, deadline=None)
     def test_sample_is_pointwise(self, backend, data):
         phi, points = data.draw(phi_and_points(backend))
@@ -509,3 +527,15 @@ class TestIntegerPath:
                 slices = [slice_x(P.phi, x, P.y_grid) for x in P.x_grid.points]
             assert len(calls) == (2 + len(P.x_grid)) * per_table
             assert [sl.values for sl in slices] == [sl.values for sl in L.slices]
+
+
+class TestOneExtRealPerPoint:
+    """Counts, not clocks: the nodes fold raw payloads and only the root of
+    a float phi builds an ExtReal, one per point of the product."""
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_float_phi_on_product(self, name):
+        P = float_twin(name)
+        with built_extreals() as built:
+            values = P.phi_on_product.values
+        assert 0 < len(built) <= len(P.x_grid) * len(P.y_grid) == len(values)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     CATALOG_PROBLEMS,
     abs_pair_problem,
+    built_extreals,
     catalog_problem,
     drawn_from,
     fenchel_abs_wide_grid,
@@ -815,3 +816,26 @@ class TestExample52Audit:
     def test_missing_distinguished_point_rejected(self, fenchel_abs):
         with pytest.raises(ValueError):
             example52_audit(fenchel_abs)
+
+
+@pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+def test_a_float_table_builds_one_extreal_per_finite_cell(name, monkeypatch):
+    """Counts, not clocks: past the kernel's conjugates, a float
+    CLagrangian builds each finite cell as one ExtReal, phi(x, y) - <y, y*>
+    in one subtraction, and a +-inf cell as none."""
+    P = float_twin(name)
+    P.phi_on_product
+    kernel, real = [], lagrangian._c_conjugate_rows
+    with built_extreals() as built:
+
+        def rows(fs, w_grid):
+            start = len(built)
+            out = real(fs, w_grid)
+            kernel.append(len(built) - start)
+            return out
+
+        monkeypatch.setattr(lagrangian, "_c_conjugate_rows", rows)
+        L = CLagrangian(P)
+    finite = [cell for cell in L.table if cell.is_finite]
+    assert len(kernel) == 1 and all(cell.backend == "float" for cell in finite)
+    assert len(built) - kernel[0] <= len(finite)
