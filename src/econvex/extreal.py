@@ -12,9 +12,11 @@ doubles ("float", used by grid sweeps).  Infinities are backend-neutral;
 arithmetic or comparison between finite values of different backends
 raises :class:`BackendMismatchError` instead of silently coercing.
 
-Operations dispatch on the exact class of the payloads, not on
-``isinstance(v, Fraction)``, which runs ``ABCMeta.__instancecheck__`` on
-a float; a payload subclass or a Fraction meeting a float takes the checks.
+Operations dispatch on the class of the payloads (``v.__class__ is
+Fraction``, or ``isinstance(v, float)``, cheap under float's plain
+metaclass), never on ``isinstance(v, Fraction)``, which runs
+``ABCMeta.__instancecheck__`` on a float; payloads of two classes take
+the backend check.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class ExtReal:
         """``"rational"`` or ``"float"`` for finite values, None for infinities."""
         if not self.is_finite:
             return None
-        return "float" if self._v.__class__ is float or not isinstance(self._v, Fraction) else "rational"
+        return "float" if isinstance(self._v, float) else "rational"
 
     @property
     def value(self) -> Scalar:
@@ -119,30 +121,22 @@ class ExtReal:
             )
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
-            return self._v == other._v
         if not isinstance(other, ExtReal):
             return NotImplemented
-        if self.is_finite != other.is_finite:
-            return False
-        if not self.is_finite:
-            return self._v == other._v
-        self._check_comparable(other)
+        if self._v.__class__ is not other._v.__class__:
+            self._check_comparable(other)
+        # an infinity equals no finite payload of either backend.
         return self._v == other._v
 
     def __lt__(self, other: "ExtReal") -> bool:
-        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
-            return self._v < other._v
         if not isinstance(other, ExtReal):
             return NotImplemented
-        if self.is_finite and other.is_finite:
+        if self._v.__class__ is not other._v.__class__:
             self._check_comparable(other)
         # float infinities compare correctly against Fraction payloads.
         return self._v < other._v
 
     def __le__(self, other: "ExtReal") -> bool:
-        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
-            return self._v <= other._v
         return self == other or self < other
 
     def __gt__(self, other: "ExtReal") -> bool:
@@ -157,12 +151,8 @@ class ExtReal:
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "ExtReal":
-        if self._v.__class__ is Fraction or self._v.__class__ is float and math.isfinite(self._v):
-            return ExtReal(-self._v)
-        if self.is_pos_inf:
-            return NEG_INF
-        if self.is_neg_inf:
-            return POS_INF
+        if isinstance(self._v, float) and math.isinf(self._v):
+            return NEG_INF if self._v > 0 else POS_INF
         return ExtReal(-self._v)
 
     def __add__(self, other: "ExtReal") -> "ExtReal":
@@ -183,8 +173,6 @@ class ExtReal:
         return other + self
 
     def __sub__(self, other: "ExtReal") -> "ExtReal":
-        if other.__class__ is ExtReal and self._v.__class__ is other._v.__class__ in _EXACT:
-            return self + ExtReal(-other._v)
         if not isinstance(other, ExtReal):
             return NotImplemented
         return self + (-other)
@@ -247,17 +235,11 @@ def _digits(n: int) -> str:
 
 def fmt(x: ExtReal) -> str:
     """Render as ``inf``, ``-inf``, ``p/q``/``p`` (rational) or repr (float)."""
-    if x._v.__class__ is float and math.isfinite(x._v):
-        return repr(x._v)
-    if x.is_pos_inf:
-        return "inf"
-    if x.is_neg_inf:
-        return "-inf"
-    v = x.value
-    if isinstance(v, Fraction):
-        p = _digits(v.numerator)
-        return p if v.denominator == 1 else f"{p}/{_digits(v.denominator)}"
-    return repr(v)
+    v = x._v
+    if isinstance(v, float):
+        return repr(v) if math.isfinite(v) else "inf" if v > 0 else "-inf"
+    p = _digits(v.numerator)
+    return p if v.denominator == 1 else f"{p}/{_digits(v.denominator)}"
 
 
 def parse(text: str, backend: str = "rational") -> ExtReal:

@@ -274,8 +274,10 @@ def _transpose(columns: list, n: int) -> list:
 # Every affine form is one ``esets.dots`` fold from its constant over the
 # x, then the y columns.  A node returns (values, s), one raw payload per
 # point: on int columns an int equal to the value times s, or a float
-# +-inf; on float columns floats and s None, or s 1 where an empty fold
-# (the empty Sum is rational 0) gave ints or `ExtReal` payloads.
+# +-inf; on float columns floats and s None, or the payloads of `ExtReal`s
+# and s _EXTREAL below a fold that is empty (the empty Sum is rational 0).
+
+_EXTREAL = 1  # the scale on float columns of values that are ExtReal payloads
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
@@ -367,7 +369,8 @@ class Expr:
 
     def sample(self, xc, yc, n: int, d: Optional[int]) -> Tuple[list, Optional[int]]:
         """(values, scale) at the n points of the int columns over d, or of
-        the float columns (d None)."""
+        the float columns (d None): floats and None, or `ExtReal` payloads
+        and `_EXTREAL`."""
         raise NotImplementedError
 
 
@@ -440,12 +443,13 @@ class _Fold(Expr):
 
     def sample(self, xc, yc, n, d):
         sampled = [t.sample(xc, yc, n, d) for t in self.terms]
-        if d is not None or not sampled:  # on float columns an empty Sum is rational 0
+        if d is not None:
             values, s = _common_scale(sampled)
-        elif all(s is None for _, s in sampled):
+        elif sampled and all(s is None for _, s in sampled):
             values, s = [v for v, _ in sampled], None
-        else:  # floats meet what an empty fold gave: the ExtReal fold decides
-            return [self.fold(map(ExtReal, row))._v for row in _transpose([v for v, _ in sampled], n)], 1
+        else:  # an empty fold, or floats meeting what one gave: the ExtReal fold decides
+            rows = _transpose([v for v, _ in sampled], n)
+            return [self.fold(map(ExtReal, row))._v for row in rows], _EXTREAL
         return [self.raw_fold(row) for row in _transpose(values, n)], s
 
 

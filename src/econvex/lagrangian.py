@@ -124,7 +124,7 @@ class CLagrangian:
             for w, (conj, row) in zip(w_grid.points, rows):
                 if row is None or conj.backend == "rational":
                     cells.append(-conj)
-                else:  # IEEE a - b is a + (-b); other payloads meet as ExtReals
+                else:  # IEEE a - b is a + (-b); a Fraction meeting a float raises as ExtReals
                     y, payload = row
                     c = dot(y, w.xstar)
                     exact = payload.__class__ is c.__class__ is float
