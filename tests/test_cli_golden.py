@@ -8,9 +8,10 @@ entry with ``"backend": "float"``, written to a temporary file), under
 every report command, plus the commands of the set entry.  A refactor
 that is meant to keep the output must leave this test passing unchanged.
 
-Run as a script, it checks the fixture: it prints ``moved: <key>`` for
-each case whose digests moved, was added or was dropped, and exits 1 if
-any did.  It never rewrites the fixture unless given ``--write``; when a
+Run as a script, it checks the fixture: it prints ``added: <key>`` for
+each case the fixture lacks, ``dropped: <key>`` for each pinned case no
+longer run and ``moved: <key>`` for each case whose digests changed, and
+exits 1 if any did.  It never rewrites the fixture unless given ``--write``; when a
 change is meant to alter the output, rewrite it and review the cases the
 script printed:
 
@@ -34,7 +35,14 @@ FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 # Problem files beside the fixture.  mixed_ops uses the operations no
 # catalog entry does: max, precompose (one with empty y_rows) and a
 # strict indicator constraint that grid points meet with equality.
-DATA_PROBLEMS = {"mixed_ops": Path(__file__).parent / "data" / "mixed_ops.json"}
+# empty_domain's phi is the indicator of an empty set, so the reports
+# print the values no finite problem reaches: no attainers, no finite
+# gap, no nonconvexity witness, no oracle value; its x-grid lacks the
+# origin, so ``subdiff --at 0`` is an input error.
+DATA_PROBLEMS = {
+    name: Path(__file__).parent / "data" / f"{name}.json"
+    for name in ("mixed_ops", "empty_domain")
+}
 
 PROBLEM_COMMANDS = (
     ("audit", "--suite", "all"),
@@ -135,11 +143,12 @@ if __name__ == "__main__":
     moved = [key for key in sorted(digests.keys() | old.keys())
              if digests.get(key) != old.get(key)]
     for key in moved:
-        print(f"moved: {key}")
+        change = "added" if key not in old else "dropped" if key not in digests else "moved"
+        print(f"{change}: {key}")
     if args.write:
         FIXTURE.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                            encoding="utf-8")
         print(f"wrote {len(digests)} cases to {FIXTURE}")
     else:
-        print(f"{len(moved)} of {len(digests.keys() | old.keys())} cases moved")
+        print(f"{len(moved)} of {len(digests.keys() | old.keys())} cases changed")
         raise SystemExit(1 if moved else 0)
