@@ -33,7 +33,7 @@ from econvex.esets import (
     lower_envelope,
     separate,
 )
-from econvex.extreal import ExtReal, NaNError, fmt, scalar
+from econvex.extreal import ExtReal, NaNError, scalar
 from econvex.lagrangian import (
     dual_slice_audit,
     example52_audit,
@@ -43,7 +43,7 @@ from econvex.lagrangian import (
     prop55_audit,
     supinf_value,
 )
-from econvex.problemio import _dual, _point, _scalar
+from econvex.problemio import _text
 from econvex.subdifferential import (
     _restriction_subdiff,
     prop43_audit,
@@ -65,6 +65,11 @@ class _Parser(argparse.ArgumentParser):
 def _emit(lines):
     for line in lines:
         print(line)
+
+
+def _lines(rows):
+    """A report's (key, value) rows as ``key = value`` lines."""
+    return [f"{key} = {_text(value)}" for key, value in rows]
 
 
 def _resolve(problem: str):
@@ -107,27 +112,31 @@ def _dual_header(dim: int, names=("xstar", "ustar")):
     return [f"{name}{i}" for name in names for i in range(dim)] + ["alpha"]
 
 
+def _cells(values):
+    """CSV cells, one per value."""
+    return [_text(v) for v in values]
+
+
 def _dual_cells(w):
-    return [_scalar(c) for c in w.xstar + w.ustar] + [_scalar(w.alpha)]
+    return _cells((*w.xstar, *w.ustar, w.alpha))
 
 
-def _audit_body(audits):
-    """The tail of an audit report: one block of lines per audit, a blank
-    line, then the name/kind/status/detail table."""
-    lines = []
+def _audit_body(audits, rows=()):
+    """The lines of a report's rows followed by one block of rows per
+    audit, then a blank line and the name/kind/status/detail table."""
+    rows = list(rows)
     for a in audits:
-        lines.append(f"audit.{a.name}.kind = {a.kind}")
-        lines.append(f"audit.{a.name}.status = {a.status}")
+        rows += [(f"audit.{a.name}.kind", a.kind), (f"audit.{a.name}.status", a.status)]
         if a.detail:
-            lines.append(f"audit.{a.name}.detail = {a.detail}")
-        for wtn in a.witnesses[:5]:
-            lines.append(f"audit.{a.name}.witness = {wtn}")
-    header = ("name", "kind", "status", "detail")
-    rows = [header] + [(a.name, a.kind, a.status, a.detail) for a in audits]
-    widths = [max(len(str(r[i])) for r in rows) for i in range(4)]
-    table = ["  ".join(str(c).ljust(w) for c, w in zip(r, widths)) for r in rows]
+            rows.append((f"audit.{a.name}.detail", a.detail))
+        # ROADMAP item 1: a witness prints its Python str, reprs included.
+        rows += [(f"audit.{a.name}.witness", str(wtn)) for wtn in a.witnesses[:5]]
+    cells = [("name", "kind", "status", "detail")]
+    cells += [(a.name, a.kind, a.status, a.detail) for a in audits]
+    widths = [max(len(r[i]) for r in cells) for i in range(4)]
+    table = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in cells]
     table.insert(1, "  ".join("-" * w for w in widths))
-    return lines + [""] + table
+    return _lines(rows) + [""] + table
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +150,11 @@ def cmd_catalog(args) -> int:
         return EXIT_OK
     text = problemio.save_text(catalog.entry(args.name))
     if args.write:
-        with open(args.write, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.write, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise problemio.InputError(f"--write: cannot write {args.write}: {exc}") from None
         print(f"wrote {args.write}")
     else:
         sys.stdout.write(text)
@@ -189,44 +201,39 @@ def cmd_eset(args) -> int:
     if not isinstance(pf, problemio.EsetFile):
         raise problemio.InputError(f"{args.problem!r} is not a set definition")
     P = pf.polyhedron
-    lines = [f"# eset report: {pf.name}", f"dim = {P.dim}"]
+    rows = [("dim", P.dim)]
     empty = P.is_empty() if P.dim <= 2 else None
     no_envelope = _why_no_envelope(P, empty)
     if args.envelope_at is not None:
         envelope_at = _option_number("--envelope-at", args.envelope_at)
         if no_envelope:
             raise problemio.InputError(f"--envelope-at: no envelope, since {no_envelope}")
-    lines.append(f"constraints = {len(P.constraints)}")
+    rows.append(("constraints", len(P.constraints)))
     if empty is not None:
-        lines.append(f"empty = {str(empty).lower()}")
-    lines.append(f"constant_false_constraints = {str(P.has_constant_false).lower()}")
+        rows.append(("empty", empty))
+    rows.append(("constant_false_constraints", P.has_constant_false))
     if args.contains:
         x = _option_point("--contains", args.contains, P.dim, "set")
-        lines.append(f"contains{_point(x)} = {str(P.contains(x)).lower()}")
+        rows.append((f"contains{_text(x)}", P.contains(x)))
     if args.separate:
         x = _option_point("--separate", args.separate, P.dim, "set")
         try:
             cert = separate(P, x)
         except GeometryError as exc:  # a point of the set, or no set to separate from
             raise problemio.InputError(f"--separate: {args.separate!r}: {exc}") from None
-        lines.append(
-            f"separate{_point(x)} = "
-            + (_point(cert) if cert is not None else "inconclusive")
-        )
+        rows.append((f"separate{_text(x)}", "inconclusive" if cert is None else cert))
     if args.recession:
         y = _option_point("--recession", args.recession, P.dim, "set")
-        lines.append(
-            f"in_recession_cone{_point(y)} = {str(in_recession_cone(P, y)).lower()}"
-        )
+        rows.append((f"in_recession_cone{_text(y)}", in_recession_cone(P, y)))
     if not no_envelope:
         ok, witness = is_functionally_representable(P)
-        lines.append(f"functionally_representable = {str(ok).lower()}")
+        rows.append(("functionally_representable", ok))
         env = lower_envelope(P)
         if not ok:
-            lines.append(
-                f"representability_witness = x={_scalar(witness)}, "
-                f"h(x)={fmt(env.value(witness))}"
-            )
+            rows.append((
+                "representability_witness",
+                f"x={_text(witness)}, h(x)={_text(env.value(witness))}",
+            ))
         # The epigraph comparison is reported separately from the defining
         # graph-containment check: epi h = C sampled fiber by fiber.
         epi_eq = True
@@ -237,10 +244,10 @@ def cmd_eset(args) -> int:
                 in_epi = hx <= ExtReal(Fraction(ai))
                 if in_epi != P.contains((x, Fraction(ai))):
                     epi_eq = False
-        lines.append(f"epigraph_equals_set_on_sampled_fibers = {str(epi_eq).lower()}")
+        rows.append(("epigraph_equals_set_on_sampled_fibers", epi_eq))
         if args.envelope_at is not None:
-            lines.append(f"envelope({args.envelope_at}) = {fmt(env.value(envelope_at))}")
-    _emit(lines)
+            rows.append((f"envelope({args.envelope_at})", env.value(envelope_at)))
+    _emit([f"# eset report: {pf.name}"] + _lines(rows))
     return EXIT_OK
 
 
@@ -249,13 +256,11 @@ def cmd_conjugate(args) -> int:
     if args.output == "csv":
         _print_csv(
             _dual_header(P.x_grid.dim) + ["value"],
-            [_dual_cells(w) + [fmt(v)] for w, v in P.f0_conj.items()],
+            [_dual_cells(w) + [_text(v)] for w, v in P.f0_conj.items()],
         )
     else:
         _emit([f"# conjugate of phi(., 0): {P.name}"])
-        _emit(
-            f"{_dual(w)} -> {fmt(v)}" for w, v in P.f0_conj.items()
-        )
+        _emit(f"{_text(w)} -> {_text(v)}" for w, v in P.f0_conj.items())
     return EXIT_OK
 
 
@@ -264,23 +269,17 @@ def cmd_biconjugate(args) -> int:
     hull = P.f0_biconj
     if args.output == "csv":
         header = [f"x{i}" for i in range(P.x_grid.dim)] + ["value"]
-        _print_csv(
-            header,
-            [[_scalar(c) for c in p] + [fmt(v)] for p, v in hull.items()],
-        )
+        _print_csv(header, [_cells((*p, v)) for p, v in hull.items()])
         return EXIT_OK
     lines = [f"# biconjugate of phi(., 0): {P.name}"]
     worst = None
     for p, v in hull.items():
         f = P.f0.value_at(p)
-        lines.append(f"x={_point(p)}  f={fmt(f)}  hull={fmt(v)}")
+        lines.append(f"x={_text(p)}  f={_text(f)}  hull={_text(v)}")
         if f.is_finite and v.is_finite:
             d = f.value - v.value
             worst = d if worst is None or d > worst else worst
-    lines.append(
-        "max finite gap = " + (_scalar(worst) if worst is not None else "none")
-    )
-    _emit(lines)
+    _emit(lines + _lines([("max finite gap", worst)]))
     return EXIT_OK
 
 
@@ -293,26 +292,14 @@ def cmd_duality(args) -> int:
             [(a.name, a.kind, a.status, a.detail) for a in audits],
         )
     else:
-        lines = [
-            f"# duality report: {report.name}",
-            f"backend = {report.backend}",
-            f"v_gp = {fmt(report.v_gp)}",
-            f"v_gdc = {fmt(report.v_gdc)}",
-            f"v_gpbar = {fmt(report.v_gpbar)}",
-            f"v_gdbar = {fmt(report.v_gdbar)}",
-            f"gap = {fmt(report.gap)}",
-            f"weak_ok = {str(report.weak_ok).lower()}",
-            f"zero_gap = {str(report.zero_gap).lower()}",
-            f"strong = {str(report.strong).lower()}",
-            f"converse = {str(report.converse).lower()}",
-            f"total = {str(report.total).lower()}",
-            f"primal_truncated = {str(report.primal_truncated).lower()}",
-            "primal_argmin = "
-            + ("; ".join(_point(p) for p in report.primal_argmin) or "none"),
-            "dual_argmax = "
-            + ("; ".join(_dual(w) for w in report.dual_argmax) or "none"),
+        fields = ("backend", "v_gp", "v_gdc", "v_gpbar", "v_gdbar", "gap", "weak_ok",
+                  "zero_gap", "strong", "converse", "total", "primal_truncated")
+        rows = [(key, getattr(report, key)) for key in fields]
+        rows += [
+            (key, "; ".join(map(_text, getattr(report, key))) or None)
+            for key in ("primal_argmin", "dual_argmax")
         ]
-        _emit(lines + _audit_body(audits))
+        _emit([f"# duality report: {report.name}"] + _audit_body(audits, rows))
     return EXIT_EXACT_FAILURE if report.has_exact_failure else EXIT_OK
 
 
@@ -335,24 +322,19 @@ def cmd_subdiff(args) -> int:
     if args.output == "csv":
         _print_csv(_dual_header(P.x_grid.dim), [_dual_cells(w) for w in members])
         return EXIT_OK
-    lines = [
-        f"# subdifferential report: {P.name}",
-        f"at = {_point(at)}",
-        f"eps = {_scalar(eps)}",
-        f"members = {len(members)}",
-    ]
-    lines += [f"member = {_dual(w)}" for w in members]
+    rows = [("at", at), ("eps", eps), ("members", len(members))]
+    rows += [("member", w) for w in members]
     t43 = theorem43_audit(P, at, eps)
     t44 = theorem44_audit(P, at, eps)
-    lines += [
-        f"intersection_formula.superset_ok = {str(t43['superset_ok']).lower()}",
-        f"intersection_formula.equal = {str(t43['equal']).lower()}",
-        f"intersection_formula.eta_min = {_scalar(t43['eta_min'])}",
-        f"projection_formula.superset_ok = {str(t44['superset_ok']).lower()}",
-        f"projection_formula.equal = {str(t44['equal']).lower()}",
-        f"c5_surrogate = {str(c5_audit(P).status == EXACT_PASS).lower()}",
+    rows += [
+        ("intersection_formula.superset_ok", t43["superset_ok"]),
+        ("intersection_formula.equal", t43["equal"]),
+        ("intersection_formula.eta_min", t43["eta_min"]),
+        ("projection_formula.superset_ok", t44["superset_ok"]),
+        ("projection_formula.equal", t44["equal"]),
+        ("c5_surrogate", c5_audit(P).status == EXACT_PASS),
     ]
-    _emit(lines)
+    _emit([f"# subdifferential report: {P.name}"] + _lines(rows))
     return (
         EXIT_OK
         if t43["superset_ok"] and t44["superset_ok"]
@@ -368,50 +350,49 @@ def cmd_lagrangian(args) -> int:
             + _dual_header(P.y_grid.dim, ("ystar", "vstar"))
             + ["value"]
         )
-        x_cells = [[_scalar(c) for c in x] for x in P.x_grid.points]
+        # Each point's cells are rendered once and shared by its rows.
+        x_cells = [_cells(x) for x in P.x_grid.points]
         w_cells = [_dual_cells(w) for w in P.dual_y_grid.points]
         rows = [
-            xs + ws + [fmt(cell)]
+            xs + ws + [_text(cell)]
             for xs, row in zip(x_cells, lagrangian_table(P).rows)
             for ws, cell in zip(w_cells, row)
         ]
         _print_csv(header, rows)
         return EXIT_OK
     out = prop55_audit(P)
-    lines = [
-        f"# lagrangian report: {P.name}",
-        f"supinf = {fmt(out['supinf'])}",
-        f"infsup = {fmt(out['infsup'])}",
-        f"supinf_equals_dual_value = {str(out['minimax_ok']).lower()}",
-        f"slice_surrogate = {str(out['slice_surrogate']).lower()}",
-        f"saddle_count = {len(out['saddles'])}",
+    rows = [
+        ("supinf", out["supinf"]),
+        ("infsup", out["infsup"]),
+        ("supinf_equals_dual_value", out["minimax_ok"]),
+        ("slice_surrogate", out["slice_surrogate"]),
+        ("saddle_count", len(out["saddles"])),
     ]
-    lines += [
-        f"saddle = x={_point(s.xbar)} w={_dual(s.wbar)} value={fmt(s.value)}"
+    rows += [
+        ("saddle", f"x={_text(s.xbar)} w={_text(s.wbar)} value={_text(s.value)}")
         for s in out["saddles"]
     ]
-    lines += [
-        "saddles_contain_attainers = "
-        + str(out["contains_argmin_x_argmax"]).lower(),
-        "saddles_equal_attainers = " + str(out["equals_argmin_x_argmax"]).lower(),
-    ]
     slice_ok = dual_slice_audit(P)["ok"]
-    lines.append(f"dual_slice_identity = {str(slice_ok).lower()}")
+    rows += [
+        ("saddles_contain_attainers", out["contains_argmin_x_argmax"]),
+        ("saddles_equal_attainers", out["equals_argmin_x_argmax"]),
+        ("dual_slice_identity", slice_ok),
+    ]
     distinguished = DualPoint.of((1,), (1,), 1, P.backend)
     if P.y_grid.dim == 1 and distinguished in P.dual_y_grid:
         ex = example52_audit(P)
-        lines += [
-            f"slice_at_111.grid_adequate = {str(ex['grid_adequate']).lower()}",
-            f"slice_at_111.neg_inf_branch = {str(ex['neg_inf_branch_ok']).lower()}",
-            f"slice_at_111.finite_branch = {str(ex['finite_branch_ok']).lower()}",
-            f"slice_at_111.nonconvexity_witness = {ex['nonconvexity_witness']}",
-            "slice_at_111.oracle_at_zero = "
-            + (fmt(ex["oracle_at_zero"]) if ex["oracle_at_zero"] is not None else "n/a"),
-            f"slice_at_111.stated_constant = {fmt(ex['stated_constant'])}",
-            "slice_at_111.matches_stated_constant = "
-            + str(ex["matches_stated_constant"]).lower(),
+        oracle = ex["oracle_at_zero"]
+        rows += [
+            ("slice_at_111.grid_adequate", ex["grid_adequate"]),
+            ("slice_at_111.neg_inf_branch", ex["neg_inf_branch_ok"]),
+            ("slice_at_111.finite_branch", ex["finite_branch_ok"]),
+            # ROADMAP item 1: the witness prints its Python str, Fraction reprs included.
+            ("slice_at_111.nonconvexity_witness", str(ex["nonconvexity_witness"])),
+            ("slice_at_111.oracle_at_zero", "n/a" if oracle is None else oracle),
+            ("slice_at_111.stated_constant", ex["stated_constant"]),
+            ("slice_at_111.matches_stated_constant", ex["matches_stated_constant"]),
         ]
-    _emit(lines)
+    _emit([f"# lagrangian report: {P.name}"] + _lines(rows))
     ok = out["minimax_ok"] and out["saddle_values_ok"] and slice_ok
     return EXIT_OK if ok and out["contains_argmin_x_argmax"] else EXIT_EXACT_FAILURE
 
@@ -437,7 +418,7 @@ def cmd_audit(args) -> int:
     audits += [
         AuditOutcome.exact(
             "minimax", minimax_ok(P),
-            f"supinf={fmt(lo)} <= infsup={fmt(hi)}, supinf = v(GD_c)",
+            f"supinf={_text(lo)} <= infsup={_text(hi)}, supinf = v(GD_c)",
         ),
         AuditOutcome.exact(
             "dual_slice_identity", dual_slice_audit(P)["ok"],
@@ -458,7 +439,7 @@ def cmd_audit(args) -> int:
             t44 = theorem44_audit(P, x, eps)
             audits.append(
                 AuditOutcome.exact(
-                    f"eps_formulae_superset[x={_point(x)},eps={_scalar(eps)}]",
+                    f"eps_formulae_superset[x={_text(x)},eps={_text(eps)}]",
                     t43["superset_ok"] and t44["superset_ok"],
                     "intersection and projection superset directions",
                 )
@@ -481,14 +462,13 @@ def cmd_audit(args) -> int:
             )
         )
     elapsed = time.monotonic() - started
-    lines = [f"# audit report: {P.name}", f"suite = {args.suite}"] + _audit_body(audits)
-    exact_fail = any(a.is_exact_failure for a in audits)
-    lines.append("")
-    lines.append(f"exact_failures = {sum(a.is_exact_failure for a in audits)}")
+    failures = sum(a.is_exact_failure for a in audits)
+    rows = [("exact_failures", failures)]
     if args.timings:
-        lines.append(f"elapsed_seconds = {elapsed:.3f}")
-    _emit(lines)
-    return EXIT_EXACT_FAILURE if exact_fail else EXIT_OK
+        rows.append(("elapsed_seconds", f"{elapsed:.3f}"))
+    head = _audit_body(audits, [("suite", args.suite)])
+    _emit([f"# audit report: {P.name}"] + head + [""] + _lines(rows))
+    return EXIT_EXACT_FAILURE if failures else EXIT_OK
 
 
 def _separates(P, x, cert) -> bool:
@@ -510,7 +490,8 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
         )
     audits = []
     empty = P.is_empty()
-    audits.append(AuditOutcome.exact("emptiness_decided", True, f"empty = {empty}"))
+    # ROADMAP item 1: the detail prints Python's True/False.
+    audits.append(AuditOutcome.exact("emptiness_decided", True, "empty = " + str(empty)))
     if not empty:
         rng = random.Random(0)
         # Decide the separation certificate of sampled exterior points.
@@ -536,15 +517,11 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
                     "functional_representability", rep, True,
                     "graph of the lower envelope inside the set"
                     if rep
-                    else f"witness x = {witness}",
+                    else f"witness x = {_text(witness)}",
                 )
             )
-    _emit([f"# audit report: {pf.name}", f"suite = {args.suite}"] + _audit_body(audits))
-    return (
-        EXIT_EXACT_FAILURE
-        if any(a.is_exact_failure for a in audits)
-        else EXIT_OK
-    )
+    _emit([f"# audit report: {pf.name}"] + _audit_body(audits, [("suite", args.suite)]))
+    return EXIT_EXACT_FAILURE if any(a.is_exact_failure for a in audits) else EXIT_OK
 
 
 def _build_parser() -> _Parser:

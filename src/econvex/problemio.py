@@ -18,6 +18,7 @@ from typing import List, Tuple
 
 from econvex.conjugation import (
     DualGrid,
+    DualPoint,
     _key,
     _prepared,
     pair_tensor_dual_grid,
@@ -95,24 +96,25 @@ def _json_int(digits: str):
         return f"<{len(digits)}-digit integer>"
 
 
-# ---------------------------------------------------------------------------
-# Rendering of scalars, points and dual points in reports and warnings
-# ---------------------------------------------------------------------------
-
-
-def _scalar(v) -> str:
+def _text(v) -> str:
+    """The text of one value of a report, a CSV cell or a warning: a bool
+    as true/false, None as none, a str as given, an `ExtReal` or a number
+    through `fmt`, a `DualPoint` as (x*=..., u*=..., alpha=...) and a tuple
+    of numbers as a point.  Anything else, a tuple holding anything but
+    numbers included, raises TypeError."""
+    if isinstance(v, ExtReal):  # first: most table cells are ExtReals
+        return fmt(v)
+    if v is None:
+        return "none"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, str):
+        return v
+    if isinstance(v, DualPoint):
+        return f"(x*={_text(v.xstar)}, u*={_text(v.ustar)}, alpha={_text(v.alpha)})"
+    if isinstance(v, tuple):
+        return "(" + ", ".join(fmt(ExtReal(c)) for c in v) + ")"
     return fmt(ExtReal(v))
-
-
-def _point(p) -> str:
-    return "(" + ", ".join(_scalar(c) for c in p) + ")"
-
-
-def _dual(w) -> str:
-    return (
-        "(x*=" + _point(w.xstar) + ", u*=" + _point(w.ustar)
-        + ", alpha=" + _scalar(w.alpha) + ")"
-    )
 
 
 def _require_keys(obj: dict, required, optional=(), where: str = "object"):
@@ -168,8 +170,11 @@ def _distinct(items: list, where: str) -> list:
 
 
 def _coefficient(v, backend: str, where: str) -> Fraction:
-    """A coefficient of phi, read as a rational in either backend.  In a
+    """A coefficient of phi or of a set, exact in either backend.  In a
     float file its float must be finite, since sampling phi converts it."""
+    if isinstance(v, (bool, float)):
+        raise InputError(f"{where}: coefficients are exact in both backends: "
+                         f"integers or 'p/q' strings, got {v!r}")
     c = _num(v, "rational", where)
     if backend == "float":
         try:
@@ -436,7 +441,7 @@ def load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return loads(text)
 
@@ -490,6 +495,6 @@ def boundary_warnings(P: PerturbationProblem) -> List[str]:
         (space, first, w), *rest = run
         lines.append(
             f"{len(rest) + 1} {space}-grid point(s) lie exactly on the coupling "
-            f"boundary of {_dual(w)} (first: {_point(first)})"
+            f"boundary of {_text(w)} (first: {_text(first)})"
         )
     return lines

@@ -17,7 +17,7 @@ from econvex import catalog, conjugation, problemio
 from econvex.cli import main
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import PerturbationProblem, converse_duality_report
-from econvex.extreal import ExtReal
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, fmt
 from econvex.funcrep import Grid, PerturbFn
 
 from helpers import (
@@ -127,6 +127,71 @@ class TestRoundTrip:
         }
 
 
+# The expressions the CLI wrote each kind of value with before
+# ``problemio._text`` took them over; ``_text`` must give the same strings.
+def expected_scalar(v):
+    return fmt(ExtReal(v))
+
+
+def expected_point(p):
+    return "(" + ", ".join(expected_scalar(c) for c in p) + ")"
+
+
+def expected_dual(w):
+    return (
+        "(x*=" + expected_point(w.xstar) + ", u*=" + expected_point(w.ustar)
+        + ", alpha=" + expected_scalar(w.alpha) + ")"
+    )
+
+
+# Floats of every kind: -0.0, the ends of the range, subnormals, infinities.
+FLOATS = st.floats(allow_nan=False) | st.sampled_from(
+    [-0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+)
+# A numerator past Python's limit on int-to-str digits takes fmt's Decimal
+# route.  Built by a map, since its repr raises.
+RATIONALS = WIDE_FRACTIONS | st.just(4400).map(lambda k: Fraction(10**k + 1, 3))
+POINTS = st.lists(RATIONALS, max_size=3).map(tuple) | st.lists(FLOATS, max_size=3).map(tuple)
+
+
+def dual_points(numbers):
+    """DualPoints of one backend: x* and u* of one dimension, then alpha."""
+    def of_dim(n):
+        block = st.lists(numbers, min_size=n, max_size=n).map(tuple)
+        return st.builds(DualPoint, block, block, numbers)
+    return st.integers(0, 2).flatmap(of_dim)
+
+
+DUAL_POINTS = dual_points(RATIONALS) | dual_points(FLOATS)
+EXT_REALS = st.builds(ExtReal, RATIONALS | FLOATS) | st.sampled_from([POS_INF, NEG_INF])
+
+# (value, its expected text), one branch per kind of report value.
+TEXT_CASES = st.one_of(
+    st.booleans().map(lambda b: (b, str(b).lower())),
+    st.none().map(lambda v: (v, str(v).lower())),
+    st.text().map(lambda t: (t, t)),
+    EXT_REALS.map(lambda x: (x, fmt(x))),
+    (RATIONALS | st.integers() | FLOATS).map(lambda v: (v, expected_scalar(v))),
+    POINTS.map(lambda p: (p, expected_point(p))),
+    DUAL_POINTS.map(lambda w: (w, expected_dual(w))),
+)
+NOT_NUMBERS = st.one_of(EXT_REALS, st.booleans(), st.none(), st.text(), POINTS)
+
+
+class TestText:
+    @given(TEXT_CASES)
+    @settings(max_examples=400, deadline=None)
+    def test_text_matches_the_expression_of_each_kind(self, case):
+        value, expected = case
+        assert problemio._text(value) == expected
+
+    @given(st.lists(RATIONALS | FLOATS, max_size=3), NOT_NUMBERS, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_a_tuple_holding_anything_but_numbers_raises(self, numbers, other, at):
+        with pytest.raises(TypeError):
+            problemio._text(tuple(numbers[:at] + [other] + numbers[at:]))
+
+
 class TestCli:
     def test_catalog_list(self, capsys):
         assert main(["catalog", "--list"]) == 0
@@ -211,6 +276,22 @@ class TestCli:
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "problem"}', encoding="utf-8")
         assert main(["duality", str(path)]) == 3
+
+    def test_a_file_that_is_not_utf8_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(entry("fenchel_abs")).encode("utf-16-le"))
+        assert main(["duality", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"econvex: input error: cannot read {path}: "), err
+
+    @pytest.mark.parametrize("target", ["missing/p.json", "."], ids=["missing-directory", "directory"])
+    def test_catalog_write_to_an_unwritable_path_exits_3(self, target, capsys, tmp_path):
+        path = tmp_path / target
+        assert main(["catalog", "fenchel_abs", "--write", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"econvex: input error: --write: cannot write {path}: "), err
 
     def test_unknown_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:
@@ -624,6 +705,30 @@ class TestInputContract:
         else:
             assert code == 0, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_a_float_coefficient_names_the_rule_of_both_backends(self, backend, capsys,
+                                                                 tmp_path):
+        # Coefficients of phi are exact in either backend, so a float file's
+        # error does not cite the rational backend.
+        path = file_with(tmp_path, lambda d: d["phi"]["terms"][0]["arg"].update(x=[0.5])
+                         or d.update(backend=backend))
+        assert main(["duality", path]) == 3
+        assert capsys.readouterr().err == (
+            "econvex: input error: phi.terms[0].arg.x: coefficients are exact in both "
+            "backends: integers or 'p/q' strings, got 0.5\n"
+        )
+
+    def test_a_float_coefficient_of_a_set_names_the_same_rule(self, capsys, tmp_path):
+        doc = entry("open_epigraph_eset")
+        doc["set"]["constraints"][0]["a"] = [0.5, "-1"]
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eset", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "econvex: input error: set.constraints[0].a: coefficients are exact in both "
+            "backends: integers or 'p/q' strings, got 0.5\n"
+        )
 
     @pytest.mark.parametrize("command", ["duality", "lagrangian", "audit"])
     def test_a_float_fold_reaching_nan_exits_3_naming_phi(self, command, capsys, tmp_path):
