@@ -20,28 +20,44 @@ is empty, +inf when f takes -inf on dom, +inf when some point of dom
 fails the gate <p, u*> < alpha, and otherwise the grid Fenchel value
 max over dom of <p, x*> - f(p).  max over dom of <p, u*> is taken once
 per distinct u*, so each alpha costs one comparison, and the Fenchel
-value once per distinct x*: a sweep costs O((#x* + #u*)·|G| + |W|)
-instead of O(|W|·|G|).  The c'-conjugate splits the same way: per
+value once per distinct x*.  The c'-conjugate splits the same way: per
 distinct u* only the least alpha over dom g can close the gate, and per
 distinct x* only the least value of g can attain the sup.  The
 c-conjugate also keeps, per distinct x*, the first row of dom attaining
 the Fenchel value; the Lagrangian table is read off those rows, from one
 c-sweep of all its slices, which share each column of inner products.
 
+On a product grid X x Y both parts of the coupling split over the two
+blocks, so the sups nest.  A gate's top is max over x of <x, u*> plus
+the max over dom row x of <y, v*>; the Fenchel value is max over x of
+<x, x*> minus the least over dom row x of f(x, y) - <y, y*>, and its
+first maximiser, then the first minimiser in that row, is the first
+attaining row in x-major order.  The row tables are taken once per
+distinct v* and y*, so psi costs |X|·|Y|·#y* + |X|·#(x*, y*) instead of
+|X|·|Y|·#(x*, y*).  Onto a product the c'-value at (x, y) is the max over
+the distinct x-parts of x* of <x, x-part> minus the least, over the
+slopes with that x-part, of g - <y, y-part>: one table over Y per slope,
+so psi^{c'} costs |X|·|Y|·#x* + |Y|·#slopes instead of |X|·|Y|·#slopes.
+Any other grid is itself times the one point of R^0 (``_blocks``), whose
+y-parts add nothing, and there the nested sweep is the flat one, term
+for term.
+
 Each sweep reads the lists ``_prepared`` returns through ``esets.dots``:
 <p, v> at every point, one coordinate column at a time, which is the
 left fold of ``esets.dot`` at each point, so both backends run one
 kernel.  The c'-sweep is slope-major: a shut mask per distinct u*, then
-a running max per distinct x* at the open points, which keeps builtin
-``max``'s first maximiser and NaN.  ``_prepared`` makes the one
+a running max per distinct x-part at the open points, which keeps
+builtin ``max``'s first maximiser and NaN.  ``_prepared`` makes the one
 exactness decision, about one scale D.  When every coordinate, slope,
 alpha and payload the sweep reads is exactly a ``Fraction``, every list
 comes back as ints times D, the lcm of all their denominators (of all
-functions' payloads in a sweep of several).
-Otherwise D is None and every list comes back as given, since scaling
-only some lists would change IEEE rounding.  With P, U, X, A and V the
-lists a sweep reads and D taken as 1 for lists as given, a gate is shut
-iff not <P, U> < D·A, a Fenchel term is <P, X> - D·V, and a value is
+functions' payloads in a sweep of several): a product's factors, never
+its |X|·|Y| points.  Otherwise D is None, every list comes back as
+given, since scaling only some lists would change IEEE rounding, and the
+sweep runs on the flattened grid, since (a + b) - c and a + (b - c)
+round differently too.  With P, U, X, A and V the lists a sweep reads
+and D taken as 1 for lists as given, a gate is shut iff not
+<P, U> < D·A, a Fenchel term is <P, X> - D·V, and a value is
 ``Fraction(best, D·D)`` for ints and ``best`` otherwise.  Scaling by a
 positive int keeps every comparison, so gates, maxima, the first
 attaining row, the value, its type and its rendering are those of the
@@ -60,8 +76,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import chain, islice
 from math import nan
+from operator import add, sub
 from typing import Iterable, Sequence, Tuple
 
 from econvex.esets import Interval1, dot, dots
@@ -278,25 +295,112 @@ def _split_dom(f: SampledFn):
     return [(p, v.value) for p, v in dom], None
 
 
-def _prepared(vectors, scalars):
-    """(D, vectors, scalars): the lists a sweep reads, over one scale D.
+def _prepared(blocks, scalars):
+    """(D, blocks, scalars): the lists a sweep reads, over one scale D.
 
-    ``vectors`` are lists of points, u* and x*, which must share one
-    length; ``scalars`` are lists of alphas and payloads.  When every
-    entry is exactly a Fraction, D is the lcm of every denominator of
-    every list and each list comes back as ints times D.  Otherwise D is
-    None and the lists come back as given, since scaling only some of
-    them would change IEEE rounding.
+    ``blocks`` are lists of vector lists (points, u* and x*), whose vectors
+    share one length within a block; ``scalars`` are lists of alphas and
+    payloads.  When every entry is exactly a Fraction, D is the lcm of
+    every denominator of every list and each list comes back as ints
+    times D.  Otherwise D is None and the lists come back as given, since
+    scaling only some of them would change IEEE rounding.
     """
-    if len({len(v) for vs in vectors for v in vs}) > 1:
+    if any(len({len(v) for vs in block for v in vs}) > 1 for block in blocks):
         raise ValueError("dimension mismatch in inner product")
-    entries = [c for vs in vectors for v in vs for c in v] + [c for cs in scalars for c in cs]
+    entries = [c for block in blocks for vs in block for v in vs for c in v]
+    entries += [c for cs in scalars for c in cs]
     if any(c.__class__ is not Fraction for c in entries):
-        return None, vectors, scalars
+        return None, blocks, scalars
     ints, D = _over_lcm(entries)
     ints = iter(ints)
-    vectors = [[tuple(islice(ints, len(v))) for v in vs] for vs in vectors]
-    return D, vectors, [list(islice(ints, len(cs))) for cs in scalars]
+    blocks = [[[tuple(islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
+    return D, blocks, [list(islice(ints, len(cs))) for cs in scalars]
+
+
+def _blocks(grid: Grid, duals, flat: bool = False):
+    """[(X, the x-part of each list of duals), (Y, their y-parts)]: the two
+    factors of a product grid, each dual vector cut after the x
+    coordinates; flat, or for any other grid, its points and the one point
+    of R^0, each dual vector whole on X."""
+    if flat or grid.factors is None:
+        X, d, Y = grid.points, grid.dim, ((),)
+    else:
+        (xs, ys) = grid.factors
+        X, d, Y = xs.points, xs.dim, ys.points
+    return [(X, *([v[:d] for v in vs] for vs in duals)),
+            (Y, *([v[d:] for v in vs] for vs in duals))]
+
+
+def _columns(cols, n: int):
+    """v -> <p, v> at the n points whose coordinate columns are cols, one
+    ``esets.dots`` fold per distinct key of v (the same list each time);
+    None for the empty vector of R^0, which adds nothing."""
+    memo = {}
+
+    def column(v):
+        if not v:
+            return None
+        key = _key(v)
+        if key not in memo:
+            memo[key] = dots(cols, v, n)
+        return memo[key]
+    return column
+
+
+def _at(column, positions):
+    """The column at the positions; None stands for all of them."""
+    return column if positions is None else [column[a] for a in positions]
+
+
+def _per_row(values, starts, best):
+    """best (max or min) of each row's run of values; runs start at starts."""
+    if len(starts) == len(values):
+        return values
+    ends = [*starts[1:], len(values)]
+    return [best(values[s:e]) for s, e in zip(starts, ends)]
+
+
+class _Rows:
+    """One function's domain on X x Y, row by row: the run of its cells in
+    each row of X it meets, each read against a y column once.
+
+    ``cells`` are the x-major indices of dom's cells, ``n`` is |Y|, ``at``
+    numbers the rows that some swept function meets (``rows`` is None when
+    this one meets all of them), and ``values`` are the cells' D·f."""
+
+    def __init__(self, cells, n, at, values):
+        if n == 1:  # one cell per row
+            self.starts, rows, self.ys = range(len(cells)), cells, [0] * len(cells)
+        else:
+            xs, self.ys = [k // n for k in cells], [k % n for k in cells]
+            self.starts = [t for t, i in enumerate(xs) if not t or i != xs[t - 1]]
+            rows = [xs[t] for t in self.starts]
+        self.rows = None if len(rows) == len(at) else [at[i] for i in rows]
+        self.values, self.highs, self.lows = values, {}, {}  # by id of a y column
+
+    def gate_terms(self, x_col, y_col):
+        """Per row, <x, u*> plus the max over its cells of <y, v*>."""
+        x_col = _at(x_col, self.rows)
+        if y_col is None:
+            return x_col
+        if id(y_col) not in self.highs:  # ``_columns`` gives one list per key
+            self.highs[id(y_col)] = _per_row([y_col[j] for j in self.ys], self.starts, max)
+        return list(map(add, x_col, self.highs[id(y_col)]))
+
+    def fenchel_terms(self, x_col, y_col):
+        """(per row, <x, x*> minus the least D·f - <y, y*> over its cells;
+        per row, the index in dom of the first cell attaining that least)."""
+        x_col = _at(x_col, self.rows)
+        if y_col is None:
+            return list(map(sub, x_col, self.values)), self.starts
+        if id(y_col) not in self.lows:
+            costs = list(map(sub, self.values, [y_col[j] for j in self.ys]))
+            least = _per_row(costs, self.starts, min)
+            firsts = self.starts if least is costs else [
+                costs.index(m, s) for m, s in zip(least, self.starts)]
+            self.lows[id(y_col)] = least, firsts
+        least, firsts = self.lows[id(y_col)]
+        return list(map(sub, x_col, least)), firsts
 
 
 def _value(best) -> ExtReal:
@@ -312,58 +416,66 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     """Per function of fs, all on one grid, (f^c(w), attaining row) per
     dual point, in the order of the dual grid.
 
-    The row is the first (point, payload) of dom f attaining the Fenchel
-    value on a finite cell and None on a +-inf cell.  The dots column of
-    each distinct u*, and of each x* some open gate needs, is taken once
-    over the union of the domains and read by each function (by index if
-    its domain is smaller): per function, max over dom of <p, u*>, NaN if
-    some dot is (inf·0 fails every gate, as in the definition), and the
-    Fenchel value for each x* its own open gates need."""
+    The row is the first (point, payload) of dom f, in grid order,
+    attaining the Fenchel value on a finite cell and None on a +-inf
+    cell.  The sweep nests over the grid as X x Y (``_blocks``), X cut to
+    the rows that some function's domain meets, and reads each function
+    by rows (``_Rows``).  A gate's top is the max over rows of <x, u*>
+    plus the row's max of <y, v*> (NaN if some term is: inf·0 fails every
+    gate, as in the definition), and the Fenchel value the first max over
+    rows of <x, x*> minus the row's least D·f - <y, y*>.  Each dots column
+    is taken once per distinct part of u* and of each x* some open gate
+    needs, and read by every function."""
     splits = [_split_dom(f) for f in fs]
     out = [[(constant, None)] * len(w_grid) for _, constant in splits]
     swept = [(r, dom) for r, (dom, _) in enumerate(splits) if dom is not None]
     if not swept:
         return out
-    # the union of the domains; per function, its positions there (None: all)
-    grid = fs[0].grid.points
-    inside = [[not v.is_pos_inf for v in fs[r].values] for r, _ in swept]
-    union = list(compress(range(len(grid)), map(any, zip(*inside))))
-    points = [grid[i] for i in union]
-    picks = [None if len(dom) == len(union) else [k for k, i in enumerate(union) if mask[i]]
-             for (_, dom), mask in zip(swept, inside)]
-    D, (points, ustars, xstars), (alphas, *payloads) = _prepared(
-        (points, [w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
+    grid, duals = fs[0].grid, ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points])
+    D, blocks, (alphas, *payloads) = _prepared(
+        _blocks(grid, duals),
         [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom in swept],
     )
-    scale, columns, n = D or 1, list(zip(*points)), len(points)
-    values = [[scale * v for v in payload] for payload in payloads]
-
-    def read(column, pick):
-        return column if pick is None else [column[k] for k in pick]
+    if D is None and grid.factors:  # values as given sweep the flat grid
+        blocks = _blocks(grid, duals, flat=True)
+    (X, ux, xx), (Y, uy, xy) = blocks
+    scale, n = D or 1, len(Y)
+    cells = [[k for k, v in enumerate(fs[r].values) if not v.is_pos_inf] for r, _ in swept]
+    used = sorted({k // n for ks in cells for k in ks})
+    at = dict(zip(used, range(len(used))))
+    tables = [_Rows(ks, n, at, [scale * v for v in payload]) for ks, payload in zip(cells, payloads)]
+    columns, m = list(zip(*[X[i] for i in used])), len(used)
+    gate_x, column_y = _columns(columns, m), _columns(list(zip(*Y)), n)
 
     firsts = {}, {}  # u* and x* key -> index of the first dual point with it
-    gates = [firsts[0].setdefault(_key(u), j) for j, u in enumerate(ustars)]
-    slopes = [firsts[1].setdefault(_key(x), j) for j, x in enumerate(xstars)]
-    tops = [{} for _ in swept]  # per function: gate -> max over dom of <p, u*>
-    for j in firsts[0].values():
-        column = dots(columns, ustars[j], n)
-        for top, t in zip(tops, (read(column, pick) for pick in picks)):
-            top[j] = max(t) if all(c == c for c in t) else nan
+    gates = [firsts[0].setdefault(_key(a + b), j) for j, (a, b) in enumerate(zip(ux, uy))]
+    slopes = [firsts[1].setdefault(_key(a + b), j) for j, (a, b) in enumerate(zip(xx, xy))]
     levels = [scale * alpha for alpha in alphas]
-    opens = [[top[g] < level for g, level in zip(gates, levels)] for top in tops]
+    gate_columns = [(g, gate_x(ux[g]), column_y(uy[g])) for g in firsts[0].values()]
+    opens = []
+    for table in tables:
+        tops = {}
+        for g, x_col, y_col in gate_columns:
+            t = table.gate_terms(x_col, y_col)
+            tops[g] = max(t) if D is not None or all(c == c for c in t) else nan  # ints: no NaN
+        opens.append([tops[g] < level for g, level in zip(gates, levels)])
     needs = [{s for is_open, s in zip(row, slopes) if is_open} for row in opens]
-    cells = [{} for _ in swept]  # per function: slope -> (Fenchel value, attaining row)
-    for j in firsts[1].values():
-        column = None
-        for need, cell, pick, vs, (_, dom) in zip(needs, cells, picks, values, swept):
-            if j in need:
-                column = column or dots(columns, xstars[j], n)
-                terms = [t - v for t, v in zip(read(column, pick), vs)]
-                best = max(terms)
-                value = _value(best if D is None else Fraction(best, D * D))
-                cell[j] = (value, dom[terms.index(best)])
+    by_x = {}  # x-part key -> the distinct x* with it that some open gate needs
+    for s in sorted(set().union(*needs)):
+        by_x.setdefault(_key(xx[s]), []).append(s)
+    found = [{} for _ in swept]  # per function: x* index -> (Fenchel value, attaining row)
+    for group in by_x.values():
+        x_col = dots(columns, xx[group[0]], m)
+        for s in group:
+            y_col = column_y(xy[s])
+            for table, need, cell, (_, dom) in zip(tables, needs, found, swept):
+                if s in need:
+                    terms, first = table.fenchel_terms(x_col, y_col)
+                    best = max(terms)
+                    value = _value(best if D is None else Fraction(best, D * D))
+                    cell[s] = value, dom[first[terms.index(best)]]
     shut = (POS_INF, None)
-    for (r, _), row, cell in zip(swept, opens, cells):
+    for (r, _), row, cell in zip(swept, opens, found):
         out[r] = [cell[s] if is_open else shut for is_open, s in zip(row, slopes)]
     return out
 
@@ -380,38 +492,58 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     NaN alpha sticks and shuts it at every x), and per distinct x* only
     the least value of g can attain the sup.  Both tables keep the order
     in which the dual grid first meets a key, so ties and NaN terms
-    resolve as in the definitional sweep.
+    resolve as in the definitional sweep.  The sweep nests over the grid
+    as X x Y (``_blocks``): a gate shuts where <x, u*> + <y, v*> reaches
+    its level, and the value at an open (x, y) is the running max, over
+    the distinct x-parts of x*, of <x, x-part> minus the least over the
+    slopes with that x-part of D·g - <y, y-part>.
     """
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    D, (points, ustars, xstars), (alphas, values) = _prepared(
-        (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
-        ([w.alpha for w, _ in dom], [v for _, v in dom]),
+    duals = [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]
+    D, blocks, (alphas, values) = _prepared(
+        _blocks(x_grid, duals), ([w.alpha for w, _ in dom], [v for _, v in dom])
     )
-    gates = {}  # u* key -> [u*, least alpha over dom g]
-    slopes = {}  # x* key -> [x*, least value of g]
-    for u, alpha, x, v in zip(ustars, alphas, xstars, values):
-        gate = gates.setdefault(_key(u), [u, alpha])
-        if alpha < gate[1] or alpha != alpha:
-            gate[1] = alpha
-        slope = slopes.setdefault(_key(x), [x, v])
-        if v < slope[1]:
-            slope[1] = v
-    scale, columns, n = D or 1, list(zip(*points)), len(points)
-    shut = [False] * n
-    for u, alpha in gates.values():
-        level = scale * alpha
-        shut = [s or not (t < level) for s, t in zip(shut, dots(columns, u, n))]
-    points = [p for p, s in zip(points, shut) if not s]
-    columns, n = list(zip(*points)), len(points)
+    if D is None and x_grid.factors:
+        blocks = _blocks(x_grid, duals, flat=True)
+    (X, ux, xx), (Y, uy, xy) = blocks
+    gates = {}  # u* key -> [x-part, y-part, least alpha over dom g]
+    slopes = {}  # x* key -> [x-part, y-part, least value of g]
+    for a, b, alpha, c, e, v in zip(ux, uy, alphas, xx, xy, values):
+        gate = gates.setdefault(_key(a + b), [a, b, alpha])
+        if alpha < gate[2] or alpha != alpha:
+            gate[2] = alpha
+        slope = slopes.setdefault(_key(c + e), [c, e, v])
+        if v < slope[2]:
+            slope[2] = v
+    scale, m, n = D or 1, len(X), len(Y)
+    gate_x, column_y = _columns(list(zip(*X)), m), _columns(list(zip(*Y)), n)
+    shut = [False] * (m * n)  # y-major, (x_i, y_j) at j·m + i: one run when Y is R^0
+    for a, b, alpha in gates.values():
+        level, column, y_col = scale * alpha, gate_x(a), column_y(b)
+        sums = column if y_col is None else [p + q for q in y_col for p in column]
+        shut = [s or not (t < level) for s, t in zip(shut, sums)]
+    opened = [[i for i, s in enumerate(shut[j * m:(j + 1) * m]) if not s] for j in range(n)]
+    used = sorted(set().union(*opened))  # the x with an open cell
+    at = dict(zip(used, range(len(used))))
+    opened = [None if len(xs) == len(used) else [at[i] for i in xs] for xs in opened]
+    groups = {}  # x-part key -> [x-part, per y the least D·g - <y, y-part> of its slopes]
+    for c, e, v in slopes.values():
+        dv, y_col = scale * v, column_y(e)
+        costs = [dv] if y_col is None else [dv - t for t in y_col]
+        group = groups.setdefault(_key(c), [c, costs])
+        if group[1] is not costs:
+            group[1] = [p if p < q else q for p, q in zip(costs, group[1])]
+    columns = list(zip(*[X[i] for i in used]))
     best = None
-    for x, v in slopes.values():
-        dv = scale * v
-        terms = [t - dv for t in dots(columns, x, n)]
+    for c, costs in groups.values():
+        column = dots(columns, c, len(used))
+        terms = [t - d for xs, d in zip(opened, costs) for t in _at(column, xs)]
         best = terms if best is None else [t if t > b else b for t, b in zip(terms, best)]
     best = iter(best if D is None else [Fraction(b, D * D) for b in best])
-    return SampledFn(x_grid, [POS_INF if s else _value(next(best)) for s in shut])
+    out = [POS_INF if s else _value(next(best)) for s in shut]  # y-major
+    return SampledFn(x_grid, chain.from_iterable(zip(*(out[j * m:(j + 1) * m] for j in range(n)))))
 
 
 def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:

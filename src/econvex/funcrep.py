@@ -69,6 +69,8 @@ def _coerce_point(p, dim: int, backend: str) -> Point:
 class Grid:
     """Finite ordered list of pairwise-distinct points in a fixed dimension."""
 
+    factors: Optional[Tuple["Grid", "Grid"]] = None  # (X, Y) of a product_grid
+
     def __init__(self, dim: int, points: Iterable, backend: str = "rational"):
         if dim < 1:
             raise ValueError("grid dimension must be positive")
@@ -524,12 +526,16 @@ class PerturbFn:
 
 def product_grid(x_grid: Grid, y_grid: Grid) -> Grid:
     """Grid over X x Y with concatenated coordinates, x-major order.  Only
-    :func:`rows` and :func:`columns` read a table over it by that order.
-    The factors' points are coerced and distinct, so their pairs are too."""
+    :func:`rows` and :func:`columns` read a table over it by that order,
+    and it keeps its two factors, over which the rational conjugation
+    sweeps nest.  The factors' points are coerced and distinct, so their
+    pairs are too."""
     if x_grid.backend != y_grid.backend:
         raise ValueError("product grids need a common backend")
     pts = tuple(x + y for x, y in itertools.product(x_grid.points, y_grid.points))
-    return Grid._of(x_grid.dim + y_grid.dim, pts, x_grid.backend)
+    grid = Grid._of(x_grid.dim + y_grid.dim, pts, x_grid.backend)
+    grid.factors = (x_grid, y_grid)
+    return grid
 
 
 def rows(values: Sequence, n: int) -> list:

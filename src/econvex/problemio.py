@@ -469,8 +469,8 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
         ("y", P.dual_y_grid.points, P.y_grid.points),
         ("(x,y)", P.full_dual_grid.points, P.product.points),
     ):
-        D, (qs, ustars), (alphas,) = _prepared(
-            (points, [w.ustar for w in w_points]), ([w.alpha for w in w_points],)
+        D, ((qs, ustars),), (alphas,) = _prepared(
+            [(points, [w.ustar for w in w_points])], ([w.alpha for w in w_points],)
         )
         scale, columns, n = D or 1, list(zip(*qs)), len(qs)
         on_boundary = {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, conjugation, duality, esets, problemio
+from econvex import catalog, conjugation, duality, esets, funcrep, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPairPoint,
@@ -32,7 +32,7 @@ from econvex.conjugation import (
 )
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
-from econvex.funcrep import Grid, PwAffine1, SampledFn
+from econvex.funcrep import Grid, PwAffine1, SampledFn, product_grid
 
 from helpers import (
     CATALOG_PROBLEMS,
@@ -41,6 +41,7 @@ from helpers import (
     catalog_problem,
     drawn_from,
     ext_values,
+    fenchel_abs_duality_grid,
     float_twin,
     plain_scalar,
     scalar,
@@ -662,6 +663,132 @@ class TestKernelMatchesReference:
         assert set(c_conjugate(dips, wg).values) == {POS_INF}
 
 
+# ---------------------------------------------------------------------------
+# The nested sweeps over product grids against the definitional sweeps
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def product_values(draw, grid, rows, finite):
+    """Values on a product grid of the given number of x rows: +inf cells,
+    whole +inf rows and now and then one -inf cell; the finite values are
+    ``finite`` at each point.  The rare draws are the largest integers,
+    which hypothesis draws least."""
+    size = len(grid) // rows
+    empty = draw(st.sets(st.integers(0, rows - 1), max_size=2))
+    values = [POS_INF if k // size in empty or draw(st.integers(0, 3)) == 3 else ExtReal(finite(p))
+              for k, p in enumerate(grid.points)]
+    if draw(st.integers(0, 7)) == 7:
+        values[draw(st.integers(0, len(values) - 1))] = NEG_INF
+    return values
+
+
+@st.composite
+def product_dual_grid(draw, dim, slope=None):
+    """Dual points of a few x*, u* and alpha, as ``kernel_dual_grid``
+    draws them, with gates that small grids often pass or meet exactly:
+    u* in {-1, 0, 1} and alpha in {-1, 0, 1, 2, 4, 8}, or wide fractions.
+    A given slope is one of the x*."""
+    def vectors(values, most):
+        vec = st.tuples(*[drawn_from(values, "rational")] * dim)
+        return draw(st.lists(vec, min_size=1, max_size=most, unique=True))
+
+    xstars, ustars = vectors(COORDS, 3), vectors([0, 1, -1], 2)
+    if slope is not None and slope not in xstars:
+        xstars[0] = slope
+    alphas = draw(st.lists(drawn_from([1, 2, 4, 8, 0, -1], "rational"), min_size=1, max_size=3, unique=True))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(xstars) - 1), st.integers(0, len(ustars) - 1),
+                                    st.integers(0, len(alphas) - 1)), min_size=1, max_size=10, unique=True))
+    return DualGrid([DualPoint.of(xstars[i], ustars[j], alphas[k]) for i, j, k in picks])
+
+
+@st.composite
+def product_case(draw):
+    """(f on X x Y, a dual grid of X x Y, g on it, X x Y) in the rational
+    backend, the factors 1-D x 1-D, 2-D x 1-D or 1-D x 2-D.  The finite
+    values of f tie within and across rows (few values, or an affine
+    function, whose slope on the dual grid makes every term tie) or take
+    wide fractions; g is random or f's conjugate."""
+    dx, dy = draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    X, Y = draw(kernel_grid(dx, "rational", max_size=4)), draw(kernel_grid(dy, "rational", max_size=4))
+    grid = product_grid(X, Y)
+    kind, slope = draw(st.sampled_from(["few", "affine", "wide"])), None
+    if kind == "affine":
+        slope = draw(st.tuples(*[st.sampled_from(COORDS)] * (dx + dy)))
+        const = draw(QUARTERS)
+        finite = lambda p: dot(p, slope) + const
+    else:
+        pool = st.sampled_from([Fraction(0), Fraction(1, 2)]) if kind == "few" else WIDE_FRACTIONS
+        finite = lambda p: draw(pool)
+    f = SampledFn(grid, draw(product_values(grid, len(X), finite)))
+    wg = draw(product_dual_grid(dx + dy, slope))
+    if draw(st.booleans()):
+        g = c_conjugate(f, wg) if _split_dom(f)[0] is not None else SampledFn(wg, [POS_INF] * len(wg))
+    else:
+        g = SampledFn(wg, draw(ext_values(len(wg), "rational", payloads("rational"))))
+    return f, wg, g, grid
+
+
+def on_product(xs, ys, values, duals, g_values=None):
+    """An example of product_case: values on the 1-D x 1-D product of xs
+    and ys against the dual points (x*, u*, alpha) of the product."""
+    grid = product_grid(Grid(1, [(x,) for x in xs]), Grid(1, [(y,) for y in ys]))
+    wg = DualGrid([DualPoint.of(x, u, a) for x, u, a in duals])
+    g = SampledFn(wg, g_values or [ExtReal(0)] * len(wg))
+    return SampledFn(grid, values), wg, g, grid
+
+
+def exact(v):
+    return ExtReal(Fraction(v))
+
+
+# Row x = 0 has no finite cell; in row x = 1 the second dual point's
+# terms tie.
+EMPTY_FIRST_ROW = on_product([0, 1], [0, 1], [POS_INF, POS_INF, exact(1), exact(0)],
+                             [((1, 1), (0, 0), 1), ((0, -1), (1, 0), 2)])
+# x* = 0: the terms -1, 0, 0, -5 tie at (0, 1) and (1, 0); the first in
+# x-major order is (0, 1), the second y of the least x.
+TIED_X_ROWS = on_product([0, 1], [0, 1], [exact(1), exact(0), exact(0), exact(5)], [((0, 0), (0, 0), 1)],
+                         [exact(0)])
+# <(1, 1), (1, 1)> = 2 = alpha: the point (1, 1) shuts the gate, in the
+# c-sweep (it is in dom f) and at (1, 1) in the c'-sweep.
+ON_THE_BOUNDARY = on_product([0, 1], [0, 1], [exact(0), exact(1), exact(1), exact(0)],
+                             [((1, 0), (1, 1), 2), ((1, 0), (1, 1), 3), ((0, 1), (0, 0), 1)],
+                             [exact(0), exact(1), exact(0)])
+
+
+class TestProductGrids:
+    """The nested int sweeps over X x Y give the definitional values,
+    payload types and first attaining rows."""
+
+    @given(product_case())
+    @example(EMPTY_FIRST_ROW)
+    @example(TIED_X_ROWS)
+    @example(ON_THE_BOUNDARY)
+    @settings(max_examples=300, deadline=None)
+    def test_nested_sweeps_match_the_reference(self, case):
+        f, wg, g, grid = case
+        result = outcome(c_conjugate, f, wg)
+        assert result == outcome(_reference_c_conjugate, f, wg)
+        if result[0] != "raised":
+            assert_first_attaining_rows(f, wg)
+        assert outcome(cprime_conjugate, g, grid) == outcome(_reference_cprime_conjugate, g, grid)
+
+    def test_the_examples_reach_what_they_name(self):
+        f, wg, _, _ = EMPTY_FIRST_ROW
+        one = Fraction(1)
+        assert one_row(f, wg) == [(exact(2), ((one, one), Fraction(0))), (exact(-1), ((one, 0 * one), one))]
+        f, wg, g, grid = TIED_X_ROWS
+        assert one_row(f, wg) == [(exact(0), ((Fraction(0), Fraction(1)), Fraction(0)))]
+        f, wg, g, grid = ON_THE_BOUNDARY
+        assert c_conjugate(f, wg).values == (POS_INF, exact(1), exact(1))
+        assert cprime_conjugate(g, grid).values[3] == POS_INF
+        with scaling_log() as log:
+            for f, wg, g, grid in (EMPTY_FIRST_ROW, TIED_X_ROWS, ON_THE_BOUNDARY):
+                c_conjugate(f, wg), cprime_conjugate(g, grid)
+        assert log == [True] * 6  # the nested int sweeps ran
+
+
 class TestIntegerPathRuns:
     """Counts only: every conjugate sweep of the rational fenchel_abs asks
     ``_prepared`` once and gets one scale, and every sweep of its float
@@ -711,8 +838,8 @@ def row_major_c_conjugate_rows(f, w_grid):
     if dom is None:
         return [(constant, None)] * len(w_grid)
     w_points = w_grid.points
-    D, (points, ustars, xstars), (alphas, values) = _prepared(
-        ([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points]),
+    D, ((points, ustars, xstars),), (alphas, values) = _prepared(
+        [([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points])],
         ([w.alpha for w in w_points], [v for _, v in dom]),
     )
     inner = _row_major_dot(D is not None)
@@ -745,8 +872,8 @@ def row_major_cprime_conjugate(g, x_grid):
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    D, (points, ustars, xstars), (alphas, values) = _prepared(
-        (x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
+    D, ((points, ustars, xstars),), (alphas, values) = _prepared(
+        [(x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom])],
         ([w.alpha for w, _ in dom], [v for _, v in dom]),
     )
     inner = _row_major_dot(D is not None)
@@ -938,10 +1065,14 @@ def batch_case(draw):
     ``ext_values`` may be +inf anywhere (so domains differ and need not
     cover the grid), take -inf, or be +inf everywhere; rational draws take
     wide fractions, and now and then one rational function is made float
-    among the Fraction ones."""
+    among the Fraction ones.  Half the rational grids are products, whose
+    sweeps nest."""
     backend = draw(st.sampled_from(["rational", "float"]))
     dim = draw(st.integers(1, 2))
     grid = draw(kernel_grid(dim, backend))
+    if backend == "rational" and draw(st.booleans()):
+        grid = product_grid(draw(kernel_grid(1, backend, max_size=4)), grid)
+        dim += 1
     rows = draw(st.lists(ext_values(len(grid), backend, payloads(backend)), min_size=1, max_size=4))
     if backend == "rational" and draw(st.booleans()):
         i = draw(st.integers(0, len(rows) - 1))
@@ -1027,7 +1158,9 @@ def _distinct(vectors):
 class TestColumnWork:
     """Counts only: the product-grid sweeps and the boundary scan take no
     per-point inner product, and each ``esets.dots`` column is taken once
-    per distinct key a sweep needs."""
+    per distinct key a sweep needs: in floats over the flattened product,
+    in ints (the nested sweeps) over one factor, once per distinct x-part
+    and y-part."""
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -1035,10 +1168,13 @@ class TestColumnWork:
         P = catalog_problem(name) if backend == "rational" else float_twin(name)
         f = P.phi_on_product
         counts = {"dot": 0, "dots": 0}
+        reads = []  # (coordinates, points) of each esets.dots call
 
         def counted(fn, key):
             def wrapper(*args):
                 counts[key] += 1
+                if key == "dots":
+                    reads.append((len(args[0]), args[2]))
                 return fn(*args)
             return wrapper
 
@@ -1050,23 +1186,99 @@ class TestColumnWork:
 
         def work(build):
             before = dict(counts)
+            del reads[:]
             build()
             return {key: counts[key] - before[key] for key in counts}
 
+        d, sizes = P.x_grid.dim, (len(P.x_grid), len(P.y_grid))
         dom, _ = _split_dom(f)
         expected = 0
         if dom is not None:
             needed = [w.xstar for w in P.full_dual_grid
                       if all(dot(p, w.ustar) < w.alpha for p, _ in dom)]
-            expected = _distinct(w.ustar for w in P.full_dual_grid) + _distinct(needed)
+            ustars = [w.ustar for w in P.full_dual_grid]
+            if backend == "float":
+                expected = _distinct(ustars) + _distinct(needed)
+            else:
+                expected = (_distinct(u[:d] for u in ustars) + _distinct(x[:d] for x in needed)
+                            + _distinct([u[d:] for u in ustars] + [x[d:] for x in needed]))
         assert work(lambda: P.psi) == {"dot": 0, "dots": expected}
+        if backend == "rational":
+            assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
         dom, _ = _split_dom(P.psi)
         expected = 0
         if dom is not None:
-            expected = _distinct(w.ustar for w, _ in dom) + _distinct(w.xstar for w, _ in dom)
+            ustars, xstars = [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]
+            if backend == "float":
+                expected = _distinct(ustars) + _distinct(xstars)
+            else:
+                expected = (_distinct(u[:d] for u in ustars) + _distinct(x[:d] for x in xstars)
+                            + _distinct([u[d:] for u in ustars] + [x[d:] for x in xstars]))
         assert work(lambda: P.psi_prime) == {"dot": 0, "dots": expected}
+        if backend == "rational":
+            assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
         gates = sum(_distinct((*w.ustar, w.alpha) for w in grid)
                     for grid in (P.dual_y_grid, P.full_dual_grid))
         assert work(lambda: problemio.boundary_coincidences(P)) == {"dot": 0, "dots": gates}
+
+    def test_doubling_the_x_star_adds_at_most_one_outer_row_per_new_slope(self, monkeypatch):
+        # psi on a fixed 11 x 11 fenchel_abs grid, the x* in 0..3, then in
+        # 0..7: each new (x*, y*) an open gate needs reads at most one
+        # term per x, and the tables over Y, which depend on y* only, are
+        # not taken again.  Counted as the items max and min see.
+        seen = {"max": 0, "min": 0}
+
+        def counting(name, real):
+            def spy(*args, **kwargs):
+                items = list(args[0]) if len(args) == 1 else list(args)
+                seen[name] += len(items)
+                return real(items, **kwargs)
+            return spy
+
+        monkeypatch.setattr(conjugation, "max", counting("max", max), raising=False)
+        monkeypatch.setattr(conjugation, "min", counting("min", min), raising=False)
+
+        def psi_work(xstars):
+            doc = fenchel_abs_duality_grid(11)
+            doc["grids"] = dict(doc["grids"], xstar=[str(v) for v in xstars])
+            P = problemio.loads(json.dumps(doc)).build()
+            P.phi_on_product
+            before = dict(seen)
+            P.psi
+            dom, _ = _split_dom(P.phi_on_product)
+            needed = {w.xstar for w in P.full_dual_grid if all(dot(p, w.ustar) < w.alpha for p, _ in dom)}
+            return {k: seen[k] - before[k] for k in seen}, needed, len(P.x_grid)
+
+        (few, few_needed, x_size), (many, many_needed, _) = psi_work(range(4)), psi_work(range(8))
+        new = len(many_needed - few_needed)
+        assert new == 4 * 3  # x* in 4..7, each with the three y*
+        assert 0 < many["max"] - few["max"] <= x_size * new
+        assert many["min"] == few["min"]
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_int_sweeps_scale_the_factors_not_the_product(self, name, monkeypatch):
+        P = catalog_problem(name)
+        P.phi_on_product
+        entries = []
+
+        def over_lcm(values):
+            entries.append(len(values))
+            return funcrep._over_lcm(values)
+
+        monkeypatch.setattr(conjugation, "_over_lcm", over_lcm)
+        d = P.x_grid.dim + P.y_grid.dim
+        axes = P.x_grid.dim * len(P.x_grid) + P.y_grid.dim * len(P.y_grid)
+        for sweep, conjugated in (("psi", "phi_on_product"), ("psi_prime", "psi")):
+            del entries[:]
+            getattr(P, sweep)
+            dom, _ = _split_dom(getattr(P, conjugated))
+            if dom is None:
+                assert entries == []
+                continue
+            # u*, x* and alpha of each dual point read, and dom's payloads
+            duals = P.full_dual_grid if sweep == "psi" else dom
+            others = len(duals) * (2 * d + 1) + len(dom)
+            (read,) = entries
+            assert read - others == axes, sweep
