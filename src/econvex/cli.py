@@ -89,15 +89,8 @@ def _build(problem: str):
             f"{pf.name!r} is a set definition; use the 'eset' command"
         )
     P = pf.build()
-    warnings = problemio.boundary_warnings(P)
-    for warning in warnings[:8]:
+    for warning in problemio.boundary_warnings(P):
         print(f"warning: {warning}", file=sys.stderr)
-    if len(warnings) > 8:
-        print(
-            f"warning: ... and {len(warnings) - 8} more coupling-boundary "
-            "coincidences",
-            file=sys.stderr,
-        )
     return P
 
 

@@ -281,18 +281,19 @@ def _key(v: Sequence) -> Tuple:
 
 
 def _split_dom(f: SampledFn):
-    """(point, payload) rows of dom f, or the constant conjugate.
+    """(the (point, payload) rows of dom f, their indices on f's grid), or
+    (None, the constant conjugate); one pass over f's values.
 
     An empty domain conjugates to -inf and a -inf value on the domain to
     +inf, whatever the dual point; the rows are returned only when every
     value on the domain is finite.
     """
-    dom = [(p, v) for p, v in zip(f.grid.points, f.values) if not v.is_pos_inf]
-    if not dom:
+    cells = [k for k, v in enumerate(f.values) if not v.is_pos_inf]
+    if not cells:
         return None, NEG_INF
-    if any(v.is_neg_inf for _, v in dom):
+    if any(f.values[k].is_neg_inf for k in cells):
         return None, POS_INF
-    return [(p, v.value) for p, v in dom], None
+    return [(f.grid.points[k], f.values[k].value) for k in cells], cells
 
 
 def _prepared(blocks, scalars):
@@ -427,23 +428,22 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     is taken once per distinct part of u* and of each x* some open gate
     needs, and read by every function."""
     splits = [_split_dom(f) for f in fs]
-    out = [[(constant, None)] * len(w_grid) for _, constant in splits]
-    swept = [(r, dom) for r, (dom, _) in enumerate(splits) if dom is not None]
+    out = [[(c, None)] * len(w_grid) if dom is None else None for dom, c in splits]
+    swept = [(r, dom, cells) for r, (dom, cells) in enumerate(splits) if dom is not None]
     if not swept:
         return out
     grid, duals = fs[0].grid, ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points])
     D, blocks, (alphas, *payloads) = _prepared(
         _blocks(grid, duals),
-        [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom in swept],
+        [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom, _ in swept],
     )
     if D is None and grid.factors:  # values as given sweep the flat grid
         blocks = _blocks(grid, duals, flat=True)
     (X, ux, xx), (Y, uy, xy) = blocks
     scale, n = D or 1, len(Y)
-    cells = [[k for k, v in enumerate(fs[r].values) if not v.is_pos_inf] for r, _ in swept]
-    used = sorted({k // n for ks in cells for k in ks})
+    used = sorted({k // n for _, _, cells in swept for k in cells})
     at = dict(zip(used, range(len(used))))
-    tables = [_Rows(ks, n, at, [scale * v for v in payload]) for ks, payload in zip(cells, payloads)]
+    tables = [_Rows(cells, n, at, [scale * v for v in vs]) for (*_, cells), vs in zip(swept, payloads)]
     columns, m = list(zip(*[X[i] for i in used])), len(used)
     gate_x, column_y = _columns(columns, m), _columns(list(zip(*Y)), n)
 
@@ -468,14 +468,14 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
         x_col = dots(columns, xx[group[0]], m)
         for s in group:
             y_col = column_y(xy[s])
-            for table, need, cell, (_, dom) in zip(tables, needs, found, swept):
+            for table, need, cell, (_, dom, _) in zip(tables, needs, found, swept):
                 if s in need:
                     terms, first = table.fenchel_terms(x_col, y_col)
                     best = max(terms)
                     value = _value(best if D is None else Fraction(best, D * D))
                     cell[s] = value, dom[first[terms.index(best)]]
     shut = (POS_INF, None)
-    for (r, _), row, cell in zip(swept, opens, found):
+    for (r, _, _), row, cell in zip(swept, opens, found):
         out[r] = [cell[s] if is_open else shut for is_open, s in zip(row, slopes)]
     return out
 

@@ -148,7 +148,7 @@ class PerturbationProblem:
 
     @cached_property
     def phi_on_product(self) -> SampledFn:
-        return SampledFn(self.product, self.phi.sample(self.product.points, self.backend))
+        return SampledFn(self.product, self.phi.sample(self.product, self.backend))
 
     @cached_property
     def f0(self) -> SampledFn:

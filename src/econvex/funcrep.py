@@ -272,7 +272,10 @@ def _transpose(columns: list, n: int) -> list:
 
 # The sampler reads its n points as coordinate columns: floats as they
 # are (d None), or in the rational backend ints over one scale d (a
-# coordinate is int / d).  None stands for points of unequal lengths.
+# coordinate is int / d), the lcm over the (dx + dy)·n coordinates, or
+# over the dx·|X| + dy·|Y| of a product grid's factors, whose scaled
+# columns it then repeats and tiles.  None stands for points of unequal
+# lengths.
 # Every affine form is one ``esets.dots`` fold from its constant over the
 # x, then the y columns.  A node returns (values, s), one raw payload per
 # point: on int columns an int equal to the value times s, or a float
@@ -353,11 +356,18 @@ def _split(columns: list, points: Sequence[Point], x_dim: int) -> tuple:
 
 
 def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
-    """expr at points of Fractions: the coordinates scaled once by the lcm
-    of their denominators, and one `Fraction` per finite value at the end."""
-    columns = list(zip(*points))
-    ints, d = _over_lcm([v for column in columns for v in column])
-    xc, yc = _split(rows(ints, len(columns)), points, x_dim)
+    """expr at points of Fractions, or at a product grid's: the coordinates
+    scaled once by the lcm of their denominators, and one `Fraction` per
+    finite value at the end."""
+    grids = getattr(points, "factors", None) or (points,)
+    columns = [c for g in grids for c in zip(*g)]
+    ints, d = _over_lcm([v for c in columns for v in c])
+    ints = iter(ints)
+    columns = [list(itertools.islice(ints, len(c))) for c in columns]
+    if len(grids) == 2:  # x-major: each scaled x |Y| times, the scaled Y |X| times
+        (X, Y), k = grids, grids[0].dim
+        columns = [[v for v in c for _ in Y.points] for c in columns[:k]] + [c * len(X) for c in columns[k:]]
+    xc, yc = _split(columns, points, x_dim)
     values, s = expr.sample(xc, yc, len(points), d)
     return [
         ExtReal(Fraction(v, s)) if v.__class__ is int else POS_INF if v > 0 else NEG_INF
@@ -500,9 +510,9 @@ class PerturbFn:
 
     def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
         """phi at points of X x Y stored as grids store them (coerced, x then
-        y coordinates), one value each; a table-backed phi looks them up.
-        The backend picks the arithmetic of the nodes: scaled ints for
-        rationals, the float fold for floats."""
+        y coordinates), or at a grid's, one value each; a table-backed phi
+        looks them up.  The backend picks the arithmetic of the nodes:
+        scaled ints for rationals, the float fold for floats."""
         d = self.x_dim
         if self.table is not None:
             try:
@@ -553,7 +563,7 @@ def columns(values: Sequence, n: int) -> list:
 
 def infimum_value_function(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:
     """p(y) = inf over the x-grid of phi(x, y)."""
-    values = phi.sample(product_grid(x_grid, y_grid).points, y_grid.backend)
+    values = phi.sample(product_grid(x_grid, y_grid), y_grid.backend)
     return SampledFn(y_grid, [extreal.inf(c) for c in columns(values, len(y_grid))])
 
 

@@ -19,6 +19,7 @@ from typing import List, Tuple
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
+    _blocks,
     _key,
     _prepared,
     pair_tensor_dual_grid,
@@ -457,44 +458,59 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     A boundary coincidence flips which branch of the coupling fires under
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
-    each in grid order.  The boundary depends on (u*, alpha) only, so the
-    points on it are read off one ``esets.dots`` column per gate, over the
-    lists ``conjugation._prepared`` returns with their one scale D: the
-    points Q, u* U and alpha A as ints times D when every coordinate and
-    alpha is a Fraction, the values as given otherwise (D taken as 1).
-    q is on the boundary iff <Q, U> == D·A.
+    each in grid order.  Each distinct gate (u*, alpha) is scanned once,
+    over the lists ``_prepared`` returns with their one scale D, on the
+    grid as ``_blocks`` cuts it.  On a rational product X x Y, (x, y) is
+    on the boundary iff <x, u*> = D·alpha - <y, v*>: one dict from that
+    int to its y, one lookup per x, so O(|X| + |Y| + hits) per gate, and
+    D scales the dx·|X| + dy·|Y| coordinates of the factors.  Any other
+    grid, or values as given (D taken as 1), is scanned flat, q on the
+    boundary iff <q, u*> == D·alpha, since a + b == c and a == c - b
+    round differently.
     """
     out = []
-    for space, w_points, points in (
-        ("y", P.dual_y_grid.points, P.y_grid.points),
-        ("(x,y)", P.full_dual_grid.points, P.product.points),
+    for space, w_points, grid in (
+        ("y", P.dual_y_grid.points, P.y_grid),
+        ("(x,y)", P.full_dual_grid.points, P.product),
     ):
-        D, ((qs, ustars),), (alphas,) = _prepared(
-            [(points, [w.ustar for w in w_points])], ([w.alpha for w in w_points],)
-        )
-        scale, columns, n = D or 1, list(zip(*qs)), len(qs)
+        duals = ([w.ustar for w in w_points],)
+        D, ((X, ux), (Y, uy)), (alphas,) = _prepared(_blocks(grid, duals), ([w.alpha for w in w_points],))
+        if D is None and grid.factors:
+            (X, ux), (Y, uy) = _blocks(grid, duals, flat=True)
+        scale, x_columns, y_columns, n = D or 1, list(zip(*X)), list(zip(*Y)), len(Y)
         on_boundary = {}
-        for w, u, alpha in zip(w_points, ustars, alphas):
-            gate = _key((*u, alpha))
+        for w, a, b, alpha in zip(w_points, ux, uy, alphas):
+            gate = _key((*a, *b, alpha))
             hits = on_boundary.get(gate)
             if hits is None:
-                level = scale * alpha
-                hits = on_boundary[gate] = [
-                    p for p, t in zip(points, dots(columns, u, n)) if t == level
-                ]
+                ys, level = {}, scale * alpha  # D·alpha - <y, v*> -> the y giving it
+                for j, t in enumerate(dots(y_columns, [-c for c in b], n, level) if b else [level]):
+                    ys.setdefault(t, []).append(j)
+                x_col = dots(x_columns, a, len(X))
+                if len(ys) == 1:  # one level, compared directly: hashing a float costs more
+                    (level,) = ys
+                    on_it = [i for i, t in enumerate(x_col) if t == level]
+                else:
+                    on_it = [i for i, t in enumerate(x_col) if t in ys]
+                hits = on_boundary[gate] = [grid.points[i * n + j] for i in on_it for j in ys[x_col[i]]]
             out.extend((space, p, w) for p in hits)
     return out
 
 
 def boundary_warnings(P: PerturbationProblem) -> List[str]:
-    """Coincidence report grouped per dual point, one line each.  The scan
-    emits each (space, dual point) as one run of rows."""
+    """The coincidence warnings a command prints: one line per dual point
+    for the first 8, then one line counting the rest.  The scan emits
+    each (space, dual point) as one run of rows, and only the printed
+    runs are formatted."""
     lines = []
     runs = itertools.groupby(boundary_coincidences(P), key=lambda row: (row[0], id(row[2])))
-    for _, run in runs:
+    for _, run in itertools.islice(runs, 8):
         (space, first, w), *rest = run
         lines.append(
             f"{len(rest) + 1} {space}-grid point(s) lie exactly on the coupling "
             f"boundary of {_text(w)} (first: {_text(first)})"
         )
+    more = sum(1 for _ in runs)
+    if more:
+        lines.append(f"... and {more} more coupling-boundary coincidences")
     return lines

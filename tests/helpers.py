@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -26,7 +27,7 @@ from econvex.funcrep import (
     Sum,
 )
 
-from econvex import catalog, conjugation, extreal, lagrangian, problemio
+from econvex import catalog, conjugation, extreal, funcrep, lagrangian, problemio
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -101,6 +102,27 @@ def scaling_log():
 
     with mock.patch.object(conjugation, "_prepared", prepared), \
             mock.patch.object(problemio, "_prepared", prepared):
+        yield log
+
+
+@contextmanager
+def lcm_log():
+    """A list of (site, n) per call of ``funcrep._over_lcm`` inside the
+    block, patched in ``funcrep`` and ``conjugation``: n is the length of
+    the list it scales, and site the function that asked, ``_sample_ints``
+    or ``_coefficients`` in funcrep, or the sweep or scan that called
+    ``conjugation._prepared``."""
+    log, real = [], funcrep._over_lcm
+
+    def over_lcm(values):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_prepared":
+            caller = caller.f_back
+        log.append((caller.f_code.co_name, len(values)))
+        return real(values)
+
+    with mock.patch.object(funcrep, "_over_lcm", over_lcm), \
+            mock.patch.object(conjugation, "_over_lcm", over_lcm):
         yield log
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, conjugation, duality, esets, funcrep, problemio
+from econvex import catalog, cli, conjugation, duality, esets, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPairPoint,
@@ -45,6 +45,7 @@ from helpers import (
     float_twin,
     plain_scalar,
     scalar,
+    lcm_log,
     scaling_log,
     with_plain_scalar,
 )
@@ -1160,7 +1161,8 @@ class TestColumnWork:
     per-point inner product, and each ``esets.dots`` column is taken once
     per distinct key a sweep needs: in floats over the flattened product,
     in ints (the nested sweeps) over one factor, once per distinct x-part
-    and y-part."""
+    and y-part.  The boundary scan takes one column per distinct gate, in
+    ints on the product one over each factor."""
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -1219,9 +1221,13 @@ class TestColumnWork:
         if backend == "rational":
             assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
-        gates = sum(_distinct((*w.ustar, w.alpha) for w in grid)
-                    for grid in (P.dual_y_grid, P.full_dual_grid))
-        assert work(lambda: problemio.boundary_coincidences(P)) == {"dot": 0, "dots": gates}
+        y_gates, gates = (_distinct((*w.ustar, w.alpha) for w in grid)
+                          for grid in (P.dual_y_grid, P.full_dual_grid))
+        per_gate = 2 if backend == "rational" else 1  # the int (x,y) scan: X and Y
+        scan = work(lambda: problemio.boundary_coincidences(P))
+        assert scan == {"dot": 0, "dots": y_gates + per_gate * gates}
+        if backend == "rational":
+            assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
     def test_doubling_the_x_star_adds_at_most_one_outer_row_per_new_slope(self, monkeypatch):
         # psi on a fixed 11 x 11 fenchel_abs grid, the x* in 0..3, then in
@@ -1258,27 +1264,45 @@ class TestColumnWork:
         assert many["min"] == few["min"]
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
-    def test_the_int_sweeps_scale_the_factors_not_the_product(self, name, monkeypatch):
+    def test_the_int_sweeps_scale_the_factors_not_the_product(self, name):
         P = catalog_problem(name)
         P.phi_on_product
-        entries = []
-
-        def over_lcm(values):
-            entries.append(len(values))
-            return funcrep._over_lcm(values)
-
-        monkeypatch.setattr(conjugation, "_over_lcm", over_lcm)
         d = P.x_grid.dim + P.y_grid.dim
         axes = P.x_grid.dim * len(P.x_grid) + P.y_grid.dim * len(P.y_grid)
-        for sweep, conjugated in (("psi", "phi_on_product"), ("psi_prime", "psi")):
-            del entries[:]
-            getattr(P, sweep)
+        for sweep, conjugated, site in (("psi", "phi_on_product", "_c_conjugate_rows"),
+                                        ("psi_prime", "psi", "cprime_conjugate")):
+            with lcm_log() as log:
+                getattr(P, sweep)
             dom, _ = _split_dom(getattr(P, conjugated))
             if dom is None:
-                assert entries == []
+                assert log == []
                 continue
             # u*, x* and alpha of each dual point read, and dom's payloads
             duals = P.full_dual_grid if sweep == "psi" else dom
             others = len(duals) * (2 * d + 1) + len(dom)
-            (read,) = entries
-            assert read - others == axes, sweep
+            (read,) = log
+            assert read == (site, axes + others), sweep
+
+    @pytest.mark.parametrize("case", ["example52", "fenchel_abs_n21"])
+    def test_a_duality_command_scales_the_factors_not_the_product(self, case, tmp_path, capsys):
+        if case == "example52":
+            problem, P = case, catalog_problem(case)
+        else:
+            doc = fenchel_abs_duality_grid(21)
+            problem = tmp_path / "n21.json"
+            problem.write_text(json.dumps(doc), encoding="utf-8")
+            P = problemio.loads(json.dumps(doc)).build()
+        with lcm_log() as log:
+            assert cli.main(["duality", str(problem)]) == 0
+        capsys.readouterr()
+        (dx, X), (dy, Y) = ((g.dim, len(g)) for g in (P.x_grid, P.y_grid))
+        axes, points = dx * X + dy * Y, (dx + dy) * X * Y
+        samples = [n for site, n in log if site == "_sample_ints"]
+        scans = [n for site, n in log if site == "boundary_coincidences"]
+        # phi on the product reads the factors' coordinates, f0 the x-grid at
+        # y = 0.  The scans read u* and alpha of each dual point besides the
+        # grid: Y, then the factors of the product.
+        assert sorted(samples) == sorted([axes, (dx + dy) * X]) and points not in samples
+        assert scans == [dy * Y + len(P.dual_y_grid) * (dy + 1),
+                         axes + len(P.full_dual_grid) * (dx + dy + 1)]
+

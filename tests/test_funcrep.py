@@ -474,6 +474,23 @@ class TestColumnSampling:
         assert column in errors if errors else column == expected
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_product_grid_is_sampled_cell_by_cell(self, backend, data):
+        x_dim, y_dim = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        coefficients = drawn_from(COEFFICIENT_VALUES, backend)
+        phi = PerturbFn(x_dim, y_dim, expr=data.draw(expressions(x_dim, y_dim, coefficients=coefficients)))
+        coordinate = drawn_from(SMALL_VALUES, backend).map(lambda c: scalar(c, backend))
+        X, Y = (Grid(k, data.draw(st.lists(st.tuples(*[coordinate] * k), min_size=1, max_size=4,
+                                           unique=True)), backend) for k in (x_dim, y_dim))
+        grid = product_grid(X, Y)
+        expected = [_outcome(lambda p=p: _shape(phi.value(p[:x_dim], p[x_dim:], backend)))
+                    for p in grid.points]
+        cells = _outcome(lambda: [_shape(v) for v in phi.sample(grid, backend)])
+        errors = [e for e in expected if isinstance(e, type)]
+        assert cells in errors if errors else cells == expected
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_shape_errors_come_in_node_order(self, backend):
         wide = Affine.of((1, 1), (0,))  # two x coefficients, one x coordinate
         one_row = Indicator(EPolyhedron(2), (((Fraction(1),), (Fraction(0),), Fraction(0)),))

@@ -17,7 +17,7 @@ from econvex import catalog, conjugation, problemio
 from econvex.cli import main
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import PerturbationProblem, converse_duality_report
-from econvex.extreal import NEG_INF, POS_INF, ExtReal, fmt
+from econvex.extreal import NEG_INF, POS_INF, ExtReal, fmt, scalar
 from econvex.funcrep import Grid, PerturbFn
 
 from helpers import (
@@ -479,28 +479,38 @@ POSITIVE = SCAN_VALUES.filter(lambda a: a > 0)
 
 
 @st.composite
-def scan_case(draw, plain=False):
-    """A rational table problem with a 1-D x-grid, a 1-D or 2-D y-grid,
-    and dual grids whose entries mix small values and wide fractions.
-    With ``plain``, one u* coordinate or alpha of the Y-side dual grid is
-    an int or a float instead."""
-    dim = draw(st.integers(1, 2))
-    vec = st.tuples(*[SCAN_VALUES] * dim)
-    xs = draw(st.lists(SCAN_VALUES, min_size=1, max_size=4, unique=True))
-    ys = [(0,) * dim] + draw(st.lists(vec.filter(any), max_size=4, unique=True))
-    x_grid, y_grid = Grid(1, [(x,) for x in xs]), Grid(dim, ys)
-    table = {(x, y): ExtReal(0) for x in x_grid.points for y in y_grid.points}
-    duals = draw(st.lists(st.tuples(vec, vec, POSITIVE), min_size=1, max_size=5, unique=True))
-    pairs = draw(st.lists(st.tuples(SCAN_VALUES, vec, SCAN_VALUES, vec, SCAN_VALUES),
-                          max_size=5, unique=True))
-    dual_y = [DualPoint.of(*d) for d in duals]
+def scan_case(draw, plain=False, backend="rational"):
+    """A table problem with 1-D or 2-D x- and y-grids, and dual grids whose
+    entries mix small values and wide fractions.  Now and then a pair's v*
+    has 0 and 1 coordinates only, so that several y share one <y, v*> and
+    one gate level holds several hits.  With ``plain``, one u* coordinate
+    or alpha of the Y-side dual grid is an int or a float instead; with
+    ``backend="float"``, every coordinate is a float."""
+    x_dim, dim = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    x_vec, vec = (st.tuples(*[SCAN_VALUES] * k) for k in (x_dim, dim))
+    shared = vec | st.tuples(*[st.sampled_from([0, 1])] * dim)
+
+    def as_given(v):  # what the grids keep of v, to draw distinct entries
+        return tuple(map(as_given, v)) if isinstance(v, tuple) else scalar(v, backend)
+
+    xs = draw(st.lists(x_vec, min_size=1, max_size=4, unique_by=as_given))
+    ys = [(0,) * dim] + draw(st.lists(vec.filter(any), max_size=4, unique_by=as_given))
+    x_grid, y_grid = Grid(x_dim, xs, backend), Grid(dim, ys, backend)
+    table = {(x, y): ExtReal(scalar(0, backend)) for x in x_grid.points for y in y_grid.points}
+    duals = draw(st.lists(st.tuples(vec, vec, POSITIVE), min_size=1, max_size=5, unique_by=as_given))
+    slopes = draw(st.lists(st.tuples(x_vec, vec, x_vec, shared), max_size=5, unique_by=as_given))
+    # alpha drawn, or the gate's value at a grid point, which then lies on it
+    at_a_point = st.tuples(st.sampled_from(x_grid.points), st.sampled_from(y_grid.points))
+    pairs = [(*p, draw(SCAN_VALUES | at_a_point.map(lambda q, u=as_given(p[2] + p[3]): dot(q[0] + q[1], u))))
+             for p in slopes]
+    dual_y = [DualPoint.of(*d, backend) for d in duals]
     if plain:
         k = draw(st.integers(0, len(dual_y) - 1))
         dual_y[k] = with_plain_scalar(draw, dual_y[k], ("ustar", "alpha"))
         assume(dual_y[k].alpha > 0 and dual_y[k] not in dual_y[:k] + dual_y[k + 1:])
     return PerturbationProblem(
-        PerturbFn(1, dim, table=table), x_grid, y_grid, DualGrid(dual_y),
-        DualGrid([DualPairPoint.of((a,), b, (c,), d, e) for a, b, c, d, e in pairs]),
+        PerturbFn(x_dim, dim, table=table), x_grid, y_grid, DualGrid(dual_y, backend),
+        DualGrid([DualPairPoint.of(*p, backend) for p in pairs], backend),
     )
 
 
@@ -527,6 +537,31 @@ class TestBoundaryScan:
         plain_full = has_plain_gate(P.full_dual_grid.points)
         # one False per scan that ran unscaled; the full scan comes last
         assert (log.count(False), log[-1]) == (1 + plain_full, not plain_full)
+        assert rows == definitional_coincidences(P)
+
+    @given(scan_case(backend="float"))
+    @settings(max_examples=100, deadline=None)
+    def test_float_product_matches_definition(self, P):
+        with scaling_log() as log:
+            rows = problemio.boundary_coincidences(P)
+        assert log == [False, False]  # both scans use the values as given
+        assert rows == definitional_coincidences(P)
+
+    def test_a_float_product_point_is_tested_as_a_sum(self):
+        # 0.1 + 0.2 rounds to the float above 0.3, and that float minus 0.2
+        # is not 0.1: a float scan that looked up alpha - <y, v*> per x
+        # would miss the point that the definition puts on the boundary.
+        alpha = 0.1 + 0.2
+        assert alpha - 0.2 != 0.1
+        x_grid, y_grid = Grid(1, [(0.1,)], "float"), Grid(1, [(0.0,), (0.2,)], "float")
+        table = {(x, y): ExtReal(0.0) for x in x_grid.points for y in y_grid.points}
+        P = PerturbationProblem(
+            PerturbFn(1, 1, table=table), x_grid, y_grid,
+            DualGrid([DualPoint.of(0.0, 1.0, 5.0, "float")], "float"),
+            DualGrid([DualPairPoint.of(0.0, 0.0, 1.0, 1.0, alpha, "float")], "float"),
+        )
+        rows = problemio.boundary_coincidences(P)
+        assert [(space, p) for space, p, _ in rows] == [("(x,y)", (0.1, 0.2))]
         assert rows == definitional_coincidences(P)
 
     def test_fractional_level_has_no_points(self):
