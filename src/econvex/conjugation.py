@@ -38,37 +38,29 @@ distinct v* and y*, so psi costs |X|·|Y|·#y* + |X|·#(x*, y*) instead of
 the distinct x-parts of x* of <x, x-part> minus the least, over the
 slopes with that x-part, of g - <y, y-part>: one table over Y per slope,
 so psi^{c'} costs |X|·|Y|·#x* + |Y|·#slopes instead of |X|·|Y|·#slopes.
-Any other grid is itself times the one point of R^0 (``_blocks``), whose
-y-parts add nothing, and there the nested sweep is the flat one, term
-for term.
+Any other grid is itself times the one point of R^0, whose y-parts add
+nothing, and there the nested sweep is the flat one, term for term.
 
-Each sweep reads the lists ``_prepared`` returns through ``esets.dots``:
-<p, v> at every point, one coordinate column at a time, which is the
-left fold of ``esets.dot`` at each point, so both backends run one
-kernel.  The c'-sweep is slope-major: a shut mask per distinct u*, then
-a running max per distinct x-part at the open points, which keeps
-builtin ``max``'s first maximiser and NaN.  ``_prepared`` makes the one
-exactness decision, about one scale D.  When every coordinate, slope,
-alpha and payload the sweep reads is exactly a ``Fraction``, every list
-comes back as ints times D, the lcm of all their denominators (of all
-functions' payloads in a sweep of several): a product's factors, never
-its |X|·|Y| points.  Otherwise D is None, every list comes back as
-given, since scaling only some lists would change IEEE rounding, and the
-sweep runs on the flattened grid, since (a + b) - c and a + (b - c)
-round differently too.  With P, U, X, A and V the lists a sweep reads
-and D taken as 1 for lists as given, a gate is shut iff not
-<P, U> < D·A, a Fenchel term is <P, X> - D·V, and a value is
-``Fraction(best, D·D)`` for ints and ``best`` otherwise.  Scaling by a
-positive int keeps every comparison, so gates, maxima, the first
-attaining row, the value, its type and its rendering are those of the
-``Fraction`` sweep; on lists as given the factor is 1·alpha and 1·v, so
-the arithmetic is that of the definition, NaN and -0.0 included.
+Each sweep reads the lists ``funcrep._prepared`` returns, cut into X x Y
+and over its one scale D (D None for lists as given, which are cut
+flat), through ``esets.dots``: <p, v> at every point, one coordinate
+column at a time, which is the left fold of ``esets.dot`` at each point,
+so both backends run one kernel.  The c'-sweep is slope-major: a shut
+mask per distinct u*, then a running max per distinct x-part at the
+open points, which keeps builtin ``max``'s first maximiser and NaN.
+With P, U, X, A and V the lists a sweep reads and D taken as 1 for lists
+as given, a gate is shut iff not <P, U> < D·A, a Fenchel term is
+<P, X> - D·V, and a value is ``Fraction(best, D·D)`` for ints and
+``best`` otherwise.  So gates, maxima, the first attaining row, the
+value, its type and its rendering are those of the ``Fraction`` sweep;
+on lists as given the factor is 1·alpha and 1·v, so the arithmetic is
+that of the definition, NaN and -0.0 included.
 
 ``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
 coupling minus value, with the +-inf conventions only) are the one
-definitional reference.  ``_reference_c_conjugate`` and
-``_reference_cprime_conjugate`` feed them one dual point against every
-grid point, as the differential tests' oracle, and
+definitional reference.  ``subdifferential.conjugate_value`` and
+``prime_conjugate_value`` feed them one dual point against every grid
+point, or one grid point against every dual point, and
 ``lagrangian.dual_slice_audit`` each dual point's coupling column over Y.
 """
 
@@ -76,15 +68,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import nan
 from operator import add, sub
 from typing import Iterable, Sequence, Tuple
 
 from econvex.esets import Interval1, dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, scalar
-from econvex import extreal
-from econvex.funcrep import Grid, PwAffine1, SampledFn, _over_lcm
+from econvex import extreal, funcrep
+from econvex.funcrep import Grid, PwAffine1, SampledFn
 
 __all__ = [
     "DualPoint",
@@ -296,42 +288,6 @@ def _split_dom(f: SampledFn):
     return [(f.grid.points[k], f.values[k].value) for k in cells], cells
 
 
-def _prepared(blocks, scalars):
-    """(D, blocks, scalars): the lists a sweep reads, over one scale D.
-
-    ``blocks`` are lists of vector lists (points, u* and x*), whose vectors
-    share one length within a block; ``scalars`` are lists of alphas and
-    payloads.  When every entry is exactly a Fraction, D is the lcm of
-    every denominator of every list and each list comes back as ints
-    times D.  Otherwise D is None and the lists come back as given, since
-    scaling only some of them would change IEEE rounding.
-    """
-    if any(len({len(v) for vs in block for v in vs}) > 1 for block in blocks):
-        raise ValueError("dimension mismatch in inner product")
-    entries = [c for block in blocks for vs in block for v in vs for c in v]
-    entries += [c for cs in scalars for c in cs]
-    if any(c.__class__ is not Fraction for c in entries):
-        return None, blocks, scalars
-    ints, D = _over_lcm(entries)
-    ints = iter(ints)
-    blocks = [[[tuple(islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
-    return D, blocks, [list(islice(ints, len(cs))) for cs in scalars]
-
-
-def _blocks(grid: Grid, duals, flat: bool = False):
-    """[(X, the x-part of each list of duals), (Y, their y-parts)]: the two
-    factors of a product grid, each dual vector cut after the x
-    coordinates; flat, or for any other grid, its points and the one point
-    of R^0, each dual vector whole on X."""
-    if flat or grid.factors is None:
-        X, d, Y = grid.points, grid.dim, ((),)
-    else:
-        (xs, ys) = grid.factors
-        X, d, Y = xs.points, xs.dim, ys.points
-    return [(X, *([v[:d] for v in vs] for vs in duals)),
-            (Y, *([v[d:] for v in vs] for vs in duals))]
-
-
 def _columns(cols, n: int):
     """v -> <p, v> at the n points whose coordinate columns are cols, one
     ``esets.dots`` fold per distinct key of v (the same list each time);
@@ -419,7 +375,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
 
     The row is the first (point, payload) of dom f, in grid order,
     attaining the Fenchel value on a finite cell and None on a +-inf
-    cell.  The sweep nests over the grid as X x Y (``_blocks``), X cut to
+    cell.  The sweep nests over the grid as X x Y (``_prepared``), X cut to
     the rows that some function's domain meets, and reads each function
     by rows (``_Rows``).  A gate's top is the max over rows of <x, u*>
     plus the row's max of <y, v*> (NaN if some term is: inf·0 fails every
@@ -432,14 +388,11 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     swept = [(r, dom, cells) for r, (dom, cells) in enumerate(splits) if dom is not None]
     if not swept:
         return out
-    grid, duals = fs[0].grid, ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points])
-    D, blocks, (alphas, *payloads) = _prepared(
-        _blocks(grid, duals),
+    D, ((X, ux, xx), (Y, uy, xy)), (alphas, *payloads) = funcrep._prepared(
+        fs[0].grid,
+        ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
         [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom, _ in swept],
     )
-    if D is None and grid.factors:  # values as given sweep the flat grid
-        blocks = _blocks(grid, duals, flat=True)
-    (X, ux, xx), (Y, uy, xy) = blocks
     scale, n = D or 1, len(Y)
     used = sorted({k // n for _, _, cells in swept for k in cells})
     at = dict(zip(used, range(len(used))))
@@ -493,7 +446,7 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     the least value of g can attain the sup.  Both tables keep the order
     in which the dual grid first meets a key, so ties and NaN terms
     resolve as in the definitional sweep.  The sweep nests over the grid
-    as X x Y (``_blocks``): a gate shuts where <x, u*> + <y, v*> reaches
+    as X x Y (``_prepared``): a gate shuts where <x, u*> + <y, v*> reaches
     its level, and the value at an open (x, y) is the running max, over
     the distinct x-parts of x*, of <x, x-part> minus the least over the
     slopes with that x-part of D·g - <y, y-part>.
@@ -501,13 +454,10 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    duals = [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]
-    D, blocks, (alphas, values) = _prepared(
-        _blocks(x_grid, duals), ([w.alpha for w, _ in dom], [v for _, v in dom])
+    D, ((X, ux, xx), (Y, uy, xy)), (alphas, values) = funcrep._prepared(
+        x_grid, ([w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
+        ([w.alpha for w, _ in dom], [v for _, v in dom]),
     )
-    if D is None and x_grid.factors:
-        blocks = _blocks(x_grid, duals, flat=True)
-    (X, ux, xx), (Y, uy, xy) = blocks
     gates = {}  # u* key -> [x-part, y-part, least alpha over dom g]
     slopes = {}  # x* key -> [x-part, y-part, least value of g]
     for a, b, alpha, c, e, v in zip(ux, uy, alphas, xx, xy, values):
@@ -586,20 +536,6 @@ def _sup_minus(couplings, rows, d=None) -> ExtReal:
         if best is None or term > best:
             best = term
     return NEG_INF if best is None else _value(best if d is None else Fraction(best, d))
-
-
-def _reference_c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
-    """f^c by the definition: every dual point against every grid point."""
-    rows = _classify(f.values)
-    columns = ((_coupling(p, w) for p in f.grid.points) for w in w_grid.points)
-    return SampledFn(w_grid, [_sup_minus(column, rows) for column in columns])
-
-
-def _reference_cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
-    """g^{c'} by the definition: every grid point against every dual point."""
-    rows = _classify(g.values)
-    columns = ((_coupling(x, w) for w in g.grid.points) for x in x_grid.points)
-    return SampledFn(x_grid, [_sup_minus(column, rows) for column in columns])
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ __all__ = [
     "infimum_value_function",
     "restrict_to_zero",
     "slice_x",
-    "materialize",
 ]
 
 Point = Tuple  # tuple of scalars, one per coordinate
@@ -270,17 +269,29 @@ def _transpose(columns: list, n: int) -> list:
     return list(zip(*columns)) if columns else [()] * n
 
 
-# The sampler reads its n points as coordinate columns: floats as they
-# are (d None), or in the rational backend ints over one scale d (a
-# coordinate is int / d), the lcm over the (dx + dy)·n coordinates, or
-# over the dx·|X| + dy·|Y| of a product grid's factors, whose scaled
-# columns it then repeats and tiles.  None stands for points of unequal
-# lengths.
-# Every affine form is one ``esets.dots`` fold from its constant over the
-# x, then the y columns.  A node returns (values, s), one raw payload per
-# point: on int columns an int equal to the value times s, or a float
-# +-inf; on float columns floats and s None, or the payloads of `ExtReal`s
-# and s _EXTREAL below a fold that is empty (the empty Sum is rational 0).
+# Every pass over a grid (phi's sampler, the two conjugation sweeps and
+# the loader's boundary scan) reads it as ``_prepared`` returns it: cut
+# into X x Y, then over one scale D.  A product grid is cut on its two
+# factors, each dual vector after the x coordinates; any other grid, or a
+# plain list of points, is its points times the one point of R^0, whose
+# y-parts add nothing, each dual vector whole on X.  When every
+# coordinate, slope, alpha and payload the pass reads is exactly a
+# ``Fraction``, every list comes back as ints times D, the lcm of all
+# their denominators: a product's dx·|X| + dy·|Y| coordinates, never its
+# |X|·|Y| points.  Otherwise D is None, every list comes back as given,
+# since scaling only some lists would change IEEE rounding, and cut flat,
+# since (a + b) - c and a + (b - c) round differently too.  Scaling by a
+# positive int keeps every comparison, so a pass on ints answers as the
+# ``Fraction`` definition does, and on lists as given its arithmetic is
+# that of the definition, NaN and -0.0 included.
+#
+# The sampler reads the cut's columns x-major: each X column repeated |Y|
+# times, each Y column tiled |X| times.  Every affine form is one
+# ``esets.dots`` fold from its constant over the x, then the y columns.
+# A node returns (values, s), one raw payload per point: on int columns
+# over D an int equal to the value times s, or a float +-inf; on float
+# columns floats and s None, or the payloads of `ExtReal`s and s
+# _EXTREAL below a fold that is empty (the empty Sum is rational 0).
 
 _EXTREAL = 1  # the scale on float columns of values that are ExtReal payloads
 
@@ -289,6 +300,35 @@ def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
     """The values as ints over e, the lcm of their denominators."""
     e = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (e // v.denominator) for v in values], e
+
+
+def _blocks(grid, duals, factors) -> list:
+    """[(X, the x-part of each list of duals), (Y, their y-parts)]: the two
+    factors, or without them the points and R^0."""
+    if factors is None:
+        return [(getattr(grid, "points", grid), *duals), (((),), *([()] * len(vs) for vs in duals))]
+    (X, Y), d = factors, factors[0].dim
+    return [(X.points, *([v[:d] for v in vs] for vs in duals)),
+            (Y.points, *([v[d:] for v in vs] for vs in duals))]
+
+
+def _prepared(grid, duals=(), scalars=()) -> tuple:
+    """(D, [(X, *x-parts of duals), (Y, *y-parts)], scalars): the points of
+    grid and the lists of dual vectors and of scalars that a pass reads,
+    cut and scaled by the one rule above.  Vectors share one length
+    within a block."""
+    factors = getattr(grid, "factors", None)
+    blocks = _blocks(grid, duals, factors)
+    if any(len({len(v) for vs in block for v in vs}) > 1 for block in blocks):
+        raise ValueError("dimension mismatch in inner product")
+    entries = [c for block in blocks for vs in block for v in vs for c in v]
+    entries += [c for cs in scalars for c in cs]
+    if any(c.__class__ is not Fraction for c in entries):
+        return None, blocks if factors is None else _blocks(grid, duals, None), scalars
+    ints, D = _over_lcm(entries)
+    ints = iter(ints)
+    blocks = [[[tuple(itertools.islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
+    return D, blocks, [list(itertools.islice(ints, len(cs))) for cs in scalars]
 
 
 def _coefficients(values: Sequence[Fraction], d: Optional[int]) -> Tuple[list, int]:
@@ -312,11 +352,11 @@ def _forms(forms: Sequence[AffineForm], xc, yc, n: int, d: Optional[int] = None)
     float coefficients, zeros too, so rounding, -0.0 and NaN are those of
     the pointwise definition; int columns over d give s = e·d, e the lcm
     of every denominator of every form."""
-    if n and (xc is None or any(len(cx) != len(xc) or len(cy) != len(yc) for cx, cy, _ in forms)):
+    if n and any(len(cx) != len(xc) or len(cy) != len(yc) for cx, cy, _ in forms):
         raise ValueError("affine form dimensions do not match the point")
     ks, e = _coefficients([c for cx, cy, const in forms for c in (const, *cx, *cy)], d)
     ks, d = iter(ks), 1 if d is None else d
-    columns = [] if xc is None else [*xc, *yc]
+    columns = [*xc, *yc]
     out = []
     for cx, cy, _ in forms:
         start, *coefficients = itertools.islice(ks, 1 + len(cx) + len(cy))
@@ -347,30 +387,14 @@ def _sum(row) -> Union[int, float]:
     return reduce(operator.add, row) if row else 0
 
 
-def _split(columns: list, points: Sequence[Point], x_dim: int) -> tuple:
-    """The x and the y columns of the points; None for both when the points
-    have unequal lengths."""
-    if len({len(p) for p in points}) > 1:
-        return None, None
-    return columns[:x_dim], columns[x_dim:]
-
-
-def _sample_ints(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
-    """expr at points of Fractions, or at a product grid's: the coordinates
-    scaled once by the lcm of their denominators, and one `Fraction` per
-    finite value at the end."""
-    grids = getattr(points, "factors", None) or (points,)
-    columns = [c for g in grids for c in zip(*g)]
-    ints, d = _over_lcm([v for c in columns for v in c])
-    ints = iter(ints)
-    columns = [list(itertools.islice(ints, len(c))) for c in columns]
-    if len(grids) == 2:  # x-major: each scaled x |Y| times, the scaled Y |X| times
-        (X, Y), k = grids, grids[0].dim
-        columns = [[v for v in c for _ in Y.points] for c in columns[:k]] + [c * len(X) for c in columns[k:]]
-    xc, yc = _split(columns, points, x_dim)
-    values, s = expr.sample(xc, yc, len(points), d)
+def _sample(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
+    """expr at the points, or at a grid's, read as ``_prepared`` cuts and
+    scales them; one `ExtReal` per point."""
+    D, ((X,), (Y,)), _ = _prepared(points)
+    columns = [[v for v in c for _ in Y] for c in zip(*X)] + [c * len(X) for c in zip(*Y)]
+    values, s = expr.sample(columns[:x_dim], columns[x_dim:], len(points), D)
     return [
-        ExtReal(Fraction(v, s)) if v.__class__ is int else POS_INF if v > 0 else NEG_INF
+        ExtReal(v if D is None else Fraction(v, s)) if -math.inf < v < math.inf else POS_INF if v > 0 else NEG_INF
         for v in values
     ]
 
@@ -511,23 +535,20 @@ class PerturbFn:
     def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
         """phi at points of X x Y stored as grids store them (coerced, x then
         y coordinates), or at a grid's, one value each; a table-backed phi
-        looks them up.  The backend picks the arithmetic of the nodes:
-        scaled ints for rationals, the float fold for floats."""
+        looks them up.  The nodes fold scaled ints when every coordinate
+        is a Fraction, as in the rational backend, and floats otherwise."""
         d = self.x_dim
         if self.table is not None:
             try:
                 return [self.table[(p[:d], p[d:])] for p in points]
             except KeyError as exc:
                 raise KeyError(f"{exc.args[0]!r} is not in the table") from None
-        if backend == "rational":
-            return _sample_ints(self.expr, points, d)
-        if backend == "float":
-            try:
-                values, _ = self.expr.sample(*_split(list(zip(*points)), points, d), len(points), None)
-            except NaNError:
-                raise NaNError("phi: its float arithmetic overflows to NaN") from None
-            return [ExtReal(v) if -math.inf < v < math.inf else POS_INF if v > 0 else NEG_INF for v in values]
-        raise ValueError(f"unknown backend {backend!r}")
+        if backend not in ("rational", "float"):
+            raise ValueError(f"unknown backend {backend!r}")
+        try:
+            return _sample(self.expr, points, d)
+        except NaNError:
+            raise NaNError("phi: its float arithmetic overflows to NaN") from None
 
     def value(self, x, y, backend: str = "rational") -> ExtReal:
         point = _coerce_point(x, self.x_dim, backend) + _coerce_point(y, self.y_dim, backend)
@@ -535,10 +556,9 @@ class PerturbFn:
 
 
 def product_grid(x_grid: Grid, y_grid: Grid) -> Grid:
-    """Grid over X x Y with concatenated coordinates, x-major order.  Only
-    :func:`rows` and :func:`columns` read a table over it by that order,
-    and it keeps its two factors, over which the rational conjugation
-    sweeps nest.  The factors' points are coerced and distinct, so their
+    """Grid over X x Y with concatenated coordinates, x-major order.  It
+    keeps its two factors, on which ``_prepared`` cuts it for every
+    rational pass.  The factors' points are coerced and distinct, so their
     pairs are too."""
     if x_grid.backend != y_grid.backend:
         raise ValueError("product grids need a common backend")
@@ -580,9 +600,3 @@ def slice_x(phi: PerturbFn, x, y_grid: Grid) -> SampledFn:
     x = _coerce_point(x, phi.x_dim, y_grid.backend)
     return SampledFn(y_grid, phi.sample([x + y for y in y_grid.points], y_grid.backend))
 
-
-def materialize(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> PerturbFn:
-    """Tabulate an expression-backed phi over the grid product."""
-    points, d = product_grid(x_grid, y_grid).points, phi.x_dim
-    table = {(p[:d], p[d:]): v for p, v in zip(points, phi.sample(points, x_grid.backend))}
-    return PerturbFn(phi.x_dim, phi.y_dim, table=table)

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
 
+from econvex import funcrep
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
-    _blocks,
     _key,
-    _prepared,
     pair_tensor_dual_grid,
     tensor_dual_grid,
 )
@@ -459,8 +458,8 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  Each distinct gate (u*, alpha) is scanned once,
-    over the lists ``_prepared`` returns with their one scale D, on the
-    grid as ``_blocks`` cuts it.  On a rational product X x Y, (x, y) is
+    over the lists ``funcrep._prepared`` returns, cut into X x Y and over
+    their one scale D.  On a rational product X x Y, (x, y) is
     on the boundary iff <x, u*> = D·alpha - <y, v*>: one dict from that
     int to its y, one lookup per x, so O(|X| + |Y| + hits) per gate, and
     D scales the dx·|X| + dy·|Y| coordinates of the factors.  Any other
@@ -473,10 +472,8 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
         ("y", P.dual_y_grid.points, P.y_grid),
         ("(x,y)", P.full_dual_grid.points, P.product),
     ):
-        duals = ([w.ustar for w in w_points],)
-        D, ((X, ux), (Y, uy)), (alphas,) = _prepared(_blocks(grid, duals), ([w.alpha for w in w_points],))
-        if D is None and grid.factors:
-            (X, ux), (Y, uy) = _blocks(grid, duals, flat=True)
+        D, ((X, ux), (Y, uy)), (alphas,) = funcrep._prepared(
+            grid, ([w.ustar for w in w_points],), ([w.alpha for w in w_points],))
         scale, x_columns, y_columns, n = D or 1, list(zip(*X)), list(zip(*Y)), len(Y)
         on_boundary = {}
         for w, a, b, alpha in zip(w_points, ux, uy, alphas):

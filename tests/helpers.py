@@ -24,10 +24,12 @@ from econvex.funcrep import (
     Min,
     PerturbFn,
     Precompose,
+    SampledFn,
     Sum,
 )
+from econvex.subdifferential import conjugate_value, prime_conjugate_value
 
-from econvex import catalog, conjugation, extreal, funcrep, lagrangian, problemio
+from econvex import catalog, extreal, funcrep, lagrangian, problemio
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -87,31 +89,30 @@ def with_plain_scalar(draw, w: DualPoint, fields=("xstar", "ustar", "alpha")) ->
 
 @contextmanager
 def scaling_log():
-    """A list recording, per call of ``conjugation._prepared`` inside the
-    block, whether it returned the one scale D of a sweep on ints (True)
-    or None for lists used as given (False).  Every kernel sweep and each
-    of the loader's two boundary scans asks once, so a sweep that ran
-    unscaled leaves exactly one False and a scaled sweep one True."""
+    """A list recording, per call of ``funcrep._prepared`` inside the
+    block, whether it returned the one scale D of a pass on ints (True)
+    or None for lists used as given (False).  Every kernel sweep, each of
+    the loader's two boundary scans and each sample of phi asks once, so
+    a pass that ran unscaled leaves exactly one False and a scaled pass
+    one True."""
     log = []
-    real = conjugation._prepared
+    real = funcrep._prepared
 
-    def prepared(vectors, scalars):
-        out = real(vectors, scalars)
+    def prepared(*args):
+        out = real(*args)
         log.append(out[0] is not None)
         return out
 
-    with mock.patch.object(conjugation, "_prepared", prepared), \
-            mock.patch.object(problemio, "_prepared", prepared):
+    with mock.patch.object(funcrep, "_prepared", prepared):
         yield log
 
 
 @contextmanager
 def lcm_log():
     """A list of (site, n) per call of ``funcrep._over_lcm`` inside the
-    block, patched in ``funcrep`` and ``conjugation``: n is the length of
-    the list it scales, and site the function that asked, ``_sample_ints``
-    or ``_coefficients`` in funcrep, or the sweep or scan that called
-    ``conjugation._prepared``."""
+    block: n is the length of the list it scales, and site the function
+    that asked, ``_coefficients`` in funcrep, or the sampler, sweep or
+    scan that called ``funcrep._prepared``."""
     log, real = [], funcrep._over_lcm
 
     def over_lcm(values):
@@ -121,9 +122,18 @@ def lcm_log():
         log.append((caller.f_code.co_name, len(values)))
         return real(values)
 
-    with mock.patch.object(funcrep, "_over_lcm", over_lcm), \
-            mock.patch.object(conjugation, "_over_lcm", over_lcm):
+    with mock.patch.object(funcrep, "_over_lcm", over_lcm):
         yield log
+
+
+def reference_c_conjugate(f, w_grid):
+    """f^c by the definition: every dual point against every grid point."""
+    return SampledFn(w_grid, [conjugate_value(f, w) for w in w_grid.points])
+
+
+def reference_cprime_conjugate(g, x_grid):
+    """g^{c'} by the definition: every grid point against every dual point."""
+    return SampledFn(x_grid, [prime_conjugate_value(g, x) for x in x_grid.points])
 
 
 @contextmanager

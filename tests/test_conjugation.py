@@ -25,14 +25,11 @@ from econvex.conjugation import (
     tensor_dual_grid,
     _c_conjugate_rows,
     _key,
-    _prepared,
-    _reference_c_conjugate,
-    _reference_cprime_conjugate,
     _split_dom,
 )
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
-from econvex.funcrep import Grid, PwAffine1, SampledFn, product_grid
+from econvex.funcrep import Grid, PwAffine1, SampledFn, _prepared, product_grid
 
 from helpers import (
     CATALOG_PROBLEMS,
@@ -44,6 +41,8 @@ from helpers import (
     fenchel_abs_duality_grid,
     float_twin,
     plain_scalar,
+    reference_c_conjugate,
+    reference_cprime_conjugate,
     scalar,
     lcm_log,
     scaling_log,
@@ -555,7 +554,7 @@ class TestKernelMatchesReference:
     def test_c_conjugate_bit_identical(self, case):
         f, wg = case
         result = outcome(c_conjugate, f, wg)
-        assert result == outcome(_reference_c_conjugate, f, wg)
+        assert result == outcome(reference_c_conjugate, f, wg)
         if result[0] != "raised":
             assert_first_attaining_rows(f, wg)
 
@@ -564,7 +563,7 @@ class TestKernelMatchesReference:
     def test_cprime_conjugate_bit_identical(self, case):
         g, grid = case
         assert outcome(cprime_conjugate, g, grid) == outcome(
-            _reference_cprime_conjugate, g, grid
+            reference_cprime_conjugate, g, grid
         )
 
     @given(plain_conjugate_case())
@@ -575,7 +574,7 @@ class TestKernelMatchesReference:
         with scaling_log() as log:
             result = outcome(c_conjugate, f, wg)
         assert log.count(False) == (dom is not None)  # the sweep ran unscaled
-        assert result == outcome(_reference_c_conjugate, f, wg)
+        assert result == outcome(reference_c_conjugate, f, wg)
 
     @given(plain_prime_conjugate_case())
     @settings(max_examples=150, deadline=None)
@@ -585,7 +584,7 @@ class TestKernelMatchesReference:
         with scaling_log() as log:
             result = outcome(cprime_conjugate, g, grid)
         assert log.count(False) == (dom is not None)  # the sweep ran unscaled
-        assert result == outcome(_reference_cprime_conjugate, g, grid)
+        assert result == outcome(reference_cprime_conjugate, g, grid)
 
     def test_nan_gate_blows_up_as_in_the_definition(self):
         # inf * 0 is NaN, and not (NaN < alpha): the gate fails at (inf, 0),
@@ -595,7 +594,7 @@ class TestKernelMatchesReference:
         f = SampledFn(grid, [ExtReal(0.0)] * 2)
         wg = DualGrid([DualPoint.of((0, 0), (0, 1), 6, "float")], "float")
         assert c_conjugate(f, wg).values == (POS_INF,)
-        assert _reference_c_conjugate(f, wg).values == (POS_INF,)
+        assert reference_c_conjugate(f, wg).values == (POS_INF,)
 
     def test_nan_alpha_shuts_the_prime_gate(self):
         wg = DualGrid(
@@ -608,7 +607,7 @@ class TestKernelMatchesReference:
         g = SampledFn(wg, [ExtReal(0.0), ExtReal(1.0)])
         grid = Grid(1, [(-1,), (0,)], "float")
         assert cprime_conjugate(g, grid).values == (POS_INF, POS_INF)
-        assert _reference_cprime_conjugate(g, grid).values == (POS_INF, POS_INF)
+        assert reference_cprime_conjugate(g, grid).values == (POS_INF, POS_INF)
 
     def test_boundary_point_shuts_the_gate_but_not_its_neighbour(self):
         grid = Grid.uniform(-2, 2, 5)
@@ -617,7 +616,7 @@ class TestKernelMatchesReference:
         # <2, 1> = 2 sits on the alpha = 2 boundary and shuts that gate.
         expected = [POS_INF, ExtReal(0), POS_INF, ExtReal(0)]
         assert list(c_conjugate(f, wg).values) == expected
-        assert list(_reference_c_conjugate(f, wg).values) == expected
+        assert list(reference_c_conjugate(f, wg).values) == expected
 
     def test_integer_gate_rounds_a_fractional_alpha_up(self):
         # alpha = 3/2 lies between the dots 1 and 2 of the points 0, 1 with
@@ -628,12 +627,12 @@ class TestKernelMatchesReference:
         f = SampledFn(grid, [ExtReal(0), ExtReal(0)])
         wg = DualGrid([w(1, 1, Fraction(3, 2)), w(1, 1, 1)])
         assert c_conjugate(f, wg).values == (ExtReal(1), POS_INF)
-        assert _reference_c_conjugate(f, wg).values == (ExtReal(1), POS_INF)
+        assert reference_c_conjugate(f, wg).values == (ExtReal(1), POS_INF)
         for alpha, expected in ((Fraction(3, 2), (ExtReal(0), ExtReal(0))),
                                 (1, (ExtReal(0), POS_INF))):
             g = SampledFn(DualGrid([w(0, 1, alpha)]), [ExtReal(0)])
             assert cprime_conjugate(g, grid).values == expected
-            assert _reference_cprime_conjugate(g, grid).values == expected
+            assert reference_cprime_conjugate(g, grid).values == expected
 
     def test_tied_rows_resolve_to_the_first(self):
         grid = Grid(1, [(-1,), (0,), (1,)])
@@ -648,11 +647,11 @@ class TestKernelMatchesReference:
         f = SampledFn(grid, [ExtReal(0), ExtReal(Fraction(1, 3))])
         wg = DualGrid([DualPoint((1.0,), (Fraction(0),), Fraction(1)),
                        DualPoint((Fraction(1),), (Fraction(0),), Fraction(2))])
-        assert outcome(c_conjugate, f, wg) == outcome(_reference_c_conjugate, f, wg) == [
+        assert outcome(c_conjugate, f, wg) == outcome(reference_c_conjugate, f, wg) == [
             ("f", float, "ExtReal(0.6666666666666667)"), ("f", Fraction, "ExtReal(2/3)")
         ]
         g = SampledFn(wg, [ExtReal(1), ExtReal(0)])
-        assert outcome(cprime_conjugate, g, grid) == outcome(_reference_cprime_conjugate, g, grid)
+        assert outcome(cprime_conjugate, g, grid) == outcome(reference_cprime_conjugate, g, grid)
         assert outcome(cprime_conjugate, g, grid)[1] == ("f", Fraction, "ExtReal(1)")
 
     def test_empty_domain_and_neg_inf_are_constant(self):
@@ -770,10 +769,10 @@ class TestProductGrids:
     def test_nested_sweeps_match_the_reference(self, case):
         f, wg, g, grid = case
         result = outcome(c_conjugate, f, wg)
-        assert result == outcome(_reference_c_conjugate, f, wg)
+        assert result == outcome(reference_c_conjugate, f, wg)
         if result[0] != "raised":
             assert_first_attaining_rows(f, wg)
-        assert outcome(cprime_conjugate, g, grid) == outcome(_reference_cprime_conjugate, g, grid)
+        assert outcome(cprime_conjugate, g, grid) == outcome(reference_cprime_conjugate, g, grid)
 
     def test_the_examples_reach_what_they_name(self):
         f, wg, _, _ = EMPTY_FIRST_ROW
@@ -839,8 +838,8 @@ def row_major_c_conjugate_rows(f, w_grid):
     if dom is None:
         return [(constant, None)] * len(w_grid)
     w_points = w_grid.points
-    D, ((points, ustars, xstars),), (alphas, values) = _prepared(
-        [([p for p, _ in dom], [w.ustar for w in w_points], [w.xstar for w in w_points])],
+    D, ((points, ustars, xstars), _), (alphas, values) = _prepared(
+        [p for p, _ in dom], ([w.ustar for w in w_points], [w.xstar for w in w_points]),
         ([w.alpha for w in w_points], [v for _, v in dom]),
     )
     inner = _row_major_dot(D is not None)
@@ -873,8 +872,8 @@ def row_major_cprime_conjugate(g, x_grid):
     dom, constant = _split_dom(g)
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
-    D, ((points, ustars, xstars),), (alphas, values) = _prepared(
-        [(x_grid.points, [w.ustar for w, _ in dom], [w.xstar for w, _ in dom])],
+    D, ((points, ustars, xstars), _), (alphas, values) = _prepared(
+        list(x_grid.points), ([w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
         ([w.alpha for w, _ in dom], [v for _, v in dom]),
     )
     inner = _row_major_dot(D is not None)
@@ -1297,7 +1296,7 @@ class TestColumnWork:
         capsys.readouterr()
         (dx, X), (dy, Y) = ((g.dim, len(g)) for g in (P.x_grid, P.y_grid))
         axes, points = dx * X + dy * Y, (dx + dy) * X * Y
-        samples = [n for site, n in log if site == "_sample_ints"]
+        samples = [n for site, n in log if site == "_sample"]
         scans = [n for site, n in log if site == "boundary_coincidences"]
         # phi on the product reads the factors' coordinates, f0 the x-grid at
         # y = 0.  The scans read u* and alpha of each dual point besides the

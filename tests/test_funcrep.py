@@ -1,4 +1,6 @@
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from econvex import funcrep
+from econvex import funcrep, problemio
+from econvex.conjugation import _split_dom
 from econvex.esets import EPolyhedron, Halfspace, Interval1
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, scalar
 from econvex.lagrangian import lagrangian_table
@@ -24,7 +27,6 @@ from econvex.funcrep import (
     Sum,
     columns,
     infimum_value_function,
-    materialize,
     product_grid,
     restrict_to_zero,
     rows,
@@ -299,7 +301,8 @@ class TestMaterialize:
         phi = fenchel_abs_expr()
         xg = Grid.uniform(-2, 2, 5)
         yg = Grid.uniform(-2, 2, 5)
-        tab = materialize(phi, xg, yg)
+        grid = product_grid(xg, yg)
+        tab = PerturbFn(1, 1, table={(p[:1], p[1:]): v for p, v in zip(grid.points, phi.sample(grid))})
         for x in xg.points:
             for y in yg.points:
                 assert tab.value(x, y) == phi.value(x, y)
@@ -525,18 +528,20 @@ class TestColumnSampling:
 
 class TestIntegerPath:
     """Counts, not clocks: rational tables of phi are sampled in scaled
-    ints, one ``_sample_ints`` call per table, and float tables never."""
+    ints, one scale from ``_prepared`` per table, and float tables never."""
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_catalog_tables_take_the_integer_path(self, name):
         for P, per_table in ((catalog_problem(name), 1), (float_twin(name), 0)):
-            calls, real = [], funcrep._sample_ints
+            calls, real = [], funcrep._prepared
 
             def counted(*args):
-                calls.append(args)
-                return real(*args)
+                out = real(*args)
+                if sys._getframe(1).f_code.co_name == "_sample" and out[0] is not None:
+                    calls.append(args)
+                return out
 
-            with mock.patch.object(funcrep, "_sample_ints", counted):
+            with mock.patch.object(funcrep, "_prepared", counted):
                 P.phi_on_product
                 P.f0
                 L = lagrangian_table(P)  # its slices are rows of phi_on_product
@@ -544,6 +549,59 @@ class TestIntegerPath:
                 slices = [slice_x(P.phi, x, P.y_grid) for x in P.x_grid.points]
             assert len(calls) == (2 + len(P.x_grid)) * per_table
             assert [sl.values for sl in slices] == [sl.values for sl in L.slices]
+
+
+@contextmanager
+def prepared_log():
+    """A list of (caller, grid, D, Y) per call of ``funcrep._prepared``
+    inside the block: the function that asked, the grid it passed, the
+    scale it got and the Y block of its cut."""
+    log, real = [], funcrep._prepared
+
+    def prepared(grid, *args):
+        D, blocks, scalars = real(grid, *args)
+        log.append((sys._getframe(1).f_code.co_name, grid, D, blocks[1][0]))
+        return D, blocks, scalars
+
+    with mock.patch.object(funcrep, "_prepared", prepared):
+        yield log
+
+
+class TestOnePreparedPerPass:
+    """Counts only: phi's sampler, the two sweeps and each space of the
+    boundary scan ask ``_prepared`` once per call; a rational product is
+    cut on its factors over a scale, a float one flat with none."""
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_every_pass_asks_once(self, name, backend):
+        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        passes = []
+        for attr, conjugated in (("phi_on_product", None), ("psi", "phi_on_product"), ("psi_prime", "psi")):
+            swept = conjugated is None or _split_dom(getattr(P, conjugated))[0] is not None
+            with prepared_log() as log:
+                getattr(P, attr)
+            assert [grid for _, grid, _, _ in log] == [P.product] * swept, attr
+            passes += log
+        with prepared_log() as log:
+            problemio.boundary_coincidences(P)
+        assert [grid for _, grid, _, _ in log] == [P.y_grid, P.product]
+        passes += log
+        assert {caller for caller, *_ in passes} <= {"_sample", "_c_conjugate_rows",
+                                                      "cprime_conjugate", "boundary_coincidences"}
+        for _, grid, D, Y in passes:
+            if backend == "float":
+                assert D is None and Y == ((),)
+            else:
+                widths = [P.y_grid.dim] * len(P.y_grid) if grid is P.product else [0]
+                assert D is not None and [len(y) for y in Y] == widths
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_points_of_unequal_lengths_raise(self, backend):
+        points = [(scalar(0, backend), scalar(1, backend)), (scalar(0, backend),)]
+        for expr in (X_ONLY, Sum(())):
+            with pytest.raises(ValueError):
+                PerturbFn(1, 1, expr=expr).sample(points, backend)
 
 
 class TestOneExtRealPerPoint:

@@ -16,19 +16,19 @@ from helpers import (
     fenchel_abs_wide_grid,
     float_twin,
     random_problem,
+    reference_c_conjugate,
     scalar,
     scaling_log,
     slice_path_log,
     with_plain_scalar,
 )
 
-from econvex import catalog, cli, conjugation, extreal, lagrangian, problemio
+from econvex import catalog, cli, conjugation, extreal, funcrep, lagrangian, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
     _classify,
     _coupling,
-    _reference_c_conjugate,
     _split_dom,
     _sup_minus,
     coupling_c,
@@ -303,7 +303,7 @@ class TestDualSliceSweep:
         assert len(audit["rows"]) == len(P.x_grid)
         for x, row in zip(P.x_grid.points, audit["rows"]):
             values = [P.phi.value(x, y, P.backend) for y in P.y_grid.points]
-            reference = _reference_c_conjugate(SampledFn(P.y_grid, values), P.dual_y_grid)
+            reference = reference_c_conjugate(SampledFn(P.y_grid, values), P.dual_y_grid)
             assert [tagged(v) for v in row] == [tagged(v) for v in reference.values], x
         assert audit["ok"]
 
@@ -373,7 +373,7 @@ class TestIntegerSliceCheck:
         def refuse(*args):
             raise AssertionError("the check reached the kernel's scaling")
 
-        monkeypatch.setattr(conjugation, "_prepared", refuse)
+        monkeypatch.setattr(funcrep, "_prepared", refuse)
         with scaling_log() as scaled, slice_path_log() as paths:
             for P in problems:
                 assert lagrangian.dual_slice_audit(P)["ok"]
