@@ -50,11 +50,14 @@ mask per distinct u*, then a running max per distinct x-part at the
 open points, which keeps builtin ``max``'s first maximiser and NaN.
 With P, U, X, A and V the lists a sweep reads and D taken as 1 for lists
 as given, a gate is shut iff not <P, U> < D·A, a Fenchel term is
-<P, X> - D·V, and a value is ``Fraction(best, D·D)`` for ints and
-``best`` otherwise.  So gates, maxima, the first attaining row, the
-value, its type and its rendering are those of the ``Fraction`` sweep;
-on lists as given the factor is 1·alpha and 1·v, so the arithmetic is
-that of the definition, NaN and -0.0 included.
+<P, X> - D·V, and ``funcrep._unscale`` gives a value back: on ints
+``Fraction(best, D·D)`` in the rational backend and ``best / (D·D)`` in
+the float one, whose ints ``_prepared`` certified no float operation of
+the flat sweep could round, and ``best`` on lists as given.  So gates,
+maxima, the first attaining row, the value, its type and its rendering
+are those of the ``Fraction`` sweep, or of the flat float sweep; on
+lists as given the factor is 1·alpha and 1·v, so the arithmetic is that
+of the definition, NaN and -0.0 included.
 
 ``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
 coupling minus value, with the +-inf conventions only) are the one
@@ -101,6 +104,16 @@ def _coerce_vec(v, backend: str) -> Tuple:
     return tuple(scalar(c, backend) for c in v)
 
 
+def _hash_once(self) -> int:
+    """The hash of a frozen dual point's fields, taken at its first use
+    and kept on the point: grids and tables hash each point many times."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 @dataclass(frozen=True)
 class DualPoint:
     """An element (x*, u*, alpha) of W = X* x X* x R."""
@@ -108,6 +121,7 @@ class DualPoint:
     xstar: Tuple
     ustar: Tuple
     alpha: object
+    __hash__ = _hash_once
 
     @staticmethod
     def of(xstar, ustar, alpha, backend: str = "rational") -> "DualPoint":
@@ -135,6 +149,7 @@ class DualPairPoint:
     ustar: Tuple
     vstar: Tuple
     alpha: object
+    __hash__ = _hash_once
 
     @staticmethod
     def of(xstar, ystar, ustar, vstar, alpha, backend: str = "rational") -> "DualPairPoint":
@@ -163,9 +178,8 @@ class DualGrid:
         self.backend = backend
         self._index = {}
         for i, p in enumerate(self.points):
-            if p in self._index:
+            if self._index.setdefault(p, i) != i:
                 raise ValueError(f"duplicate dual point {p!r}")
-            self._index[p] = i
 
     @property
     def alpha_positive(self) -> bool:
@@ -394,6 +408,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
         [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom, _ in swept],
     )
     scale, n = D or 1, len(Y)
+    back = funcrep._unscale(D, fs[0].grid.backend)
     used = sorted({k // n for _, _, cells in swept for k in cells})
     at = dict(zip(used, range(len(used))))
     tables = [_Rows(cells, n, at, [scale * v for v in vs]) for (*_, cells), vs in zip(swept, payloads)]
@@ -425,7 +440,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
                 if s in need:
                     terms, first = table.fenchel_terms(x_col, y_col)
                     best = max(terms)
-                    value = _value(best if D is None else Fraction(best, D * D))
+                    value = _value(back(best))
                     cell[s] = value, dom[first[terms.index(best)]]
     shut = (POS_INF, None)
     for (r, _, _), row, cell in zip(swept, opens, found):
@@ -491,7 +506,7 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         column = dots(columns, c, len(used))
         terms = [t - d for xs, d in zip(opened, costs) for t in _at(column, xs)]
         best = terms if best is None else [t if t > b else b for t, b in zip(terms, best)]
-    best = iter(best if D is None else [Fraction(b, D * D) for b in best])
+    best = map(funcrep._unscale(D, x_grid.backend), best)
     out = [POS_INF if s else _value(next(best)) for s in shut]  # y-major
     return SampledFn(x_grid, chain.from_iterable(zip(*(out[j * m:(j + 1) * m] for j in range(n)))))
 

@@ -80,9 +80,8 @@ class Grid:
         )
         self._index: Dict[Point, int] = {}
         for i, p in enumerate(self.points):
-            if p in self._index:
+            if self._index.setdefault(p, i) != i:
                 raise ValueError(f"duplicate grid point {p!r}")
-            self._index[p] = i
 
     @classmethod
     def uniform(cls, lo, hi, count: int, backend: str = "rational") -> "Grid":
@@ -278,12 +277,28 @@ def _transpose(columns: list, n: int) -> list:
 # coordinate, slope, alpha and payload the pass reads is exactly a
 # ``Fraction``, every list comes back as ints times D, the lcm of all
 # their denominators: a product's dx·|X| + dy·|Y| coordinates, never its
-# |X|·|Y| points.  Otherwise D is None, every list comes back as given,
-# since scaling only some lists would change IEEE rounding, and cut flat,
-# since (a + b) - c and a + (b - c) round differently too.  Scaling by a
-# positive int keeps every comparison, so a pass on ints answers as the
-# ``Fraction`` definition does, and on lists as given its arithmetic is
-# that of the definition, NaN and -0.0 included.
+# |X|·|Y| points.  Scaling by a positive int keeps every comparison, so a
+# pass on ints answers as the ``Fraction`` definition does.
+#
+# A pass that pairs points with dual vectors (a sweep, either space of
+# the scan) lifts floats onto ints too, when no IEEE operation of the
+# flat float loop can round.  Every entry must be a finite float; each
+# is n/2^k (``float.as_integer_ratio``), D is the largest 2^k, at most
+# 2^500 so that every nonzero multiple of 1/D² is a normal double, and
+# with P, V and S the scaled coordinates, dual coordinates and scalars,
+# B = dim·max|P|·max|V| + D·max|S| must stay below 2^53.  Then every
+# product, partial sum, difference and comparison of the flat loop is an
+# exact double, a multiple of 1/D² of at most B units, so the int pass
+# gives its gates, maxima, first attaining rows and boundary hits, and a
+# value goes back by ``_unscale`` as an int true division, correctly
+# rounded and so exact.  The flat loops fold from int 0, so no term is
+# -0.0, nor is 0 / D².  phi's sampler keeps floats as given, since its
+# nodes multiply them by coefficients ``_prepared`` never sees.
+#
+# Otherwise D is None, every list comes back as given, since scaling only
+# some lists would change IEEE rounding, and cut flat, since (a + b) - c
+# and a + (b - c) round differently too; the arithmetic is that of the
+# definition, NaN and -0.0 included.
 #
 # The sampler reads the cut's columns x-major: each X column repeated |Y|
 # times, each Y column tiled |X| times.  Every affine form is one
@@ -294,12 +309,45 @@ def _transpose(columns: list, n: int) -> list:
 # _EXTREAL below a fold that is empty (the empty Sum is rational 0).
 
 _EXTREAL = 1  # the scale on float columns of values that are ExtReal payloads
+_LIFT_D, _LIFT_B = 2 ** 500, 2 ** 53  # the float lift's caps on D and on B
 
 
 def _over_lcm(values: Sequence[Fraction]) -> Tuple[list, int]:
     """The values as ints over e, the lcm of their denominators."""
     e = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (e // v.denominator) for v in values], e
+
+
+def _over_power(values: Sequence[float]) -> Tuple[list, Optional[int]]:
+    """Finite floats as ints over D, the largest power of two among their
+    denominators; D None for any other value or for D past 2^500."""
+    if not all(v.__class__ is float and math.isfinite(v) for v in values):
+        return [], None
+    ratios = [v.as_integer_ratio() for v in values]
+    D = max(d for _, d in ratios)
+    return ([n * (D // d) for n, d in ratios], D) if D <= _LIFT_D else ([], None)
+
+
+def _rounds(blocks, scalars, D: int) -> bool:
+    """Whether B = dim·max|P|·max|V| + D·max|S| of scaled blocks and scalars
+    reaches 2^53, so that the flat float loop may round."""
+    def top(values):
+        return max(map(abs, values), default=0)
+    dim = sum(max(map(len, itertools.chain(*block)), default=0) for block in blocks)
+    P = top(c for block in blocks for p in block[0] for c in p)
+    V = top(c for block in blocks for vs in block[1:] for v in vs for c in v)
+    S = top(c for cs in scalars for c in cs)
+    return dim * P * V + D * S >= _LIFT_B
+
+
+def _unscale(D: Optional[int], backend: str):
+    """The map taking a value of a pass, an int times D·D, back to the
+    backend: ``Fraction(v, D·D)``, or for floats ``v / (D·D)``, which is
+    exact under the lift's bound; values as given (D None) stay."""
+    if D is None:
+        return lambda v: v
+    DD = D * D
+    return (lambda v: Fraction(v, DD)) if backend == "rational" else (lambda v: v / DD)
 
 
 def _blocks(grid, duals, factors) -> list:
@@ -323,12 +371,15 @@ def _prepared(grid, duals=(), scalars=()) -> tuple:
         raise ValueError("dimension mismatch in inner product")
     entries = [c for block in blocks for vs in block for v in vs for c in v]
     entries += [c for cs in scalars for c in cs]
-    if any(c.__class__ is not Fraction for c in entries):
-        return None, blocks if factors is None else _blocks(grid, duals, None), scalars
-    ints, D = _over_lcm(entries)
-    ints = iter(ints)
-    blocks = [[[tuple(itertools.islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
-    return D, blocks, [list(itertools.islice(ints, len(cs))) for cs in scalars]
+    exact = all(c.__class__ is Fraction for c in entries)
+    ints, D = _over_lcm(entries) if exact else _over_power(entries) if duals else ([], None)
+    if D is not None:
+        ints = iter(ints)
+        cut = [[[tuple(itertools.islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
+        scaled = [list(itertools.islice(ints, len(cs))) for cs in scalars]
+        if exact or not _rounds(cut, scaled, D):
+            return D, cut, scaled
+    return None, blocks if factors is None else _blocks(grid, duals, None), scalars
 
 
 def _coefficients(values: Sequence[Fraction], d: Optional[int]) -> Tuple[list, int]:
@@ -533,10 +584,11 @@ class PerturbFn:
         self.table = table
 
     def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
-        """phi at points of X x Y stored as grids store them (coerced, x then
-        y coordinates), or at a grid's, one value each; a table-backed phi
-        looks them up.  The nodes fold scaled ints when every coordinate
-        is a Fraction, as in the rational backend, and floats otherwise."""
+        """phi at points of X x Y (x then y coordinates), or at a grid's, one
+        value each; a table-backed phi looks them up.  Plain points are
+        coerced to the backend, which is a class check for points that
+        are already.  The nodes fold scaled ints in the rational backend
+        and floats in the float backend."""
         d = self.x_dim
         if self.table is not None:
             try:
@@ -545,6 +597,8 @@ class PerturbFn:
                 raise KeyError(f"{exc.args[0]!r} is not in the table") from None
         if backend not in ("rational", "float"):
             raise ValueError(f"unknown backend {backend!r}")
+        if not hasattr(points, "points"):  # a grid's points are coerced already
+            points = [tuple(scalar(c, backend) for c in p) for p in points]
         try:
             return _sample(self.expr, points, d)
         except NaNError:

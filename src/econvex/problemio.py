@@ -459,13 +459,14 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  Each distinct gate (u*, alpha) is scanned once,
     over the lists ``funcrep._prepared`` returns, cut into X x Y and over
-    their one scale D.  On a rational product X x Y, (x, y) is
-    on the boundary iff <x, u*> = D·alpha - <y, v*>: one dict from that
-    int to its y, one lookup per x, so O(|X| + |Y| + hits) per gate, and
-    D scales the dx·|X| + dy·|Y| coordinates of the factors.  Any other
-    grid, or values as given (D taken as 1), is scanned flat, q on the
-    boundary iff <q, u*> == D·alpha, since a + b == c and a == c - b
-    round differently.
+    their one scale D.  On a product X x Y on ints (rational, or floats
+    that ``_prepared`` certified no float operation of the flat scan
+    could round), (x, y) is on the boundary iff <x, u*> = D·alpha -
+    <y, v*>: one dict from that int to its y, one lookup per x, so
+    O(|X| + |Y| + hits) per gate, and D scales the dx·|X| + dy·|Y|
+    coordinates of the factors.  Any other grid, or values as given (D
+    taken as 1), is scanned flat, q on the boundary iff <q, u*> ==
+    D·alpha, since a + b == c and a == c - b round differently.
     """
     out = []
     for space, w_points, grid in (

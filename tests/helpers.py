@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import json
+import math
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 from hypothesis import strategies as st
@@ -189,6 +191,53 @@ def float_twin(name):
     """The catalog problem with ``"backend": "float"``, loaded from its JSON."""
     doc = dict(catalog.entry(name), backend="float")
     return problemio.loads(json.dumps(doc)).build()
+
+
+# The catalog problems and thirds, whose grids, slopes and alphas step by
+# 1/3: its float twin is the one whose passes stay on the floats as given.
+LIFT_PROBLEMS = CATALOG_PROBLEMS + ["thirds"]
+THIRDS = Path(__file__).parent / "data" / "thirds.json"
+
+
+def twin(name, backend):
+    """A problem of LIFT_PROBLEMS in the backend."""
+    if name != "thirds":
+        return catalog_problem(name) if backend == "rational" else float_twin(name)
+    doc = dict(json.loads(THIRDS.read_text(encoding="utf-8")), backend=backend)
+    return problemio.loads(json.dumps(doc)).build()
+
+
+def lifted(name, backend):
+    """Whether every sweep and scan of a LIFT_PROBLEMS twin runs on ints:
+    the rational ones, and the float twins whose entries are dyadic."""
+    return backend == "rational" or name != "thirds"
+
+
+def certified(points, duals=(), scalars=()):
+    """Whether a float pass over the points, the lists of dual vectors and
+    the lists of scalars may run on ints, by the definition in Fractions:
+    every entry a finite float, D the largest denominator of an entry,
+    D <= 2**500, and dim·max|p|·max|v|·D² + max|s|·D² < 2**53."""
+    coordinates = [c for p in points for c in p]
+    vectors = [c for vs in duals for v in vs for c in v]
+    plain = [c for cs in scalars for c in cs]
+    entries = coordinates + vectors + plain
+    if not all(c.__class__ is float and math.isfinite(c) for c in entries):
+        return False
+    D = max(Fraction(c).denominator for c in entries)
+
+    def top(values):
+        return max((abs(Fraction(c)) for c in values), default=0)
+    dim = max((len(p) for p in points), default=0)
+    return D <= 2**500 and (dim * top(coordinates) * top(vectors) + top(plain)) * D * D < 2**53
+
+
+@contextmanager
+def unlifted():
+    """Inside the block every float pass runs on the values as given, as
+    when the certificate refuses it."""
+    with mock.patch.object(funcrep, "_over_power", lambda values: ([], None)):
+        yield
 
 
 def fenchel_abs_duality_grid(n):

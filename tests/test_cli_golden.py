@@ -38,10 +38,13 @@ FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 # empty_domain's phi is the indicator of an empty set, so the reports
 # print the values no finite problem reaches: no attainers, no finite
 # gap, no nonconvexity witness, no oracle value; its x-grid lacks the
-# origin, so ``subdiff --at 0`` is an input error.
+# origin, so ``subdiff --at 0`` is an input error.  thirds steps its
+# grids, slopes and alphas by 1/3, which no double holds exactly, so its
+# float twin is the one case whose sweeps and scan run on the floats as
+# given rather than on scaled ints.
 DATA_PROBLEMS = {
     name: Path(__file__).parent / "data" / f"{name}.json"
-    for name in ("mixed_ops", "empty_domain")
+    for name in ("mixed_ops", "empty_domain", "thirds")
 }
 
 PROBLEM_COMMANDS = (

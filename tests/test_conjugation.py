@@ -1,15 +1,18 @@
 import copy
+import dataclasses
 import json
 import math
 import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, cli, conjugation, duality, esets, problemio
+from econvex import cli, conjugation, duality, esets, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPairPoint,
@@ -33,19 +36,23 @@ from econvex.funcrep import Grid, PwAffine1, SampledFn, _prepared, product_grid
 
 from helpers import (
     CATALOG_PROBLEMS,
+    LIFT_PROBLEMS,
     QUARTERS,
     WIDE_FRACTIONS,
     catalog_problem,
+    certified,
     drawn_from,
     ext_values,
     fenchel_abs_duality_grid,
-    float_twin,
     plain_scalar,
     reference_c_conjugate,
     reference_cprime_conjugate,
     scalar,
     lcm_log,
+    lifted,
     scaling_log,
+    twin,
+    unlifted,
     with_plain_scalar,
 )
 
@@ -790,34 +797,38 @@ class TestProductGrids:
 
 
 class TestIntegerPathRuns:
-    """Counts only: every conjugate sweep of the rational fenchel_abs asks
-    ``_prepared`` once and gets one scale, and every sweep of its float
-    twin asks once and gets none."""
+    """Counts only: every conjugate sweep of fenchel_abs asks ``_prepared``
+    once and gets one scale, in both backends, since its float twin is
+    dyadic; every sweep of thirds' float twin asks once and gets none."""
 
     SWEEPS = ("psi", "psi_prime", "f0_conj", "f0_biconj", "g_prime", "p_conj", "p_biconj")
 
-    @pytest.mark.parametrize("backend", ["rational", "float"])
-    def test_every_sweep_of_fenchel_abs(self, monkeypatch, backend):
-        per_sweep = []  # whether _prepared gave a scale, per call during each sweep
+    def per_sweep(self, monkeypatch, name, backend):
+        """Whether _prepared gave a scale, per call during each sweep."""
+        per_sweep = []
         with scaling_log() as log:
-            for name in ("c_conjugate", "cprime_conjugate"):
-                def sweep(*args, _real=getattr(duality, name)):
+            for sweep_name in ("c_conjugate", "cprime_conjugate"):
+                def sweep(*args, _real=getattr(duality, sweep_name)):
                     before = len(log)
                     out = _real(*args)
                     per_sweep.append(log[before:])
                     return out
 
-                monkeypatch.setattr(duality, name, sweep)
-            doc = dict(catalog.entry("fenchel_abs"), backend=backend)
-            P = problemio.loads(json.dumps(doc)).build()
-            for name in self.SWEEPS:
-                getattr(P, name)
+                monkeypatch.setattr(duality, sweep_name, sweep)
+            P = twin(name, backend)
+            for attr in self.SWEEPS:
+                getattr(P, attr)
         assert len(per_sweep) == len(self.SWEEPS)
-        if backend == "rational":
-            assert all(calls and all(calls) for calls in per_sweep), per_sweep
-            assert per_sweep == [[True]] * len(self.SWEEPS)
-        else:
-            assert per_sweep == [[False]] * len(self.SWEEPS)
+        return per_sweep
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_every_sweep_of_fenchel_abs(self, monkeypatch, backend):
+        assert self.per_sweep(monkeypatch, "fenchel_abs", backend) == [[True]] * len(self.SWEEPS)
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_every_sweep_of_thirds(self, monkeypatch, backend):
+        expected = [[backend == "rational"]] * len(self.SWEEPS)
+        assert self.per_sweep(monkeypatch, "thirds", backend) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +840,14 @@ def _row_major_dot(exact):
     """The inner product of the row-major sweeps: ints in any order,
     values as given by the left fold of ``esets.dot``."""
     return (lambda a, b: sum(map(operator.mul, a, b))) if exact else dot
+
+
+def as_backend(best, D, backend):
+    """A value of the row-major sweeps: best as given (D None), or the int
+    best over D·D as a Fraction or, for floats, the nearest double."""
+    if D is None:
+        return best
+    return Fraction(best, D * D) if backend == "rational" else best / (D * D)
 
 
 def row_major_c_conjugate_rows(f, w_grid):
@@ -860,7 +879,7 @@ def row_major_c_conjugate_rows(f, w_grid):
         if cell is None:
             terms = [inner(p, x) - v for p, v in zip(points, values)]
             best = max(terms)
-            value = ExtReal(best if D is None else Fraction(best, D * D))
+            value = ExtReal(as_backend(best, D, f.grid.backend))
             cell = fenchel[slope] = (value, dom[terms.index(best)])
         out.append(cell)
     return out
@@ -894,7 +913,7 @@ def row_major_cprime_conjugate(g, x_grid):
             vals.append(POS_INF)
         else:
             best = max(inner(p, x) - v for x, v in slopes)
-            vals.append(ExtReal(best if D is None else Fraction(best, D * D)))
+            vals.append(ExtReal(as_backend(best, D, x_grid.backend)))
     return SampledFn(x_grid, vals)
 
 
@@ -1158,15 +1177,16 @@ def _distinct(vectors):
 class TestColumnWork:
     """Counts only: the product-grid sweeps and the boundary scan take no
     per-point inner product, and each ``esets.dots`` column is taken once
-    per distinct key a sweep needs: in floats over the flattened product,
-    in ints (the nested sweeps) over one factor, once per distinct x-part
-    and y-part.  The boundary scan takes one column per distinct gate, in
-    ints on the product one over each factor."""
+    per distinct key a sweep needs: on floats as given (thirds' float
+    twin) over the flattened product, on ints (the nested sweeps, also of
+    the dyadic float twins) over one factor, once per distinct x-part and
+    y-part.  The boundary scan takes one column per distinct gate, on ints
+    on the product one over each factor."""
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
-    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("name", LIFT_PROBLEMS)
     def test_one_column_per_distinct_key(self, name, backend, monkeypatch):
-        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        P, on_ints = twin(name, backend), lifted(name, backend)
         f = P.phi_on_product
         counts = {"dot": 0, "dots": 0}
         reads = []  # (coordinates, points) of each esets.dots call
@@ -1198,34 +1218,34 @@ class TestColumnWork:
             needed = [w.xstar for w in P.full_dual_grid
                       if all(dot(p, w.ustar) < w.alpha for p, _ in dom)]
             ustars = [w.ustar for w in P.full_dual_grid]
-            if backend == "float":
+            if not on_ints:
                 expected = _distinct(ustars) + _distinct(needed)
             else:
                 expected = (_distinct(u[:d] for u in ustars) + _distinct(x[:d] for x in needed)
                             + _distinct([u[d:] for u in ustars] + [x[d:] for x in needed]))
         assert work(lambda: P.psi) == {"dot": 0, "dots": expected}
-        if backend == "rational":
+        if on_ints:
             assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
         dom, _ = _split_dom(P.psi)
         expected = 0
         if dom is not None:
             ustars, xstars = [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]
-            if backend == "float":
+            if not on_ints:
                 expected = _distinct(ustars) + _distinct(xstars)
             else:
                 expected = (_distinct(u[:d] for u in ustars) + _distinct(x[:d] for x in xstars)
                             + _distinct([u[d:] for u in ustars] + [x[d:] for x in xstars]))
         assert work(lambda: P.psi_prime) == {"dot": 0, "dots": expected}
-        if backend == "rational":
+        if on_ints:
             assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
         y_gates, gates = (_distinct((*w.ustar, w.alpha) for w in grid)
                           for grid in (P.dual_y_grid, P.full_dual_grid))
-        per_gate = 2 if backend == "rational" else 1  # the int (x,y) scan: X and Y
+        per_gate = 2 if on_ints else 1  # the int (x,y) scan: X and Y
         scan = work(lambda: problemio.boundary_coincidences(P))
         assert scan == {"dot": 0, "dots": y_gates + per_gate * gates}
-        if backend == "rational":
+        if on_ints:
             assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
     def test_doubling_the_x_star_adds_at_most_one_outer_row_per_new_slope(self, monkeypatch):
@@ -1305,3 +1325,253 @@ class TestColumnWork:
         assert scans == [dy * Y + len(P.dual_y_grid) * (dy + 1),
                          axes + len(P.full_dual_grid) * (dx + dy + 1)]
 
+    def test_a_dyadic_float_twin_reads_the_factors_as_the_rational_one(self):
+        """fenchel_abs at n = 21 on the duality grid: the float twin's psi,
+        psi^{c'} and boundary scans take the rational twin's ``dots``
+        columns, each over the 21 points of one factor."""
+        reads = {}
+        for backend in ("rational", "float"):
+            doc = dict(fenchel_abs_duality_grid(21), backend=backend)
+            P = problemio.loads(json.dumps(doc)).build()
+            P.phi_on_product
+            log = []
+
+            def counted(*args):
+                log.append((len(args[0]), args[2]))
+                return dots(*args)
+
+            reads[backend] = []
+            with mock.patch.object(conjugation, "dots", counted), mock.patch.object(problemio, "dots", counted):
+                for build in (lambda: P.psi, lambda: P.psi_prime, lambda: problemio.boundary_coincidences(P)):
+                    del log[:]
+                    build()
+                    reads[backend].append(list(log))
+        assert reads["float"] == reads["rational"] and all(reads["float"])
+        assert {read for calls in reads["float"] for read in calls} <= {(1, 21)}
+
+
+
+# ---------------------------------------------------------------------------
+# Float passes lifted onto ints against the same passes on floats as given
+# ---------------------------------------------------------------------------
+
+# Steps of the float entries: dyadic ones, which the certificate may lift,
+# and 1/3 and 1/10, whose doubles have denominators 2^54 and 2^55, which
+# it refuses.  Sizes put dim·max|P|·max|V| on both sides of 2^53: with
+# coordinates and slopes near 2^24 it meets 2^53 in 2-D.  Payload sizes
+# put D·max|S| near 2^52 when D is 1 or 4.
+LIFT_STEPS = [1.0, 0.25, 2.0 ** -20, 1 / 3, 0.1]
+LIFT_SIZES = [1, 2 ** 12, 2 ** 23, 2 ** 24, 2 ** 26]
+PAYLOAD_SIZES = [1, 2 ** 47, 2 ** 49, 2 ** 51]
+SPECIALS = [math.inf, -math.inf]
+
+
+@st.composite
+def lift_case(draw):
+    """(f on X x Y, a dual grid of X x Y, g on it, X x Y, the dual grid of
+    Y) in floats, the factors 1-D x 1-D, 2-D x 1-D or 1-D x 2-D.  Entries
+    are small multiples of one step times a size, and -0.0; now and then
+    an infinite coordinate or slope, or an infinite or NaN alpha.  f is an
+    affine function whose slope is one of the x*, so terms tie, or takes
+    payloads; alphas are drawn or the gate's value at a grid point, which
+    then lies on its boundary; g is random or f's conjugate."""
+    step = draw(st.sampled_from(LIFT_STEPS))
+    special = draw(st.integers(0, 7)) == 0
+
+    def entries(size):
+        drawn = st.integers(-3, 3).map(lambda k: k * step * size) | st.just(-0.0)
+        return drawn | st.sampled_from(SPECIALS) if special else drawn
+
+    dx, dy = draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    coordinate = entries(draw(st.sampled_from(LIFT_SIZES)))
+    X, Y = (Grid(d, draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=4, unique=True)), "float")
+            for d in (dx, dy))
+    grid = product_grid(X, Y)
+    vector = st.tuples(*[entries(draw(st.sampled_from(LIFT_SIZES)))] * (dx + dy))
+    xstars = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
+    ustars = draw(st.lists(vector | st.tuples(*[st.sampled_from([-1.0, 0.0, 1.0])] * (dx + dy)),
+                           min_size=1, max_size=2, unique=True))
+    payload = entries(draw(st.sampled_from(PAYLOAD_SIZES)))
+    if draw(st.booleans()):
+        slope, const = draw(st.sampled_from(xstars)), draw(payload)
+        finite = lambda p: (lambda v: v if v == v else math.inf)(dot(p, slope) + const)  # inf·0
+    else:
+        finite = lambda p: draw(payload)
+    f = SampledFn(grid, draw(product_values(grid, len(X), finite)))
+    on_a_point = st.tuples(st.sampled_from(grid.points), st.sampled_from(ustars)).map(lambda q: dot(*q))
+    alpha = payload | on_a_point | (st.sampled_from([math.inf, math.nan]) if special else st.nothing())
+    alphas = draw(st.lists(alpha, min_size=1, max_size=3, unique_by=repr))
+    picks = draw(st.lists(st.tuples(st.sampled_from(xstars), st.sampled_from(ustars), st.sampled_from(alphas)),
+                          min_size=1, max_size=8, unique_by=repr))
+    wg = DualGrid(dict.fromkeys(DualPoint(*pick) for pick in picks), "float")
+    if draw(st.booleans()) and _split_dom(f)[0] is not None:
+        try:
+            g = c_conjugate(f, wg)
+        except NaNError:
+            g = SampledFn(wg, [POS_INF] * len(wg))
+    else:
+        g = SampledFn(wg, draw(ext_values(len(wg), "float", payload.filter(math.isfinite))))
+    wy = DualGrid(dict.fromkeys(DualPoint(w.xstar[dx:], w.ustar[dx:], w.alpha) for w in wg.points), "float")
+    return f, wg, g, grid, wy
+
+
+def lift_outcomes(case):
+    """Rendered, or the class of what they raised: the c-sweep's values and
+    attaining rows, the c'-sweep's values, the boundary scan's rows."""
+    f, wg, g, grid, _ = case
+    rows, values = swept(one_row, f, wg), swept(cprime_conjugate, g, grid)
+    return rows, values, [(space, rendered(p), w) for space, p, w in boundary_rows(case)]
+
+
+def boundary_rows(case):
+    """The boundary scan of the case's Y and X x Y."""
+    _, wg, _, grid, wy = case
+    P = SimpleNamespace(y_grid=grid.factors[1], dual_y_grid=wy, product=grid, full_dual_grid=wg)
+    return problemio.boundary_coincidences(P)
+
+
+def expected_lifts(case):
+    """Per pass that asks ``_prepared``, whether ``certified`` lifts it: the
+    c-sweep and the c'-sweep of a non-constant function, then the scan of
+    Y and of the product."""
+    f, wg, g, grid, wy = case
+    out = []
+    for h, duals in ((f, [(w, None) for w in wg.points]), (g, None)):
+        dom, _ = _split_dom(h)
+        if dom is None:
+            continue
+        ws, payloads = ([w for w, _ in duals], [v for _, v in dom]) if duals else (
+            [w for w, _ in dom], [v for _, v in dom])
+        out.append(certified(grid.points, ([w.ustar for w in ws], [w.xstar for w in ws]),
+                             ([w.alpha for w in ws], payloads)))
+    for points, ws in ((grid.factors[1].points, wy.points), (grid.points, wg.points)):
+        out.append(certified(points, ([w.ustar for w in ws],), ([w.alpha for w in ws],)))
+    return out
+
+
+def dyadic_case(values, duals, g_values, xs=(-1.0, 0.5), ys=(-0.0, 0.25)):
+    """An example of lift_case on the 1-D x 1-D product of xs and ys."""
+    X, Y = Grid(1, [(x,) for x in xs], "float"), Grid(1, [(y,) for y in ys], "float")
+    grid = product_grid(X, Y)
+    wg = DualGrid([DualPoint.of(x, u, a, "float") for x, u, a in duals], "float")
+    wy = DualGrid(dict.fromkeys(DualPoint(w.xstar[1:], w.ustar[1:], w.alpha) for w in wg.points), "float")
+    return SampledFn(grid, values), wg, SampledFn(wg, g_values), grid, wy
+
+
+# The affine f = <p, (1, 1)>, whose slope is an x*, on grids with -0.0:
+# its four terms tie at 0, the first 0.0 - -0.0 at the payload -0.0.
+SIGNED_ZERO_TIES = dyadic_case(
+    [ExtReal(-0.0), ExtReal(0.25), ExtReal(0.5), ExtReal(0.75)],
+    [((1.0, 1.0), (0.0, 0.0), 1.0), ((0.0, 1.0), (0.0, 0.0), 1.0)],
+    [ExtReal(-0.0), ExtReal(0.0)],
+    xs=(-0.0, 0.5),
+)
+# <(0.5, 0.25), (1, 2)> = 1 = alpha: (0.5, 0.25) lies on the boundary of
+# the first gate, which it shuts in both sweeps.
+ON_A_FLOAT_BOUNDARY = dyadic_case(
+    [ExtReal(0.0)] * 4,
+    [((1.0, 0.0), (1.0, 2.0), 1.0), ((0.0, 1.0), (0.0, 1.0), 0.5)],
+    [ExtReal(0.0), ExtReal(-0.25)],
+)
+# Coordinates and slopes near 2^26 and payloads of 2^52: the sweeps' B
+# passes 2^53, and the flat term 2^53 + 2^26 - 3 at (2^26, 2^26) rounds;
+# the scans' u* = 0, so they lift.
+PAST_THE_BOUND = dyadic_case(
+    [ExtReal(2.0 ** 52), ExtReal(3.0), ExtReal(-(2.0 ** 52)), POS_INF],
+    [((2.0 ** 26, 2.0 ** 26 + 1), (0.0, 0.0), 1.0)],
+    [ExtReal(2.0 ** 52)],
+    xs=(2.0 ** 26, 1.0), ys=(0.0, 2.0 ** 26),
+)
+
+
+class TestFloatLift:
+    """Float sweeps and scans lifted onto ints give, byte for byte, what
+    the same passes give on the floats as given, and they lift exactly
+    when ``certified`` says no IEEE operation of the pass can round."""
+
+    @given(lift_case())
+    @example(SIGNED_ZERO_TIES)
+    @example(ON_A_FLOAT_BOUNDARY)
+    @example(PAST_THE_BOUND)
+    @settings(max_examples=300, deadline=None)
+    def test_lifted_passes_match_the_flat_ones(self, case):
+        with scaling_log() as log:
+            lifted_outcomes = lift_outcomes(case)
+        with unlifted(), scaling_log() as flat:
+            assert lift_outcomes(case) == lifted_outcomes
+        assert log == expected_lifts(case) and not any(flat)
+
+    def test_the_examples_reach_what_they_name(self):
+        with scaling_log() as log:
+            (tied, other), _, scan = lift_outcomes(SIGNED_ZERO_TIES)
+        assert log == [True] * 4
+        assert tied == (rendered(ExtReal(0.0)), rendered(((-0.0, -0.0), -0.0)))  # the first of four ties
+        f, wg, g, grid, _ = ON_A_FLOAT_BOUNDARY
+        with scaling_log() as log:
+            assert c_conjugate(f, wg).values[0] == POS_INF
+            assert cprime_conjugate(g, grid).values[3] == POS_INF
+            assert [p for _, p, _ in boundary_rows(ON_A_FLOAT_BOUNDARY)] == [(0.5, 0.25)]
+        assert log == [True] * 4
+        with scaling_log() as log:
+            lift_outcomes(PAST_THE_BOUND)
+        assert log == [False, False, True, True]
+
+    def test_the_bound_is_strict(self):
+        """B = 1·2^26·2^26 + 1·alpha: 2^53 - 1 lifts, 2^53 does not."""
+        grid = Grid(1, [(2.0 ** 26,)], "float")
+        for alpha, lifts in ((2.0 ** 52 - 1, True), (2.0 ** 52, False)):
+            D, _, _ = _prepared(grid, ([(2.0 ** 26,)],), ([alpha],))
+            assert (D is not None) is lifts is certified(grid.points, ([(2.0 ** 26,)],), ([alpha],))
+
+    def test_the_scale_is_capped_at_2_to_the_500(self):
+        for k, lifts in ((500, True), (501, False)):
+            tiny = 2.0 ** -k
+            grid = Grid(1, [(tiny,), (3 * tiny,)], "float")
+            D, _, _ = _prepared(grid, ([(2.0 ** -480,)],), ([0.0],))
+            assert (D == 2 ** 500 if lifts else D is None), k
+
+    @pytest.mark.parametrize("entry", [1 / 3, 0.1, math.inf, -math.inf, math.nan])
+    def test_what_no_int_holds_stays_as_given(self, entry):
+        grid = product_grid(Grid(1, [(0.0,), (1.0,)], "float"), Grid(1, [(0.5,)], "float"))
+        for duals, scalars in ((([(entry, 1.0)],), ([1.0],)), (([(1.0, 0.0)],), ([entry],))):
+            D, blocks, given = _prepared(grid, duals, scalars)
+            assert D is None and blocks == [(grid.points, *duals), (((),), [()])] and given == scalars
+        assert _prepared(grid, ([(1.0, 1.0)],), ([1.0],))[0] == 2
+
+    def test_the_sampler_keeps_floats_as_given(self):
+        grid = product_grid(Grid(1, [(0.0,), (1.0,)], "float"), Grid(1, [(0.5,)], "float"))
+        assert _prepared(grid)[0] is None
+        assert _prepared(grid, ([(1.0, 1.0)],))[0] == 2
+
+
+class TestDualPointHash:
+    def test_a_dual_grid_hashes_each_point_once(self):
+        """Counts only: building a grid and looking every point up hashes
+        each Fraction field of each point once."""
+        points = [DualPoint.of((k, 1), (0, k), Fraction(k, 3)) for k in range(4)]
+        points += [DualPairPoint.of((k,), (1,), (0,), (k,), 1) for k in range(4)]
+        hashed, real = [], Fraction.__hash__
+
+        def counted(self):
+            hashed.append(self)
+            return real(self)
+
+        with mock.patch.object(Fraction, "__hash__", counted):
+            grid = DualGrid(points)
+            for i, p in enumerate(points):
+                assert grid.index_of(p) == i and p in grid and hash(p) == hash(p)
+        assert len(hashed) == 5 * len(points)
+        with pytest.raises(ValueError, match="duplicate dual point"):
+            DualGrid(points + [DualPoint.of((0, 1), (0, 0), 0)])
+
+    def test_equality_and_hash_are_those_of_the_fields(self):
+        a, b = DualPoint.of((1,), (2,), 3), DualPoint.of((1,), (2,), 3)
+        assert hash(a) == hash(((Fraction(1),), (Fraction(2),), Fraction(3)))
+        assert a == b and hash(b) == hash(a) and a is not b
+        assert a != dataclasses.replace(a, alpha=Fraction(4))
+        assert hash(dataclasses.replace(a, alpha=Fraction(4))) == hash(((Fraction(1),), (Fraction(2),), Fraction(4)))
+        assert repr(a) == "DualPoint(xstar=(Fraction(1, 1),), ustar=(Fraction(2, 1),), alpha=Fraction(3, 1))"
+        pair = DualPairPoint.of((1,), (0,), (2,), (0,), 3)
+        assert hash(pair) == hash(tuple(getattr(pair, f.name) for f in dataclasses.fields(pair)))
+        assert pair.flatten() == DualPoint.of((1, 0), (2, 0), 3) and pair != pair.flatten()
+        assert {a: 1}[b] == 1 and len({a, b, pair}) == 2

@@ -35,16 +35,20 @@ from econvex.funcrep import (
 
 from helpers import (
     CATALOG_PROBLEMS,
+    LIFT_PROBLEMS,
     built_extreals,
     COEFFICIENT_VALUES,
     SMALL,
     SMALL_VALUES,
     catalog_problem,
+    certified,
     drawn_from,
     evaluate,
     expressions,
     ext_values,
     float_twin,
+    lifted,
+    twin,
 )
 
 LEQ_ZERO = EPolyhedron(1, [Halfspace((Fraction(1),), Fraction(0), False)])  # {t <= 0}
@@ -569,13 +573,14 @@ def prepared_log():
 
 class TestOnePreparedPerPass:
     """Counts only: phi's sampler, the two sweeps and each space of the
-    boundary scan ask ``_prepared`` once per call; a rational product is
-    cut on its factors over a scale, a float one flat with none."""
+    boundary scan ask ``_prepared`` once per call.  A rational product is
+    cut on its factors over a scale, and so is a dyadic float one except
+    in the sampler; thirds' float product is cut flat with none."""
 
-    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("name", LIFT_PROBLEMS)
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_every_pass_asks_once(self, name, backend):
-        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        P = twin(name, backend)
         passes = []
         for attr, conjugated in (("phi_on_product", None), ("psi", "phi_on_product"), ("psi_prime", "psi")):
             swept = conjugated is None or _split_dom(getattr(P, conjugated))[0] is not None
@@ -589,12 +594,21 @@ class TestOnePreparedPerPass:
         passes += log
         assert {caller for caller, *_ in passes} <= {"_sample", "_c_conjugate_rows",
                                                       "cprime_conjugate", "boundary_coincidences"}
-        for _, grid, D, Y in passes:
-            if backend == "float":
-                assert D is None and Y == ((),)
-            else:
+        for caller, grid, D, Y in passes:
+            if backend == "rational" or caller != "_sample" and lifted(name, backend):
                 widths = [P.y_grid.dim] * len(P.y_grid) if grid is P.product else [0]
                 assert D is not None and [len(y) for y in Y] == widths
+            else:
+                assert D is None and Y == ((),)
+
+    def test_the_certificate_refuses_the_thirds_float_twin(self):
+        """Every sweep and scan of thirds' float twin reads a double of 1/3,
+        whose denominator 2^54 puts B past 2^53."""
+        P = twin("thirds", "float")
+        for grid, ws in ((P.y_grid, P.dual_y_grid), (P.product, P.full_dual_grid)):
+            assert not certified(grid.points, ([w.ustar for w in ws], [w.xstar for w in ws]),
+                                 ([w.alpha for w in ws],))
+            assert funcrep._prepared(grid, ([w.ustar for w in ws],), ([w.alpha for w in ws],))[0] is None
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_points_of_unequal_lengths_raise(self, backend):
@@ -602,6 +616,17 @@ class TestOnePreparedPerPass:
         for expr in (X_ONLY, Sum(())):
             with pytest.raises(ValueError):
                 PerturbFn(1, 1, expr=expr).sample(points, backend)
+
+
+class TestPlainPoints:
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_plain_points_take_the_backend(self, backend):
+        """Uncoerced points are sampled in the backend asked for, as
+        coerced ones are: ints read as Fractions in the rational one."""
+        phi = PerturbFn(1, 1, expr=Affine.of((1,), (2,)))
+        (value,) = phi.sample([(1, 1)], backend)
+        assert value == phi.value(1, 1, backend) == ExtReal(scalar(3, backend))
+        assert value.value.__class__ is (Fraction if backend == "rational" else float)
 
 
 class TestOneExtRealPerPoint:

@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     CATALOG_PROBLEMS,
+    LIFT_PROBLEMS,
     abs_pair_problem,
     built_extreals,
     catalog_problem,
     drawn_from,
     fenchel_abs_wide_grid,
     float_twin,
+    lifted,
     random_problem,
     reference_c_conjugate,
     scalar,
     scaling_log,
     slice_path_log,
+    twin,
     with_plain_scalar,
 )
 
@@ -390,15 +393,16 @@ class TestYSideWorkOncePerProblem:
     """Counts only: the table and the check do their Y-side work once per
     problem, not once per x."""
 
-    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("name", LIFT_PROBLEMS)
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_the_table_asks_for_one_scale(self, name, backend):
-        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+        """One sweep of all slices, on ints unless the float twin is thirds'."""
+        P = twin(name, backend)
         P.phi_on_product
         with scaling_log() as log:
             L = CLagrangian(P)
         swept = any(_split_dom(sl)[0] is not None for sl in L.slices)
-        assert log == [backend == "rational"] * swept
+        assert log == [lifted(name, backend)] * swept
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_doubling_the_x_grid_takes_no_more_columns(self, backend, monkeypatch):

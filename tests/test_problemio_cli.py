@@ -23,6 +23,7 @@ from econvex.funcrep import Grid, PerturbFn
 from helpers import (
     CATALOG_PROBLEMS,
     WIDE_FRACTIONS,
+    certified,
     fenchel_abs_duality_grid,
     random_problem,
     scaling_log,
@@ -544,7 +545,9 @@ class TestBoundaryScan:
     def test_float_product_matches_definition(self, P):
         with scaling_log() as log:
             rows = problemio.boundary_coincidences(P)
-        assert log == [False, False]  # both scans use the values as given
+        # each scan runs on ints exactly when no float operation can round
+        assert log == [certified(grid.points, ([w.ustar for w in ws],), ([w.alpha for w in ws],))
+                       for grid, ws in ((P.y_grid, P.dual_y_grid), (P.product, P.full_dual_grid))]
         assert rows == definitional_coincidences(P)
 
     def test_a_float_product_point_is_tested_as_a_sum(self):
