@@ -65,6 +65,9 @@ definitional reference.  ``subdifferential.conjugate_value`` and
 ``prime_conjugate_value`` feed them one dual point against every grid
 point, or one grid point against every dual point, and
 ``lagrangian.dual_slice_audit`` each dual point's coupling column over Y.
+``_check_ints`` is the checks' own scaling, apart from ``_prepared``: the
+slice audit, the subdifferential memberships, the transfer audit and
+the convexity witness read their exact inputs as ints through it.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import nan
+from math import lcm, nan
 from operator import add, sub
 from typing import Iterable, Sequence, Tuple
 
@@ -551,6 +554,40 @@ def _sup_minus(couplings, rows, d=None) -> ExtReal:
         if best is None or term > best:
             best = term
     return NEG_INF if best is None else _value(best if d is None else Fraction(best, d))
+
+
+def _check_ints(points, duals=(), tables=(), scalars=()):
+    """(d, points, duals, tables, scalars) as a definitional check reads
+    them, scaled by the check itself and never by ``funcrep._prepared``.
+
+    When every coordinate of the points, every x*, u* and alpha of the
+    dual points, every finite payload of the tables' tagged rows and every
+    scalar is a Fraction or an int, d is the lcm of their denominators:
+    points and slopes come back times d, alphas, payloads and scalars
+    times d², all ints, so ``_coupling`` of a scaled pair is d² times the
+    coupling behind the same gate.  Otherwise d is None and all come back
+    as given."""
+    duals = list(duals)
+    values = [c for p in points for c in p]
+    values += [c for w in duals for c in (*w.xstar, *w.ustar, w.alpha)]
+    values += [p for rows in tables for tag, p in rows if tag == "f"] + list(scalars)
+    if not all(c.__class__ is Fraction or c.__class__ is int for c in values):
+        return None, points, duals, tables, scalars
+    d = lcm(*{c.denominator for c in values})
+    dd = d * d
+
+    def times(c, k):
+        return None if c is None else c.numerator * (k // c.denominator)
+
+    def vec(v):
+        return tuple(times(c, d) for c in v)
+    return (
+        d,
+        [vec(p) for p in points],
+        [DualPoint(vec(w.xstar), vec(w.ustar), times(w.alpha, dd)) for w in duals],
+        [[(tag, times(p, dd)) for tag, p in rows] for rows in tables],
+        [times(s, dd) for s in scalars],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -47,15 +47,14 @@ arbitrary coupling space is intentionally not provided here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional, Tuple
 
 from econvex import extreal, funcrep
 from econvex.conjugation import (
     DualPoint,
     _c_conjugate_rows,
+    _check_ints,
     _classify,
     _coupling,
     _sup_minus,
@@ -177,40 +176,20 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     the definition: each dual point's coupling column over Y is taken
     once, and each (x, w) is its own ``_sup_minus`` of the column against
     the slice, one term per y, grouped by no slope.  When every y
-    coordinate, slope, alpha and finite payload is exact (a Fraction or
-    an int), y and the slopes are scaled by d, the lcm of all their
-    denominators, and alpha and the payloads by d², here and not by the
-    kernel's scaling, so ``_coupling`` gives d²·coupling as an int and
-    each finite cell is one Fraction(best, d²); otherwise the values are
-    taken as given.  ``rows`` holds phi(x, .)^c per x, in x-grid order.
+    coordinate, slope, alpha and finite payload is exact, the check's own
+    ``_check_ints`` scale d, not the kernel's, makes ``_coupling`` give
+    d²·coupling as an int and each finite cell one Fraction(best, d²);
+    otherwise the values are taken as given.  ``rows`` holds
+    phi(x, .)^c per x, in x-grid order.
     """
     L = lagrangian_table(P)
-    ys, ws = P.y_grid.points, P.dual_y_grid.points
-    slices = [_classify(sl.values) for sl in L.slices]
-    d = _scale([c for y in ys for c in y] + [c for w in ws for c in (*w.xstar, *w.ustar, w.alpha)]
-               + [p for sl in slices for tag, p in sl if tag == "f"])
+    d, ys, ws, slices, _ = _check_ints(
+        P.y_grid.points, P.dual_y_grid.points, [_classify(sl.values) for sl in L.slices])
     dd = None if d is None else d * d
-    if d is not None:
-        ys = [tuple(_times(c, d) for c in y) for y in ys]
-        ws = [DualPoint(*(tuple(_times(c, d) for c in v) for v in (w.xstar, w.ustar)),
-                        _times(w.alpha, dd)) for w in ws]
-        slices = [[(tag, _times(p, dd)) for tag, p in sl] for sl in slices]
     columns = [[_coupling(y, w) for y in ys] for w in ws]
     rows = tuple(tuple(_sup_minus(column, sl, dd) for column in columns) for sl in slices)
     ok = all(-cell == conj for row, conjs in zip(L.rows, rows) for cell, conj in zip(row, conjs))
     return {"ok": ok, "rows": rows}
-
-
-def _scale(values):
-    """The lcm of the denominators if every value is a Fraction or an int."""
-    if all(c.__class__ is Fraction or c.__class__ is int for c in values):
-        return lcm(*{c.denominator for c in values})
-    return None
-
-
-def _times(c, d):
-    """c·d as an int, d a multiple of the exact c's denominator."""
-    return None if c is None else c.numerator * (d // c.denominator)
 
 
 def minimax_ok(P: PerturbationProblem) -> bool:
@@ -303,17 +282,15 @@ def find_convexity_violation(
 
     +inf endpoints never witness a violation; a -inf endpoint forces the
     chord to -inf, so any finite middle value violates.  Finite triples
-    are tested in exact cross-multiplied form: in ints times the lcm of
-    every denominator when each x and finite value is a Fraction or an int,
-    on the values as given otherwise.  The x objects are returned as given.
+    are tested in exact cross-multiplied form, which is homogeneous: on
+    the ints of ``_check_ints`` (x times d, values times d²) when each x
+    and finite value is exact, on the values as given otherwise.  The x
+    objects are returned as given.
     """
     rows = sorted(values, key=lambda r: r[0])
     points = [x for x, _ in rows]
-    tags = _classify(v for _, v in rows)
-    xs, d = points, _scale(points + [p for tag, p in tags if tag == "f"])
-    if d is not None:
-        xs = [_times(x, d) for x in points]
-        tags = [(tag, _times(p, d)) for tag, p in tags]
+    _, xs, _, (tags,), _ = _check_ints([(x,) for x in points], (), [_classify(v for _, v in rows)])
+    xs = [x for x, in xs]
     n = len(rows)
     for i in range(n):
         t1, v1 = tags[i]

@@ -9,8 +9,19 @@ Every membership question is answered by that one rule, :func:`_member`,
 read off a conjugate that is computed once per function and dual grid --
 the problem's cached ``f0_conj``, ``psi_block_min`` and ``g_on_dual_y``, or
 one ``c_conjugate`` sweep when :func:`eps_c_subdifferential` is given a
-function and a dual grid -- instead of a fresh pass per pair.  The definitional
-tests :func:`is_c_subgradient` and :func:`is_cprime_subgradient` and the
+function and a dual grid -- instead of a fresh pass per pair.  The rule
+reads tagged payloads (``conjugation._classify``) and a raw coupling
+(``conjugation._coupling``, None for +inf), so no ExtReal is built per
+pair.  When every coordinate, slope, alpha, finite payload and eps is
+exact, the check scales them itself (``conjugation._check_ints``: points
+and slopes times d, the rest times d²) and each pair is a few int
+compares and adds; otherwise it takes the values as given, where IEEE
+``+`` and ``<=`` are those of ExtReal, a coupling that overflows is not
+finite, and finite values of two backends raise BackendMismatchError.
+The scale is the check's own, never the kernel's ``funcrep._prepared``,
+so one fault cannot reach both a conjugate and the check reading it.
+The definitional tests
+:func:`is_c_subgradient` and :func:`is_cprime_subgradient` and the
 single-point conjugates stay as public references; the differential tests
 hold the fast routes to them.
 
@@ -36,12 +47,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import inf
 from typing import Iterator, Optional, Tuple
 
+from econvex import conjugation, funcrep
 from econvex.conjugation import DualGrid, DualPoint, c_conjugate, coupling_c
-from econvex.conjugation import _classify, _coupling, _sup_minus
+from econvex.conjugation import _check_ints, _classify, _sup_minus
 from econvex.duality import PerturbationProblem
-from econvex.extreal import ExtReal, scalar
+from econvex.extreal import BackendMismatchError, ExtReal, NaNError, scalar
 from econvex.funcrep import SampledFn
 
 __all__ = [
@@ -74,12 +88,12 @@ class SubdiffSet:
 
 def conjugate_value(f: SampledFn, w: DualPoint) -> ExtReal:
     """f^c at a single dual point, by the definitional sweep."""
-    return _sup_minus((_coupling(p, w) for p in f.grid.points), _classify(f.values))
+    return _sup_minus((conjugation._coupling(p, w) for p in f.grid.points), _classify(f.values))
 
 
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
     """g^{c'} at a single primal point, by the definitional sweep."""
-    return _sup_minus((_coupling(x, w) for w in g.grid.points), _classify(g.values))
+    return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), _classify(g.values))
 
 
 def _zero_eps(f: SampledFn):
@@ -92,10 +106,48 @@ def _on_grid(f: SampledFn, x0):
     return x0, f.value_at(x0)
 
 
-def _member(fx0: ExtReal, conj_w: ExtReal, cx0: ExtReal, eps) -> bool:
-    """w in the eps-subdifferential of f at x0, from f(x0), f^c(w) and
-    c(x0, w): both finite, and f(x0) + f^c(w) <= c(x0, w) + eps."""
-    return fx0.is_finite and cx0.is_finite and fx0 + conj_w <= cx0 + ExtReal(eps)
+def _member(fx, conj, c, eps) -> bool:
+    """w in the eps-subdifferential of f at x0, from the tagged rows of
+    f(x0) and f^c(w), the raw coupling c = c(x0, w) (None for +inf) and
+    eps, all of one scale or all as given: f(x0) and c finite, and
+    f(x0) + f^c(w) <= c + eps with the +-inf conventions."""
+    (ftag, fv), (gtag, gv) = fx, conj
+    return ftag == "f" and c is not None and (
+        gtag == "-" or (fv + gv if gtag == "f" else inf) <= c + eps)
+
+
+def _as_given(couplings, values) -> list:
+    """Raw couplings on values as given, read as ``coupling_c`` reads
+    them: one that overflowed to +-inf is not finite (None).  As ExtReal
+    arithmetic does, NaN raises NaNError, and finite couplings and values
+    (those the check adds and compares) that mix floats with Fractions or
+    ints raise BackendMismatchError."""
+    out = [None if c.__class__ is float and abs(c) == inf else c for c in couplings]
+    values = [c for c in out if c is not None] + list(values)
+    if any(v != v for v in values):
+        raise NaNError("NaN has no extended-real meaning")
+    if len({v.__class__ is float for v in values}) > 1:
+        raise BackendMismatchError("cannot compare rational-backed and float-backed values")
+    return out
+
+
+def _finite(tables):
+    """The finite payloads of the tables' tagged rows."""
+    return [p for rows in tables for tag, p in rows if tag == "f"]
+
+
+def _memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
+    """Per dual point, given f^c there, whether it is in the
+    eps-subdifferential of f at the grid point x0, where f is fx0: one
+    raw coupling per dual point, on the check's own ints when every input
+    is exact and on the values as given otherwise."""
+    d, (x,), ws, tables, (e,) = _check_ints([x0], duals, [_classify([fx0]), _classify(conjs)], [eps])
+    coupling = conjugation._coupling
+    cs = [coupling(x, w) for w in ws]
+    if d is None:
+        cs = _as_given(cs, _finite(tables) + [e])
+    (fx,), conjs = tables
+    return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
 
 
 def is_c_subgradient(f: SampledFn, x0, w: DualPoint, eps=None) -> bool:
@@ -126,15 +178,14 @@ def is_c_subgradient_via_conjugate(
     if eps is None:
         eps = _zero_eps(f)
     x0, fx0 = _on_grid(f, x0)
-    return _member(fx0, f_conj_at_w, coupling_c(x0, w), eps)
+    return _memberships(x0, fx0, [w], [f_conj_at_w], eps)[0]
 
 
 def _members(f: SampledFn, x0, eps, f_conj: SampledFn) -> Tuple[DualPoint, ...]:
     """The dual points of f_conj's grid in the eps-subdifferential at x0."""
     x0, fx0 = _on_grid(f, x0)
-    return tuple(
-        w for w, conj in f_conj.items() if _member(fx0, conj, coupling_c(x0, w), eps)
-    )
+    duals = f_conj.grid.points
+    return tuple(compress(duals, _memberships(x0, fx0, duals, f_conj.values, eps)))
 
 
 def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
@@ -181,19 +232,28 @@ def transfer_audit(f: SampledFn, f_conj: SampledFn, f_biconj: SampledFn) -> Tran
     dual grid and f_biconj = (f_conj)^{c'} on f's grid, and sweeps
     neither again: w is in the subdifferential of f at x by the conjugate
     rule, and x in that of f^c at w iff c(x, w) is finite and
-    f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w) finite too.
+    f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w) finite too.  Every
+    (x, w) is its own coupling and its own two tests, grouped by no
+    slope, on the ints of one ``_check_ints`` scale for all pairs when
+    the inputs are exact and on the values as given otherwise.
     """
     if len(f_biconj.values) != len(f.values):
         raise ValueError("f_biconj must lie on the grid of f")
     surrogate = f_biconj.values == f.values
-    zero = _zero_eps(f)
+    d, xs, ws, tables, (zero,) = _check_ints(
+        f.grid.points, f_conj.grid.points, [_classify(g.values) for g in (f, f_conj, f_biconj)],
+        [_zero_eps(f)])
+    coupling = conjugation._coupling
+    cs = [coupling(x, w) for x in xs for w in ws]
+    if d is None:
+        cs = _as_given(cs, _finite(tables) + [zero])
+    fs, conjs, hulls = tables
     forward_ok = True
     counterexamples = []
-    for x, fx, hull_x in zip(f.grid.points, f.values, f_biconj.values):
-        for w, conj in f_conj.items():
-            cxw = coupling_c(x, w)
-            primal = _member(fx, conj, cxw, zero)
-            dual = cxw.is_finite and conj + hull_x == cxw
+    for x, fx, (htag, hv), row in zip(f.grid.points, fs, hulls, funcrep.rows(cs, len(xs))):
+        for w, conj, c in zip(f_conj.grid.points, conjs, row):
+            primal = _member(fx, conj, c, zero)
+            dual = c is not None and conj[0] == htag == "f" and conj[1] + hv == c
             if primal and not dual:
                 forward_ok = False
             if dual and not primal:
@@ -221,11 +281,10 @@ def _embedded_memberships(P: PerturbationProblem) -> Iterator[Tuple[Tuple, DualP
     G = g_on_dual_y.  Grid points are finite, so a float dot is +-0.0,
     which compares as 0."""
     zero = _zero_eps(P.f0)
-    coupling = ExtReal(zero)
-    duals = list(P.g_on_dual_y.items())
-    for x, fx0 in P.f0.items():
+    duals = list(zip(P.g_on_dual_y.grid.points, _classify(P.g_on_dual_y.values)))
+    for x, fx0 in zip(P.f0.grid.points, _classify(P.f0.values)):
         for w, conj in duals:
-            yield x, w, _member(fx0, conj, coupling, zero)
+            yield x, w, _member(fx0, conj, zero, zero)
 
 
 def total_duality_certificate(

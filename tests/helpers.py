@@ -2,11 +2,12 @@
 
 import copy
 import dataclasses
+import importlib
 import json
 import math
 import random
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -31,7 +32,7 @@ from econvex.funcrep import (
 )
 from econvex.subdifferential import conjugate_value, prime_conjugate_value
 
-from econvex import catalog, extreal, funcrep, lagrangian, problemio
+from econvex import catalog, extreal, funcrep, problemio
 
 
 QUARTERS = st.integers(-12, 12).map(lambda k: Fraction(k, 4))
@@ -138,33 +139,70 @@ def reference_cprime_conjugate(g, x_grid):
     return SampledFn(x_grid, [prime_conjugate_value(g, x) for x in x_grid.points])
 
 
+def _numbers(value):
+    """The numbers a term was given: tuples, lists and dual points are
+    opened, and tags (strings) and None (+inf) are skipped."""
+    if value is None or isinstance(value, str):
+        return
+    if isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _numbers(v)
+    elif isinstance(value, DualPoint):
+        yield from _numbers((value.xstar, value.ustar, value.alpha))
+    else:
+        yield value
+
+
 @contextmanager
-def slice_path_log():
-    """A list recording, per ``lagrangian.dual_slice_audit`` called through
-    the module inside the block, whether its terms ran on ints (True) or
-    on the values as given (False): True when every ``_sup_minus`` call of
-    the check got a scale and only int couplings and payloads.  A check
-    that mixed the two paths, or made no call, records None."""
-    log = []
-    real_audit, real_sup = lagrangian.dual_slice_audit, lagrangian._sup_minus
+def route_log(check, *terms):
+    """A list recording, per call of ``check`` (``"module.function"`` of
+    econvex) made through its module inside the block, the route its
+    terms took: True when its one ``_check_ints`` call gave a scale and
+    every call of each term (``"module.function"``) was given ints, and
+    None, only; False when that call gave no scale, so the check took the
+    values as given.  A check that asked for a scale more or less than
+    once, or scaled and still gave a term a Fraction or a float, records
+    None."""
+    module_name, name = check.split(".")
+    module = importlib.import_module(f"econvex.{module_name}")
+    log, real_check, real_ints = [], getattr(module, name), module._check_ints
+    calls = None  # (scales, term paths) of the running check
 
-    def audit(P):
-        paths = set()
-
-        def sup_minus(couplings, rows, d=None):
-            payloads = [p for _, p in rows]
-            paths.add(d is not None and all(
-                c is None or c.__class__ is int for c in [*couplings, *payloads]
-            ))
-            return real_sup(couplings, rows, d)
-
-        with mock.patch.object(lagrangian, "_sup_minus", sup_minus):
-            out = real_audit(P)
-        log.append(paths.pop() if len(paths) == 1 else None)
+    def check_ints(*args):
+        out = real_ints(*args)
+        if calls is not None:
+            calls[0].append(out[0] is not None)
         return out
 
-    with mock.patch.object(lagrangian, "dual_slice_audit", audit):
+    def term(real):
+        def counted(*args):
+            if calls is not None:
+                calls[1].append(all(c.__class__ is int for c in _numbers(args)))
+            return real(*args)
+        return counted
+
+    def audited(*args):
+        nonlocal calls
+        calls = [], []
+        try:
+            out = real_check(*args)
+        finally:
+            (scales, paths), calls = calls, None
+        if scales == [False]:
+            log.append(False)
+        else:
+            log.append(True if scales == [True] and all(paths) else None)
+        return out
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(module, name, audited))
+        stack.enter_context(mock.patch.object(module, "_check_ints", check_ints))
+        for qualified in terms:
+            owner, attr = qualified.split(".")
+            owner = importlib.import_module(f"econvex.{owner}")
+            stack.enter_context(mock.patch.object(owner, attr, term(getattr(owner, attr))))
         yield log
+
 
 @contextmanager
 def built_extreals():

@@ -21,7 +21,7 @@ from helpers import (
     reference_c_conjugate,
     scalar,
     scaling_log,
-    slice_path_log,
+    route_log,
     twin,
     with_plain_scalar,
 )
@@ -343,6 +343,10 @@ def gate_boundary_case(draw):
     return PerturbationProblem(P.phi, P.x_grid, P.y_grid, dual_y)
 
 
+# The slice check and its terms, for ``route_log``.
+SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._sup_minus")
+
+
 class TestIntegerSliceCheck:
     """The check's int terms against ``_sup_minus`` on the values as given,
     one (x, w) at a time, and the path each problem takes.  The check
@@ -355,7 +359,7 @@ class TestIntegerSliceCheck:
     @example(nan_gate_case())
     @settings(max_examples=300, deadline=None)
     def test_rows_are_sup_minus_per_cell(self, P):
-        with slice_path_log() as paths:
+        with route_log(*SLICE_CHECK) as paths:
             rows = lagrangian.dual_slice_audit(P)["rows"]
         columns = [[_coupling(y, ww) for y in P.y_grid.points] for ww in P.dual_y_grid.points]
         inputs = [c for y in P.y_grid.points for c in y]
@@ -377,7 +381,7 @@ class TestIntegerSliceCheck:
             raise AssertionError("the check reached the kernel's scaling")
 
         monkeypatch.setattr(funcrep, "_prepared", refuse)
-        with scaling_log() as scaled, slice_path_log() as paths:
+        with scaling_log() as scaled, route_log(*SLICE_CHECK) as paths:
             for P in problems:
                 assert lagrangian.dual_slice_audit(P)["ok"]
         assert paths == [True, False]

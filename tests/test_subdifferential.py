@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from helpers import (
     CATALOG_PROBLEMS,
+    QUARTERS,
+    WIDE_FRACTIONS,
+    built_extreals,
     catalog_problem,
     ext_values,
     float_twin,
     random_problem,
+    route_log,
     scalar,
 )
 
-from econvex import conjugation
+from econvex import conjugation, funcrep
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
@@ -22,7 +26,8 @@ from econvex.conjugation import (
     cprime_conjugate,
     tensor_dual_grid,
 )
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.esets import dot
+from econvex.extreal import NEG_INF, POS_INF, BackendMismatchError, ExtReal
 from econvex.funcrep import Grid, PerturbFn, SampledFn
 from econvex.duality import EXACT_PASS, PerturbationProblem, c5_audit
 from econvex import subdifferential
@@ -30,6 +35,7 @@ from econvex.subdifferential import (
     _default_ladder,
     _embedded_memberships,
     _projected_full_subdiff,
+    _restriction_subdiff,
     c_subdifferential,
     conjugate_value,
     eps_c_subdifferential,
@@ -353,10 +359,27 @@ SLOPES = (0, 1, -1, 2, -2)
 
 
 def eps_values(backend):
-    """0, 1/2, 1 and 1/2 + eta_min of the default ladder."""
+    """0, 1/2, 1, 1/2 + eta_min and eta_min of the default ladder."""
     eta_min = _default_ladder(backend)[-1]
     return [scalar(Fraction(0), backend), scalar(Fraction(1, 2), backend),
-            scalar(Fraction(1), backend), scalar(Fraction(1, 2), backend) + eta_min]
+            scalar(Fraction(1), backend), scalar(Fraction(1, 2), backend) + eta_min, eta_min]
+
+
+def payloads(backend):
+    """Finite values: quarters, and wide fractions in the rational backend
+    (float sums of those would round, and the two routes with them)."""
+    return QUARTERS | WIDE_FRACTIONS if backend == "rational" else QUARTERS
+
+
+def with_gate_through(draw, duals, points, backend, base=()):
+    """duals and, unless it is one of them already, a dual point whose gate
+    <p, u*> < alpha shuts exactly at p = x + base for a grid point x."""
+    x = draw(st.sampled_from(points))
+    vec = st.tuples(*[st.sampled_from(SLOPES)] * (len(x) + len(base)))
+    xs, us = draw(vec), draw(vec)
+    point = tuple(x) + tuple(scalar(c, backend) for c in base)
+    w = DualPoint.of(xs, us, dot(point, [scalar(c, backend) for c in us]), backend)
+    return duals if w in duals else [*duals, w]
 
 
 @st.composite
@@ -369,29 +392,34 @@ def dual_points(draw, dim, backend, alphas, max_size=8):
 
 @st.composite
 def function_case(draw):
-    """A sampled function on a 1-D or 2-D grid with a dual grid."""
+    """A sampled function on a 1-D or 2-D grid with a dual grid, one of
+    whose gates shuts exactly at a grid point."""
     backend = draw(st.sampled_from(["rational", "float"]))
     dim = draw(st.integers(1, 2))
     vec = st.tuples(*[st.sampled_from(COORDS)] * dim)
     pts = draw(st.lists(vec, min_size=1, max_size=7, unique=True))
     grid = Grid(dim, [tuple(scalar(c, backend) for c in p) for p in pts], backend)
-    f = SampledFn(grid, draw(ext_values(len(grid), backend)))
-    return f, DualGrid(draw(dual_points(dim, backend, (1, 2, 0, -1, 3, -2))), backend)
+    f = SampledFn(grid, draw(ext_values(len(grid), backend, payloads(backend))))
+    duals = draw(dual_points(dim, backend, (1, 2, 0, -1, 3, -2)))
+    return f, DualGrid(with_gate_through(draw, duals, grid.points, backend), backend)
 
 
 @st.composite
 def problem_case(draw):
-    """A table-backed problem on small 1-D x and y grids."""
+    """A table-backed problem on small 1-D x and y grids; one gate of the
+    full dual grid shuts exactly at some (x, 0)."""
     backend = draw(st.sampled_from(["rational", "float"]))
     xs = draw(st.lists(st.sampled_from(COORDS), min_size=1, max_size=4, unique=True))
     ys = [0] + draw(st.lists(st.sampled_from(COORDS[1:]), max_size=3, unique=True))
     x_grid = Grid(1, [(scalar(v, backend),) for v in xs], backend)
     y_grid = Grid(1, [(scalar(v, backend),) for v in ys], backend)
     cells = [(x, y) for x in x_grid.points for y in y_grid.points]
-    phi = PerturbFn(1, 1, table=dict(zip(cells, draw(ext_values(len(cells), backend)))))
+    values = draw(ext_values(len(cells), backend, payloads(backend)))
+    phi = PerturbFn(1, 1, table=dict(zip(cells, values)))
     dual_y = DualGrid(draw(dual_points(1, backend, (1, 2, 3))), backend)
-    pairs = DualGrid(draw(dual_points(2, backend, (1, 2, 0, -1, 3))), backend)
-    return PerturbationProblem(phi, x_grid, y_grid, dual_y, pairs)
+    pairs = draw(dual_points(2, backend, (1, 2, 0, -1, 3)))
+    pairs = with_gate_through(draw, pairs, x_grid.points, backend, base=(0,))
+    return PerturbationProblem(phi, x_grid, y_grid, dual_y, DualGrid(pairs, backend))
 
 
 def projected_scan(P, x, eps):
@@ -403,6 +431,23 @@ def projected_scan(P, x, eps):
         if is_c_subgradient(P.phi_on_product, base, flat, eps)
     }
     return tuple(w for w in P.x_side_grid.points if w in hit)
+
+
+def assert_transfer_matches_definition(f, wg):
+    """transfer_audit on f^c and f^{cc'} against the definitional tests of
+    every pair (x, w)."""
+    f_conj = c_conjugate(f, wg)
+    pairs = [(x, w) for x in f.grid.points for w in wg.points]
+    primal = {p: is_c_subgradient(f, *p) for p in pairs}
+    dual = {(x, w): is_cprime_subgradient(f_conj, w, x) for x, w in pairs}
+    hull = cprime_conjugate(f_conj, f.grid)
+    rep = transfer_audit(f, f_conj, hull)
+    assert rep.forward_ok == all(dual[p] for p in pairs if primal[p])
+    assert rep.counterexamples == tuple(p for p in pairs if dual[p] and not primal[p])
+    assert rep.pairs_checked == len(pairs)
+    assert rep.econvex_surrogate == all(
+        hull.value_at(x) == f.value_at(x) for x in f.grid.points
+    )
 
 
 class TestRoutesMatchDefinition:
@@ -418,19 +463,22 @@ class TestRoutesMatchDefinition:
     @given(function_case())
     @settings(max_examples=200, deadline=None)
     def test_transfer_audit(self, case):
-        f, wg = case
-        f_conj = c_conjugate(f, wg)
-        pairs = [(x, w) for x in f.grid.points for w in wg.points]
-        primal = {p: is_c_subgradient(f, *p) for p in pairs}
-        dual = {(x, w): is_cprime_subgradient(f_conj, w, x) for x, w in pairs}
-        hull = cprime_conjugate(f_conj, f.grid)
-        rep = transfer_audit(f, f_conj, hull)
-        assert rep.forward_ok == all(dual[p] for p in pairs if primal[p])
-        assert rep.counterexamples == tuple(p for p in pairs if dual[p] and not primal[p])
-        assert rep.pairs_checked == len(pairs)
-        assert rep.econvex_surrogate == all(
-            hull.value_at(x) == f.value_at(x) for x in f.grid.points
-        )
+        assert_transfer_matches_definition(*case)
+
+    def test_overflowing_float_couplings(self):
+        # <x, x*> is +-inf at x = +-1e308 for x* = +-4, and at the gate
+        # boundary of (., 1, 1e308): such a coupling is not finite, so no
+        # pair through it is a member on either side.
+        g = Grid(1, [(-1e308,), (0.0,), (1e308,)], "float")
+        wg = DualGrid([DualPoint.of((s,), (u,), a, "float")
+                       for s in (-4, 0, 4) for u in (0, 1) for a in (1, 1e308)], "float")
+        for values in ([ExtReal(0.0)] * 3, [ExtReal(1.0), ExtReal(0.0), ExtReal(1.0)]):
+            f = SampledFn(g, values)
+            for x0 in g.points:
+                for eps in eps_values("float"):
+                    scan = tuple(v for v in wg.points if is_c_subgradient(f, x0, v, eps))
+                    assert eps_c_subdifferential(f, x0, eps, wg).members == scan
+            assert_transfer_matches_definition(f, wg)
 
     @given(problem_case())
     @settings(max_examples=150, deadline=None)
@@ -535,6 +583,69 @@ def test_total_duality_evaluates_no_coupling(name, backend, monkeypatch):
     out = prop43_audit(P)
     assert out["certificate"] == total_duality_certificate(P)
     assert calls == []
+
+
+class TestMixedBackendsRaise:
+    """A Fraction meeting a float raises, as ExtReal arithmetic does, on
+    the route that takes the values as given."""
+
+    def test_a_float_eps_on_a_rational_problem(self, fenchel_abs):
+        P, x = fenchel_abs, (Fraction(0),)
+        checks = [
+            lambda: eps_c_subdifferential(P.f0, x, 0.5, P.x_side_grid),
+            lambda: theorem43_audit(P, x, 0.5),
+            lambda: theorem44_audit(P, x, 0.5),
+            lambda: _restriction_subdiff(P, x, 0.5),
+            lambda: is_c_subgradient_via_conjugate(P.f0, P.f0_conj.values[0], x,
+                                                   P.x_side_grid.points[0], 0.5),
+        ]
+        for check in checks:
+            with pytest.raises(BackendMismatchError):
+                check()
+
+    def test_a_rational_eps_on_a_float_problem(self):
+        P = float_twin("fenchel_abs")
+        x = (0.0,)
+        for check in (eps_c_subdifferential, lambda f, x, eps, wg: theorem43_audit(P, x, eps),
+                      lambda f, x, eps, wg: theorem44_audit(P, x, eps)):
+            with pytest.raises(BackendMismatchError):
+                check(P.f0, x, Fraction(1, 2), P.x_side_grid)
+
+    def test_the_transfer_audit_given_mixed_tables(self, fenchel_abs):
+        P, twin = fenchel_abs, float_twin("fenchel_abs")
+        with pytest.raises(BackendMismatchError):
+            transfer_audit(P.f0, twin.f0_conj, P.f0_biconj)
+        with pytest.raises(BackendMismatchError):
+            transfer_audit(twin.f0, P.f0_conj, twin.f0_biconj)
+
+
+@pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+def test_the_checks_take_their_own_ints(name, monkeypatch):
+    """Counts only.  On a rational catalog problem the transfer audit and
+    every membership sweep of the eps-formulae run on the checks' own ints
+    (every coupling and membership term gets ints), build no ExtReal and
+    never reach the kernel's scaling; on the float twin they take the
+    values as given, and build no ExtReal either."""
+    problems = catalog_problem(name), float_twin(name)
+    for P in problems:
+        P.f0_conj, P.f0_biconj, P.psi_block_min
+
+    def refuse(*args):
+        raise AssertionError("a check reached the kernel's scaling")
+
+    monkeypatch.setattr(funcrep, "_prepared", refuse)
+    terms = ("subdifferential._member", "conjugation._coupling")
+    for P, ints in zip(problems, (True, False)):
+        eps = scalar(Fraction(1, 2), P.backend)
+        with built_extreals() as built, route_log("subdifferential.transfer_audit", *terms) as \
+                transfer, route_log("subdifferential._members", *terms) as members:
+            subdifferential.transfer_audit(P.f0, P.f0_conj, P.f0_biconj)
+            for x in P.x_grid.points:
+                _restriction_subdiff(P, x, eps)
+                _projected_full_subdiff(P, x, eps)
+        assert built == []
+        assert transfer == [ints]
+        assert members == [ints] * (2 * len(P.x_grid))
 
 
 class TestLadderIsOneProjection:
