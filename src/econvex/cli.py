@@ -346,10 +346,11 @@ def cmd_lagrangian(args) -> int:
         # Each point's cells are rendered once and shared by its rows.
         x_cells = [_cells(x) for x in P.x_grid.points]
         w_cells = [_dual_cells(w) for w in P.dual_y_grid.points]
+        L, m = lagrangian_table(P), len(w_cells)
         rows = [
-            xs + ws + [_text(cell)]
-            for xs, row in zip(x_cells, lagrangian_table(P).rows)
-            for ws, cell in zip(w_cells, row)
+            xs + ws + [_text(L.cell(key))]
+            for i, xs in enumerate(x_cells)
+            for ws, key in zip(w_cells, L.keys[i * m:(i + 1) * m])
         ]
         _print_csv(header, rows)
         return EXIT_OK

@@ -63,8 +63,9 @@ of the definition, NaN and -0.0 included.
 coupling minus value, with the +-inf conventions only) are the one
 definitional reference.  ``subdifferential.conjugate_value`` and
 ``prime_conjugate_value`` feed them one dual point against every grid
-point, or one grid point against every dual point, and
-``lagrangian.dual_slice_audit`` each dual point's coupling column over Y.
+point, or one grid point against every dual point.
+``lagrangian.dual_slice_audit`` takes each dual point's ``_coupling``
+column over Y and the same sup with builtin ``max``, term by term.
 ``_check_ints`` is the checks' own scaling, apart from ``_prepared``: the
 slice audit, the subdifferential memberships, the transfer audit and
 the convexity witness read their exact inputs as ints through it.
@@ -75,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm, nan
+from math import inf, lcm, nan
 from operator import add, sub
 from typing import Iterable, Sequence, Tuple
 
@@ -377,41 +378,46 @@ class _Rows:
         return list(map(sub, x_col, least)), firsts
 
 
+_OVERFLOW = "grids.xstar/grids.ystar: <grid point, slope> overflows to NaN"
+
+
 def _value(best) -> ExtReal:
     """ExtReal(best).  A term <p, x*> - f(p) is NaN only where <p, x*> adds
     opposite infinities, so the error names the slopes."""
     try:
         return ExtReal(best)
     except NaNError:
-        raise NaNError("grids.xstar/grids.ystar: <grid point, slope> overflows to NaN") from None
+        raise NaNError(_OVERFLOW) from None
 
 
 def _c_conjugate_rows(fs, w_grid: DualGrid):
-    """Per function of fs, all on one grid, (f^c(w), attaining row) per
-    dual point, in the order of the dual grid.
+    """(D, per function of fs, all on one grid, (best, attaining row) per
+    dual point, in the order of the dual grid).
 
-    The row is the first (point, payload) of dom f, in grid order,
-    attaining the Fenchel value on a finite cell and None on a +-inf
-    cell.  The sweep nests over the grid as X x Y (``_prepared``), X cut to
-    the rows that some function's domain meets, and reads each function
-    by rows (``_Rows``).  A gate's top is the max over rows of <x, u*>
+    On a finite cell best is the sweep's raw Fenchel value, which
+    ``funcrep._unscale(D, backend)`` takes back to f^c(w), and the row
+    is the first (point, payload) of dom f, in grid order, attaining it;
+    on a +-inf cell best is the float +-inf and the row None.  A NaN
+    value raises here.  The sweep nests over the grid as X x Y
+    (``_prepared``), X cut to the rows that some function's domain meets,
+    and reads each function by rows (``_Rows``).  A gate's top is the max over rows of <x, u*>
     plus the row's max of <y, v*> (NaN if some term is: inf·0 fails every
     gate, as in the definition), and the Fenchel value the first max over
     rows of <x, x*> minus the row's least D·f - <y, y*>.  Each dots column
     is taken once per distinct part of u* and of each x* some open gate
     needs, and read by every function."""
     splits = [_split_dom(f) for f in fs]
-    out = [[(c, None)] * len(w_grid) if dom is None else None for dom, c in splits]
+    out = [[(-inf if c is NEG_INF else inf, None)] * len(w_grid) if dom is None else None
+           for dom, c in splits]
     swept = [(r, dom, cells) for r, (dom, cells) in enumerate(splits) if dom is not None]
     if not swept:
-        return out
+        return None, out
     D, ((X, ux, xx), (Y, uy, xy)), (alphas, *payloads) = funcrep._prepared(
         fs[0].grid,
         ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
         [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom, _ in swept],
     )
     scale, n = D or 1, len(Y)
-    back = funcrep._unscale(D, fs[0].grid.backend)
     used = sorted({k // n for _, _, cells in swept for k in cells})
     at = dict(zip(used, range(len(used))))
     tables = [_Rows(cells, n, at, [scale * v for v in vs]) for (*_, cells), vs in zip(swept, payloads)]
@@ -443,17 +449,20 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
                 if s in need:
                     terms, first = table.fenchel_terms(x_col, y_col)
                     best = max(terms)
-                    value = _value(back(best))
-                    cell[s] = value, dom[first[terms.index(best)]]
-    shut = (POS_INF, None)
+                    if best != best:
+                        raise NaNError(_OVERFLOW)
+                    cell[s] = best, dom[first[terms.index(best)]]
+    shut = (inf, None)
     for (r, _, _), row, cell in zip(swept, opens, found):
         out[r] = [cell[s] if is_open else shut for is_open, s in zip(row, slopes)]
-    return out
+    return D, out
 
 
 def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     """f^c(w) = sup over the grid of { c(x, w) - f(x) }."""
-    return SampledFn(w_grid, [v for v, _ in _c_conjugate_rows([f], w_grid)[0]])
+    D, (cells,) = _c_conjugate_rows([f], w_grid)
+    back = funcrep._unscale(D, f.grid.backend)
+    return SampledFn(w_grid, [ExtReal(best if row is None else back(best)) for best, row in cells])
 
 
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:

@@ -23,13 +23,19 @@ at that y; a finite rational cell and a +-inf cell are the negated
 conjugate.  The sweep takes one column of dots over Y per distinct v* and
 per y* that an open gate needs, once per problem, so the table costs
 O((#y* + #v*)·|Y|) inner products and O((#y* + #v*)·|Y|·|X| + |W_y|·|X|)
-reads, not one coupling per (x, w, y).  :func:`dual_slice_audit` holds the
-table to the definitional conjugate of every slice, taking each dual
-point's coupling column over Y once per problem, so the identity stays a
-check of two routes: every (x, y, w) is its own term, nothing is grouped
-by slope and no attaining row is read.  On exact data the couplings are
-ints over one scale per problem, taken by the check itself and not by the
-kernel's scaling, so one fault cannot reach both routes.
+reads, not one coupling per (x, w, y).  The table keeps one exact order
+key per cell, an int or a float, and its reductions (row suprema, column
+infima, saddles) compare keys with builtin ``max``/``min``: an ExtReal is
+built per result, and per cell only when the cells are read.
+
+:func:`dual_slice_audit` holds the table to the definitional conjugate of
+every slice, taking each dual point's coupling column over Y once per
+problem, so the identity stays a check of two routes: every (x, y, w) is
+its own term, nothing is grouped by slope and no attaining row is read.
+On exact data the couplings are ints over one scale per problem, taken by
+the check itself and not by the kernel's scaling, so one fault cannot
+reach both routes; the check meets the table's keys by
+cross-multiplying the two scales, and builds no ExtReal for its verdict.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -46,8 +52,13 @@ arbitrary coupling space is intentionally not provided here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import inf
+from operator import itemgetter, sub
 from typing import Optional, Tuple
 
 from econvex import extreal, funcrep
@@ -57,7 +68,6 @@ from econvex.conjugation import (
     _check_ints,
     _classify,
     _coupling,
-    _sup_minus,
     coupling_c,
     cprime_conjugate,
 )
@@ -90,45 +100,87 @@ class SaddleCandidate:
     value: ExtReal
 
 
-class CLagrangian:
-    """Cached table of L over x-grid x dual-y-grid, read off the kernel.
+def _at_scale(v, scale: int) -> ExtReal:
+    """The ExtReal of a raw value: an int is over scale, a float (+-inf
+    or as given) and a Fraction are the value itself."""
+    return ExtReal(Fraction(v, scale) if v.__class__ is int else v)
 
-    ``table`` is flat and x-major like phi_on_product; its rows, columns,
-    row suprema and column infima are each taken once, on first use.
-    ``slices`` and ``slice_conjugates`` list, in x-grid order, the rows of
-    the cached phi_on_product and their conjugates, from one kernel sweep.
+
+class _Built(Sequence):
+    """A tuple of n items whose item i is build(i), made at its first read."""
+
+    def __init__(self, n: int, build):
+        self._n, self._build, self._items = n, build, {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if not -self._n <= i < self._n:
+            raise IndexError(i)
+        i %= self._n
+        if i not in self._items:
+            self._items[i] = self._build(i)
+        return self._items[i]
+
+
+def _float_cell(row, w: DualPoint):
+    """phi(x, y) - <y, y*> at the attaining row (y, phi(x, y)): one IEEE
+    subtraction on floats (a - b is a + (-b)); a Fraction meeting a float
+    raises as ExtReals do."""
+    y, payload = row
+    c = dot(y, w.xstar)
+    if payload.__class__ is c.__class__ is float:
+        return payload - c
+    return (ExtReal(payload) - ExtReal(c))._v
+
+
+class CLagrangian:
+    """L over x-grid x dual-y-grid, read off one kernel sweep.
+
+    ``keys`` holds one exact order key per cell, flat and x-major like
+    phi_on_product; the reductions compare keys, and ``cell`` gives a
+    key's ExtReal.  ``table`` (the cells), its ``rows`` and ``columns``,
+    and ``slice_conjugates`` (per x, in x-grid order, the conjugate of
+    the slice in ``slices``, the rows of the cached phi_on_product) are
+    built from the keys at their first read; ``row_sup`` and ``col_inf``
+    build one ExtReal per x and per dual point.
 
     On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
     first maximiser of <y, y*> - phi(x, y) is the first minimiser of the
     defining infimum (same grid order, same strict tie rule, exact IEEE
-    negation).  A finite float cell is not the negated conjugate, because
-    -(c - v) is -0.0 where the definition's v - c is 0.0.  A finite
-    rational cell is -phi(x, .)^c(w), since there -(c - v) is v - c
-    exactly, and so is a +-inf cell (a shut gate, -inf on Y_x, or an
-    empty Y_x).
+    negation).  A finite float cell's key is that difference, not the
+    negated conjugate, because -(c - v) is -0.0 where the definition's
+    v - c is 0.0; its conjugate is 0.0 minus the key.  A finite rational
+    cell is -phi(x, .)^c(w), since there -(c - v) is v - c exactly, so
+    its key is minus the sweep's raw value, an int over ``scale`` (the
+    sweep's D², or 1 when it ran on the values as given).  A +-inf cell
+    (a shut gate, -inf on Y_x, or an empty Y_x) is the float +-inf, which
+    compares exactly with ints and Fractions.
     """
 
     def __init__(self, problem: PerturbationProblem):
         if not problem.dual_y_grid.alpha_positive:
             raise ValueError("the Lagrangian needs alpha > 0 on every dual point")
         self.x_grid, self.w_grid = problem.x_grid, problem.dual_y_grid
-        y_grid, w_grid = problem.y_grid, problem.dual_y_grid
+        y_grid, points = problem.y_grid, problem.dual_y_grid.points
         phi_rows = funcrep.rows(problem.phi_on_product.values, len(self.x_grid))
         self.slices = [SampledFn(y_grid, row) for row in phi_rows]
-        conjugates = _c_conjugate_rows(self.slices, w_grid)
-        self.slice_conjugates = [SampledFn(w_grid, [v for v, _ in rows]) for rows in conjugates]
-        cells = []
-        for rows in conjugates:
-            for w, (conj, row) in zip(w_grid.points, rows):
-                if row is None or conj.backend == "rational":
-                    cells.append(-conj)
-                else:  # IEEE a - b is a + (-b); a Fraction meeting a float raises as ExtReals
-                    y, payload = row
-                    c = dot(y, w.xstar)
-                    exact = payload.__class__ is c.__class__ is float
-                    cells.append(ExtReal(payload - c) if exact else ExtReal(payload) - ExtReal(c))
-        self.table: Tuple[ExtReal, ...] = tuple(cells)
+        D, conjugates = _c_conjugate_rows(self.slices, self.w_grid)
+        rational = problem.backend == "rational"
+        self.scale = D * D if rational and D is not None else 1
+        self.keys: Tuple = tuple(
+            -best if row is None or rational and best.__class__ is not float else _float_cell(row, w)
+            for rows in conjugates for w, (best, row) in zip(points, rows)
+        )
+
+    def cell(self, key) -> ExtReal:
+        return _at_scale(key, self.scale)
+
+    @cached_property
+    def table(self) -> Tuple[ExtReal, ...]:
+        return tuple(map(self.cell, self.keys))
 
     @cached_property
     def rows(self) -> list:
@@ -139,12 +191,32 @@ class CLagrangian:
         return funcrep.columns(self.table, len(self.w_grid))
 
     @cached_property
+    def slice_conjugates(self) -> Sequence:
+        m = len(self.w_grid)
+
+        def conjugate(i):  # 0.0 - key keeps the sign of a float zero; -key would flip it
+            keys = self.keys[i * m:(i + 1) * m]
+            return SampledFn(self.w_grid, [self.cell(0.0 - k if k.__class__ is float else -k)
+                                           for k in keys])
+        return _Built(len(self.x_grid), conjugate)
+
+    @cached_property
+    def tops(self) -> list:
+        """Per x, the first largest key of its row (-inf for no dual point)."""
+        return [max(row, default=-inf) for row in funcrep.rows(self.keys, len(self.x_grid))]
+
+    @cached_property
+    def lows(self) -> list:
+        """Per dual point, the first least key of its column."""
+        return [min(column, default=inf) for column in funcrep.columns(self.keys, len(self.w_grid))]
+
+    @cached_property
     def row_sup(self) -> Tuple[ExtReal, ...]:
-        return tuple(extreal.sup(row) for row in self.rows)
+        return tuple(map(self.cell, self.tops))
 
     @cached_property
     def col_inf(self) -> Tuple[ExtReal, ...]:
-        return tuple(extreal.inf(column) for column in self.columns)
+        return tuple(map(self.cell, self.lows))
 
     def value(self, x, w: DualPoint) -> ExtReal:
         return self.rows[self.x_grid.index_of(x)][self.w_grid.index_of(w)]
@@ -169,26 +241,54 @@ def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
     )
 
 
+def _slice_sups(tagged, columns, shut) -> list:
+    """Per coupling column, the sup over y of its coupling minus the
+    tagged slice's value, as ``_sup_minus`` takes it term by term: -inf
+    when the slice is +inf everywhere, +inf when it is -inf somewhere
+    below +inf or when the column shuts a y of its domain, and otherwise
+    builtin ``max`` of coupling minus value over the domain, which keeps
+    ``_sup_minus``'s first maximiser and NaN.  Infinities are floats and
+    a finite sup is its raw value."""
+    dom = [k for k, (tag, _) in enumerate(tagged) if tag != "+"]
+    if not dom:
+        return [-inf] * len(columns)
+    if any(tagged[k][0] == "-" for k in dom):
+        return [inf] * len(columns)
+    payloads = [tagged[k][1] for k in dom]
+    at = itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
+    members = frozenset(dom)
+    return [inf if shut_y and not shut_y.isdisjoint(members) else max(map(sub, at(column), payloads))
+            for column, shut_y in zip(columns, shut)]
+
+
 def dual_slice_audit(P: PerturbationProblem) -> dict:
     """-L(x, .) must equal the conjugate of the slice phi(x, .) exactly.
 
     The table is read off the conjugation kernel, so the conjugate here is
     the definition: each dual point's coupling column over Y is taken
-    once, and each (x, w) is its own ``_sup_minus`` of the column against
-    the slice, one term per y, grouped by no slope.  When every y
-    coordinate, slope, alpha and finite payload is exact, the check's own
-    ``_check_ints`` scale d, not the kernel's, makes ``_coupling`` give
-    d²·coupling as an int and each finite cell one Fraction(best, d²);
-    otherwise the values are taken as given.  ``rows`` holds
-    phi(x, .)^c per x, in x-grid order.
+    once, and each (x, w) is its own sup of the column minus the slice,
+    one term per y, grouped by no slope (``_slice_sups``).  Tags decide
+    the +-inf cells once per slice and once per column (the y it shuts).
+    When every y coordinate, slope, alpha and finite payload is exact,
+    the check's own ``_check_ints`` scale d, not the kernel's, makes
+    ``_coupling`` give d²·coupling as an int and each finite sup an int
+    over d²; otherwise the values are taken as given, in the terms the
+    kernel took, whose NaN and mixed backends raise as the table is
+    built.  Each cell is held to the table's key by cross-multiplication,
+    key·d² = -sup·scale (d is 1 as given), with +-inf as floats.
+    ``rows`` holds phi(x, .)^c per x, in x-grid order, built at its
+    first read.
     """
     L = lagrangian_table(P)
     d, ys, ws, slices, _ = _check_ints(
         P.y_grid.points, P.dual_y_grid.points, [_classify(sl.values) for sl in L.slices])
-    dd = None if d is None else d * d
+    dd = 1 if d is None else d * d
     columns = [[_coupling(y, w) for y in ys] for w in ws]
-    rows = tuple(tuple(_sup_minus(column, sl, dd) for column in columns) for sl in slices)
-    ok = all(-cell == conj for row, conjs in zip(L.rows, rows) for cell, conj in zip(row, conjs))
+    shut = [{k for k, c in enumerate(column) if c is None} for column in columns]
+    sups = [_slice_sups(tagged, columns, shut) for tagged in slices]
+    scale = L.scale
+    ok = all(key * dd == -v * scale for key, v in zip(L.keys, chain.from_iterable(sups)))
+    rows = _Built(len(sups), lambda i: tuple(_at_scale(v, dd) for v in sups[i]))
     return {"ok": ok, "rows": rows}
 
 
@@ -224,13 +324,14 @@ def is_saddle_point(P: PerturbationProblem, xbar, wbar: DualPoint) -> bool:
 def saddle_search(P: PerturbationProblem) -> Tuple[SaddleCandidate, ...]:
     """Every saddle cell of the table, in row-major order.  A cell is a
     saddle iff L(x, w) is both the maximum of its row and the minimum of
-    its column, so the table's row suprema and column infima decide it."""
+    its column, so the keys' row maxima and column minima decide it; one
+    ExtReal is built per saddle."""
     L = lagrangian_table(P)
     return tuple(
-        SaddleCandidate(x, w, cell)
-        for x, row, top in zip(P.x_grid.points, L.rows, L.row_sup)
-        for w, cell, low in zip(P.dual_y_grid.points, row, L.col_inf)
-        if top == cell == low
+        SaddleCandidate(x, w, L.cell(key))
+        for x, row, top in zip(P.x_grid.points, funcrep.rows(L.keys, len(P.x_grid)), L.tops)
+        for w, key, low in zip(P.dual_y_grid.points, row, L.lows)
+        if top == key == low
     )
 
 
@@ -325,7 +426,8 @@ def example52_audit(P: PerturbationProblem) -> dict:
     w = DualPoint.of((one,), (one,), one, P.backend)
     if w not in P.dual_y_grid:
         raise ValueError("the instance must carry the dual point (1, 1, 1)")
-    column = lagrangian_table(P).columns[P.dual_y_grid.index_of(w)]
+    L, m = lagrangian_table(P), len(P.dual_y_grid)
+    column = list(map(L.cell, L.keys[P.dual_y_grid.index_of(w)::m]))
     minus_one = -one
     # Grid adequacy for the -inf branch: each x <= -1 needs a y-grid point
     # with 1 <= y <= -x, where the coupling gate fails inside Y_x.

@@ -330,7 +330,15 @@ def _default_ladder(backend: str):
 
 
 def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
-    return _members(P.f0, x, eps, P.f0_conj)
+    """The eps-subdifferential of phi(., 0) at x, taken once per x, eps
+    and eps's class and kept on P for both eps-formula audits.  0.5 and
+    Fraction(1, 2) hash alike; with the class in the key, an eps of the
+    other backend never reads a kept entry, so it raises every time."""
+    memo = P.__dict__.setdefault("_restriction_members", {})
+    key = (tuple(x), eps, eps.__class__)
+    if key not in memo:
+        memo[key] = _members(P.f0, x, eps, P.f0_conj)
+    return memo[key]
 
 
 def _projected_full_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:

@@ -140,11 +140,11 @@ def reference_cprime_conjugate(g, x_grid):
 
 
 def _numbers(value):
-    """The numbers a term was given: tuples, lists and dual points are
-    opened, and tags (strings) and None (+inf) are skipped."""
+    """The numbers a term was given: tuples, lists, sets and dual points
+    are opened, and tags (strings) and None (+inf) are skipped."""
     if value is None or isinstance(value, str):
         return
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list, set, frozenset)):
         for v in value:
             yield from _numbers(v)
     elif isinstance(value, DualPoint):

@@ -32,7 +32,7 @@ from econvex.conjugation import (
 )
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
-from econvex.funcrep import Grid, PwAffine1, SampledFn, _prepared, product_grid
+from econvex.funcrep import Grid, PwAffine1, SampledFn, _prepared, _unscale, product_grid
 
 from helpers import (
     CATALOG_PROBLEMS,
@@ -513,9 +513,18 @@ def plain_prime_conjugate_case(draw):
     return g, grid
 
 
+def kernel_rows(fs, wg):
+    """The kernel's (value, attaining row) lists of fs: each raw value
+    taken back by the sweep's unscale map, as ``c_conjugate`` takes it."""
+    D, out = _c_conjugate_rows(fs, wg)
+    back = _unscale(D, fs[0].grid.backend)
+    return [[(ExtReal(best if row is None else back(best)), row) for best, row in rows]
+            for rows in out]
+
+
 def one_row(f, wg):
     """The kernel's (value, attaining row) list of the one function f."""
-    (rows,) = _c_conjugate_rows([f], wg)
+    (rows,) = kernel_rows([f], wg)
     return rows
 
 
@@ -1102,7 +1111,7 @@ def batch_case(draw):
 def batch_outcome(fs, wg):
     """The kernel's rows for all of fs in one call, rendered, or the error."""
     try:
-        return [[rendered(cell) for cell in rows] for rows in _c_conjugate_rows(fs, wg)]
+        return [[rendered(cell) for cell in rows] for rows in kernel_rows(fs, wg)]
     except ValueError as exc:
         return ("raised", str(exc))
 
@@ -1151,7 +1160,7 @@ class TestBatchedSweep:
     def test_the_examples_reach_what_they_name(self):
         fs, wg = MIXED_ROWS
         with scaling_log() as log:
-            rows = _c_conjugate_rows(fs, wg)
+            rows = kernel_rows(fs, wg)
         assert log == [False]  # the float function sends every function off the ints
         # the point 1 of the first domain sits on the last gate's boundary
         assert [v.is_finite for v, _ in rows[0]] == [True, True, True, False]
@@ -1159,15 +1168,17 @@ class TestBatchedSweep:
         assert [rendered(v)[2] for v, _ in rows[4]] == ["float", "float", "float", None]
         # the first gate, shut by inf·0 on the whole grid, is open on (1, 1, 1)
         fs, wg = NAN_GATE_ROWS
-        nan_rows, part_rows = _c_conjugate_rows(fs, wg)
+        nan_rows, part_rows = kernel_rows(fs, wg)
         assert [v for v, _ in nan_rows] == [POS_INF] * 3
         assert [v for v, _ in part_rows] == [ExtReal(0.5), POS_INF, POS_INF]
 
     def test_constant_functions_ask_for_no_scale(self):
         fs = [SampledFn(_MIXED_GRID, [POS_INF] * 4), SampledFn(_MIXED_GRID, [NEG_INF] * 4)]
         with scaling_log() as log:
-            rows = _c_conjugate_rows(fs, MIXED_ROWS[1])
-        assert log == [] and rows == [[(NEG_INF, None)] * 4, [(POS_INF, None)] * 4]
+            D, rows = _c_conjugate_rows(fs, MIXED_ROWS[1])
+        # the raw form: no scale, and each cell the float -inf or +inf with no row
+        assert log == [] and D is None
+        assert rows == [[(-math.inf, None)] * 4, [(math.inf, None)] * 4]
 
 
 def _distinct(vectors):

@@ -343,8 +343,31 @@ def gate_boundary_case(draw):
     return PerturbationProblem(P.phi, P.x_grid, P.y_grid, dual_y)
 
 
+@st.composite
+def one_point_case(draw):
+    """A drawn case whose every slice is finite at one drawn y and +inf
+    elsewhere: each domain is a single point."""
+    P = draw(lagrangian_case())
+    table = {}
+    for x in P.x_grid.points:
+        k = draw(st.integers(0, len(P.y_grid) - 1))
+        for i, y in enumerate(P.y_grid.points):
+            v = scalar(draw(drawn_from(PAYLOADS, P.backend)), P.backend)
+            table[x, y] = ExtReal(v) if i == k else POS_INF
+    return PerturbationProblem(PerturbFn(1, P.y_grid.dim, table=table), P.x_grid, P.y_grid,
+                               P.dual_y_grid)
+
+
+def one_step_off(key):
+    """The key one step away: one unit at the table's scale on an exact
+    key, one ulp on a finite float, the other sign on an infinity."""
+    if key.__class__ is not float:
+        return key + 1
+    return -key if math.isinf(key) else math.nextafter(key, math.inf)
+
+
 # The slice check and its terms, for ``route_log``.
-SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._sup_minus")
+SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._slice_sups")
 
 
 class TestIntegerSliceCheck:
@@ -355,9 +378,9 @@ class TestIntegerSliceCheck:
     sends the kernel's sweeps off the ints but not the check, which
     scales on its own; a float v* or alpha sends both off."""
 
-    @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case())
+    @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case() | one_point_case())
     @example(nan_gate_case())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_rows_are_sup_minus_per_cell(self, P):
         with route_log(*SLICE_CHECK) as paths:
             rows = lagrangian.dual_slice_audit(P)["rows"]
@@ -370,6 +393,17 @@ class TestIntegerSliceCheck:
             for ww, column, cell in zip(P.dual_y_grid.points, columns, row):
                 assert tagged(cell) == tagged(_sup_minus(column, sl)), (x, ww)
         assert paths == [all(c.__class__ in (Fraction, int) for c in inputs)]
+
+    @given(lagrangian_case() | gate_boundary_case() | one_point_case(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_the_check_holds_every_key_to_its_cell(self, P, data):
+        """The check's compare is cell by cell and exact: it passes on the
+        table as built and fails with any one key a step off."""
+        L = lagrangian_table(P)
+        assert dual_slice_audit(P)["ok"]
+        k = data.draw(st.integers(0, len(L.keys) - 1))
+        L.keys = L.keys[:k] + (one_step_off(L.keys[k]),) + L.keys[k + 1:]
+        assert not dual_slice_audit(P)["ok"]
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_rational_problems_take_the_ints_and_float_twins_do_not(self, name, monkeypatch):
@@ -503,6 +537,80 @@ class TestTableMatchesDefinition:
         assert repr(-L.slice_conjugates[0].value_at(ww)) == "ExtReal(-0.0)"
         assert repr(L.value((0.0,), ww)) == "ExtReal(0.0)"
         assert_table_matches_definition(P)
+
+
+def signed_zero_case():
+    """A float table whose first row holds -0.0 then 0.0 and whose first
+    column holds -0.0 then 0.0: ties that compare equal and print apart.
+    At y* = 0 the first row attains at y = 0, where phi is -0.0; at y* = 1
+    it attains at y = 1, where phi(x, y) = <y, y*> = 1.0."""
+    X, Y = [(0.0,), (1.0,)], [(1.0,), (0.0,)]
+    values = {((0.0,), (1.0,)): 1.0, ((0.0,), (0.0,)): -0.0,
+              ((1.0,), (1.0,)): 1.0, ((1.0,), (0.0,)): 0.0}
+    table = {k: ExtReal(v) for k, v in values.items()}
+    dual_y = DualGrid([DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((1,), (0,), 1, "float")],
+                      "float")
+    return PerturbationProblem(PerturbFn(1, 1, table=table), Grid(1, X, "float"),
+                               Grid(1, Y, "float"), dual_y)
+
+
+@st.composite
+def reduction_case(draw):
+    """A drawn case, one time in five with an empty Y-side dual grid."""
+    P = draw(lagrangian_case() | one_point_case())
+    if draw(st.integers(0, 4)) == 4:
+        return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid([], P.backend))
+    return P
+
+
+class TestKeyReductions:
+    """Row maxima, column minima and saddles of the keys against
+    ``extreal.sup``/``inf`` over the table's ExtReals, by rendering and
+    payload type: the first maximiser and minimiser are kept."""
+
+    @given(reduction_case())
+    @example(signed_zero_case())
+    @settings(max_examples=300, deadline=None)
+    def test_reductions_match_extreal_sup_and_inf(self, P):
+        L = lagrangian_table(P)
+        sups = [extreal.sup(row) for row in L.rows]
+        infs = [extreal.inf(column) for column in L.columns]
+        assert [tagged(v) for v in L.row_sup] == [tagged(v) for v in sups]
+        assert [tagged(v) for v in L.col_inf] == [tagged(v) for v in infs]
+        saddles = [
+            (x, ww, tagged(cell))
+            for x, row, top in zip(P.x_grid.points, L.rows, sups)
+            for ww, cell, low in zip(P.dual_y_grid.points, row, infs)
+            if top == cell == low
+        ]
+        assert [(s.xbar, s.wbar, tagged(s.value)) for s in saddle_search(P)] == saddles
+        assert tagged(supinf_value(P)) == tagged(extreal.sup(infs))
+        assert tagged(infsup_value(P)) == tagged(extreal.inf(sups))
+
+    def test_the_signed_zero_ties_keep_the_first(self):
+        L = lagrangian_table(signed_zero_case())
+        assert [repr(v) for v in L.rows[0]] == ["ExtReal(-0.0)", "ExtReal(0.0)"]
+        assert [repr(v) for v in L.columns[0]] == ["ExtReal(-0.0)", "ExtReal(0.0)"]
+        assert repr(L.row_sup[0]) == repr(L.col_inf[0]) == "ExtReal(-0.0)"
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_a_report_builds_extreals_per_point_not_per_cell(backend):
+    """Counts only: past the kernel, the table, its reductions, the saddle
+    search, the minimax identities, the slice check's verdict and the
+    Example 5.2 column build O(|X| + |W_y|) ExtReals, not one per cell.
+    The surrogate's slice conjugates are left out."""
+    P = wide_problem(21, 11, backend)
+    P.phi_on_product, P.g_on_dual_y, P.f0
+    nx, m = len(P.x_grid), len(P.dual_y_grid)
+    with built_extreals() as built:
+        lagrangian_table(P)
+        saddles = saddle_search(P)
+        supinf_value(P), infsup_value(P), minimax_ok(P)
+        assert dual_slice_audit(P)["ok"]
+        example52_audit(P)
+    assert len(saddles) <= nx + m
+    assert len(built) <= 3 * (nx + m) < nx * m // 4
 
 
 class TestMinimax:

@@ -315,21 +315,47 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "converse_duality_report", broken)
         assert main(["duality", "fenchel_abs"]) == 2
 
-    @pytest.mark.parametrize("command", ["lagrangian", "audit"])
-    @pytest.mark.parametrize("value", [-100, 100])
-    def test_a_corrupted_lagrangian_cell_exits_2(self, command, value, capsys, monkeypatch):
+    @staticmethod
+    def corrupt_a_key(monkeypatch, corrupted):
+        """Every CLagrangian built gets corrupted(keys, L) as its keys, the
+        exact form its reductions and the slice check read."""
         from econvex import lagrangian
 
         real = lagrangian.CLagrangian.__init__
 
-        def corrupted(L, P):
+        def init(L, P):
             real(L, P)
-            cells = list(L.table)
-            cells[len(cells) // 2] = ExtReal(Fraction(value))
-            L.table = tuple(cells)
+            L.keys = tuple(corrupted(list(L.keys), L))
 
-        monkeypatch.setattr(lagrangian.CLagrangian, "__init__", corrupted)
+        monkeypatch.setattr(lagrangian.CLagrangian, "__init__", init)
+
+    @pytest.mark.parametrize("command", ["lagrangian", "audit"])
+    @pytest.mark.parametrize("value", [-100, 100])
+    def test_a_corrupted_lagrangian_cell_exits_2(self, command, value, capsys, monkeypatch):
+        def corrupted(keys, L):
+            keys[len(keys) // 2] = value * L.scale  # the key of the rational cell `value`
+            return keys
+
+        self.corrupt_a_key(monkeypatch, corrupted)
         assert main([command, "fenchel_abs"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["lagrangian", "audit"])
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_the_smallest_corruption_of_a_cell_exits_2(self, command, backend, tmp_path,
+                                                        capsys, monkeypatch):
+        """One unit at the table's scale on a rational key, one ulp on a
+        float key, of the middle finite cell."""
+        def corrupted(keys, L):
+            finite = [k for k, key in enumerate(keys) if abs(key) != math.inf]
+            k = finite[len(finite) // 2]
+            keys[k] = keys[k] + 1 if backend == "rational" else math.nextafter(keys[k], math.inf)
+            return keys
+
+        path = tmp_path / "fenchel_abs.json"
+        path.write_text(json.dumps(dict(catalog.entry("fenchel_abs"), backend=backend)))
+        self.corrupt_a_key(monkeypatch, corrupted)
+        assert main([command, str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     def test_exact_failure_inside_a_conditional_audit_counted_once(self, capsys, monkeypatch):

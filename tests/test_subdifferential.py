@@ -585,6 +585,27 @@ def test_total_duality_evaluates_no_coupling(name, backend, monkeypatch):
     assert calls == []
 
 
+def test_the_eps_audits_share_the_restriction_members(monkeypatch):
+    """Counts only: theorem43_audit and theorem44_audit at one (x, eps)
+    take the restriction's members once between them, and a float eps
+    at the value of a kept Fraction one still raises."""
+    P = catalog_problem("fenchel_abs")
+    calls, real = [], subdifferential._members
+
+    def counted(f, x, eps, f_conj):
+        calls.append(f_conj is P.f0_conj)
+        return real(f, x, eps, f_conj)
+
+    monkeypatch.setattr(subdifferential, "_members", counted)
+    x = P.x_grid.points[0]
+    for eps in (Fraction(0), Fraction(1, 2)):
+        t43, t44 = theorem43_audit(P, x, eps), theorem44_audit(P, x, eps)
+        assert set(t43["lhs"]) == set(t44["lhs"])
+    assert calls.count(True) == 2 and calls.count(False) == 4
+    with pytest.raises(BackendMismatchError):
+        theorem44_audit(P, x, 0.5)
+
+
 class TestMixedBackendsRaise:
     """A Fraction meeting a float raises, as ExtReal arithmetic does, on
     the route that takes the values as given."""
