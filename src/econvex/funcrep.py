@@ -85,19 +85,16 @@ class Grid:
 
     @classmethod
     def uniform(cls, lo, hi, count: int, backend: str = "rational") -> "Grid":
-        """Uniform 1-D grid from lo to hi inclusive."""
+        """Uniform 1-D grid from lo to hi inclusive.  Each point is taken
+        exactly, lo + i·(hi - lo)/(count - 1) in Fractions, and rounded
+        once to the backend: a float point is the double nearest it."""
         if count < 1:
             raise ValueError("count must be positive")
         if count == 1:
             return cls(1, [(lo,)], backend)
-        if backend == "rational":
-            lo, hi = Fraction(lo), Fraction(hi)
-            step = Fraction(hi - lo, count - 1)
-            pts = [(lo + i * step,) for i in range(count)]
-        else:
-            lo, hi = float(lo), float(hi)
-            pts = [(lo + i * (hi - lo) / (count - 1),) for i in range(count)]
-        return cls(1, pts, backend)
+        lo = Fraction(lo)
+        step = (Fraction(hi) - lo) / (count - 1)
+        return cls(1, [(scalar(lo + i * step, backend),) for i in range(count)], backend)
 
     @property
     def origin(self) -> Point:

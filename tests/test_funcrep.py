@@ -92,6 +92,23 @@ class TestGrid:
         assert g.points[2] == (0.0,)
         assert g.has_origin
 
+    @given(st.integers(-20, 20), st.integers(1, 40), st.integers(2, 13),
+           st.sampled_from([1, 2, 3, 7, 10]))
+    @settings(max_examples=200, deadline=None)
+    def test_a_float_point_is_the_double_nearest_the_rational_one(self, lo, width, count, den):
+        """On the ends' doubles, each float point is the rational point on
+        the same ends rounded once: the ends come back as given."""
+        lo, hi = float(Fraction(lo, den)), float(Fraction(lo + width, den))
+        rational = Grid.uniform(Fraction(lo), Fraction(hi), count)
+        floats = Grid.uniform(lo, hi, count, backend="float")
+        assert floats.points == tuple((float(x),) for x, in rational.points)
+        assert floats.points[0] == (lo,) and floats.points[-1] == (hi,)
+
+    def test_thirds_reach_the_nearest_doubles(self):
+        g = Grid.uniform(-1, 1, 7, backend="float")
+        assert g.points[5] == (0.6666666666666666,) == (float(Fraction(2, 3)),)
+        assert g.points[1] == (-0.6666666666666666,)
+
     def test_off_grid_lookup_fails(self):
         g = Grid.uniform(0, 1, 2)
         with pytest.raises(KeyError):
