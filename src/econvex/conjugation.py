@@ -400,12 +400,12 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     on a +-inf cell best is the float +-inf and the row None.  A NaN
     value raises here.  The sweep nests over the grid as X x Y
     (``_prepared``), X cut to the rows that some function's domain meets,
-    and reads each function by rows (``_Rows``).  A gate's top is the max over rows of <x, u*>
-    plus the row's max of <y, v*> (NaN if some term is: inf·0 fails every
-    gate, as in the definition), and the Fenchel value the first max over
-    rows of <x, x*> minus the row's least D·f - <y, y*>.  Each dots column
-    is taken once per distinct part of u* and of each x* some open gate
-    needs, and read by every function."""
+    and reads each function by rows (``_Rows``).  A gate's top is the max
+    over rows of <x, u*> plus the row's max of <y, v*> (NaN if some term
+    is: inf·0 fails every gate, as in the definition), and the Fenchel
+    value the first max over rows of <x, x*> minus the row's least
+    D·f - <y, y*>.  Each dots column is taken once per distinct part of
+    u* and of each x* some open gate needs, and read by every function."""
     splits = [_split_dom(f) for f in fs]
     out = [[(-inf if c is NEG_INF else inf, None)] * len(w_grid) if dom is None else None
            for dom, c in splits]

@@ -187,7 +187,8 @@ def tagged(v):
 
 def assert_table_matches_definition(P):
     """Cell i·|W_y| + j of the flat x-major table, and L.value, is the
-    defining infimum at (x_i, w_j)."""
+    defining infimum at (x_i, w_j); each slice conjugate, read off the
+    keys, is the kernel's conjugate of its slice, signed zeros included."""
     L = CLagrangian(P)
     m = len(P.dual_y_grid)
     assert len(L.table) == len(P.x_grid) * m
@@ -196,6 +197,9 @@ def assert_table_matches_definition(P):
             cell = L.table[i * m + j]
             assert tagged(cell) == tagged(definitional_cell(P, x, ww)), (x, ww)
             assert L.value(x, ww) is cell
+        conjugate = conjugation.c_conjugate(L.slices[i], P.dual_y_grid)
+        assert [tagged(v) for v in L.slice_conjugates[i].values] == [
+            tagged(v) for v in conjugate.values], x
 
 
 @st.composite
@@ -394,15 +398,33 @@ class TestIntegerSliceCheck:
                 assert tagged(cell) == tagged(_sup_minus(column, sl)), (x, ww)
         assert paths == [all(c.__class__ in (Fraction, int) for c in inputs)]
 
-    @given(lagrangian_case() | gate_boundary_case() | one_point_case(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case() | one_point_case(),
+           st.data())
+    @settings(max_examples=300, deadline=None)
     def test_the_check_holds_every_key_to_its_cell(self, P, data):
         """The check's compare is cell by cell and exact: it passes on the
-        table as built and fails with any one key a step off."""
+        table as built and fails with any one key a step off.  A plain
+        int slope or alpha puts the table on the values as given and the
+        check on its own ints, so the two scales differ."""
         L = lagrangian_table(P)
         assert dual_slice_audit(P)["ok"]
         k = data.draw(st.integers(0, len(L.keys) - 1))
         L.keys = L.keys[:k] + (one_step_off(L.keys[k]),) + L.keys[k + 1:]
+        assert not dual_slice_audit(P)["ok"]
+
+    def test_keys_and_sups_of_different_scales_meet(self):
+        """An int slope puts the table on the values as given (Fraction
+        keys over 1) and the check on its own ints over d² = 36."""
+        grid = Grid(1, [(Fraction(0),), (Fraction(1, 2),)])
+        phi = PerturbFn(1, 1, table={((Fraction(0),), (Fraction(0),)): ExtReal(Fraction(0)),
+                                     ((Fraction(0),), (Fraction(1, 2),)): ExtReal(Fraction(1, 3))})
+        dual_y = DualGrid([DualPoint((1,), (Fraction(0),), Fraction(1))])
+        P = PerturbationProblem(phi, Grid(1, [(Fraction(0),)]), grid, dual_y)
+        L = lagrangian_table(P)
+        assert L.scale == 1 and L.keys == (Fraction(-1, 6),)
+        assert dual_slice_audit(P)["ok"]
+        assert dual_slice_audit(P)["rows"][0] == (ExtReal(Fraction(1, 6)),)
+        L.keys = (Fraction(-1, 6) * 36,)
         assert not dual_slice_audit(P)["ok"]
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -936,9 +958,9 @@ class TestExample52Audit:
 
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
 def test_a_float_table_builds_one_extreal_per_finite_cell(name, monkeypatch):
-    """Counts, not clocks: past the kernel's conjugates, a float
-    CLagrangian builds each finite cell as one ExtReal, phi(x, y) - <y, y*>
-    in one subtraction, and a +-inf cell as none."""
+    """Counts, not clocks: past the kernel, a float CLagrangian builds at
+    most one ExtReal per finite cell (its key is phi(x, y) - <y, y*> in
+    one subtraction, and it builds none) and none for a +-inf cell."""
     P = float_twin(name)
     P.phi_on_product
     kernel, real = [], lagrangian._c_conjugate_rows
