@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 
-from econvex import catalog, problemio
+from econvex import catalog, funcrep, problemio
 from econvex.conjugation import DualPoint
 from econvex.duality import EXACT_PASS, AuditOutcome
 from econvex.duality import c5_audit, converse_duality_report
@@ -322,7 +322,6 @@ def cmd_subdiff(args) -> int:
     rows += [
         ("intersection_formula.superset_ok", t43["superset_ok"]),
         ("intersection_formula.equal", t43["equal"]),
-        ("intersection_formula.eta_min", t43["eta_min"]),
         ("projection_formula.superset_ok", t44["superset_ok"]),
         ("projection_formula.equal", t44["equal"]),
         ("c5_surrogate", c5_audit(P).status == EXACT_PASS),
@@ -346,11 +345,11 @@ def cmd_lagrangian(args) -> int:
         # Each point's cells are rendered once and shared by its rows.
         x_cells = [_cells(x) for x in P.x_grid.points]
         w_cells = [_dual_cells(w) for w in P.dual_y_grid.points]
-        L, m = lagrangian_table(P), len(w_cells)
+        L = lagrangian_table(P)
         rows = [
             xs + ws + [_text(L.cell(key))]
-            for i, xs in enumerate(x_cells)
-            for ws, key in zip(w_cells, L.keys[i * m:(i + 1) * m])
+            for xs, keys in zip(x_cells, funcrep.rows(L.keys, len(x_cells)))
+            for ws, key in zip(w_cells, keys)
         ]
         _print_csv(header, rows)
         return EXIT_OK

@@ -41,23 +41,23 @@ so psi^{c'} costs |X|·|Y|·#x* + |Y|·#slopes instead of |X|·|Y|·#slopes.
 Any other grid is itself times the one point of R^0, whose y-parts add
 nothing, and there the nested sweep is the flat one, term for term.
 
-Each sweep reads the lists ``funcrep._prepared`` returns, cut into X x Y
-and over its one scale D (D None for lists as given, which are cut
-flat), through ``esets.dots``: <p, v> at every point, one coordinate
-column at a time, which is the left fold of ``esets.dot`` at each point,
-so both backends run one kernel.  The c'-sweep is slope-major: a shut
-mask per distinct u*, then a running max per distinct x-part at the
-open points, which keeps builtin ``max``'s first maximiser and NaN.
-With P, U, X, A and V the lists a sweep reads and D taken as 1 for lists
-as given, a gate is shut iff not <P, U> < D·A, a Fenchel term is
-<P, X> - D·V, and ``funcrep._unscale`` gives a value back: on ints
+Each sweep reads the lists ``funcrep._prepared`` returns, cut into X x Y,
+points and slopes times its one scale D and alphas and payloads times D²
+(D None for lists as given, which are cut flat), through ``esets.dots``:
+<p, v> at every point, one coordinate column at a time, which is the
+left fold of ``esets.dot`` at each point, so both backends run one
+kernel.  The c'-sweep is slope-major: a shut mask per distinct u*, then
+a running max per distinct x-part at the open points, which keeps
+builtin ``max``'s first maximiser and NaN.  With P, U, X, A and V the
+lists a sweep reads, a gate is shut iff not <P, U> < A, a Fenchel term
+is <P, X> - V, and ``funcrep._unscale`` gives a value back: on ints
 ``Fraction(best, D·D)`` in the rational backend and ``best / (D·D)`` in
 the float one, whose ints ``_prepared`` certified no float operation of
 the flat sweep could round, and ``best`` on lists as given.  So gates,
 maxima, the first attaining row, the value, its type and its rendering
 are those of the ``Fraction`` sweep, or of the flat float sweep; on
-lists as given the factor is 1·alpha and 1·v, so the arithmetic is that
-of the definition, NaN and -0.0 included.
+lists as given the arithmetic is that of the definition, NaN and -0.0
+included.
 
 ``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
 coupling minus value, with the +-inf conventions only) are the one
@@ -341,7 +341,8 @@ class _Rows:
 
     ``cells`` are the x-major indices of dom's cells, ``n`` is |Y|, ``at``
     numbers the rows that some swept function meets (``rows`` is None when
-    this one meets all of them), and ``values`` are the cells' D·f."""
+    this one meets all of them), and ``values`` are the cells' payloads
+    as the sweep reads them."""
 
     def __init__(self, cells, n, at, values):
         if n == 1:  # one cell per row
@@ -363,7 +364,7 @@ class _Rows:
         return list(map(add, x_col, self.highs[id(y_col)]))
 
     def fenchel_terms(self, x_col, y_col):
-        """(per row, <x, x*> minus the least D·f - <y, y*> over its cells;
+        """(per row, <x, x*> minus the least f - <y, y*> over its cells;
         per row, the index in dom of the first cell attaining that least)."""
         x_col = _at(x_col, self.rows)
         if y_col is None:
@@ -404,7 +405,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     over rows of <x, u*> plus the row's max of <y, v*> (NaN if some term
     is: inf·0 fails every gate, as in the definition), and the Fenchel
     value the first max over rows of <x, x*> minus the row's least
-    D·f - <y, y*>.  Each dots column is taken once per distinct part of
+    f - <y, y*>.  Each dots column is taken once per distinct part of
     u* and of each x* some open gate needs, and read by every function."""
     splits = [_split_dom(f) for f in fs]
     out = [[(-inf if c is NEG_INF else inf, None)] * len(w_grid) if dom is None else None
@@ -417,17 +418,16 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
         ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
         [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom, _ in swept],
     )
-    scale, n = D or 1, len(Y)
+    n = len(Y)
     used = sorted({k // n for _, _, cells in swept for k in cells})
     at = dict(zip(used, range(len(used))))
-    tables = [_Rows(cells, n, at, [scale * v for v in vs]) for (*_, cells), vs in zip(swept, payloads)]
+    tables = [_Rows(cells, n, at, vs) for (*_, cells), vs in zip(swept, payloads)]
     columns, m = list(zip(*[X[i] for i in used])), len(used)
     gate_x, column_y = _columns(columns, m), _columns(list(zip(*Y)), n)
 
     firsts = {}, {}  # u* and x* key -> index of the first dual point with it
     gates = [firsts[0].setdefault(_key(a + b), j) for j, (a, b) in enumerate(zip(ux, uy))]
     slopes = [firsts[1].setdefault(_key(a + b), j) for j, (a, b) in enumerate(zip(xx, xy))]
-    levels = [scale * alpha for alpha in alphas]
     gate_columns = [(g, gate_x(ux[g]), column_y(uy[g])) for g in firsts[0].values()]
     opens = []
     for table in tables:
@@ -435,7 +435,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
         for g, x_col, y_col in gate_columns:
             t = table.gate_terms(x_col, y_col)
             tops[g] = max(t) if D is not None or all(c == c for c in t) else nan  # ints: no NaN
-        opens.append([tops[g] < level for g, level in zip(gates, levels)])
+        opens.append([tops[g] < alpha for g, alpha in zip(gates, alphas)])
     needs = [{s for is_open, s in zip(row, slopes) if is_open} for row in opens]
     by_x = {}  # x-part key -> the distinct x* with it that some open gate needs
     for s in sorted(set().union(*needs)):
@@ -474,9 +474,9 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     in which the dual grid first meets a key, so ties and NaN terms
     resolve as in the definitional sweep.  The sweep nests over the grid
     as X x Y (``_prepared``): a gate shuts where <x, u*> + <y, v*> reaches
-    its level, and the value at an open (x, y) is the running max, over
+    alpha, and the value at an open (x, y) is the running max, over
     the distinct x-parts of x*, of <x, x-part> minus the least over the
-    slopes with that x-part of D·g - <y, y-part>.
+    slopes with that x-part of g - <y, y-part>.
     """
     dom, constant = _split_dom(g)
     if dom is None:
@@ -494,21 +494,21 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         slope = slopes.setdefault(_key(c + e), [c, e, v])
         if v < slope[2]:
             slope[2] = v
-    scale, m, n = D or 1, len(X), len(Y)
+    m, n = len(X), len(Y)
     gate_x, column_y = _columns(list(zip(*X)), m), _columns(list(zip(*Y)), n)
     shut = [False] * (m * n)  # y-major, (x_i, y_j) at j·m + i: one run when Y is R^0
     for a, b, alpha in gates.values():
-        level, column, y_col = scale * alpha, gate_x(a), column_y(b)
+        column, y_col = gate_x(a), column_y(b)
         sums = column if y_col is None else [p + q for q in y_col for p in column]
-        shut = [s or not (t < level) for s, t in zip(shut, sums)]
+        shut = [s or not (t < alpha) for s, t in zip(shut, sums)]
     opened = [[i for i, s in enumerate(shut[j * m:(j + 1) * m]) if not s] for j in range(n)]
     used = sorted(set().union(*opened))  # the x with an open cell
     at = dict(zip(used, range(len(used))))
     opened = [None if len(xs) == len(used) else [at[i] for i in xs] for xs in opened]
-    groups = {}  # x-part key -> [x-part, per y the least D·g - <y, y-part> of its slopes]
+    groups = {}  # x-part key -> [x-part, per y the least g - <y, y-part> of its slopes]
     for c, e, v in slopes.values():
-        dv, y_col = scale * v, column_y(e)
-        costs = [dv] if y_col is None else [dv - t for t in y_col]
+        y_col = column_y(e)
+        costs = [v] if y_col is None else [v - t for t in y_col]
         group = groups.setdefault(_key(c), [c, costs])
         if group[1] is not costs:
             group[1] = [p if p < q else q for p, q in zip(costs, group[1])]
@@ -548,11 +548,10 @@ def _classify(values):
     return rows
 
 
-def _sup_minus(couplings, rows, d=None) -> ExtReal:
+def _sup_minus(couplings, rows) -> ExtReal:
     """sup of each raw coupling (None for +inf) minus its row's value,
     with the +-inf conventions: f^c(w) pairs w with every grid point,
-    g^{c'}(x) x with every dual point.  Given a scale d, couplings and
-    payloads are ints times d and a finite sup is Fraction(best, d)."""
+    g^{c'}(x) x with every dual point."""
     best = None  # raw finite payload of the running sup, None = -inf so far
     for c, (tag, payload) in zip(couplings, rows):
         if tag == "+":
@@ -562,7 +561,7 @@ def _sup_minus(couplings, rows, d=None) -> ExtReal:
         term = c - payload
         if best is None or term > best:
             best = term
-    return NEG_INF if best is None else _value(best if d is None else Fraction(best, d))
+    return NEG_INF if best is None else _value(best)
 
 
 def _check_ints(points, duals=(), tables=(), scalars=()):

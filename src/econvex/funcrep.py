@@ -272,10 +272,12 @@ def _transpose(columns: list, n: int) -> list:
 # plain list of points, is its points times the one point of R^0, whose
 # y-parts add nothing, each dual vector whole on X.  When every
 # coordinate, slope, alpha and payload the pass reads is exactly a
-# ``Fraction``, every list comes back as ints times D, the lcm of all
-# their denominators: a product's dx·|X| + dy·|Y| coordinates, never its
-# |X|·|Y| points.  Scaling by a positive int keeps every comparison, so a
-# pass on ints answers as the ``Fraction`` definition does.
+# ``Fraction``, every list comes back as ints, with D the lcm of all
+# their denominators: points and dual vectors times D, scalars (alphas,
+# payloads) times D², the scale of <point, dual vector>.  D scales a
+# product's dx·|X| + dy·|Y| coordinates, never its |X|·|Y| points.
+# Scaling by a positive int keeps every comparison, so a pass on ints
+# answers as the ``Fraction`` definition does.
 #
 # A pass that pairs points with dual vectors (a sweep, either space of
 # the scan) lifts floats onto ints too, when no IEEE operation of the
@@ -283,7 +285,7 @@ def _transpose(columns: list, n: int) -> list:
 # is n/2^k (``float.as_integer_ratio``), D is the largest 2^k, at most
 # 2^500 so that every nonzero multiple of 1/D² is a normal double, and
 # with P, V and S the scaled coordinates, dual coordinates and scalars,
-# B = dim·max|P|·max|V| + D·max|S| must stay below 2^53.  Then every
+# B = dim·max|P|·max|V| + max|S| must stay below 2^53.  Then every
 # product, partial sum, difference and comparison of the flat loop is an
 # exact double, a multiple of 1/D² of at most B units, so the int pass
 # gives its gates, maxima, first attaining rows and boundary hits, and a
@@ -325,8 +327,8 @@ def _over_power(values: Sequence[float]) -> Tuple[list, Optional[int]]:
     return ([n * (D // d) for n, d in ratios], D) if D <= _LIFT_D else ([], None)
 
 
-def _rounds(blocks, scalars, D: int) -> bool:
-    """Whether B = dim·max|P|·max|V| + D·max|S| of scaled blocks and scalars
+def _rounds(blocks, scalars) -> bool:
+    """Whether B = dim·max|P|·max|V| + max|S| of scaled blocks and scalars
     reaches 2^53, so that the flat float loop may round."""
     def top(values):
         return max(map(abs, values), default=0)
@@ -334,7 +336,7 @@ def _rounds(blocks, scalars, D: int) -> bool:
     P = top(c for block in blocks for p in block[0] for c in p)
     V = top(c for block in blocks for vs in block[1:] for v in vs for c in v)
     S = top(c for cs in scalars for c in cs)
-    return dim * P * V + D * S >= _LIFT_B
+    return dim * P * V + S >= _LIFT_B
 
 
 def _unscale(D: Optional[int], backend: str):
@@ -373,8 +375,8 @@ def _prepared(grid, duals=(), scalars=()) -> tuple:
     if D is not None:
         ints = iter(ints)
         cut = [[[tuple(itertools.islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
-        scaled = [list(itertools.islice(ints, len(cs))) for cs in scalars]
-        if exact or not _rounds(cut, scaled, D):
+        scaled = [[c * D for c in itertools.islice(ints, len(cs))] for cs in scalars]
+        if exact or not _rounds(cut, scaled):
             return D, cut, scaled
     return None, blocks if factors is None else _blocks(grid, duals, None), scalars
 

@@ -192,12 +192,11 @@ class CLagrangian:
 
     @cached_property
     def slice_conjugates(self) -> Sequence:
-        m = len(self.w_grid)
+        rows = funcrep.rows(self.keys, len(self.x_grid))
 
         def conjugate(i):  # 0.0 - key keeps the sign of a float zero; -key would flip it
-            keys = self.keys[i * m:(i + 1) * m]
             return SampledFn(self.w_grid, [self.cell(0.0 - k if k.__class__ is float else -k)
-                                           for k in keys])
+                                           for k in rows[i]])
         return _Built(len(self.x_grid), conjugate)
 
     @cached_property
@@ -426,8 +425,9 @@ def example52_audit(P: PerturbationProblem) -> dict:
     w = DualPoint.of((one,), (one,), one, P.backend)
     if w not in P.dual_y_grid:
         raise ValueError("the instance must carry the dual point (1, 1, 1)")
-    L, m = lagrangian_table(P), len(P.dual_y_grid)
-    column = list(map(L.cell, L.keys[P.dual_y_grid.index_of(w)::m]))
+    L = lagrangian_table(P)
+    keys = funcrep.columns(L.keys, len(P.dual_y_grid))[P.dual_y_grid.index_of(w)]
+    column = list(map(L.cell, keys))
     minus_one = -one
     # Grid adequacy for the -inf branch: each x <= -1 needs a y-grid point
     # with 1 <= y <= -x, where the coupling gate fails inside Y_x.

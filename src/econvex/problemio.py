@@ -458,31 +458,31 @@ def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, obje
     the smallest perturbation of the data, so the loader surfaces them.
     Returns (space, point, dual point) rows, dual point by dual point and
     each in grid order.  Each distinct gate (u*, alpha) is scanned once,
-    over the lists ``funcrep._prepared`` returns, cut into X x Y and over
-    their one scale D.  On a product X x Y on ints (rational, or floats
-    that ``_prepared`` certified no float operation of the flat scan
-    could round), (x, y) is on the boundary iff <x, u*> = D·alpha -
-    <y, v*>: one dict from that int to its y, one lookup per x, so
-    O(|X| + |Y| + hits) per gate, and D scales the dx·|X| + dy·|Y|
-    coordinates of the factors.  Any other grid, or values as given (D
-    taken as 1), is scanned flat, q on the boundary iff <q, u*> ==
-    D·alpha, since a + b == c and a == c - b round differently.
+    over the lists ``funcrep._prepared`` returns, cut into X x Y, points
+    and slopes times its one scale D and alphas times D².  On a product
+    X x Y on ints (rational, or floats that ``_prepared`` certified no
+    float operation of the flat scan could round), (x, y) is on the
+    boundary iff <x, u*> = alpha - <y, v*>: one dict from that int to its
+    y, one lookup per x, so O(|X| + |Y| + hits) per gate, and D scales
+    the dx·|X| + dy·|Y| coordinates of the factors.  Any other grid, or
+    values as given, is scanned flat, q on the boundary iff
+    <q, u*> == alpha, since a + b == c and a == c - b round differently.
     """
     out = []
     for space, w_points, grid in (
         ("y", P.dual_y_grid.points, P.y_grid),
         ("(x,y)", P.full_dual_grid.points, P.product),
     ):
-        D, ((X, ux), (Y, uy)), (alphas,) = funcrep._prepared(
+        _, ((X, ux), (Y, uy)), (alphas,) = funcrep._prepared(
             grid, ([w.ustar for w in w_points],), ([w.alpha for w in w_points],))
-        scale, x_columns, y_columns, n = D or 1, list(zip(*X)), list(zip(*Y)), len(Y)
+        x_columns, y_columns, n = list(zip(*X)), list(zip(*Y)), len(Y)
         on_boundary = {}
         for w, a, b, alpha in zip(w_points, ux, uy, alphas):
             gate = _key((*a, *b, alpha))
             hits = on_boundary.get(gate)
             if hits is None:
-                ys, level = {}, scale * alpha  # D·alpha - <y, v*> -> the y giving it
-                for j, t in enumerate(dots(y_columns, [-c for c in b], n, level) if b else [level]):
+                ys = {}  # alpha - <y, v*> -> the y giving it
+                for j, t in enumerate(dots(y_columns, [-c for c in b], n, alpha) if b else [alpha]):
                     ys.setdefault(t, []).append(j)
                 x_col = dots(x_columns, a, len(X))
                 if len(ys) == 1:  # one level, compared directly: hashing a float costs more

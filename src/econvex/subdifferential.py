@@ -36,17 +36,17 @@ The epsilon-formula audits compare the subdifferential of the restriction
 phi(., 0) with projections of the subdifferential of phi at (x, 0).  The
 coupling at (x, 0) reads only a dual point's x-side w, so the projection
 is the restriction's rule read off ``psi_block_min``, the table c5 reads.
-The projection formula at the same epsilon is a grid theorem; the
-intersection formula's intersection over eta > 0 is approximated by a
-finite decreasing ladder.  Membership is monotone in eps, so the ladder's
-intersection is its smallest member, the projection at eps + eta_min, and
-the reported inclusion carries that eta_min slack; the report names it.
+The projection formula at the same epsilon is a grid theorem.  So is the
+intersection formula's limit eta -> 0: w lies in the projection at
+eps + eta iff f0(x) + psi_min(w) <= c(x, w) + eps + eta, psi_min(w) being
+the least value over w's finitely many flats, which the minimum attains.
+That holds for every eta > 0 iff it holds at eta = 0, so the
+intersection over eta > 0 is the projection at eps itself, exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import inf
 from typing import Iterator, Optional, Tuple
@@ -325,53 +325,45 @@ def prop43_audit(P: PerturbationProblem) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _default_ladder(backend: str):
-    return tuple(scalar(Fraction(1, 10**k), backend) for k in range(4))
+def _kept_members(P: PerturbationProblem, table: str, x, eps) -> Tuple[DualPoint, ...]:
+    """``_members`` of phi(., 0) at x read off the table P.<table>, taken
+    once per table, x, eps and eps's class and kept on P for both
+    eps-formula audits.  0.5 and Fraction(1, 2) hash alike; with the class
+    in the key, an eps of the other backend never reads a kept entry, so
+    it raises every time."""
+    memo = P.__dict__.setdefault("_eps_members", {})
+    key = (table, tuple(x), eps, eps.__class__)
+    if key not in memo:
+        memo[key] = _members(P.f0, x, eps, getattr(P, table))
+    return memo[key]
 
 
 def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
-    """The eps-subdifferential of phi(., 0) at x, taken once per x, eps
-    and eps's class and kept on P for both eps-formula audits.  0.5 and
-    Fraction(1, 2) hash alike; with the class in the key, an eps of the
-    other backend never reads a kept entry, so it raises every time."""
-    memo = P.__dict__.setdefault("_restriction_members", {})
-    key = (tuple(x), eps, eps.__class__)
-    if key not in memo:
-        memo[key] = _members(P.f0, x, eps, P.f0_conj)
-    return memo[key]
+    """The eps-subdifferential of phi(., 0) at x."""
+    return _kept_members(P, "f0_conj", x, eps)
 
 
 def _projected_full_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
     """x-side projections, in x_side_grid order, of the dual points of the
     full grid in the eps-subdifferential of phi at (x, 0)."""
-    return _members(P.f0, x, eps, P.psi_block_min)
+    return _kept_members(P, "psi_block_min", x, eps)
 
 
-def theorem43_audit(P: PerturbationProblem, x, eps, eta_ladder=None) -> dict:
+def theorem43_audit(P: PerturbationProblem, x, eps) -> dict:
     """Intersection formula for the eps-subdifferential of phi(., 0).
 
-    The ladder intersection equals the projection at eta_min (membership
-    is monotone in eps), so the unconditional inclusion is exact whenever
-    eta_min sits below the instance's value resolution; the report names
-    the ladder and eta_min.  Set equality is the conditional direction,
-    surrogated by the c5 audit.
+    On a grid the intersection over eta > 0 of the projections at
+    eps + eta is the projection at eps (module docs), so the unconditional
+    inclusion is checked exactly, at every value resolution.  Set equality
+    is the conditional direction, surrogated by the c5 audit.
     """
-    if eta_ladder is None:
-        eta_ladder = _default_ladder(P.backend)
-    eta_ladder = tuple(eta_ladder)
-    if not eta_ladder or any(e <= 0 for e in eta_ladder):
-        raise ValueError("the eta ladder must be a nonempty list of positive steps")
-    if list(eta_ladder) != sorted(eta_ladder, reverse=True):
-        raise ValueError("the eta ladder must be decreasing")
     lhs = _restriction_subdiff(P, x, eps)
-    intersection = frozenset(_projected_full_subdiff(P, x, eps + eta_ladder[-1]))
+    intersection = frozenset(_projected_full_subdiff(P, x, eps))
     return {
         "superset_ok": intersection <= frozenset(lhs),
         "equal": intersection == frozenset(lhs),
         "lhs": tuple(lhs),
         "intersection": tuple(sorted(intersection, key=str)),
-        "eta_ladder": eta_ladder,
-        "eta_min": eta_ladder[-1],
     }
 
 

@@ -234,15 +234,20 @@ def float_twin(name):
 # The catalog problems and thirds, whose grids, slopes and alphas step by
 # 1/3: its float twin is the one whose passes stay on the floats as given.
 LIFT_PROBLEMS = CATALOG_PROBLEMS + ["thirds"]
-THIRDS = Path(__file__).parent / "data" / "thirds.json"
+
+
+def data_problem(name, backend="rational"):
+    """The problem file data/<name>.json, in the backend."""
+    path = Path(__file__).parent / "data" / f"{name}.json"
+    doc = dict(json.loads(path.read_text(encoding="utf-8")), backend=backend)
+    return problemio.loads(json.dumps(doc)).build()
 
 
 def twin(name, backend):
     """A problem of LIFT_PROBLEMS in the backend."""
     if name != "thirds":
         return catalog_problem(name) if backend == "rational" else float_twin(name)
-    doc = dict(json.loads(THIRDS.read_text(encoding="utf-8")), backend=backend)
-    return problemio.loads(json.dumps(doc)).build()
+    return data_problem(name, backend)
 
 
 def lifted(name, backend):

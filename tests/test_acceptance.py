@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import catalog_problem, random_problem
+from helpers import catalog_problem, data_problem, random_problem
 
 from econvex import extreal
 from econvex.conjugation import (
@@ -313,20 +313,19 @@ def test_criterion_7_eps_formulae():
     rng = random.Random(1618)
     ok = True
     problems = [catalog_problem(n) for n in CATALOG_PROBLEMS]
-    # Rational random instances with value resolution 1/4, far above the
-    # default ladder's eta_min = 1/1000, so the collapsed-ladder inclusion
-    # is exact (see the module docs for the slack analysis).
     problems += [
         random_problem(rng, backend="rational", max_x=5, max_y=5, max_dual=6, max_pairs=6)
         for _ in range(5)
     ]
+    # phi(x, 0) = -x/2000 on x in {0, 1}: its values vary by less than 1/1000.
+    problems.append(data_problem("fine_resolution"))
     eps_values = (Fraction(0), Fraction(1, 2), Fraction(1))
     for P in problems:
-        probe = P.x_grid.points[len(P.x_grid) // 2]
-        for eps in eps_values:
-            t43 = theorem43_audit(P, probe, eps)
-            t44 = theorem44_audit(P, probe, eps)
-            ok &= t43["superset_ok"] and t44["superset_ok"]
+        for probe in {P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2]}:
+            for eps in eps_values:
+                t43 = theorem43_audit(P, probe, eps)
+                t44 = theorem44_audit(P, probe, eps)
+                ok &= t43["superset_ok"] and t44["superset_ok"]
     # Equality under the c5 surrogate, violation with witness without it.
     fen = catalog_problem("fenchel_abs")
     ok &= c5_audit(fen).status == EXACT_PASS
@@ -344,7 +343,7 @@ def test_criterion_7_eps_formulae():
         ok,
         30.0,
         time.monotonic() - start,
-        "10 instances x 3 eps, witness on truncated_dual",
+        "11 instances x 2 points x 3 eps, witness on truncated_dual",
     )
 
 

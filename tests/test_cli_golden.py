@@ -41,10 +41,12 @@ FIXTURE = Path(__file__).parent / "data" / "cli_golden.json"
 # origin, so ``subdiff --at 0`` is an input error.  thirds steps its
 # grids, slopes and alphas by 1/3, which no double holds exactly, so its
 # float twin is the one case whose sweeps and scan run on the floats as
-# given rather than on scaled ints.
+# given rather than on scaled ints.  fine_resolution's phi(x, 0) = -x/2000
+# varies by less than 1/1000 between its two x, so the eps-formula audits
+# meet values finer than any fixed eta step.
 DATA_PROBLEMS = {
     name: Path(__file__).parent / "data" / f"{name}.json"
-    for name in ("mixed_ops", "empty_domain", "thirds")
+    for name in ("mixed_ops", "empty_domain", "thirds", "fine_resolution")
 }
 
 PROBLEM_COMMANDS = (

@@ -871,8 +871,6 @@ def row_major_c_conjugate_rows(f, w_grid):
         ([w.alpha for w in w_points], [v for _, v in dom]),
     )
     inner = _row_major_dot(D is not None)
-    scale = D or 1
-    values = [scale * v for v in values]
     highest, fenchel, out = {}, {}, []
     for u, alpha, x in zip(ustars, alphas, xstars):
         gate = _key(u)
@@ -880,7 +878,7 @@ def row_major_c_conjugate_rows(f, w_grid):
         if top is None:
             tops = [inner(p, u) for p in points]
             top = highest[gate] = max(tops) if all(t == t for t in tops) else math.nan
-        if not (top < scale * alpha):
+        if not (top < alpha):
             out.append((POS_INF, None))
             continue
         slope = _key(x)
@@ -913,15 +911,12 @@ def row_major_cprime_conjugate(g, x_grid):
         slope = slopes.setdefault(_key(x), [x, v])
         if v < slope[1]:
             slope[1] = v
-    scale = D or 1
-    gates = [(u, scale * alpha) for u, alpha in gates.values()]
-    slopes = [(x, scale * v) for x, v in slopes.values()]
     vals = []
     for p in points:
-        if any(not (inner(p, u) < level) for u, level in gates):
+        if any(not (inner(p, u) < alpha) for u, alpha in gates.values()):
             vals.append(POS_INF)
         else:
-            best = max(inner(p, x) - v for x, v in slopes)
+            best = max(inner(p, x) - v for x, v in slopes.values())
             vals.append(ExtReal(as_backend(best, D, x_grid.backend)))
     return SampledFn(x_grid, vals)
 

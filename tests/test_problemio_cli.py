@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, conjugation, problemio
+from econvex import catalog, conjugation, problemio, subdifferential
 from econvex.cli import main
 from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
 from econvex.duality import PerturbationProblem, converse_duality_report
@@ -236,6 +236,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "intersection_formula.superset_ok = true" in out
         assert "projection_formula.superset_ok = true" in out
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_values_finer_than_a_thousandth_pass_the_eps_formulae(self, backend, capsys,
+                                                                  tmp_path):
+        # phi(x, 0) = -x/2000 on x in {0, 1}: the slope-0 point is in the
+        # projection at every eps >= 1/2000 but not at eps = 0.
+        doc = json.loads((Path(__file__).parent / "data" / "fine_resolution.json").read_text())
+        path = tmp_path / "fine_resolution.json"
+        path.write_text(json.dumps(dict(doc, backend=backend)))
+        assert main(["audit", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "exact_failures = 0"
+        assert main(["subdiff", str(path), "--at", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "intersection_formula.superset_ok = true" in out
+        assert "projection_formula.superset_ok = true" in out
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_eps_formulae_sweep_once_per_table(self, name, capsys, monkeypatch):
+        """Counts only: the eps-formula audits read one restriction and one
+        projection per (x, eps), so audit's two points and three eps make
+        12 membership sweeps and subdiff's one (x, eps) makes 2."""
+        calls, real = [], subdifferential._members
+        monkeypatch.setattr(subdifferential, "_members", lambda *a: calls.append(a) or real(*a))
+        main(["audit", name, "--suite", "all"])
+        assert len(calls) == 12
+        calls.clear()
+        main(["subdiff", name, "--at", "0", "--eps", "1/2"])
+        assert len(calls) == 2
 
     def test_lagrangian_csv_shape(self, capsys):
         assert main(["lagrangian", "fenchel_abs", "--output", "csv"]) == 0

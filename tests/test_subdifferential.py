@@ -11,6 +11,7 @@ from helpers import (
     WIDE_FRACTIONS,
     built_extreals,
     catalog_problem,
+    data_problem,
     ext_values,
     float_twin,
     random_problem,
@@ -32,7 +33,6 @@ from econvex.funcrep import Grid, PerturbFn, SampledFn
 from econvex.duality import EXACT_PASS, PerturbationProblem, c5_audit
 from econvex import subdifferential
 from econvex.subdifferential import (
-    _default_ladder,
     _embedded_memberships,
     _projected_full_subdiff,
     _restriction_subdiff,
@@ -283,7 +283,6 @@ class TestTheorem43:
         out = theorem43_audit(fenchel_abs, (0,), Fraction(0))
         assert c5_audit(fenchel_abs).status == EXACT_PASS
         assert out["equal"]
-        assert out["eta_min"] == Fraction(1, 1000)
 
     def test_certificate_projection_in_both_sides(self, fenchel_abs):
         cert_w = DualPoint.of((0,), (0,), 1)
@@ -292,20 +291,12 @@ class TestTheorem43:
         assert projected in out["lhs"]
         assert projected in out["intersection"]
 
-    def test_ladder_validation(self, fenchel_abs):
-        with pytest.raises(ValueError):
-            theorem43_audit(fenchel_abs, (0,), Fraction(0), eta_ladder=())
-        with pytest.raises(ValueError):
-            theorem43_audit(
-                fenchel_abs, (0,), Fraction(0), eta_ladder=(Fraction(1), Fraction(2))
-            )
-
     def test_ladder_slack_bites_below_value_resolution(self):
-        # The finite ladder collapses to its smallest eta, so an instance
-        # whose values vary by less than eta_min can put a point in every
-        # ladder projection without it being a true member at eps.  The
-        # audit must surface that as a failed inclusion, not mask it.
-        delta = Fraction(1, 2000)  # below the default eta_min = 1/1000
+        # The values vary by 1/2000: the slope-0 point is in the projection
+        # at every eps + eta with eta >= 1/2000, so a finite ladder of etas
+        # stopping at 1/1000 would put it in the intersection.  The limit
+        # eta -> 0 is the projection at eps, which leaves it out.
+        delta = Fraction(1, 2000)
         table = {
             ((Fraction(0),), (Fraction(0),)): ExtReal(0),
             ((Fraction(1),), (Fraction(0),)): ExtReal(-delta),
@@ -319,13 +310,9 @@ class TestTheorem43:
         )
         out = theorem43_audit(P, (0,), Fraction(0))
         assert out["lhs"] == ()  # the slope-0 point is not a subgradient at 0
-        assert DualPoint.of((0,), (0,), 1) in out["intersection"]
-        assert not out["superset_ok"]
-        # Shrinking the ladder below the instance resolution repairs it.
-        fine = theorem43_audit(
-            P, (0,), Fraction(0), eta_ladder=(Fraction(1, 4000),)
-        )
-        assert fine["superset_ok"]
+        assert out["intersection"] == ()
+        assert out["superset_ok"] and out["equal"]
+        assert DualPoint.of((0,), (0,), 1) in _projected_full_subdiff(P, (0,), delta)
 
 
 class TestTheorem44:
@@ -359,10 +346,8 @@ SLOPES = (0, 1, -1, 2, -2)
 
 
 def eps_values(backend):
-    """0, 1/2, 1, 1/2 + eta_min and eta_min of the default ladder."""
-    eta_min = _default_ladder(backend)[-1]
-    return [scalar(Fraction(0), backend), scalar(Fraction(1, 2), backend),
-            scalar(Fraction(1), backend), scalar(Fraction(1, 2), backend) + eta_min, eta_min]
+    """0, 1/2, 1, 1/2 + 1/1000 and 1/1000."""
+    return [scalar(e, backend) for e in (0, Fraction(1, 2), 1, Fraction(501, 1000), Fraction(1, 1000))]
 
 
 def payloads(backend):
@@ -587,8 +572,9 @@ def test_total_duality_evaluates_no_coupling(name, backend, monkeypatch):
 
 def test_the_eps_audits_share_the_restriction_members(monkeypatch):
     """Counts only: theorem43_audit and theorem44_audit at one (x, eps)
-    take the restriction's members once between them, and a float eps
-    at the value of a kept Fraction one still raises."""
+    take the restriction's members and the projection once each between
+    them, and a float eps at the value of a kept Fraction one still
+    raises."""
     P = catalog_problem("fenchel_abs")
     calls, real = [], subdifferential._members
 
@@ -601,7 +587,7 @@ def test_the_eps_audits_share_the_restriction_members(monkeypatch):
     for eps in (Fraction(0), Fraction(1, 2)):
         t43, t44 = theorem43_audit(P, x, eps), theorem44_audit(P, x, eps)
         assert set(t43["lhs"]) == set(t44["lhs"])
-    assert calls.count(True) == 2 and calls.count(False) == 4
+    assert calls.count(True) == 2 and calls.count(False) == 2
     with pytest.raises(BackendMismatchError):
         theorem44_audit(P, x, 0.5)
 
@@ -669,39 +655,31 @@ def test_the_checks_take_their_own_ints(name, monkeypatch):
         assert members == [ints] * (2 * len(P.x_grid))
 
 
-class TestLadderIsOneProjection:
-    def ladder_cases(self):
-        yield catalog_problem("fenchel_abs"), None
-        yield catalog_problem("truncated_dual"), (Fraction(1, 2), Fraction(1, 8))
+class TestIntersectionIsTheLimit:
+    """theorem43_audit's intersection over eta > 0 is the projection at
+    eps, which theorem44_audit reads, and so the intersection of the
+    projections at eps + eta for eta = 1, 1/10, ..., 1/10^6: every
+    instance here steps its values by more than 10^-6, fine_resolution's
+    by 1/2000."""
+
+    def cases(self):
+        for name in CATALOG_PROBLEMS:
+            yield catalog_problem(name)
+            yield float_twin(name)
+        for backend in ("rational", "float"):
+            yield data_problem("fine_resolution", backend)
         rng = random.Random(43)
         for backend in ("rational", "float"):
             for _ in range(6):
-                yield random_problem(rng, backend, max_x=5, max_y=5, max_dual=6, max_pairs=6), None
+                yield random_problem(rng, backend, max_x=5, max_y=5, max_dual=6, max_pairs=6)
 
-    def test_intersection_over_every_rung(self):
-        for P, ladder in self.ladder_cases():
-            rungs = ladder or _default_ladder(P.backend)
+    def test_the_intersection_is_the_projection_at_eps(self):
+        for P in self.cases():
+            etas = [scalar(Fraction(1, 10**k), P.backend) for k in range(7)]
             for x in P.x_grid.points:
                 for eps in eps_values(P.backend)[:3]:
-                    out = theorem43_audit(P, x, eps, ladder)
-                    explicit = frozenset.intersection(*(
-                        frozenset(_projected_full_subdiff(P, x, eps + eta)) for eta in rungs
+                    out = frozenset(theorem43_audit(P, x, eps)["intersection"])
+                    assert out == frozenset(theorem44_audit(P, x, eps)["projection"])
+                    assert out == frozenset.intersection(*(
+                        frozenset(_projected_full_subdiff(P, x, eps + eta)) for eta in etas
                     ))
-                    assert frozenset(out["intersection"]) == explicit
-                    assert out["eta_ladder"] == tuple(rungs)
-
-
-class TestDefaultLadder:
-    def test_float_ladder(self):
-        ladder = _default_ladder("float")
-        assert ladder == (1.0, 0.1, 0.01, 0.001)
-        assert all(type(e) is float for e in ladder)
-
-    def test_rational_ladder(self):
-        ladder = _default_ladder("rational")
-        assert ladder == (Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))
-        assert all(type(e) is Fraction for e in ladder)
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            _default_ladder("decimal")
