@@ -47,7 +47,6 @@ from econvex.problemio import _text
 from econvex.subdifferential import (
     _restriction_subdiff,
     prop43_audit,
-    theorem43_audit,
     theorem44_audit,
     transfer_audit,
 )
@@ -311,27 +310,23 @@ def _subdiff_inputs(P, args):
 def cmd_subdiff(args) -> int:
     P = _build(args.problem)
     at, eps = _subdiff_inputs(P, args)
-    members = _restriction_subdiff(P, at, eps)
     if args.output == "csv":
+        members = _restriction_subdiff(P, at, eps)
         _print_csv(_dual_header(P.x_grid.dim), [_dual_cells(w) for w in members])
         return EXIT_OK
+    audit = theorem44_audit(P, at, eps)
+    members = audit["lhs"]
     rows = [("at", at), ("eps", eps), ("members", len(members))]
     rows += [("member", w) for w in members]
-    t43 = theorem43_audit(P, at, eps)
-    t44 = theorem44_audit(P, at, eps)
     rows += [
-        ("intersection_formula.superset_ok", t43["superset_ok"]),
-        ("intersection_formula.equal", t43["equal"]),
-        ("projection_formula.superset_ok", t44["superset_ok"]),
-        ("projection_formula.equal", t44["equal"]),
+        ("intersection_formula.superset_ok", audit["superset_ok"]),
+        ("intersection_formula.equal", audit["equal"]),
+        ("projection_formula.superset_ok", audit["superset_ok"]),
+        ("projection_formula.equal", audit["equal"]),
         ("c5_surrogate", c5_audit(P).status == EXACT_PASS),
     ]
     _emit([f"# subdifferential report: {P.name}"] + _lines(rows))
-    return (
-        EXIT_OK
-        if t43["superset_ok"] and t44["superset_ok"]
-        else EXIT_EXACT_FAILURE
-    )
+    return EXIT_OK if audit["superset_ok"] else EXIT_EXACT_FAILURE
 
 
 def cmd_lagrangian(args) -> int:
@@ -428,12 +423,10 @@ def cmd_audit(args) -> int:
     ]
     for x in (P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2]):
         for eps in _eps_values(P):
-            t43 = theorem43_audit(P, x, eps)
-            t44 = theorem44_audit(P, x, eps)
             audits.append(
                 AuditOutcome.exact(
                     f"eps_formulae_superset[x={_text(x)},eps={_text(eps)}]",
-                    t43["superset_ok"] and t44["superset_ok"],
+                    theorem44_audit(P, x, eps)["superset_ok"],
                     "intersection and projection superset directions",
                 )
             )

@@ -32,7 +32,7 @@ the converse requires the grid surrogate of even convexity, namely
 f^{cc'} = f pointwise.  Membership transfers at the same pair (x, w) on
 both sides.
 
-The epsilon-formula audits compare the subdifferential of the restriction
+The epsilon-formula audit compares the subdifferential of the restriction
 phi(., 0) with projections of the subdifferential of phi at (x, 0).  The
 coupling at (x, 0) reads only a dual point's x-side w, so the projection
 is the restriction's rule read off ``psi_block_min``, the table c5 reads.
@@ -41,7 +41,9 @@ intersection formula's limit eta -> 0: w lies in the projection at
 eps + eta iff f0(x) + psi_min(w) <= c(x, w) + eps + eta, psi_min(w) being
 the least value over w's finitely many flats, which the minimum attains.
 That holds for every eta > 0 iff it holds at eta = 0, so the
-intersection over eta > 0 is the projection at eps itself, exactly.
+intersection over eta > 0 is the projection at eps itself, exactly, and
+one audit, :func:`theorem44_audit`, checks both formulae: one sweep for
+the restriction's members and one for the projection per (x, eps).
 """
 
 from __future__ import annotations
@@ -325,59 +327,38 @@ def prop43_audit(P: PerturbationProblem) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _kept_members(P: PerturbationProblem, table: str, x, eps) -> Tuple[DualPoint, ...]:
-    """``_members`` of phi(., 0) at x read off the table P.<table>, taken
-    once per table, x, eps and eps's class and kept on P for both
-    eps-formula audits.  0.5 and Fraction(1, 2) hash alike; with the class
-    in the key, an eps of the other backend never reads a kept entry, so
-    it raises every time."""
-    memo = P.__dict__.setdefault("_eps_members", {})
-    key = (table, tuple(x), eps, eps.__class__)
-    if key not in memo:
-        memo[key] = _members(P.f0, x, eps, getattr(P, table))
-    return memo[key]
-
-
 def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
-    """The eps-subdifferential of phi(., 0) at x."""
-    return _kept_members(P, "f0_conj", x, eps)
+    """The eps-subdifferential of phi(., 0) at x, in x_side_grid order."""
+    return _members(P.f0, x, eps, P.f0_conj)
 
 
 def _projected_full_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
     """x-side projections, in x_side_grid order, of the dual points of the
     full grid in the eps-subdifferential of phi at (x, 0)."""
-    return _kept_members(P, "psi_block_min", x, eps)
+    return _members(P.f0, x, eps, P.psi_block_min)
 
 
 def theorem43_audit(P: PerturbationProblem, x, eps) -> dict:
-    """Intersection formula for the eps-subdifferential of phi(., 0).
-
-    On a grid the intersection over eta > 0 of the projections at
-    eps + eta is the projection at eps (module docs), so the unconditional
-    inclusion is checked exactly, at every value resolution.  Set equality
-    is the conditional direction, surrogated by the c5 audit.
-    """
-    lhs = _restriction_subdiff(P, x, eps)
-    intersection = frozenset(_projected_full_subdiff(P, x, eps))
-    return {
-        "superset_ok": intersection <= frozenset(lhs),
-        "equal": intersection == frozenset(lhs),
-        "lhs": tuple(lhs),
-        "intersection": tuple(sorted(intersection, key=str)),
-    }
+    """Intersection formula: on a grid it is the projection formula's audit."""
+    return theorem44_audit(P, x, eps)
 
 
 def theorem44_audit(P: PerturbationProblem, x, eps) -> dict:
-    """Projection formula at the same eps: the projection is always inside
-    the restriction's subdifferential; equality tracks the c5 surrogate,
-    and strict-inclusion witnesses are listed."""
-    lhs = frozenset(_restriction_subdiff(P, x, eps))
-    rhs = frozenset(_projected_full_subdiff(P, x, eps))
-    witnesses = tuple(sorted(lhs - rhs, key=str))
+    """The eps-formula audit at x: the projection of the full
+    subdifferential at (x, 0) is always inside the restriction's
+    subdifferential; equality tracks the c5 surrogate, and the
+    strict-inclusion witnesses are listed.  On a grid the intersection
+    formula's limit is this projection (module docs), so the audit serves
+    both formulae.  ``lhs``, ``projection`` and ``strict_witnesses`` are
+    in x_side_grid order, the order of both tables, so equal sets are
+    equal tuples."""
+    lhs = _restriction_subdiff(P, x, eps)
+    projection = _projected_full_subdiff(P, x, eps)
+    kept = frozenset(projection)
     return {
-        "superset_ok": rhs <= lhs,
-        "equal": lhs == rhs,
-        "lhs": tuple(sorted(lhs, key=str)),
-        "projection": tuple(sorted(rhs, key=str)),
-        "strict_witnesses": witnesses,
+        "superset_ok": kept <= frozenset(lhs),
+        "equal": projection == lhs,
+        "lhs": lhs,
+        "projection": projection,
+        "strict_witnesses": tuple(w for w in lhs if w not in kept),
     }

@@ -59,6 +59,7 @@ PROBLEM_COMMANDS = (
     ("biconjugate", "--output", "csv"),
     ("lagrangian",),
     ("lagrangian", "--output", "csv"),
+    ("subdiff", "--at", "0"),
     ("subdiff", "--at", "0", "--eps", "1/2"),
     ("subdiff", "--at", "1", "--output", "csv"),
 )

@@ -265,6 +265,27 @@ class TestCli:
         main(["subdiff", name, "--at", "0", "--eps", "1/2"])
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_the_subdiff_report_lists_the_csv_members(self, name, backend, capsys, tmp_path):
+        # The report reads its members off the eps-formula audit and the
+        # CSV off the restriction alone: the two agree row for row.
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(entry(name), backend=backend)))
+        x_grid = problemio.load(str(path)).build().x_grid
+        d, middle = x_grid.dim, x_grid.points[len(x_grid) // 2]
+        for at in ("0", ",".join(map(problemio._text, middle))):
+            for eps in ("0", "1/2"):
+                args = ["subdiff", str(path), "--at", at, "--eps", eps]
+                assert main(args) == 0
+                report = capsys.readouterr().out.splitlines()
+                assert main(args + ["--output", "csv"]) == 0
+                csv = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+                assert [line for line in report if line.startswith("member = ")] == [
+                    f"member = (x*=({', '.join(r[:d])}), u*=({', '.join(r[d:2 * d])}),"
+                    f" alpha={r[-1]})" for r in csv
+                ]
+
     def test_lagrangian_csv_shape(self, capsys):
         assert main(["lagrangian", "fenchel_abs", "--output", "csv"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()

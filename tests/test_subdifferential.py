@@ -271,25 +271,29 @@ class TestEpsSubdifferential:
             assert 2 * member.ustar[0] < member.alpha
 
 
-class TestTheorem43:
+class TestTheorem44:
     def test_superset_direction_exact(self, fenchel_abs, truncated):
         for P in (fenchel_abs, truncated):
-            for x in ((0,), (-2,), (3,)):
+            for x in ((0,), (-1,), (-2,), (3,)):
                 for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
-                    out = theorem43_audit(P, x, eps)
-                    assert out["superset_ok"], (P.name, x, eps)
+                    assert theorem44_audit(P, x, eps)["superset_ok"], (P.name, x, eps)
 
     def test_equality_on_c5_instance(self, fenchel_abs):
-        out = theorem43_audit(fenchel_abs, (0,), Fraction(0))
-        assert c5_audit(fenchel_abs).status == EXACT_PASS
-        assert out["equal"]
+        out = theorem44_audit(fenchel_abs, (0,), Fraction(0))
+        assert c5_audit(fenchel_abs).status == EXACT_PASS and out["equal"]
+
+    def test_strict_inclusion_with_witness_on_truncated(self, truncated):
+        out = theorem44_audit(truncated, (0,), Fraction(0))
+        assert c5_audit(truncated).status != EXACT_PASS
+        assert not out["equal"]
+        assert DualPoint.of((2,), (0,), 1) in out["strict_witnesses"]
 
     def test_certificate_projection_in_both_sides(self, fenchel_abs):
         cert_w = DualPoint.of((0,), (0,), 1)
         projected = fenchel_abs.x_side(fenchel_abs.embed(cert_w))
-        out = theorem43_audit(fenchel_abs, (0,), Fraction(0))
+        out = theorem44_audit(fenchel_abs, (0,), Fraction(0))
         assert projected in out["lhs"]
-        assert projected in out["intersection"]
+        assert projected in out["projection"]
 
     def test_ladder_slack_bites_below_value_resolution(self):
         # The values vary by 1/2000: the slope-0 point is in the projection
@@ -308,29 +312,37 @@ class TestTheorem43:
             Grid(1, [(0,)]),
             DualGrid([DualPoint.of((0,), (0,), 1)]),
         )
-        out = theorem43_audit(P, (0,), Fraction(0))
+        out = theorem44_audit(P, (0,), Fraction(0))
         assert out["lhs"] == ()  # the slope-0 point is not a subgradient at 0
-        assert out["intersection"] == ()
+        assert out["projection"] == ()
         assert out["superset_ok"] and out["equal"]
         assert DualPoint.of((0,), (0,), 1) in _projected_full_subdiff(P, (0,), delta)
 
+    def test_the_intersection_formula_reads_the_same_audit(self):
+        for name in CATALOG_PROBLEMS:
+            for P in (catalog_problem(name), float_twin(name)):
+                for x in P.x_grid.points:
+                    for eps in eps_values(P.backend)[:3]:
+                        assert theorem43_audit(P, x, eps) == theorem44_audit(P, x, eps)
 
-class TestTheorem44:
-    def test_superset_direction_exact(self, fenchel_abs, truncated):
-        for P in (fenchel_abs, truncated):
-            for x in ((0,), (-1,)):
-                for eps in (Fraction(0), Fraction(1)):
-                    assert theorem44_audit(P, x, eps)["superset_ok"]
-
-    def test_equality_on_c5_instance(self, fenchel_abs):
-        out = theorem44_audit(fenchel_abs, (0,), Fraction(0))
-        assert c5_audit(fenchel_abs).status == EXACT_PASS and out["equal"]
-
-    def test_strict_inclusion_with_witness_on_truncated(self, truncated):
-        out = theorem44_audit(truncated, (0,), Fraction(0))
-        assert c5_audit(truncated).status != EXACT_PASS
-        assert not out["equal"]
-        assert DualPoint.of((2,), (0,), 1) in out["strict_witnesses"]
+    def test_the_sets_come_in_x_side_grid_order(self):
+        # lhs and projection are the two member sweeps as they come, and
+        # the witnesses are lhs without the projection, each a subsequence
+        # of x_side_grid.
+        for name in CATALOG_PROBLEMS:
+            for P in (catalog_problem(name), float_twin(name)):
+                order = {v: i for i, v in enumerate(P.x_side_grid.points)}
+                for x in P.x_grid.points:
+                    for eps in eps_values(P.backend):
+                        out = theorem44_audit(P, x, eps)
+                        lhs = _restriction_subdiff(P, x, eps)
+                        projection = _projected_full_subdiff(P, x, eps)
+                        assert out["lhs"] == lhs
+                        assert out["projection"] == projection
+                        assert out["strict_witnesses"] == tuple(
+                            v for v in lhs if v not in projection)
+                        assert list(lhs) == sorted(lhs, key=order.__getitem__)
+                        assert list(projection) == sorted(projection, key=order.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +583,9 @@ def test_total_duality_evaluates_no_coupling(name, backend, monkeypatch):
 
 
 def test_the_eps_audits_share_the_restriction_members(monkeypatch):
-    """Counts only: theorem43_audit and theorem44_audit at one (x, eps)
-    take the restriction's members and the projection once each between
-    them, and a float eps at the value of a kept Fraction one still
-    raises."""
+    """Counts only: one eps-formula audit, for both formulae, takes the
+    restriction's members and the projection once each per call, and a
+    float eps on a rational problem raises on every call."""
     P = catalog_problem("fenchel_abs")
     calls, real = [], subdifferential._members
 
@@ -584,12 +595,12 @@ def test_the_eps_audits_share_the_restriction_members(monkeypatch):
 
     monkeypatch.setattr(subdifferential, "_members", counted)
     x = P.x_grid.points[0]
-    for eps in (Fraction(0), Fraction(1, 2)):
-        t43, t44 = theorem43_audit(P, x, eps), theorem44_audit(P, x, eps)
-        assert set(t43["lhs"]) == set(t44["lhs"])
-    assert calls.count(True) == 2 and calls.count(False) == 2
-    with pytest.raises(BackendMismatchError):
-        theorem44_audit(P, x, 0.5)
+    for eps in (Fraction(0), Fraction(1, 2), Fraction(0)):
+        theorem44_audit(P, x, eps)
+    assert calls == [True, False] * 3
+    for _ in range(2):
+        with pytest.raises(BackendMismatchError):
+            theorem44_audit(P, x, 0.5)
 
 
 class TestMixedBackendsRaise:
@@ -656,11 +667,10 @@ def test_the_checks_take_their_own_ints(name, monkeypatch):
 
 
 class TestIntersectionIsTheLimit:
-    """theorem43_audit's intersection over eta > 0 is the projection at
-    eps, which theorem44_audit reads, and so the intersection of the
-    projections at eps + eta for eta = 1, 1/10, ..., 1/10^6: every
-    instance here steps its values by more than 10^-6, fine_resolution's
-    by 1/2000."""
+    """theorem44_audit's projection at eps is the intersection of the
+    projections at eps + eta over eta > 0, and so that of the projections
+    at eps + eta for eta = 1, 1/10, ..., 1/10^6: every instance here steps
+    its values by more than 10^-6, fine_resolution's by 1/2000."""
 
     def cases(self):
         for name in CATALOG_PROBLEMS:
@@ -678,8 +688,7 @@ class TestIntersectionIsTheLimit:
             etas = [scalar(Fraction(1, 10**k), P.backend) for k in range(7)]
             for x in P.x_grid.points:
                 for eps in eps_values(P.backend)[:3]:
-                    out = frozenset(theorem43_audit(P, x, eps)["intersection"])
-                    assert out == frozenset(theorem44_audit(P, x, eps)["projection"])
+                    out = frozenset(theorem44_audit(P, x, eps)["projection"])
                     assert out == frozenset.intersection(*(
                         frozenset(_projected_full_subdiff(P, x, eps + eta)) for eta in etas
                     ))
