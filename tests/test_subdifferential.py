@@ -271,6 +271,22 @@ class TestEpsSubdifferential:
             assert 2 * member.ustar[0] < member.alpha
 
 
+class TestTheorem43:
+    """The intersection formula through its own entry point."""
+
+    def test_superset_direction_exact(self, fenchel_abs, truncated):
+        for P in (fenchel_abs, truncated):
+            for x in ((0,), (-2,), (3,)):
+                for eps in (Fraction(0), Fraction(1, 2), Fraction(1)):
+                    out = theorem43_audit(P, x, eps)
+                    assert out["superset_ok"], (P.name, x, eps)
+
+    def test_equality_on_c5_instance(self, fenchel_abs):
+        out = theorem43_audit(fenchel_abs, (0,), Fraction(0))
+        assert c5_audit(fenchel_abs).status == EXACT_PASS
+        assert out["equal"]
+
+
 class TestTheorem44:
     def test_superset_direction_exact(self, fenchel_abs, truncated):
         for P in (fenchel_abs, truncated):
