@@ -49,11 +49,13 @@ left fold of ``esets.dot`` at each point, so both backends run one
 kernel.  The c'-sweep is slope-major: a shut mask per distinct u*, then
 a running max per distinct x-part at the open points, which keeps
 builtin ``max``'s first maximiser and NaN.  With P, U, X, A and V the
-lists a sweep reads, a gate is shut iff not <P, U> < A, a Fenchel term
-is <P, X> - V, and ``funcrep._unscale`` gives a value back: on ints
-``Fraction(best, D·D)`` in the rational backend and ``best / (D·D)`` in
-the float one, whose ints ``_prepared`` certified no float operation of
-the flat sweep could round, and ``best`` on lists as given.  So gates,
+lists a sweep reads, a gate is shut iff not <P, U> < A and a Fenchel
+term is <P, X> - V.  On ints a sweep returns an exact table
+(``SampledFn.keyed``) of the raw values over D·D: ``Fraction(best, D·D)``
+in the rational backend, ``best / (D·D)`` in the float one, whose ints
+``_prepared`` certified no float operation of the flat sweep could
+round; on lists as given, the values ``best``.  A sweep reads an exact
+table's int keys as its payloads, with no Fraction.  So gates,
 maxima, the first attaining row, the value, its type and its rendering
 are those of the ``Fraction`` sweep, or of the flat float sweep; on
 lists as given the arithmetic is that of the definition, NaN and -0.0
@@ -292,18 +294,29 @@ def _key(v: Sequence) -> Tuple:
 
 def _split_dom(f: SampledFn):
     """(the (point, payload) rows of dom f, their indices on f's grid), or
-    (None, the constant conjugate); one pass over f's values.
+    (None, the constant conjugate); one pass over f's raw payloads
+    (``SampledFn.payloads``), so the rows of an exact table carry its int
+    keys.
 
     An empty domain conjugates to -inf and a -inf value on the domain to
     +inf, whatever the dual point; the rows are returned only when every
     value on the domain is finite.
     """
-    cells = [k for k, v in enumerate(f.values) if not v.is_pos_inf]
+    raw = f.payloads()
+    cells = [k for k, v in enumerate(raw) if v != inf]
     if not cells:
         return None, NEG_INF
-    if any(f.values[k].is_neg_inf for k in cells):
+    if -inf in raw:
         return None, POS_INF
-    return [(f.grid.points[k], f.values[k].value) for k in cells], cells
+    points = f.grid.points
+    return [(points[k], raw[k]) for k in cells], cells
+
+
+def _payloads(f: SampledFn, dom) -> list:
+    """The payloads of dom f's rows as ``funcrep._prepared`` reads them:
+    an exact table's int keys over its scale, other values as given."""
+    values = [v for _, v in dom]
+    return values if f.scale is None else funcrep._Scaled(values, f.scale, f.grid.backend)
 
 
 def _columns(cols, n: int):
@@ -395,9 +408,9 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     """(D, per function of fs, all on one grid, (best, attaining row) per
     dual point, in the order of the dual grid).
 
-    On a finite cell best is the sweep's raw Fenchel value, which
-    ``funcrep._unscale(D, backend)`` takes back to f^c(w), and the row
-    is the first (point, payload) of dom f, in grid order, attaining it;
+    On a finite cell best is the sweep's raw Fenchel value, an int over
+    D·D when D is not None, and the row is the first (point, payload) of
+    dom f (``_split_dom``), in grid order, attaining it;
     on a +-inf cell best is the float +-inf and the row None.  A NaN
     value raises here.  The sweep nests over the grid as X x Y
     (``_prepared``), X cut to the rows that some function's domain meets,
@@ -416,7 +429,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     D, ((X, ux, xx), (Y, uy, xy)), (alphas, *payloads) = funcrep._prepared(
         fs[0].grid,
         ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
-        [[w.alpha for w in w_grid.points]] + [[v for _, v in dom] for _, dom, _ in swept],
+        [[w.alpha for w in w_grid.points]] + [_payloads(fs[r], dom) for r, dom, _ in swept],
     )
     n = len(Y)
     used = sorted({k // n for _, _, cells in swept for k in cells})
@@ -461,8 +474,7 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
 def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     """f^c(w) = sup over the grid of { c(x, w) - f(x) }."""
     D, (cells,) = _c_conjugate_rows([f], w_grid)
-    back = funcrep._unscale(D, f.grid.backend)
-    return SampledFn(w_grid, [ExtReal(best if row is None else back(best)) for best, row in cells])
+    return SampledFn.keyed(w_grid, [best for best, _ in cells], None if D is None else D * D)
 
 
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
@@ -483,7 +495,7 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         return SampledFn(x_grid, [constant] * len(x_grid))
     D, ((X, ux, xx), (Y, uy, xy)), (alphas, values) = funcrep._prepared(
         x_grid, ([w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
-        ([w.alpha for w, _ in dom], [v for _, v in dom]),
+        ([w.alpha for w, _ in dom], _payloads(g, dom)),
     )
     gates = {}  # u* key -> [x-part, y-part, least alpha over dom g]
     slopes = {}  # x* key -> [x-part, y-part, least value of g]
@@ -518,9 +530,10 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         column = dots(columns, c, len(used))
         terms = [t - d for xs, d in zip(opened, costs) for t in _at(column, xs)]
         best = terms if best is None else [t if t > b else b for t, b in zip(terms, best)]
-    best = map(funcrep._unscale(D, x_grid.backend), best)
-    out = [POS_INF if s else _value(next(best)) for s in shut]  # y-major
-    return SampledFn(x_grid, chain.from_iterable(zip(*(out[j * m:(j + 1) * m] for j in range(n)))))
+    best = iter(best) if D is not None else map(_value, best)
+    keys = [inf if s else next(best) for s in shut]  # y-major
+    keys = chain.from_iterable(zip(*(keys[j * m:(j + 1) * m] for j in range(n))))
+    return SampledFn.keyed(x_grid, keys, None if D is None else D * D)
 
 
 def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
@@ -536,16 +549,8 @@ def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
 
 
 def _classify(values):
-    """(tag, payload) rows: tag 'f' finite, '+' +inf, '-' -inf."""
-    rows = []
-    for v in values:
-        if v.is_pos_inf:
-            rows.append(("+", None))
-        elif v.is_neg_inf:
-            rows.append(("-", None))
-        else:
-            rows.append(("f", v.value))
-    return rows
+    """The (tag, payload) rows of ExtReals (``funcrep._tags``)."""
+    return funcrep._tags([v._v for v in values], lambda p: p)
 
 
 def _sup_minus(couplings, rows) -> ExtReal:

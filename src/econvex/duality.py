@@ -24,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import inf
 from typing import Dict, Optional, Tuple
 
 from econvex import extreal
@@ -148,7 +149,8 @@ class PerturbationProblem:
 
     @cached_property
     def phi_on_product(self) -> SampledFn:
-        return SampledFn(self.product, self.phi.sample(self.product, self.backend))
+        """phi on X x Y, an exact table when the sampler ran on ints."""
+        return SampledFn.keyed(self.product, *self.phi.sample_keys(self.product, self.backend))
 
     @cached_property
     def f0(self) -> SampledFn:
@@ -159,8 +161,9 @@ class PerturbationProblem:
     def p_fn(self) -> SampledFn:
         """The infimum value function on the y-grid: the infimum of each
         column of phi_on_product, taken in x-grid order."""
-        cols = columns(self.phi_on_product.values, len(self.y_grid))
-        return SampledFn(self.y_grid, [extreal.inf(c) for c in cols])
+        phi = self.phi_on_product
+        lows = [min(column, default=inf) for column in columns(phi.keys, len(self.y_grid))]
+        return SampledFn.keyed(self.y_grid, lows, phi.scale)
 
     @cached_property
     def psi(self) -> SampledFn:
@@ -173,20 +176,27 @@ class PerturbationProblem:
         return cprime_conjugate(self.psi, self.product)
 
     @cached_property
+    def _x_sides(self) -> Tuple[DualGrid, list]:
+        """(x_side_grid, per flat of the full dual grid the index of its
+        projection on it), from one pass over the flats."""
+        at: Dict[DualPoint, int] = {}
+        index = [at.setdefault(self.x_side(flat), len(at)) for flat in self.full_dual_grid.points]
+        return DualGrid(at, self.backend), index
+
+    @cached_property
     def x_side_grid(self) -> DualGrid:
         """Projection of the full dual grid onto W = X* x X* x R."""
-        projected = (self.x_side(flat) for flat in self.full_dual_grid.points)
-        return DualGrid(dict.fromkeys(projected), self.backend)
+        return self._x_sides[0]
 
     @cached_property
     def psi_block_min(self) -> SampledFn:
-        """At each w of x_side_grid, the least psi over the flats projecting to w."""
-        least: Dict[DualPoint, ExtReal] = {}
-        for flat, v in self.psi.items():
-            w = self.x_side(flat)
-            if w not in least or v < least[w]:
-                least[w] = v
-        return SampledFn(self.x_side_grid, [least[w] for w in self.x_side_grid.points])
+        """At each w of x_side_grid, the least psi over the flats projecting
+        to w, the first in grid order: builtin ``min`` of psi's keys."""
+        grid, index = self._x_sides
+        blocks = [[] for _ in grid.points]
+        for i, key in zip(index, self.psi.keys):
+            blocks[i].append(key)
+        return SampledFn.keyed(grid, map(min, blocks), self.psi.scale)
 
     @cached_property
     def f0_conj(self) -> SampledFn:
@@ -199,8 +209,9 @@ class PerturbationProblem:
     @cached_property
     def phi_biconj_at_zero(self) -> SampledFn:
         """x -> psi^{c'}(x, 0): the column of psi_prime at the y-origin."""
-        cols = columns(self.psi_prime.values, len(self.y_grid))
-        return SampledFn(self.x_grid, cols[self.y_grid.index_of(self.y_grid.origin)])
+        table = self.psi_prime
+        column = columns(table.keys, len(self.y_grid))[self.y_grid.index_of(self.y_grid.origin)]
+        return SampledFn.keyed(self.x_grid, column, table.scale)
 
     @cached_property
     def g_on_dual_y(self) -> SampledFn:
@@ -224,12 +235,12 @@ class PerturbationProblem:
     @cached_property
     def psi_prime_x_minima(self) -> Tuple[Tuple[ExtReal, Tuple], ...]:
         """Per y, in y-grid order: (min over the x-grid of psi^{c'}(x, y),
-        the x attaining it), read off column y of psi_prime."""
-        xs = self.x_grid.points
+        the x attaining it), read off the keys of column y of psi_prime."""
+        xs, table = self.x_grid.points, self.psi_prime
         out = []
-        for column in columns(self.psi_prime.values, len(self.y_grid)):
-            low = extreal.inf(column)
-            out.append((low, tuple(x for x, v in zip(xs, column) if v == low)))
+        for column in columns(table.keys, len(self.y_grid)):
+            low = min(column, default=inf)
+            out.append((table.cell(low), tuple(x for x, key in zip(xs, column) if key == low)))
         return tuple(out)
 
     @cached_property

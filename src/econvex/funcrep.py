@@ -2,9 +2,10 @@
 
 Three carriers:
 
-* `SampledFn` -- extended-real values on a finite grid of points.  Grid
-  conjugation and every duality audit treat the grid itself as the space,
-  so off-grid queries are errors, not interpolations.
+* `SampledFn` -- extended-real values on a finite grid of points, or
+  int keys over a scale (an exact table).  Grid conjugation and every
+  duality audit treat the grid itself as the space, so off-grid queries
+  are errors, not interpolations.
 * `PwAffine1` -- exact 1-D piecewise-affine functions over the rationals,
   with per-piece open/closed endpoints and infinite constant pieces.
 * `PerturbFn` -- a bivariate perturbation function over X x Y, either a
@@ -14,8 +15,8 @@ Three carriers:
   from one `PerturbFn.sample` call, and every affine form is one
   `esets.dots` fold in both backends.  The nodes fold raw payloads, exact
   ints over scales they know in the rational backend and floats in the
-  float backend, in the order of the pointwise definition, and the root
-  builds one `ExtReal` per point.  Sums use the extended-real
+  float backend, in the order of the pointwise definition: the root's
+  ints are an exact table's keys.  Sums use the extended-real
   conventions, so they propagate into every derived object.
 """
 
@@ -27,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from econvex.esets import EPolyhedron, Interval1, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, fold_sum, scalar
@@ -139,17 +140,53 @@ class Grid:
 
 
 class SampledFn:
-    """Extended-real function known on a grid, one value per point."""
+    """Extended-real function known on a grid, one value per point.
+
+    ``keys`` holds one order key per point and ``cell`` gives a key's
+    value.  A function given by its values keys a point by its value; an
+    exact table (``keyed``) by an int, the value times ``scale``, or a
+    float +-inf, so reductions compare ints, and builds its ``values`` at
+    their first read.
+    """
+
+    scale: Optional[int] = None  # None: the keys are the values
 
     def __init__(self, grid, values: Sequence[ExtReal]):
         values = tuple(values)
         if len(values) != len(grid.points):
             raise ValueError("values must align one-to-one with grid points")
         self.grid = grid
-        self.values = values
+        self.values = self.keys = values
+
+    @classmethod
+    def keyed(cls, grid, keys: Iterable, scale: Optional[int]) -> "SampledFn":
+        """The exact table of keys over scale; for scale None, the function
+        given by the keys' values."""
+        if scale is None:
+            return cls(grid, map(_given, keys))
+        fn = cls(grid, keys)
+        del fn.values  # built from the keys at their first read
+        fn.scale = scale
+        return fn
+
+    @cached_property
+    def values(self) -> Tuple[ExtReal, ...]:
+        return tuple(_cells(self.keys, self.scale, self.grid.backend))
+
+    def cell(self, key) -> ExtReal:
+        return _cells((key,), self.scale, self.grid.backend)[0]
+
+    def payloads(self) -> Sequence:
+        """Per point a float +-inf, a finite payload or an int key."""
+        return self.keys if self.scale else [v._v for v in self.values]
+
+    def tagged(self) -> list:
+        """The (tag, payload) rows of the values (``_tags``), read off an
+        exact table's keys with no ExtReal."""
+        return _tags(self.payloads(), _over(self.scale, self.grid.backend))
 
     def value_at(self, point) -> ExtReal:
-        return self.values[self.grid.index_of(point)]
+        return self.cell(self.keys[self.grid.index_of(point)])
 
     def items(self):
         return zip(self.grid.points, self.values)
@@ -161,6 +198,21 @@ class SampledFn:
     @property
     def is_proper(self) -> bool:
         return all(v > NEG_INF for v in self.values) and bool(self.dom_points())
+
+
+def _cells(keys, scale: Optional[int], backend: str) -> list:
+    back = _over(scale, backend)
+    return [ExtReal(back(k)) if k.__class__ is int else _given(k) for k in keys]
+
+
+def _given(key) -> ExtReal:
+    return key if key.__class__ is ExtReal else ExtReal(key)
+
+
+def _tags(payloads, back) -> list:
+    """(tag, payload) per raw payload: tag 'f' finite, with back(payload),
+    '+' +inf and '-' -inf, with None."""
+    return [("f", back(p)) if -math.inf < p < math.inf else ("+" if p > 0 else "-", None) for p in payloads]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +341,7 @@ def _transpose(columns: list, n: int) -> list:
 # product, partial sum, difference and comparison of the flat loop is an
 # exact double, a multiple of 1/D² of at most B units, so the int pass
 # gives its gates, maxima, first attaining rows and boundary hits, and a
-# value goes back by ``_unscale`` as an int true division, correctly
+# value goes back by ``_over`` as an int true division, correctly
 # rounded and so exact.  The flat loops fold from int 0, so no term is
 # -0.0, nor is 0 / D².  phi's sampler keeps floats as given, since its
 # nodes multiply them by coefficients ``_prepared`` never sees.
@@ -339,14 +391,13 @@ def _rounds(blocks, scalars) -> bool:
     return dim * P * V + S >= _LIFT_B
 
 
-def _unscale(D: Optional[int], backend: str):
-    """The map taking a value of a pass, an int times D·D, back to the
-    backend: ``Fraction(v, D·D)``, or for floats ``v / (D·D)``, which is
-    exact under the lift's bound; values as given (D None) stay."""
-    if D is None:
+def _over(scale: Optional[int], backend: str):
+    """The map taking an int over scale to its value in the backend:
+    ``Fraction(v, scale)``, or ``v / scale``, an int true division,
+    correctly rounded and so exact; values as given for scale None."""
+    if scale is None:
         return lambda v: v
-    DD = D * D
-    return (lambda v: Fraction(v, DD)) if backend == "rational" else (lambda v: v / DD)
+    return (lambda v: Fraction(v, scale)) if backend == "rational" else (lambda v: v / scale)
 
 
 def _blocks(grid, duals, factors) -> list:
@@ -359,25 +410,49 @@ def _blocks(grid, duals, factors) -> list:
             (Y.points, *([v[d:] for v in vs] for vs in duals))]
 
 
+class _Scaled(NamedTuple):
+    """Finite values k / scale of a backend, as their ints k."""
+
+    ints: list
+    scale: int
+    backend: str
+
+    def times(self, scale: int) -> list:
+        q, r = divmod(scale, self.scale)
+        return [k * scale // self.scale if r else k * q for k in self.ints]
+
+
 def _prepared(grid, duals=(), scalars=()) -> tuple:
     """(D, [(X, *x-parts of duals), (Y, *y-parts)], scalars): the points of
     grid and the lists of dual vectors and of scalars that a pass reads,
     cut and scaled by the one rule above.  Vectors share one length
-    within a block."""
+    within a block.  A ``_Scaled`` list counts as its values, with no
+    Fraction: their denominators' lcm is scale / gcd(scale, *ints)."""
     factors = getattr(grid, "factors", None)
     blocks = _blocks(grid, duals, factors)
     if any(len({len(v) for vs in block for v in vs}) > 1 for block in blocks):
         raise ValueError("dimension mismatch in inner product")
     entries = [c for block in blocks for vs in block for v in vs for c in v]
-    entries += [c for cs in scalars for c in cs]
+    entries += [c for cs in scalars if cs.__class__ is not _Scaled for c in cs]
+    keyed = [cs for cs in scalars if cs.__class__ is _Scaled]
     exact = all(c.__class__ is Fraction for c in entries)
-    ints, D = _over_lcm(entries) if exact else _over_power(entries) if duals else ([], None)
+    ints, D = [], None
+    if all(cs.backend == ("rational" if exact else "float") for cs in keyed):
+        ints, D = _over_lcm(entries) if exact else _over_power(entries) if duals else ([], None)
+    if D is not None and keyed:  # on floats every scale is a power of two: the lcm is the largest
+        E = math.lcm(D, *(cs.scale // math.gcd(cs.scale, *cs.ints) for cs in keyed))
+        ints = [c * (E // D) for c in ints] if E != D else ints
+        D = E if exact or E <= _LIFT_D else None
     if D is not None:
         ints = iter(ints)
         cut = [[[tuple(itertools.islice(ints, len(v))) for v in vs] for vs in block] for block in blocks]
-        scaled = [[c * D for c in itertools.islice(ints, len(cs))] for cs in scalars]
+        scaled = [cs.times(D * D) if cs.__class__ is _Scaled else [c * D for c in itertools.islice(ints, len(cs))]
+                  for cs in scalars]
         if exact or not _rounds(cut, scaled):
             return D, cut, scaled
+    if keyed:
+        scalars = [list(map(_over(cs.scale, cs.backend), cs.ints)) if cs.__class__ is _Scaled else cs
+                   for cs in scalars]
     return None, blocks if factors is None else _blocks(grid, duals, None), scalars
 
 
@@ -437,16 +512,18 @@ def _sum(row) -> Union[int, float]:
     return reduce(operator.add, row) if row else 0
 
 
-def _sample(expr: "Expr", points: Sequence[Point], x_dim: int) -> list:
-    """expr at the points, or at a grid's, read as ``_prepared`` cuts and
-    scales them; one `ExtReal` per point."""
-    D, ((X,), (Y,)), _ = _prepared(points)
-    columns = [[v for v in c for _ in Y] for c in zip(*X)] + [c * len(X) for c in zip(*Y)]
+def _sample(expr: "Expr", points: Sequence[Point], x_dim: int) -> Tuple[list, Optional[int]]:
+    """(keys, scale) of expr at the points, or at a grid's, read as
+    ``_prepared`` cuts and scales them (``SampledFn.keyed``).  A product
+    is cut on its factors; other points are scaled as their coordinate
+    columns, each read as one point of a flat cut."""
+    if getattr(points, "factors", None) is None:
+        D, ((columns,), _), _ = _prepared(list(zip(*getattr(points, "points", points), strict=True)))
+    else:
+        D, ((X,), (Y,)), _ = _prepared(points)
+        columns = [[v for v in c for _ in Y] for c in zip(*X)] + [c * len(X) for c in zip(*Y)]
     values, s = expr.sample(columns[:x_dim], columns[x_dim:], len(points), D)
-    return [
-        ExtReal(v if D is None else Fraction(v, s)) if -math.inf < v < math.inf else POS_INF if v > 0 else NEG_INF
-        for v in values
-    ]
+    return values, None if D is None else s
 
 
 class Expr:
@@ -582,16 +659,16 @@ class PerturbFn:
         self.expr = expr
         self.table = table
 
-    def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
-        """phi at points of X x Y (x then y coordinates), or at a grid's, one
-        value each; a table-backed phi looks them up.  Plain points are
-        coerced to the backend, which is a class check for points that
-        are already.  The nodes fold scaled ints in the rational backend
-        and floats in the float backend."""
+    def sample_keys(self, points: Sequence[Point], backend: str = "rational") -> Tuple[list, Optional[int]]:
+        """phi at points of X x Y (x then y coordinates), or at a grid's, as
+        the (keys, scale) of ``SampledFn.keyed``; a table-backed phi looks
+        them up.  The nodes fold scaled ints in the rational backend and
+        floats in the float backend.  Plain points are coerced to the
+        backend, which is a class check for points that are already."""
         d = self.x_dim
         if self.table is not None:
             try:
-                return [self.table[(p[:d], p[d:])] for p in points]
+                return [self.table[(p[:d], p[d:])] for p in points], None
             except KeyError as exc:
                 raise KeyError(f"{exc.args[0]!r} is not in the table") from None
         if backend not in ("rational", "float"):
@@ -602,6 +679,10 @@ class PerturbFn:
             return _sample(self.expr, points, d)
         except NaNError:
             raise NaNError("phi: its float arithmetic overflows to NaN") from None
+
+    def sample(self, points: Sequence[Point], backend: str = "rational") -> list:
+        """phi at the points, one ExtReal each (``sample_keys``)."""
+        return _cells(*self.sample_keys(points, backend), backend)
 
     def value(self, x, y, backend: str = "rational") -> ExtReal:
         point = _coerce_point(x, self.x_dim, backend) + _coerce_point(y, self.y_dim, backend)

@@ -165,8 +165,9 @@ class CLagrangian:
             raise ValueError("the Lagrangian needs alpha > 0 on every dual point")
         self.x_grid, self.w_grid = problem.x_grid, problem.dual_y_grid
         y_grid, points = problem.y_grid, problem.dual_y_grid.points
-        phi_rows = funcrep.rows(problem.phi_on_product.values, len(self.x_grid))
-        self.slices = [SampledFn(y_grid, row) for row in phi_rows]
+        phi = problem.phi_on_product
+        phi_rows = funcrep.rows(phi.keys, len(self.x_grid))
+        self.slices = [SampledFn.keyed(y_grid, row, phi.scale) for row in phi_rows]
         D, conjugates = _c_conjugate_rows(self.slices, self.w_grid)
         rational = problem.backend == "rational"
         self.scale = D * D if rational and D is not None else 1
@@ -280,7 +281,7 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     """
     L = lagrangian_table(P)
     d, ys, ws, slices, _ = _check_ints(
-        P.y_grid.points, P.dual_y_grid.points, [_classify(sl.values) for sl in L.slices])
+        P.y_grid.points, P.dual_y_grid.points, [sl.tagged() for sl in L.slices])
     dd = 1 if d is None else d * d
     columns = [[_coupling(y, w) for y in ys] for w in ws]
     shut = [{k for k, c in enumerate(column) if c is None} for column in columns]

@@ -10,7 +10,7 @@ read off a conjugate that is computed once per function and dual grid --
 the problem's cached ``f0_conj``, ``psi_block_min`` and ``g_on_dual_y``, or
 one ``c_conjugate`` sweep when :func:`eps_c_subdifferential` is given a
 function and a dual grid -- instead of a fresh pass per pair.  The rule
-reads tagged payloads (``conjugation._classify``) and a raw coupling
+reads tagged payloads (``SampledFn.tagged``) and a raw coupling
 (``conjugation._coupling``, None for +inf), so no ExtReal is built per
 pair.  When every coordinate, slope, alpha, finite payload and eps is
 exact, the check scales them itself (``conjugation._check_ints``: points
@@ -139,11 +139,11 @@ def _finite(tables):
 
 
 def _memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
-    """Per dual point, given f^c there, whether it is in the
-    eps-subdifferential of f at the grid point x0, where f is fx0: one
+    """Per dual point, given the tagged row of f^c there, whether it is in
+    the eps-subdifferential of f at the grid point x0, where f is fx0: one
     raw coupling per dual point, on the check's own ints when every input
     is exact and on the values as given otherwise."""
-    d, (x,), ws, tables, (e,) = _check_ints([x0], duals, [_classify([fx0]), _classify(conjs)], [eps])
+    d, (x,), ws, tables, (e,) = _check_ints([x0], duals, [_classify([fx0]), conjs], [eps])
     coupling = conjugation._coupling
     cs = [coupling(x, w) for w in ws]
     if d is None:
@@ -180,14 +180,14 @@ def is_c_subgradient_via_conjugate(
     if eps is None:
         eps = _zero_eps(f)
     x0, fx0 = _on_grid(f, x0)
-    return _memberships(x0, fx0, [w], [f_conj_at_w], eps)[0]
+    return _memberships(x0, fx0, [w], _classify([f_conj_at_w]), eps)[0]
 
 
 def _members(f: SampledFn, x0, eps, f_conj: SampledFn) -> Tuple[DualPoint, ...]:
     """The dual points of f_conj's grid in the eps-subdifferential at x0."""
     x0, fx0 = _on_grid(f, x0)
     duals = f_conj.grid.points
-    return tuple(compress(duals, _memberships(x0, fx0, duals, f_conj.values, eps)))
+    return tuple(compress(duals, _memberships(x0, fx0, duals, f_conj.tagged(), eps)))
 
 
 def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
@@ -237,19 +237,20 @@ def transfer_audit(f: SampledFn, f_conj: SampledFn, f_biconj: SampledFn) -> Tran
     f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w) finite too.  Every
     (x, w) is its own coupling and its own two tests, grouped by no
     slope, on the ints of one ``_check_ints`` scale for all pairs when
-    the inputs are exact and on the values as given otherwise.
+    the inputs are exact and on the values as given otherwise.  The
+    tables are read as tagged rows (``SampledFn.tagged``), and the
+    surrogate compares the rows of f and f^{cc'} on the same footing.
     """
-    if len(f_biconj.values) != len(f.values):
+    if len(f_biconj.keys) != len(f.keys):
         raise ValueError("f_biconj must lie on the grid of f")
-    surrogate = f_biconj.values == f.values
     d, xs, ws, tables, (zero,) = _check_ints(
-        f.grid.points, f_conj.grid.points, [_classify(g.values) for g in (f, f_conj, f_biconj)],
-        [_zero_eps(f)])
+        f.grid.points, f_conj.grid.points, [g.tagged() for g in (f, f_conj, f_biconj)], [_zero_eps(f)])
     coupling = conjugation._coupling
     cs = [coupling(x, w) for x in xs for w in ws]
     if d is None:
         cs = _as_given(cs, _finite(tables) + [zero])
     fs, conjs, hulls = tables
+    surrogate = hulls == fs
     forward_ok = True
     counterexamples = []
     for x, fx, (htag, hv), row in zip(f.grid.points, fs, hulls, funcrep.rows(cs, len(xs))):
@@ -283,8 +284,8 @@ def _embedded_memberships(P: PerturbationProblem) -> Iterator[Tuple[Tuple, DualP
     G = g_on_dual_y.  Grid points are finite, so a float dot is +-0.0,
     which compares as 0."""
     zero = _zero_eps(P.f0)
-    duals = list(zip(P.g_on_dual_y.grid.points, _classify(P.g_on_dual_y.values)))
-    for x, fx0 in zip(P.f0.grid.points, _classify(P.f0.values)):
+    duals = list(zip(P.g_on_dual_y.grid.points, P.g_on_dual_y.tagged()))
+    for x, fx0 in zip(P.f0.grid.points, P.f0.tagged()):
         for w, conj in duals:
             yield x, w, _member(fx0, conj, zero, zero)
 

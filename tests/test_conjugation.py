@@ -32,7 +32,7 @@ from econvex.conjugation import (
 )
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
-from econvex.funcrep import Grid, PwAffine1, SampledFn, _prepared, _unscale, product_grid
+from econvex.funcrep import Grid, PwAffine1, SampledFn, _over, _prepared, product_grid
 
 from helpers import (
     CATALOG_PROBLEMS,
@@ -515,9 +515,9 @@ def plain_prime_conjugate_case(draw):
 
 def kernel_rows(fs, wg):
     """The kernel's (value, attaining row) lists of fs: each raw value
-    taken back by the sweep's unscale map, as ``c_conjugate`` takes it."""
+    taken back over the sweep's D·D, as ``c_conjugate``'s table does."""
     D, out = _c_conjugate_rows(fs, wg)
-    back = _unscale(D, fs[0].grid.backend)
+    back = (lambda v: v) if D is None else _over(D * D, fs[0].grid.backend)
     return [[(ExtReal(best if row is None else back(best)), row) for best, row in rows]
             for rows in out]
 
@@ -1302,9 +1302,12 @@ class TestColumnWork:
             if dom is None:
                 assert log == []
                 continue
-            # u*, x* and alpha of each dual point read, and dom's payloads
+            # u*, x* and alpha of each dual point read.  dom's payloads are
+            # the int keys of an exact table, which reach the lcm through
+            # one gcd with its scale, not through _over_lcm.
+            assert getattr(P, conjugated).scale is not None
             duals = P.full_dual_grid if sweep == "psi" else dom
-            others = len(duals) * (2 * d + 1) + len(dom)
+            others = len(duals) * (2 * d + 1)
             (read,) = log
             assert read == (site, axes + others), sweep
 
@@ -1446,8 +1449,8 @@ def expected_lifts(case):
         dom, _ = _split_dom(h)
         if dom is None:
             continue
-        ws, payloads = ([w for w, _ in duals], [v for _, v in dom]) if duals else (
-            [w for w, _ in dom], [v for _, v in dom])
+        payloads = [v for tag, v in h.tagged() if tag == "f"]  # dom's values, also of an exact table
+        ws = [w for w, _ in duals] if duals else [w for w, _ in dom]
         out.append(certified(grid.points, ([w.ustar for w in ws], [w.xstar for w in ws]),
                              ([w.alpha for w in ws], payloads)))
     for points, ws in ((grid.factors[1].points, wy.points), (grid.points, wg.points)):

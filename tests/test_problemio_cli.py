@@ -463,11 +463,12 @@ class TestCli:
     def test_lagrangian_reads_the_product_table_once(self, name, capsys, monkeypatch):
         # Counts only, no clock: the table is read off the kernel (no
         # coupling evaluation) and phi is sampled once per product cell,
-        # plus once per x for phi(., 0) in the report.
+        # plus once per x for phi(., 0) in the report.  Every sample of
+        # phi, the exact table of phi_on_product too, reads its keys.
         from econvex import funcrep, lagrangian
 
         calls = Counter()
-        real_coupling, real_sample = lagrangian.coupling_c, funcrep.PerturbFn.sample
+        real_coupling, real_sample = lagrangian.coupling_c, funcrep.PerturbFn.sample_keys
 
         def coupling(*args):
             calls["c"] += 1
@@ -480,7 +481,7 @@ class TestCli:
         P = catalog.load(name).build()
         cells, xs = len(P.x_grid) * len(P.y_grid), len(P.x_grid)
         monkeypatch.setattr(lagrangian, "coupling_c", coupling)
-        monkeypatch.setattr(funcrep.PerturbFn, "sample", sample)
+        monkeypatch.setattr(funcrep.PerturbFn, "sample_keys", sample)
         assert main(["lagrangian", name]) == 0
         assert (calls["c"], calls["phi"]) == (0, cells + xs)
         calls.clear()
