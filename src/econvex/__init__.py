@@ -12,16 +12,13 @@ from econvex.conjugation import (
     DualPoint,
     biconjugate,
     c_conjugate,
-    c_conjugate_exact,
     coupling_c,
-    coupling_cbar,
-    coupling_cprime,
     cprime_conjugate,
 )
 from econvex.duality import DualityReport, PerturbationProblem, converse_duality_report
 from econvex.esets import EPolyhedron, Halfspace
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
-from econvex.funcrep import Grid, PerturbFn, PwAffine1, SampledFn
+from econvex.funcrep import Grid, PerturbFn, SampledFn
 
 __version__ = "0.1.0"
 
@@ -33,18 +30,14 @@ __all__ = [
     "EPolyhedron",
     "Grid",
     "SampledFn",
-    "PwAffine1",
     "PerturbFn",
     "DualPoint",
     "DualPairPoint",
     "DualGrid",
     "coupling_c",
-    "coupling_cprime",
-    "coupling_cbar",
     "c_conjugate",
     "cprime_conjugate",
     "biconjugate",
-    "c_conjugate_exact",
     "PerturbationProblem",
     "DualityReport",
     "converse_duality_report",

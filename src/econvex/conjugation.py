@@ -82,25 +82,21 @@ from math import inf, lcm, nan
 from operator import add, sub
 from typing import Iterable, Sequence, Tuple
 
-from econvex.esets import Interval1, dot, dots
+from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, scalar
-from econvex import extreal, funcrep
-from econvex.funcrep import Grid, PwAffine1, SampledFn
+from econvex import funcrep
+from econvex.funcrep import Grid, SampledFn
 
 __all__ = [
     "DualPoint",
     "DualPairPoint",
     "DualGrid",
     "coupling_c",
-    "coupling_cprime",
-    "coupling_cbar",
     "c_conjugate",
     "cprime_conjugate",
     "biconjugate",
-    "c_conjugate_exact",
     "tensor_dual_grid",
     "pair_tensor_dual_grid",
-    "adapted_dual_grid",
 ]
 
 
@@ -234,23 +230,6 @@ def pair_tensor_dual_grid(
     return DualGrid(pts, backend)
 
 
-def adapted_dual_grid(f: PwAffine1, alphas, ustars=((0,),)) -> DualGrid:
-    """Dual grid whose x* list carries the slopes of f's affine pieces.
-
-    Conjugating an affine function recovers it exactly once its slope is
-    on the dual grid, so adapted grids make the biconjugate gap vanish.
-    """
-    slopes = []
-    for _, val in f.pieces:
-        if not isinstance(val, ExtReal):
-            s = (val[0],)
-            if s not in slopes:
-                slopes.append(s)
-    if (Fraction(0),) not in slopes:
-        slopes.append((Fraction(0),))
-    return tensor_dual_grid(slopes, ustars, alphas, "rational")
-
-
 # ---------------------------------------------------------------------------
 # Couplings
 # ---------------------------------------------------------------------------
@@ -268,16 +247,6 @@ def coupling_c(x, w: DualPoint) -> ExtReal:
     """<x, x*> if <x, u*> < alpha, +inf otherwise."""
     c = _coupling(x, w)
     return POS_INF if c is None else ExtReal(c)
-
-
-def coupling_cprime(w: DualPoint, x) -> ExtReal:
-    """The partner coupling; same value with arguments swapped."""
-    return coupling_c(x, w)
-
-
-def coupling_cbar(x, y, pair: DualPairPoint) -> ExtReal:
-    """<x,x*> + <y,y*> if <x,u*> + <y,v*> < alpha, +inf otherwise."""
-    return coupling_c(tuple(x) + tuple(y), pair.flatten())
 
 
 # ---------------------------------------------------------------------------
@@ -602,66 +571,3 @@ def _check_ints(points, duals=(), tables=(), scalars=()):
         [times(s, dd) for s in scalars],
     )
 
-
-# ---------------------------------------------------------------------------
-# Exact 1-D conjugate
-# ---------------------------------------------------------------------------
-
-
-def _gate_intervals(w: DualPoint):
-    """({x : x*u* < alpha}, its complement) as 1-D intervals."""
-    (u,) = w.ustar
-    if u == 0:
-        if 0 < w.alpha:
-            return Interval1.whole_line(), Interval1.empty()
-        return Interval1.empty(), Interval1.whole_line()
-    bound = ExtReal(Fraction(w.alpha, u))
-    if u > 0:
-        return (
-            Interval1(NEG_INF, True, bound, True),
-            Interval1(bound, False, POS_INF, True),
-        )
-    return (
-        Interval1(bound, True, POS_INF, True),
-        Interval1(NEG_INF, True, bound, False),
-    )
-
-
-def c_conjugate_exact(f: PwAffine1, w: DualPoint) -> ExtReal:
-    """Exact supremum of c(x, w) - f(x) over the whole line.
-
-    The coupling is +inf wherever the gate <x, u*> < alpha fails, so the
-    conjugate is +inf as soon as some piece with value below +inf meets
-    the gate-failure halfline.  Otherwise only the gate region
-    contributes, piece by piece in rational arithmetic; the sup of an
-    affine function over a nonempty interval equals its sup over the
-    closure, so endpoint openness never changes the value.
-    """
-    if w.dim != 1:
-        raise ValueError("the exact conjugate is 1-D only")
-    (xstar,) = w.xstar
-    feasible, blocked = _gate_intervals(w)
-    terms = []
-    for interval, val in f.pieces:
-        if isinstance(val, ExtReal) and val.is_pos_inf:
-            continue  # anything - (+inf) = -inf
-        if not interval.intersect(blocked).is_empty:
-            return POS_INF  # +inf - (finite or -inf)
-        section = interval.intersect(feasible)
-        if section.is_empty:
-            continue
-        if isinstance(val, ExtReal):
-            return POS_INF  # finite coupling - (-inf)
-        slope, intercept = val
-        m = Fraction(xstar) - slope
-        if m > 0:
-            terms.append(
-                POS_INF if not section.hi.is_finite else ExtReal(m * section.hi.value - intercept)
-            )
-        elif m < 0:
-            terms.append(
-                POS_INF if not section.lo.is_finite else ExtReal(m * section.lo.value - intercept)
-            )
-        else:
-            terms.append(ExtReal(-intercept))
-    return extreal.sup(terms)

@@ -1,13 +1,11 @@
 """Function representations and the infimum value function.
 
-Three carriers:
+Two carriers (the exact 1-D oracle of the grid tests is tests/oracles.py):
 
 * `SampledFn` -- extended-real values on a finite grid of points, or
   int keys over a scale (an exact table).  Grid conjugation and every
   duality audit treat the grid itself as the space, so off-grid queries
   are errors, not interpolations.
-* `PwAffine1` -- exact 1-D piecewise-affine functions over the rationals,
-  with per-piece open/closed endpoints and infinite constant pieces.
 * `PerturbFn` -- a bivariate perturbation function over X x Y, either a
   small expression tree (affine, abs, indicator of an `EPolyhedron`, sum,
   pointwise max/min, affine precomposition) or an explicit table, sampled
@@ -30,14 +28,13 @@ from functools import cached_property, reduce
 from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
-from econvex.esets import EPolyhedron, Interval1, dots
+from econvex.esets import EPolyhedron, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, fold_sum, scalar
 from econvex import extreal
 
 __all__ = [
     "Grid",
     "SampledFn",
-    "PwAffine1",
     "Expr",
     "Affine",
     "Abs",
@@ -173,8 +170,10 @@ class SampledFn:
     def values(self) -> Tuple[ExtReal, ...]:
         return tuple(_cells(self.keys, self.scale, self.grid.backend))
 
-    def cell(self, key) -> ExtReal:
-        return _cells((key,), self.scale, self.grid.backend)[0]
+    @cached_property
+    def cell(self):
+        """The table's map from a key to its ExtReal (``_cell_rule``)."""
+        return _cell_rule(self.scale, self.grid.backend)
 
     def payloads(self) -> Sequence:
         """Per point a float +-inf, a finite payload or an int key."""
@@ -200,7 +199,15 @@ class SampledFn:
         return all(v > NEG_INF for v in self.values) and bool(self.dom_points())
 
 
+def _cell_rule(scale: Optional[int], backend: str):
+    """The map from a key over scale to its ExtReal: an int through
+    ``_over``, any other key (a float +-inf, or a value) as its value."""
+    back = _over(scale, backend)
+    return lambda k: ExtReal(back(k)) if k.__class__ is int else _given(k)
+
+
 def _cells(keys, scale: Optional[int], backend: str) -> list:
+    """``_cell_rule`` at each key, inlined: a call per key costs more."""
     back = _over(scale, backend)
     return [ExtReal(back(k)) if k.__class__ is int else _given(k) for k in keys]
 
@@ -213,88 +220,6 @@ def _tags(payloads, back) -> list:
     """(tag, payload) per raw payload: tag 'f' finite, with back(payload),
     '+' +inf and '-' -inf, with None."""
     return [("f", back(p)) if -math.inf < p < math.inf else ("+" if p > 0 else "-", None) for p in payloads]
-
-
-# ---------------------------------------------------------------------------
-# Exact 1-D piecewise-affine functions
-# ---------------------------------------------------------------------------
-
-PieceValue = Union[Tuple[Fraction, Fraction], ExtReal]  # (slope, intercept) or +-inf
-
-
-class PwAffine1:
-    """Exact 1-D piecewise-affine function; pieces tile the line."""
-
-    def __init__(self, pieces: Sequence[Tuple[Interval1, PieceValue]]):
-        pieces = [p for p in pieces if not p[0].is_empty]
-        pieces.sort(key=lambda p: (p[0].lo, not p[0].lo_open))
-        self.pieces: Tuple[Tuple[Interval1, PieceValue], ...] = tuple(pieces)
-        self._check_tiling()
-
-    def _check_tiling(self):
-        if not self.pieces:
-            raise ValueError("a piecewise function needs at least one piece")
-        first, last = self.pieces[0][0], self.pieces[-1][0]
-        if first.lo != NEG_INF or last.hi != POS_INF:
-            raise ValueError("pieces must cover the whole line")
-        for (a, _), (b, _) in zip(self.pieces, self.pieces[1:]):
-            if a.hi != b.lo or a.hi_open == b.lo_open:
-                raise ValueError(
-                    f"pieces must tile without gap or overlap near {a.hi}"
-                )
-
-    def value(self, x) -> ExtReal:
-        x = Fraction(x)
-        for interval, val in self.pieces:
-            if interval.contains(x):
-                if isinstance(val, ExtReal):
-                    return val
-                slope, intercept = val
-                return ExtReal(slope * x + intercept)
-        raise AssertionError("pieces tile the line")  # pragma: no cover
-
-    def sample(self, grid: Grid) -> SampledFn:
-        if grid.dim != 1 or grid.backend != "rational":
-            raise ValueError("PwAffine1 samples onto 1-D rational grids")
-        return SampledFn(grid, [self.value(p[0]) for p in grid.points])
-
-    # -- common constructors -----------------------------------------------
-
-    @staticmethod
-    def affine(slope, intercept=0) -> "PwAffine1":
-        return PwAffine1(
-            [(Interval1.whole_line(), (Fraction(slope), Fraction(intercept)))]
-        )
-
-    @staticmethod
-    def abs_fn() -> "PwAffine1":
-        zero = ExtReal(0)
-        return PwAffine1(
-            [
-                (Interval1(NEG_INF, True, zero, True), (Fraction(-1), Fraction(0))),
-                (Interval1(zero, False, POS_INF, True), (Fraction(1), Fraction(0))),
-            ]
-        )
-
-    @staticmethod
-    def indicator(interval: Interval1) -> "PwAffine1":
-        """0 on the interval, +inf outside."""
-        if interval.is_empty:
-            return PwAffine1([(Interval1.whole_line(), POS_INF)])
-        pieces = [(interval, (Fraction(0), Fraction(0)))]
-        if interval.lo != NEG_INF:
-            pieces.append(
-                (Interval1(NEG_INF, True, interval.lo, not interval.lo_open), POS_INF)
-            )
-        if interval.hi != POS_INF:
-            pieces.append(
-                (Interval1(interval.hi, not interval.hi_open, POS_INF, True), POS_INF)
-            )
-        return PwAffine1(pieces)
-
-    @staticmethod
-    def indicator_leq(c) -> "PwAffine1":
-        return PwAffine1.indicator(Interval1(NEG_INF, True, ExtReal(Fraction(c)), False))
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +529,25 @@ class Indicator(Expr):
 class _Fold(Expr):
     terms: Tuple[Expr, ...]
 
+    def _folded(self, sampled: list, n: int) -> list:
+        """The ExtReal fold of the sampled terms' float payloads at each point."""
+        return [self.fold(map(ExtReal, row))._v for row in _transpose([v for v, _ in sampled], n)]
+
     def sample(self, xc, yc, n, d):
-        sampled = [t.sample(xc, yc, n, d) for t in self.terms]
+        sampled = []
+        for t in self.terms:
+            try:
+                sampled.append(t.sample(xc, yc, n, d))
+            except Exception:
+                if d is None:  # the definition folds the terms before t first: a mixed backend raises there
+                    self._folded(sampled, n)
+                raise
         if d is not None:
             values, s = _common_scale(sampled)
         elif sampled and all(s is None for _, s in sampled):
             values, s = [v for v, _ in sampled], None
         else:  # an empty fold, or floats meeting what one gave: the ExtReal fold decides
-            rows = _transpose([v for v, _ in sampled], n)
-            return [self.fold(map(ExtReal, row))._v for row in rows], _EXTREAL
+            return self._folded(sampled, n), _EXTREAL
         return [self.raw_fold(row) for row in _transpose(values, n)], s
 
 

@@ -26,7 +26,8 @@ O((#y* + #v*)·|Y|) inner products and O((#y* + #v*)·|Y|·|X| + |W_y|·|X|)
 reads, not one coupling per (x, w, y).  The table keeps one exact order
 key per cell, an int or a float, and its reductions (row suprema, column
 infima, saddles) compare keys with builtin ``max``/``min``: an ExtReal is
-built per result, and per cell only when the cells are read.
+built per result, and per cell only when the cells are read.  The slice
+conjugates are that sweep's own tables, keyed as ``c_conjugate`` keys them.
 
 :func:`dual_slice_audit` holds the table to the definitional conjugate of
 every slice, taking each dual point's coupling column over Y once per
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import inf
@@ -100,12 +100,6 @@ class SaddleCandidate:
     value: ExtReal
 
 
-def _at_scale(v, scale: int) -> ExtReal:
-    """The ExtReal of a raw value: an int is over scale, a float (+-inf
-    or as given) and a Fraction are the value itself."""
-    return ExtReal(Fraction(v, scale) if v.__class__ is int else v)
-
-
 class _Built(Sequence):
     """A tuple of n items whose item i is build(i), made at its first read."""
 
@@ -140,11 +134,12 @@ class CLagrangian:
 
     ``keys`` holds one exact order key per cell, flat and x-major like
     phi_on_product; the reductions compare keys, and ``cell`` gives a
-    key's ExtReal.  ``table`` (the cells), its ``rows`` and ``columns``,
-    and ``slice_conjugates`` (per x, in x-grid order, the conjugate of
-    the slice in ``slices``, the rows of the cached phi_on_product) are
-    built from the keys at their first read; ``row_sup`` and ``col_inf``
-    build one ExtReal per x and per dual point.
+    key's ExtReal (funcrep's rule over ``scale``).  ``table`` (the cells),
+    its ``rows`` and ``columns`` are built from the keys at their first
+    read; ``row_sup`` and ``col_inf`` build one ExtReal per x and per dual
+    point.  ``slice_conjugates`` are, per x in x-grid order, the sweep's
+    own tables of the conjugates of the ``slices`` (the rows of the cached
+    phi_on_product), keyed as ``c_conjugate`` keys them, at first read.
 
     On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
@@ -152,7 +147,7 @@ class CLagrangian:
     defining infimum (same grid order, same strict tie rule, exact IEEE
     negation).  A finite float cell's key is that difference, not the
     negated conjugate, because -(c - v) is -0.0 where the definition's
-    v - c is 0.0; its conjugate is 0.0 minus the key.  A finite rational
+    v - c is 0.0.  A finite rational
     cell is -phi(x, .)^c(w), since there -(c - v) is v - c exactly, so
     its key is minus the sweep's raw value, an int over ``scale`` (the
     sweep's D², or 1 when it ran on the values as given).  A +-inf cell
@@ -171,13 +166,12 @@ class CLagrangian:
         D, conjugates = _c_conjugate_rows(self.slices, self.w_grid)
         rational = problem.backend == "rational"
         self.scale = D * D if rational and D is not None else 1
+        self.cell = funcrep._cell_rule(self.scale, problem.backend)
         self.keys: Tuple = tuple(
             -best if row is None or rational and best.__class__ is not float else _float_cell(row, w)
             for rows in conjugates for w, (best, row) in zip(points, rows)
         )
-
-    def cell(self, key) -> ExtReal:
-        return _at_scale(key, self.scale)
+        self._sweep = D, conjugates
 
     @cached_property
     def table(self) -> Tuple[ExtReal, ...]:
@@ -192,13 +186,10 @@ class CLagrangian:
         return funcrep.columns(self.table, len(self.w_grid))
 
     @cached_property
-    def slice_conjugates(self) -> Sequence:
-        rows = funcrep.rows(self.keys, len(self.x_grid))
-
-        def conjugate(i):  # 0.0 - key keeps the sign of a float zero; -key would flip it
-            return SampledFn(self.w_grid, [self.cell(0.0 - k if k.__class__ is float else -k)
-                                           for k in rows[i]])
-        return _Built(len(self.x_grid), conjugate)
+    def slice_conjugates(self) -> list:
+        D, conjugates = self._sweep
+        scale = None if D is None else D * D
+        return [SampledFn.keyed(self.w_grid, [best for best, _ in rows], scale) for rows in conjugates]
 
     @cached_property
     def tops(self) -> list:
@@ -276,8 +267,9 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     kernel took, whose NaN and mixed backends raise as the table is
     built.  Each cell is held to the table's key by cross-multiplication,
     key·d² = -sup·scale (d is 1 as given), with +-inf as floats.
-    ``rows`` holds phi(x, .)^c per x, in x-grid order, built at its
-    first read.
+    ``rows`` holds phi(x, .)^c per x, in x-grid order: the check's own
+    sups, each an ExtReal by funcrep's rule for a table over d², a row
+    built at its first read.
     """
     L = lagrangian_table(P)
     d, ys, ws, slices, _ = _check_ints(
@@ -286,9 +278,9 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     columns = [[_coupling(y, w) for y in ys] for w in ws]
     shut = [{k for k, c in enumerate(column) if c is None} for column in columns]
     sups = [_slice_sups(tagged, columns, shut) for tagged in slices]
-    scale = L.scale
+    scale, cell = L.scale, funcrep._cell_rule(dd, P.backend)
     ok = all(key * dd == -v * scale for key, v in zip(L.keys, chain.from_iterable(sups)))
-    rows = _Built(len(sups), lambda i: tuple(_at_scale(v, dd) for v in sups[i]))
+    rows = _Built(len(sups), lambda i: tuple(map(cell, sups[i])))
     return {"ok": ok, "rows": rows}
 
 

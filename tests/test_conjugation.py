@@ -17,13 +17,9 @@ from econvex.conjugation import (
     DualGrid,
     DualPairPoint,
     DualPoint,
-    adapted_dual_grid,
     biconjugate,
     c_conjugate,
-    c_conjugate_exact,
     coupling_c,
-    coupling_cbar,
-    coupling_cprime,
     cprime_conjugate,
     tensor_dual_grid,
     _c_conjugate_rows,
@@ -32,7 +28,7 @@ from econvex.conjugation import (
 )
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
-from econvex.funcrep import Grid, PwAffine1, SampledFn, _over, _prepared, product_grid
+from econvex.funcrep import Grid, SampledFn, _over, _prepared, product_grid
 
 from helpers import (
     CATALOG_PROBLEMS,
@@ -55,6 +51,7 @@ from helpers import (
     unlifted,
     with_plain_scalar,
 )
+from oracles import PwAffine1, adapted_dual_grid, c_conjugate_exact, coupling_cbar, coupling_cprime
 
 
 def w(xs, us, a):

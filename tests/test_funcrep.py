@@ -22,7 +22,6 @@ from econvex.funcrep import (
     Min,
     PerturbFn,
     Precompose,
-    PwAffine1,
     SampledFn,
     Sum,
     columns,
@@ -50,6 +49,7 @@ from helpers import (
     lifted,
     twin,
 )
+from oracles import PwAffine1
 
 LEQ_ZERO = EPolyhedron(1, [Halfspace((Fraction(1),), Fraction(0), False)])  # {t <= 0}
 
@@ -475,6 +475,7 @@ class TestColumnSampling:
     @example(data=_Case(Max((NAN_AT_TWO, X_ONLY)), NAN_POINTS))  # NaN before it
     @example(data=_Case(Min((X_ONLY, NAN_AT_TWO)), NAN_POINTS))
     @example(data=_Case(Min((NAN_AT_TWO, X_ONLY)), NAN_POINTS))
+    @example(data=_Case(Sum((X_ONLY, Sum(()), NAN_AT_TWO)), NAN_POINTS))  # 0 + float before NaN
     @example(data=_Case(Max((Sum(()), X_ONLY)), PLANE))  # rational 0 against a float
     @example(data=_Case(Sum((Min(()), Sum(()), X_ONLY)), PLANE))  # +inf first: no check
     @example(data=_Case(Sum((Sum(()), X_ONLY, Min(()))), PLANE))  # 0 + float first

@@ -185,10 +185,20 @@ def tagged(v):
     return repr(v), type(v.value) if v.is_finite else None
 
 
+def exact_payloads(fn):
+    """fn's payloads (``SampledFn.payloads``) as exact numbers: an int key
+    over the scale as a Fraction, any other payload as its type and
+    rendering (a float +-inf, or a value as given with the sign of its
+    zero)."""
+    return [Fraction(p, fn.scale) if p.__class__ is int else (type(p), repr(p)) for p in fn.payloads()]
+
+
 def assert_table_matches_definition(P):
     """Cell i·|W_y| + j of the flat x-major table, and L.value, is the
-    defining infimum at (x_i, w_j); each slice conjugate, read off the
-    keys, is the kernel's conjugate of its slice, signed zeros included."""
+    defining infimum at (x_i, w_j); each slice conjugate is the table
+    ``c_conjugate`` gives its slice, payload for payload, signed zeros
+    included: int keys where it has int keys, over the scale of the one
+    sweep of all slices, which may be a multiple of the slice's own."""
     L = CLagrangian(P)
     m = len(P.dual_y_grid)
     assert len(L.table) == len(P.x_grid) * m
@@ -198,7 +208,9 @@ def assert_table_matches_definition(P):
             assert tagged(cell) == tagged(definitional_cell(P, x, ww)), (x, ww)
             assert L.value(x, ww) is cell
         conjugate = conjugation.c_conjugate(L.slices[i], P.dual_y_grid)
-        assert [tagged(v) for v in L.slice_conjugates[i].values] == [
+        table = L.slice_conjugates[i]
+        assert exact_payloads(table) == exact_payloads(conjugate), x
+        assert [tagged(v) for v in table.values] == [
             tagged(v) for v in conjugate.values], x
 
 
@@ -633,6 +645,24 @@ def test_a_report_builds_extreals_per_point_not_per_cell(backend):
         example52_audit(P)
     assert len(saddles) <= nx + m
     assert len(built) <= 3 * (nx + m) < nx * m // 4
+
+
+@pytest.mark.parametrize("name,backend", [
+    (name, backend) for name in LIFT_PROBLEMS for backend in ("rational", "float") if lifted(name, backend)])
+def test_the_slice_conjugates_are_the_sweeps_int_tables(name, backend):
+    """Counts only: where the table's one sweep runs on ints (rational, or
+    lifted floats), each slice conjugate is that sweep's exact table, and
+    reading the tables, their keys and their payloads builds no ExtReal."""
+    P = twin(name, backend)
+    P.phi_on_product
+    with scaling_log() as log:
+        L = CLagrangian(P)
+    with built_extreals() as built:
+        tables = L.slice_conjugates
+        payloads = [fn.payloads() for fn in tables]
+    assert log == [True] and built == []
+    assert len(tables) == len(P.x_grid) and all(fn.scale is not None for fn in tables)
+    assert all(p.__class__ is int or p in (-math.inf, math.inf) for ps in payloads for p in ps)
 
 
 class TestMinimax:
