@@ -18,7 +18,3 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
-
-
-def test_the_package_exports_its_names():
-    assert "ExtReal" in econvex.__all__ and "coupling_c" in econvex.__all__
