@@ -8,7 +8,6 @@ associated Lagrangian saddle-point machinery.
 
 from econvex.conjugation import (
     DualGrid,
-    DualPairPoint,
     DualPoint,
     biconjugate,
     c_conjugate,
@@ -32,7 +31,6 @@ __all__ = [
     "SampledFn",
     "PerturbFn",
     "DualPoint",
-    "DualPairPoint",
     "DualGrid",
     "coupling_c",
     "c_conjugate",

@@ -9,9 +9,10 @@ and the strict gate is evaluated with an exact rational comparison or a
 raw IEEE one -- never a tolerance.
 
 Functions of two blocks of variables are conjugated with the paired
-coupling on (X x Y) x ((X* x Y*) x (X* x Y*) x R); since inner products
-split over concatenation, a paired dual point is just a dual point of the
-product space, which is what :meth:`DualPairPoint.flatten` returns.
+coupling on (X x Y) x ((X* x Y*) x (X* x Y*) x R).  Inner products split
+over concatenation, so the paired point ((x*, y*), (u*, v*), alpha) is
+the dual point (x* + y*, u* + v*, alpha) of the product space, and
+``pair_tensor_dual_grid`` builds it as one.
 
 The coupling splits into a gate that depends only on (u*, alpha) and a
 value that depends only on x*, and the grid conjugates follow the split.
@@ -77,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import inf, lcm, nan
 from operator import add, sub
 from typing import Iterable, Sequence, Tuple
@@ -89,7 +90,6 @@ from econvex.funcrep import Grid, SampledFn
 
 __all__ = [
     "DualPoint",
-    "DualPairPoint",
     "DualGrid",
     "coupling_c",
     "c_conjugate",
@@ -106,16 +106,6 @@ def _coerce_vec(v, backend: str) -> Tuple:
     return tuple(scalar(c, backend) for c in v)
 
 
-def _hash_once(self) -> int:
-    """The hash of a frozen dual point's fields, taken at its first use
-    and kept on the point: grids and tables hash each point many times."""
-    h = self.__dict__.get("_hash")
-    if h is None:
-        h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
-        object.__setattr__(self, "_hash", h)
-    return h
-
-
 @dataclass(frozen=True)
 class DualPoint:
     """An element (x*, u*, alpha) of W = X* x X* x R."""
@@ -123,7 +113,15 @@ class DualPoint:
     xstar: Tuple
     ustar: Tuple
     alpha: object
-    __hash__ = _hash_once
+
+    def __hash__(self) -> int:
+        """The hash of the fields, taken at the first use and kept on the
+        point: grids and tables hash each point many times."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.xstar, self.ustar, self.alpha))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def of(xstar, ustar, alpha, backend: str = "rational") -> "DualPoint":
@@ -140,36 +138,6 @@ class DualPoint:
     def __post_init__(self):
         if len(self.xstar) != len(self.ustar):
             raise ValueError("xstar and ustar must share the primal dimension")
-
-
-@dataclass(frozen=True)
-class DualPairPoint:
-    """An element ((x*, y*), (u*, v*), alpha) of the paired dual space."""
-
-    xstar: Tuple
-    ystar: Tuple
-    ustar: Tuple
-    vstar: Tuple
-    alpha: object
-    __hash__ = _hash_once
-
-    @staticmethod
-    def of(xstar, ystar, ustar, vstar, alpha, backend: str = "rational") -> "DualPairPoint":
-        return DualPairPoint(
-            _coerce_vec(xstar, backend),
-            _coerce_vec(ystar, backend),
-            _coerce_vec(ustar, backend),
-            _coerce_vec(vstar, backend),
-            scalar(alpha, backend),
-        )
-
-    def __post_init__(self):
-        if len(self.xstar) != len(self.ustar) or len(self.ystar) != len(self.vstar):
-            raise ValueError("paired dual point blocks must match dimensions")
-
-    def flatten(self) -> DualPoint:
-        """The same functional on the product space X x Y."""
-        return DualPoint(self.xstar + self.ystar, self.ustar + self.vstar, self.alpha)
 
 
 class DualGrid:
@@ -203,31 +171,33 @@ class DualGrid:
         return iter(self.points)
 
 
+def _tensor(slopes, gates, alphas, backend: str) -> DualGrid:
+    """The dual points (x* + y*, u* + v*, alpha) over the slope axes
+    (x*, y*), the gate axes (u*, v*) paired with them and the alphas, x*
+    outermost, then y*, u*, v* and alpha.  Each axis entry is coerced
+    once, and each slope axis must share one length with its gate axis."""
+    slopes = [[_coerce_vec(v, backend) for v in axis] for axis in slopes]
+    gates = [[_coerce_vec(v, backend) for v in axis] for axis in gates]
+    if any(len({len(v) for v in s + g}) > 1 for s, g in zip(slopes, gates)):
+        raise ValueError("paired dual point blocks must match dimensions")
+    alphas = [scalar(a, backend) for a in alphas]
+    xstars = [sum(xs, ()) for xs in product(*slopes)]
+    ustars = [sum(us, ()) for us in product(*gates)]
+    return DualGrid([DualPoint(xs, us, a) for xs in xstars for us in ustars for a in alphas], backend)
+
+
 def tensor_dual_grid(
     xstars, ustars, alphas, backend: str = "rational"
 ) -> DualGrid:
     """Tensor product of slope lists and an alpha list."""
-    pts = [
-        DualPoint.of(xs, us, a, backend)
-        for xs in xstars
-        for us in ustars
-        for a in alphas
-    ]
-    return DualGrid(pts, backend)
+    return _tensor([xstars], [ustars], alphas, backend)
 
 
 def pair_tensor_dual_grid(
     xstars, ystars, ustars, vstars, alphas, backend: str = "rational"
 ) -> DualGrid:
-    pts = [
-        DualPairPoint.of(xs, ys, us, vs, a, backend)
-        for xs in xstars
-        for ys in ystars
-        for us in ustars
-        for vs in vstars
-        for a in alphas
-    ]
-    return DualGrid(pts, backend)
+    """The paired tensor product, as dual points of the product space."""
+    return _tensor([xstars, ystars], [ustars, vstars], alphas, backend)
 
 
 # ---------------------------------------------------------------------------

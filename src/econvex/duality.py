@@ -95,7 +95,12 @@ class AuditOutcome:
 
 
 class PerturbationProblem:
-    """phi with its grids; every derived object is cached and immutable."""
+    """phi with its grids; every derived object is cached and immutable.
+
+    ``full_dual_pairs`` holds paired dual points as dual points of X x Y,
+    (x* + y*, u* + v*, alpha), as ``pair_tensor_dual_grid`` builds them.
+    The full dual grid is those points, then each embedding of the Y-side
+    grid that is not among them."""
 
     def __init__(
         self,
@@ -126,9 +131,9 @@ class PerturbationProblem:
         self._x_ends = [(min(axis), max(axis)) for axis in zip(*x_grid.points)]
 
         pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
-        flats = [p.flatten() if hasattr(p, "flatten") else p for p in pairs]
-        flats += [self.embed(w) for w in dual_y_grid.points]
-        self.full_dual_grid = DualGrid(dict.fromkeys(flats), self.backend)
+        embedded = [self.embed(w) for w in dual_y_grid.points]
+        self.full_dual_grid = DualGrid(dict.fromkeys([*pairs, *embedded]), self.backend)
+        self._embedded = [self.full_dual_grid.index_of(w) for w in embedded]
 
     # -- embeddings and projections ------------------------------------
 
@@ -215,9 +220,10 @@ class PerturbationProblem:
 
     @cached_property
     def g_on_dual_y(self) -> SampledFn:
-        """G(y*, v*, alpha) = phi^c at the embedded point."""
-        vals = [self.psi.value_at(self.embed(w)) for w in self.dual_y_grid.points]
-        return SampledFn(self.dual_y_grid, vals)
+        """G(y*, v*, alpha) = phi^c at the embedded point: psi's keys at
+        the embeddings' indices on the full dual grid."""
+        keys = self.psi.keys
+        return SampledFn.keyed(self.dual_y_grid, [keys[i] for i in self._embedded], self.psi.scale)
 
     @cached_property
     def g_prime(self) -> SampledFn:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from econvex.esets import EPolyhedron, dots
-from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, fold_sum, scalar
+from econvex.extreal import ExtReal, NaNError, fold_sum, scalar
 from econvex import extreal
 
 __all__ = [
@@ -189,14 +189,6 @@ class SampledFn:
 
     def items(self):
         return zip(self.grid.points, self.values)
-
-    def dom_points(self) -> Tuple[Point, ...]:
-        """Points where the function is below +inf."""
-        return tuple(p for p, v in self.items() if v < POS_INF)
-
-    @property
-    def is_proper(self) -> bool:
-        return all(v > NEG_INF for v in self.values) and bool(self.dom_points())
 
 
 def _cell_rule(scale: Optional[int], backend: str):
@@ -665,7 +657,8 @@ def restrict_to_zero(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:
 
 
 def slice_x(phi: PerturbFn, x, y_grid: Grid) -> SampledFn:
-    """The map y -> phi(x, y); its dom_points() realize Y_x on the grid."""
+    """The map y -> phi(x, y); the points of its items() below +inf
+    realize Y_x on the grid."""
     x = _coerce_point(x, phi.x_dim, y_grid.backend)
     return SampledFn(y_grid, phi.sample([x + y for y in y_grid.points], y_grid.backend))
 

@@ -139,7 +139,8 @@ class CLagrangian:
     read; ``row_sup`` and ``col_inf`` build one ExtReal per x and per dual
     point.  ``slice_conjugates`` are, per x in x-grid order, the sweep's
     own tables of the conjugates of the ``slices`` (the rows of the cached
-    phi_on_product), keyed as ``c_conjugate`` keys them, at first read.
+    phi_on_product), keyed as ``c_conjugate`` keys them, each at its
+    first read.
 
     On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
@@ -186,10 +187,11 @@ class CLagrangian:
         return funcrep.columns(self.table, len(self.w_grid))
 
     @cached_property
-    def slice_conjugates(self) -> list:
+    def slice_conjugates(self) -> _Built:
         D, conjugates = self._sweep
         scale = None if D is None else D * D
-        return [SampledFn.keyed(self.w_grid, [best for best, _ in rows], scale) for rows in conjugates]
+        return _Built(len(conjugates), lambda i: SampledFn.keyed(
+            self.w_grid, [best for best, _ in conjugates[i]], scale))
 
     @cached_property
     def tops(self) -> list:

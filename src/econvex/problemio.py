@@ -330,7 +330,7 @@ class ProblemFile:
     x_grid: Grid
     y_grid: Grid
     dual_y_grid: DualGrid
-    full_dual_pairs: DualGrid
+    full_dual_pairs: DualGrid  # dual points of X x Y (``pair_tensor_dual_grid``)
 
     def build(self) -> PerturbationProblem:
         return PerturbationProblem(

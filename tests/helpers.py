@@ -14,7 +14,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
+from econvex.conjugation import DualGrid, DualPoint
 from econvex.esets import EPolyhedron, Halfspace
 from econvex.duality import PerturbationProblem
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, fold_sum, scalar
@@ -387,9 +387,7 @@ def random_problem(
         )
         if p not in seen:
             seen.add(p)
-            pairs.append(
-                DualPairPoint.of((p[0],), (p[1],), (p[2],), (p[3],), p[4], backend)
-            )
+            pairs.append(DualPoint.of((p[0], p[1]), (p[2], p[3]), p[4], backend))
     full = DualGrid(pairs, backend)
     return PerturbationProblem(phi, x_grid, y_grid, dual_y, full, name="random")
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from econvex import extreal
-from econvex.conjugation import DualGrid, DualPairPoint, DualPoint, coupling_c, tensor_dual_grid
+from econvex.conjugation import DualGrid, DualPoint, coupling_c, tensor_dual_grid
 from econvex.esets import Interval1
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, SampledFn
@@ -134,9 +134,10 @@ def coupling_cprime(w: DualPoint, x) -> ExtReal:
     return coupling_c(x, w)
 
 
-def coupling_cbar(x, y, pair: DualPairPoint) -> ExtReal:
-    """<x,x*> + <y,y*> if <x,u*> + <y,v*> < alpha, +inf otherwise."""
-    return coupling_c(tuple(x) + tuple(y), pair.flatten())
+def coupling_cbar(x, y, pair: DualPoint) -> ExtReal:
+    """<x,x*> + <y,y*> if <x,u*> + <y,v*> < alpha, +inf otherwise, for
+    the paired point given as the dual point (x* + y*, u* + v*, alpha)."""
+    return coupling_c(tuple(x) + tuple(y), pair)
 
 
 # ---------------------------------------------------------------------------

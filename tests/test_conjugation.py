@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from econvex import cli, conjugation, duality, esets, problemio
 from econvex.conjugation import (
     DualGrid,
-    DualPairPoint,
     DualPoint,
     biconjugate,
     c_conjugate,
@@ -79,19 +78,17 @@ class TestCouplings:
             assert coupling_cprime(ww, (x,)) == coupling_c((x,), ww)
 
     def test_cbar_values(self):
-        p = DualPairPoint.of((1,), (1,), (0,), (0,), 1)
+        p = DualPoint.of((1, 1), (0, 0), 1)
         assert coupling_cbar((0,), (0,), p) == ExtReal(0)
         assert coupling_cbar((1,), (1,), p) == ExtReal(2)
-        q = DualPairPoint.of((0,), (0,), (1,), (0,), 1)
+        q = DualPoint.of((0, 0), (1, 0), 1)
         assert coupling_cbar((1,), (0,), q) == POS_INF  # 1 < 1 fails
 
     def test_cbar_is_c_on_the_product_space(self):
-        p = DualPairPoint.of((2,), (-1,), (1,), (3,), 5)
+        p = DualPoint.of((2, -1), (1, 3), 5)
         for x in (-1, 0, 2):
             for y in (-2, 1):
-                assert coupling_cbar((x,), (y,), p) == coupling_c(
-                    (x, y), p.flatten()
-                )
+                assert coupling_cbar((x,), (y,), p) == coupling_c((x, y), p)
 
 
 class TestGridConjugate:
@@ -1555,7 +1552,7 @@ class TestDualPointHash:
         """Counts only: building a grid and looking every point up hashes
         each Fraction field of each point once."""
         points = [DualPoint.of((k, 1), (0, k), Fraction(k, 3)) for k in range(4)]
-        points += [DualPairPoint.of((k,), (1,), (0,), (k,), 1) for k in range(4)]
+        points += [DualPoint.of((k, 1), (0, k), 1) for k in range(4, 8)]
         hashed, real = [], Fraction.__hash__
 
         def counted(self):
@@ -1577,7 +1574,16 @@ class TestDualPointHash:
         assert a != dataclasses.replace(a, alpha=Fraction(4))
         assert hash(dataclasses.replace(a, alpha=Fraction(4))) == hash(((Fraction(1),), (Fraction(2),), Fraction(4)))
         assert repr(a) == "DualPoint(xstar=(Fraction(1, 1),), ustar=(Fraction(2, 1),), alpha=Fraction(3, 1))"
-        pair = DualPairPoint.of((1,), (0,), (2,), (0,), 3)
-        assert hash(pair) == hash(tuple(getattr(pair, f.name) for f in dataclasses.fields(pair)))
-        assert pair.flatten() == DualPoint.of((1, 0), (2, 0), 3) and pair != pair.flatten()
-        assert {a: 1}[b] == 1 and len({a, b, pair}) == 2
+        assert {a: 1}[b] == 1 and len({a, b}) == 1
+
+
+class TestTensorDualGrids:
+    def test_the_paired_grid_is_flat_in_loop_order(self):
+        grid = conjugation.pair_tensor_dual_grid([(1,), (2,)], [(3,)], [(4,)], [(5,), (6,)], [7, 8])
+        assert grid.points == tuple(
+            DualPoint.of((xs, 3), (4, vs), a) for xs in (1, 2) for vs in (5, 6) for a in (7, 8))
+
+    def test_mismatched_blocks_raise(self):
+        # The totals agree (|x*| + |y*| = |u*| + |v*| = 3); the blocks do not.
+        with pytest.raises(ValueError, match="paired dual point blocks must match dimensions"):
+            conjugation.pair_tensor_dual_grid([(1,)], [(1, 2)], [(1, 2)], [(1,)], [1])

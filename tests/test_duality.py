@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import catalog_problem, float_twin, random_problem
+from helpers import built_extreals, catalog_problem, float_twin, random_problem
 
-from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
+from econvex.conjugation import DualGrid, DualPoint
 from econvex.duality import (
     EXACT_PASS,
     FAIL,
@@ -234,8 +234,8 @@ class TestAlphaExclusion:
     def test_nonpositive_alpha_points_have_infinite_conjugate(self, fenchel_abs):
         # Rebuild with extra full-grid pairs at alpha <= 0.
         pairs = [
-            DualPairPoint.of((0,), (1,), (0,), (0,), 0),
-            DualPairPoint.of((0,), (-1,), (0,), (0,), -1),
+            DualPoint.of((0, 1), (0, 0), 0),
+            DualPoint.of((0, -1), (0, 0), -1),
         ]
         P = PerturbationProblem(
             fenchel_abs.phi,
@@ -245,7 +245,7 @@ class TestAlphaExclusion:
             DualGrid(pairs),
         )
         for pair in pairs:
-            assert P.psi.value_at(pair.flatten()) == POS_INF
+            assert P.psi.value_at(pair) == POS_INF
 
 
 class TestReport:
@@ -544,3 +544,17 @@ class TestAuditBranches:
         moved = shift(P, "p_biconj", {0: 1, 1: -1}, minima(P))
         assert_outcome(corollary310_audit(P, c5bar_audit(P)), "exact", FAIL,
                        "pointwise <= violated (bug)", moved[:1])
+
+
+@pytest.mark.parametrize("name", ["fenchel_abs", "example52"])
+def test_g_is_read_off_psi_by_index(name):
+    """Counts only: on a rational problem G is psi's exact table at the
+    embeddings' indices, and its keys are read with no ExtReal built."""
+    P = catalog_problem(name)
+    psi = P.psi
+    with built_extreals() as built:
+        G = P.g_on_dual_y
+        keys = list(G.keys)
+    assert built == [] and G.scale == psi.scale and G.scale is not None
+    assert keys == [psi.keys[P.full_dual_grid.index_of(P.embed(w))] for w in P.dual_y_grid]
+    assert G.values == tuple(psi.value_at(P.embed(w)) for w in P.dual_y_grid)

@@ -31,7 +31,7 @@ from helpers import (
 )
 
 from econvex import cli, extreal, problemio
-from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
+from econvex.conjugation import DualGrid, DualPoint
 from econvex.duality import PerturbationProblem
 from econvex.esets import EPolyhedron, Halfspace
 from econvex.extreal import BackendMismatchError, ExtReal, scalar
@@ -51,7 +51,7 @@ def _problem(phi, xs, ys, w_y, pairs, backend):
     return PerturbationProblem(
         phi, Grid(1, xs, backend), Grid(1, ys, backend),
         DualGrid([DualPoint.of(*w, backend) for w in w_y], backend),
-        DualGrid([DualPairPoint.of(*p, backend) for p in pairs], backend),
+        DualGrid([DualPoint.of((xs, ys), (us, vs), a, backend) for xs, ys, us, vs, a in pairs], backend),
     )
 
 

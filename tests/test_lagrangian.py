@@ -665,6 +665,21 @@ def test_the_slice_conjugates_are_the_sweeps_int_tables(name, backend):
     assert all(p.__class__ is int or p in (-math.inf, math.inf) for ps in payloads for p in ps)
 
 
+def test_a_flat_float_slice_conjugate_is_built_at_its_first_read():
+    """Counts only: on thirds' float twin the sweep runs on the floats as
+    given, and reading one slice conjugate builds that slice's 16 ExtReals,
+    not all |X|·|W_y| = 112."""
+    P = twin("thirds", "float")
+    L = CLagrangian(P)
+    assert len(P.x_grid) * len(P.dual_y_grid) == 112
+    with built_extreals() as built:
+        first = L.slice_conjugates[0]
+    assert len(built) == len(P.dual_y_grid) == 16 and first.scale is None
+    with built_extreals() as built:
+        assert L.slice_conjugates[0] is first and L.slice_conjugates[-len(P.x_grid)] is first
+    assert built == []
+
+
 class TestMinimax:
     def test_supinf_equals_dual_value_catalog(
         self, fenchel_abs, example52, truncated

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from econvex import catalog, conjugation, problemio, subdifferential
 from econvex.cli import main
-from econvex.conjugation import DualGrid, DualPairPoint, DualPoint
+from econvex.conjugation import DualGrid, DualPoint
 from econvex.duality import PerturbationProblem, converse_duality_report
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, fmt, scalar
 from econvex.funcrep import Grid, PerturbFn
@@ -587,7 +587,7 @@ def scan_case(draw, plain=False, backend="rational"):
         assume(dual_y[k].alpha > 0 and dual_y[k] not in dual_y[:k] + dual_y[k + 1:])
     return PerturbationProblem(
         PerturbFn(x_dim, dim, table=table), x_grid, y_grid, DualGrid(dual_y, backend),
-        DualGrid([DualPairPoint.of(*p, backend) for p in pairs], backend),
+        DualGrid([DualPoint.of(xs + ys, us + vs, a, backend) for xs, ys, us, vs, a in pairs], backend),
     )
 
 
@@ -637,7 +637,7 @@ class TestBoundaryScan:
         P = PerturbationProblem(
             PerturbFn(1, 1, table=table), x_grid, y_grid,
             DualGrid([DualPoint.of(0.0, 1.0, 5.0, "float")], "float"),
-            DualGrid([DualPairPoint.of(0.0, 0.0, 1.0, 1.0, alpha, "float")], "float"),
+            DualGrid([DualPoint.of((0.0, 0.0), (1.0, 1.0), alpha, "float")], "float"),
         )
         rows = problemio.boundary_coincidences(P)
         assert [(space, p) for space, p, _ in rows] == [("(x,y)", (0.1, 0.2))]
@@ -1127,3 +1127,47 @@ def test_audits_read_the_cached_conjugates(name, backend, capsys, monkeypatch, t
     assert lookups == []
     x_side_grid.index_of(x_side_grid.points[0])  # the spy is live
     assert len(lookups) == 1
+
+
+class TestFlatDualGrids:
+    """Counts only: the loader builds both dual grids flat from the file's
+    axes, and ``build`` adds only the embeddings of the Y-side grid."""
+
+    DOC = fenchel_abs_duality_grid(11)  # |W| = 9·3·3·1·1 = 81, |W_y| = 3·1·1 = 3
+
+    @staticmethod
+    def counting(monkeypatch):
+        """(the DualPoints built, the scalar calls of the dual-grid builders)."""
+        points, scalars = [], []
+        init, coerce = DualPoint.__post_init__, conjugation.scalar
+
+        def post_init(self):
+            points.append(self)
+            init(self)
+
+        def counted(v, backend):
+            scalars.append(v)
+            return coerce(v, backend)
+
+        monkeypatch.setattr(DualPoint, "__post_init__", post_init)
+        monkeypatch.setattr(conjugation, "scalar", counted)
+        return points, scalars
+
+    def test_loads_coerces_each_axis_entry_once(self, monkeypatch):
+        points, scalars = self.counting(monkeypatch)
+        loaded = problemio.loads(json.dumps(self.DOC))
+        grids = self.DOC["grids"]
+        axis_entries = [len(grids[k]) for k in ("ystar", "vstar", "alpha")]
+        axis_entries += [len(grids[k]) for k in ("xstar", "ystar", "ustar", "vstar", "alpha")]
+        assert len(loaded.full_dual_pairs) == 81 and len(loaded.dual_y_grid) == 3
+        assert len(points) == 81 + 3
+        assert len(scalars) == sum(axis_entries) == 5 + 17
+
+    def test_build_adds_only_the_embeddings(self, monkeypatch):
+        loaded = problemio.loads(json.dumps(self.DOC))
+        points, scalars = self.counting(monkeypatch)
+        P = loaded.build()
+        built, called = list(points), list(scalars)
+        monkeypatch.undo()
+        assert built == [P.embed(w) for w in P.dual_y_grid] and called == []
+        assert P.full_dual_grid.points[:81] == loaded.full_dual_pairs.points

@@ -41,3 +41,10 @@ def test_every_binding_resolves():
     for layer, attr, key in tracer._COUNTED:
         assert callable(getattr(mods[layer], attr, None)), key
 
+
+
+def test_every_hook_names_a_span():
+    """A hook keyed by a span name the tracer never opens would go dead."""
+    tracer = load_tracer()
+    spans = {name for _, _, name in tracer._boundaries()}
+    assert tracer.HOOKS and set(tracer.HOOKS) <= spans, set(tracer.HOOKS) - spans
