@@ -62,13 +62,12 @@ are those of the ``Fraction`` sweep, or of the flat float sweep; on
 lists as given the arithmetic is that of the definition, NaN and -0.0
 included.
 
-``_coupling`` (the gate, written once) and ``_sup_minus`` (the sup of
-coupling minus value, with the +-inf conventions only) are the one
-definitional reference.  ``subdifferential.conjugate_value`` and
-``prime_conjugate_value`` feed them one dual point against every grid
-point, or one grid point against every dual point.
-``lagrangian.dual_slice_audit`` takes each dual point's ``_coupling``
-column over Y and the same sup with builtin ``max``, term by term.
+``_coupling`` (the gate, written once) and ``_sups`` (per column of raw
+couplings, the sup of coupling minus a tagged function's value, term by
+term with the +-inf conventions only) are the one definitional
+reference.  ``lagrangian.dual_slice_audit`` reads one column per dual
+point against every slice; ``_sup_minus``, its one-column form, serves
+``subdifferential.conjugate_value`` and ``prime_conjugate_value``.
 ``_check_ints`` is the checks' own scaling, apart from ``_prepared``: the
 slice audit, the subdifferential memberships, the transfer audit and
 the convexity witness read their exact inputs as ints through it.
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import inf, lcm, nan
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Sequence, Tuple
 
 from econvex.esets import dot, dots
@@ -217,6 +216,27 @@ def coupling_c(x, w: DualPoint) -> ExtReal:
     """<x, x*> if <x, u*> < alpha, +inf otherwise."""
     c = _coupling(x, w)
     return POS_INF if c is None else ExtReal(c)
+
+
+def _sups(tagged, columns, shut) -> list:
+    """Per coupling column, the sup over the points of its raw coupling
+    (None for +inf, whose indices ``shut`` holds per column) minus the
+    tagged function's value (``_classify`` rows): -inf when the function
+    is +inf everywhere, +inf when it is -inf somewhere below +inf or the
+    column shuts a point of its domain, and otherwise builtin ``max`` of
+    coupling minus value over the domain, which keeps the first maximiser
+    and a NaN that comes first.  Infinities are floats and a finite sup
+    is its raw value."""
+    dom = [k for k, (tag, _) in enumerate(tagged) if tag != "+"]
+    if not dom:
+        return [-inf] * len(columns)
+    if any(tagged[k][0] == "-" for k in dom):
+        return [inf] * len(columns)
+    payloads = [tagged[k][1] for k in dom]
+    at = itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
+    members = frozenset(dom)
+    return [inf if shut_y and not shut_y.isdisjoint(members) else max(map(sub, at(column), payloads))
+            for column, shut_y in zip(columns, shut)]
 
 
 # ---------------------------------------------------------------------------
@@ -493,19 +513,12 @@ def _classify(values):
 
 
 def _sup_minus(couplings, rows) -> ExtReal:
-    """sup of each raw coupling (None for +inf) minus its row's value,
-    with the +-inf conventions: f^c(w) pairs w with every grid point,
-    g^{c'}(x) x with every dual point."""
-    best = None  # raw finite payload of the running sup, None = -inf so far
-    for c, (tag, payload) in zip(couplings, rows):
-        if tag == "+":
-            continue  # both (+inf)-(+inf) and finite-(+inf) are -inf
-        if c is None or tag == "-":
-            return POS_INF  # +inf - (finite or -inf), finite - (-inf)
-        term = c - payload
-        if best is None or term > best:
-            best = term
-    return NEG_INF if best is None else _value(best)
+    """The one-column form of ``_sups``: the sup of each raw coupling (None
+    for +inf) minus its row's value, f^c(w) pairing w with every grid
+    point, g^{c'}(x) x with every dual point.  A NaN sup raises."""
+    column = list(couplings)
+    (best,) = _sups(rows, [column], [{k for k, c in enumerate(column) if c is None}])
+    return _value(best)
 
 
 def _check_ints(points, duals=(), tables=(), scalars=()):

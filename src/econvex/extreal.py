@@ -36,7 +36,6 @@ __all__ = [
     "sup",
     "inf",
     "fmt",
-    "parse",
     "scalar",
 ]
 
@@ -240,16 +239,6 @@ def fmt(x: ExtReal) -> str:
         return repr(v) if math.isfinite(v) else "inf" if v > 0 else "-inf"
     p = _digits(v.numerator)
     return p if v.denominator == 1 else f"{p}/{_digits(v.denominator)}"
-
-
-def parse(text: str, backend: str = "rational") -> ExtReal:
-    """Inverse of :func:`fmt`; ``backend`` selects the finite payload type."""
-    s = text.strip()
-    if s in ("inf", "+inf"):
-        return POS_INF
-    if s == "-inf":
-        return NEG_INF
-    return ExtReal(scalar(s, backend))
 
 
 def scalar(v, backend: str) -> Scalar:

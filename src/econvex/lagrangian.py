@@ -28,11 +28,15 @@ key per cell, an int or a float, and its reductions (row suprema, column
 infima, saddles) compare keys with builtin ``max``/``min``: an ExtReal is
 built per result, and per cell only when the cells are read.  The slice
 conjugates are that sweep's own tables, keyed as ``c_conjugate`` keys them.
+No point query reads the table: :func:`lagrangian_value` is the defining
+infimum at any (x, w), and :func:`is_saddle_point` reads a row and a
+column of the cells by index.
 
 :func:`dual_slice_audit` holds the table to the definitional conjugate of
 every slice, taking each dual point's coupling column over Y once per
 problem, so the identity stays a check of two routes: every (x, y, w) is
-its own term, nothing is grouped by slope and no attaining row is read.
+its own term, nothing is grouped by slope and no attaining row is read
+(``conjugation._sups``, the one definitional sup).
 On exact data the couplings are ints over one scale per problem, taken by
 the check itself and not by the kernel's scaling, so one fault cannot
 reach both routes; the check meets the table's keys by
@@ -58,7 +62,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import inf
-from operator import itemgetter, sub
 from typing import Optional, Tuple
 
 from econvex import extreal, funcrep
@@ -68,6 +71,7 @@ from econvex.conjugation import (
     _check_ints,
     _classify,
     _coupling,
+    _sups,
     coupling_c,
     cprime_conjugate,
 )
@@ -134,11 +138,11 @@ class CLagrangian:
 
     ``keys`` holds one exact order key per cell, flat and x-major like
     phi_on_product; the reductions compare keys, and ``cell`` gives a
-    key's ExtReal (funcrep's rule over ``scale``).  ``table`` (the cells),
-    its ``rows`` and ``columns`` are built from the keys at their first
-    read; ``row_sup`` and ``col_inf`` build one ExtReal per x and per dual
-    point.  ``slice_conjugates`` are, per x in x-grid order, the sweep's
-    own tables of the conjugates of the ``slices`` (the rows of the cached
+    key's ExtReal (funcrep's rule over ``scale``).  ``table``, the cells
+    in that order, is built from the keys at its first read; ``row_sup``
+    and ``col_inf`` build one ExtReal per x and per dual point.
+    ``slice_conjugates`` are, per x in x-grid order, the sweep's own tables
+    of the conjugates of the ``slices`` (the rows of the cached
     phi_on_product), keyed as ``c_conjugate`` keys them, each at its
     first read.
 
@@ -179,14 +183,6 @@ class CLagrangian:
         return tuple(map(self.cell, self.keys))
 
     @cached_property
-    def rows(self) -> list:
-        return funcrep.rows(self.table, len(self.x_grid))
-
-    @cached_property
-    def columns(self) -> list:
-        return funcrep.columns(self.table, len(self.w_grid))
-
-    @cached_property
     def slice_conjugates(self) -> _Built:
         D, conjugates = self._sweep
         scale = None if D is None else D * D
@@ -211,9 +207,6 @@ class CLagrangian:
     def col_inf(self) -> Tuple[ExtReal, ...]:
         return tuple(map(self.cell, self.lows))
 
-    def value(self, x, w: DualPoint) -> ExtReal:
-        return self.rows[self.x_grid.index_of(x)][self.w_grid.index_of(w)]
-
 
 def lagrangian_table(P: PerturbationProblem) -> CLagrangian:
     """The Lagrangian table of P, built on first use and cached on P."""
@@ -223,35 +216,14 @@ def lagrangian_table(P: PerturbationProblem) -> CLagrangian:
 
 
 def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
-    """L(x, w) for any dual point with positive alpha."""
+    """L(x, w) for any dual point with positive alpha, by the defining
+    infimum over Y_x, one coupling per y; no table is built or read."""
     if not w.alpha > 0:
         raise ValueError("the Lagrangian is defined for alpha > 0 only")
-    if w in P.dual_y_grid:
-        return lagrangian_table(P).value(x, w)
     sl = slice_x(P.phi, x, P.y_grid)
     return extreal.inf(
         v - coupling_c(y, w) for y, v in sl.items() if v < POS_INF
     )
-
-
-def _slice_sups(tagged, columns, shut) -> list:
-    """Per coupling column, the sup over y of its coupling minus the
-    tagged slice's value, as ``_sup_minus`` takes it term by term: -inf
-    when the slice is +inf everywhere, +inf when it is -inf somewhere
-    below +inf or when the column shuts a y of its domain, and otherwise
-    builtin ``max`` of coupling minus value over the domain, which keeps
-    ``_sup_minus``'s first maximiser and NaN.  Infinities are floats and
-    a finite sup is its raw value."""
-    dom = [k for k, (tag, _) in enumerate(tagged) if tag != "+"]
-    if not dom:
-        return [-inf] * len(columns)
-    if any(tagged[k][0] == "-" for k in dom):
-        return [inf] * len(columns)
-    payloads = [tagged[k][1] for k in dom]
-    at = itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
-    members = frozenset(dom)
-    return [inf if shut_y and not shut_y.isdisjoint(members) else max(map(sub, at(column), payloads))
-            for column, shut_y in zip(columns, shut)]
 
 
 def dual_slice_audit(P: PerturbationProblem) -> dict:
@@ -260,7 +232,7 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     The table is read off the conjugation kernel, so the conjugate here is
     the definition: each dual point's coupling column over Y is taken
     once, and each (x, w) is its own sup of the column minus the slice,
-    one term per y, grouped by no slope (``_slice_sups``).  Tags decide
+    one term per y, grouped by no slope (``_sups``).  Tags decide
     the +-inf cells once per slice and once per column (the y it shuts).
     When every y coordinate, slope, alpha and finite payload is exact,
     the check's own ``_check_ints`` scale d, not the kernel's, makes
@@ -279,7 +251,7 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     dd = 1 if d is None else d * d
     columns = [[_coupling(y, w) for y in ys] for w in ws]
     shut = [{k for k, c in enumerate(column) if c is None} for column in columns]
-    sups = [_slice_sups(tagged, columns, shut) for tagged in slices]
+    sups = [_sups(tagged, columns, shut) for tagged in slices]
     scale, cell = L.scale, funcrep._cell_rule(dd, P.backend)
     ok = all(key * dd == -v * scale for key, v in zip(L.keys, chain.from_iterable(sups)))
     rows = _Built(len(sups), lambda i: tuple(map(cell, sups[i])))
@@ -306,13 +278,15 @@ def infsup_value(P: PerturbationProblem) -> ExtReal:
 
 
 def is_saddle_point(P: PerturbationProblem, xbar, wbar: DualPoint) -> bool:
-    """Both inequality families over the full grids, exactly."""
+    """Both inequality families over the full grids, exactly: row i of the
+    x-major cells is [i·m:(i+1)·m] and column j is [j::m], m = |W_y|."""
     if not wbar.alpha > 0:
         raise ValueError("saddle points live on alpha > 0")
-    L = lagrangian_table(P)
+    table, m = lagrangian_table(P).table, len(P.dual_y_grid)
     i, j = P.x_grid.index_of(xbar), P.dual_y_grid.index_of(wbar)
-    center = L.rows[i][j]
-    return all(v <= center for v in L.rows[i]) and all(center <= v for v in L.columns[j])
+    center = table[i * m + j]
+    return all(v <= center for v in table[i * m:(i + 1) * m]) and all(
+        center <= v for v in table[j::m])
 
 
 def saddle_search(P: PerturbationProblem) -> Tuple[SaddleCandidate, ...]:

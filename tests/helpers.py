@@ -561,6 +561,16 @@ def _reference_extreal():
 ReferenceExtReal, REFERENCE_POS_INF, REFERENCE_NEG_INF, reference_fmt = _reference_extreal()
 
 
+def parse(text: str, backend: str = "rational") -> ExtReal:
+    """Inverse of ``extreal.fmt``; ``backend`` selects the finite payload type."""
+    s = text.strip()
+    if s in ("inf", "+inf"):
+        return POS_INF
+    if s == "-inf":
+        return NEG_INF
+    return ExtReal(scalar(s, backend))
+
+
 # ---------------------------------------------------------------------------
 # Pointwise reference for expression sampling
 # ---------------------------------------------------------------------------

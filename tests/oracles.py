@@ -11,6 +11,11 @@ carries a function's piece slopes onto the dual grid.
 Also the two partner couplings, each the conditional coupling with its
 arguments reordered or concatenated: `coupling_cprime(w, x)` is
 c(x, w), and `coupling_cbar` is c on the product space.
+
+And `sup_minus`, the sup of raw couplings minus tagged values taken term
+by term, point by point, with the +-inf conventions spelled out: the
+second route that `conjugation._sups` and its one-column form
+`_sup_minus` are held to.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from econvex import extreal
-from econvex.conjugation import DualGrid, DualPoint, coupling_c, tensor_dual_grid
+from econvex.conjugation import DualGrid, DualPoint, _value, coupling_c, tensor_dual_grid
 from econvex.esets import Interval1
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, SampledFn
@@ -138,6 +143,27 @@ def coupling_cbar(x, y, pair: DualPoint) -> ExtReal:
     """<x,x*> + <y,y*> if <x,u*> + <y,v*> < alpha, +inf otherwise, for
     the paired point given as the dual point (x* + y*, u* + v*, alpha)."""
     return coupling_c(tuple(x) + tuple(y), pair)
+
+
+# ---------------------------------------------------------------------------
+# The definitional sup, term by term
+# ---------------------------------------------------------------------------
+
+
+def sup_minus(couplings, rows) -> ExtReal:
+    """sup of each raw coupling (None for +inf) minus its row's value,
+    with the +-inf conventions: f^c(w) pairs w with every grid point,
+    g^{c'}(x) x with every dual point."""
+    best = None  # raw finite payload of the running sup, None = -inf so far
+    for c, (tag, payload) in zip(couplings, rows):
+        if tag == "+":
+            continue  # both (+inf)-(+inf) and finite-(+inf) are -inf
+        if c is None or tag == "-":
+            return POS_INF  # +inf - (finite or -inf), finite - (-inf)
+        term = c - payload
+        if best is None or term > best:
+            best = term
+    return NEG_INF if best is None else _value(best)
 
 
 # ---------------------------------------------------------------------------

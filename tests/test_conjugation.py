@@ -50,7 +50,14 @@ from helpers import (
     unlifted,
     with_plain_scalar,
 )
-from oracles import PwAffine1, adapted_dual_grid, c_conjugate_exact, coupling_cbar, coupling_cprime
+from oracles import (
+    PwAffine1,
+    adapted_dual_grid,
+    c_conjugate_exact,
+    coupling_cbar,
+    coupling_cprime,
+    sup_minus,
+)
 
 
 def w(xs, us, a):
@@ -1587,3 +1594,80 @@ class TestTensorDualGrids:
         # The totals agree (|x*| + |y*| = |u*| + |v*| = 3); the blocks do not.
         with pytest.raises(ValueError, match="paired dual point blocks must match dimensions"):
             conjugation.pair_tensor_dual_grid([(1,)], [(1, 2)], [(1, 2)], [(1,)], [1])
+
+
+# ---------------------------------------------------------------------------
+# The one definitional sup against its term-by-term oracle
+# ---------------------------------------------------------------------------
+
+# Couplings and payloads from a narrow range, so terms tie often.
+SUP_VALUES = (0, 1, -1, 2, Fraction(1, 2))
+
+
+@st.composite
+def sup_minus_case(draw):
+    """(couplings, tagged rows) of one column.  A coupling is None (a shut
+    gate) one time in six; in the float backend it may also be NaN (inf·0
+    in <p, x*>) or an infinity (a dot that overflows), and a zero may
+    carry either sign.  A row is +inf or -inf one time in five each, and
+    one draw in five makes every row +inf (an empty domain).  Rational
+    draws keep plain ints beside Fractions, as the checks' ints do."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    n = draw(st.integers(0, 6))
+    empty = draw(st.integers(0, 4)) == 4
+
+    def number():
+        v = draw(drawn_from(SUP_VALUES, backend))
+        if backend == "rational":
+            return v
+        v = float(v)
+        return -0.0 if v == 0 and draw(st.booleans()) else v
+
+    kinds = ["value"] * 5 + ["shut"] + (["nan", "inf", "-inf"] if backend == "float" else [])
+    couplings, rows = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        couplings.append({"shut": None, "nan": math.nan, "inf": math.inf,
+                          "-inf": -math.inf}.get(kind) if kind != "value" else number())
+        tag = "+" if empty else draw(st.sampled_from(["f", "f", "f", "+", "-"]))
+        rows.append((tag, number() if tag == "f" else None))
+    return couplings, rows
+
+
+def sup_outcome(fn, couplings, rows):
+    """The rendering and payload type of fn's sup, or the NaNError text."""
+    try:
+        v = fn(iter(couplings), rows)
+    except NaNError as exc:
+        return "raised", str(exc)
+    return repr(v), type(v.value) if v.is_finite else None
+
+
+class TestOneDefinitionalSup:
+    """``conjugation._sup_minus``, the one-column form of ``_sups``, is the
+    term-by-term sup of ``oracles.sup_minus``: the same +-inf conventions,
+    the same first maximiser (signed zeros tell ties apart) and the same
+    NaN, in both backends."""
+
+    @given(sup_minus_case())
+    @example(([math.nan, 1.0], [("f", 0.0), ("f", 0.0)]))
+    @example(([1.0, math.nan], [("f", 0.0), ("f", 0.0)]))
+    @example(([0.0, -0.0], [("f", 0.0), ("f", 0.0)]))
+    @example(([-0.0, 0.0], [("f", 0.0), ("f", 0.0)]))
+    @example(([None, 1], [("+", None), ("f", Fraction(1, 2))]))
+    @example(([math.nan, 1.0], [("f", 0.0), ("-", None)]))
+    @example(([], []))
+    @settings(max_examples=500, deadline=None)
+    def test_sup_minus_is_the_term_by_term_sup(self, case):
+        couplings, rows = case
+        assert sup_outcome(conjugation._sup_minus, couplings, rows) == sup_outcome(
+            sup_minus, couplings, rows)
+
+    def test_a_nan_sup_raises_naming_the_slopes(self):
+        with pytest.raises(NaNError, match="grids.xstar/grids.ystar: <grid point, slope> overflows"):
+            conjugation._sup_minus([math.nan, 1.0], [("f", 0.0), ("f", 0.0)])
+
+    def test_the_signed_zero_tie_keeps_the_first_term(self):
+        rows = [("f", 0.0), ("f", 0.0)]
+        assert repr(conjugation._sup_minus([-0.0, 0.0], rows)) == "ExtReal(-0.0)"
+        assert repr(conjugation._sup_minus([0.0, -0.0], rows)) == "ExtReal(0.0)"

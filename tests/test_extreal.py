@@ -16,7 +16,6 @@ from econvex.extreal import (
     NaNError,
     fold_sum,
     fmt,
-    parse,
     scalar,
 )
 
@@ -25,6 +24,7 @@ from helpers import (
     REFERENCE_POS_INF,
     WIDE_FRACTIONS,
     ReferenceExtReal,
+    parse,
     reference_fmt,
 )
 

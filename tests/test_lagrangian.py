@@ -33,7 +33,6 @@ from econvex.conjugation import (
     _classify,
     _coupling,
     _split_dom,
-    _sup_minus,
     coupling_c,
     cprime_conjugate,
 )
@@ -60,7 +59,8 @@ from econvex.lagrangian import (
     saddle_search,
     supinf_value,
 )
-from econvex.subdifferential import prop43_audit
+from econvex.subdifferential import conjugate_value, prime_conjugate_value, prop43_audit
+from oracles import sup_minus
 
 
 def w(ys, vs, a):
@@ -104,6 +104,24 @@ class TestLagrangianValue:
     def test_off_grid_dual_point_computed_directly(self, fenchel_abs):
         # (0, 0, 7) is not on the dual grid but alpha > 0: L = |x| again.
         assert lagrangian_value(fenchel_abs, (2,), w(0, 0, 7)) == ExtReal(2)
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_an_on_grid_point_is_the_definition_not_the_table(self, name, backend, monkeypatch):
+        """At (x, w) on the grids, L(x, w) is the defining infimum: no
+        table is built and no slice is conjugated."""
+        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+
+        def refuse(*args):
+            raise AssertionError("the query swept the slices")
+
+        monkeypatch.setattr(conjugation, "_c_conjugate_rows", refuse)
+        monkeypatch.setattr(lagrangian, "_c_conjugate_rows", refuse)
+        x, ww = P.x_grid.points[-1], P.dual_y_grid.points[-1]
+        value = lagrangian_value(P, x, ww)
+        assert not hasattr(P, "_lagrangian_cache")
+        monkeypatch.undo()
+        assert tagged(value) == tagged(definitional_cell(P, x, ww))
 
     def test_empty_Yx_gives_pos_inf(self):
         P = catalog_problem("affine_recovery")
@@ -157,7 +175,8 @@ class TestDualSliceAudit:
                 audit = dual_slice_audit(Q)
                 assert audit["ok"]
                 assert set(audit["rows"][empty[0]]) == {NEG_INF}
-                assert set(lagrangian_table(Q).rows[empty[0]]) == {POS_INF}
+                rows = funcrep.rows(lagrangian_table(Q).table, len(Q.x_grid))
+                assert set(rows[empty[0]]) == {POS_INF}
                 break
 
 
@@ -194,8 +213,8 @@ def exact_payloads(fn):
 
 
 def assert_table_matches_definition(P):
-    """Cell i·|W_y| + j of the flat x-major table, and L.value, is the
-    defining infimum at (x_i, w_j); each slice conjugate is the table
+    """Cell i·|W_y| + j of the flat x-major table, and lagrangian_value,
+    is the defining infimum at (x_i, w_j); each slice conjugate is the table
     ``c_conjugate`` gives its slice, payload for payload, signed zeros
     included: int keys where it has int keys, over the scale of the one
     sweep of all slices, which may be a multiple of the slice's own."""
@@ -206,7 +225,7 @@ def assert_table_matches_definition(P):
         for j, ww in enumerate(P.dual_y_grid.points):
             cell = L.table[i * m + j]
             assert tagged(cell) == tagged(definitional_cell(P, x, ww)), (x, ww)
-            assert L.value(x, ww) is cell
+            assert tagged(lagrangian_value(P, x, ww)) == tagged(cell), (x, ww)
         conjugate = conjugation.c_conjugate(L.slices[i], P.dual_y_grid)
         table = L.slice_conjugates[i]
         assert exact_payloads(table) == exact_payloads(conjugate), x
@@ -383,12 +402,13 @@ def one_step_off(key):
 
 
 # The slice check and its terms, for ``route_log``.
-SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._slice_sups")
+SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._sups")
 
 
 class TestIntegerSliceCheck:
-    """The check's int terms against ``_sup_minus`` on the values as given,
-    one (x, w) at a time, and the path each problem takes.  The check
+    """The check's int terms against the term-by-term ``oracles.sup_minus``
+    on the values as given, one (x, w) at a time, and the path each
+    problem takes.  The check
     takes the ints when every y coordinate, y*, v*, alpha and finite
     payload is exact, a Fraction or an int: a plain int slope or alpha
     sends the kernel's sweeps off the ints but not the check, which
@@ -407,7 +427,7 @@ class TestIntegerSliceCheck:
             sl = _classify(P.phi.value(x, y, P.backend) for y in P.y_grid.points)
             inputs += [p for tag, p in sl if tag == "f"]
             for ww, column, cell in zip(P.dual_y_grid.points, columns, row):
-                assert tagged(cell) == tagged(_sup_minus(column, sl)), (x, ww)
+                assert tagged(cell) == tagged(sup_minus(column, sl)), (x, ww)
         assert paths == [all(c.__class__ in (Fraction, int) for c in inputs)]
 
     @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case() | one_point_case(),
@@ -441,9 +461,12 @@ class TestIntegerSliceCheck:
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_rational_problems_take_the_ints_and_float_twins_do_not(self, name, monkeypatch):
+        """Neither the check nor the single-point conjugates, which share
+        its sup, reach the kernel's scaling; the single-point values are
+        the kernel's f0^c and f0^{cc'}."""
         problems = catalog_problem(name), float_twin(name)
         for P in problems:
-            lagrangian_table(P)
+            lagrangian_table(P), P.f0_conj, P.f0_biconj
 
         def refuse(*args):
             raise AssertionError("the check reached the kernel's scaling")
@@ -452,6 +475,10 @@ class TestIntegerSliceCheck:
         with scaling_log() as scaled, route_log(*SLICE_CHECK) as paths:
             for P in problems:
                 assert lagrangian.dual_slice_audit(P)["ok"]
+                conj = [conjugate_value(P.f0, ww) for ww in P.x_side_grid.points]
+                biconj = [prime_conjugate_value(P.f0_conj, x) for x in P.x_grid.points]
+                assert [tagged(v) for v in conj] == [tagged(v) for v in P.f0_conj.values]
+                assert [tagged(v) for v in biconj] == [tagged(v) for v in P.f0_biconj.values]
         assert paths == [True, False]
         assert scaled == []
 
@@ -569,7 +596,7 @@ class TestTableMatchesDefinition:
         P = PerturbationProblem(phi, Grid(1, [(0.0,)], "float"), grid, dual_y)
         L, ww = CLagrangian(P), dual_y.points[0]
         assert repr(-L.slice_conjugates[0].value_at(ww)) == "ExtReal(-0.0)"
-        assert repr(L.value((0.0,), ww)) == "ExtReal(0.0)"
+        assert repr(L.table[0]) == "ExtReal(0.0)"
         assert_table_matches_definition(P)
 
 
@@ -607,13 +634,14 @@ class TestKeyReductions:
     @settings(max_examples=300, deadline=None)
     def test_reductions_match_extreal_sup_and_inf(self, P):
         L = lagrangian_table(P)
-        sups = [extreal.sup(row) for row in L.rows]
-        infs = [extreal.inf(column) for column in L.columns]
+        rows = funcrep.rows(L.table, len(P.x_grid))
+        sups = [extreal.sup(row) for row in rows]
+        infs = [extreal.inf(column) for column in funcrep.columns(L.table, len(P.dual_y_grid))]
         assert [tagged(v) for v in L.row_sup] == [tagged(v) for v in sups]
         assert [tagged(v) for v in L.col_inf] == [tagged(v) for v in infs]
         saddles = [
             (x, ww, tagged(cell))
-            for x, row, top in zip(P.x_grid.points, L.rows, sups)
+            for x, row, top in zip(P.x_grid.points, rows, sups)
             for ww, cell, low in zip(P.dual_y_grid.points, row, infs)
             if top == cell == low
         ]
@@ -623,8 +651,8 @@ class TestKeyReductions:
 
     def test_the_signed_zero_ties_keep_the_first(self):
         L = lagrangian_table(signed_zero_case())
-        assert [repr(v) for v in L.rows[0]] == ["ExtReal(-0.0)", "ExtReal(0.0)"]
-        assert [repr(v) for v in L.columns[0]] == ["ExtReal(-0.0)", "ExtReal(0.0)"]
+        assert [repr(v) for v in funcrep.rows(L.table, 2)[0]] == ["ExtReal(-0.0)", "ExtReal(0.0)"]
+        assert [repr(v) for v in funcrep.columns(L.table, 2)[0]] == ["ExtReal(-0.0)", "ExtReal(0.0)"]
         assert repr(L.row_sup[0]) == repr(L.col_inf[0]) == "ExtReal(-0.0)"
 
 

@@ -1,0 +1,104 @@
+"""The functions of ``src/econvex`` that no golden CLI case enters.
+
+Runs every case of ``test_cli_golden.CASES`` in-process under
+``sys.setprofile`` and prints each function or method of the package
+whose code no case called, with its line count; names that
+``perfbench/tracer.py`` binds (a span or a counted global, read through
+``test_tracer_bindings.load_tracer``) are marked ``[tracer]``.  Code that
+runs only at import, such as the catalog builders, is listed too: the
+profile starts after the package is loaded.  Nothing is written.
+
+    PYTHONPATH=src python tests/unrun.py
+"""
+
+import ast
+import sys
+import tempfile
+from functools import cached_property
+from pathlib import Path
+
+import econvex
+
+import test_cli_golden
+from test_tracer_bindings import load_tracer
+
+PACKAGE = Path(econvex.__file__).resolve().parent
+
+
+def functions():
+    """(module, qualname, file, first line, last line) of every ``def`` in
+    the package, in source order.  The first line is that of the first
+    decorator, as in the function's code object."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+
+        def walk(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out.append((module, prefix + child.name, str(path), first, child.end_lineno))
+                    walk(child, f"{prefix}{child.name}.<locals>.")
+                elif isinstance(child, ast.ClassDef):
+                    walk(child, f"{prefix}{child.name}.")
+                else:
+                    walk(child, prefix)
+
+        walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), "")
+    return out
+
+
+def entered():
+    """(file, first line) of every code object a golden case calls."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.setprofile(profile)  # econvex starts no thread
+        try:
+            for case in test_cli_golden.CASES:
+                test_cli_golden._run(*case, Path(tmp))
+        finally:
+            sys.setprofile(previous)
+    return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+
+
+def tracer_bound():
+    """(file, first line) of every function the tracer wraps or counts."""
+    tracer = load_tracer()
+    mods = tracer.econvex_modules()
+    bound = set()
+    for layer, attr, _ in list(tracer._boundaries()) + list(tracer._COUNTED):
+        obj = mods[layer]
+        for part in attr.split("."):
+            obj = vars(obj)[part] if isinstance(obj, type) else getattr(obj, part)
+        if isinstance(obj, cached_property):
+            obj = obj.func
+        code = obj.__code__
+        bound.add((str(Path(code.co_filename).resolve()), code.co_firstlineno))
+    return bound
+
+
+def report():
+    """The report's lines: one per function no case enters, then a total."""
+    seen, bound = entered(), tracer_bound()
+    lines, spans = [], {}
+    for module, name, path, first, last in functions():
+        if (path, first) in seen:
+            continue
+        mark = "  [tracer]" if (path, first) in bound else ""
+        lines.append(f"{module}.{name}  {last - first + 1} lines{mark}")
+        spans.setdefault(path, set()).update(range(first, last + 1))
+    total = sum(map(len, spans.values()))
+    marked = sum(line.endswith("[tracer]") for line in lines)
+    lines.append(f"{len(lines)} functions ({total} lines) that no golden case enters; "
+                 f"{marked} of them bound by the tracer")
+    return lines
+
+
+if __name__ == "__main__":
+    print("\n".join(report()))
