@@ -121,7 +121,7 @@ def _audit_body(audits, rows=()):
         rows += [(f"audit.{a.name}.kind", a.kind), (f"audit.{a.name}.status", a.status)]
         if a.detail:
             rows.append((f"audit.{a.name}.detail", a.detail))
-        # ROADMAP item 1: a witness prints its Python str, reprs included.
+        # ROADMAP item 7: a witness prints its Python str, reprs included.
         rows += [(f"audit.{a.name}.witness", str(wtn)) for wtn in a.witnesses[:5]]
     cells = [("name", "kind", "status", "detail")]
     cells += [(a.name, a.kind, a.status, a.detail) for a in audits]
@@ -374,7 +374,7 @@ def cmd_lagrangian(args) -> int:
             ("slice_at_111.grid_adequate", ex["grid_adequate"]),
             ("slice_at_111.neg_inf_branch", ex["neg_inf_branch_ok"]),
             ("slice_at_111.finite_branch", ex["finite_branch_ok"]),
-            # ROADMAP item 1: the witness prints its Python str, Fraction reprs included.
+            # ROADMAP item 7: the witness prints its Python str, Fraction reprs included.
             ("slice_at_111.nonconvexity_witness", str(ex["nonconvexity_witness"])),
             ("slice_at_111.oracle_at_zero", "n/a" if oracle is None else oracle),
             ("slice_at_111.stated_constant", ex["stated_constant"]),
@@ -476,7 +476,7 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
         )
     audits = []
     empty = P.is_empty()
-    # ROADMAP item 1: the detail prints Python's True/False.
+    # ROADMAP item 7: the detail prints Python's True/False.
     audits.append(AuditOutcome.exact("emptiness_decided", True, "empty = " + str(empty)))
     if not empty:
         rng = random.Random(0)
@@ -510,53 +510,48 @@ def _audit_eset(pf: problemio.EsetFile, args) -> int:
     return EXIT_EXACT_FAILURE if any(a.is_exact_failure for a in audits) else EXIT_OK
 
 
-def _build_parser() -> _Parser:
+_PROBLEM = ("problem", {})
+_OUTPUT = ("--output", {"choices": ("csv", "report"), "default": "report"})
+_FLAG = {"action": "store_true"}
+
+# (name, help, handler, arguments as (name, add_argument keywords)), in the
+# order of the top-level help, which lists only the commands given a help.
+_COMMANDS = (
+    ("catalog", "list or emit built-in problems", cmd_catalog,
+     [("name", {"nargs": "?"}), ("--list", _FLAG), ("--write", {"metavar": "PATH"})]),
+    ("eset", "inspect a set definition", cmd_eset, [
+        _PROBLEM, ("--contains", {"metavar": "POINT"}), ("--separate", {"metavar": "POINT"}),
+        ("--recession", {"metavar": "DIRECTION"}), ("--envelope-at", {"metavar": "X"})]),
+    *((name, None, handler, [_PROBLEM, _OUTPUT]) for name, handler in (
+        ("conjugate", cmd_conjugate), ("biconjugate", cmd_biconjugate),
+        ("duality", cmd_duality), ("lagrangian", cmd_lagrangian))),
+    ("subdiff", "eps-subdifferential of phi(., 0)", cmd_subdiff, [
+        _PROBLEM, ("--at", {"required": True, "metavar": "POINT"}),
+        ("--eps", {"default": "0"}), _OUTPUT]),
+    ("audit", "run the invariant suites", cmd_audit, [
+        _PROBLEM, ("--suite", {"choices": ("exact", "conditional", "all"), "default": "all"}),
+        ("--timings", _FLAG)]),
+)
+
+
+def _build_parser(argv) -> _Parser:
+    """The top-level parser with the subparser that argv[0] names, or with
+    all of them for help, no command or an unknown one: only the full
+    parser's text lists every command."""
     parser = _Parser(prog="econvex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("catalog", help="list or emit built-in problems")
-    p.add_argument("name", nargs="?")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--write", metavar="PATH")
-    p.set_defaults(func=cmd_catalog)
-
-    p = sub.add_parser("eset", help="inspect a set definition")
-    p.add_argument("problem")
-    p.add_argument("--contains", metavar="POINT")
-    p.add_argument("--separate", metavar="POINT")
-    p.add_argument("--recession", metavar="DIRECTION")
-    p.add_argument("--envelope-at", metavar="X")
-    p.set_defaults(func=cmd_eset)
-
-    for name, fn in (
-        ("conjugate", cmd_conjugate),
-        ("biconjugate", cmd_biconjugate),
-        ("duality", cmd_duality),
-        ("lagrangian", cmd_lagrangian),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("problem")
-        p.add_argument("--output", choices=("csv", "report"), default="report")
-        p.set_defaults(func=fn)
-
-    p = sub.add_parser("subdiff", help="eps-subdifferential of phi(., 0)")
-    p.add_argument("problem")
-    p.add_argument("--at", required=True, metavar="POINT")
-    p.add_argument("--eps", default="0")
-    p.add_argument("--output", choices=("csv", "report"), default="report")
-    p.set_defaults(func=cmd_subdiff)
-
-    p = sub.add_parser("audit", help="run the invariant suites")
-    p.add_argument("problem")
-    p.add_argument("--suite", choices=("exact", "conditional", "all"), default="all")
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_audit)
+    named = [c for c in _COMMANDS if argv[:1] == [c[0]]] or _COMMANDS
+    for name, text, handler, arguments in named:
+        p = sub.add_parser(name, **({} if text is None else {"help": text}))
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (problemio.InputError, NaNError) as exc:

@@ -67,7 +67,7 @@ couplings, the sup of coupling minus a tagged function's value, term by
 term with the +-inf conventions only) are the one definitional
 reference.  ``lagrangian.dual_slice_audit`` reads one column per dual
 point against every slice; ``_sup_minus``, its one-column form, serves
-``subdifferential.conjugate_value`` and ``prime_conjugate_value``.
+``subdifferential.conjugate_value``.
 ``_check_ints`` is the checks' own scaling, apart from ``_prepared``: the
 slice audit, the subdifferential memberships, the transfer audit and
 the convexity witness read their exact inputs as ints through it.

@@ -6,24 +6,21 @@ minorizes the function difference over the whole grid.  On a grid the
 conjugate characterization is exact: w is an eps-subgradient of f at x0
 iff f(x0) and c(x0, w) are finite and f(x0) + f^c(w) <= c(x0, w) + eps.
 Every membership question is answered by that one rule, :func:`_member`,
-read off a conjugate that is computed once per function and dual grid --
-the problem's cached ``f0_conj``, ``psi_block_min`` and ``g_on_dual_y``, or
-one ``c_conjugate`` sweep when :func:`eps_c_subdifferential` is given a
-function and a dual grid -- instead of a fresh pass per pair.  The rule
-reads tagged payloads (``SampledFn.tagged``) and a raw coupling
-(``conjugation._coupling``, None for +inf), so no ExtReal is built per
-pair.  When every coordinate, slope, alpha, finite payload and eps is
-exact, the check scales them itself (``conjugation._check_ints``: points
-and slopes times d, the rest times d²) and each pair is a few int
-compares and adds; otherwise it takes the values as given, where IEEE
-``+`` and ``<=`` are those of ExtReal, a coupling that overflows is not
-finite, and finite values of two backends raise BackendMismatchError.
-The scale is the check's own, never the kernel's ``funcrep._prepared``,
-so one fault cannot reach both a conjugate and the check reading it.
-The definitional tests
-:func:`is_c_subgradient` and :func:`is_cprime_subgradient` and the
-single-point conjugates stay as public references; the differential tests
-hold the fast routes to them.
+on the tagged payloads (``SampledFn.tagged``) of a conjugate computed once
+-- the problem's ``f0_conj``, ``psi_block_min`` or ``g_on_dual_y``, or one
+``c_conjugate`` sweep for :func:`eps_c_subdifferential` -- and a raw
+coupling (``conjugation._coupling``, None for +inf): no pass and no
+ExtReal per pair.  When every coordinate, slope, alpha, finite payload and
+eps is exact, the check scales them itself with ``conjugation._check_ints``
+(points and slopes times d, the rest times d²), never with the kernel's
+``funcrep._prepared``, so one fault cannot reach both a conjugate and the
+check reading it, and each pair is a few int compares and adds.
+Otherwise it takes the values as given: IEEE ``+`` and ``<=`` are those
+of ExtReal, a coupling that overflows is not finite, and finite values of
+two backends raise BackendMismatchError.  The definitional
+:func:`is_c_subgradient`, :func:`is_cprime_subgradient` and
+:func:`conjugate_value` stay as references the tests hold the fast routes
+to.
 
 The transfer audit moves memberships between a function and the
 conjugate pair f^c, f^{cc'} it is given, such as the problem's cached
@@ -43,12 +40,16 @@ the least value over w's finitely many flats, which the minimum attains.
 That holds for every eta > 0 iff it holds at eta = 0, so the
 intersection over eta > 0 is the projection at eps itself, exactly, and
 one audit, :func:`theorem44_audit`, checks both formulae: one sweep for
-the restriction's members and one for the projection per (x, eps).
+the restriction's members and one for the projection per (x, eps).  On
+exact inputs both read the problem's x-side form (``_XSide``), scaled once
+per problem: eps = p/q enters only the comparison, terms times q against
+p·d².
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 from math import inf
 from typing import Iterator, Optional, Tuple
@@ -91,11 +92,6 @@ class SubdiffSet:
 def conjugate_value(f: SampledFn, w: DualPoint) -> ExtReal:
     """f^c at a single dual point, by the definitional sweep."""
     return _sup_minus((conjugation._coupling(p, w) for p in f.grid.points), _classify(f.values))
-
-
-def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
-    """g^{c'} at a single primal point, by the definitional sweep."""
-    return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), _classify(g.values))
 
 
 def _zero_eps(f: SampledFn):
@@ -183,11 +179,40 @@ def is_c_subgradient_via_conjugate(
     return _memberships(x0, fx0, [w], _classify([f_conj_at_w]), eps)[0]
 
 
-def _members(f: SampledFn, x0, eps, f_conj: SampledFn) -> Tuple[DualPoint, ...]:
-    """The dual points of f_conj's grid in the eps-subdifferential at x0."""
-    x0, fx0 = _on_grid(f, x0)
-    duals = f_conj.grid.points
-    return tuple(compress(duals, _memberships(x0, fx0, duals, f_conj.tagged(), eps)))
+def _members(f: SampledFn, x0, eps, f_conj: SampledFn, form=None) -> Tuple[DualPoint, ...]:
+    """The dual points of f_conj's grid in the eps-subdifferential at x0:
+    read off the problem's x-side form when it serves, else per call."""
+    flags = form and form.memberships(f.grid.index_of(x0), f_conj, eps)
+    if flags is None:
+        flags = _memberships(*_on_grid(f, x0), f_conj.grid.points, f_conj.tagged(), eps)
+    return tuple(compress(f_conj.grid.points, flags))
+
+
+class _XSide:
+    """A problem's x-side form: d and the scaled x-grid, x_side_grid, f0,
+    f0_conj and psi_block_min from one ``_check_ints`` call, and per x the
+    coupling row c(x, .) over x_side_grid, taken at its first use."""
+
+    def __init__(self, P: PerturbationProblem):
+        self.tables, self.rows = (P.f0_conj, P.psi_block_min), {}
+        self.d, self.xs, self.ws, (self.f0, *self.conjs), _ = _check_ints(
+            P.x_grid.points, P.x_side_grid.points, [t.tagged() for t in (P.f0, *self.tables)])
+
+    def memberships(self, i, table, eps):
+        """Per dual point, whether it is in the eps-subdifferential of f0 at
+        the i-th point by table's rows; None when an input is not exact or
+        table is not the form's."""
+        conjs = next((rows for t, rows in zip(self.tables, self.conjs) if t is table), None)
+        if self.d is None or conjs is None or eps.__class__ not in (Fraction, int):
+            return None
+        if i not in self.rows:
+            self.rows[i] = [conjugation._coupling(self.xs[i], w) for w in self.ws]
+        q, fx, row = eps.denominator, self.f0[i], self.rows[i]
+        if q != 1:
+            fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
+            row = [None if c is None else q * c for c in row]
+        e = eps.numerator * self.d * self.d
+        return [_member(fx, g, c, e) for g, c in zip(conjs, row)]
 
 
 def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
@@ -328,15 +353,15 @@ def prop43_audit(P: PerturbationProblem) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
+def _restriction_subdiff(P: PerturbationProblem, x, eps, form=None) -> Tuple[DualPoint, ...]:
     """The eps-subdifferential of phi(., 0) at x, in x_side_grid order."""
-    return _members(P.f0, x, eps, P.f0_conj)
+    return _members(P.f0, x, eps, P.f0_conj, form)
 
 
-def _projected_full_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
+def _projected_full_subdiff(P: PerturbationProblem, x, eps, form=None) -> Tuple[DualPoint, ...]:
     """x-side projections, in x_side_grid order, of the dual points of the
     full grid in the eps-subdifferential of phi at (x, 0)."""
-    return _members(P.f0, x, eps, P.psi_block_min)
+    return _members(P.f0, x, eps, P.psi_block_min, form)
 
 
 def theorem43_audit(P: PerturbationProblem, x, eps) -> dict:
@@ -353,8 +378,10 @@ def theorem44_audit(P: PerturbationProblem, x, eps) -> dict:
     both formulae.  ``lhs``, ``projection`` and ``strict_witnesses`` are
     in x_side_grid order, the order of both tables, so equal sets are
     equal tuples."""
-    lhs = _restriction_subdiff(P, x, eps)
-    projection = _projected_full_subdiff(P, x, eps)
+    if not hasattr(P, "_x_side_cache"):
+        P._x_side_cache = _XSide(P)
+    lhs = _restriction_subdiff(P, x, eps, P._x_side_cache)
+    projection = _projected_full_subdiff(P, x, eps, P._x_side_cache)
     kept = frozenset(projection)
     return {
         "superset_ok": kept <= frozenset(lhs),

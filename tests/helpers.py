@@ -30,7 +30,8 @@ from econvex.funcrep import (
     SampledFn,
     Sum,
 )
-from econvex.subdifferential import conjugate_value, prime_conjugate_value
+from econvex.subdifferential import conjugate_value
+from oracles import prime_conjugate_value
 
 from econvex import catalog, extreal, funcrep, problemio
 
@@ -154,6 +155,35 @@ def _numbers(value):
 
 
 @contextmanager
+def scale_log(module_name, *terms):
+    """Two lists for the block: per ``_check_ints`` call made through the
+    module ``econvex.<module_name>``, whether it gave a scale; and per call
+    of each term (``"module.function"``), whether it was given ints, and
+    None, only."""
+    module = importlib.import_module(f"econvex.{module_name}")
+    scales, paths, real_ints = [], [], module._check_ints
+
+    def check_ints(*args):
+        out = real_ints(*args)
+        scales.append(out[0] is not None)
+        return out
+
+    def term(real):
+        def counted(*args):
+            paths.append(all(c.__class__ is int for c in _numbers(args)))
+            return real(*args)
+        return counted
+
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(module, "_check_ints", check_ints))
+        for qualified in terms:
+            owner, attr = qualified.split(".")
+            owner = importlib.import_module(f"econvex.{owner}")
+            stack.enter_context(mock.patch.object(owner, attr, term(getattr(owner, attr))))
+        yield scales, paths
+
+
+@contextmanager
 def route_log(check, *terms):
     """A list recording, per call of ``check`` (``"module.function"`` of
     econvex) made through its module inside the block, the route its
@@ -165,43 +195,19 @@ def route_log(check, *terms):
     None."""
     module_name, name = check.split(".")
     module = importlib.import_module(f"econvex.{module_name}")
-    log, real_check, real_ints = [], getattr(module, name), module._check_ints
-    calls = None  # (scales, term paths) of the running check
-
-    def check_ints(*args):
-        out = real_ints(*args)
-        if calls is not None:
-            calls[0].append(out[0] is not None)
-        return out
-
-    def term(real):
-        def counted(*args):
-            if calls is not None:
-                calls[1].append(all(c.__class__ is int for c in _numbers(args)))
-            return real(*args)
-        return counted
-
-    def audited(*args):
-        nonlocal calls
-        calls = [], []
-        try:
+    log, real_check = [], getattr(module, name)
+    with scale_log(module_name, *terms) as (scales, paths):
+        def audited(*args):
+            del scales[:], paths[:]
             out = real_check(*args)
-        finally:
-            (scales, paths), calls = calls, None
-        if scales == [False]:
-            log.append(False)
-        else:
-            log.append(True if scales == [True] and all(paths) else None)
-        return out
+            if scales == [False]:
+                log.append(False)
+            else:
+                log.append(True if scales == [True] and all(paths) else None)
+            return out
 
-    with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(module, name, audited))
-        stack.enter_context(mock.patch.object(module, "_check_ints", check_ints))
-        for qualified in terms:
-            owner, attr = qualified.split(".")
-            owner = importlib.import_module(f"econvex.{owner}")
-            stack.enter_context(mock.patch.object(owner, attr, term(getattr(owner, attr))))
-        yield log
+        with mock.patch.object(module, name, audited):
+            yield log
 
 
 @contextmanager

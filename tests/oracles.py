@@ -15,7 +15,8 @@ c(x, w), and `coupling_cbar` is c on the product space.
 And `sup_minus`, the sup of raw couplings minus tagged values taken term
 by term, point by point, with the +-inf conventions spelled out: the
 second route that `conjugation._sups` and its one-column form
-`_sup_minus` are held to.
+`_sup_minus` are held to; and `prime_conjugate_value`, g^{c'} at one
+primal point through `_sup_minus`, the definitional c'-conjugate.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
-from econvex import extreal
-from econvex.conjugation import DualGrid, DualPoint, _value, coupling_c, tensor_dual_grid
+from econvex import conjugation, extreal
+from econvex.conjugation import DualGrid, DualPoint, _classify, _sup_minus, _value
+from econvex.conjugation import coupling_c, tensor_dual_grid
 from econvex.esets import Interval1
 from econvex.extreal import NEG_INF, POS_INF, ExtReal
 from econvex.funcrep import Grid, SampledFn
@@ -164,6 +166,11 @@ def sup_minus(couplings, rows) -> ExtReal:
         if best is None or term > best:
             best = term
     return NEG_INF if best is None else _value(best)
+
+
+def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
+    """g^{c'} at a single primal point, by the definitional sweep."""
+    return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), _classify(g.values))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import catalog_problem, data_problem, random_problem
+from oracles import prime_conjugate_value
 
 from econvex import extreal
 from econvex.conjugation import (
@@ -59,7 +60,6 @@ from econvex.subdifferential import (
     is_c_subgradient,
     is_c_subgradient_via_conjugate,
     is_cprime_subgradient,
-    prime_conjugate_value,
     prop43_audit,
     theorem43_audit,
     theorem44_audit,

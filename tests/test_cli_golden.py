@@ -5,8 +5,12 @@ of its stdout and of its stderr, and its exit code, with
 ``data/cli_golden.json``.  The cases cover every catalog problem and
 every problem file of DATA_PROBLEMS, each with its float twin (the same
 entry with ``"backend": "float"``, written to a temporary file), under
-every report command, plus the commands of the set entry.  A refactor
-that is meant to keep the output must leave this test passing unchanged.
+every report command, plus the commands of the set entry.  The argv
+cases pin argparse's own text: the top-level help, each command's help
+and the usage errors, run at a terminal width of 80 columns and keyed by
+the command line; argparse's exit is recorded as the exit code.  A
+refactor that is meant to keep the output must leave this test passing
+unchanged.
 
 Run as a script, it checks the fixture: it prints ``added: <key>`` for
 each case the fixture lacks, ``dropped: <key>`` for each pinned case no
@@ -22,8 +26,10 @@ script printed:
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -72,6 +78,18 @@ ESET_COMMANDS = (
     ("audit", "--suite", "exact"),
 )
 
+COMMANDS = ("catalog", "eset", "conjugate", "biconjugate", "duality", "subdiff",
+            "lagrangian", "audit")
+
+ARGV_CASES = (
+    (), ("-h",), ("--help",), ("-h", "audit"), ("bogus",), ("--bogus",),
+    *((command, "-h") for command in COMMANDS),
+    ("audit", "fenchel_abs", "--suite", "nope"),
+    ("lagrangian", "fenchel_abs", "--output", "xml"),
+    ("subdiff", "fenchel_abs"),
+    ("audit", "fenchel_abs", "extra"),
+)
+
 
 def _problems():
     names = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
@@ -107,15 +125,28 @@ def _problem_arg(name, backend, tmp_path):
     return str(path)
 
 
-def _run(name, backend, command, tmp_path):
+def _argv_key(argv):
+    return " ".join(("econvex",) + argv)
+
+
+def _digests(argv):
+    """The exit code and the digests of stdout and stderr of one run; help
+    is wrapped at 80 columns whatever the terminal."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main([command[0], _problem_arg(name, backend, tmp_path), *command[1:]])
+    with redirect_stdout(out), redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's exit after help or a usage error
+            code = exc.code
     return {
         "exit": code,
         "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
         "stderr_sha256": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
     }
+
+
+def _run(name, backend, command, tmp_path):
+    return _digests([command[0], _problem_arg(name, backend, tmp_path), *command[1:]])
 
 
 CASES = _cases()
@@ -127,12 +158,18 @@ def pinned():
 
 
 def test_fixture_covers_exactly_the_cases(pinned):
-    assert sorted(pinned) == sorted(_key(*case) for case in CASES)
+    keys = [_key(*case) for case in CASES] + [_argv_key(argv) for argv in ARGV_CASES]
+    assert sorted(pinned) == sorted(keys)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[_key(*c) for c in CASES])
 def test_output_matches_fixture(case, pinned, tmp_path):
     assert _run(*case, tmp_path) == pinned[_key(*case)]
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=[_argv_key(a) for a in ARGV_CASES])
+def test_argparse_text_matches_fixture(argv, pinned):
+    assert _digests(argv) == pinned[_argv_key(argv)]
 
 
 if __name__ == "__main__":
@@ -145,6 +182,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         digests = {_key(*c): _run(*c, Path(tmp)) for c in CASES}
+    digests.update((_argv_key(argv), _digests(argv)) for argv in ARGV_CASES)
     old = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
     moved = [key for key in sorted(digests.keys() | old.keys())
              if digests.get(key) != old.get(key)]

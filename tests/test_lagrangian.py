@@ -59,8 +59,8 @@ from econvex.lagrangian import (
     saddle_search,
     supinf_value,
 )
-from econvex.subdifferential import conjugate_value, prime_conjugate_value, prop43_audit
-from oracles import sup_minus
+from econvex.subdifferential import conjugate_value, prop43_audit
+from oracles import prime_conjugate_value, sup_minus
 
 
 def w(ys, vs, a):

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import math
@@ -23,12 +24,17 @@ from econvex.funcrep import Grid, PerturbFn
 from helpers import (
     CATALOG_PROBLEMS,
     WIDE_FRACTIONS,
+    catalog_problem,
     certified,
     fenchel_abs_duality_grid,
     random_problem,
     scaling_log,
     with_plain_scalar,
 )
+
+
+COMMANDS = ("catalog", "eset", "conjugate", "biconjugate", "duality", "subdiff",
+            "lagrangian", "audit")
 
 
 def entry(name):
@@ -266,6 +272,37 @@ class TestCli:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_eps_formulae_scale_once_per_problem(self, name, capsys, monkeypatch):
+        """Counts only: inside audit's eps-formula audits (two points times
+        three eps, 12 membership sweeps) the checks scale once in all, and
+        each coupling row c(x, .) over x_side_grid is taken once per x, for
+        the restriction and the projection both."""
+        from econvex import cli as cli_mod
+        counts, active = Counter(), []
+
+        def within(real):
+            def run(*args):
+                active.append(True)
+                try:
+                    return real(*args)
+                finally:
+                    active.pop()
+            return run
+
+        def counted(key, real):
+            return lambda *args: counts.update({key: bool(active)}) or real(*args)
+
+        monkeypatch.setattr(cli_mod, "theorem44_audit", within(cli_mod.theorem44_audit))
+        monkeypatch.setattr(subdifferential, "_check_ints",
+                            counted("scalings", subdifferential._check_ints))
+        monkeypatch.setattr(conjugation, "_coupling", counted("couplings", conjugation._coupling))
+        assert main(["audit", name, "--suite", "all"]) == 0
+        P = catalog_problem(name)
+        xs = P.x_grid.points
+        assert counts["scalings"] == 1
+        assert counts["couplings"] == len({xs[0], xs[len(xs) // 2]}) * len(P.x_side_grid)
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_the_subdiff_report_lists_the_csv_members(self, name, backend, capsys, tmp_path):
         # The report reads its members off the eps-formula audit and the
@@ -342,6 +379,21 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"econvex: input error: --write: cannot write {path}: "), err
+
+    @pytest.mark.parametrize("argv, built", [
+        *(([command, "-h"], [command]) for command in COMMANDS),
+        *((argv, COMMANDS) for argv in (["--help"], [], ["bogus"])),
+    ])
+    def test_a_command_builds_only_its_subparser(self, argv, built, capsys, monkeypatch):
+        """Counts only: a named command adds its one subparser; help, no
+        command and an unknown one add all eight, whose names the text
+        lists."""
+        added, real = [], argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kw: added.append(name) or real(self, name, **kw))
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert sorted(added) == sorted(built)
 
     def test_unknown_flag_exits_3(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
     float_twin,
     random_problem,
     route_log,
+    scale_log,
     scalar,
 )
 
@@ -544,6 +546,83 @@ class TestRoutesMatchDefinition:
                     assert eps_c_subdifferential(f, x0, eps, wg).members == scan
 
 
+# eps for the problem's x-side form: 0, integers, and denominators that
+# no grid here holds, so eps's p/q meets d only in the comparison.
+FORM_EPS = (0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(5, 2))
+
+
+def form_members(P):
+    """{(x, eps): (lhs, projection)} of theorem44_audit, whose two sweeps
+    read P's x-side form, over the x-grid and FORM_EPS; each sweep is held
+    to the per-call route (``_memberships``, which
+    is_c_subgradient_via_conjugate takes) on the same table, and the
+    restriction to the definitional is_c_subgradient."""
+    out = {}
+    for x in P.x_grid.points:
+        for e in FORM_EPS:
+            eps = scalar(e, P.backend)
+            audit = theorem44_audit(P, x, eps)
+            for members, table in ((audit["lhs"], P.f0_conj), (audit["projection"], P.psi_block_min)):
+                per_call = [is_c_subgradient_via_conjugate(P.f0, g, x, w, eps) for w, g in table.items()]
+                assert members == tuple(compress(table.grid.points, per_call))
+            scan = tuple(w for w in P.x_side_grid.points if is_c_subgradient(P.f0, x, w, eps))
+            assert audit["lhs"] == scan
+            out[x, e] = audit["lhs"], audit["projection"]
+    return out
+
+
+@st.composite
+def twin_problems(draw):
+    """problem_case's draw on quarters and +-inf, built in the rational
+    backend and as its float twin, where every sum the checks take is
+    exact; one gate of the full dual grid shuts exactly at some (x, 0)."""
+    xs = draw(st.lists(st.sampled_from(COORDS), min_size=1, max_size=4, unique=True))
+    ys = [0] + draw(st.lists(st.sampled_from(COORDS[1:]), max_size=3, unique=True))
+    values = draw(ext_values(len(xs) * len(ys), "rational"))
+    dual_y = draw(dual_points(1, "rational", (1, 2, 3)))
+    pairs = draw(dual_points(2, "rational", (1, 2, 0, -1, 3)))
+    pairs = with_gate_through(draw, pairs, [(Fraction(v),) for v in xs], "rational", base=(0,))
+
+    def build(backend):
+        x_grid = Grid(1, [(scalar(v, backend),) for v in xs], backend)
+        y_grid = Grid(1, [(scalar(v, backend),) for v in ys], backend)
+        cells = [(x, y) for x in x_grid.points for y in y_grid.points]
+        table = {c: ExtReal(scalar(v.value, backend)) if v.is_finite else v
+                 for c, v in zip(cells, values)}
+
+        def grid(points):
+            return DualGrid([DualPoint.of(p.xstar, p.ustar, p.alpha, backend) for p in points],
+                            backend)
+        return PerturbationProblem(PerturbFn(1, 1, table=table), x_grid, y_grid,
+                                   grid(dual_y), grid(pairs))
+    return build("rational"), build("float")
+
+
+class TestXSideForm:
+    """The eps-formula audit's sweeps, read off the problem's x-side form,
+    against the per-call route and the definition."""
+
+    @given(problem_case())
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_problems(self, P):
+        form_members(P)
+
+    @given(twin_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_a_rational_problem_and_its_float_twin(self, twins):
+        # A Fraction and a float of one value compare equal, and so do
+        # points and dual points holding them.
+        P, twin = twins
+        assert form_members(P) == form_members(twin)
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_infinite_values_and_an_empty_domain(self, backend):
+        form_members(data_problem("empty_domain", backend))
+        rng = random.Random(33)
+        for _ in range(8):
+            form_members(random_problem(rng, backend, max_x=5, max_y=4, max_dual=6, max_pairs=6))
+
+
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
 @pytest.mark.parametrize("backend", ["rational", "float"])
 def test_projection_reads_the_cached_block_minimum(name, backend, monkeypatch):
@@ -605,9 +684,9 @@ def test_the_eps_audits_share_the_restriction_members(monkeypatch):
     P = catalog_problem("fenchel_abs")
     calls, real = [], subdifferential._members
 
-    def counted(f, x, eps, f_conj):
+    def counted(f, x, eps, f_conj, *form):
         calls.append(f_conj is P.f0_conj)
-        return real(f, x, eps, f_conj)
+        return real(f, x, eps, f_conj, *form)
 
     monkeypatch.setattr(subdifferential, "_members", counted)
     x = P.x_grid.points[0]
@@ -656,10 +735,13 @@ class TestMixedBackendsRaise:
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
 def test_the_checks_take_their_own_ints(name, monkeypatch):
     """Counts only.  On a rational catalog problem the transfer audit and
-    every membership sweep of the eps-formulae run on the checks' own ints
-    (every coupling and membership term gets ints), build no ExtReal and
-    never reach the kernel's scaling; on the float twin they take the
-    values as given, and build no ExtReal either."""
+    the eps-formula audits run on the checks' own ints (every coupling and
+    membership term gets ints), build no ExtReal and never reach the
+    kernel's scaling: the transfer audit scales once, and every membership
+    sweep of the eps-formulae at every x and eps reads the problem's one
+    x-side scaling.  On the float twin they take the values as given (the
+    form's scaling and each sweep's give no scale), and build no ExtReal
+    either."""
     problems = catalog_problem(name), float_twin(name)
     for P in problems:
         P.f0_conj, P.f0_biconj, P.psi_block_min
@@ -670,16 +752,19 @@ def test_the_checks_take_their_own_ints(name, monkeypatch):
     monkeypatch.setattr(funcrep, "_prepared", refuse)
     terms = ("subdifferential._member", "conjugation._coupling")
     for P, ints in zip(problems, (True, False)):
-        eps = scalar(Fraction(1, 2), P.backend)
+        eps_values = [scalar(e, P.backend) for e in (0, Fraction(1, 2), 1)]
         with built_extreals() as built, route_log("subdifferential.transfer_audit", *terms) as \
-                transfer, route_log("subdifferential._members", *terms) as members:
+                transfer, scale_log("subdifferential", *terms) as (scales, paths):
             subdifferential.transfer_audit(P.f0, P.f0_conj, P.f0_biconj)
+            del scales[:], paths[:]
             for x in P.x_grid.points:
-                _restriction_subdiff(P, x, eps)
-                _projected_full_subdiff(P, x, eps)
+                for eps in eps_values:
+                    theorem44_audit(P, x, eps)
         assert built == []
         assert transfer == [ints]
-        assert members == [ints] * (2 * len(P.x_grid))
+        sweeps = 2 * len(P.x_grid) * len(eps_values)
+        assert scales == ([True] if ints else [False] * (1 + sweeps))
+        assert all(paths) == ints
 
 
 class TestIntersectionIsTheLimit:

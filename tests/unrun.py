@@ -1,8 +1,8 @@
 """The functions of ``src/econvex`` that no golden CLI case enters.
 
-Runs every case of ``test_cli_golden.CASES`` in-process under
-``sys.setprofile`` and prints each function or method of the package
-whose code no case called, with its line count; names that
+Runs every case of ``test_cli_golden.CASES`` and ``ARGV_CASES``
+in-process under ``sys.setprofile`` and prints each function or method
+of the package whose code no case called, with its line count; names that
 ``perfbench/tracer.py`` binds (a span or a counted global, read through
 ``test_tracer_bindings.load_tracer``) are marked ``[tracer]``.  Code that
 runs only at import, such as the catalog builders, is listed too: the
@@ -62,6 +62,8 @@ def entered():
         try:
             for case in test_cli_golden.CASES:
                 test_cli_golden._run(*case, Path(tmp))
+            for argv in test_cli_golden.ARGV_CASES:
+                test_cli_golden._digests(argv)
         finally:
             sys.setprofile(previous)
     return {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
