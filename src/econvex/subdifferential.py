@@ -42,8 +42,8 @@ intersection over eta > 0 is the projection at eps itself, exactly, and
 one audit, :func:`theorem44_audit`, checks both formulae: one sweep for
 the restriction's members and one for the projection per (x, eps).  On
 exact inputs both read the problem's x-side form (``_XSide``), scaled once
-per problem: eps = p/q enters only the comparison, terms times q against
-p·d².
+for the tables asked of it: eps = p/q enters only the comparison, terms
+times q against p·d².
 """
 
 from __future__ import annotations
@@ -139,12 +139,21 @@ def _memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
     the eps-subdifferential of f at the grid point x0, where f is fx0: one
     raw coupling per dual point, on the check's own ints when every input
     is exact and on the values as given otherwise."""
-    d, (x,), ws, tables, (e,) = _check_ints([x0], duals, [_classify([fx0]), conjs], [eps])
-    coupling = conjugation._coupling
-    cs = [coupling(x, w) for w in ws]
+    d, (x,), ws, ((fx,), conjs), (e,) = _check_ints([x0], duals, [_classify([fx0]), conjs], [eps])
+    cs = [conjugation._coupling(x, w) for w in ws]
     if d is None:
-        cs = _as_given(cs, _finite(tables) + [e])
-    (fx,), conjs = tables
+        cs = _as_given(cs, _finite([[fx], conjs]) + [e])
+    return _decide(fx, conjs, cs, e)
+
+
+def _decide(fx, conjs, cs, e, q=1) -> list:
+    """``_member`` per dual point, on the tagged rows fx and conjs, the raw
+    couplings cs and e, all of one scale, with fx, conjs and cs times q
+    first: an exact eps = p/q that stayed out of the scale d meets the
+    terms here only, as e = p·d²."""
+    if q != 1:
+        fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
+        cs = [None if c is None else q * c for c in cs]
     return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
 
 
@@ -179,40 +188,44 @@ def is_c_subgradient_via_conjugate(
     return _memberships(x0, fx0, [w], _classify([f_conj_at_w]), eps)[0]
 
 
-def _members(f: SampledFn, x0, eps, f_conj: SampledFn, form=None) -> Tuple[DualPoint, ...]:
-    """The dual points of f_conj's grid in the eps-subdifferential at x0:
-    read off the problem's x-side form when it serves, else per call."""
-    flags = form and form.memberships(f.grid.index_of(x0), f_conj, eps)
-    if flags is None:
-        flags = _memberships(*_on_grid(f, x0), f_conj.grid.points, f_conj.tagged(), eps)
-    return tuple(compress(f_conj.grid.points, flags))
-
-
 class _XSide:
-    """A problem's x-side form: d and the scaled x-grid, x_side_grid, f0,
-    f0_conj and psi_block_min from one ``_check_ints`` call, and per x the
-    coupling row c(x, .) over x_side_grid, taken at its first use."""
+    """A problem's x-side form over some of its tables on x_side_grid: d
+    and the scaled x-grid, x_side_grid and rows of f0 and of the tables
+    (by ``id``) from one ``_check_ints`` call, and per x the coupling row
+    c(x, .) over x_side_grid, taken at its first use."""
 
-    def __init__(self, P: PerturbationProblem):
-        self.tables, self.rows = (P.f0_conj, P.psi_block_min), {}
-        self.d, self.xs, self.ws, (self.f0, *self.conjs), _ = _check_ints(
-            P.x_grid.points, P.x_side_grid.points, [t.tagged() for t in (P.f0, *self.tables)])
+    def __init__(self, P: PerturbationProblem, tables):
+        self.tables, self.rows = tables, {}
+        self.d, self.xs, self.ws, (self.f0, *conjs), _ = _check_ints(
+            P.x_grid.points, P.x_side_grid.points, [t.tagged() for t in (P.f0, *tables)])
+        self.conjs = dict(zip(map(id, tables), conjs))
 
-    def memberships(self, i, table, eps):
-        """Per dual point, whether it is in the eps-subdifferential of f0 at
-        the i-th point by table's rows; None when an input is not exact or
-        table is not the form's."""
-        conjs = next((rows for t, rows in zip(self.tables, self.conjs) if t is table), None)
-        if self.d is None or conjs is None or eps.__class__ not in (Fraction, int):
-            return None
-        if i not in self.rows:
-            self.rows[i] = [conjugation._coupling(self.xs[i], w) for w in self.ws]
-        q, fx, row = eps.denominator, self.f0[i], self.rows[i]
-        if q != 1:
-            fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
-            row = [None if c is None else q * c for c in row]
-        e = eps.numerator * self.d * self.d
-        return [_member(fx, g, c, e) for g, c in zip(conjs, row)]
+
+def _x_side(P: PerturbationProblem, *tables) -> _XSide:
+    """P's x-side form, kept on P as ``lagrangian_table`` keeps its table,
+    and built again over the tables it had and those given when it lacks
+    one, so the restriction alone never builds psi."""
+    form = getattr(P, "_x_side_cache", None)
+    every = {id(t): t for t in (*(form.tables if form else ()), *tables)}
+    if form is None or len(every) > len(form.tables):
+        form = P._x_side_cache = _XSide(P, tuple(every.values()))
+    return form
+
+
+def _members(P: PerturbationProblem, x, eps, table: SampledFn) -> Tuple[DualPoint, ...]:
+    """The dual points of x_side_grid in the eps-subdifferential of
+    phi(., 0) at x by table's rows (f0_conj's or psi_block_min's).  On
+    exact inputs they are read off P's x-side form, where eps = p/q never
+    enters d; otherwise they are taken per call."""
+    form, i = _x_side(P, table), P.f0.grid.index_of(x)
+    if form.d is None or eps.__class__ not in (Fraction, int):
+        flags = _memberships(*_on_grid(P.f0, x), table.grid.points, table.tagged(), eps)
+    else:
+        if i not in form.rows:
+            form.rows[i] = [conjugation._coupling(form.xs[i], w) for w in form.ws]
+        e = eps.numerator * form.d * form.d
+        flags = _decide(form.f0[i], form.conjs[id(table)], form.rows[i], e, eps.denominator)
+    return tuple(compress(table.grid.points, flags))
 
 
 def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
@@ -222,7 +235,8 @@ def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
 def eps_c_subdifferential(f: SampledFn, x0, eps, w_grid: DualGrid) -> SubdiffSet:
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
-    return SubdiffSet(tuple(x0), eps, _members(f, x0, eps, c_conjugate(f, w_grid)))
+    flags = _memberships(*_on_grid(f, x0), w_grid.points, c_conjugate(f, w_grid).tagged(), eps)
+    return SubdiffSet(tuple(x0), eps, tuple(compress(w_grid.points, flags)))
 
 
 def is_cprime_subgradient(g: SampledFn, w0: DualPoint, x) -> bool:
@@ -353,15 +367,15 @@ def prop43_audit(P: PerturbationProblem) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _restriction_subdiff(P: PerturbationProblem, x, eps, form=None) -> Tuple[DualPoint, ...]:
+def _restriction_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
     """The eps-subdifferential of phi(., 0) at x, in x_side_grid order."""
-    return _members(P.f0, x, eps, P.f0_conj, form)
+    return _members(P, x, eps, P.f0_conj)
 
 
-def _projected_full_subdiff(P: PerturbationProblem, x, eps, form=None) -> Tuple[DualPoint, ...]:
+def _projected_full_subdiff(P: PerturbationProblem, x, eps) -> Tuple[DualPoint, ...]:
     """x-side projections, in x_side_grid order, of the dual points of the
     full grid in the eps-subdifferential of phi at (x, 0)."""
-    return _members(P.f0, x, eps, P.psi_block_min, form)
+    return _members(P, x, eps, P.psi_block_min)
 
 
 def theorem43_audit(P: PerturbationProblem, x, eps) -> dict:
@@ -378,10 +392,9 @@ def theorem44_audit(P: PerturbationProblem, x, eps) -> dict:
     both formulae.  ``lhs``, ``projection`` and ``strict_witnesses`` are
     in x_side_grid order, the order of both tables, so equal sets are
     equal tuples."""
-    if not hasattr(P, "_x_side_cache"):
-        P._x_side_cache = _XSide(P)
-    lhs = _restriction_subdiff(P, x, eps, P._x_side_cache)
-    projection = _projected_full_subdiff(P, x, eps, P._x_side_cache)
+    _x_side(P, P.f0_conj, P.psi_block_min)  # one scaling for both sweeps
+    lhs = _restriction_subdiff(P, x, eps)
+    projection = _projected_full_subdiff(P, x, eps)
     kept = frozenset(projection)
     return {
         "superset_ok": kept <= frozenset(lhs),

@@ -272,6 +272,21 @@ class TestCli:
         assert len(calls) == 2
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_csv_reads_the_form_without_the_projection_table(self, name, capsys, monkeypatch):
+        """Counts only: subdiff's CSV, the restriction alone, reads the same
+        x-side form as the report, scaled once, and never builds psi."""
+        counts = Counter()
+
+        def refuse(problem):
+            raise AssertionError("the CSV built psi")
+
+        monkeypatch.setattr(PerturbationProblem, "psi", property(refuse))
+        monkeypatch.setattr(subdifferential, "_check_ints",
+                            lambda *a, real=subdifferential._check_ints: counts.update(["s"]) or real(*a))
+        assert main(["subdiff", name, "--at", "0", "--eps", "1/2", "--output", "csv"]) == 0
+        assert counts["s"] == 1
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_the_eps_formulae_scale_once_per_problem(self, name, capsys, monkeypatch):
         """Counts only: inside audit's eps-formula audits (two points times
         three eps, 12 membership sweeps) the checks scale once in all, and

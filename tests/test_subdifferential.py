@@ -684,9 +684,9 @@ def test_the_eps_audits_share_the_restriction_members(monkeypatch):
     P = catalog_problem("fenchel_abs")
     calls, real = [], subdifferential._members
 
-    def counted(f, x, eps, f_conj, *form):
+    def counted(f, x, eps, f_conj):
         calls.append(f_conj is P.f0_conj)
-        return real(f, x, eps, f_conj, *form)
+        return real(f, x, eps, f_conj)
 
     monkeypatch.setattr(subdifferential, "_members", counted)
     x = P.x_grid.points[0]
@@ -735,13 +735,13 @@ class TestMixedBackendsRaise:
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
 def test_the_checks_take_their_own_ints(name, monkeypatch):
     """Counts only.  On a rational catalog problem the transfer audit and
-    the eps-formula audits run on the checks' own ints (every coupling and
-    membership term gets ints), build no ExtReal and never reach the
-    kernel's scaling: the transfer audit scales once, and every membership
-    sweep of the eps-formulae at every x and eps reads the problem's one
-    x-side scaling.  On the float twin they take the values as given (the
-    form's scaling and each sweep's give no scale), and build no ExtReal
-    either."""
+    the eps-formula memberships run on the checks' own ints (every coupling
+    and membership term gets ints), build no ExtReal and never reach the
+    kernel's scaling.  The transfer audit and each per-call sweep
+    (``_memberships``) scale once; every sweep of theorem44_audit at every
+    x and eps reads the problem's one x-side scaling.  On the float twin
+    they take the values as given (the form's scaling and each sweep's
+    give no scale), and build no ExtReal either."""
     problems = catalog_problem(name), float_twin(name)
     for P in problems:
         P.f0_conj, P.f0_biconj, P.psi_block_min
@@ -752,16 +752,23 @@ def test_the_checks_take_their_own_ints(name, monkeypatch):
     monkeypatch.setattr(funcrep, "_prepared", refuse)
     terms = ("subdifferential._member", "conjugation._coupling")
     for P, ints in zip(problems, (True, False)):
-        eps_values = [scalar(e, P.backend) for e in (0, Fraction(1, 2), 1)]
+        eps = scalar(Fraction(1, 2), P.backend)
         with built_extreals() as built, route_log("subdifferential.transfer_audit", *terms) as \
-                transfer, scale_log("subdifferential", *terms) as (scales, paths):
+                transfer, route_log("subdifferential._memberships", *terms) as members:
             subdifferential.transfer_audit(P.f0, P.f0_conj, P.f0_biconj)
-            del scales[:], paths[:]
+            for x in P.x_grid.points:
+                for table in (P.f0_conj, P.psi_block_min):
+                    subdifferential._memberships(
+                        *subdifferential._on_grid(P.f0, x), table.grid.points, table.tagged(), eps)
+        assert built == []
+        assert transfer == [ints]
+        assert members == [ints] * (2 * len(P.x_grid))
+        eps_values = [scalar(e, P.backend) for e in (0, Fraction(1, 2), 1)]
+        with built_extreals() as built, scale_log("subdifferential", *terms) as (scales, paths):
             for x in P.x_grid.points:
                 for eps in eps_values:
                     theorem44_audit(P, x, eps)
         assert built == []
-        assert transfer == [ints]
         sweeps = 2 * len(P.x_grid) * len(eps_values)
         assert scales == ([True] if ints else [False] * (1 + sweeps))
         assert all(paths) == ints
