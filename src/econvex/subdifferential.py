@@ -10,17 +10,19 @@ on the tagged payloads (``SampledFn.tagged``) of a conjugate computed once
 -- the problem's ``f0_conj``, ``psi_block_min`` or ``g_on_dual_y``, or one
 ``c_conjugate`` sweep for :func:`eps_c_subdifferential` -- and a raw
 coupling (``conjugation._coupling``, None for +inf): no pass and no
-ExtReal per pair.  When every coordinate, slope, alpha, finite payload and
-eps is exact, the check scales them itself with ``conjugation._check_ints``
-(points and slopes times d, the rest times d²), never with the kernel's
-``funcrep._prepared``, so one fault cannot reach both a conjugate and the
-check reading it, and each pair is a few int compares and adds.
-Otherwise it takes the values as given: IEEE ``+`` and ``<=`` are those
-of ExtReal, a coupling that overflows is not finite, and finite values of
-two backends raise BackendMismatchError.  The definitional
-:func:`is_c_subgradient`, :func:`is_cprime_subgradient` and
-:func:`conjugate_value` stay as references the tests hold the fast routes
-to.
+ExtReal per pair.  Every check that takes couplings reads one form,
+``_Form``, from one ``conjugation._check_ints`` call, which scales the
+values itself when every coordinate, slope, alpha and finite payload is
+exact (points and slopes times d, the rest times d²), never with the
+kernel's ``funcrep._prepared``, so one fault cannot reach both a
+conjugate and the check reading it; an exact eps = p/q enters only the
+comparison.  Otherwise the check takes the values it reads as given:
+IEEE ``+`` and ``<=`` are those of ExtReal, a coupling that overflows is
+not finite, and finite values of two backends raise
+BackendMismatchError.  A negative eps raises ValueError on every route.
+The definitional :func:`is_c_subgradient`, :func:`is_cprime_subgradient`
+and :func:`conjugate_value` stay as references the tests hold the fast
+routes to.
 
 The transfer audit moves memberships between a function and the
 conjugate pair f^c, f^{cc'} it is given, such as the problem's cached
@@ -40,10 +42,8 @@ the least value over w's finitely many flats, which the minimum attains.
 That holds for every eta > 0 iff it holds at eta = 0, so the
 intersection over eta > 0 is the projection at eps itself, exactly, and
 one audit, :func:`theorem44_audit`, checks both formulae: one sweep for
-the restriction's members and one for the projection per (x, eps).  On
-exact inputs both read the problem's x-side form (``_XSide``), scaled once
-for the tables asked of it: eps = p/q enters only the comparison, terms
-times q against p·d².
+the restriction's members and one for the projection per (x, eps), both
+on the problem's one x-side form (``_x_side``).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from itertools import compress
 from math import inf
 from typing import Iterator, Optional, Tuple
 
-from econvex import conjugation, funcrep
+from econvex import conjugation
 from econvex.conjugation import DualGrid, DualPoint, c_conjugate, coupling_c
 from econvex.conjugation import _check_ints, _classify, _sup_minus
 from econvex.duality import PerturbationProblem
@@ -114,47 +114,55 @@ def _member(fx, conj, c, eps) -> bool:
         gtag == "-" or (fv + gv if gtag == "f" else inf) <= c + eps)
 
 
-def _as_given(couplings, values) -> list:
-    """Raw couplings on values as given, read as ``coupling_c`` reads
-    them: one that overflowed to +-inf is not finite (None).  As ExtReal
-    arithmetic does, NaN raises NaNError, and finite couplings and values
-    (those the check adds and compares) that mix floats with Fractions or
-    ints raise BackendMismatchError."""
-    out = [None if c.__class__ is float and abs(c) == inf else c for c in couplings]
-    values = [c for c in out if c is not None] + list(values)
+def _given(values) -> None:
+    """As ExtReal arithmetic does, NaN among the values raises NaNError,
+    and values that mix floats with Fractions or ints raise
+    BackendMismatchError."""
     if any(v != v for v in values):
         raise NaNError("NaN has no extended-real meaning")
     if len({v.__class__ is float for v in values}) > 1:
         raise BackendMismatchError("cannot compare rational-backed and float-backed values")
-    return out
 
 
-def _finite(tables):
-    """The finite payloads of the tables' tagged rows."""
-    return [p for rows in tables for tag, p in rows if tag == "f"]
+class _Form:
+    """Points, dual points and tables of tagged rows (table 0 a function f
+    on the points, the others tables on the dual points) as a membership
+    check reads them, from one ``_check_ints`` call: scaled by d when every
+    value is exact, as given when d is None.  Per point i the raw coupling
+    row c(x_i, .) over the dual points is taken at its first use; on values
+    as given one that overflowed to +-inf is not finite (None), as
+    ``coupling_c`` reads it."""
 
+    def __init__(self, points, duals, tables):
+        self.d, self.xs, self.ws, self.tables, _ = _check_ints(points, duals, tables)
+        self.rows = {}
 
-def _memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
-    """Per dual point, given the tagged row of f^c there, whether it is in
-    the eps-subdifferential of f at the grid point x0, where f is fx0: one
-    raw coupling per dual point, on the check's own ints when every input
-    is exact and on the values as given otherwise."""
-    d, (x,), ws, ((fx,), conjs), (e,) = _check_ints([x0], duals, [_classify([fx0]), conjs], [eps])
-    cs = [conjugation._coupling(x, w) for w in ws]
-    if d is None:
-        cs = _as_given(cs, _finite([[fx], conjs]) + [e])
-    return _decide(fx, conjs, cs, e)
+    def row(self, i) -> list:
+        if i not in self.rows:
+            cs = [conjugation._coupling(self.xs[i], w) for w in self.ws]
+            if self.d is None:
+                cs = [None if c.__class__ is float and abs(c) == inf else c for c in cs]
+            self.rows[i] = cs
+        return self.rows[i]
 
-
-def _decide(fx, conjs, cs, e, q=1) -> list:
-    """``_member`` per dual point, on the tagged rows fx and conjs, the raw
-    couplings cs and e, all of one scale, with fx, conjs and cs times q
-    first: an exact eps = p/q that stayed out of the scale d meets the
-    terms here only, as e = p·d²."""
-    if q != 1:
-        fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
-        cs = [None if c is None else q * c for c in cs]
-    return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
+    def members(self, i, k, eps) -> list:
+        """Per dual point, whether it is in the eps-subdifferential of f at
+        point i by the rows of table k (``_member``).  On the form's ints
+        an exact eps = p/q meets the terms only in the comparison: the
+        terms times q against p·d².  Otherwise eps, the coupling row and
+        the rows of f(x_i) and of table k are taken as given (``_given``)."""
+        if eps < 0:
+            raise ValueError("epsilon must be nonnegative")
+        fx, conjs, cs = self.tables[0][i], self.tables[k], self.row(i)
+        if self.d is not None and eps.__class__ in (Fraction, int):
+            e, q = eps.numerator * self.d * self.d, eps.denominator
+            if q != 1:
+                fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
+                cs = [None if c is None else q * c for c in cs]
+        else:
+            _given([c for c in cs if c is not None] + [p for t, p in (fx, *conjs) if t == "f"] + [eps])
+            e = eps
+        return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
 
 
 def is_c_subgradient(f: SampledFn, x0, w: DualPoint, eps=None) -> bool:
@@ -185,47 +193,28 @@ def is_c_subgradient_via_conjugate(
     if eps is None:
         eps = _zero_eps(f)
     x0, fx0 = _on_grid(f, x0)
-    return _memberships(x0, fx0, [w], _classify([f_conj_at_w]), eps)[0]
+    return _Form([x0], [w], [_classify([fx0]), _classify([f_conj_at_w])]).members(0, 1, eps)[0]
 
 
-class _XSide:
-    """A problem's x-side form over some of its tables on x_side_grid: d
-    and the scaled x-grid, x_side_grid and rows of f0 and of the tables
-    (by ``id``) from one ``_check_ints`` call, and per x the coupling row
-    c(x, .) over x_side_grid, taken at its first use."""
-
-    def __init__(self, P: PerturbationProblem, tables):
-        self.tables, self.rows = tables, {}
-        self.d, self.xs, self.ws, (self.f0, *conjs), _ = _check_ints(
-            P.x_grid.points, P.x_side_grid.points, [t.tagged() for t in (P.f0, *tables)])
-        self.conjs = dict(zip(map(id, tables), conjs))
-
-
-def _x_side(P: PerturbationProblem, *tables) -> _XSide:
-    """P's x-side form, kept on P as ``lagrangian_table`` keeps its table,
-    and built again over the tables it had and those given when it lacks
-    one, so the restriction alone never builds psi."""
-    form = getattr(P, "_x_side_cache", None)
-    every = {id(t): t for t in (*(form.tables if form else ()), *tables)}
-    if form is None or len(every) > len(form.tables):
-        form = P._x_side_cache = _XSide(P, tuple(every.values()))
-    return form
+def _x_side(P: PerturbationProblem, *tables) -> Tuple[tuple, _Form]:
+    """P's tables and x-side form over x_grid, x_side_grid, f0 and them,
+    kept on P and built again when it lacks one of the tables given, so
+    the restriction alone never builds psi."""
+    have, form = getattr(P, "_x_side_cache", ((), None))
+    every = {id(t): t for t in (*have, *tables)}
+    if len(every) > len(have):
+        have = tuple(every.values())
+        form = _Form(P.x_grid.points, P.x_side_grid.points, [t.tagged() for t in (P.f0, *have)])
+        P._x_side_cache = have, form
+    return have, form
 
 
 def _members(P: PerturbationProblem, x, eps, table: SampledFn) -> Tuple[DualPoint, ...]:
     """The dual points of x_side_grid in the eps-subdifferential of
-    phi(., 0) at x by table's rows (f0_conj's or psi_block_min's).  On
-    exact inputs they are read off P's x-side form, where eps = p/q never
-    enters d; otherwise they are taken per call."""
-    form, i = _x_side(P, table), P.f0.grid.index_of(x)
-    if form.d is None or eps.__class__ not in (Fraction, int):
-        flags = _memberships(*_on_grid(P.f0, x), table.grid.points, table.tagged(), eps)
-    else:
-        if i not in form.rows:
-            form.rows[i] = [conjugation._coupling(form.xs[i], w) for w in form.ws]
-        e = eps.numerator * form.d * form.d
-        flags = _decide(form.f0[i], form.conjs[id(table)], form.rows[i], e, eps.denominator)
-    return tuple(compress(table.grid.points, flags))
+    phi(., 0) at x by table's rows (f0_conj's or psi_block_min's)."""
+    have, form = _x_side(P, table)
+    k = 1 + [id(t) for t in have].index(id(table))
+    return tuple(compress(table.grid.points, form.members(P.f0.grid.index_of(x), k, eps)))
 
 
 def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
@@ -233,9 +222,9 @@ def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
 
 
 def eps_c_subdifferential(f: SampledFn, x0, eps, w_grid: DualGrid) -> SubdiffSet:
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
-    flags = _memberships(*_on_grid(f, x0), w_grid.points, c_conjugate(f, w_grid).tagged(), eps)
+    point, fx0 = _on_grid(f, x0)
+    form = _Form([point], w_grid.points, [_classify([fx0]), c_conjugate(f, w_grid).tagged()])
+    flags = form.members(0, 1, eps)
     return SubdiffSet(tuple(x0), eps, tuple(compress(w_grid.points, flags)))
 
 
@@ -275,26 +264,26 @@ def transfer_audit(f: SampledFn, f_conj: SampledFn, f_biconj: SampledFn) -> Tran
     rule, and x in that of f^c at w iff c(x, w) is finite and
     f^c(w) + f^{cc'}(x) = c(x, w), which forces f^c(w) finite too.  Every
     (x, w) is its own coupling and its own two tests, grouped by no
-    slope, on the ints of one ``_check_ints`` scale for all pairs when
-    the inputs are exact and on the values as given otherwise.  The
-    tables are read as tagged rows (``SampledFn.tagged``), and the
-    surrogate compares the rows of f and f^{cc'} on the same footing.
+    slope, on one form (``_Form``) over f's grid and f_conj's: its ints
+    when the inputs are exact, and otherwise the values as given, checked
+    once over every coupling, every table's row and zero.  The tables are
+    read as tagged rows (``SampledFn.tagged``), and the surrogate compares
+    the rows of f and f^{cc'} on the same footing.
     """
     if len(f_biconj.keys) != len(f.keys):
         raise ValueError("f_biconj must lie on the grid of f")
-    d, xs, ws, tables, (zero,) = _check_ints(
-        f.grid.points, f_conj.grid.points, [g.tagged() for g in (f, f_conj, f_biconj)], [_zero_eps(f)])
-    coupling = conjugation._coupling
-    cs = [coupling(x, w) for x in xs for w in ws]
-    if d is None:
-        cs = _as_given(cs, _finite(tables) + [zero])
-    fs, conjs, hulls = tables
+    form = _Form(f.grid.points, f_conj.grid.points, [g.tagged() for g in (f, f_conj, f_biconj)])
+    rows = [form.row(i) for i in range(len(f.grid))]
+    zero = _zero_eps(f)
+    if form.d is None:
+        _given([c for cs in rows for c in cs if c is not None]
+               + [p for t in form.tables for tag, p in t if tag == "f"] + [zero])
+    fs, conjs, hulls = form.tables
     surrogate = hulls == fs
     forward_ok = True
     counterexamples = []
-    for x, fx, (htag, hv), row in zip(f.grid.points, fs, hulls, funcrep.rows(cs, len(xs))):
-        for w, conj, c in zip(f_conj.grid.points, conjs, row):
-            primal = _member(fx, conj, c, zero)
+    for i, (x, (htag, hv), cs) in enumerate(zip(f.grid.points, hulls, rows)):
+        for w, conj, c, primal in zip(f_conj.grid.points, conjs, cs, form.members(i, 1, zero)):
             dual = c is not None and conj[0] == htag == "f" and conj[1] + hv == c
             if primal and not dual:
                 forward_ok = False

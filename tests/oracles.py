@@ -17,6 +17,11 @@ by term, point by point, with the +-inf conventions spelled out: the
 second route that `conjugation._sups` and its one-column form
 `_sup_minus` are held to; and `prime_conjugate_value`, g^{c'} at one
 primal point through `_sup_minus`, the definitional c'-conjugate.
+
+And `memberships`, the per-call membership route: one point's conjugate
+form scaled per call with eps inside the scale d, or taken as given; the
+reference the subdifferential's one form (`subdifferential._Form`) is held
+to.
 """
 
 from __future__ import annotations
@@ -24,12 +29,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
+from math import inf
+
 from econvex import conjugation, extreal
-from econvex.conjugation import DualGrid, DualPoint, _classify, _sup_minus, _value
+from econvex.conjugation import DualGrid, DualPoint, _check_ints, _classify, _sup_minus, _value
 from econvex.conjugation import coupling_c, tensor_dual_grid
 from econvex.esets import Interval1
-from econvex.extreal import NEG_INF, POS_INF, ExtReal
+from econvex.extreal import NEG_INF, POS_INF, BackendMismatchError, ExtReal, NaNError
 from econvex.funcrep import Grid, SampledFn
+from econvex.subdifferential import _member
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +179,54 @@ def sup_minus(couplings, rows) -> ExtReal:
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
     """g^{c'} at a single primal point, by the definitional sweep."""
     return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), _classify(g.values))
+
+
+# ---------------------------------------------------------------------------
+# Per-call memberships
+# ---------------------------------------------------------------------------
+
+
+def _as_given(couplings, values) -> list:
+    """Raw couplings on values as given, read as ``coupling_c`` reads
+    them: one that overflowed to +-inf is not finite (None).  As ExtReal
+    arithmetic does, NaN raises NaNError, and finite couplings and values
+    (those the check adds and compares) that mix floats with Fractions or
+    ints raise BackendMismatchError."""
+    out = [None if c.__class__ is float and abs(c) == inf else c for c in couplings]
+    values = [c for c in out if c is not None] + list(values)
+    if any(v != v for v in values):
+        raise NaNError("NaN has no extended-real meaning")
+    if len({v.__class__ is float for v in values}) > 1:
+        raise BackendMismatchError("cannot compare rational-backed and float-backed values")
+    return out
+
+
+def _finite(tables):
+    """The finite payloads of the tables' tagged rows."""
+    return [p for rows in tables for tag, p in rows if tag == "f"]
+
+
+def memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
+    """Per dual point, given the tagged row of f^c there, whether it is in
+    the eps-subdifferential of f at the grid point x0, where f is fx0: one
+    raw coupling per dual point, on the check's own ints when every input
+    is exact and on the values as given otherwise."""
+    d, (x,), ws, ((fx,), conjs), (e,) = _check_ints([x0], duals, [_classify([fx0]), conjs], [eps])
+    cs = [conjugation._coupling(x, w) for w in ws]
+    if d is None:
+        cs = _as_given(cs, _finite([[fx], conjs]) + [e])
+    return _decide(fx, conjs, cs, e)
+
+
+def _decide(fx, conjs, cs, e, q=1) -> list:
+    """``_member`` per dual point, on the tagged rows fx and conjs, the raw
+    couplings cs and e, all of one scale, with fx, conjs and cs times q
+    first: an exact eps = p/q that stayed out of the scale d meets the
+    terms here only, as e = p·d²."""
+    if q != 1:
+        fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
+        cs = [None if c is None else q * c for c in cs]
+    return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
 
 
 # ---------------------------------------------------------------------------

@@ -287,11 +287,13 @@ class TestCli:
         assert counts["s"] == 1
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
-    def test_the_eps_formulae_scale_once_per_problem(self, name, capsys, monkeypatch):
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_the_eps_formulae_scale_once_per_problem(self, name, backend, capsys, monkeypatch,
+                                                     tmp_path):
         """Counts only: inside audit's eps-formula audits (two points times
         three eps, 12 membership sweeps) the checks scale once in all, and
         each coupling row c(x, .) over x_side_grid is taken once per x, for
-        the restriction and the projection both."""
+        the restriction and the projection both, in either backend."""
         from econvex import cli as cli_mod
         counts, active = Counter(), []
 
@@ -311,7 +313,9 @@ class TestCli:
         monkeypatch.setattr(subdifferential, "_check_ints",
                             counted("scalings", subdifferential._check_ints))
         monkeypatch.setattr(conjugation, "_coupling", counted("couplings", conjugation._coupling))
-        assert main(["audit", name, "--suite", "all"]) == 0
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(entry(name), backend=backend)))
+        assert main(["audit", str(path), "--suite", "all"]) == 0
         P = catalog_problem(name)
         xs = P.x_grid.points
         assert counts["scalings"] == 1

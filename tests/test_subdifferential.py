@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import compress
@@ -20,12 +21,15 @@ from helpers import (
     scale_log,
     scalar,
 )
+from oracles import memberships
 
 from econvex import conjugation, funcrep
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
+    _classify,
     c_conjugate,
+    coupling_c,
     cprime_conjugate,
     tensor_dual_grid,
 )
@@ -250,6 +254,29 @@ class TestEpsSubdifferential:
     def test_negative_eps_rejected(self, abs_fn):
         with pytest.raises(ValueError):
             eps_c_subdifferential(abs_fn, (0,), Fraction(-1), DualGrid([]))
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_negative_eps_rejected_on_every_route(self, backend):
+        # The one guard comes before the values are checked as given, so
+        # a negative eps of the other backend raises ValueError too.
+        P = catalog_problem("fenchel_abs") if backend == "rational" else float_twin("fenchel_abs")
+        w0, g0 = P.x_side_grid.points[0], P.f0_conj.values[0]
+        for x in P.x_grid.points[:: len(P.x_grid) // 2]:
+            for eps in (scalar(Fraction(-100), backend), scalar(Fraction(-1, 2), backend),
+                        -0.5, Fraction(-1, 2)):
+                checks = [
+                    lambda: theorem43_audit(P, x, eps),
+                    lambda: theorem44_audit(P, x, eps),
+                    lambda: _restriction_subdiff(P, x, eps),
+                    lambda: _projected_full_subdiff(P, x, eps),
+                    lambda: is_c_subgradient_via_conjugate(P.f0, g0, x, w0, eps),
+                    lambda: eps_c_subdifferential(P.f0, x, eps, P.x_side_grid),
+                    lambda: is_c_subgradient(P.f0, x, w0, eps),
+                ]
+                for check in checks:
+                    with pytest.raises(ValueError) as raised:
+                        check()
+                    assert raised.type is ValueError, (x, eps)
 
     def test_monotone_in_eps(self, abs_fn):
         wg = tensor_dual_grid(
@@ -554,16 +581,15 @@ FORM_EPS = (0, 1, 3, Fraction(1, 3), Fraction(2, 7), Fraction(5, 2))
 def form_members(P):
     """{(x, eps): (lhs, projection)} of theorem44_audit, whose two sweeps
     read P's x-side form, over the x-grid and FORM_EPS; each sweep is held
-    to the per-call route (``_memberships``, which
-    is_c_subgradient_via_conjugate takes) on the same table, and the
-    restriction to the definitional is_c_subgradient."""
+    to the per-call oracle (``oracles.memberships``) on the same table, and
+    the restriction to the definitional is_c_subgradient."""
     out = {}
     for x in P.x_grid.points:
         for e in FORM_EPS:
             eps = scalar(e, P.backend)
             audit = theorem44_audit(P, x, eps)
             for members, table in ((audit["lhs"], P.f0_conj), (audit["projection"], P.psi_block_min)):
-                per_call = [is_c_subgradient_via_conjugate(P.f0, g, x, w, eps) for w, g in table.items()]
+                per_call = memberships(x, P.f0.value_at(x), table.grid.points, table.tagged(), eps)
                 assert members == tuple(compress(table.grid.points, per_call))
             scan = tuple(w for w in P.x_side_grid.points if is_c_subgradient(P.f0, x, w, eps))
             assert audit["lhs"] == scan
@@ -621,6 +647,95 @@ class TestXSideForm:
         rng = random.Random(33)
         for _ in range(8):
             form_members(random_problem(rng, backend, max_x=5, max_y=4, max_dual=6, max_pairs=6))
+
+
+def outcome(run):
+    """run()'s value, or the type of the exception it raised."""
+    try:
+        return run()
+    except (ValueError, TypeError) as exc:
+        return type(exc)
+
+
+def reference(x0, fx0, duals, conjs, eps) -> list:
+    """``oracles.memberships`` behind the one guard every route keeps: a
+    negative eps raises ValueError."""
+    if eps < 0:
+        raise ValueError("epsilon must be nonnegative")
+    return memberships(x0, fx0, duals, conjs, eps)
+
+
+def reference_members(f, x, eps, table):
+    return tuple(compress(table.grid.points,
+                          reference(x, f.value_at(x), table.grid.points, table.tagged(), eps)))
+
+
+def reference_transfer(f, f_conj, f_biconj):
+    """(forward_ok, counterexamples, surrogate) of the transfer audit: the
+    primal memberships by the oracle, the dual ones by ExtReal arithmetic."""
+    zero = scalar(0, f.grid.backend)
+    forward_ok, counterexamples = True, []
+    for (x, fx), h in zip(f.items(), f_biconj.values):
+        flags = reference(x, fx, f_conj.grid.points, f_conj.tagged(), zero)
+        for (w, g), primal in zip(f_conj.items(), flags):
+            c = coupling_c(x, w)
+            dual = c.is_finite and g.is_finite and h.is_finite and g + h == c
+            forward_ok = forward_ok and (dual or not primal)
+            if dual and not primal:
+                counterexamples.append((x, w))
+    return forward_ok, tuple(counterexamples), f_biconj.values == f.values
+
+
+def route_eps(backend):
+    """The problem's own exact eps (FORM_EPS), raw ints, eps of the other
+    backend, NaN and a negative eps."""
+    other = [0.5, 0.0, 1 / 3] if backend == "rational" else [Fraction(1, 2), Fraction(0), Fraction(2, 7)]
+    return [scalar(e, backend) for e in FORM_EPS] + [0, 2] + other + [
+        math.nan, scalar(Fraction(-1, 2), backend)]
+
+
+class TestEveryRouteMatchesTheOracle:
+    """Every public membership route, on one form, returns the per-call
+    oracle's members or raises its exception type: on drawn problems in
+    either backend, with eps of either backend, NaN, a coupling that is
+    NaN, and tables of two backends."""
+
+    @given(twin_problems(), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_routes(self, twins, float_first, data):
+        P, other = twins[::-1] if float_first else twins
+        x = data.draw(st.sampled_from(P.x_grid.points))
+        eps = data.draw(st.sampled_from(route_eps(P.backend)))
+        f = P.f0
+        lhs = outcome(lambda: reference_members(f, x, eps, P.f0_conj))
+        projection = outcome(lambda: reference_members(f, x, eps, P.psi_block_min))
+        assert outcome(lambda: _restriction_subdiff(P, x, eps)) == lhs
+        assert outcome(lambda: _projected_full_subdiff(P, x, eps)) == projection
+        both = lhs if isinstance(lhs, type) else projection if isinstance(projection, type) else (
+            lhs, projection)
+        for audit in (theorem43_audit, theorem44_audit):
+            out = outcome(lambda: audit(P, x, eps))
+            assert (out if isinstance(out, type) else (out["lhs"], out["projection"])) == both
+
+        nan_point = DualPoint((math.nan,), (0.0,), 1.0)
+        for grid in (P.x_side_grid, other.x_side_grid, DualGrid([nan_point], "float")):
+            expected = outcome(lambda: reference_members(f, x, eps, c_conjugate(f, grid)))
+            assert outcome(lambda: eps_c_subdifferential(f, x, eps, grid).members) == expected
+            zero = scalar(0, f.grid.backend)
+            expected = outcome(lambda: reference_members(f, x, zero, c_conjugate(f, grid)))
+            assert outcome(lambda: c_subdifferential(f, x, grid).members) == expected
+
+        pairs = [*P.f0_conj.items(), *other.f0_conj.items(), (nan_point, P.f0_conj.values[0])]
+        for w0, g in pairs:
+            expected = outcome(lambda: reference(x, f.value_at(x), [w0], _classify([g]), eps)[0])
+            assert outcome(lambda: is_c_subgradient_via_conjugate(f, g, x, w0, eps)) == expected
+
+        for f_conj in (P.f0_conj, other.f0_conj):
+            expected = outcome(lambda: reference_transfer(f, f_conj, P.f0_biconj))
+            out = outcome(lambda: transfer_audit(f, f_conj, P.f0_biconj))
+            if not isinstance(out, type):
+                out = out.forward_ok, out.counterexamples, out.econvex_surrogate
+            assert out == expected
 
 
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -730,6 +845,9 @@ class TestMixedBackendsRaise:
             transfer_audit(P.f0, twin.f0_conj, P.f0_biconj)
         with pytest.raises(BackendMismatchError):
             transfer_audit(twin.f0, P.f0_conj, twin.f0_biconj)
+        # f^{cc'} of the other backend: the audit's one check over every row
+        with pytest.raises(BackendMismatchError):
+            transfer_audit(P.f0, P.f0_conj, twin.f0_biconj)
 
 
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -737,11 +855,13 @@ def test_the_checks_take_their_own_ints(name, monkeypatch):
     """Counts only.  On a rational catalog problem the transfer audit and
     the eps-formula memberships run on the checks' own ints (every coupling
     and membership term gets ints), build no ExtReal and never reach the
-    kernel's scaling.  The transfer audit and each per-call sweep
-    (``_memberships``) scale once; every sweep of theorem44_audit at every
-    x and eps reads the problem's one x-side scaling.  On the float twin
-    they take the values as given (the form's scaling and each sweep's
-    give no scale), and build no ExtReal either."""
+    kernel's scaling.  The transfer audit scales once and takes one
+    coupling per (x, w), and each per-call check
+    (is_c_subgradient_via_conjugate) scales once; every sweep of
+    theorem44_audit at every x and eps reads the problem's one x-side
+    scaling.  On the float twin they take the values as given (each
+    scaling gives no scale), the sweeps still through one form, and build
+    no ExtReal either."""
     problems = catalog_problem(name), float_twin(name)
     for P in problems:
         P.f0_conj, P.f0_biconj, P.psi_block_min
@@ -750,27 +870,33 @@ def test_the_checks_take_their_own_ints(name, monkeypatch):
         raise AssertionError("a check reached the kernel's scaling")
 
     monkeypatch.setattr(funcrep, "_prepared", refuse)
+    couplings = []
+    monkeypatch.setattr(conjugation, "_coupling",
+                        lambda *args, real=conjugation._coupling: couplings.append(args) or real(*args))
     terms = ("subdifferential._member", "conjugation._coupling")
     for P, ints in zip(problems, (True, False)):
         eps = scalar(Fraction(1, 2), P.backend)
-        with built_extreals() as built, route_log("subdifferential.transfer_audit", *terms) as \
-                transfer, route_log("subdifferential._memberships", *terms) as members:
+        del couplings[:]
+        with built_extreals() as built, route_log("subdifferential.transfer_audit", *terms) as transfer:
             subdifferential.transfer_audit(P.f0, P.f0_conj, P.f0_biconj)
-            for x in P.x_grid.points:
-                for table in (P.f0_conj, P.psi_block_min):
-                    subdifferential._memberships(
-                        *subdifferential._on_grid(P.f0, x), table.grid.points, table.tagged(), eps)
         assert built == []
         assert transfer == [ints]
-        assert members == [ints] * (2 * len(P.x_grid))
+        assert len(couplings) == len(P.x_grid) * len(P.f0_conj.grid)
+        x = P.x_grid.points[0]
+        cases = [(w, g) for table in (P.f0_conj, P.psi_block_min) for w, g in table.items()]
+        with built_extreals() as built, \
+                route_log("subdifferential.is_c_subgradient_via_conjugate", *terms) as per_call:
+            for w, g in cases:
+                subdifferential.is_c_subgradient_via_conjugate(P.f0, g, x, w, eps)
+        assert built == []
+        assert per_call == [ints] * len(cases)
         eps_values = [scalar(e, P.backend) for e in (0, Fraction(1, 2), 1)]
         with built_extreals() as built, scale_log("subdifferential", *terms) as (scales, paths):
             for x in P.x_grid.points:
                 for eps in eps_values:
                     theorem44_audit(P, x, eps)
         assert built == []
-        sweeps = 2 * len(P.x_grid) * len(eps_values)
-        assert scales == ([True] if ints else [False] * (1 + sweeps))
+        assert scales == [ints]
         assert all(paths) == ints
 
 
