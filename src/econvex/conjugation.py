@@ -42,6 +42,11 @@ so psi^{c'} costs |X|·|Y|·#x* + |Y|·#slopes instead of |X|·|Y|·#slopes.
 Any other grid is itself times the one point of R^0, whose y-parts add
 nothing, and there the nested sweep is the flat one, term for term.
 
+A dual grid keeps its axes (``DualGrid``), and a sweep reads it as its
+entries, each x*, u* and alpha once per axis entry of a tensor
+(``DualGrid.parts``), and per point the indices of its three
+(``DualGrid.codes``): keys and scaled lists are taken per entry, and
+only the comparisons that build the output rows are taken per point.
 Each sweep reads the lists ``funcrep._prepared`` returns, cut into X x Y,
 points and slopes times its one scale D and alphas and payloads times D²
 (D None for lists as given, which are cut flat), through ``esets.dots``:
@@ -77,10 +82,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
-from math import inf, lcm, nan
+from functools import cached_property
+from itertools import chain, product, starmap
+from math import inf, lcm, nan, prod
 from operator import add, itemgetter, sub
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError, scalar
@@ -140,49 +146,147 @@ class DualPoint:
 
 
 class DualGrid:
-    """Finite list of pairwise-distinct dual points, usable as a grid."""
+    """Finite list of pairwise-distinct dual points, usable as a grid.
+
+    The points are kept as blocks, one after another, as ``Grid.factors``
+    keeps a product's two factors.  A grid given point by point is one
+    block whose one axis is its point list.  A tensor block
+    (``tensor_dual_grid``, ``pair_tensor_dual_grid``) is five axes of
+    coerced entries (x*, y*, u*, v*, alpha), and its points are the dual
+    points (x* + y*, u* + v*, alpha) over their product, x* outermost; a
+    tensor of three axes has the empty vector as its one y* and v*.
+    Points are built only on a read of ``points``, or one by ``grid[i]``;
+    ``index_of`` is mixed-radix arithmetic over one dict per axis, and the
+    sweeps read the blocks through ``parts`` and ``codes``."""
 
     def __init__(self, points: Iterable, backend: str = "rational"):
-        self.points = tuple(points)
+        self._set([(tuple(points),)], backend)
+
+    @classmethod
+    def _of(cls, blocks, backend: str) -> "DualGrid":
+        grid = cls.__new__(cls)
+        grid._set(blocks, backend)
+        return grid
+
+    def _set(self, blocks, backend: str) -> None:
+        """Keep the blocks that hold a point, each axis distinct: a repeated
+        entry would repeat a point."""
         self.backend = backend
-        self._index = {}
-        for i, p in enumerate(self.points):
-            if self._index.setdefault(p, i) != i:
-                raise ValueError(f"duplicate dual point {p!r}")
+        self.blocks = tuple(block for block in blocks if all(block))
+        self._sizes = [prod(map(len, block)) for block in self.blocks]
+        self._dicts = []
+        for block in self.blocks:
+            self._dicts.append([])
+            for axis in block:
+                at = {}
+                for i, entry in enumerate(axis):
+                    if at.setdefault(entry, i) != i:
+                        raise ValueError(f"duplicate dual point {entry!r}")
+                self._dicts[-1].append(at)
+
+    @cached_property
+    def points(self) -> Tuple[DualPoint, ...]:
+        return tuple(chain.from_iterable(
+            block[0] if len(block) == 1 else starmap(_paired, product(*block)) for block in self.blocks))
+
+    def __getitem__(self, i: int) -> DualPoint:
+        """The point at index i >= 0, built alone."""
+        for block, size in zip(self.blocks, self._sizes):
+            if i < size:
+                entries = []
+                for axis in reversed(block):
+                    i, k = divmod(i, len(axis))
+                    entries.append(axis[k])
+                return entries[0] if len(block) == 1 else _paired(*reversed(entries))
+            i -= size
+        raise IndexError("dual grid index out of range")
+
+    @cached_property
+    def parts(self) -> Tuple[list, list, list]:
+        """(slopes, gates, alphas): the x*, u* and alphas of the blocks, a
+        tensor's x* + y* and u* + v* once per pair of axis entries, a point
+        block's once per point; ``codes`` indexes them."""
+        slopes, gates, alphas = [], [], []
+        for block in self.blocks:
+            if len(block) == 1:
+                slopes += [w.xstar for w in block[0]]
+                gates += [w.ustar for w in block[0]]
+                alphas += [w.alpha for w in block[0]]
+            else:
+                xs, ys, us, vs, a = block
+                slopes += [x + y for x in xs for y in ys]
+                gates += [u + v for u in us for v in vs]
+                alphas += a
+        return slopes, gates, alphas
+
+    def codes(self):
+        """Per point, in order, the (slope, gate, alpha) indices of its
+        entries in ``parts``."""
+        runs, s, g, a = [], 0, 0, 0
+        for block in self.blocks:
+            if len(block) == 1:
+                ns = ng = na = len(block[0])
+                runs.append(zip(range(s, s + ns), range(g, g + ng), range(a, a + na)))
+            else:
+                ns, ng, na = len(block[0]) * len(block[1]), len(block[2]) * len(block[3]), len(block[4])
+                runs.append(product(range(s, s + ns), range(g, g + ng), range(a, a + na)))
+            s, g, a = s + ns, g + ng, a + na
+        return chain.from_iterable(runs)
 
     @property
     def alpha_positive(self) -> bool:
-        return all(p.alpha > 0 for p in self.points)
+        return all(a > 0 for a in self.parts[2])
+
+    def _find(self, point) -> Optional[int]:
+        """The index of point, None off the grid."""
+        offset = 0
+        for block, dicts, size in zip(self.blocks, self._dicts, self._sizes):
+            if len(block) == 1:
+                digits = [dicts[0].get(point)]
+            elif point.__class__ is DualPoint:
+                d, x, u = len(block[0][0]), point.xstar, point.ustar
+                digits = [at.get(part) for at, part in zip(dicts, (x[:d], x[d:], u[:d], u[d:], point.alpha))]
+            else:
+                digits = [None]
+            if None not in digits:
+                flat = 0
+                for axis, k in zip(block, digits):
+                    flat = flat * len(axis) + k
+                return offset + flat
+            offset += size
+        return None
 
     def index_of(self, point) -> int:
-        try:
-            return self._index[point]
-        except KeyError:
-            raise KeyError(f"dual point {point!r} is not on the grid") from None
+        i = self._find(point)
+        if i is None:
+            raise KeyError(f"dual point {point!r} is not on the grid")
+        return i
 
     def __contains__(self, point) -> bool:
-        return point in self._index
+        return self._find(point) is not None
 
     def __len__(self) -> int:
-        return len(self.points)
+        return sum(self._sizes)
 
     def __iter__(self):
         return iter(self.points)
 
 
+def _paired(x, y, u, v, alpha) -> DualPoint:
+    return DualPoint(x + y, u + v, alpha)
+
+
 def _tensor(slopes, gates, alphas, backend: str) -> DualGrid:
-    """The dual points (x* + y*, u* + v*, alpha) over the slope axes
-    (x*, y*), the gate axes (u*, v*) paired with them and the alphas, x*
-    outermost, then y*, u*, v* and alpha.  Each axis entry is coerced
-    once, and each slope axis must share one length with its gate axis."""
-    slopes = [[_coerce_vec(v, backend) for v in axis] for axis in slopes]
-    gates = [[_coerce_vec(v, backend) for v in axis] for axis in gates]
+    """The tensor block of the slope axes (x*, y*), the gate axes (u*, v*)
+    paired with them and the alphas; a lone x* and u* axis gets the empty
+    vector as its y* and v*.  Each axis entry is coerced once, and each
+    slope axis must share one length with its gate axis."""
+    slopes = [tuple(_coerce_vec(v, backend) for v in axis) for axis in slopes]
+    gates = [tuple(_coerce_vec(v, backend) for v in axis) for axis in gates]
     if any(len({len(v) for v in s + g}) > 1 for s, g in zip(slopes, gates)):
         raise ValueError("paired dual point blocks must match dimensions")
-    alphas = [scalar(a, backend) for a in alphas]
-    xstars = [sum(xs, ()) for xs in product(*slopes)]
-    ustars = [sum(us, ()) for us in product(*gates)]
-    return DualGrid([DualPoint(xs, us, a) for xs in xstars for us in ustars for a in alphas], backend)
+    (xs, ys, *_), (us, vs, *_) = (axes + [((),)] for axes in (slopes, gates))
+    return DualGrid._of([(xs, ys, us, vs, tuple(scalar(a, backend) for a in alphas))], backend)
 
 
 def tensor_dual_grid(
@@ -252,13 +356,13 @@ def _key(v: Sequence) -> Tuple:
 
 
 def _split_dom(f: SampledFn):
-    """(the (point, payload) rows of dom f, their indices on f's grid), or
-    (None, the constant conjugate); one pass over f's raw payloads
-    (``SampledFn.payloads``), so the rows of an exact table carry its int
-    keys.
+    """(the indices of dom f on f's grid, f's raw payloads there), or (None,
+    the constant conjugate); one pass over f's raw payloads
+    (``SampledFn.payloads``), so the payloads of an exact table are its
+    int keys.
 
     An empty domain conjugates to -inf and a -inf value on the domain to
-    +inf, whatever the dual point; the rows are returned only when every
+    +inf, whatever the dual point; the cells are returned only when every
     value on the domain is finite.
     """
     raw = f.payloads()
@@ -267,14 +371,12 @@ def _split_dom(f: SampledFn):
         return None, NEG_INF
     if -inf in raw:
         return None, POS_INF
-    points = f.grid.points
-    return [(points[k], raw[k]) for k in cells], cells
+    return cells, [raw[k] for k in cells]
 
 
-def _payloads(f: SampledFn, dom) -> list:
-    """The payloads of dom f's rows as ``funcrep._prepared`` reads them:
-    an exact table's int keys over its scale, other values as given."""
-    values = [v for _, v in dom]
+def _payloads(f: SampledFn, values) -> list:
+    """dom f's payloads as ``funcrep._prepared`` reads them: an exact
+    table's int keys over its scale, other values as given."""
     return values if f.scale is None else funcrep._Scaled(values, f.scale, f.grid.backend)
 
 
@@ -377,56 +479,59 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
     over rows of <x, u*> plus the row's max of <y, v*> (NaN if some term
     is: inf·0 fails every gate, as in the definition), and the Fenchel
     value the first max over rows of <x, x*> minus the row's least
-    f - <y, y*>.  Each dots column is taken once per distinct part of
-    u* and of each x* some open gate needs, and read by every function."""
+    f - <y, y*>.  The dual grid is read as its entries (``DualGrid.parts``)
+    and each point's indices into them (``DualGrid.codes``), and each
+    dots column is taken once per distinct part of u* and of each x* some
+    open gate needs, and read by every function."""
     splits = [_split_dom(f) for f in fs]
-    out = [[(-inf if c is NEG_INF else inf, None)] * len(w_grid) if dom is None else None
-           for dom, c in splits]
-    swept = [(r, dom, cells) for r, (dom, cells) in enumerate(splits) if dom is not None]
+    out = [[(-inf if c is NEG_INF else inf, None)] * len(w_grid) if cells is None else None
+           for cells, c in splits]
+    swept = [(r, cells, raw) for r, (cells, raw) in enumerate(splits) if cells is not None]
     if not swept:
         return None, out
+    slopes, gates, alphas = w_grid.parts
     D, ((X, ux, xx), (Y, uy, xy)), (alphas, *payloads) = funcrep._prepared(
-        fs[0].grid,
-        ([w.ustar for w in w_grid.points], [w.xstar for w in w_grid.points]),
-        [[w.alpha for w in w_grid.points]] + [_payloads(fs[r], dom) for r, dom, _ in swept],
-    )
+        fs[0].grid, (gates, slopes), [alphas] + [_payloads(fs[r], raw) for r, _, raw in swept])
     n = len(Y)
-    used = sorted({k // n for _, _, cells in swept for k in cells})
+    used = sorted({k // n for _, cells, _ in swept for k in cells})
     at = dict(zip(used, range(len(used))))
-    tables = [_Rows(cells, n, at, vs) for (*_, cells), vs in zip(swept, payloads)]
+    tables = [_Rows(cells, n, at, vs) for (_, cells, _), vs in zip(swept, payloads)]
     columns, m = list(zip(*[X[i] for i in used])), len(used)
     gate_x, column_y = _columns(columns, m), _columns(list(zip(*Y)), n)
 
-    firsts = {}, {}  # u* and x* key -> index of the first dual point with it
-    gates = [firsts[0].setdefault(_key(a + b), j) for j, (a, b) in enumerate(zip(ux, uy))]
-    slopes = [firsts[1].setdefault(_key(a + b), j) for j, (a, b) in enumerate(zip(xx, xy))]
+    firsts = {}, {}  # u* and x* key -> its first entry
+    gate_of = [firsts[0].setdefault(_key(a + b), g) for g, (a, b) in enumerate(zip(ux, uy))]
+    slope_of = [firsts[1].setdefault(_key(a + b), s) for s, (a, b) in enumerate(zip(xx, xy))]
     gate_columns = [(g, gate_x(ux[g]), column_y(uy[g])) for g in firsts[0].values()]
+    codes = [(slope_of[s], gate_of[g], alphas[a]) for s, g, a in w_grid.codes()]
     opens = []
     for table in tables:
         tops = {}
         for g, x_col, y_col in gate_columns:
             t = table.gate_terms(x_col, y_col)
             tops[g] = max(t) if D is not None or all(c == c for c in t) else nan  # ints: no NaN
-        opens.append([tops[g] < alpha for g, alpha in zip(gates, alphas)])
-    needs = [{s for is_open, s in zip(row, slopes) if is_open} for row in opens]
+        opens.append([tops[g] < alpha for _, g, alpha in codes])
+    needs = [{s for is_open, (s, _, _) in zip(row, codes) if is_open} for row in opens]
     by_x = {}  # x-part key -> the distinct x* with it that some open gate needs
     for s in sorted(set().union(*needs)):
         by_x.setdefault(_key(xx[s]), []).append(s)
-    found = [{} for _ in swept]  # per function: x* index -> (Fenchel value, attaining row)
+    found = [{} for _ in swept]  # per function: x* entry -> (Fenchel value, attaining row)
+    points = fs[0].grid.points
     for group in by_x.values():
         x_col = dots(columns, xx[group[0]], m)
         for s in group:
             y_col = column_y(xy[s])
-            for table, need, cell, (_, dom, _) in zip(tables, needs, found, swept):
+            for table, need, cell, (_, cells, raw) in zip(tables, needs, found, swept):
                 if s in need:
                     terms, first = table.fenchel_terms(x_col, y_col)
                     best = max(terms)
                     if best != best:
                         raise NaNError(_OVERFLOW)
-                    cell[s] = best, dom[first[terms.index(best)]]
+                    k = first[terms.index(best)]
+                    cell[s] = best, (points[cells[k]], raw[k])
     shut = (inf, None)
     for (r, _, _), row, cell in zip(swept, opens, found):
-        out[r] = [cell[s] if is_open else shut for is_open, s in zip(row, slopes)]
+        out[r] = [cell[s] if is_open else shut for is_open, (s, _, _) in zip(row, codes)]
     return D, out
 
 
@@ -449,21 +554,28 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     the distinct x-parts of x*, of <x, x-part> minus the least over the
     slopes with that x-part of g - <y, y-part>.
     """
-    dom, constant = _split_dom(g)
-    if dom is None:
-        return SampledFn(x_grid, [constant] * len(x_grid))
+    cells, raw = _split_dom(g)
+    if cells is None:
+        return SampledFn(x_grid, [raw] * len(x_grid))
+    slopes, gates, alphas = g.grid.parts
+    codes = list(g.grid.codes())
+    dom = [codes[k] for k in cells]  # the (slope, gate, alpha) entries of dom g's points
+    # per part, each entry dom meets -> its place among them, in first-appearance order
+    on_s, on_g, on_a = ({e: j for j, e in enumerate(dict.fromkeys(code[i] for code in dom))} for i in range(3))
     D, ((X, ux, xx), (Y, uy, xy)), (alphas, values) = funcrep._prepared(
-        x_grid, ([w.ustar for w, _ in dom], [w.xstar for w, _ in dom]),
-        ([w.alpha for w, _ in dom], _payloads(g, dom)),
+        x_grid, ([gates[i] for i in on_g], [slopes[i] for i in on_s]),
+        ([alphas[i] for i in on_a], _payloads(g, raw)),
     )
     gates = {}  # u* key -> [x-part, y-part, least alpha over dom g]
     slopes = {}  # x* key -> [x-part, y-part, least value of g]
-    for a, b, alpha, c, e, v in zip(ux, uy, alphas, xx, xy, values):
-        gate = gates.setdefault(_key(a + b), [a, b, alpha])
-        if alpha < gate[2] or alpha != alpha:
+    gate_of = [gates.setdefault(_key(a + b), [a, b, None]) for a, b in zip(ux, uy)]
+    slope_of = [slopes.setdefault(_key(c + e), [c, e, None]) for c, e in zip(xx, xy)]
+    for (s, i, a), v in zip(dom, values):
+        gate, alpha = gate_of[on_g[i]], alphas[on_a[a]]
+        if gate[2] is None or alpha < gate[2] or alpha != alpha:
             gate[2] = alpha
-        slope = slopes.setdefault(_key(c + e), [c, e, v])
-        if v < slope[2]:
+        slope = slope_of[on_s[s]]
+        if slope[2] is None or v < slope[2]:
             slope[2] = v
     m, n = len(X), len(Y)
     gate_x, column_y = _columns(list(zip(*X)), m), _columns(list(zip(*Y)), n)

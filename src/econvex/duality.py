@@ -22,6 +22,7 @@ regularity conditions that live in the continuum; they are labelled
 from __future__ import annotations
 
 import operator
+from itertools import product
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -99,8 +100,9 @@ class PerturbationProblem:
 
     ``full_dual_pairs`` holds paired dual points as dual points of X x Y,
     (x* + y*, u* + v*, alpha), as ``pair_tensor_dual_grid`` builds them.
-    The full dual grid is those points, then each embedding of the Y-side
-    grid that is not among them."""
+    The full dual grid is its blocks, then a block of each embedding of
+    the Y-side grid that is not among them: none when 0 is an x* and a u*
+    of a pair tensor with the Y-side axes."""
 
     def __init__(
         self,
@@ -118,9 +120,9 @@ class PerturbationProblem:
             raise ValueError("the origin is missing from the y-grid")
         if not dual_y_grid.alpha_positive:
             raise ValueError("dual feasibility requires alpha > 0 on the Y-side grid")
-        for w in dual_y_grid.points:
-            if w.dim != y_grid.dim:
-                raise ValueError("Y-side dual points must match the y dimension")
+        slopes, gates, alphas = dual_y_grid.parts
+        if any(len(v) != y_grid.dim for v in slopes):
+            raise ValueError("Y-side dual points must match the y dimension")
         self.phi = phi
         self.x_grid = x_grid
         self.y_grid = y_grid
@@ -130,9 +132,11 @@ class PerturbationProblem:
         self.backend = x_grid.backend
         self._x_ends = [(min(axis), max(axis)) for axis in zip(*x_grid.points)]
 
-        pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
-        embedded = [self.embed(w) for w in dual_y_grid.points]
-        self.full_dual_grid = DualGrid(dict.fromkeys([*pairs, *embedded]), self.backend)
+        pairs = full_dual_pairs if full_dual_pairs is not None else DualGrid(())
+        zero = x_grid.origin
+        embedded = [DualPoint(zero + slopes[s], zero + gates[g], alphas[a]) for s, g, a in dual_y_grid.codes()]
+        extra = tuple(w for w in embedded if w not in pairs)
+        self.full_dual_grid = DualGrid._of([*pairs.blocks, (extra,)], self.backend)
         self._embedded = [self.full_dual_grid.index_of(w) for w in embedded]
 
     # -- embeddings and projections ------------------------------------
@@ -183,10 +187,25 @@ class PerturbationProblem:
     @cached_property
     def _x_sides(self) -> Tuple[DualGrid, list]:
         """(x_side_grid, per flat of the full dual grid the index of its
-        projection on it), from one pass over the flats."""
-        at: Dict[DualPoint, int] = {}
-        index = [at.setdefault(self.x_side(flat), len(at)) for flat in self.full_dual_grid.points]
-        return DualGrid(at, self.backend), index
+        projection on it), each projection at its first appearance.  A
+        first block that pairs x-side axes with Y-side ones projects to the
+        tensor of its (x*, u*, alpha) axes, in that order, and its flats
+        are indexed by their digits; the flats of the other blocks are
+        projected one by one."""
+        blocks = self.full_dual_grid.blocks
+        if blocks and len(blocks[0]) == 5 and len(blocks[0][0][0]) == self.x_grid.dim:
+            (xs, ys, us, vs, alphas), *rest = blocks
+            head = DualGrid._of([(xs, ((),), us, ((),), alphas)], self.backend)
+            nu, na = len(us), len(alphas)
+            index = [(i * nu + k) * na + a for i, _, k, _, a in product(*map(range, map(len, blocks[0])))]
+        else:
+            head, index, rest = DualGrid._of((), self.backend), [], blocks
+        new: Dict[DualPoint, int] = {}
+        for flat in DualGrid._of(rest, self.backend).points:
+            w = self.x_side(flat)
+            i = head._find(w)
+            index.append(len(head) + new.setdefault(w, len(new)) if i is None else i)
+        return DualGrid._of([*head.blocks, (tuple(new),)], self.backend), index
 
     @cached_property
     def x_side_grid(self) -> DualGrid:

@@ -150,7 +150,7 @@ class SampledFn:
 
     def __init__(self, grid, values: Sequence[ExtReal]):
         values = tuple(values)
-        if len(values) != len(grid.points):
+        if len(values) != len(grid):
             raise ValueError("values must align one-to-one with grid points")
         self.grid = grid
         self.values = self.keys = values
@@ -236,7 +236,10 @@ def _transpose(columns: list, n: int) -> list:
 
 # Every pass over a grid (phi's sampler, the two conjugation sweeps and
 # the loader's boundary scan) reads it as ``_prepared`` returns it: cut
-# into X x Y, then over one scale D.  A product grid is cut on its two
+# into X x Y, then over one scale D.  A pass hands it each entry of the
+# dual points it reads once (``DualGrid.parts``): an lcm, a largest power
+# of two and a largest size do not change when an entry repeats, so D and
+# the float lift are those of the points.  A product grid is cut on its two
 # factors, each dual vector after the x coordinates; any other grid, or a
 # plain list of points, is its points times the one point of R^0, whose
 # y-parts add nothing, each dual vector whole on X.  When every

@@ -4,11 +4,13 @@ Two kinds of file: ``"problem"`` (a perturbation function with its grids)
 and ``"eset"`` (a halfspace-intersection set definition).  Unknown keys
 are rejected so that typos fail loudly; rational-backend files must not
 contain JSON floats, which keeps exactness alive across serialization.
+The dual grids are kept as the file's axes (``conjugation.DualGrid``):
+loading builds no dual point, and the boundary scan reads each distinct
+gate once and returns one row per dual point with a hit.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -451,64 +453,64 @@ def save_text(raw: dict) -> str:
     return json.dumps(raw, indent=2, sort_keys=True) + "\n"
 
 
-def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, object]]:
+def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, DualGrid, int, list]]:
     """Grid points landing exactly on a coupling boundary <., u*> = alpha.
 
     A boundary coincidence flips which branch of the coupling fires under
     the smallest perturbation of the data, so the loader surfaces them.
-    Returns (space, point, dual point) rows, dual point by dual point and
-    each in grid order.  Each distinct gate (u*, alpha) is scanned once,
-    over the lists ``funcrep._prepared`` returns, cut into X x Y, points
-    and slopes times its one scale D and alphas times D².  On a product
-    X x Y on ints (rational, or floats that ``_prepared`` certified no
-    float operation of the flat scan could round), (x, y) is on the
-    boundary iff <x, u*> = alpha - <y, v*>: one dict from that int to its
-    y, one lookup per x, so O(|X| + |Y| + hits) per gate, and D scales
-    the dx·|X| + dy·|Y| coordinates of the factors.  Any other grid, or
+    Returns one (space, dual grid, index, hits) row per dual point with a
+    hit, dual point by dual point: hits are the grid points on the
+    boundary of the point at that index, in grid order, one list shared
+    by every dual point of the gate.  Each distinct gate (u*, alpha) is
+    scanned once, over the lists ``funcrep._prepared`` returns for the
+    dual grid's entries (``DualGrid.parts``), cut into X x Y, points and
+    gates times its one scale D and alphas times D².  On a product X x Y
+    on ints (rational, or floats that ``_prepared`` certified no float
+    operation of the flat scan could round), (x, y) is on the boundary
+    iff <x, u*> = alpha - <y, v*>: one dict from that int to its y, one
+    lookup per x, so O(|X| + |Y| + hits) per gate, and D scales the
+    dx·|X| + dy·|Y| coordinates of the factors.  Any other grid, or
     values as given, is scanned flat, q on the boundary iff
     <q, u*> == alpha, since a + b == c and a == c - b round differently.
     """
     out = []
-    for space, w_points, grid in (
-        ("y", P.dual_y_grid.points, P.y_grid),
-        ("(x,y)", P.full_dual_grid.points, P.product),
-    ):
-        _, ((X, ux), (Y, uy)), (alphas,) = funcrep._prepared(
-            grid, ([w.ustar for w in w_points],), ([w.alpha for w in w_points],))
+    for space, w_grid, grid in (("y", P.dual_y_grid, P.y_grid), ("(x,y)", P.full_dual_grid, P.product)):
+        _, gates, alphas = w_grid.parts
+        _, ((X, ux), (Y, uy)), (alphas,) = funcrep._prepared(grid, (gates,), (alphas,))
         x_columns, y_columns, n = list(zip(*X)), list(zip(*Y)), len(Y)
-        on_boundary = {}
-        for w, a, b, alpha in zip(w_points, ux, uy, alphas):
-            gate = _key((*a, *b, alpha))
-            hits = on_boundary.get(gate)
+        on_boundary, at = {}, {}  # gate key -> its hits; (gate, alpha) entries -> the same
+        for i, (_, g, a) in enumerate(w_grid.codes()):
+            hits = at.get((g, a))
             if hits is None:
-                ys = {}  # alpha - <y, v*> -> the y giving it
-                for j, t in enumerate(dots(y_columns, [-c for c in b], n, alpha) if b else [alpha]):
-                    ys.setdefault(t, []).append(j)
-                x_col = dots(x_columns, a, len(X))
-                if len(ys) == 1:  # one level, compared directly: hashing a float costs more
-                    (level,) = ys
-                    on_it = [i for i, t in enumerate(x_col) if t == level]
-                else:
-                    on_it = [i for i, t in enumerate(x_col) if t in ys]
-                hits = on_boundary[gate] = [grid.points[i * n + j] for i in on_it for j in ys[x_col[i]]]
-            out.extend((space, p, w) for p in hits)
+                gate, b, alpha = _key((*ux[g], *uy[g], alphas[a])), uy[g], alphas[a]
+                hits = on_boundary.get(gate)
+                if hits is None:
+                    ys = {}  # alpha - <y, v*> -> the y giving it
+                    for j, t in enumerate(dots(y_columns, [-c for c in b], n, alpha) if b else [alpha]):
+                        ys.setdefault(t, []).append(j)
+                    x_col = dots(x_columns, ux[g], len(X))
+                    if len(ys) == 1:  # one level, compared directly: hashing a float costs more
+                        (level,) = ys
+                        on_it = [k for k, t in enumerate(x_col) if t == level]
+                    else:
+                        on_it = [k for k, t in enumerate(x_col) if t in ys]
+                    hits = on_boundary[gate] = [grid.points[k * n + j] for k in on_it for j in ys[x_col[k]]]
+                at[g, a] = hits
+            if hits:
+                out.append((space, w_grid, i, hits))
     return out
 
 
 def boundary_warnings(P: PerturbationProblem) -> List[str]:
     """The coincidence warnings a command prints: one line per dual point
-    for the first 8, then one line counting the rest.  The scan emits
-    each (space, dual point) as one run of rows, and only the printed
-    runs are formatted."""
-    lines = []
-    runs = itertools.groupby(boundary_coincidences(P), key=lambda row: (row[0], id(row[2])))
-    for _, run in itertools.islice(runs, 8):
-        (space, first, w), *rest = run
-        lines.append(
-            f"{len(rest) + 1} {space}-grid point(s) lie exactly on the coupling "
-            f"boundary of {_text(w)} (first: {_text(first)})"
-        )
-    more = sum(1 for _ in runs)
-    if more:
-        lines.append(f"... and {more} more coupling-boundary coincidences")
+    with a hit for the first 8, then one line counting the rest.  Only
+    the printed lines build their dual point."""
+    rows = boundary_coincidences(P)
+    lines = [
+        f"{len(hits)} {space}-grid point(s) lie exactly on the coupling "
+        f"boundary of {_text(w_grid[i])} (first: {_text(hits[0])})"
+        for space, w_grid, i, hits in rows[:8]
+    ]
+    if len(rows) > 8:
+        lines.append(f"... and {len(rows) - 8} more coupling-boundary coincidences")
     return lines

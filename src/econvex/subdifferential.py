@@ -104,6 +104,14 @@ def _on_grid(f: SampledFn, x0):
     return x0, f.value_at(x0)
 
 
+def _nonnegative(eps):
+    """eps, or a ValueError when it is negative: the one guard of every
+    route, taken before any sweep."""
+    if eps < 0:
+        raise ValueError("epsilon must be nonnegative")
+    return eps
+
+
 def _member(fx, conj, c, eps) -> bool:
     """w in the eps-subdifferential of f at x0, from the tagged rows of
     f(x0) and f^c(w), the raw coupling c = c(x0, w) (None for +inf) and
@@ -151,8 +159,7 @@ class _Form:
         an exact eps = p/q meets the terms only in the comparison: the
         terms times q against p·d².  Otherwise eps, the coupling row and
         the rows of f(x_i) and of table k are taken as given (``_given``)."""
-        if eps < 0:
-            raise ValueError("epsilon must be nonnegative")
+        _nonnegative(eps)
         fx, conjs, cs = self.tables[0][i], self.tables[k], self.row(i)
         if self.d is not None and eps.__class__ in (Fraction, int):
             e, q = eps.numerator * self.d * self.d, eps.denominator
@@ -167,10 +174,7 @@ class _Form:
 
 def is_c_subgradient(f: SampledFn, x0, w: DualPoint, eps=None) -> bool:
     """Definitional membership over the grid, with the eps relaxation."""
-    if eps is None:
-        eps = _zero_eps(f)
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
+    eps = _zero_eps(f) if eps is None else _nonnegative(eps)
     x0, fx0 = _on_grid(f, x0)
     if not fx0.is_finite:
         return False
@@ -223,6 +227,7 @@ def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
 
 def eps_c_subdifferential(f: SampledFn, x0, eps, w_grid: DualGrid) -> SubdiffSet:
     point, fx0 = _on_grid(f, x0)
+    _nonnegative(eps)  # before the sweep
     form = _Form([point], w_grid.points, [_classify([fx0]), c_conjugate(f, w_grid).tagged()])
     flags = form.members(0, 1, eps)
     return SubdiffSet(tuple(x0), eps, tuple(compress(w_grid.points, flags)))

@@ -14,7 +14,7 @@ from unittest import mock
 
 from hypothesis import strategies as st
 
-from econvex.conjugation import DualGrid, DualPoint
+from econvex.conjugation import DualGrid, DualPoint, _split_dom
 from econvex.esets import EPolyhedron, Halfspace
 from econvex.duality import PerturbationProblem
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, fold_sum, scalar
@@ -225,6 +225,19 @@ def built_extreals():
 
 
 CATALOG_PROBLEMS = [n for n in catalog.names() if catalog.entry(n)["kind"] == "problem"]
+
+
+def dom_rows(f):
+    """The (point, payload) rows of dom f (``_split_dom``), or None when
+    f's conjugate is a constant."""
+    cells, payloads = _split_dom(f)
+    return None if cells is None else [(f.grid.points[k], v) for k, v in zip(cells, payloads)]
+
+
+def coincidence_rows(scan):
+    """The boundary scan's rows (``problemio.boundary_coincidences``)
+    expanded to one (space, grid point, dual point) row per hit, in order."""
+    return [(space, p, w_grid[i]) for space, w_grid, i, hits in scan for p in hits]
 
 
 def catalog_problem(name):

@@ -22,21 +22,34 @@ And `memberships`, the per-call membership route: one point's conjugate
 form scaled per call with eps inside the scale d, or taken as given; the
 reference the subdifferential's one form (`subdifferential._Form`) is held
 to.
+
+And the dual grids one point at a time: `_tensor`, which builds and
+hashes every point of a tensor product, `full_dual_grid`, the pairs and
+the embeddings deduplicated point by point, and `x_sides`, every flat
+projected in turn; the factored `DualGrid` and `PerturbationProblem` are
+held to them.  With them `boundary_coincidences`, which emits one
+(space, grid point, dual point) row per hit, and `boundary_warnings`,
+which groups those rows back into runs: the reference of the per-gate
+scan and of the warnings it prints.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, List, Sequence, Tuple, Union
 
 from math import inf
 
-from econvex import conjugation, extreal
+from econvex import conjugation, extreal, funcrep
 from econvex.conjugation import DualGrid, DualPoint, _check_ints, _classify, _sup_minus, _value
-from econvex.conjugation import coupling_c, tensor_dual_grid
-from econvex.esets import Interval1
-from econvex.extreal import NEG_INF, POS_INF, BackendMismatchError, ExtReal, NaNError
+from econvex.conjugation import _coerce_vec, _key, coupling_c, tensor_dual_grid
+from econvex.duality import PerturbationProblem
+from econvex.esets import Interval1, dots
+from econvex.extreal import NEG_INF, POS_INF, BackendMismatchError, ExtReal, NaNError, scalar
 from econvex.funcrep import Grid, SampledFn
+from econvex.problemio import _text
 from econvex.subdifferential import _member
 
 
@@ -291,3 +304,102 @@ def c_conjugate_exact(f: PwAffine1, w: DualPoint) -> ExtReal:
         else:
             terms.append(ExtReal(-intercept))
     return extreal.sup(terms)
+
+
+# ---------------------------------------------------------------------------
+# Flat dual grids and the row-by-row boundary scan
+# ---------------------------------------------------------------------------
+
+
+def _tensor(slopes, gates, alphas, backend: str) -> DualGrid:
+    """The dual points (x* + y*, u* + v*, alpha) over the slope axes
+    (x*, y*), the gate axes (u*, v*) paired with them and the alphas, x*
+    outermost, then y*, u*, v* and alpha.  Each axis entry is coerced
+    once, and each slope axis must share one length with its gate axis."""
+    slopes = [[_coerce_vec(v, backend) for v in axis] for axis in slopes]
+    gates = [[_coerce_vec(v, backend) for v in axis] for axis in gates]
+    if any(len({len(v) for v in s + g}) > 1 for s, g in zip(slopes, gates)):
+        raise ValueError("paired dual point blocks must match dimensions")
+    alphas = [scalar(a, backend) for a in alphas]
+    xstars = [sum(xs, ()) for xs in product(*slopes)]
+    ustars = [sum(us, ()) for us in product(*gates)]
+    return DualGrid([DualPoint(xs, us, a) for xs in xstars for us in ustars for a in alphas], backend)
+
+
+def full_dual_grid(P, full_dual_pairs) -> DualGrid:
+    """The full dual grid of P, one point at a time: the pairs, then each
+    embedding of the Y-side grid that is not among them."""
+    pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
+    embedded = [P.embed(w) for w in P.dual_y_grid.points]
+    return DualGrid(dict.fromkeys([*pairs, *embedded]), P.backend)
+
+
+def x_sides(P) -> Tuple[DualGrid, list]:
+    """(x_side_grid, per flat of the full dual grid the index of its
+    projection on it), from one pass over the flats."""
+    at: Dict[DualPoint, int] = {}
+    index = [at.setdefault(P.x_side(flat), len(at)) for flat in P.full_dual_grid.points]
+    return DualGrid(at, P.backend), index
+
+
+def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, object]]:
+    """Grid points landing exactly on a coupling boundary <., u*> = alpha.
+
+    A boundary coincidence flips which branch of the coupling fires under
+    the smallest perturbation of the data, so the loader surfaces them.
+    Returns (space, point, dual point) rows, dual point by dual point and
+    each in grid order.  Each distinct gate (u*, alpha) is scanned once,
+    over the lists ``funcrep._prepared`` returns, cut into X x Y, points
+    and slopes times its one scale D and alphas times D².  On a product
+    X x Y on ints (rational, or floats that ``_prepared`` certified no
+    float operation of the flat scan could round), (x, y) is on the
+    boundary iff <x, u*> = alpha - <y, v*>: one dict from that int to its
+    y, one lookup per x, so O(|X| + |Y| + hits) per gate, and D scales
+    the dx·|X| + dy·|Y| coordinates of the factors.  Any other grid, or
+    values as given, is scanned flat, q on the boundary iff
+    <q, u*> == alpha, since a + b == c and a == c - b round differently.
+    """
+    out = []
+    for space, w_points, grid in (
+        ("y", P.dual_y_grid.points, P.y_grid),
+        ("(x,y)", P.full_dual_grid.points, P.product),
+    ):
+        _, ((X, ux), (Y, uy)), (alphas,) = funcrep._prepared(
+            grid, ([w.ustar for w in w_points],), ([w.alpha for w in w_points],))
+        x_columns, y_columns, n = list(zip(*X)), list(zip(*Y)), len(Y)
+        on_boundary = {}
+        for w, a, b, alpha in zip(w_points, ux, uy, alphas):
+            gate = _key((*a, *b, alpha))
+            hits = on_boundary.get(gate)
+            if hits is None:
+                ys = {}  # alpha - <y, v*> -> the y giving it
+                for j, t in enumerate(dots(y_columns, [-c for c in b], n, alpha) if b else [alpha]):
+                    ys.setdefault(t, []).append(j)
+                x_col = dots(x_columns, a, len(X))
+                if len(ys) == 1:  # one level, compared directly: hashing a float costs more
+                    (level,) = ys
+                    on_it = [i for i, t in enumerate(x_col) if t == level]
+                else:
+                    on_it = [i for i, t in enumerate(x_col) if t in ys]
+                hits = on_boundary[gate] = [grid.points[i * n + j] for i in on_it for j in ys[x_col[i]]]
+            out.extend((space, p, w) for p in hits)
+    return out
+
+
+def boundary_warnings(P: PerturbationProblem) -> List[str]:
+    """The coincidence warnings a command prints: one line per dual point
+    for the first 8, then one line counting the rest.  The scan emits
+    each (space, dual point) as one run of rows, and only the printed
+    runs are formatted."""
+    lines = []
+    runs = itertools.groupby(boundary_coincidences(P), key=lambda row: (row[0], id(row[2])))
+    for _, run in itertools.islice(runs, 8):
+        (space, first, w), *rest = run
+        lines.append(
+            f"{len(rest) + 1} {space}-grid point(s) lie exactly on the coupling "
+            f"boundary of {_text(w)} (first: {_text(first)})"
+        )
+    more = sum(1 for _ in runs)
+    if more:
+        lines.append(f"... and {more} more coupling-boundary coincidences")
+    return lines

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from econvex import cli, conjugation, duality, esets, problemio
+from econvex import cli, conjugation, duality, esets, funcrep, problemio
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
@@ -36,6 +36,8 @@ from helpers import (
     WIDE_FRACTIONS,
     catalog_problem,
     certified,
+    coincidence_rows,
+    dom_rows,
     drawn_from,
     ext_values,
     fenchel_abs_duality_grid,
@@ -50,6 +52,7 @@ from helpers import (
     unlifted,
     with_plain_scalar,
 )
+import oracles
 from oracles import (
     PwAffine1,
     adapted_dual_grid,
@@ -863,7 +866,7 @@ def as_backend(best, D, backend):
 def row_major_c_conjugate_rows(f, w_grid):
     """The c-sweep as it was before the column kernel: one dot per
     (point, gate) and per (point, slope)."""
-    dom, constant = _split_dom(f)
+    dom, constant = dom_rows(f), _split_dom(f)[1]
     if dom is None:
         return [(constant, None)] * len(w_grid)
     w_points = w_grid.points
@@ -896,7 +899,7 @@ def row_major_c_conjugate_rows(f, w_grid):
 def row_major_cprime_conjugate(g, x_grid):
     """The c'-sweep as it was before the column kernel: point by point,
     every gate, then the max over every slope."""
-    dom, constant = _split_dom(g)
+    dom, constant = dom_rows(g), _split_dom(g)[1]
     if dom is None:
         return SampledFn(x_grid, [constant] * len(x_grid))
     D, ((points, ustars, xstars), _), (alphas, values) = _prepared(
@@ -1181,6 +1184,14 @@ def _distinct(vectors):
     return len({_key(v) for v in vectors})
 
 
+def distinct_reads(ws, fields=("xstar", "ustar", "alpha")):
+    """The coordinates a pass reads of the dual points ws when it reads
+    each distinct x*, u* and alpha (by ``_key``) once."""
+    ws = list(ws)
+    return sum(len(key) for f in fields
+               for key in {_key(getattr(w, f) if f != "alpha" else (w.alpha,)) for w in ws})
+
+
 class TestColumnWork:
     """Counts only: the product-grid sweeps and the boundary scan take no
     per-point inner product, and each ``esets.dots`` column is taken once
@@ -1219,7 +1230,7 @@ class TestColumnWork:
             return {key: counts[key] - before[key] for key in counts}
 
         d, sizes = P.x_grid.dim, (len(P.x_grid), len(P.y_grid))
-        dom, _ = _split_dom(f)
+        dom = dom_rows(f)
         expected = 0
         if dom is not None:
             needed = [w.xstar for w in P.full_dual_grid
@@ -1234,7 +1245,7 @@ class TestColumnWork:
         if on_ints:
             assert all(n <= max(sizes) and k in (d, P.y_grid.dim) for k, n in reads), reads
 
-        dom, _ = _split_dom(P.psi)
+        dom = dom_rows(P.psi)
         expected = 0
         if dom is not None:
             ustars, xstars = [w.ustar for w, _ in dom], [w.xstar for w, _ in dom]
@@ -1279,7 +1290,7 @@ class TestColumnWork:
             P.phi_on_product
             before = dict(seen)
             P.psi
-            dom, _ = _split_dom(P.phi_on_product)
+            dom = dom_rows(P.phi_on_product)
             needed = {w.xstar for w in P.full_dual_grid if all(dot(p, w.ustar) < w.alpha for p, _ in dom)}
             return {k: seen[k] - before[k] for k in seen}, needed, len(P.x_grid)
 
@@ -1299,18 +1310,20 @@ class TestColumnWork:
                                         ("psi_prime", "psi", "cprime_conjugate")):
             with lcm_log() as log:
                 getattr(P, sweep)
-            dom, _ = _split_dom(getattr(P, conjugated))
+            dom = dom_rows(getattr(P, conjugated))
             if dom is None:
                 assert log == []
                 continue
-            # u*, x* and alpha of each dual point read.  dom's payloads are
-            # the int keys of an exact table, which reach the lcm through
-            # one gcd with its scale, not through _over_lcm.
+            # each distinct u*, x* and alpha of the dual points read once,
+            # over every dual point for psi and over dom psi for psi^{c'}.
+            # dom's payloads are the int keys of an exact table, which
+            # reach the lcm through one gcd with its scale, not through
+            # _over_lcm.
             assert getattr(P, conjugated).scale is not None
-            duals = P.full_dual_grid if sweep == "psi" else dom
-            others = len(duals) * (2 * d + 1)
+            duals = P.full_dual_grid.points if sweep == "psi" else [w for w, _ in dom]
             (read,) = log
-            assert read == (site, axes + others), sweep
+            assert read == (site, axes + distinct_reads(duals)), sweep
+            assert distinct_reads(duals) <= len(duals) * (2 * d + 1)
 
     @pytest.mark.parametrize("case", ["example52", "fenchel_abs_n21"])
     def test_a_duality_command_scales_the_factors_not_the_product(self, case, tmp_path, capsys):
@@ -1329,11 +1342,43 @@ class TestColumnWork:
         samples = [n for site, n in log if site == "_sample"]
         scans = [n for site, n in log if site == "boundary_coincidences"]
         # phi on the product reads the factors' coordinates, f0 the x-grid at
-        # y = 0.  The scans read u* and alpha of each dual point besides the
-        # grid: Y, then the factors of the product.
+        # y = 0.  The scans read each distinct u* and alpha of the dual
+        # points once besides the grid: Y, then the factors of the product.
         assert sorted(samples) == sorted([axes, (dx + dy) * X]) and points not in samples
-        assert scans == [dy * Y + len(P.dual_y_grid) * (dy + 1),
-                         axes + len(P.full_dual_grid) * (dx + dy + 1)]
+        gates = ("ustar", "alpha")
+        assert scans == [dy * Y + distinct_reads(P.dual_y_grid.points, gates),
+                         axes + distinct_reads(P.full_dual_grid.points, gates)]
+
+    def test_each_distinct_entry_is_read_once(self):
+        """Counts only, on the duality benchmark's layout at n = 41 and with
+        its y* axis doubled: psi, psi^{c'} and the scan hand ``_prepared``
+        each distinct gate, slope and alpha once, not one per dual point.
+        There are 3 gates (u*), 27 slopes (9 x* by 3 y*) and 1 alpha; dom
+        psi meets one gate, and the Y-side scan one v*.  The scan's reads
+        do not grow with y*."""
+        def reads(ystars):
+            doc = fenchel_abs_duality_grid(41)
+            doc["grids"]["ystar"] = ystars
+            P = problemio.loads(json.dumps(doc)).build()
+            P.phi_on_product
+            log, real = [], funcrep._prepared
+
+            def prepared(grid, duals=(), scalars=()):
+                log.append(([len(vs) for vs in duals], len(scalars[0])))  # scalars[0]: the alphas
+                return real(grid, duals, scalars)
+
+            out = []
+            with mock.patch.object(funcrep, "_prepared", prepared):
+                for build in (lambda: P.psi, lambda: P.psi_prime, lambda: problemio.boundary_coincidences(P)):
+                    del log[:]
+                    build()
+                    out.append(list(log))
+            return out, len(P.full_dual_grid)
+
+        assert reads(["-1", "0", "1"]) == (
+            [[([3, 27], 1)], [([1, 27], 1)], [([1], 1), ([3], 1)]], 81)
+        assert reads(["-1", "0", "1", "-2", "2", "3"]) == (
+            [[([3, 54], 1)], [([1, 54], 1)], [([1], 1), ([3], 1)]], 162)
 
     def test_a_dyadic_float_twin_reads_the_factors_as_the_rational_one(self):
         """fenchel_abs at n = 21 on the duality grid: the float twin's psi,
@@ -1437,7 +1482,7 @@ def boundary_rows(case):
     """The boundary scan of the case's Y and X x Y."""
     _, wg, _, grid, wy = case
     P = SimpleNamespace(y_grid=grid.factors[1], dual_y_grid=wy, product=grid, full_dual_grid=wg)
-    return problemio.boundary_coincidences(P)
+    return coincidence_rows(problemio.boundary_coincidences(P))
 
 
 def expected_lifts(case):
@@ -1447,7 +1492,7 @@ def expected_lifts(case):
     f, wg, g, grid, wy = case
     out = []
     for h, duals in ((f, [(w, None) for w in wg.points]), (g, None)):
-        dom, _ = _split_dom(h)
+        dom = dom_rows(h)
         if dom is None:
             continue
         payloads = [v for tag, v in h.tagged() if tag == "f"]  # dom's values, also of an exact table
@@ -1584,6 +1629,109 @@ class TestDualPointHash:
         assert {a: 1}[b] == 1 and len({a, b}) == 1
 
 
+# Few values, so that axes repeat entries and embeddings meet the pairs.
+AXIS_VALUES = [0, 1, -1, Fraction(1, 3)]
+
+
+def axis_entries(d, backend, min_size=0, unique=False):
+    """Lists of up to 3 vectors of dimension d, empty one time in six when
+    min_size is 0; with unique, distinct once coerced to the backend."""
+    vectors = st.tuples(*[st.sampled_from(AXIS_VALUES)] * d)
+    by = {"unique_by": lambda v: tuple(scalar(c, backend) for c in v)} if unique else {}
+    drawn = st.lists(vectors, min_size=max(min_size, 1), max_size=3, **by)
+    if min_size:
+        return drawn
+    return st.integers(0, 5).flatmap(lambda k: st.just([]) if k == 0 else drawn)
+
+
+@st.composite
+def factored_case(draw):
+    """(build the factored grid, build the flat oracle, probe points):
+    ``tensor_dual_grid`` or ``pair_tensor_dual_grid`` in either backend,
+    on 1-D and 2-D axes that may be empty, hold one entry or repeat one,
+    and alphas that may be 0 or negative.  Probes are points of the flat
+    grid and points built from the same values, mostly off it."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    dx, dy = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    xs, us = draw(axis_entries(dx, backend)), draw(axis_entries(dx, backend))
+    alphas = draw(st.lists(st.sampled_from([1, 2, 0, -1, Fraction(1, 2)]), min_size=1, max_size=3)
+                  | st.just([]))
+    if draw(st.booleans()):
+        make = lambda: conjugation.tensor_dual_grid(xs, us, alphas, backend)
+        flat = lambda: oracles._tensor([xs], [us], alphas, backend)
+        d = dx
+    else:
+        ys, vs = draw(axis_entries(dy, backend)), draw(axis_entries(dy, backend))
+        make = lambda: conjugation.pair_tensor_dual_grid(xs, ys, us, vs, alphas, backend)
+        flat = lambda: oracles._tensor([xs, ys], [us, vs], alphas, backend)
+        d = dx + dy
+    drawn = built(flat)
+    points = [] if drawn is ValueError else list(drawn.points)
+    vector = st.tuples(*[st.sampled_from(AXIS_VALUES)] * d)
+    other = st.builds(lambda x, u, a: DualPoint.of(x, u, a, backend), vector, vector,
+                      st.sampled_from([1, 2, 3]))
+    probes = draw(st.lists(st.sampled_from(points) | other if points else other, max_size=4))
+    return make, flat, probes
+
+
+@st.composite
+def factored_problem(draw):
+    """(P, the full dual pairs it was given): a table problem with 1-D or
+    2-D x and y grids in either backend.  The pairs are a pair tensor, the
+    same points given one by one, the tensor of the concatenated axes (a
+    block the x side cannot split), or absent; the Y-side grid is a tensor
+    or a point list.  x* and u* may miss 0, and the Y-side axes are drawn
+    apart from the pairs', so none, some or all embeddings are pairs."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    dx, dy = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    xs, us = draw(axis_entries(dx, backend, unique=True)), draw(axis_entries(dx, backend, unique=True))
+    ys, vs = (draw(axis_entries(dy, backend, min_size=1, unique=True)) for _ in range(2))
+    alphas = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 2)]), min_size=1, max_size=2, unique=True))
+    y_axes = [draw(st.sampled_from([ys, vs]) | axis_entries(dy, backend, min_size=1, unique=True))
+              for _ in range(2)]
+    y_alphas = draw(st.sampled_from([alphas, [1], [3, 1]]))
+    dual_y = tensor_dual_grid(*y_axes, y_alphas, backend)
+    if draw(st.booleans()):
+        dual_y = DualGrid(dual_y.points, backend)
+    kind = draw(st.sampled_from(["pair", "points", "concatenated", "none"]))
+    pairs = {
+        "pair": lambda: conjugation.pair_tensor_dual_grid(xs, ys, us, vs, alphas, backend),
+        "points": lambda: DualGrid(oracles._tensor([xs, ys], [us, vs], alphas, backend).points, backend),
+        "concatenated": lambda: tensor_dual_grid([x + y for x in xs for y in ys],
+                                                 [u + v for u in us for v in vs], alphas, backend),
+        "none": lambda: None,
+    }[kind]()
+    x_grid = Grid(dx, [(0,) * dx, (1,) * dx], backend)
+    y_grid = Grid(dy, [(0,) * dy], backend)
+    zero = ExtReal(scalar(0, backend))
+    phi = funcrep.PerturbFn(dx, dy, table={(x, y): zero for x in x_grid.points for y in y_grid.points})
+    return duality.PerturbationProblem(phi, x_grid, y_grid, dual_y, pairs), pairs
+
+
+def built(make):
+    """make(), or ValueError when it raises one."""
+    try:
+        return make()
+    except ValueError:
+        return ValueError
+
+
+def index_or_error(grid, point):
+    try:
+        return grid.index_of(point)
+    except KeyError:
+        return KeyError
+
+
+def same_grid(grid, flat):
+    """grid and the flat oracle agree on every point and every query, the
+    oracle's queries read off its tuple of points."""
+    assert grid.points == flat.points and len(grid) == len(flat.points)
+    assert grid.alpha_positive == all(p.alpha > 0 for p in flat.points)
+    for i, p in enumerate(flat.points):
+        assert grid.index_of(p) == i and p in grid and grid[i] == p
+
+
 class TestTensorDualGrids:
     def test_the_paired_grid_is_flat_in_loop_order(self):
         grid = conjugation.pair_tensor_dual_grid([(1,), (2,)], [(3,)], [(4,)], [(5,), (6,)], [7, 8])
@@ -1594,6 +1742,36 @@ class TestTensorDualGrids:
         # The totals agree (|x*| + |y*| = |u*| + |v*| = 3); the blocks do not.
         with pytest.raises(ValueError, match="paired dual point blocks must match dimensions"):
             conjugation.pair_tensor_dual_grid([(1,)], [(1, 2)], [(1, 2)], [(1,)], [1])
+
+    @given(factored_case())
+    @settings(max_examples=200, deadline=None)
+    def test_the_factored_grids_match_the_flat_ones(self, case):
+        """Both tensor constructors against the flat oracle, point by point: points,
+        len, grid[i], index_of (a KeyError off the grid), in,
+        alpha_positive and the duplicate-point ValueError."""
+        make, flat, probes = case
+        grid, reference = built(make), built(flat)
+        assert (grid is ValueError) == (reference is ValueError)
+        if grid is ValueError:
+            return
+        same_grid(grid, reference)
+        for p in probes:
+            assert (p in grid) == (p in reference.points)
+            assert index_or_error(grid, p) == (reference.points.index(p) if p in reference.points else KeyError)
+
+    @given(factored_problem())
+    @settings(max_examples=150, deadline=None)
+    def test_the_problem_grids_match_the_flat_ones(self, case):
+        """full_dual_grid, the embeddings' indices, x_side_grid and the
+        per-flat x-side index against the problem built point by point,
+        with and without a block of embedded points."""
+        P, pairs = case
+        flat = oracles.full_dual_grid(P, pairs)
+        same_grid(P.full_dual_grid, flat)
+        assert P._embedded == [flat.index_of(P.embed(w)) for w in P.dual_y_grid.points]
+        x_grid, index = oracles.x_sides(P)
+        same_grid(P.x_side_grid, x_grid)
+        assert P._x_sides[1] == index
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,14 @@ from econvex.duality import PerturbationProblem, converse_duality_report
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, fmt, scalar
 from econvex.funcrep import Grid, PerturbFn
 
+import oracles
+
 from helpers import (
     CATALOG_PROBLEMS,
     WIDE_FRACTIONS,
     catalog_problem,
     certified,
+    coincidence_rows,
     fenchel_abs_duality_grid,
     random_problem,
     scaling_log,
@@ -667,11 +670,96 @@ def has_plain_gate(w_points):
     return any(c.__class__ is not Fraction for w in w_points for c in (*w.ustar, w.alpha))
 
 
+@st.composite
+def scan_doc(draw, backend=None, step=None, embedded=None):
+    """A loader document on 1-D or 2-D grids with many coupling-boundary
+    hits: points, slopes and gates are small multiples of one step and
+    alphas of its square.  Rational steps are 1, 1/2 and 1/3; in floats
+    1 and 1/2 lift onto ints, 1/10 and 1/3 do not and are scanned flat.
+    With ``embedded``, 0 is kept out of x* (or u*), so the full dual grid
+    gains a block of embedded Y-side points."""
+    backend = backend or draw(st.sampled_from(["rational", "float"]))
+    steps = [1, Fraction(1, 2), Fraction(1, 3)] + ([Fraction(1, 10)] if backend == "float" else [])
+    step = Fraction(step if step is not None else draw(st.sampled_from(steps)))
+    x_dim, y_dim = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    embedded = draw(st.booleans()) if embedded is None else embedded
+
+    def vectors(dim, low, high, zero):
+        vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(lambda v: any(v) or zero)
+        drawn = draw(st.lists(vec, min_size=low, max_size=high, unique=True))
+        return [[str(step * k) for k in v] for v in drawn]
+
+    origin = [["0"] * y_dim]
+    grids = {
+        "x": {"points": vectors(x_dim, 2, 4, True)},
+        "y": {"points": origin + vectors(y_dim, 1, 4, False)},
+        "xstar": vectors(x_dim, 1, 3, not embedded),
+        "ustar": vectors(x_dim, 1, 3, True),
+        "ystar": vectors(y_dim, 1, 3, True),
+        "vstar": vectors(y_dim, 2, 3, True),
+        "alpha": [str(step * step * k) for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))],
+    }
+    return {"kind": "problem", "name": "scan", "x_dim": x_dim, "y_dim": y_dim, "backend": backend,
+            "phi": {"op": "affine"}, "grids": grids}
+
+
+def scan_runs(rows):
+    """The number of dual points with a hit in each space."""
+    return [sum(1 for space, *_ in rows if space == s) for s in ("y", "(x,y)")]
+
+
 class TestBoundaryScan:
+    @given(scan_doc())
+    @settings(max_examples=150, deadline=None)
+    def test_warnings_match_the_row_by_row_scan(self, doc):
+        """The per-gate scan, expanded, and the warnings it prints against
+        the row-by-row scan and its warnings, line for line."""
+        P = problemio.loads(json.dumps(doc)).build()
+        assert coincidence_rows(problemio.boundary_coincidences(P)) == oracles.boundary_coincidences(P)
+        assert problemio.boundary_warnings(P) == oracles.boundary_warnings(P)
+
+    @pytest.mark.parametrize("backend, step, lifts", [
+        ("rational", Fraction(1, 3), True), ("float", Fraction(1, 2), True), ("float", Fraction(1, 3), False)])
+    def test_many_runs_in_both_spaces_and_an_embedded_block(self, backend, step, lifts):
+        """More than 8 runs in each space (15 and 48) and a block of
+        embedded points, since 0 is not an x*, on ints and on floats
+        scanned flat: the warnings are the row-by-row ones."""
+        t = lambda k: str(step * k)
+        doc = {"kind": "problem", "name": "scan", "x_dim": 1, "y_dim": 1, "backend": backend,
+               "phi": {"op": "affine"}, "grids": {
+                   "x": {"points": [[t(k)] for k in (-2, -1, 0, 1, 2)]},
+                   "y": {"points": [[t(k)] for k in (0, 1, 2, -1, -2)]},
+                   "xstar": [t(1)], "ustar": [t(0), t(1)], "ystar": [t(0), t(1), t(-1)],
+                   "vstar": [t(1), t(2), t(-1)], "alpha": [t(step), t(2 * step)]}}
+        P = problemio.loads(json.dumps(doc)).build()
+        with scaling_log() as log:
+            rows = problemio.boundary_coincidences(P)
+        assert log == [lifts, lifts] and scan_runs(rows) == [15, 48]
+        assert len(P.full_dual_grid.blocks) == 2
+        assert coincidence_rows(rows) == oracles.boundary_coincidences(P)
+        assert problemio.boundary_warnings(P) == oracles.boundary_warnings(P)
+        assert len(problemio.boundary_warnings(P)) == 9
+
+    def test_the_scan_builds_no_row_per_hit(self, monkeypatch):
+        """Counts only, on the duality benchmark's layout at n = 41: one row
+        per dual point with a hit, no DualPoint, and one hits list per
+        distinct gate, shared by the dual points behind it."""
+        P = problemio.loads(json.dumps(fenchel_abs_duality_grid(41))).build()
+        built, init = [], DualPoint.__post_init__
+        monkeypatch.setattr(DualPoint, "__post_init__", lambda self: built.append(self) or init(self))
+        rows = problemio.boundary_coincidences(P)
+        monkeypatch.undo()
+        hits = sum(len(h) for *_, h in rows)
+        assert built == [] and (len(rows), hits) == (54, 2214)
+        # u* = -1 and 1 meet the grid at alpha = 1; u* = 0 never does
+        gates = {(w.ustar, w.alpha) for w in (P.full_dual_grid[i] for _, _, i, _ in rows)}
+        assert len({id(h) for *_, h in rows}) == len(gates) == 2
+        assert coincidence_rows(rows) == oracles.boundary_coincidences(P)
+
     @given(scan_case())
     @settings(max_examples=200, deadline=None)
     def test_scan_matches_definition_on_wide_fractions(self, P):
-        assert problemio.boundary_coincidences(P) == definitional_coincidences(P)
+        assert coincidence_rows(problemio.boundary_coincidences(P)) == definitional_coincidences(P)
 
     @given(scan_case(plain=True))
     @settings(max_examples=100, deadline=None)
@@ -680,7 +768,7 @@ class TestBoundaryScan:
         pair with the same value but Fraction entries took the embedded
         point's place in the full dual grid."""
         with scaling_log() as log:
-            rows = problemio.boundary_coincidences(P)
+            rows = coincidence_rows(problemio.boundary_coincidences(P))
         assert has_plain_gate(P.dual_y_grid.points)
         plain_full = has_plain_gate(P.full_dual_grid.points)
         # one False per scan that ran unscaled; the full scan comes last
@@ -691,7 +779,7 @@ class TestBoundaryScan:
     @settings(max_examples=100, deadline=None)
     def test_float_product_matches_definition(self, P):
         with scaling_log() as log:
-            rows = problemio.boundary_coincidences(P)
+            rows = coincidence_rows(problemio.boundary_coincidences(P))
         # each scan runs on ints exactly when no float operation can round
         assert log == [certified(grid.points, ([w.ustar for w in ws],), ([w.alpha for w in ws],))
                        for grid, ws in ((P.y_grid, P.dual_y_grid), (P.product, P.full_dual_grid))]
@@ -710,7 +798,7 @@ class TestBoundaryScan:
             DualGrid([DualPoint.of(0.0, 1.0, 5.0, "float")], "float"),
             DualGrid([DualPoint.of((0.0, 0.0), (1.0, 1.0), alpha, "float")], "float"),
         )
-        rows = problemio.boundary_coincidences(P)
+        rows = coincidence_rows(problemio.boundary_coincidences(P))
         assert [(space, p) for space, p, _ in rows] == [("(x,y)", (0.1, 0.2))]
         assert rows == definitional_coincidences(P)
 
@@ -720,7 +808,7 @@ class TestBoundaryScan:
         doc = fenchel_abs_duality_grid(11)
         doc["grids"].update(vstar=["1"], alpha=["1/2", "1"])
         P = problemio.loads(json.dumps(doc)).build()
-        rows = problemio.boundary_coincidences(P)
+        rows = coincidence_rows(problemio.boundary_coincidences(P))
         assert rows == definitional_coincidences(P)
         assert {w.alpha for _, _, w in rows} == {1}
 
@@ -730,14 +818,14 @@ class TestBoundaryScan:
         hits = 0
         for _ in range(60):
             P = random_problem(rng, backend)
-            rows = problemio.boundary_coincidences(P)
+            rows = coincidence_rows(problemio.boundary_coincidences(P))
             assert rows == definitional_coincidences(P)
             hits += len(rows)
         assert hits > 0  # the comparison is not vacuous
 
     def test_grouped_scan_matches_definition_on_shared_gates(self):
         P = problemio.loads(json.dumps(fenchel_abs_duality_grid(11))).build()
-        rows = problemio.boundary_coincidences(P)
+        rows = coincidence_rows(problemio.boundary_coincidences(P))
         assert rows and rows == definitional_coincidences(P)
 
 
@@ -1201,8 +1289,9 @@ def test_audits_read_the_cached_conjugates(name, backend, capsys, monkeypatch, t
 
 
 class TestFlatDualGrids:
-    """Counts only: the loader builds both dual grids flat from the file's
-    axes, and ``build`` adds only the embeddings of the Y-side grid."""
+    """Counts only: the loader keeps both dual grids as the file's axes,
+    building no DualPoint, and ``build`` adds only the embeddings of the
+    Y-side grid."""
 
     DOC = fenchel_abs_duality_grid(11)  # |W| = 9·3·3·1·1 = 81, |W_y| = 3·1·1 = 3
 
@@ -1231,7 +1320,7 @@ class TestFlatDualGrids:
         axis_entries = [len(grids[k]) for k in ("ystar", "vstar", "alpha")]
         axis_entries += [len(grids[k]) for k in ("xstar", "ystar", "ustar", "vstar", "alpha")]
         assert len(loaded.full_dual_pairs) == 81 and len(loaded.dual_y_grid) == 3
-        assert len(points) == 81 + 3
+        assert len(points) == 0  # the grids keep their axes
         assert len(scalars) == sum(axis_entries) == 5 + 17
 
     def test_build_adds_only_the_embeddings(self, monkeypatch):
@@ -1242,3 +1331,22 @@ class TestFlatDualGrids:
         monkeypatch.undo()
         assert built == [P.embed(w) for w in P.dual_y_grid] and called == []
         assert P.full_dual_grid.points[:81] == loaded.full_dual_pairs.points
+
+    @pytest.mark.parametrize("ystars", [["-1", "0", "1"], ["-1", "0", "1", "-2", "2", "3"]])
+    def test_duality_builds_no_dual_point_per_point_of_w(self, ystars, monkeypatch, tmp_path, capsys):
+        """Counts only, on the duality benchmark's layout at n = 41 and with
+        its y* axis doubled: ``duality`` builds the x-side grid's points,
+        the Y-side grid's and their embeddings, and the 8 dual points its
+        warnings print, none per point of the full dual grid."""
+        doc = fenchel_abs_duality_grid(41)
+        doc["grids"]["ystar"] = ystars
+        path = tmp_path / "ds41.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        points, _ = self.counting(monkeypatch)
+        assert main(["duality", str(path)]) == 0
+        built = len(points)
+        monkeypatch.undo()
+        capsys.readouterr()
+        P = problemio.loads(json.dumps(doc)).build()
+        assert len(P.full_dual_grid) == 27 * len(ystars) and len(P.x_side_grid) == 27
+        assert built == len(P.x_side_grid) + 2 * len(P.dual_y_grid) + 8

@@ -278,6 +278,20 @@ class TestEpsSubdifferential:
                         check()
                     assert raised.type is ValueError, (x, eps)
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_negative_eps_raises_before_any_sweep(self, backend, monkeypatch):
+        """Counts only: eps_c_subdifferential takes no c-conjugate before
+        the one guard raises."""
+        P = catalog_problem("fenchel_abs") if backend == "rational" else float_twin("fenchel_abs")
+        sweeps = []
+        real = subdifferential.c_conjugate
+        monkeypatch.setattr(subdifferential, "c_conjugate", lambda *a: sweeps.append(a) or real(*a))
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            eps_c_subdifferential(P.f0, P.x_grid.points[0], scalar(Fraction(-1), backend), P.x_side_grid)
+        assert sweeps == []
+        eps_c_subdifferential(P.f0, P.x_grid.points[0], scalar(0, backend), P.x_side_grid)
+        assert len(sweeps) == 1  # the count sees the sweep
+
     def test_monotone_in_eps(self, abs_fn):
         wg = tensor_dual_grid(
             [(-2,), (-1,), (0,), (1,), (2,)], [(0,), (1,)], [1, 3]
@@ -719,7 +733,9 @@ class TestEveryRouteMatchesTheOracle:
 
         nan_point = DualPoint((math.nan,), (0.0,), 1.0)
         for grid in (P.x_side_grid, other.x_side_grid, DualGrid([nan_point], "float")):
-            expected = outcome(lambda: reference_members(f, x, eps, c_conjugate(f, grid)))
+            # a negative eps raises before the sweep, whose NaN would raise too
+            expected = ValueError if eps < 0 else outcome(
+                lambda: reference_members(f, x, eps, c_conjugate(f, grid)))
             assert outcome(lambda: eps_c_subdifferential(f, x, eps, grid).members) == expected
             zero = scalar(0, f.grid.backend)
             expected = outcome(lambda: reference_members(f, x, zero, c_conjugate(f, grid)))
