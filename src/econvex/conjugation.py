@@ -136,10 +136,6 @@ class DualPoint:
             scalar(alpha, backend),
         )
 
-    @property
-    def dim(self) -> int:
-        return len(self.xstar)
-
     def __post_init__(self):
         if len(self.xstar) != len(self.ustar):
             raise ValueError("xstar and ustar must share the primal dimension")
@@ -156,8 +152,9 @@ class DualGrid:
     points (x* + y*, u* + v*, alpha) over their product, x* outermost; a
     tensor of three axes has the empty vector as its one y* and v*.
     Points are built only on a read of ``points``, or one by ``grid[i]``;
-    ``index_of`` is mixed-radix arithmetic over one dict per axis, and the
-    sweeps read the blocks through ``parts`` and ``codes``."""
+    ``index_of`` is mixed-radix arithmetic over one dict per axis, the
+    sweeps read the blocks through ``parts`` and ``codes``, and a problem
+    grows and projects them through ``extended`` and ``projected``."""
 
     def __init__(self, points: Iterable, backend: str = "rational"):
         self._set([(tuple(points),)], backend)
@@ -255,6 +252,31 @@ class DualGrid:
                 return offset + flat
             offset += size
         return None
+
+    def extended(self, points, backend: str) -> "DualGrid":
+        """This grid, then a block of the points that are not on it, in
+        the given order, labelled backend."""
+        return DualGrid._of([*self.blocks, (tuple(w for w in points if w not in self),)], backend)
+
+    def projected(self, d: int) -> Tuple["DualGrid", list]:
+        """(the grid of the points' projections (x*[:d], u*[:d], alpha),
+        each at its first appearance; per point, the index of its
+        projection on it).  A first tensor block whose x* axis has
+        dimension d projects to the tensor of its x*, u* and alpha axes,
+        in that order, and its points are indexed by their digits; the
+        points of the other blocks are projected one by one."""
+        head, index, rest = DualGrid._of((), self.backend), [], self.blocks
+        if rest and len(rest[0]) == 5 and len(rest[0][0][0]) == d:
+            (xs, ys, us, vs, alphas), *rest = rest
+            head = DualGrid._of([(xs, ((),), us, ((),), alphas)], self.backend)
+            nu, na = len(us), len(alphas)
+            index = [(i * nu + k) * na + a for i, _, k, _, a in product(*map(range, map(len, self.blocks[0])))]
+        new = {}
+        for w in DualGrid._of(rest, self.backend).points:
+            w = DualPoint(w.xstar[:d], w.ustar[:d], w.alpha)
+            i = head._find(w)
+            index.append(len(head) + new.setdefault(w, len(new)) if i is None else i)
+        return DualGrid._of([*head.blocks, (tuple(new),)], self.backend), index
 
     def index_of(self, point) -> int:
         i = self._find(point)
@@ -377,7 +399,7 @@ def _split_dom(f: SampledFn):
 def _payloads(f: SampledFn, values) -> list:
     """dom f's payloads as ``funcrep._prepared`` reads them: an exact
     table's int keys over its scale, other values as given."""
-    return values if f.scale is None else funcrep._Scaled(values, f.scale, f.grid.backend)
+    return values if f.scale is None else funcrep._Scaled(values, f.scale, f.backend)
 
 
 def _columns(cols, n: int):
@@ -536,9 +558,10 @@ def _c_conjugate_rows(fs, w_grid: DualGrid):
 
 
 def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
-    """f^c(w) = sup over the grid of { c(x, w) - f(x) }."""
+    """f^c(w) = sup over the grid of { c(x, w) - f(x) }; a scaled sweep's
+    values are of f's backend, the one type of every entry it scaled."""
     D, (cells,) = _c_conjugate_rows([f], w_grid)
-    return SampledFn.keyed(w_grid, [best for best, _ in cells], None if D is None else D * D)
+    return SampledFn.keyed_in(w_grid, [best for best, _ in cells], None if D is None else D * D, f.backend)
 
 
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:

@@ -22,7 +22,6 @@ regularity conditions that live in the continuum; they are labelled
 from __future__ import annotations
 
 import operator
-from itertools import product
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf
@@ -135,20 +134,8 @@ class PerturbationProblem:
         pairs = full_dual_pairs if full_dual_pairs is not None else DualGrid(())
         zero = x_grid.origin
         embedded = [DualPoint(zero + slopes[s], zero + gates[g], alphas[a]) for s, g, a in dual_y_grid.codes()]
-        extra = tuple(w for w in embedded if w not in pairs)
-        self.full_dual_grid = DualGrid._of([*pairs.blocks, (extra,)], self.backend)
+        self.full_dual_grid = pairs.extended(embedded, self.backend)
         self._embedded = [self.full_dual_grid.index_of(w) for w in embedded]
-
-    # -- embeddings and projections ------------------------------------
-
-    def embed(self, w: DualPoint) -> DualPoint:
-        """((0, y*), (0, v*), alpha) as a dual point of the product space."""
-        zero = self.x_grid.origin
-        return DualPoint(zero + w.xstar, zero + w.ustar, w.alpha)
-
-    def x_side(self, flat: DualPoint) -> DualPoint:
-        d = self.x_grid.dim
-        return DualPoint(flat.xstar[:d], flat.ustar[:d], flat.alpha)
 
     # -- cached derived objects ------------------------------------------
 
@@ -186,26 +173,8 @@ class PerturbationProblem:
 
     @cached_property
     def _x_sides(self) -> Tuple[DualGrid, list]:
-        """(x_side_grid, per flat of the full dual grid the index of its
-        projection on it), each projection at its first appearance.  A
-        first block that pairs x-side axes with Y-side ones projects to the
-        tensor of its (x*, u*, alpha) axes, in that order, and its flats
-        are indexed by their digits; the flats of the other blocks are
-        projected one by one."""
-        blocks = self.full_dual_grid.blocks
-        if blocks and len(blocks[0]) == 5 and len(blocks[0][0][0]) == self.x_grid.dim:
-            (xs, ys, us, vs, alphas), *rest = blocks
-            head = DualGrid._of([(xs, ((),), us, ((),), alphas)], self.backend)
-            nu, na = len(us), len(alphas)
-            index = [(i * nu + k) * na + a for i, _, k, _, a in product(*map(range, map(len, blocks[0])))]
-        else:
-            head, index, rest = DualGrid._of((), self.backend), [], blocks
-        new: Dict[DualPoint, int] = {}
-        for flat in DualGrid._of(rest, self.backend).points:
-            w = self.x_side(flat)
-            i = head._find(w)
-            index.append(len(head) + new.setdefault(w, len(new)) if i is None else i)
-        return DualGrid._of([*head.blocks, (tuple(new),)], self.backend), index
+        """(x_side_grid, per flat of the full dual grid its projection's index)."""
+        return self.full_dual_grid.projected(self.x_grid.dim)
 
     @cached_property
     def x_side_grid(self) -> DualGrid:
@@ -242,7 +211,7 @@ class PerturbationProblem:
         """G(y*, v*, alpha) = phi^c at the embedded point: psi's keys at
         the embeddings' indices on the full dual grid."""
         keys = self.psi.keys
-        return SampledFn.keyed(self.dual_y_grid, [keys[i] for i in self._embedded], self.psi.scale)
+        return SampledFn.keyed_in(self.dual_y_grid, [keys[i] for i in self._embedded], self.psi.scale, self.psi.backend)
 
     @cached_property
     def g_prime(self) -> SampledFn:
@@ -341,18 +310,33 @@ def weak_chain_audit(P: PerturbationProblem) -> AuditOutcome:
     return AuditOutcome.exact("e1_chain", ok, detail)
 
 
-def _split(P: PerturbationProblem, rows, sign: str):
-    """The one pass of the four restriction audits: of the (point, lhs,
-    rhs) rows, those breaking the grid inequality ``lhs <sign> rhs`` and
-    those whose sides ``P.close`` does not equate."""
+def _verdict(P, name, rows, sign, surrogate, edges, texts) -> AuditOutcome:
+    """The one rule of the four restriction audits, on (point, lhs, rhs)
+    rows.  A row breaking the grid theorem ``lhs <sign> rhs`` is a bug, an
+    exact failure.  Equality (``P.close``) is then asked for always by a
+    surrogate itself (``surrogate`` None) and by a gated audit only when
+    its surrogate passed, and a mismatch fails.  Equality attained only at
+    grid edges (at ``edges``, or under a truncated surrogate) is flagged.
+    A surrogate lists every mismatch on an exact failure and passes
+    exactly; a gated audit lists the violations and passes within the
+    tolerance on floats.  ``texts`` are the five rungs' details, the
+    mismatch and edge ones taking their count at ``{}``."""
     holds = operator.le if sign == "<=" else operator.ge
-    violations, mismatches = [], []
-    for point, lhs, rhs in rows:
-        if not holds(lhs, rhs):
-            violations.append((point, lhs, rhs))
-        if not P.close(lhs, rhs):
-            mismatches.append((point, lhs, rhs))
-    return tuple(violations), tuple(mismatches)
+    rows = list(rows)
+    violations = tuple(row for row in rows if not holds(row[1], row[2]))
+    mismatches = tuple(row for row in rows if not P.close(row[1], row[2]))
+    violated, unmet, missed, truncated, passed = texts
+    gated = surrogate is not None
+    if violations:
+        return AuditOutcome(name, "exact", FAIL, violated, violations if gated else mismatches)
+    if gated and surrogate.status not in (EXACT_PASS, GRID_TRUNCATED):
+        return AuditOutcome(name, "conditional", SURROGATE_UNMET, unmet)
+    if mismatches:
+        return AuditOutcome(name, "conditional", FAIL, missed.format(len(mismatches)), mismatches)
+    if edges or gated and surrogate.status == GRID_TRUNCATED:
+        return AuditOutcome(name, "conditional", GRID_TRUNCATED, truncated.format(len(edges)), edges)
+    status = TOLERANCE_PASS if gated and P.backend != "rational" else EXACT_PASS
+    return AuditOutcome(name, "conditional", status, passed)
 
 
 def c5_audit(P: PerturbationProblem):
@@ -364,18 +348,12 @@ def c5_audit(P: PerturbationProblem):
     equality everywhere is the surrogate.
     """
     rows = zip(P.f0_conj.grid.points, P.f0_conj.values, P.psi_block_min.values)
-    violations, mismatches = _split(P, rows, "<=")
-    if violations:
-        detail = "restriction inequality violated (bug)"
-        return AuditOutcome("c5", "exact", FAIL, detail, mismatches)
-    if mismatches:
-        detail = f"{len(mismatches)} projected dual points miss the minimum"
-        return AuditOutcome("c5", "conditional", FAIL, detail, mismatches)
-    return AuditOutcome(
-        "c5", "conditional", EXACT_PASS,
+    return _verdict(P, "c5", rows, "<=", None, (), (
+        "restriction inequality violated (bug)", None,
+        "{} projected dual points miss the minimum", None,
         "phi(.,0)^c equals the (y*,v*)-minimum of phi^c at every projected "
         "dual point (surrogate)",
-    )
+    ))
 
 
 def c5bar_audit(P: PerturbationProblem):
@@ -389,52 +367,27 @@ def c5bar_audit(P: PerturbationProblem):
     """
     minima = P.psi_prime_x_minima
     rows = zip(P.g_prime.grid.points, P.g_prime.values, (low for low, _ in minima))
-    violations, mismatches = _split(P, rows, "<=")
-    if violations:
-        detail = "lower-bound inequality violated (bug)"
-        return AuditOutcome("c5bar", "exact", FAIL, detail, mismatches)
-    if mismatches:
-        detail = f"{len(mismatches)} y-points miss the attained minimum"
-        return AuditOutcome("c5bar", "conditional", FAIL, detail, mismatches)
-    truncated = tuple(
+    edges = tuple(
         y for y, (low, attaining) in zip(P.g_prime.grid.points, minima)
         if low.is_finite and all(P.on_x_boundary(x) for x in attaining)
     )
-    if truncated:
-        detail = (
-            "equality holds but the minimum is attained only at x-grid edges "
-            f"for {len(truncated)} y-points"
-        )
-        return AuditOutcome("c5bar", "conditional", GRID_TRUNCATED, detail, truncated)
-    return AuditOutcome(
-        "c5bar", "conditional", EXACT_PASS,
+    return _verdict(P, "c5bar", rows, "<=", None, edges, (
+        "lower-bound inequality violated (bug)", None,
+        "{} y-points miss the attained minimum",
+        "equality holds but the minimum is attained only at x-grid edges for {} y-points",
         "G^{c'} equals the attained x-minimum of psi^{c'} at every y (surrogate)",
-    )
+    ))
 
 
-def _surrogate_gated(P, name, rows, sign, surrogate: AuditOutcome, claim) -> AuditOutcome:
-    """The rule of theorem31 and corollary310: the grid inequality
-    ``lhs <sign> rhs`` is exact; equality is required only when the
-    surrogate outcome passed, and inherits its grid truncation."""
-    violations, mismatches = _split(P, rows, sign)
-    if violations:
-        return AuditOutcome(name, "exact", FAIL, f"pointwise {sign} violated (bug)", violations)
-    if surrogate.status not in (EXACT_PASS, GRID_TRUNCATED):
-        return AuditOutcome(
-            name, "conditional", SURROGATE_UNMET,
-            f"inequality exact; equality not required ({surrogate.name} surrogate unmet)",
-        )
-    if mismatches:
-        detail = f"{surrogate.name} surrogate holds but equality fails at {len(mismatches)} points"
-        return AuditOutcome(name, "conditional", FAIL, detail, mismatches)
-    if surrogate.status == GRID_TRUNCATED:
-        return AuditOutcome(
-            name, "conditional", GRID_TRUNCATED,
-            "equality holds; minimum attained only at grid edges",
-        )
-    status = EXACT_PASS if P.backend == "rational" else TOLERANCE_PASS
-    detail = f"inequality exact and {claim} holds under {surrogate.name}"
-    return AuditOutcome(name, "conditional", status, detail)
+def _gated(P, name, rows, sign, surrogate: AuditOutcome, claim) -> AuditOutcome:
+    """The verdict of theorem31 and corollary310, gated on ``surrogate``."""
+    return _verdict(P, name, rows, sign, surrogate, (), (
+        f"pointwise {sign} violated (bug)",
+        f"inequality exact; equality not required ({surrogate.name} surrogate unmet)",
+        surrogate.name + " surrogate holds but equality fails at {} points",
+        "equality holds; minimum attained only at grid edges",
+        f"inequality exact and {claim} holds under {surrogate.name}",
+    ))
 
 
 def theorem31_audit(P: PerturbationProblem, c5: AuditOutcome) -> AuditOutcome:
@@ -442,7 +395,7 @@ def theorem31_audit(P: PerturbationProblem, c5: AuditOutcome) -> AuditOutcome:
     the c5 surrogate the two sides must agree within tolerance.  ``c5`` is
     the outcome of :func:`c5_audit` on P."""
     rows = zip(P.f0_biconj.grid.points, P.f0_biconj.values, P.phi_biconj_at_zero.values)
-    return _surrogate_gated(P, "theorem31", rows, ">=", c5, "equality")
+    return _gated(P, "theorem31", rows, ">=", c5, "equality")
 
 
 def corollary310_audit(P: PerturbationProblem, c5bar: AuditOutcome) -> AuditOutcome:
@@ -451,7 +404,7 @@ def corollary310_audit(P: PerturbationProblem, c5bar: AuditOutcome) -> AuditOutc
     outcome of :func:`c5bar_audit` on P."""
     lows = (low for low, _ in P.psi_prime_x_minima)
     rows = zip(P.p_biconj.grid.points, P.p_biconj.values, lows)
-    return _surrogate_gated(P, "corollary310", rows, "<=", c5bar, "min-attainment equality")
+    return _gated(P, "corollary310", rows, "<=", c5bar, "min-attainment equality")
 
 
 # ---------------------------------------------------------------------------

@@ -152,28 +152,35 @@ class SampledFn:
         values = tuple(values)
         if len(values) != len(grid):
             raise ValueError("values must align one-to-one with grid points")
-        self.grid = grid
+        self.grid, self.backend = grid, grid.backend
         self.values = self.keys = values
 
     @classmethod
     def keyed(cls, grid, keys: Iterable, scale: Optional[int]) -> "SampledFn":
-        """The exact table of keys over scale; for scale None, the function
-        given by the keys' values."""
+        """The exact table of keys over scale in the grid's backend; for
+        scale None, the function given by the keys' values."""
+        return cls.keyed_in(grid, keys, scale, grid.backend)
+
+    @classmethod
+    def keyed_in(cls, grid, keys: Iterable, scale: Optional[int], backend: str) -> "SampledFn":
+        """``keyed`` with the values in backend, whatever the grid's label:
+        a sweep's table is in the backend of the entries it scaled, and a
+        table read off another in that one's."""
         if scale is None:
             return cls(grid, map(_given, keys))
         fn = cls(grid, keys)
         del fn.values  # built from the keys at their first read
-        fn.scale = scale
+        fn.scale, fn.backend = scale, backend
         return fn
 
     @cached_property
     def values(self) -> Tuple[ExtReal, ...]:
-        return tuple(_cells(self.keys, self.scale, self.grid.backend))
+        return tuple(_cells(self.keys, self.scale, self.backend))
 
     @cached_property
     def cell(self):
         """The table's map from a key to its ExtReal (``_cell_rule``)."""
-        return _cell_rule(self.scale, self.grid.backend)
+        return _cell_rule(self.scale, self.backend)
 
     def payloads(self) -> Sequence:
         """Per point a float +-inf, a finite payload or an int key."""
@@ -182,7 +189,7 @@ class SampledFn:
     def tagged(self) -> list:
         """The (tag, payload) rows of the values (``_tags``), read off an
         exact table's keys with no ExtReal."""
-        return _tags(self.payloads(), _over(self.scale, self.grid.backend))
+        return _tags(self.payloads(), _over(self.scale, self.backend))
 
     def value_at(self, point) -> ExtReal:
         return self.cell(self.keys[self.grid.index_of(point)])

@@ -186,8 +186,8 @@ class CLagrangian:
     def slice_conjugates(self) -> _Built:
         D, conjugates = self._sweep
         scale = None if D is None else D * D
-        return _Built(len(conjugates), lambda i: SampledFn.keyed(
-            self.w_grid, [best for best, _ in conjugates[i]], scale))
+        return _Built(len(conjugates), lambda i: SampledFn.keyed_in(
+            self.w_grid, [best for best, _ in conjugates[i]], scale, self.slices[i].backend))
 
     @cached_property
     def tops(self) -> list:

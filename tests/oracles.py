@@ -276,7 +276,7 @@ def c_conjugate_exact(f: PwAffine1, w: DualPoint) -> ExtReal:
     affine function over a nonempty interval equals its sup over the
     closure, so endpoint openness never changes the value.
     """
-    if w.dim != 1:
+    if len(w.xstar) != 1:
         raise ValueError("the exact conjugate is 1-D only")
     (xstar,) = w.xstar
     feasible, blocked = _gate_intervals(w)
@@ -326,11 +326,23 @@ def _tensor(slopes, gates, alphas, backend: str) -> DualGrid:
     return DualGrid([DualPoint(xs, us, a) for xs in xstars for us in ustars for a in alphas], backend)
 
 
+def embed(P, w: DualPoint) -> DualPoint:
+    """((0, y*), (0, v*), alpha) as a dual point of P's product space."""
+    zero = P.x_grid.origin
+    return DualPoint(zero + w.xstar, zero + w.ustar, w.alpha)
+
+
+def x_side(P, flat: DualPoint) -> DualPoint:
+    """(x*, u*, alpha) of a dual point of P's product space."""
+    d = P.x_grid.dim
+    return DualPoint(flat.xstar[:d], flat.ustar[:d], flat.alpha)
+
+
 def full_dual_grid(P, full_dual_pairs) -> DualGrid:
     """The full dual grid of P, one point at a time: the pairs, then each
     embedding of the Y-side grid that is not among them."""
     pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
-    embedded = [P.embed(w) for w in P.dual_y_grid.points]
+    embedded = [embed(P, w) for w in P.dual_y_grid.points]
     return DualGrid(dict.fromkeys([*pairs, *embedded]), P.backend)
 
 
@@ -338,7 +350,7 @@ def x_sides(P) -> Tuple[DualGrid, list]:
     """(x_side_grid, per flat of the full dual grid the index of its
     projection on it), from one pass over the flats."""
     at: Dict[DualPoint, int] = {}
-    index = [at.setdefault(P.x_side(flat), len(at)) for flat in P.full_dual_grid.points]
+    index = [at.setdefault(x_side(P, flat), len(at)) for flat in P.full_dual_grid.points]
     return DualGrid(at, P.backend), index
 
 

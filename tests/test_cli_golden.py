@@ -6,9 +6,11 @@ of its stdout and of its stderr, and its exit code, with
 every problem file of DATA_PROBLEMS, each with its float twin (the same
 entry with ``"backend": "float"``, written to a temporary file), under
 every report command, plus the commands of the set entry.  The argv
-cases pin argparse's own text: the top-level help, each command's help
-and the usage errors, run at a terminal width of 80 columns and keyed by
-the command line; argparse's exit is recorded as the exit code.  A
+cases pin what takes no problem argument: the catalog listing and one
+entry's file text, and argparse's own text, the top-level help, each
+command's help and the usage errors, run at a terminal width of 80
+columns and keyed by the command line; argparse's exit is recorded as
+the exit code.  A
 refactor that is meant to keep the output must leave this test passing
 unchanged.
 
@@ -83,6 +85,7 @@ COMMANDS = ("catalog", "eset", "conjugate", "biconjugate", "duality", "subdiff",
 
 ARGV_CASES = (
     (), ("-h",), ("--help",), ("-h", "audit"), ("bogus",), ("--bogus",),
+    ("catalog",), ("catalog", "--list"), ("catalog", "fenchel_abs"),
     *((command, "-h") for command in COMMANDS),
     ("audit", "fenchel_abs", "--suite", "nope"),
     ("lagrangian", "fenchel_abs", "--output", "xml"),

@@ -28,6 +28,7 @@ from econvex.conjugation import (
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
 from econvex.funcrep import Grid, SampledFn, _over, _prepared, product_grid
+from econvex.subdifferential import conjugate_value
 
 from helpers import (
     CATALOG_PROBLEMS,
@@ -1593,6 +1594,19 @@ class TestFloatLift:
             assert D is None and blocks == [(grid.points, *duals), (((),), [()])] and given == scalars
         assert _prepared(grid, ([(1.0, 1.0)],), ([1.0],))[0] == 2
 
+    @pytest.mark.parametrize("backend, label", [("float", "rational"), ("rational", "float")])
+    def test_a_lifted_sweep_keeps_the_type_of_its_entries(self, backend, label):
+        """The values of a scaled c-conjugate are of the type of the entries
+        it scaled, as the definitional sweep's are, whatever the dual
+        grid's label says."""
+        f = SampledFn(Grid(1, [(-1,), (0,), (1,)], backend),
+                      [ExtReal(scalar(v, backend)) for v in (2, 1, Fraction(1, 2))])
+        wg = DualGrid([DualPoint.of(1, 0, 1, backend), DualPoint.of(-1, 0, 1, backend)], label)
+        with scaling_log() as log:
+            out = c_conjugate(f, wg)
+        assert log == [True] and {v.backend for v in out.values} == {backend}
+        assert out.values == tuple(conjugate_value(f, w) for w in wg.points)
+
     def test_the_sampler_keeps_floats_as_given(self):
         grid = product_grid(Grid(1, [(0.0,), (1.0,)], "float"), Grid(1, [(0.5,)], "float"))
         assert _prepared(grid)[0] is None
@@ -1723,6 +1737,37 @@ def index_or_error(grid, point):
         return KeyError
 
 
+@st.composite
+def stacked_grid(draw):
+    """(grid, n, d): a dual grid of dimension n = 1..3 that no loader
+    builds, in either backend: empty, a point block, or a tensor whose x*
+    axis has any dimension d from 1 to n (``tensor_dual_grid`` at n), then
+    up to two point blocks added by ``extended``.  Every entry but alpha
+    is 0 or 1, so projections repeat within and across blocks."""
+    backend = draw(st.sampled_from(["rational", "float"]))
+    n = d = draw(st.integers(1, 3))
+    bits = lambda k: st.tuples(*[st.sampled_from([0, 1])] * k)
+    axis = lambda k: draw(st.lists(bits(k), min_size=1, max_size=3, unique=True))
+    points = st.lists(st.builds(lambda x, u, a: DualPoint.of(x, u, a, backend),
+                                bits(n), bits(n), st.sampled_from([1, 2])), max_size=4, unique=True)
+    first = draw(st.sampled_from(["empty", "points", "tensor"]))
+    if first == "empty":
+        grid = DualGrid((), backend)
+    elif first == "points":
+        grid = DualGrid(draw(points), backend)
+    else:
+        d = draw(st.integers(1, n))
+        xs, us = axis(d), axis(d)
+        alphas = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 2)]), min_size=1, max_size=2, unique=True))
+        if d == n and draw(st.booleans()):
+            grid = tensor_dual_grid(xs, us, alphas, backend)
+        else:
+            grid = conjugation.pair_tensor_dual_grid(xs, axis(n - d), us, axis(n - d), alphas, backend)
+    for _ in range(draw(st.integers(0, 2))):
+        grid = grid.extended(draw(points), backend)
+    return grid, n, d
+
+
 def same_grid(grid, flat):
     """grid and the flat oracle agree on every point and every query, the
     oracle's queries read off its tuple of points."""
@@ -1768,10 +1813,42 @@ class TestTensorDualGrids:
         P, pairs = case
         flat = oracles.full_dual_grid(P, pairs)
         same_grid(P.full_dual_grid, flat)
-        assert P._embedded == [flat.index_of(P.embed(w)) for w in P.dual_y_grid.points]
+        assert P._embedded == [flat.index_of(oracles.embed(P, w)) for w in P.dual_y_grid.points]
         x_grid, index = oracles.x_sides(P)
         same_grid(P.x_side_grid, x_grid)
         assert P._x_sides[1] == index
+
+    @given(stacked_grid(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_extended_matches_the_flat_full_dual_grid(self, case, data):
+        """``extended`` against ``oracles.full_dual_grid``: the embeddings
+        of a Y-side grid of dimension n - k appended to a grid of X x Y,
+        under either label."""
+        grid, n, _ = case
+        k = data.draw(st.integers(1, n))
+        bits = st.tuples(*[st.sampled_from([0, 1, -1])] * (n - k))
+        ws = data.draw(st.lists(st.builds(lambda y, v, a: DualPoint.of(y, v, a, grid.backend),
+                                          bits, bits, st.sampled_from([1, 2])), max_size=4, unique=True))
+        P = SimpleNamespace(x_grid=Grid(k, [(0,) * k], grid.backend),
+                            dual_y_grid=DualGrid(ws, grid.backend), backend=grid.backend)
+        label = data.draw(st.sampled_from(["rational", "float"]))
+        extended = grid.extended([oracles.embed(P, w) for w in ws], label)
+        same_grid(extended, oracles.full_dual_grid(P, grid))
+        assert extended.backend == label
+
+    @given(stacked_grid(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_projected_matches_the_flat_x_sides(self, case, data):
+        """``projected`` against ``oracles.x_sides`` at every d from 1 to
+        the full dimension, half the time at the tensor's x* dimension."""
+        grid, n, d = case
+        d = data.draw(st.just(d) | st.integers(1, n))
+        P = SimpleNamespace(full_dual_grid=grid, x_grid=Grid(d, [(0,) * d], grid.backend),
+                            backend=grid.backend)
+        projected, index = grid.projected(d)
+        flat, flat_index = oracles.x_sides(P)
+        same_grid(projected, flat)
+        assert index == flat_index and projected.backend == grid.backend
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from helpers import (
     ext_values,
     fenchel_abs_duality_grid,
 )
+from oracles import x_side
 
 from econvex import cli, extreal, problemio
 from econvex.conjugation import DualGrid, DualPoint
@@ -111,7 +112,7 @@ def reference_reductions(P):
     origin = P.y_grid.index_of(P.y_grid.origin)
     blocks = {}
     for flat, v in P.psi.items():
-        blocks.setdefault(P.x_side(flat), []).append(v)
+        blocks.setdefault(x_side(P, flat), []).append(v)
     return (
         shapes(extreal.inf(c) for c in columns(P.phi_on_product.values, ny)),
         minima,

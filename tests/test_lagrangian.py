@@ -1050,3 +1050,18 @@ def test_a_float_table_builds_one_extreal_per_finite_cell(name, monkeypatch):
     finite = [cell for cell in L.table if cell.is_finite]
     assert len(kernel) == 1 and all(cell.backend == "float" for cell in finite)
     assert len(built) - kernel[0] <= len(finite)
+
+
+def test_a_float_problem_on_a_y_side_grid_left_at_the_default_label():
+    """A float problem whose Y-side grid holds float dual points but keeps
+    ``DualGrid``'s default ``"rational"`` label computes p^c, G and the
+    slice conjugates in floats, so the report and prop55 run, and agree
+    with the same grid labelled float."""
+    T = float_twin("fenchel_abs")
+    points = [DualPoint((1.0,), (0.0,), 1.0), DualPoint((-1.0,), (0.0,), 1.0)]
+    P, Q = (PerturbationProblem(T.phi, T.x_grid, T.y_grid, DualGrid(points, *label))
+            for label in ((), ("float",)))
+    tables = [P.p_conj, P.g_on_dual_y, *CLagrangian(P).slice_conjugates]
+    assert {v._v.__class__ for f in tables for v in f.values if v.is_finite} == {float}
+    assert converse_duality_report(P) == converse_duality_report(Q)
+    assert prop55_audit(P) == prop55_audit(Q)

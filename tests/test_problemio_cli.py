@@ -1329,7 +1329,7 @@ class TestFlatDualGrids:
         P = loaded.build()
         built, called = list(points), list(scalars)
         monkeypatch.undo()
-        assert built == [P.embed(w) for w in P.dual_y_grid] and called == []
+        assert built == [oracles.embed(P, w) for w in P.dual_y_grid] and called == []
         assert P.full_dual_grid.points[:81] == loaded.full_dual_pairs.points
 
     @pytest.mark.parametrize("ystars", [["-1", "0", "1"], ["-1", "0", "1", "-2", "2", "3"]])

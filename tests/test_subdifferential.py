@@ -21,7 +21,7 @@ from helpers import (
     scale_log,
     scalar,
 )
-from oracles import memberships
+from oracles import embed, memberships, x_side
 
 from econvex import conjugation, funcrep
 from econvex.conjugation import (
@@ -349,7 +349,7 @@ class TestTheorem44:
 
     def test_certificate_projection_in_both_sides(self, fenchel_abs):
         cert_w = DualPoint.of((0,), (0,), 1)
-        projected = fenchel_abs.x_side(fenchel_abs.embed(cert_w))
+        projected = x_side(fenchel_abs, embed(fenchel_abs, cert_w))
         out = theorem44_audit(fenchel_abs, (0,), Fraction(0))
         assert projected in out["lhs"]
         assert projected in out["projection"]
@@ -483,7 +483,7 @@ def projected_scan(P, x, eps):
     the definitional test, listed in x_side_grid order."""
     base = x + P.y_grid.origin
     hit = {
-        P.x_side(flat) for flat in P.full_dual_grid.points
+        x_side(P, flat) for flat in P.full_dual_grid.points
         if is_c_subgradient(P.phi_on_product, base, flat, eps)
     }
     return tuple(w for w in P.x_side_grid.points if w in hit)
@@ -556,7 +556,7 @@ class TestRoutesMatchDefinition:
         w1, w2 = w(0, 0, 1), w(1, 0, 1)
         assert P.x_side_grid.points == (w1, w2)
         members = [f for f in flats if is_c_subgradient(P.phi_on_product, (0, 0), f)]
-        assert [P.x_side(f) for f in members] == [w2, w1]
+        assert [x_side(P, f) for f in members] == [w2, w1]
         assert _projected_full_subdiff(P, (0,), Fraction(0)) == (w1, w2)
         assert projected_scan(P, (0,), Fraction(0)) == (w1, w2)
 
@@ -566,7 +566,7 @@ class TestRoutesMatchDefinition:
         # Every membership, not only the first, is held to the definition.
         base = P.y_grid.origin
         scan = [
-            (x, w, is_c_subgradient(P.phi_on_product, x + base, P.embed(w)))
+            (x, w, is_c_subgradient(P.phi_on_product, x + base, embed(P, w)))
             for x in P.x_grid.points for w in P.dual_y_grid.points
         ]
         assert list(_embedded_memberships(P)) == scan
