@@ -187,7 +187,11 @@ class DualGrid:
             block[0] if len(block) == 1 else starmap(_paired, product(*block)) for block in self.blocks))
 
     def __getitem__(self, i: int) -> DualPoint:
-        """The point at index i >= 0, built alone."""
+        """The point ``points[i]``, built alone."""
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("dual grid index out of range")
+        i %= n
         for block, size in zip(self.blocks, self._sizes):
             if i < size:
                 entries = []
@@ -196,7 +200,6 @@ class DualGrid:
                     entries.append(axis[k])
                 return entries[0] if len(block) == 1 else _paired(*reversed(entries))
             i -= size
-        raise IndexError("dual grid index out of range")
 
     @cached_property
     def parts(self) -> Tuple[list, list, list]:

@@ -7,15 +7,16 @@ Two carriers (the exact 1-D oracle of the grid tests is tests/oracles.py):
   duality audit treat the grid itself as the space, so off-grid queries
   are errors, not interpolations.
 * `PerturbFn` -- a bivariate perturbation function over X x Y, either a
-  small expression tree (affine, abs, indicator of an `EPolyhedron`, sum,
-  pointwise max/min, affine precomposition) or an explicit table, sampled
-  over the coordinate columns of its points: every table of phi comes
-  from one `PerturbFn.sample` call, and every affine form is one
-  `esets.dots` fold in both backends.  The nodes fold raw payloads, exact
-  ints over scales they know in the rational backend and floats in the
-  float backend, in the order of the pointwise definition: the root's
-  ints are an exact table's keys.  Sums use the extended-real
-  conventions, so they propagate into every derived object.
+  small expression tree (affine, abs, indicator of an `EPolyhedron`, sum
+  and pointwise max/min of at least one term, affine precomposition) or
+  an explicit table, sampled over the coordinate columns of its points:
+  every table of phi comes from one `PerturbFn.sample` call, and every
+  affine form is one `esets.dots` fold in both backends.  The nodes fold
+  raw payloads, exact ints over scales they know in the rational backend
+  and floats in the float backend (+-inf as floats in both), in the
+  order of the pointwise definition: the root's ints are an exact
+  table's keys.  Sums use the extended-real conventions, so they
+  propagate into every derived object.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from econvex.esets import EPolyhedron, dots
-from econvex.extreal import ExtReal, NaNError, fold_sum, scalar
+from econvex.extreal import ExtReal, NaNError, scalar
 from econvex import extreal
 
 __all__ = [
@@ -167,10 +168,12 @@ class SampledFn:
         a sweep's table is in the backend of the entries it scaled, and a
         table read off another in that one's."""
         if scale is None:
-            return cls(grid, map(_given, keys))
-        fn = cls(grid, keys)
-        del fn.values  # built from the keys at their first read
-        fn.scale, fn.backend = scale, backend
+            fn = cls(grid, map(_given, keys))
+        else:
+            fn = cls(grid, keys)
+            del fn.values  # built from the keys at their first read
+            fn.scale = scale
+        fn.backend = backend
         return fn
 
     @cached_property
@@ -236,11 +239,6 @@ def _form(cx, cy, const=0) -> AffineForm:
     )
 
 
-def _transpose(columns: list, n: int) -> list:
-    """The n rows across the columns; n empty rows when there are none."""
-    return list(zip(*columns)) if columns else [()] * n
-
-
 # Every pass over a grid (phi's sampler, the two conjugation sweeps and
 # the loader's boundary scan) reads it as ``_prepared`` returns it: cut
 # into X x Y, then over one scale D.  A pass hands it each entry of the
@@ -283,10 +281,9 @@ def _transpose(columns: list, n: int) -> list:
 # ``esets.dots`` fold from its constant over the x, then the y columns.
 # A node returns (values, s), one raw payload per point: on int columns
 # over D an int equal to the value times s, or a float +-inf; on float
-# columns floats and s None, or the payloads of `ExtReal`s and s
-# _EXTREAL below a fold that is empty (the empty Sum is rational 0).
+# columns floats (+-inf included) and s None.  Every fold has a term, so
+# each row is folded in the one arithmetic of its backend.
 
-_EXTREAL = 1  # the scale on float columns of values that are ExtReal payloads
 _LIFT_D, _LIFT_B = 2 ** 500, 2 ** 53  # the float lift's caps on D and on B
 
 
@@ -428,15 +425,16 @@ def _common_scale(sampled: list) -> Tuple[list, int]:
 
 
 def _sum(row) -> Union[int, float]:
-    """fold_sum over ints or floats and infinities, a left fold (``sum``
-    turns -0.0 into 0.0 and, from 3.12, compensates): -inf absorbs, then a
-    -inf that floats overflow to before the first +inf, then +inf."""
+    """The extended sum of a nonempty row of ints or floats and
+    infinities, a left fold (``sum`` turns -0.0 into 0.0 and, from 3.12,
+    compensates): -inf absorbs, then a -inf that floats overflow to before
+    the first +inf, then +inf."""
     if -math.inf in row:
         return -math.inf
     if math.inf in row:
         row = row[:row.index(math.inf)]
         return -math.inf if row and reduce(operator.add, row) == -math.inf else math.inf
-    return reduce(operator.add, row) if row else 0
+    return reduce(operator.add, row)
 
 
 def _sample(expr: "Expr", points: Sequence[Point], x_dim: int) -> Tuple[list, Optional[int]]:
@@ -449,8 +447,7 @@ def _sample(expr: "Expr", points: Sequence[Point], x_dim: int) -> Tuple[list, Op
     else:
         D, ((X,), (Y,)), _ = _prepared(points)
         columns = [[v for v in c for _ in Y] for c in zip(*X)] + [c * len(X) for c in zip(*Y)]
-    values, s = expr.sample(columns[:x_dim], columns[x_dim:], len(points), D)
-    return values, None if D is None else s
+    return expr.sample(columns[:x_dim], columns[x_dim:], len(points), D)
 
 
 class Expr:
@@ -459,8 +456,7 @@ class Expr:
 
     def sample(self, xc, yc, n: int, d: Optional[int]) -> Tuple[list, Optional[int]]:
         """(values, scale) at the n points of the int columns over d, or of
-        the float columns (d None): floats and None, or `ExtReal` payloads
-        and `_EXTREAL`."""
+        the float columns (d None): floats, +-inf included, and None."""
         raise NotImplementedError
 
 
@@ -529,40 +525,30 @@ class Indicator(Expr):
 
 @dataclass(frozen=True)
 class _Fold(Expr):
+    """A sum or pointwise max/min of at least one term."""
+
     terms: Tuple[Expr, ...]
 
-    def _folded(self, sampled: list, n: int) -> list:
-        """The ExtReal fold of the sampled terms' float payloads at each point."""
-        return [self.fold(map(ExtReal, row))._v for row in _transpose([v for v, _ in sampled], n)]
+    def __post_init__(self):
+        if not self.terms:
+            raise ValueError(f"{type(self).__name__} needs at least one term")
 
     def sample(self, xc, yc, n, d):
-        sampled = []
-        for t in self.terms:
-            try:
-                sampled.append(t.sample(xc, yc, n, d))
-            except Exception:
-                if d is None:  # the definition folds the terms before t first: a mixed backend raises there
-                    self._folded(sampled, n)
-                raise
-        if d is not None:
-            values, s = _common_scale(sampled)
-        elif sampled and all(s is None for _, s in sampled):
-            values, s = [v for v, _ in sampled], None
-        else:  # an empty fold, or floats meeting what one gave: the ExtReal fold decides
-            return self._folded(sampled, n), _EXTREAL
-        return [self.raw_fold(row) for row in _transpose(values, n)], s
+        sampled = [t.sample(xc, yc, n, d) for t in self.terms]
+        values, s = ([v for v, _ in sampled], None) if d is None else _common_scale(sampled)
+        return [self.fold(row) for row in zip(*values)], s
 
 
 class Sum(_Fold):
-    fold, raw_fold = staticmethod(fold_sum), staticmethod(_sum)
+    fold = staticmethod(_sum)
 
 
 class Max(_Fold):
-    fold, raw_fold = staticmethod(extreal.sup), staticmethod(lambda row: max(row, default=-math.inf))
+    fold = staticmethod(max)
 
 
 class Min(_Fold):
-    fold, raw_fold = staticmethod(extreal.inf), staticmethod(lambda row: min(row, default=math.inf))
+    fold = staticmethod(min)
 
 
 @dataclass(frozen=True)

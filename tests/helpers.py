@@ -691,5 +691,5 @@ def expressions(draw, x_dim, y_dim, depth=3, coefficients=COEFFICIENTS):
         y_rows = draw(st.lists(forms, max_size=2))
         inner = draw(expressions(len(x_rows), len(y_rows), depth - 1, coefficients))
         return Precompose(inner, tuple(x_rows), tuple(y_rows))
-    terms = draw(st.lists(expressions(x_dim, y_dim, depth - 1, coefficients), max_size=3))
+    terms = draw(st.lists(expressions(x_dim, y_dim, depth - 1, coefficients), min_size=1, max_size=3))
     return {"sum": Sum, "max": Max, "min": Min}[op](tuple(terms))

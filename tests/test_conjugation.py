@@ -1607,6 +1607,17 @@ class TestFloatLift:
         assert log == [True] and {v.backend for v in out.values} == {backend}
         assert out.values == tuple(conjugate_value(f, w) for w in wg.points)
 
+    @pytest.mark.parametrize("alpha, lifts", [(0.5, True), (0.1, False)])
+    def test_a_sweep_keeps_its_backend_lifted_or_not(self, alpha, lifts):
+        """On fenchel_abs' float twin under a rational label, a sweep is in
+        the float backend whether it runs on ints (alpha 0.5) or on the
+        floats as given (0.1, which is not dyadic)."""
+        f0 = twin("fenchel_abs", "float").f0
+        with scaling_log() as log:
+            out = c_conjugate(f0, DualGrid([DualPoint((1.0,), (0.0,), alpha)]))
+        assert log == [lifts] and out.backend == "float"
+        assert {v.backend for v in out.values} == {"float"}
+
     def test_the_sampler_keeps_floats_as_given(self):
         grid = product_grid(Grid(1, [(0.0,), (1.0,)], "float"), Grid(1, [(0.5,)], "float"))
         assert _prepared(grid)[0] is None
@@ -1770,11 +1781,17 @@ def stacked_grid(draw):
 
 def same_grid(grid, flat):
     """grid and the flat oracle agree on every point and every query, the
-    oracle's queries read off its tuple of points."""
-    assert grid.points == flat.points and len(grid) == len(flat.points)
+    oracle's queries read off its tuple of points; ``grid[i]`` answers as
+    ``points[i]`` at every index, negative ones too, and raises IndexError
+    just past either end."""
+    n = len(flat.points)
+    assert grid.points == flat.points and len(grid) == n
     assert grid.alpha_positive == all(p.alpha > 0 for p in flat.points)
     for i, p in enumerate(flat.points):
-        assert grid.index_of(p) == i and p in grid and grid[i] == p
+        assert grid.index_of(p) == i and p in grid and grid[i] == p and grid[i - n] == p
+    for i in (-n - 1, n):
+        with pytest.raises(IndexError):
+            grid[i]
 
 
 class TestTensorDualGrids:

@@ -386,6 +386,16 @@ class TestCli:
         path.write_text('{"kind": "problem"}', encoding="utf-8")
         assert main(["duality", str(path)]) == 3
 
+    @pytest.mark.parametrize("nested, field", [(False, "phi.terms"), (True, "phi.terms[0].terms")])
+    def test_a_fold_with_no_terms_exits_3(self, nested, field, capsys, tmp_path):
+        doc = entry("fenchel_abs")
+        doc["phi"] = {"op": "sum", "terms": [{"op": "max", "terms": []}]} if nested else {"op": "min", "terms": []}
+        path = tmp_path / "empty_fold.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["duality", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"{field}: must not be empty" in err, err
+
     def test_a_file_that_is_not_utf8_exits_3(self, capsys, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + json.dumps(entry("fenchel_abs")).encode("utf-16-le"))

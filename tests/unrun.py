@@ -42,13 +42,12 @@ ALLOWED = {
     "extreal.ExtReal.__setattr__": "the immutability guard: only a faulty write enters it",
     "extreal.ExtReal.backend": "a value's backend, read by tests",
     "extreal.ExtReal.__hash__": _DUNDER,
-    "extreal.fold_sum": "the ExtReal sum, reached only through _Fold._folded",
+    "extreal.fold_sum": "the extended sum that tests/helpers.evaluate and the acceptance tests check against",
     "funcrep.Grid._index": "the lazy index of a grid built by _of, which no command looks a point up on",
     "funcrep.Grid.__iter__": _DUNDER,
     "funcrep.Expr.sample": "the abstract node method; every node overrides it",
     "funcrep.Affine.of": "a constructor for tests; the loader builds its forms itself",
     "funcrep.Indicator.of": "a constructor for tests; the loader builds its forms itself",
-    "funcrep._Fold._folded": "the fold of ExtReal payloads below an empty fold, which no shipped problem has",
     "lagrangian._Built.__len__": _DUNDER,
     "lagrangian.CLagrangian.table": "the cells as ExtReals; commands read the keys",
     "subdifferential.SubdiffSet.__contains__": _DUNDER,
