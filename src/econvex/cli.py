@@ -421,7 +421,7 @@ def cmd_audit(args) -> int:
             "transfer_forward", tr.forward_ok, f"checked {tr.pairs_checked} pairs"
         ),
     ]
-    for x in (P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2]):
+    for x in dict.fromkeys((P.x_grid.points[0], P.x_grid.points[len(P.x_grid) // 2])):
         for eps in _eps_values(P):
             audits.append(
                 AuditOutcome.exact(

@@ -42,8 +42,9 @@ so psi^{c'} costs |X|·|Y|·#x* + |Y|·#slopes instead of |X|·|Y|·#slopes.
 Any other grid is itself times the one point of R^0, whose y-parts add
 nothing, and there the nested sweep is the flat one, term for term.
 
-A dual grid keeps its axes (``DualGrid``), and a sweep reads it as its
-entries, each x*, u* and alpha once per axis entry of a tensor
+A dual grid keeps its blocks (``DualGrid``), each three entry lists
+read zipped or as their product, and a sweep reads it as its entries,
+the blocks' slopes, gates and alphas one after another
 (``DualGrid.parts``), and per point the indices of its three
 (``DualGrid.codes``): keys and scaled lists are taken per entry, and
 only the comparisons that build the output rows are taken per point.
@@ -145,46 +146,42 @@ class DualGrid:
     """Finite list of pairwise-distinct dual points, usable as a grid.
 
     The points are kept as blocks, one after another, as ``Grid.factors``
-    keeps a product's two factors.  A grid given point by point is one
-    block whose one axis is its point list.  A tensor block
-    (``tensor_dual_grid``, ``pair_tensor_dual_grid``) is five axes of
-    coerced entries (x*, y*, u*, v*, alpha), and its points are the dual
-    points (x* + y*, u* + v*, alpha) over their product, x* outermost; a
-    tensor of three axes has the empty vector as its one y* and v*.
+    keeps a product's two factors.  A block is three entry lists, its
+    slopes x*, gates u* and alphas, and the given points of a zipped block
+    (None for a product): a zipped block's points pair the lists position
+    by position, a product's are the dual points over their product,
+    slopes outermost.  A grid given point by point is one zipped block,
+    and so is each block ``extended`` appends; a tensor
+    (``tensor_dual_grid``, ``pair_tensor_dual_grid``) is one product.
     Points are built only on a read of ``points``, or one by ``grid[i]``;
-    ``index_of`` is mixed-radix arithmetic over one dict per axis, the
-    sweeps read the blocks through ``parts`` and ``codes``, and a problem
-    grows and projects them through ``extended`` and ``projected``."""
+    ``index_of`` reads a zipped block's dict of its given points, which
+    keep their hash, and a product's one dict per list, by mixed radix.
+    The sweeps read the blocks through ``parts`` and ``codes``, and a
+    problem grows and projects them through ``extended`` and
+    ``projected``."""
 
-    def __init__(self, points: Iterable, backend: str = "rational"):
-        self._set([(tuple(points),)], backend)
+    def __init__(self, points: Iterable):
+        self._set([_zipped(tuple(points))])
 
     @classmethod
-    def _of(cls, blocks, backend: str) -> "DualGrid":
+    def _of(cls, blocks) -> "DualGrid":
         grid = cls.__new__(cls)
-        grid._set(blocks, backend)
+        grid._set(blocks)
         return grid
 
-    def _set(self, blocks, backend: str) -> None:
-        """Keep the blocks that hold a point, each axis distinct: a repeated
-        entry would repeat a point."""
-        self.backend = backend
-        self.blocks = tuple(block for block in blocks if all(block))
-        self._sizes = [prod(map(len, block)) for block in self.blocks]
-        self._dicts = []
-        for block in self.blocks:
-            self._dicts.append([])
-            for axis in block:
-                at = {}
-                for i, entry in enumerate(axis):
-                    if at.setdefault(entry, i) != i:
-                        raise ValueError(f"duplicate dual point {entry!r}")
-                self._dicts[-1].append(at)
+    def _set(self, blocks) -> None:
+        """Keep the blocks that hold a point, a zipped block's points and
+        each list of a product distinct: a repeated entry would repeat a
+        point."""
+        self.blocks = tuple(block for block in blocks if all(block[:3]))
+        self._sizes = [prod(map(len, block[:3])) if block[3] is None else len(block[3]) for block in self.blocks]
+        self._dicts = [[_distinct(block[3])] if block[3] is not None else [*map(_distinct, block[:3])]
+                       for block in self.blocks]
 
     @cached_property
     def points(self) -> Tuple[DualPoint, ...]:
         return tuple(chain.from_iterable(
-            block[0] if len(block) == 1 else starmap(_paired, product(*block)) for block in self.blocks))
+            starmap(DualPoint, product(*block[:3])) if block[3] is None else block[3] for block in self.blocks))
 
     def __getitem__(self, i: int) -> DualPoint:
         """The point ``points[i]``, built alone."""
@@ -192,45 +189,29 @@ class DualGrid:
         if not -n <= i < n:
             raise IndexError("dual grid index out of range")
         i %= n
-        for block, size in zip(self.blocks, self._sizes):
+        for (slopes, gates, alphas, given), size in zip(self.blocks, self._sizes):
             if i < size:
-                entries = []
-                for axis in reversed(block):
-                    i, k = divmod(i, len(axis))
-                    entries.append(axis[k])
-                return entries[0] if len(block) == 1 else _paired(*reversed(entries))
+                if given is not None:
+                    return given[i]
+                i, a = divmod(i, len(alphas))
+                s, g = divmod(i, len(gates))
+                return DualPoint(slopes[s], gates[g], alphas[a])
             i -= size
 
     @cached_property
     def parts(self) -> Tuple[list, list, list]:
-        """(slopes, gates, alphas): the x*, u* and alphas of the blocks, a
-        tensor's x* + y* and u* + v* once per pair of axis entries, a point
-        block's once per point; ``codes`` indexes them."""
-        slopes, gates, alphas = [], [], []
-        for block in self.blocks:
-            if len(block) == 1:
-                slopes += [w.xstar for w in block[0]]
-                gates += [w.ustar for w in block[0]]
-                alphas += [w.alpha for w in block[0]]
-            else:
-                xs, ys, us, vs, a = block
-                slopes += [x + y for x in xs for y in ys]
-                gates += [u + v for u in us for v in vs]
-                alphas += a
-        return slopes, gates, alphas
+        """(slopes, gates, alphas): the blocks' lists one after another;
+        ``codes`` indexes them."""
+        return tuple([entry for block in self.blocks for entry in block[k]] for k in range(3))
 
     def codes(self):
         """Per point, in order, the (slope, gate, alpha) indices of its
-        entries in ``parts``."""
-        runs, s, g, a = [], 0, 0, 0
-        for block in self.blocks:
-            if len(block) == 1:
-                ns = ng = na = len(block[0])
-                runs.append(zip(range(s, s + ns), range(g, g + ng), range(a, a + na)))
-            else:
-                ns, ng, na = len(block[0]) * len(block[1]), len(block[2]) * len(block[3]), len(block[4])
-                runs.append(product(range(s, s + ns), range(g, g + ng), range(a, a + na)))
-            s, g, a = s + ns, g + ng, a + na
+        entries in ``parts``: a block's ranges zipped, or their product."""
+        runs, starts = [], (0, 0, 0)
+        for *lists, given in self.blocks:
+            ranges = [range(start, start + len(entries)) for start, entries in zip(starts, lists)]
+            runs.append(product(*ranges) if given is None else zip(*ranges))
+            starts = [r.stop for r in ranges]
         return chain.from_iterable(runs)
 
     @property
@@ -240,46 +221,47 @@ class DualGrid:
     def _find(self, point) -> Optional[int]:
         """The index of point, None off the grid."""
         offset = 0
-        for block, dicts, size in zip(self.blocks, self._dicts, self._sizes):
-            if len(block) == 1:
-                digits = [dicts[0].get(point)]
+        for (_, gates, alphas, given), dicts, size in zip(self.blocks, self._dicts, self._sizes):
+            if given is not None:
+                k = dicts[0].get(point)
             elif point.__class__ is DualPoint:
-                d, x, u = len(block[0][0]), point.xstar, point.ustar
-                digits = [at.get(part) for at, part in zip(dicts, (x[:d], x[d:], u[:d], u[d:], point.alpha))]
+                s, g, a = (at.get(e) for at, e in zip(dicts, (point.xstar, point.ustar, point.alpha)))
+                k = None if None in (s, g, a) else (s * len(gates) + g) * len(alphas) + a
             else:
-                digits = [None]
-            if None not in digits:
-                flat = 0
-                for axis, k in zip(block, digits):
-                    flat = flat * len(axis) + k
-                return offset + flat
+                k = None
+            if k is not None:
+                return offset + k
             offset += size
         return None
 
-    def extended(self, points, backend: str) -> "DualGrid":
-        """This grid, then a block of the points that are not on it, in
-        the given order, labelled backend."""
-        return DualGrid._of([*self.blocks, (tuple(w for w in points if w not in self),)], backend)
+    def extended(self, points) -> "DualGrid":
+        """This grid, then a zipped block of the points that are not on it,
+        in the given order."""
+        return DualGrid._of([*self.blocks, _zipped(tuple(w for w in points if w not in self))])
 
     def projected(self, d: int) -> Tuple["DualGrid", list]:
         """(the grid of the points' projections (x*[:d], u*[:d], alpha),
         each at its first appearance; per point, the index of its
-        projection on it).  A first tensor block whose x* axis has
-        dimension d projects to the tensor of its x*, u* and alpha axes,
-        in that order, and its points are indexed by their digits; the
-        points of the other blocks are projected one by one."""
-        head, index, rest = DualGrid._of((), self.backend), [], self.blocks
-        if rest and len(rest[0]) == 5 and len(rest[0][0][0]) == d:
-            (xs, ys, us, vs, alphas), *rest = rest
-            head = DualGrid._of([(xs, ((),), us, ((),), alphas)], self.backend)
-            nu, na = len(us), len(alphas)
-            index = [(i * nu + k) * na + a for i, _, k, _, a in product(*map(range, map(len, self.blocks[0])))]
+        projection on it).  A first product block projects to the product
+        of its projected slopes and gates, each list taken once at its
+        first appearance, and its alphas, and its points are indexed by
+        their entries' places there; the points of the other blocks are
+        projected one by one."""
+        head, index, rest = DualGrid._of(()), [], self.blocks
+        if rest and rest[0][3] is None:
+            (slopes, gates, alphas, _), *rest = rest
+            firsts = {}, {}
+            at_s = [firsts[0].setdefault(x[:d], len(firsts[0])) for x in slopes]
+            at_g = [firsts[1].setdefault(u[:d], len(firsts[1])) for u in gates]
+            head = DualGrid._of([(tuple(firsts[0]), tuple(firsts[1]), alphas, None)])
+            ng, na = len(firsts[1]), len(alphas)
+            index = [(s * ng + g) * na + a for s in at_s for g in at_g for a in range(na)]
         new = {}
-        for w in DualGrid._of(rest, self.backend).points:
+        for w in DualGrid._of(rest).points:
             w = DualPoint(w.xstar[:d], w.ustar[:d], w.alpha)
             i = head._find(w)
             index.append(len(head) + new.setdefault(w, len(new)) if i is None else i)
-        return DualGrid._of([*head.blocks, (tuple(new),)], self.backend), index
+        return DualGrid._of([*head.blocks, _zipped(tuple(new))]), index
 
     def index_of(self, point) -> int:
         i = self._find(point)
@@ -297,21 +279,31 @@ class DualGrid:
         return iter(self.points)
 
 
-def _paired(x, y, u, v, alpha) -> DualPoint:
-    return DualPoint(x + y, u + v, alpha)
+def _distinct(entries) -> dict:
+    """entry -> its index; a repeated entry raises."""
+    at = {}
+    for i, entry in enumerate(entries):
+        if at.setdefault(entry, i) != i:
+            raise ValueError(f"duplicate dual point {entry!r}")
+    return at
+
+
+def _zipped(points) -> tuple:
+    """The zipped block of the given points."""
+    return tuple(w.xstar for w in points), tuple(w.ustar for w in points), tuple(w.alpha for w in points), points
 
 
 def _tensor(slopes, gates, alphas, backend: str) -> DualGrid:
-    """The tensor block of the slope axes (x*, y*), the gate axes (u*, v*)
-    paired with them and the alphas; a lone x* and u* axis gets the empty
-    vector as its y* and v*.  Each axis entry is coerced once, and each
-    slope axis must share one length with its gate axis."""
-    slopes = [tuple(_coerce_vec(v, backend) for v in axis) for axis in slopes]
-    gates = [tuple(_coerce_vec(v, backend) for v in axis) for axis in gates]
+    """The product block of the slopes x* + y* over the slope axes (x*,
+    y*), the gates u* + v* over the gate axes (u*, v*) paired with them
+    and the alphas.  Each axis entry is coerced once, and each slope axis
+    must share one length with its gate axis."""
+    slopes = [[_coerce_vec(v, backend) for v in axis] for axis in slopes]
+    gates = [[_coerce_vec(v, backend) for v in axis] for axis in gates]
     if any(len({len(v) for v in s + g}) > 1 for s, g in zip(slopes, gates)):
         raise ValueError("paired dual point blocks must match dimensions")
-    (xs, ys, *_), (us, vs, *_) = (axes + [((),)] for axes in (slopes, gates))
-    return DualGrid._of([(xs, ys, us, vs, tuple(scalar(a, backend) for a in alphas))], backend)
+    slopes, gates = (tuple(sum(vs, ()) for vs in product(*axes)) for axes in (slopes, gates))
+    return DualGrid._of([(slopes, gates, tuple(scalar(a, backend) for a in alphas), None)])
 
 
 def tensor_dual_grid(
@@ -564,7 +556,7 @@ def c_conjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
     """f^c(w) = sup over the grid of { c(x, w) - f(x) }; a scaled sweep's
     values are of f's backend, the one type of every entry it scaled."""
     D, (cells,) = _c_conjugate_rows([f], w_grid)
-    return SampledFn.keyed_in(w_grid, [best for best, _ in cells], None if D is None else D * D, f.backend)
+    return SampledFn.keyed(w_grid, [best for best, _ in cells], None if D is None else D * D, f.backend)
 
 
 def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
@@ -630,7 +622,7 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
     best = iter(best) if D is not None else map(_value, best)
     keys = [inf if s else next(best) for s in shut]  # y-major
     keys = chain.from_iterable(zip(*(keys[j * m:(j + 1) * m] for j in range(n))))
-    return SampledFn.keyed(x_grid, keys, None if D is None else D * D)
+    return SampledFn.keyed(x_grid, keys, None if D is None else D * D, g.backend)
 
 
 def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:

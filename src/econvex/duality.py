@@ -134,7 +134,7 @@ class PerturbationProblem:
         pairs = full_dual_pairs if full_dual_pairs is not None else DualGrid(())
         zero = x_grid.origin
         embedded = [DualPoint(zero + slopes[s], zero + gates[g], alphas[a]) for s, g, a in dual_y_grid.codes()]
-        self.full_dual_grid = pairs.extended(embedded, self.backend)
+        self.full_dual_grid = pairs.extended(embedded)
         self._embedded = [self.full_dual_grid.index_of(w) for w in embedded]
 
     # -- cached derived objects ------------------------------------------
@@ -146,7 +146,7 @@ class PerturbationProblem:
     @cached_property
     def phi_on_product(self) -> SampledFn:
         """phi on X x Y, an exact table when the sampler ran on ints."""
-        return SampledFn.keyed(self.product, *self.phi.sample_keys(self.product, self.backend))
+        return SampledFn.keyed(self.product, *self.phi.sample_keys(self.product, self.backend), self.backend)
 
     @cached_property
     def f0(self) -> SampledFn:
@@ -159,7 +159,7 @@ class PerturbationProblem:
         column of phi_on_product, taken in x-grid order."""
         phi = self.phi_on_product
         lows = [min(column, default=inf) for column in columns(phi.keys, len(self.y_grid))]
-        return SampledFn.keyed(self.y_grid, lows, phi.scale)
+        return SampledFn.keyed(self.y_grid, lows, phi.scale, phi.backend)
 
     @cached_property
     def psi(self) -> SampledFn:
@@ -189,7 +189,7 @@ class PerturbationProblem:
         blocks = [[] for _ in grid.points]
         for i, key in zip(index, self.psi.keys):
             blocks[i].append(key)
-        return SampledFn.keyed(grid, map(min, blocks), self.psi.scale)
+        return SampledFn.keyed(grid, map(min, blocks), self.psi.scale, self.psi.backend)
 
     @cached_property
     def f0_conj(self) -> SampledFn:
@@ -204,14 +204,14 @@ class PerturbationProblem:
         """x -> psi^{c'}(x, 0): the column of psi_prime at the y-origin."""
         table = self.psi_prime
         column = columns(table.keys, len(self.y_grid))[self.y_grid.index_of(self.y_grid.origin)]
-        return SampledFn.keyed(self.x_grid, column, table.scale)
+        return SampledFn.keyed(self.x_grid, column, table.scale, table.backend)
 
     @cached_property
     def g_on_dual_y(self) -> SampledFn:
         """G(y*, v*, alpha) = phi^c at the embedded point: psi's keys at
         the embeddings' indices on the full dual grid."""
         keys = self.psi.keys
-        return SampledFn.keyed_in(self.dual_y_grid, [keys[i] for i in self._embedded], self.psi.scale, self.psi.backend)
+        return SampledFn.keyed(self.dual_y_grid, [keys[i] for i in self._embedded], self.psi.scale, self.psi.backend)
 
     @cached_property
     def g_prime(self) -> SampledFn:

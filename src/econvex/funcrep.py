@@ -141,10 +141,11 @@ class SampledFn:
     """Extended-real function known on a grid, one value per point.
 
     ``keys`` holds one order key per point and ``cell`` gives a key's
-    value.  A function given by its values keys a point by its value; an
+    value.  A function given by its values keys a point by its value and
+    is in the backend of its first finite value (None with none); an
     exact table (``keyed``) by an int, the value times ``scale``, or a
-    float +-inf, so reductions compare ints, and builds its ``values`` at
-    their first read.
+    float +-inf, so reductions compare ints, is in the backend it is
+    given, and builds its ``values`` at their first read.
     """
 
     scale: Optional[int] = None  # None: the keys are the values
@@ -153,28 +154,24 @@ class SampledFn:
         values = tuple(values)
         if len(values) != len(grid):
             raise ValueError("values must align one-to-one with grid points")
-        self.grid, self.backend = grid, grid.backend
+        self.grid = grid
         self.values = self.keys = values
 
     @classmethod
-    def keyed(cls, grid, keys: Iterable, scale: Optional[int]) -> "SampledFn":
-        """The exact table of keys over scale in the grid's backend; for
+    def keyed(cls, grid, keys: Iterable, scale: Optional[int], backend: str) -> "SampledFn":
+        """The exact table of keys over scale, its values in backend (that
+        of the entries a sweep scaled, or of the table it is read off); for
         scale None, the function given by the keys' values."""
-        return cls.keyed_in(grid, keys, scale, grid.backend)
-
-    @classmethod
-    def keyed_in(cls, grid, keys: Iterable, scale: Optional[int], backend: str) -> "SampledFn":
-        """``keyed`` with the values in backend, whatever the grid's label:
-        a sweep's table is in the backend of the entries it scaled, and a
-        table read off another in that one's."""
         if scale is None:
-            fn = cls(grid, map(_given, keys))
-        else:
-            fn = cls(grid, keys)
-            del fn.values  # built from the keys at their first read
-            fn.scale = scale
-        fn.backend = backend
+            return cls(grid, map(_given, keys))
+        fn = cls(grid, keys)
+        del fn.values  # built from the keys at their first read
+        fn.scale, fn.backend = scale, backend
         return fn
+
+    @cached_property
+    def backend(self) -> Optional[str]:
+        return next((v.backend for v in self.values if v.is_finite), None)
 
     @cached_property
     def values(self) -> Tuple[ExtReal, ...]:

@@ -167,7 +167,7 @@ class CLagrangian:
         y_grid, points = problem.y_grid, problem.dual_y_grid.points
         phi = problem.phi_on_product
         phi_rows = funcrep.rows(phi.keys, len(self.x_grid))
-        self.slices = [SampledFn.keyed(y_grid, row, phi.scale) for row in phi_rows]
+        self.slices = [SampledFn.keyed(y_grid, row, phi.scale, phi.backend) for row in phi_rows]
         D, conjugates = _c_conjugate_rows(self.slices, self.w_grid)
         rational = problem.backend == "rational"
         self.scale = D * D if rational and D is not None else 1
@@ -186,7 +186,7 @@ class CLagrangian:
     def slice_conjugates(self) -> _Built:
         D, conjugates = self._sweep
         scale = None if D is None else D * D
-        return _Built(len(conjugates), lambda i: SampledFn.keyed_in(
+        return _Built(len(conjugates), lambda i: SampledFn.keyed(
             self.w_grid, [best for best, _ in conjugates[i]], scale, self.slices[i].backend))
 
     @cached_property

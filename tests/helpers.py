@@ -392,7 +392,7 @@ def random_problem(
         if w not in seen:
             seen.add(w)
             duals.append(DualPoint.of((w[0],), (w[1],), w[2], backend))
-    dual_y = DualGrid(duals, backend)
+    dual_y = DualGrid(duals)
 
     seen = set()
     pairs = []
@@ -407,7 +407,7 @@ def random_problem(
         if p not in seen:
             seen.add(p)
             pairs.append(DualPoint.of((p[0], p[1]), (p[2], p[3]), p[4], backend))
-    full = DualGrid(pairs, backend)
+    full = DualGrid(pairs)
     return PerturbationProblem(phi, x_grid, y_grid, dual_y, full, name="random")
 
 

@@ -323,7 +323,7 @@ def _tensor(slopes, gates, alphas, backend: str) -> DualGrid:
     alphas = [scalar(a, backend) for a in alphas]
     xstars = [sum(xs, ()) for xs in product(*slopes)]
     ustars = [sum(us, ()) for us in product(*gates)]
-    return DualGrid([DualPoint(xs, us, a) for xs in xstars for us in ustars for a in alphas], backend)
+    return DualGrid([DualPoint(xs, us, a) for xs in xstars for us in ustars for a in alphas])
 
 
 def embed(P, w: DualPoint) -> DualPoint:
@@ -343,7 +343,7 @@ def full_dual_grid(P, full_dual_pairs) -> DualGrid:
     embedding of the Y-side grid that is not among them."""
     pairs = full_dual_pairs.points if full_dual_pairs is not None else ()
     embedded = [embed(P, w) for w in P.dual_y_grid.points]
-    return DualGrid(dict.fromkeys([*pairs, *embedded]), P.backend)
+    return DualGrid(dict.fromkeys([*pairs, *embedded]))
 
 
 def x_sides(P) -> Tuple[DualGrid, list]:
@@ -351,7 +351,7 @@ def x_sides(P) -> Tuple[DualGrid, list]:
     projection on it), from one pass over the flats."""
     at: Dict[DualPoint, int] = {}
     index = [at.setdefault(x_side(P, flat), len(at)) for flat in P.full_dual_grid.points]
-    return DualGrid(at, P.backend), index
+    return DualGrid(at), index
 
 
 def boundary_coincidences(P: PerturbationProblem) -> List[Tuple[str, Tuple, object]]:

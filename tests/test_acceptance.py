@@ -145,7 +145,7 @@ def _random_galois_instance(rng, nx, nw, neg_inf_rate=0.03):
         duals.append(
             DualPoint.of((t[0] / 4.0,), (t[1] / 2.0,), t[2] / 2.0, "float")
         )
-    return f, DualGrid(duals, "float")
+    return f, DualGrid(duals)
 
 
 def test_criterion_2_galois_suite():

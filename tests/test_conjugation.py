@@ -28,6 +28,7 @@ from econvex.conjugation import (
 from econvex.esets import dot, dots
 from econvex.extreal import NEG_INF, POS_INF, ExtReal, NaNError
 from econvex.funcrep import Grid, SampledFn, _over, _prepared, product_grid
+from econvex.lagrangian import CLagrangian
 from econvex.subdifferential import conjugate_value
 
 from helpers import (
@@ -443,7 +444,7 @@ def kernel_dual_grid(draw, dim, backend, max_size=10, float_coords=FLOAT_COORDS)
         )
     )
     pts = [DualPoint.of(xstars[i], ustars[j], alphas[k], backend) for i, j, k in picks]
-    return DualGrid(pts, backend)
+    return DualGrid(pts)
 
 
 @st.composite
@@ -484,7 +485,7 @@ def with_plain_dual_point(draw, wg, candidates):
     k = draw(st.sampled_from(candidates))
     points[k] = with_plain_scalar(draw, points[k])
     assume(points[k] not in points[:k] + points[k + 1:])
-    return DualGrid(points, wg.backend)
+    return DualGrid(points)
 
 
 def finite_rows(fn):
@@ -564,7 +565,7 @@ def assert_first_attaining_rows(f, wg):
 # finite one, which a max that skips NaN would miss, leaving the gate open.
 NAN_DOT_AFTER_A_FINITE_ONE = (
     SampledFn(Grid(1, [(0,), (math.inf,)], "float"), [ExtReal(0.0)] * 2),
-    DualGrid([DualPoint.of((0,), (0,), 1, "float")], "float"),
+    DualGrid([DualPoint.of((0,), (0,), 1, "float")]),
 )
 
 
@@ -613,7 +614,7 @@ class TestKernelMatchesReference:
         # (5) is below alpha.
         grid = Grid(2, [(0, 5), (math.inf, 0)], "float")
         f = SampledFn(grid, [ExtReal(0.0)] * 2)
-        wg = DualGrid([DualPoint.of((0, 0), (0, 1), 6, "float")], "float")
+        wg = DualGrid([DualPoint.of((0, 0), (0, 1), 6, "float")])
         assert c_conjugate(f, wg).values == (POS_INF,)
         assert reference_c_conjugate(f, wg).values == (POS_INF,)
 
@@ -623,7 +624,6 @@ class TestKernelMatchesReference:
                 DualPoint.of((1,), (0,), 1, "float"),
                 DualPoint.of((0,), (0,), math.nan, "float"),
             ],
-            "float",
         )
         g = SampledFn(wg, [ExtReal(0.0), ExtReal(1.0)])
         grid = Grid(1, [(-1,), (0,)], "float")
@@ -953,8 +953,7 @@ TIED_ZEROS = (
     # Tied terms 0.0 - (-0.0) and 0.0 - 0.0: the first row, whose payload
     # is -0.0, attains.
     SampledFn(Grid(1, [(1,), (2,)], "float"), [ExtReal(-0.0), ExtReal(0.0)]),
-    DualGrid([DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((0,), (1,), -0.0, "float")],
-             "float"),
+    DualGrid([DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((0,), (1,), -0.0, "float")]),
 )
 OVERFLOWING = (
     # <p, x*> is inf + -inf = NaN at the first point, the first term of
@@ -963,7 +962,7 @@ OVERFLOWING = (
     SampledFn(Grid(2, [(1e308, 1e308), (1e308, -1e308), (1.5e308, 0)], "float"),
               [ExtReal(0.0), ExtReal(1.0), ExtReal(0.0)]),
     DualGrid([DualPoint.of((1e308, -1e308), (0, 0), 1, "float"),
-              DualPoint.of((-1e308, 1e308), (1e308, 0), 1, "float")], "float"),
+              DualPoint.of((-1e308, 1e308), (1e308, 0), 1, "float")]),
 )
 NAN_GATES = (
     # inf·0 and inf - inf make NaN gates; a NaN alpha shuts its gate too.
@@ -971,7 +970,7 @@ NAN_GATES = (
               [ExtReal(0.0), ExtReal(0.5), ExtReal(-1.0)]),
     DualGrid([DualPoint.of((1, 0, 0), (0, 1, 0), 2, "float"),
               DualPoint.of((0, 0, 1), (1e308, 1e308, 0), 1, "float"),
-              DualPoint.of((1, 1, 1), (0, 0, 1), math.nan, "float")], "float"),
+              DualPoint.of((1, 1, 1), (0, 0, 1), math.nan, "float")]),
 )
 
 
@@ -981,7 +980,7 @@ def nan_slope(first):
     keeps the NaN only when it comes first, as builtin max does."""
     nan_w = DualPoint.of((1e308, -1e308), (0, 0), 1, "float")
     finite_w = DualPoint.of((0, 0), (0, 0), 2, "float")
-    wg = DualGrid([nan_w, finite_w] if first else [finite_w, nan_w], "float")
+    wg = DualGrid([nan_w, finite_w] if first else [finite_w, nan_w])
     return SampledFn(wg, [ExtReal(0.0)] * 2), Grid(2, [(1e308, 1e308), (1, 1)], "float")
 
 
@@ -1459,7 +1458,7 @@ def lift_case(draw):
     alphas = draw(st.lists(alpha, min_size=1, max_size=3, unique_by=repr))
     picks = draw(st.lists(st.tuples(st.sampled_from(xstars), st.sampled_from(ustars), st.sampled_from(alphas)),
                           min_size=1, max_size=8, unique_by=repr))
-    wg = DualGrid(dict.fromkeys(DualPoint(*pick) for pick in picks), "float")
+    wg = DualGrid(dict.fromkeys(DualPoint(*pick) for pick in picks))
     if draw(st.booleans()) and _split_dom(f)[0] is not None:
         try:
             g = c_conjugate(f, wg)
@@ -1467,7 +1466,7 @@ def lift_case(draw):
             g = SampledFn(wg, [POS_INF] * len(wg))
     else:
         g = SampledFn(wg, draw(ext_values(len(wg), "float", payload.filter(math.isfinite))))
-    wy = DualGrid(dict.fromkeys(DualPoint(w.xstar[dx:], w.ustar[dx:], w.alpha) for w in wg.points), "float")
+    wy = DualGrid(dict.fromkeys(DualPoint(w.xstar[dx:], w.ustar[dx:], w.alpha) for w in wg.points))
     return f, wg, g, grid, wy
 
 
@@ -1509,8 +1508,8 @@ def dyadic_case(values, duals, g_values, xs=(-1.0, 0.5), ys=(-0.0, 0.25)):
     """An example of lift_case on the 1-D x 1-D product of xs and ys."""
     X, Y = Grid(1, [(x,) for x in xs], "float"), Grid(1, [(y,) for y in ys], "float")
     grid = product_grid(X, Y)
-    wg = DualGrid([DualPoint.of(x, u, a, "float") for x, u, a in duals], "float")
-    wy = DualGrid(dict.fromkeys(DualPoint(w.xstar[1:], w.ustar[1:], w.alpha) for w in wg.points), "float")
+    wg = DualGrid([DualPoint.of(x, u, a, "float") for x, u, a in duals])
+    wy = DualGrid(dict.fromkeys(DualPoint(w.xstar[1:], w.ustar[1:], w.alpha) for w in wg.points))
     return SampledFn(grid, values), wg, SampledFn(wg, g_values), grid, wy
 
 
@@ -1594,14 +1593,13 @@ class TestFloatLift:
             assert D is None and blocks == [(grid.points, *duals), (((),), [()])] and given == scalars
         assert _prepared(grid, ([(1.0, 1.0)],), ([1.0],))[0] == 2
 
-    @pytest.mark.parametrize("backend, label", [("float", "rational"), ("rational", "float")])
-    def test_a_lifted_sweep_keeps_the_type_of_its_entries(self, backend, label):
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_a_lifted_sweep_keeps_the_type_of_its_entries(self, backend):
         """The values of a scaled c-conjugate are of the type of the entries
-        it scaled, as the definitional sweep's are, whatever the dual
-        grid's label says."""
+        it scaled, as the definitional sweep's are."""
         f = SampledFn(Grid(1, [(-1,), (0,), (1,)], backend),
                       [ExtReal(scalar(v, backend)) for v in (2, 1, Fraction(1, 2))])
-        wg = DualGrid([DualPoint.of(1, 0, 1, backend), DualPoint.of(-1, 0, 1, backend)], label)
+        wg = DualGrid([DualPoint.of(1, 0, 1, backend), DualPoint.of(-1, 0, 1, backend)])
         with scaling_log() as log:
             out = c_conjugate(f, wg)
         assert log == [True] and {v.backend for v in out.values} == {backend}
@@ -1609,9 +1607,9 @@ class TestFloatLift:
 
     @pytest.mark.parametrize("alpha, lifts", [(0.5, True), (0.1, False)])
     def test_a_sweep_keeps_its_backend_lifted_or_not(self, alpha, lifts):
-        """On fenchel_abs' float twin under a rational label, a sweep is in
-        the float backend whether it runs on ints (alpha 0.5) or on the
-        floats as given (0.1, which is not dyadic)."""
+        """On fenchel_abs' float twin, a sweep is in the float backend
+        whether it runs on ints (alpha 0.5) or on the floats as given (0.1,
+        which is not dyadic)."""
         f0 = twin("fenchel_abs", "float").f0
         with scaling_log() as log:
             out = c_conjugate(f0, DualGrid([DualPoint((1.0,), (0.0,), alpha)]))
@@ -1622,6 +1620,49 @@ class TestFloatLift:
         grid = product_grid(Grid(1, [(0.0,), (1.0,)], "float"), Grid(1, [(0.5,)], "float"))
         assert _prepared(grid)[0] is None
         assert _prepared(grid, ([(1.0, 1.0)],))[0] == 2
+
+
+class TestTableBackends:
+    """A table's backend is its source's: a sweep's that of the function
+    it conjugates, a table read off another that one's, and a table given
+    by its values that of its first finite value, never a dual grid's."""
+
+    @pytest.mark.parametrize("name", ["fenchel_abs", "thirds"])
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_a_tables_backend_follows_its_source(self, name, backend):
+        P = twin(name, backend)
+        L = CLagrangian(P)
+        pairs = [(P.phi_on_product, P), (P.p_fn, P.phi_on_product), (P.psi, P.phi_on_product),
+                 (P.psi_prime, P.psi), (P.psi_block_min, P.psi), (P.g_on_dual_y, P.psi),
+                 (P.g_prime, P.g_on_dual_y), (P.p_conj, P.p_fn), (P.p_biconj, P.p_conj),
+                 (P.f0_conj, P.f0), (P.f0_biconj, P.f0_conj), (P.phi_biconj_at_zero, P.psi_prime)]
+        pairs += [(s, P.phi_on_product) for s in L.slices]
+        pairs += [(c, s) for c, s in zip(L.slice_conjugates, L.slices)]
+        assert [table.backend for table, _ in pairs] == [source.backend for _, source in pairs]
+        assert {table.backend for table, _ in pairs} == {backend}
+
+    def test_a_value_table_on_a_dual_grid_takes_its_values_backend(self):
+        wg = tensor_dual_grid([(0,), (1,)], [(0,)], [1], "float")
+        for values, backend in (([POS_INF, ExtReal(Fraction(1, 2))], "rational"),
+                                ([ExtReal(0.5), ExtReal(Fraction(1))], "float"),
+                                ([POS_INF, NEG_INF], None)):
+            assert SampledFn(wg, values).backend == backend
+
+    def test_a_rational_value_table_conjugates_to_fractions_on_ints(self):
+        f = SampledFn(Grid(1, [(-1,), (0,), (1,)]), [ExtReal(Fraction(v)) for v in (2, 1, Fraction(1, 2))])
+        with scaling_log() as log:
+            out = c_conjugate(f, tensor_dual_grid([(1,), (-1,)], [(0,)], [1]))
+        assert log == [True] and out.scale is not None and out.backend == "rational"
+        assert [v.value.__class__ for v in out.values] == [Fraction, Fraction]
+
+    @pytest.mark.parametrize("name", ["fenchel_abs", "thirds"])
+    def test_float_twins_lifted_or_not_keep_float_values(self, name):
+        P = twin(name, "float")
+        P.phi_on_product  # the sampler keeps floats as given
+        with scaling_log() as log:
+            tables = [P.psi, P.g_on_dual_y, P.psi_block_min, *CLagrangian(P).slice_conjugates]
+        assert set(log) == {lifted(name, "float")}
+        assert {v.value.__class__ for f in tables for v in f.values if v.is_finite} == {float}
 
 
 class TestDualPointHash:
@@ -1717,11 +1758,11 @@ def factored_problem(draw):
     y_alphas = draw(st.sampled_from([alphas, [1], [3, 1]]))
     dual_y = tensor_dual_grid(*y_axes, y_alphas, backend)
     if draw(st.booleans()):
-        dual_y = DualGrid(dual_y.points, backend)
+        dual_y = DualGrid(dual_y.points)
     kind = draw(st.sampled_from(["pair", "points", "concatenated", "none"]))
     pairs = {
         "pair": lambda: conjugation.pair_tensor_dual_grid(xs, ys, us, vs, alphas, backend),
-        "points": lambda: DualGrid(oracles._tensor([xs, ys], [us, vs], alphas, backend).points, backend),
+        "points": lambda: DualGrid(oracles._tensor([xs, ys], [us, vs], alphas, backend).points),
         "concatenated": lambda: tensor_dual_grid([x + y for x in xs for y in ys],
                                                  [u + v for u in us for v in vs], alphas, backend),
         "none": lambda: None,
@@ -1748,42 +1789,70 @@ def index_or_error(grid, point):
         return KeyError
 
 
+# The alphas of the first, second and third product block of a stacked
+# grid: apart, so that no two products share a point.
+PRODUCT_ALPHAS = ([1, 2, Fraction(1, 2)], [3, Fraction(5, 2)], [4])
+
+
 @st.composite
 def stacked_grid(draw):
-    """(grid, n, d): a dual grid of dimension n = 1..3 that no loader
-    builds, in either backend: empty, a point block, or a tensor whose x*
-    axis has any dimension d from 1 to n (``tensor_dual_grid`` at n), then
-    up to two point blocks added by ``extended``.  Every entry but alpha
-    is 0 or 1, so projections repeat within and across blocks."""
+    """(grid, its flat oracle, backend, n, d, probes): a dual grid of dimension
+    n = 1..3 that no loader builds, in either backend, as up to four
+    blocks one after another.  A product block is a three-axis
+    ``tensor_dual_grid`` or a ``pair_tensor_dual_grid`` whose x* axis has
+    any dimension from 1 to n, on axes that may be empty, and zipped
+    blocks of points come before, between and after the products, each
+    keeping the points on no other block.  d is the x* dimension of the
+    first product (n with none).  Every entry but alpha is 0 or 1, so
+    projections repeat within and across blocks.  The probes are points
+    built from the same values, mostly off the grid."""
     backend = draw(st.sampled_from(["rational", "float"]))
-    n = d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
     bits = lambda k: st.tuples(*[st.sampled_from([0, 1])] * k)
-    axis = lambda k: draw(st.lists(bits(k), min_size=1, max_size=3, unique=True))
-    points = st.lists(st.builds(lambda x, u, a: DualPoint.of(x, u, a, backend),
-                                bits(n), bits(n), st.sampled_from([1, 2])), max_size=4, unique=True)
-    first = draw(st.sampled_from(["empty", "points", "tensor"]))
-    if first == "empty":
-        grid = DualGrid((), backend)
-    elif first == "points":
-        grid = DualGrid(draw(points), backend)
-    else:
-        d = draw(st.integers(1, n))
-        xs, us = axis(d), axis(d)
-        alphas = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 2)]), min_size=1, max_size=2, unique=True))
-        if d == n and draw(st.booleans()):
-            grid = tensor_dual_grid(xs, us, alphas, backend)
+    axis = lambda k: draw(st.lists(bits(k), max_size=3, unique=True))
+    point = st.builds(lambda x, u, a: DualPoint.of(x, u, a, backend), bits(n), bits(n),
+                      st.sampled_from([1, 2, 3]))
+    specs, dims = [], []
+    for kind in draw(st.lists(st.sampled_from(["points", "product"]), max_size=4)):
+        if kind == "points":
+            specs.append(draw(st.lists(point, max_size=4, unique=True)))
+            continue
+        alphas = draw(st.lists(st.sampled_from(PRODUCT_ALPHAS[len(dims)]), max_size=2, unique=True))
+        k = draw(st.integers(1, n))
+        if k == n and draw(st.booleans()):
+            xs, us = axis(n), axis(n)
+            specs.append((tensor_dual_grid(xs, us, alphas, backend), oracles._tensor([xs], [us], alphas, backend)))
         else:
-            grid = conjugation.pair_tensor_dual_grid(xs, axis(n - d), us, axis(n - d), alphas, backend)
-    for _ in range(draw(st.integers(0, 2))):
-        grid = grid.extended(draw(points), backend)
-    return grid, n, d
+            axes = [axis(k), axis(n - k)], [axis(k), axis(n - k)]
+            specs.append((conjugation.pair_tensor_dual_grid(*axes[0], *axes[1], alphas, backend),
+                          oracles._tensor(*axes, alphas, backend)))
+        dims.append(k)
+        if len(dims) == len(PRODUCT_ALPHAS):
+            break
+    taken = {w for spec in specs if isinstance(spec, tuple) for w in spec[1].points}
+    blocks, flat = [], []
+    for spec in specs:
+        if isinstance(spec, tuple):
+            grid, points = spec[0], spec[1].points
+        else:
+            points = [w for w in spec if w not in taken]
+            taken.update(points)
+            grid = DualGrid(points)
+        blocks += grid.blocks
+        flat += points
+    vector = bits(n)
+    other = st.builds(lambda x, u, a: DualPoint.of(x, u, a, backend), vector, vector,
+                      st.sampled_from([1, 2, 3, 4, Fraction(1, 2)]))
+    probes = draw(st.lists(st.sampled_from(flat) | other if flat else other, max_size=4))
+    return DualGrid._of(blocks), DualGrid(flat), backend, n, dims[0] if dims else n, probes
 
 
-def same_grid(grid, flat):
+def same_grid(grid, flat, probes=()):
     """grid and the flat oracle agree on every point and every query, the
     oracle's queries read off its tuple of points; ``grid[i]`` answers as
     ``points[i]`` at every index, negative ones too, and raises IndexError
-    just past either end."""
+    just past either end; ``codes`` index each point's entries in
+    ``parts``.  A probe is on grid as on the oracle, at the same index."""
     n = len(flat.points)
     assert grid.points == flat.points and len(grid) == n
     assert grid.alpha_positive == all(p.alpha > 0 for p in flat.points)
@@ -1792,6 +1861,11 @@ def same_grid(grid, flat):
     for i in (-n - 1, n):
         with pytest.raises(IndexError):
             grid[i]
+    slopes, gates, alphas = grid.parts
+    assert [DualPoint(slopes[s], gates[g], alphas[a]) for s, g, a in grid.codes()] == list(flat.points)
+    for p in probes:
+        assert (p in grid) == (p in flat.points)
+        assert index_or_error(grid, p) == (flat.points.index(p) if p in flat.points else KeyError)
 
 
 class TestTensorDualGrids:
@@ -1816,10 +1890,7 @@ class TestTensorDualGrids:
         assert (grid is ValueError) == (reference is ValueError)
         if grid is ValueError:
             return
-        same_grid(grid, reference)
-        for p in probes:
-            assert (p in grid) == (p in reference.points)
-            assert index_or_error(grid, p) == (reference.points.index(p) if p in reference.points else KeyError)
+        same_grid(grid, reference, probes)
 
     @given(factored_problem())
     @settings(max_examples=150, deadline=None)
@@ -1836,36 +1907,55 @@ class TestTensorDualGrids:
         assert P._x_sides[1] == index
 
     @given(stacked_grid(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_extended_matches_the_flat_full_dual_grid(self, case, data):
-        """``extended`` against ``oracles.full_dual_grid``: the embeddings
-        of a Y-side grid of dimension n - k appended to a grid of X x Y,
-        under either label."""
-        grid, n, _ = case
+        """A stacked grid against its flat oracle, then ``extended``
+        against ``oracles.full_dual_grid``: the embeddings of a Y-side grid
+        of dimension n - k appended to a grid of X x Y."""
+        grid, flat, backend, n, _, probes = case
+        same_grid(grid, flat, probes)
         k = data.draw(st.integers(1, n))
         bits = st.tuples(*[st.sampled_from([0, 1, -1])] * (n - k))
-        ws = data.draw(st.lists(st.builds(lambda y, v, a: DualPoint.of(y, v, a, grid.backend),
+        ws = data.draw(st.lists(st.builds(lambda y, v, a: DualPoint.of(y, v, a, backend),
                                           bits, bits, st.sampled_from([1, 2])), max_size=4, unique=True))
-        P = SimpleNamespace(x_grid=Grid(k, [(0,) * k], grid.backend),
-                            dual_y_grid=DualGrid(ws, grid.backend), backend=grid.backend)
-        label = data.draw(st.sampled_from(["rational", "float"]))
-        extended = grid.extended([oracles.embed(P, w) for w in ws], label)
-        same_grid(extended, oracles.full_dual_grid(P, grid))
-        assert extended.backend == label
+        P = SimpleNamespace(x_grid=Grid(k, [(0,) * k], backend), dual_y_grid=DualGrid(ws))
+        extended = grid.extended([oracles.embed(P, w) for w in ws])
+        same_grid(extended, oracles.full_dual_grid(P, grid), probes)
 
     @given(stacked_grid(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_projected_matches_the_flat_x_sides(self, case, data):
         """``projected`` against ``oracles.x_sides`` at every d from 1 to
-        the full dimension, half the time at the tensor's x* dimension."""
-        grid, n, d = case
+        the full dimension, half the time at the first product's x*
+        dimension."""
+        grid, flat, _, n, d, _ = case
         d = data.draw(st.just(d) | st.integers(1, n))
-        P = SimpleNamespace(full_dual_grid=grid, x_grid=Grid(d, [(0,) * d], grid.backend),
-                            backend=grid.backend)
+        P = SimpleNamespace(full_dual_grid=flat, x_grid=SimpleNamespace(dim=d))
         projected, index = grid.projected(d)
-        flat, flat_index = oracles.x_sides(P)
-        same_grid(projected, flat)
-        assert index == flat_index and projected.backend == grid.backend
+        x_flat, flat_index = oracles.x_sides(P)
+        same_grid(projected, x_flat)
+        assert index == flat_index
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_projecting_a_first_product_builds_no_dual_point(self, backend):
+        """Counts only: at every d, ``projected`` reads a first product
+        block, a three-axis tensor or a pair tensor of any x* dimension,
+        by its entries and builds no ``DualPoint``."""
+        entries = lambda k: [(0,) * k, (1,) * k]
+        grids = [tensor_dual_grid(entries(3), entries(3), [1, 2], backend)]
+        grids += [conjugation.pair_tensor_dual_grid(entries(k), entries(3 - k), entries(k), entries(3 - k),
+                                                    [1, 2], backend) for k in (1, 2)]
+        built, real = [], DualPoint.__post_init__
+
+        def counted(self):
+            built.append(self)
+            real(self)
+
+        for grid in grids:
+            for d in (1, 2, 3):
+                with mock.patch.object(DualPoint, "__post_init__", counted):
+                    projected, index = grid.projected(d)
+                assert built == [] and len(index) == len(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ def shapes(values):
 def _problem(phi, xs, ys, w_y, pairs, backend):
     return PerturbationProblem(
         phi, Grid(1, xs, backend), Grid(1, ys, backend),
-        DualGrid([DualPoint.of(*w, backend) for w in w_y], backend),
-        DualGrid([DualPoint.of((xs, ys), (us, vs), a, backend) for xs, ys, us, vs, a in pairs], backend),
+        DualGrid([DualPoint.of(*w, backend) for w in w_y]),
+        DualGrid([DualPoint.of((xs, ys), (us, vs), a, backend) for xs, ys, us, vs, a in pairs]),
     )
 
 
@@ -85,7 +85,7 @@ def exact_twin(values, P, factor):
     keys = [v.value.numerator * (scale // v.value.denominator) if v.is_finite
             else math.inf if v.is_pos_inf else -math.inf for v in values]
     twin = PerturbationProblem(P.phi, P.x_grid, P.y_grid, P.dual_y_grid, P.full_dual_grid)
-    twin.phi_on_product = SampledFn.keyed(twin.product, keys, scale)  # the cached property's slot
+    twin.phi_on_product = SampledFn.keyed(twin.product, keys, scale, P.backend)  # the cached property's slot
     return twin
 
 

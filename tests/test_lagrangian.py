@@ -35,6 +35,7 @@ from econvex.conjugation import (
     _split_dom,
     coupling_c,
     cprime_conjugate,
+    tensor_dual_grid,
 )
 from econvex.duality import (
     PerturbationProblem,
@@ -270,7 +271,7 @@ def lagrangian_case(draw, backends=("float", "rational")):
     alphas = drawn_from((1, 2, 3), backend).filter(lambda a: a > 0)
     duals = draw(st.lists(st.tuples(slopes, slopes, alphas),
                           min_size=1, max_size=8, unique=True))
-    dual_y = DualGrid([DualPoint.of(ys_, vs, a, backend) for ys_, vs, a in duals], backend)
+    dual_y = DualGrid([DualPoint.of(ys_, vs, a, backend) for ys_, vs, a in duals])
     return PerturbationProblem(PerturbFn(1, dim, table=table), x_grid, y_grid, dual_y)
 
 
@@ -286,7 +287,7 @@ def plain_lagrangian_case(draw):
     points[k] = with_plain_scalar(draw, points[k])
     assume(points[k].alpha > 0 and points[k] not in points[:k] + points[k + 1:])
     assume(not any(isinstance(c, float) for c in points[k].xstar))
-    return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid(points, "rational"))
+    return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid(points))
 
 
 @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -324,7 +325,7 @@ def nan_gate_case():
     y_grid = Grid(1, [(0.0,), (math.inf,)], "float")
     table = {(x, y): ExtReal(1.0) for x in x_grid.points for y in y_grid.points}
     dual_y = DualGrid(
-        [DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((0,), (1,), 2, "float")], "float"
+        [DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((0,), (1,), 2, "float")]
     )
     return PerturbationProblem(PerturbFn(1, 1, table=table), x_grid, y_grid, dual_y)
 
@@ -374,7 +375,7 @@ def gate_boundary_case(draw):
     assume(alpha > 0)
     ww = DualPoint.of(ystar, vstar, alpha, P.backend)
     assume(ww not in P.dual_y_grid)
-    dual_y = DualGrid([*P.dual_y_grid.points, ww], P.backend)
+    dual_y = DualGrid([*P.dual_y_grid.points, ww])
     return PerturbationProblem(P.phi, P.x_grid, P.y_grid, dual_y)
 
 
@@ -592,7 +593,7 @@ class TestTableMatchesDefinition:
         # negated conjugate -(c - v) would print -0.0.
         grid = Grid(1, [(0.0,), (1.0,)], "float")
         phi = PerturbFn(1, 1, table={((0.0,), (0.0,)): POS_INF, ((0.0,), (1.0,)): ExtReal(1.0)})
-        dual_y = DualGrid([DualPoint.of((1,), (0,), 1, "float")], "float")
+        dual_y = DualGrid([DualPoint.of((1,), (0,), 1, "float")])
         P = PerturbationProblem(phi, Grid(1, [(0.0,)], "float"), grid, dual_y)
         L, ww = CLagrangian(P), dual_y.points[0]
         assert repr(-L.slice_conjugates[0].value_at(ww)) == "ExtReal(-0.0)"
@@ -609,8 +610,7 @@ def signed_zero_case():
     values = {((0.0,), (1.0,)): 1.0, ((0.0,), (0.0,)): -0.0,
               ((1.0,), (1.0,)): 1.0, ((1.0,), (0.0,)): 0.0}
     table = {k: ExtReal(v) for k, v in values.items()}
-    dual_y = DualGrid([DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((1,), (0,), 1, "float")],
-                      "float")
+    dual_y = DualGrid([DualPoint.of((0,), (0,), 1, "float"), DualPoint.of((1,), (0,), 1, "float")])
     return PerturbationProblem(PerturbFn(1, 1, table=table), Grid(1, X, "float"),
                                Grid(1, Y, "float"), dual_y)
 
@@ -620,7 +620,7 @@ def reduction_case(draw):
     """A drawn case, one time in five with an empty Y-side dual grid."""
     P = draw(lagrangian_case() | one_point_case())
     if draw(st.integers(0, 4)) == 4:
-        return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid([], P.backend))
+        return PerturbationProblem(P.phi, P.x_grid, P.y_grid, DualGrid([]))
     return P
 
 
@@ -1052,15 +1052,14 @@ def test_a_float_table_builds_one_extreal_per_finite_cell(name, monkeypatch):
     assert len(built) - kernel[0] <= len(finite)
 
 
-def test_a_float_problem_on_a_y_side_grid_left_at_the_default_label():
-    """A float problem whose Y-side grid holds float dual points but keeps
-    ``DualGrid``'s default ``"rational"`` label computes p^c, G and the
-    slice conjugates in floats, so the report and prop55 run, and agree
-    with the same grid labelled float."""
+def test_a_float_problem_on_a_y_side_grid_given_point_by_point():
+    """A float problem whose Y-side grid is given point by point computes
+    p^c, G and the slice conjugates in floats, so the report and prop55
+    run, and agree with the same grid built as a float tensor."""
     T = float_twin("fenchel_abs")
     points = [DualPoint((1.0,), (0.0,), 1.0), DualPoint((-1.0,), (0.0,), 1.0)]
-    P, Q = (PerturbationProblem(T.phi, T.x_grid, T.y_grid, DualGrid(points, *label))
-            for label in ((), ("float",)))
+    P, Q = (PerturbationProblem(T.phi, T.x_grid, T.y_grid, grid)
+            for grid in (DualGrid(points), tensor_dual_grid([(1,), (-1,)], [(0,)], [1], "float")))
     tables = [P.p_conj, P.g_on_dual_y, *CLagrangian(P).slice_conjugates]
     assert {v._v.__class__ for f in tables for v in f.values if v.is_finite} == {float}
     assert converse_duality_report(P) == converse_duality_report(Q)

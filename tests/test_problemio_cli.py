@@ -234,6 +234,18 @@ class TestCli:
             assert main(["audit", name, "--suite", "exact"]) == 0, name
             capsys.readouterr()
 
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_a_one_point_x_grid_audits_each_eps_formula_once(self, backend, capsys, tmp_path):
+        # |X| = 1: the first x and the middle one are the same point.
+        doc = entry("fenchel_abs")
+        doc.update(backend=backend, grids=dict(doc["grids"], x={"points": [["0"]]}))
+        path = tmp_path / "one_point.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["audit", str(path)]) == 0
+        names = [line.split(".status = ")[0] for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("audit.eps_formulae_superset[") and ".status = " in line]
+        assert len(names) == len(set(names)) == 3  # one per eps
+
     def test_subdiff_csv(self, capsys):
         assert main(["subdiff", "fenchel_abs", "--at", "0", "--output", "csv"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -670,8 +682,8 @@ def scan_case(draw, plain=False, backend="rational"):
         dual_y[k] = with_plain_scalar(draw, dual_y[k], ("ustar", "alpha"))
         assume(dual_y[k].alpha > 0 and dual_y[k] not in dual_y[:k] + dual_y[k + 1:])
     return PerturbationProblem(
-        PerturbFn(x_dim, dim, table=table), x_grid, y_grid, DualGrid(dual_y, backend),
-        DualGrid([DualPoint.of(xs + ys, us + vs, a, backend) for xs, ys, us, vs, a in pairs], backend),
+        PerturbFn(x_dim, dim, table=table), x_grid, y_grid, DualGrid(dual_y),
+        DualGrid([DualPoint.of(xs + ys, us + vs, a, backend) for xs, ys, us, vs, a in pairs]),
     )
 
 
@@ -805,8 +817,8 @@ class TestBoundaryScan:
         table = {(x, y): ExtReal(0.0) for x in x_grid.points for y in y_grid.points}
         P = PerturbationProblem(
             PerturbFn(1, 1, table=table), x_grid, y_grid,
-            DualGrid([DualPoint.of(0.0, 1.0, 5.0, "float")], "float"),
-            DualGrid([DualPoint.of((0.0, 0.0), (1.0, 1.0), alpha, "float")], "float"),
+            DualGrid([DualPoint.of(0.0, 1.0, 5.0, "float")]),
+            DualGrid([DualPoint.of((0.0, 0.0), (1.0, 1.0), alpha, "float")]),
         )
         rows = coincidence_rows(problemio.boundary_coincidences(P))
         assert [(space, p) for space, p, _ in rows] == [("(x,y)", (0.1, 0.2))]

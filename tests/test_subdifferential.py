@@ -457,7 +457,7 @@ def function_case(draw):
     grid = Grid(dim, [tuple(scalar(c, backend) for c in p) for p in pts], backend)
     f = SampledFn(grid, draw(ext_values(len(grid), backend, payloads(backend))))
     duals = draw(dual_points(dim, backend, (1, 2, 0, -1, 3, -2)))
-    return f, DualGrid(with_gate_through(draw, duals, grid.points, backend), backend)
+    return f, DualGrid(with_gate_through(draw, duals, grid.points, backend))
 
 
 @st.composite
@@ -472,10 +472,10 @@ def problem_case(draw):
     cells = [(x, y) for x in x_grid.points for y in y_grid.points]
     values = draw(ext_values(len(cells), backend, payloads(backend)))
     phi = PerturbFn(1, 1, table=dict(zip(cells, values)))
-    dual_y = DualGrid(draw(dual_points(1, backend, (1, 2, 3))), backend)
+    dual_y = DualGrid(draw(dual_points(1, backend, (1, 2, 3))))
     pairs = draw(dual_points(2, backend, (1, 2, 0, -1, 3)))
     pairs = with_gate_through(draw, pairs, x_grid.points, backend, base=(0,))
-    return PerturbationProblem(phi, x_grid, y_grid, dual_y, DualGrid(pairs, backend))
+    return PerturbationProblem(phi, x_grid, y_grid, dual_y, DualGrid(pairs))
 
 
 def projected_scan(P, x, eps):
@@ -527,7 +527,7 @@ class TestRoutesMatchDefinition:
         # pair through it is a member on either side.
         g = Grid(1, [(-1e308,), (0.0,), (1e308,)], "float")
         wg = DualGrid([DualPoint.of((s,), (u,), a, "float")
-                       for s in (-4, 0, 4) for u in (0, 1) for a in (1, 1e308)], "float")
+                       for s in (-4, 0, 4) for u in (0, 1) for a in (1, 1e308)])
         for values in ([ExtReal(0.0)] * 3, [ExtReal(1.0), ExtReal(0.0), ExtReal(1.0)]):
             f = SampledFn(g, values)
             for x0 in g.points:
@@ -631,8 +631,7 @@ def twin_problems(draw):
                  for c, v in zip(cells, values)}
 
         def grid(points):
-            return DualGrid([DualPoint.of(p.xstar, p.ustar, p.alpha, backend) for p in points],
-                            backend)
+            return DualGrid([DualPoint.of(p.xstar, p.ustar, p.alpha, backend) for p in points])
         return PerturbationProblem(PerturbFn(1, 1, table=table), x_grid, y_grid,
                                    grid(dual_y), grid(pairs))
     return build("rational"), build("float")
@@ -732,7 +731,7 @@ class TestEveryRouteMatchesTheOracle:
             assert (out if isinstance(out, type) else (out["lhs"], out["projection"])) == both
 
         nan_point = DualPoint((math.nan,), (0.0,), 1.0)
-        for grid in (P.x_side_grid, other.x_side_grid, DualGrid([nan_point], "float")):
+        for grid in (P.x_side_grid, other.x_side_grid, DualGrid([nan_point])):
             # a negative eps raises before the sweep, whose NaN would raise too
             expected = ValueError if eps < 0 else outcome(
                 lambda: reference_members(f, x, eps, c_conjugate(f, grid)))

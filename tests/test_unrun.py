@@ -18,3 +18,11 @@ def test_every_untraced_function_no_case_enters_is_allowed_and_exists():
     names = {f"{module}.{name}" for module, name, *_ in unrun.functions()}
     assert sorted(untraced - unrun.ALLOWED.keys()) == []
     assert sorted(unrun.ALLOWED.keys() - names) == []
+
+
+def test_every_allowed_name_is_still_listed_untraced():
+    """An ``ALLOWED`` entry goes stale when a golden case enters its
+    function, when the tracer binds it or when it is gone."""
+    *rows, _ = unrun.report()
+    untraced = {row.split()[0] for row in rows if not row.endswith("  [tracer]")}
+    assert sorted(unrun.ALLOWED.keys() - untraced) == []
