@@ -319,8 +319,6 @@ def cmd_subdiff(args) -> int:
     rows = [("at", at), ("eps", eps), ("members", len(members))]
     rows += [("member", w) for w in members]
     rows += [
-        ("intersection_formula.superset_ok", audit["superset_ok"]),
-        ("intersection_formula.equal", audit["equal"]),
         ("projection_formula.superset_ok", audit["superset_ok"]),
         ("projection_formula.equal", audit["equal"]),
         ("c5_surrogate", c5_audit(P).status == EXACT_PASS),
