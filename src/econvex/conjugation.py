@@ -174,14 +174,14 @@ class DualGrid:
         each list of a product distinct: a repeated entry would repeat a
         point."""
         self.blocks = tuple(block for block in blocks if all(block[:3]))
-        self._sizes = [prod(map(len, block[:3])) if block[3] is None else len(block[3]) for block in self.blocks]
-        self._dicts = [[_distinct(block[3])] if block[3] is not None else [*map(_distinct, block[:3])]
-                       for block in self.blocks]
+        self._sizes = [prod(map(len, lists)) if given is None else len(given) for *lists, given in self.blocks]
+        self._dicts = [[*map(_distinct, lists)] if given is None else [_distinct(given)]
+                       for *lists, given in self.blocks]
 
     @cached_property
     def points(self) -> Tuple[DualPoint, ...]:
         return tuple(chain.from_iterable(
-            starmap(DualPoint, product(*block[:3])) if block[3] is None else block[3] for block in self.blocks))
+            starmap(DualPoint, product(*lists)) if given is None else given for *lists, given in self.blocks))
 
     def __getitem__(self, i: int) -> DualPoint:
         """The point ``points[i]``, built alone."""
@@ -255,7 +255,7 @@ class DualGrid:
             at_g = [firsts[1].setdefault(u[:d], len(firsts[1])) for u in gates]
             head = DualGrid._of([(tuple(firsts[0]), tuple(firsts[1]), alphas, None)])
             ng, na = len(firsts[1]), len(alphas)
-            index = [(s * ng + g) * na + a for s in at_s for g in at_g for a in range(na)]
+            index = [(s * ng + g) * na + a for s, g, a in product(at_s, at_g, range(na))]
         new = {}
         for w in DualGrid._of(rest).points:
             w = DualPoint(w.xstar[:d], w.ustar[:d], w.alpha)
