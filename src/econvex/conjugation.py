@@ -243,10 +243,10 @@ class DualGrid:
         """(the grid of the points' projections (x*[:d], u*[:d], alpha),
         each at its first appearance; per point, the index of its
         projection on it).  A first product block projects to the product
-        of its projected slopes and gates, each list taken once at its
-        first appearance, and its alphas, and its points are indexed by
-        their entries' places there; the points of the other blocks are
-        projected one by one."""
+        of its projected slopes and gates, each entry projected once and
+        kept at its first appearance, and its alphas, and its points are
+        indexed by their entries' places there; the points of the other
+        blocks are projected one by one."""
         head, index, rest = DualGrid._of(()), [], self.blocks
         if rest and rest[0][3] is None:
             (slopes, gates, alphas, _), *rest = rest
