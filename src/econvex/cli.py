@@ -113,6 +113,22 @@ def _dual_cells(w):
     return _cells((*w.xstar, *w.ustar, w.alpha))
 
 
+def _key_texts(cell):
+    """key -> ``_text(cell(key))``, each distinct (type, key) rendered
+    once.  A zero key is rendered each time: 0.0 and -0.0 are one dict
+    key, and they render apart."""
+    texts = {}
+
+    def text(key):
+        if key == 0:
+            return _text(cell(key))
+        memo = key.__class__, key
+        if memo not in texts:
+            texts[memo] = _text(cell(key))
+        return texts[memo]
+    return text
+
+
 def _audit_body(audits, rows=()):
     """The lines of a report's rows followed by one block of rows per
     audit, then a blank line and the name/kind/status/detail table."""
@@ -335,12 +351,13 @@ def cmd_lagrangian(args) -> int:
             + _dual_header(P.y_grid.dim, ("ystar", "vstar"))
             + ["value"]
         )
-        # Each point's cells are rendered once and shared by its rows.
+        # Each point's cells, and each distinct key's, are rendered once.
         x_cells = [_cells(x) for x in P.x_grid.points]
         w_cells = [_dual_cells(w) for w in P.dual_y_grid.points]
         L = lagrangian_table(P)
+        text = _key_texts(L.cell)
         rows = [
-            xs + ws + [_text(L.cell(key))]
+            xs + ws + [text(key)]
             for xs, keys in zip(x_cells, funcrep.rows(L.keys, len(x_cells)))
             for ws, key in zip(w_cells, keys)
         ]

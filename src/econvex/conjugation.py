@@ -71,12 +71,14 @@ included.
 ``_coupling`` (the gate, written once) and ``_sups`` (per column of raw
 couplings, the sup of coupling minus a tagged function's value, term by
 term with the +-inf conventions only) are the one definitional
-reference.  ``lagrangian.dual_slice_audit`` reads one column per dual
-point against every slice; ``_sup_minus``, its one-column form, serves
-``subdifferential.conjugate_value``.
+reference.  ``lagrangian.dual_slice_audit`` reads ``_sups`` of one
+column per dual point against every slice where it reads no hull, on the
+values as given or on a Y of dimension 2 or more; ``_sup_minus``, its
+one-column form, serves ``subdifferential.conjugate_value``.
 ``_check_ints`` is the checks' own scaling, apart from ``_prepared``: the
 slice audit, the subdifferential memberships, the transfer audit and
-the convexity witness read their exact inputs as ints through it.
+the convexity witness read their exact inputs as ints through it, an
+exact table's int keys with no Fraction.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, starmap
-from math import inf, lcm, nan, prod
+from math import gcd, inf, lcm, nan, prod
 from operator import add, itemgetter, sub
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -170,18 +172,25 @@ class DualGrid:
         return grid
 
     def _set(self, blocks) -> None:
-        """Keep the blocks that hold a point, a zipped block's points and
-        each list of a product distinct: a repeated entry would repeat a
-        point."""
+        """Keep the blocks that hold a point, with their sizes and lookup
+        dicts, a zipped block's points and each list of a product
+        distinct: a repeated entry would repeat a point."""
         self.blocks = tuple(block for block in blocks if all(block[:3]))
         self._sizes = [prod(map(len, lists)) if given is None else len(given) for *lists, given in self.blocks]
         self._dicts = [[*map(_distinct, lists)] if given is None else [_distinct(given)]
                        for *lists, given in self.blocks]
 
+    def _then(self, block) -> "DualGrid":
+        """This grid, then block: the kept blocks keep their sizes and
+        dicts, and only the added block's are built and checked."""
+        grid = DualGrid._of([block])
+        grid.blocks, grid._sizes, grid._dicts = (
+            self.blocks + grid.blocks, self._sizes + grid._sizes, self._dicts + grid._dicts)
+        return grid
+
     @cached_property
     def points(self) -> Tuple[DualPoint, ...]:
-        return tuple(chain.from_iterable(
-            starmap(DualPoint, product(*lists)) if given is None else given for *lists, given in self.blocks))
+        return tuple(_points(self.blocks))
 
     def __getitem__(self, i: int) -> DualPoint:
         """The point ``points[i]``, built alone."""
@@ -237,7 +246,7 @@ class DualGrid:
     def extended(self, points) -> "DualGrid":
         """This grid, then a zipped block of the points that are not on it,
         in the given order."""
-        return DualGrid._of([*self.blocks, _zipped(tuple(w for w in points if w not in self))])
+        return self._then(_zipped(tuple(w for w in points if w not in self)))
 
     def projected(self, d: int) -> Tuple["DualGrid", list]:
         """(the grid of the points' projections (x*[:d], u*[:d], alpha),
@@ -257,11 +266,11 @@ class DualGrid:
             ng, na = len(firsts[1]), len(alphas)
             index = [(s * ng + g) * na + a for s, g, a in product(at_s, at_g, range(na))]
         new = {}
-        for w in DualGrid._of(rest).points:
+        for w in _points(rest):
             w = DualPoint(w.xstar[:d], w.ustar[:d], w.alpha)
             i = head._find(w)
             index.append(len(head) + new.setdefault(w, len(new)) if i is None else i)
-        return DualGrid._of([*head.blocks, _zipped(tuple(new))]), index
+        return head._then(_zipped(tuple(new))), index
 
     def index_of(self, point) -> int:
         i = self._find(point)
@@ -286,6 +295,12 @@ def _distinct(entries) -> dict:
         if at.setdefault(entry, i) != i:
             raise ValueError(f"duplicate dual point {entry!r}")
     return at
+
+
+def _points(blocks):
+    """The dual points of the blocks, in order."""
+    return chain.from_iterable(
+        starmap(DualPoint, product(*lists)) if given is None else given for *lists, given in blocks)
 
 
 def _zipped(points) -> tuple:
@@ -655,20 +670,27 @@ def _check_ints(points, duals=(), tables=(), scalars=()):
     """(d, points, duals, tables, scalars) as a definitional check reads
     them, scaled by the check itself and never by ``funcrep._prepared``.
 
-    When every coordinate of the points, every x*, u* and alpha of the
-    dual points, every finite payload of the tables' tagged rows and every
-    scalar is a Fraction or an int, d is the lcm of their denominators:
-    points and slopes come back times d, alphas, payloads and scalars
-    times d², all ints, so ``_coupling`` of a scaled pair is d² times the
-    coupling behind the same gate.  Otherwise d is None and all come back
-    as given."""
+    A table is tagged rows (``_classify``) or a ``SampledFn``, which comes
+    back as tagged rows.  When every coordinate of the points, every x*,
+    u* and alpha of the dual points, every finite value of the tables and
+    every scalar is a Fraction or an int, d is the lcm of their
+    denominators: points and slopes come back times d, alphas, payloads
+    and scalars times d², all ints, so ``_coupling`` of a scaled pair is
+    d² times the coupling behind the same gate.  An exact rational table
+    counts as its int keys over its scale, with no Fraction: the lcm of
+    their denominators is scale / gcd(scale, *keys).  Otherwise d is None
+    and all come back as given."""
     duals = list(duals)
+    keyed = [t.__class__ is SampledFn and bool(t.scale) and t.backend == "rational" for t in tables]
+    tables = [t.tagged() if t.__class__ is SampledFn and not by_keys else t for t, by_keys in zip(tables, keyed)]
     values = [c for p in points for c in p]
     values += [c for w in duals for c in (*w.xstar, *w.ustar, w.alpha)]
-    values += [p for rows in tables for tag, p in rows if tag == "f"] + list(scalars)
+    values += [p for t, by_keys in zip(tables, keyed) if not by_keys for tag, p in t if tag == "f"]
+    values += scalars
     if not all(c.__class__ is Fraction or c.__class__ is int for c in values):
-        return None, points, duals, tables, scalars
-    d = lcm(*{c.denominator for c in values})
+        return None, points, duals, [t.tagged() if by_keys else t for t, by_keys in zip(tables, keyed)], scalars
+    ints = [[k for k in t.keys if k.__class__ is int] if by_keys else [] for t, by_keys in zip(tables, keyed)]
+    d = lcm(*{c.denominator for c in values}, *{t.scale // gcd(t.scale, *ks) for t, ks in zip(tables, ints) if ks})
     dd = d * d
 
     def times(c, k):
@@ -676,11 +698,17 @@ def _check_ints(points, duals=(), tables=(), scalars=()):
 
     def vec(v):
         return tuple(times(c, d) for c in v)
+
+    def rows(t, by_keys):
+        if not by_keys:
+            return [(tag, times(p, dd)) for tag, p in t]
+        q, r = divmod(dd, t.scale)
+        return [("f", k * dd // t.scale if r else k * q) if k.__class__ is int
+                else ("+" if k > 0 else "-", None) for k in t.keys]
     return (
         d,
         [vec(p) for p in points],
         [DualPoint(vec(w.xstar), vec(w.ustar), times(w.alpha, dd)) for w in duals],
-        [[(tag, times(p, dd)) for tag, p in rows] for rows in tables],
+        [rows(t, by_keys) for t, by_keys in zip(tables, keyed)],
         [times(s, dd) for s in scalars],
     )
-

@@ -32,15 +32,20 @@ No point query reads the table: :func:`lagrangian_value` is the defining
 infimum at any (x, w), and :func:`is_saddle_point` reads a row and a
 column of the cells by index.
 
-:func:`dual_slice_audit` holds the table to the definitional conjugate of
-every slice, taking each dual point's coupling column over Y once per
-problem, so the identity stays a check of two routes: every (x, y, w) is
-its own term, nothing is grouped by slope and no attaining row is read
-(``conjugation._sups``, the one definitional sup).
-On exact data the couplings are ints over one scale per problem, taken by
-the check itself and not by the kernel's scaling, so one fault cannot
-reach both routes; the check meets the table's keys by
-cross-multiplying the two scales, and builds no ExtReal for its verdict.
+:func:`dual_slice_audit` holds the table to each slice's conjugate
+reached another way, so the identity stays a check of two routes: the
+kernel takes a max per slope over Y_x and reads its attaining rows, the
+check reads no attaining row.  On exact data over a 1-D Y it reads each
+slice's lower convex hull, built by exact int cross-multiplication, with
+one pointer over the sorted distinct y*, and decides each gate at the
+least and the greatest y of Y_x: O(|Y| + #y*) per slice and O(1) per
+cell.  Elsewhere (values as given, or a Y of dimension 2 or more) every
+(x, y, w) is its own term of the definitional sup (``conjugation._sups``)
+over dots columns taken once per distinct v* and y*.  On exact data the
+check's ints are over its own scale, read off the slices' int keys by the
+check itself and not by the kernel's scaling, so one fault cannot reach
+both routes; the check meets the table's keys by cross-multiplying the
+two scales, and builds no ExtReal for its verdict.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -70,7 +75,7 @@ from econvex.conjugation import (
     _c_conjugate_rows,
     _check_ints,
     _classify,
-    _coupling,
+    _columns,
     _sups,
     coupling_c,
     cprime_conjugate,
@@ -229,33 +234,84 @@ def lagrangian_value(P: PerturbationProblem, x, w: DualPoint) -> ExtReal:
 def dual_slice_audit(P: PerturbationProblem) -> dict:
     """-L(x, .) must equal the conjugate of the slice phi(x, .) exactly.
 
-    The table is read off the conjugation kernel, so the conjugate here is
-    the definition: each dual point's coupling column over Y is taken
-    once, and each (x, w) is its own sup of the column minus the slice,
-    one term per y, grouped by no slope (``_sups``).  Tags decide
-    the +-inf cells once per slice and once per column (the y it shuts).
-    When every y coordinate, slope, alpha and finite payload is exact,
-    the check's own ``_check_ints`` scale d, not the kernel's, makes
-    ``_coupling`` give d²·coupling as an int and each finite sup an int
-    over d²; otherwise the values are taken as given, in the terms the
-    kernel took, whose NaN and mixed backends raise as the table is
-    built.  Each cell is held to the table's key by cross-multiplication,
-    key·d² = -sup·scale (d is 1 as given), with +-inf as floats.
-    ``rows`` holds phi(x, .)^c per x, in x-grid order: the check's own
-    sups, each an ExtReal by funcrep's rule for a table over d², a row
-    built at its first read.
+    The table is read off the conjugation kernel, which takes a max per
+    slope over Y_x; the check reaches the conjugate another way, on its
+    own scaling.  When every y coordinate, slope, alpha and finite value
+    is exact, ``_check_ints`` gives a d, reading an exact slice's int keys
+    over their scale: y and slopes come back times d, alphas and values
+    times d², all ints.  Then on a 1-D Y each slice's sups are read off
+    its lower convex hull (``_hull_rows``).  Otherwise, on the values as
+    given or on a Y of dimension 2 or more, each cell is the definitional
+    sup of the coupling column minus the slice, one term per y
+    (``_sups``), over one ``esets.dots`` column of <y, v*> per distinct
+    v* and one of <y, y*> per distinct y*, which is ``_coupling``'s
+    arithmetic; on the values as given a NaN or a mixed backend raises as
+    the table is built.  Each cell is held to the table's key by
+    cross-multiplication, key·d² = -sup·scale (d is 1 as given), with
+    +-inf as floats.  ``rows`` holds phi(x, .)^c per x, in x-grid order:
+    the check's own sups, each an ExtReal by funcrep's rule for a table
+    over d², a row built at its first read.
     """
     L = lagrangian_table(P)
-    d, ys, ws, slices, _ = _check_ints(
-        P.y_grid.points, P.dual_y_grid.points, [sl.tagged() for sl in L.slices])
+    d, ys, ws, slices, _ = _check_ints(P.y_grid.points, P.dual_y_grid.points, L.slices)
+    if d is not None and P.y_grid.dim == 1:
+        sups = _hull_rows([y for y, in ys], ws, slices)
+    else:
+        columns = _columns(list(zip(*ys)), len(ys))
+        gated = [[c if g < w.alpha else None for g, c in zip(columns(w.ustar), columns(w.xstar))] for w in ws]
+        shut = [{k for k, c in enumerate(column) if c is None} for column in gated]
+        sups = [_sups(tagged, gated, shut) for tagged in slices]
     dd = 1 if d is None else d * d
-    columns = [[_coupling(y, w) for y in ys] for w in ws]
-    shut = [{k for k, c in enumerate(column) if c is None} for column in columns]
-    sups = [_sups(tagged, columns, shut) for tagged in slices]
     scale, cell = L.scale, funcrep._cell_rule(dd, P.backend)
     ok = all(key * dd == -v * scale for key, v in zip(L.keys, chain.from_iterable(sups)))
     rows = _Built(len(sups), lambda i: tuple(map(cell, sups[i])))
     return {"ok": ok, "rows": rows}
+
+
+def _hull_rows(ys, ws, slices) -> list:
+    """Per tagged slice over the int points ys of a 1-D Y, its sups at the
+    int dual points ws, by ``_sups``' rules: -inf on an empty Y_x, +inf
+    at every w when the slice is -inf on Y_x, and +inf where some y of
+    Y_x shuts the gate, y·v* >= alpha.  y·v* is largest over Y_x at its
+    least or its greatest y, so those two decide each gate.  An open cell
+    is the Fenchel value at y*, read off the slice's lower hull
+    (``_hull_sups``) once per distinct y*.  Y is sorted once."""
+    order = sorted(range(len(ys)), key=ys.__getitem__)
+    ys = [ys[k] for k in order]
+    slopes = sorted({w.xstar[0] for w in ws})
+    at = {s: i for i, s in enumerate(slopes)}
+    codes = [(at[w.xstar[0]], w.ustar[0], w.alpha) for w in ws]
+    out = []
+    for tagged in slices:
+        dom = [(y, tagged[k][1]) for y, k in zip(ys, order) if tagged[k][0] != "+"]
+        if not dom or any(v is None for _, v in dom):
+            out.append([inf if dom else -inf] * len(ws))
+            continue
+        lo, hi = dom[0][0], dom[-1][0]
+        sups = _hull_sups(dom, slopes)
+        out.append([sups[s] if lo * v < alpha and hi * v < alpha else inf for s, v, alpha in codes])
+    return out
+
+
+def _hull_sups(points, slopes) -> list:
+    """Per slope s of slopes, ascending, the max over points of y·s - v,
+    for int points (y, v) in increasing y.  A middle point on or above the
+    chord of its neighbours is dropped by exact int cross-multiplication,
+    which leaves the lower convex hull, its edge slopes increasing; along
+    it y·s - v rises while the edge slope is below s and falls after, so
+    one pointer moving forward reads every slope."""
+    hull = []
+    for y, v in points:
+        while len(hull) > 1 and (hull[-1][1] - hull[-2][1]) * (y - hull[-2][0]) >= (
+                v - hull[-2][1]) * (hull[-1][0] - hull[-2][0]):
+            hull.pop()
+        hull.append((y, v))
+    out, i, last = [], 0, len(hull) - 1
+    for s in slopes:
+        while i < last and hull[i + 1][0] * s - hull[i + 1][1] >= hull[i][0] * s - hull[i][1]:
+            i += 1
+        out.append(hull[i][0] * s - hull[i][1])
+    return out
 
 
 def minimax_ok(P: PerturbationProblem) -> bool:
@@ -322,7 +378,7 @@ def prop55_audit(P: PerturbationProblem) -> dict:
     )
     # Both live on P.y_grid in its order, so values pair up by position.
     surrogate = all(
-        cprime_conjugate(conj, P.y_grid).values == sl.values
+        _equal(cprime_conjugate(conj, P.y_grid), sl)
         for sl, conj in zip(L.slices, L.slice_conjugates)
     )
     (v_gp, argmin), (v_gdc, argmax) = primal_value(P), dual_value(P)
@@ -342,6 +398,15 @@ def prop55_audit(P: PerturbationProblem) -> dict:
         "contains_argmin_x_argmax": contains_expected,
         "equals_argmin_x_argmax": matches_expected,
     }
+
+
+def _equal(f: SampledFn, g: SampledFn) -> bool:
+    """Whether two tables on one grid hold the same values, point by
+    point: two exact tables' keys cross-multiplied, +-inf as floats, with
+    no ExtReal; other tables' values."""
+    if f.scale and g.scale:
+        return all(a * g.scale == b * f.scale for a, b in zip(f.keys, g.keys))
+    return f.values == g.values
 
 
 def find_convexity_violation(

@@ -15,8 +15,10 @@ c(x, w), and `coupling_cbar` is c on the product space.
 And `sup_minus`, the sup of raw couplings minus tagged values taken term
 by term, point by point, with the +-inf conventions spelled out: the
 second route that `conjugation._sups` and its one-column form
-`_sup_minus` are held to; and `prime_conjugate_value`, g^{c'} at one
-primal point through `_sup_minus`, the definitional c'-conjugate.
+`_sup_minus` are held to; `prime_conjugate_value`, g^{c'} at one
+primal point through `_sup_minus`, the definitional c'-conjugate; and
+`slice_audit_all_pairs`, the dual-slice check with one `_coupling` and
+one term per (x, y, w), which `lagrangian.dual_slice_audit` is held to.
 
 And `memberships`, the per-call membership route: one point's conjugate
 form scaled per call with eps inside the scale d, or taken as given; the
@@ -43,12 +45,13 @@ from typing import Dict, List, Sequence, Tuple, Union
 from math import inf
 
 from econvex import conjugation, extreal, funcrep
-from econvex.conjugation import DualGrid, DualPoint, _check_ints, _classify, _sup_minus, _value
+from econvex.conjugation import DualGrid, DualPoint, _check_ints, _classify, _sup_minus, _sups, _value
 from econvex.conjugation import _coerce_vec, _key, coupling_c, tensor_dual_grid
 from econvex.duality import PerturbationProblem
 from econvex.esets import Interval1, dots
 from econvex.extreal import NEG_INF, POS_INF, BackendMismatchError, ExtReal, NaNError, scalar
 from econvex.funcrep import Grid, SampledFn
+from econvex.lagrangian import lagrangian_table
 from econvex.problemio import _text
 from econvex.subdifferential import _member
 
@@ -192,6 +195,25 @@ def sup_minus(couplings, rows) -> ExtReal:
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
     """g^{c'} at a single primal point, by the definitional sweep."""
     return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), _classify(g.values))
+
+
+def slice_audit_all_pairs(P) -> dict:
+    """``lagrangian.dual_slice_audit`` with one term per (x, y, w): each
+    dual point's coupling column over Y taken by ``_coupling``, on the
+    check's own ints when every input is exact, each (x, w) its own
+    ``_sups`` of the column minus the slice, with no hull and nothing
+    grouped by slope; the slices are read as their tagged values."""
+    L = lagrangian_table(P)
+    d, ys, ws, slices, _ = _check_ints(
+        P.y_grid.points, P.dual_y_grid.points, [sl.tagged() for sl in L.slices])
+    dd = 1 if d is None else d * d
+    columns = [[conjugation._coupling(y, w) for y in ys] for w in ws]
+    shut = [{k for k, c in enumerate(column) if c is None} for column in columns]
+    sups = [_sups(tagged, columns, shut) for tagged in slices]
+    scale, cell = L.scale, funcrep._cell_rule(dd, P.backend)
+    ok = all(key * dd == -v * scale for key, v in zip(L.keys, itertools.chain.from_iterable(sups)))
+    rows = [tuple(map(cell, row)) for row in sups]
+    return {"ok": ok, "rows": rows}
 
 
 # ---------------------------------------------------------------------------

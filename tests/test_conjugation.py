@@ -1957,6 +1957,33 @@ class TestTensorDualGrids:
                     projected, index = grid.projected(d)
                 assert built == [] and len(index) == len(grid)
 
+    @given(stacked_grid(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_extended_and_projected_check_only_the_blocks_they_add(self, case, data):
+        """Counts only: ``extended`` and ``projected`` build a lookup dict
+        (``_distinct``) for each list of a block they add, a zipped
+        block's points or a product's three lists, and none for a block
+        they keep."""
+        grid, _, _, n, d, probes = case
+        checked, real = [], conjugation._distinct
+
+        def counted(entries):
+            checked.append(entries)
+            return real(entries)
+
+        def added(new, kept):
+            return [entries for *lists, given in new.blocks[kept:]
+                    for entries in (lists if given is None else [given])]
+
+        with mock.patch.object(conjugation, "_distinct", counted):
+            extended = grid.extended(dict.fromkeys(probes))
+        assert extended.blocks[:len(grid.blocks)] == grid.blocks
+        assert checked == added(extended, len(grid.blocks))
+        del checked[:]
+        with mock.patch.object(conjugation, "_distinct", counted):
+            projected, _ = grid.projected(data.draw(st.just(d) | st.integers(1, n)))
+        assert checked == added(projected, 0)
+
 
 # ---------------------------------------------------------------------------
 # The one definitional sup against its term-by-term oracle

@@ -1,6 +1,10 @@
+import inspect
+import itertools
 import json
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -61,7 +65,7 @@ from econvex.lagrangian import (
     supinf_value,
 )
 from econvex.subdifferential import conjugate_value, prop43_audit
-from oracles import prime_conjugate_value, sup_minus
+from oracles import prime_conjugate_value, slice_audit_all_pairs, sup_minus
 
 
 def w(ys, vs, a):
@@ -331,8 +335,9 @@ def nan_gate_case():
 
 
 class TestDualSliceSweep:
-    """The audit's one sweep per problem is the definitional conjugate of
-    every slice, and takes each dual point's coupling column once."""
+    """The check's rows are the definitional conjugate of every slice.
+    On ints over a 1-D Y it reads one hull per slice, O(|Y| + #y*) steps;
+    elsewhere it takes one dots column per distinct v* and y*."""
 
     @given(lagrangian_case())
     @example(nan_gate_case())
@@ -347,20 +352,118 @@ class TestDualSliceSweep:
         assert audit["ok"]
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
-    @pytest.mark.parametrize("backend", ["rational", "float"])
-    def test_one_coupling_per_dual_point_and_y(self, name, backend, monkeypatch):
-        P = catalog_problem(name) if backend == "rational" else float_twin(name)
+    def test_the_rational_check_reads_one_hull_per_slice(self, name, monkeypatch):
+        """Counts only: on ints over a 1-D Y the check makes no coupling
+        and no all-pairs term; per slice with a finite Y_x it builds one
+        hull with at most 2·|Y_x| pushes, pops and pointer steps, and
+        reads each distinct y* once."""
+        P = catalog_problem(name)
+        L = lagrangian_table(P)
+        calls = no_couplings(monkeypatch)
+        monkeypatch.setattr(lagrangian, "_sups", refused)
+        runs = hull_steps(lambda: dual_slice_audit(P))
+        assert calls == []
+        assert_hull_bounds(P, L, runs)
+
+    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
+    def test_the_float_check_takes_one_dots_column_per_distinct_vstar_and_ystar(self, name, monkeypatch):
+        """Counts only: on the values as given the check takes one
+        ``esets.dots`` column of <y, v*> per distinct v* and one of
+        <y, y*> per distinct y*, a vector that is both taken once, and
+        makes no coupling."""
+        P = float_twin(name)
         lagrangian_table(P)
-        calls, real = [], conjugation._coupling
+        calls = no_couplings(monkeypatch)
+        columns, real = [], conjugation.dots
+        monkeypatch.setattr(conjugation, "dots", lambda *args: columns.append(args[1]) or real(*args))
+        runs = hull_steps(lambda: dual_slice_audit(P))
+        assert calls == [] and runs == []
+        slopes, gates, _ = P.dual_y_grid.parts
+        assert len(columns) == len(set(map(conjugation._key, [*gates, *slopes])))
 
-        def counted(y, ww):
-            calls.append(ww)
-            return real(y, ww)
+    def test_the_check_on_lw41_takes_hull_steps_not_terms(self, monkeypatch):
+        """Counts only: on the 41 x 41 wide grid the rational check makes
+        no coupling, where the all-pairs route makes |W_y|·|Y| = 2,214
+        and |X|·|Y|·|W_y| = 90,774 terms, and at most
+        |X|·(2·|Y| + #y*) = 3,731 hull steps."""
+        P = wide_problem(41, 41, "rational")
+        L = lagrangian_table(P)
+        calls = no_couplings(monkeypatch)
+        runs = hull_steps(lambda: dual_slice_audit(P))
+        assert calls == [] and len(runs) == 41
+        assert_hull_bounds(P, L, runs)
+        assert sum(sum(run.values()) - run["points"] - run["slopes"] for run in runs) <= 41 * (2 * 41 + 9)
 
-        monkeypatch.setattr(conjugation, "_coupling", counted)
-        monkeypatch.setattr(lagrangian, "_coupling", counted)
-        assert dual_slice_audit(P)["ok"]
-        assert len(calls) == len(P.dual_y_grid) * len(P.y_grid)
+    def test_doubling_the_ystars_adds_one_read_per_ystar(self):
+        """Counts only: with y* in -4..4 by halves, not by ones, each slice
+        makes the same pushes, pops and pointer steps and 17 reads, not 9:
+        the added y* cost 8 steps per slice, not 8·|Y|."""
+        def steps(ystars):
+            doc = dict(fenchel_abs_wide_grid(21, 21), backend="rational")
+            doc["grids"]["ystar"] = ystars
+            P = problemio.loads(json.dumps(doc)).build()
+            lagrangian_table(P)
+            return hull_steps(lambda: dual_slice_audit(P))
+
+        ones = steps([str(v) for v in range(-4, 5)])
+        halves = steps([str(Fraction(v, 2)) for v in range(-8, 9)])
+        assert len(ones) == len(halves) == 21
+        for one, half in zip(ones, halves):
+            assert [half[k] - one[k] for k in ("push", "pop", "step", "read")] == [0, 0, 0, 8]
+
+
+def refused(*args):
+    raise AssertionError("the check took the all-pairs route")
+
+
+def no_couplings(monkeypatch) -> list:
+    """A list of the raw couplings made from here on."""
+    calls, real = [], conjugation._coupling
+    monkeypatch.setattr(conjugation, "_coupling", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+HULL_LINES = {"hull.append(": "push", "hull.pop()": "pop", "i += 1": "step", "out.append(": "read"}
+
+
+def hull_steps(call) -> list:
+    """Per ``lagrangian._hull_sups`` call that call() makes, a Counter of
+    its points and slopes and of the times it ran its push, pop, pointer
+    step and read lines, from the line events of that function alone."""
+    code = lagrangian._hull_sups.__code__
+    source, first = inspect.getsourcelines(lagrangian._hull_sups)
+    marks = {first + k: name for k, text in enumerate(source) for mark, name in HULL_LINES.items() if mark in text}
+    assert sorted(marks.values()) == sorted(HULL_LINES.values())
+    runs, previous = [], sys.gettrace()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in marks:
+            runs[-1][marks[frame.f_lineno]] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        runs.append(Counter(points=len(frame.f_locals["points"]), slopes=len(frame.f_locals["slopes"])))
+        return local
+
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return runs
+
+
+def assert_hull_bounds(P, L, runs):
+    """One hull per slice with a finite nonempty Y_x, over Y_x, with at
+    most 2·|Y_x| pushes, pops and pointer steps and one read per distinct
+    y*: O(|X|·(|Y| + #y*)) steps in all."""
+    swept = [sl for sl in L.slices if _split_dom(sl)[0] is not None]
+    slopes = {ww.xstar for ww in P.dual_y_grid.points}
+    assert [run["points"] for run in runs] == [len(_split_dom(sl)[0]) for sl in swept]
+    assert all(run["slopes"] == run["read"] == len(slopes) for run in runs)
+    assert all(run["push"] + run["pop"] + run["step"] <= 2 * run["points"] for run in runs)
 
 
 @st.composite
@@ -394,6 +497,81 @@ def one_point_case(draw):
                                P.dual_y_grid)
 
 
+@st.composite
+def affine_case(draw, backends=("float", "rational")):
+    """A drawn case whose every slice is affine, <y, a> + b, on a drawn
+    part of Y (all of it, one time in two) and +inf off it: many
+    collinear points for the hull."""
+    P = draw(lagrangian_case(backends))
+    table = {}
+    for x in P.x_grid.points:
+        a = [scalar(draw(drawn_from(SLOPES, P.backend)), P.backend) for _ in range(P.y_grid.dim)]
+        b = scalar(draw(drawn_from(PAYLOADS, P.backend)), P.backend)
+        whole = draw(st.booleans())
+        for y in P.y_grid.points:
+            on = whole or draw(st.booleans())
+            table[x, y] = ExtReal(dot(y, a) + b) if on else POS_INF
+    return PerturbationProblem(PerturbFn(1, P.y_grid.dim, table=table), P.x_grid, P.y_grid,
+                               P.dual_y_grid)
+
+
+@st.composite
+def keyed_case(draw):
+    """A rational drawn case whose phi on X x Y is an exact table, its
+    keys over the lcm of its finite values' denominators times a drawn
+    factor, as the sampler gives: the check reads the slices' int keys."""
+    P = draw(lagrangian_case(backends=("rational",)) | affine_case(backends=("rational",)))
+    values = P.phi_on_product.values
+    scale = math.lcm(*(v.value.denominator for v in values if v.is_finite)) * draw(st.sampled_from([1, 2, 6]))
+    keys = [v.value.numerator * (scale // v.value.denominator) if v.is_finite else v._v for v in values]
+    twin = PerturbationProblem(P.phi, P.x_grid, P.y_grid, P.dual_y_grid)
+    twin.phi_on_product = SampledFn.keyed(twin.product, keys, scale, "rational")  # the cached property's slot
+    return twin
+
+
+SLICE_CASES = lagrangian_case() | gate_boundary_case() | affine_case() | keyed_case()
+
+
+class TestHullAgainstAllPairs:
+    """The check against ``oracles.slice_audit_all_pairs``, one coupling
+    and one term per (x, y, w), on the verdict and on every row, by
+    rendering and payload type: on ints over a 1-D Y the check reads
+    hulls, elsewhere it takes dots columns."""
+
+    @given(SLICE_CASES)
+    @example(nan_gate_case())
+    @settings(max_examples=400, deadline=None)
+    def test_the_check_is_the_all_pairs_oracle(self, P):
+        got, want = dual_slice_audit(P), slice_audit_all_pairs(P)
+        assert got["ok"] is want["ok"] is True
+        assert [[tagged(v) for v in row] for row in got["rows"]] == [
+            [tagged(v) for v in row] for row in want["rows"]]
+
+    @given(SLICE_CASES, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_both_routes_catch_a_planted_fault(self, P, data):
+        """A finite key one unit of its scale off, two unequal keys
+        swapped, or a +-inf cell made finite: both routes fail."""
+        L = lagrangian_table(P)
+        keys = list(L.keys)
+        finite = [k for k, key in enumerate(keys) if -math.inf < key < math.inf]
+        infinite = [k for k, key in enumerate(keys) if key in (-math.inf, math.inf)]
+        unequal = [(i, j) for i, j in itertools.combinations(range(len(keys)), 2) if keys[i] != keys[j]]
+        faults = [name for name, at in (("moved", finite), ("swapped", unequal), ("made finite", infinite)) if at]
+        assume(faults)
+        fault = data.draw(st.sampled_from(faults))
+        if fault == "moved":
+            k = data.draw(st.sampled_from(finite))
+            keys[k] = one_step_off(keys[k])
+        elif fault == "swapped":
+            i, j = data.draw(st.sampled_from(unequal))
+            keys[i], keys[j] = keys[j], keys[i]
+        else:
+            keys[data.draw(st.sampled_from(infinite))] = 0
+        L.keys = tuple(keys)
+        assert dual_slice_audit(P)["ok"] is slice_audit_all_pairs(P)["ok"] is False
+
+
 def one_step_off(key):
     """The key one step away: one unit at the table's scale on an exact
     key, one ulp on a finite float, the other sign on an infinity."""
@@ -403,7 +581,7 @@ def one_step_off(key):
 
 
 # The slice check and its terms, for ``route_log``.
-SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._sups")
+SLICE_CHECK = ("lagrangian.dual_slice_audit", "lagrangian._sups", "lagrangian._hull_sups")
 
 
 class TestIntegerSliceCheck:
@@ -415,7 +593,8 @@ class TestIntegerSliceCheck:
     sends the kernel's sweeps off the ints but not the check, which
     scales on its own; a float v* or alpha sends both off."""
 
-    @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case() | one_point_case())
+    @given(lagrangian_case() | gate_boundary_case() | plain_lagrangian_case() | one_point_case()
+           | keyed_case())
     @example(nan_gate_case())
     @settings(max_examples=400, deadline=None)
     def test_rows_are_sup_minus_per_cell(self, P):
@@ -522,22 +701,6 @@ class TestYSideWorkOncePerProblem:
             per_size.append(len(columns) - before)
         # one column per distinct v*, and per y* that some open gate needs
         assert per_size == [3 + 9] * 2
-
-    @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
-    def test_the_check_couples_ints_once_per_dual_point_and_y(self, name, monkeypatch):
-        P = catalog_problem(name)
-        lagrangian_table(P)
-        ints, real = [], lagrangian._coupling
-
-        def spy(y, ww):
-            out = real(y, ww)
-            scalars = (*y, *ww.xstar, *ww.ustar, ww.alpha) + (() if out is None else (out,))
-            ints.append(all(c.__class__ is int for c in scalars))
-            return out
-
-        monkeypatch.setattr(lagrangian, "_coupling", spy)
-        assert dual_slice_audit(P)["ok"]
-        assert ints == [True] * (len(P.dual_y_grid) * len(P.y_grid))
 
     @pytest.mark.parametrize("backend", ["rational", "float"])
     def test_the_surrogate_stops_at_the_first_failing_slice(self, backend, monkeypatch):
@@ -809,6 +972,16 @@ class TestSaddlePoints:
 
 
 class TestProp55:
+    @given(SLICE_CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_the_surrogate_is_the_values_comparison(self, P):
+        """The recovery surrogate, which compares two exact tables by their
+        keys, gives the verdict of comparing the values."""
+        L = lagrangian_table(P)
+        recovered = all(cprime_conjugate(conj, P.y_grid).values == sl.values
+                        for sl, conj in zip(L.slices, L.slice_conjugates))
+        assert prop55_audit(P)["slice_surrogate"] is recovered
+
     @pytest.mark.parametrize("backend", ["rational", "float"])
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
     def test_reads_the_values_not_the_report(self, name, backend):

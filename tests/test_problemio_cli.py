@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from econvex import catalog, conjugation, problemio, subdifferential
+from econvex import catalog, cli, conjugation, funcrep, problemio, subdifferential
 from econvex.cli import main
 from econvex.conjugation import DualGrid, DualPoint
 from econvex.duality import PerturbationProblem, converse_duality_report
@@ -363,6 +363,17 @@ class TestCli:
         assert rows[0] == "x0,ystar0,vstar0,alpha,value"
         P = catalog.load("fenchel_abs").build()
         assert len(rows) == 1 + len(P.x_grid) * len(P.dual_y_grid)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_the_csv_renders_each_key_once_and_each_signed_zero_apart(self, zero):
+        """A lagrangian CSV renders each distinct (type, key) once; 0.0 and
+        -0.0, one dict key, each render as ``_text`` renders them, in
+        either order, every time."""
+        cell, calls = funcrep._cell_rule(1, "float"), []
+        text = cli._key_texts(lambda key: calls.append(key) or cell(key))
+        keys = [zero, -zero, 1.5, -zero, 1.5, zero, math.inf, 2, 2.0, Fraction(2)]
+        assert [text(key) for key in keys] == [problemio._text(cell(key)) for key in keys]
+        assert [repr(key) for key in calls] == [repr(key) for key in keys[:4] + keys[5:]]
 
     def test_eset_command(self, capsys):
         assert (
