@@ -61,24 +61,28 @@ term is <P, X> - V.  On ints a sweep returns an exact table
 (``SampledFn.keyed``) of the raw values over D·D: ``Fraction(best, D·D)``
 in the rational backend, ``best / (D·D)`` in the float one, whose ints
 ``_prepared`` certified no float operation of the flat sweep could
-round; on lists as given, the values ``best``.  A sweep reads an exact
-table's int keys as its payloads, with no Fraction.  So gates,
-maxima, the first attaining row, the value, its type and its rendering
-are those of the ``Fraction`` sweep, or of the flat float sweep; on
-lists as given the arithmetic is that of the definition, NaN and -0.0
-included.
+round; on lists as given, a table of the raw values ``best`` as its
+keys, after one check that none is NaN.  A sweep reads an exact table's
+int keys as its payloads, with no Fraction.  So gates, maxima, the first
+attaining row, the value, its type and its rendering are those of the
+``Fraction`` sweep, or of the flat float sweep; on lists as given the
+arithmetic is that of the definition, NaN and -0.0 included.
 
 ``_coupling`` (the gate, written once) and ``_sups`` (per column of raw
-couplings, the sup of coupling minus a tagged function's value, term by
+couplings, the sup of coupling minus a function's raw value, term by
 term with the +-inf conventions only) are the one definitional
-reference.  ``lagrangian.dual_slice_audit`` reads ``_sups`` of one
-column per dual point against every slice where it reads no hull, on the
-values as given or on a Y of dimension 2 or more; ``_sup_minus``, its
-one-column form, serves ``subdifferential.conjugate_value``.
+reference.  Every check reads a table as its raw values, each value's
+payload with +-inf as floats (``SampledFn.raw``), the one encoding of
+the tables' keys, and tests finiteness as -inf < p < inf.
+``lagrangian.dual_slice_audit`` reads ``_sups`` of one column per dual
+point against every slice where it reads no hull, on the values as
+given or on a Y of dimension 2 or more; ``_sup_minus``, its one-column
+form, serves ``subdifferential.conjugate_value``.
 ``_check_ints`` is the checks' own scaling, apart from ``_prepared``: the
 slice audit, the subdifferential memberships, the transfer audit and
 the convexity witness read their exact inputs as ints through it, an
-exact table's int keys with no Fraction.
+exact table's int keys with no Fraction: each is handed the
+``SampledFn`` itself.
 """
 
 from __future__ import annotations
@@ -180,14 +184,6 @@ class DualGrid:
         self._dicts = [[*map(_distinct, lists)] if given is None else [_distinct(given)]
                        for *lists, given in self.blocks]
 
-    def _then(self, block) -> "DualGrid":
-        """This grid, then block: the kept blocks keep their sizes and
-        dicts, and only the added block's are built and checked."""
-        grid = DualGrid._of([block])
-        grid.blocks, grid._sizes, grid._dicts = (
-            self.blocks + grid.blocks, self._sizes + grid._sizes, self._dicts + grid._dicts)
-        return grid
-
     @cached_property
     def points(self) -> Tuple[DualPoint, ...]:
         return tuple(_points(self.blocks))
@@ -246,7 +242,7 @@ class DualGrid:
     def extended(self, points) -> "DualGrid":
         """This grid, then a zipped block of the points that are not on it,
         in the given order."""
-        return self._then(_zipped(tuple(w for w in points if w not in self)))
+        return DualGrid._of([*self.blocks, _zipped(tuple(w for w in points if w not in self))])
 
     def projected(self, d: int) -> Tuple["DualGrid", list]:
         """(the grid of the points' projections (x*[:d], u*[:d], alpha),
@@ -270,7 +266,7 @@ class DualGrid:
             w = DualPoint(w.xstar[:d], w.ustar[:d], w.alpha)
             i = head._find(w)
             index.append(len(head) + new.setdefault(w, len(new)) if i is None else i)
-        return head._then(_zipped(tuple(new))), index
+        return DualGrid._of([*head.blocks, _zipped(tuple(new))]), index
 
     def index_of(self, point) -> int:
         i = self._find(point)
@@ -354,21 +350,21 @@ def coupling_c(x, w: DualPoint) -> ExtReal:
     return POS_INF if c is None else ExtReal(c)
 
 
-def _sups(tagged, columns, shut) -> list:
+def _sups(raw, columns, shut) -> list:
     """Per coupling column, the sup over the points of its raw coupling
     (None for +inf, whose indices ``shut`` holds per column) minus the
-    tagged function's value (``_classify`` rows): -inf when the function
-    is +inf everywhere, +inf when it is -inf somewhere below +inf or the
-    column shuts a point of its domain, and otherwise builtin ``max`` of
-    coupling minus value over the domain, which keeps the first maximiser
-    and a NaN that comes first.  Infinities are floats and a finite sup
-    is its raw value."""
-    dom = [k for k, (tag, _) in enumerate(tagged) if tag != "+"]
+    function's raw value (``SampledFn.raw``, +-inf as floats): -inf when
+    the function is +inf everywhere, +inf when it is -inf somewhere or
+    the column shuts a point of its domain, and otherwise builtin ``max``
+    of coupling minus value over the domain, which keeps the first
+    maximiser and a NaN that comes first.  Infinities are floats and a
+    finite sup is its raw value."""
+    dom = [k for k, p in enumerate(raw) if p < inf]
     if not dom:
         return [-inf] * len(columns)
-    if any(tagged[k][0] == "-" for k in dom):
+    payloads = [raw[k] for k in dom]
+    if -inf in payloads:
         return [inf] * len(columns)
-    payloads = [tagged[k][1] for k in dom]
     at = itemgetter(*dom) if len(dom) > 1 else itemgetter(slice(dom[0], dom[0] + 1))
     members = frozenset(dom)
     return [inf if shut_y and not shut_y.isdisjoint(members) else max(map(sub, at(column), payloads))
@@ -388,16 +384,15 @@ def _key(v: Sequence) -> Tuple:
 
 
 def _split_dom(f: SampledFn):
-    """(the indices of dom f on f's grid, f's raw payloads there), or (None,
-    the constant conjugate); one pass over f's raw payloads
-    (``SampledFn.payloads``), so the payloads of an exact table are its
-    int keys.
+    """(the indices of dom f on f's grid, f's keys there), or (None, the
+    constant conjugate); one pass over f's keys, so the payloads of an
+    exact table are its int keys.
 
     An empty domain conjugates to -inf and a -inf value on the domain to
     +inf, whatever the dual point; the cells are returned only when every
     value on the domain is finite.
     """
-    raw = f.payloads()
+    raw = f.keys
     cells = [k for k, v in enumerate(raw) if v != inf]
     if not cells:
         return None, NEG_INF
@@ -485,16 +480,9 @@ class _Rows:
         return list(map(sub, x_col, least)), firsts
 
 
+# A term <p, x*> - f(p) is NaN only where <p, x*> adds opposite
+# infinities, so the error names the slopes.
 _OVERFLOW = "grids.xstar/grids.ystar: <grid point, slope> overflows to NaN"
-
-
-def _value(best) -> ExtReal:
-    """ExtReal(best).  A term <p, x*> - f(p) is NaN only where <p, x*> adds
-    opposite infinities, so the error names the slopes."""
-    try:
-        return ExtReal(best)
-    except NaNError:
-        raise NaNError(_OVERFLOW) from None
 
 
 def _c_conjugate_rows(fs, w_grid: DualGrid):
@@ -634,7 +622,9 @@ def cprime_conjugate(g: SampledFn, x_grid: Grid) -> SampledFn:
         column = dots(columns, c, len(used))
         terms = [t - d for xs, d in zip(opened, costs) for t in _at(column, xs)]
         best = terms if best is None else [t if t > b else b for t, b in zip(terms, best)]
-    best = iter(best) if D is not None else map(_value, best)
+    if D is None and any(b != b for b in best):
+        raise NaNError(_OVERFLOW)
+    best = iter(best)
     keys = [inf if s else next(best) for s in shut]  # y-major
     keys = chain.from_iterable(zip(*(keys[j * m:(j + 1) * m] for j in range(n))))
     return SampledFn.keyed(x_grid, keys, None if D is None else D * D, g.backend)
@@ -652,59 +642,57 @@ def biconjugate(f: SampledFn, w_grid: DualGrid) -> SampledFn:
 # ---------------------------------------------------------------------------
 
 
-def _classify(values):
-    """The (tag, payload) rows of ExtReals (``funcrep._tags``)."""
-    return funcrep._tags([v._v for v in values], lambda p: p)
-
-
-def _sup_minus(couplings, rows) -> ExtReal:
+def _sup_minus(couplings, raw) -> ExtReal:
     """The one-column form of ``_sups``: the sup of each raw coupling (None
-    for +inf) minus its row's value, f^c(w) pairing w with every grid
+    for +inf) minus its raw value, f^c(w) pairing w with every grid
     point, g^{c'}(x) x with every dual point.  A NaN sup raises."""
     column = list(couplings)
-    (best,) = _sups(rows, [column], [{k for k, c in enumerate(column) if c is None}])
-    return _value(best)
+    (best,) = _sups(raw, [column], [{k for k, c in enumerate(column) if c is None}])
+    try:
+        return ExtReal(best)
+    except NaNError:
+        raise NaNError(_OVERFLOW) from None
 
 
 def _check_ints(points, duals=(), tables=(), scalars=()):
     """(d, points, duals, tables, scalars) as a definitional check reads
     them, scaled by the check itself and never by ``funcrep._prepared``.
 
-    A table is tagged rows (``_classify``) or a ``SampledFn``, which comes
-    back as tagged rows.  When every coordinate of the points, every x*,
-    u* and alpha of the dual points, every finite value of the tables and
-    every scalar is a Fraction or an int, d is the lcm of their
-    denominators: points and slopes come back times d, alphas, payloads
-    and scalars times d², all ints, so ``_coupling`` of a scaled pair is
-    d² times the coupling behind the same gate.  An exact rational table
-    counts as its int keys over its scale, with no Fraction: the lcm of
-    their denominators is scale / gcd(scale, *keys).  Otherwise d is None
-    and all come back as given."""
+    A table is a list of raw values (``SampledFn.raw``, +-inf as floats)
+    or a ``SampledFn``, and comes back as such a list.  When every
+    coordinate of the points, every x*, u* and alpha of the dual points,
+    every finite value of the tables and every scalar is a Fraction or an
+    int, d is the lcm of their denominators: points and slopes come back
+    times d, alphas, finite values and scalars times d², all ints, so
+    ``_coupling`` of a scaled pair is d² times the coupling behind the
+    same gate.  An exact rational table counts as its int keys over its
+    scale, with no Fraction: the lcm of their denominators is
+    scale / gcd(scale, *keys).  Otherwise d is None and all come back as
+    given."""
     duals = list(duals)
     keyed = [t.__class__ is SampledFn and bool(t.scale) and t.backend == "rational" for t in tables]
-    tables = [t.tagged() if t.__class__ is SampledFn and not by_keys else t for t, by_keys in zip(tables, keyed)]
+    tables = [t.raw() if t.__class__ is SampledFn and not by_keys else t for t, by_keys in zip(tables, keyed)]
     values = [c for p in points for c in p]
     values += [c for w in duals for c in (*w.xstar, *w.ustar, w.alpha)]
-    values += [p for t, by_keys in zip(tables, keyed) if not by_keys for tag, p in t if tag == "f"]
+    values += [p for t, by_keys in zip(tables, keyed) if not by_keys for p in t if -inf < p < inf]
     values += scalars
     if not all(c.__class__ is Fraction or c.__class__ is int for c in values):
-        return None, points, duals, [t.tagged() if by_keys else t for t, by_keys in zip(tables, keyed)], scalars
+        return None, points, duals, [t.raw() if by_keys else t for t, by_keys in zip(tables, keyed)], scalars
     ints = [[k for k in t.keys if k.__class__ is int] if by_keys else [] for t, by_keys in zip(tables, keyed)]
     d = lcm(*{c.denominator for c in values}, *{t.scale // gcd(t.scale, *ks) for t, ks in zip(tables, ints) if ks})
     dd = d * d
 
     def times(c, k):
-        return None if c is None else c.numerator * (k // c.denominator)
+        return c.numerator * (k // c.denominator)
 
     def vec(v):
         return tuple(times(c, d) for c in v)
 
     def rows(t, by_keys):
         if not by_keys:
-            return [(tag, times(p, dd)) for tag, p in t]
+            return [times(p, dd) if -inf < p < inf else p for p in t]
         q, r = divmod(dd, t.scale)
-        return [("f", k * dd // t.scale if r else k * q) if k.__class__ is int
-                else ("+" if k > 0 else "-", None) for k in t.keys]
+        return [(k * dd // t.scale if r else k * q) if k.__class__ is int else k for k in t.keys]
     return (
         d,
         [vec(p) for p in points],

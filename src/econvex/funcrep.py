@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple, Union
 
 from econvex.esets import EPolyhedron, dots
-from econvex.extreal import ExtReal, NaNError, scalar
+from econvex.extreal import BackendMismatchError, ExtReal, NaNError, scalar
 from econvex import extreal
 
 __all__ = [
@@ -140,38 +140,42 @@ class Grid:
 class SampledFn:
     """Extended-real function known on a grid, one value per point.
 
-    ``keys`` holds one order key per point and ``cell`` gives a key's
-    value.  A function given by its values keys a point by its value and
-    is in the backend of its first finite value (None with none); an
-    exact table (``keyed``) by an int, the value times ``scale``, or a
-    float +-inf, so reductions compare ints, is in the backend it is
-    given, and builds its ``values`` at their first read.
+    ``keys`` holds one raw key per point, +-inf as floats: for a
+    function given by its values, each value's payload; for an exact
+    table (``keyed`` with a scale), an int, the value times ``scale``, so
+    reductions compare ints; for ``keyed`` with no scale, the payloads as
+    given.  ``cell`` gives a key's ExtReal, and ``values`` are built from
+    the keys at their first read.  A table with a scale is in the backend
+    it is given, any other in that of its first finite key (None with
+    none).  ``raw`` is the values' payloads, which the checks read.
     """
 
-    scale: Optional[int] = None  # None: the keys are the values
+    scale: Optional[int] = None  # None: the keys are the payloads
 
     def __init__(self, grid, values: Sequence[ExtReal]):
-        values = tuple(values)
-        if len(values) != len(grid):
-            raise ValueError("values must align one-to-one with grid points")
-        self.grid = grid
-        self.values = self.keys = values
+        self.values = tuple(values)
+        self._set(grid, tuple(v._v for v in self.values))
 
     @classmethod
     def keyed(cls, grid, keys: Iterable, scale: Optional[int], backend: str) -> "SampledFn":
         """The exact table of keys over scale, its values in backend (that
         of the entries a sweep scaled, or of the table it is read off); for
-        scale None, the function given by the keys' values."""
-        if scale is None:
-            return cls(grid, map(_given, keys))
-        fn = cls(grid, keys)
-        del fn.values  # built from the keys at their first read
-        fn.scale, fn.backend = scale, backend
+        scale None, the function whose payloads are the keys."""
+        fn = cls.__new__(cls)
+        fn._set(grid, tuple(keys))
+        if scale is not None:
+            fn.scale, fn.backend = scale, backend
         return fn
+
+    def _set(self, grid, keys: tuple) -> None:
+        if len(keys) != len(grid):
+            raise ValueError("values must align one-to-one with grid points")
+        self.grid, self.keys = grid, keys
 
     @cached_property
     def backend(self) -> Optional[str]:
-        return next((v.backend for v in self.values if v.is_finite), None)
+        finite = (k for k in self.keys if -math.inf < k < math.inf)
+        return next(("float" if k.__class__ is float else "rational" for k in finite), None)
 
     @cached_property
     def values(self) -> Tuple[ExtReal, ...]:
@@ -182,14 +186,11 @@ class SampledFn:
         """The table's map from a key to its ExtReal (``_cell_rule``)."""
         return _cell_rule(self.scale, self.backend)
 
-    def payloads(self) -> Sequence:
-        """Per point a float +-inf, a finite payload or an int key."""
-        return self.keys if self.scale else [v._v for v in self.values]
-
-    def tagged(self) -> list:
-        """The (tag, payload) rows of the values (``_tags``), read off an
+    def raw(self) -> list:
+        """Per point the value's payload, +-inf as floats, read off an
         exact table's keys with no ExtReal."""
-        return _tags(self.payloads(), _over(self.scale, self.backend))
+        back = _over(self.scale, self.backend)
+        return [back(k) if k.__class__ is int else k for k in self.keys]
 
     def value_at(self, point) -> ExtReal:
         return self.cell(self.keys[self.grid.index_of(point)])
@@ -200,25 +201,15 @@ class SampledFn:
 
 def _cell_rule(scale: Optional[int], backend: str):
     """The map from a key over scale to its ExtReal: an int through
-    ``_over``, any other key (a float +-inf, or a value) as its value."""
+    ``_over``, any other key (a float +-inf, or a payload) as it is."""
     back = _over(scale, backend)
-    return lambda k: ExtReal(back(k)) if k.__class__ is int else _given(k)
+    return lambda k: ExtReal(back(k) if k.__class__ is int else k)
 
 
 def _cells(keys, scale: Optional[int], backend: str) -> list:
     """``_cell_rule`` at each key, inlined: a call per key costs more."""
     back = _over(scale, backend)
-    return [ExtReal(back(k)) if k.__class__ is int else _given(k) for k in keys]
-
-
-def _given(key) -> ExtReal:
-    return key if key.__class__ is ExtReal else ExtReal(key)
-
-
-def _tags(payloads, back) -> list:
-    """(tag, payload) per raw payload: tag 'f' finite, with back(payload),
-    '+' +inf and '-' -inf, with None."""
-    return [("f", back(p)) if -math.inf < p < math.inf else ("+" if p > 0 else "-", None) for p in payloads]
+    return [ExtReal(back(k) if k.__class__ is int else k) for k in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +573,19 @@ class PerturbFn:
     def sample_keys(self, points: Sequence[Point], backend: str = "rational") -> Tuple[list, Optional[int]]:
         """phi at points of X x Y (x then y coordinates), or at a grid's, as
         the (keys, scale) of ``SampledFn.keyed``; a table-backed phi looks
-        them up.  The nodes fold scaled ints in the rational backend and
-        floats in the float backend.  Plain points are coerced to the
-        backend, which is a class check for points that are already."""
+        up its cells' payloads, which must share one backend.  The nodes
+        fold scaled ints in the rational backend and floats in the float
+        backend.  Plain points are coerced to the backend, which is a
+        class check for points that are already."""
         d = self.x_dim
         if self.table is not None:
             try:
-                return [self.table[(p[:d], p[d:])] for p in points], None
+                keys = [self.table[(p[:d], p[d:])]._v for p in points]
             except KeyError as exc:
                 raise KeyError(f"{exc.args[0]!r} is not in the table") from None
+            if len({k.__class__ is float for k in keys if -math.inf < k < math.inf}) > 1:
+                raise BackendMismatchError("cannot compare rational-backed and float-backed values")
+            return keys, None
         if backend not in ("rational", "float"):
             raise ValueError(f"unknown backend {backend!r}")
         if not hasattr(points, "points"):  # a grid's points are coerced already
@@ -646,7 +641,8 @@ def restrict_to_zero(phi: PerturbFn, x_grid: Grid, y_grid: Grid) -> SampledFn:
     if not y_grid.has_origin:
         raise ValueError("the origin is missing from the y-grid")
     origin = y_grid.origin
-    return SampledFn(x_grid, phi.sample([x + origin for x in x_grid.points], x_grid.backend))
+    return SampledFn.keyed(x_grid, *phi.sample_keys([x + origin for x in x_grid.points], x_grid.backend),
+                           x_grid.backend)
 
 
 def slice_x(phi: PerturbFn, x, y_grid: Grid) -> SampledFn:

@@ -26,8 +26,10 @@ O((#y* + #v*)·|Y|) inner products and O((#y* + #v*)·|Y|·|X| + |W_y|·|X|)
 reads, not one coupling per (x, w, y).  The table keeps one exact order
 key per cell, an int or a float, and its reductions (row suprema, column
 infima, saddles) compare keys with builtin ``max``/``min``: an ExtReal is
-built per result, and per cell only when the cells are read.  The slice
-conjugates are that sweep's own tables, keyed as ``c_conjugate`` keys them.
+built per result, and per cell only when the cells are read.  The slices
+and their conjugates are tables of raw keys, the slices keyed as
+phi_on_product and the conjugates as ``c_conjugate`` keys them, so none
+builds an ExtReal before its values are read.
 No point query reads the table: :func:`lagrangian_value` is the defining
 infimum at any (x, w), and :func:`is_saddle_point` reads a row and a
 column of the cells by index.
@@ -45,7 +47,8 @@ over dots columns taken once per distinct v* and y*.  On exact data the
 check's ints are over its own scale, read off the slices' int keys by the
 check itself and not by the kernel's scaling, so one fault cannot reach
 both routes; the check meets the table's keys by cross-multiplying the
-two scales, and builds no ExtReal for its verdict.
+two scales, builds no ExtReal for its verdict, and returns its sups as
+tables of keys.
 
 On a finite grid a zero gap with attained optima always produces a saddle
 point (the two defining inequalities are the exact identities above), so
@@ -62,7 +65,6 @@ arbitrary coupling space is intentionally not provided here.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -74,7 +76,6 @@ from econvex.conjugation import (
     DualPoint,
     _c_conjugate_rows,
     _check_ints,
-    _classify,
     _columns,
     _sups,
     coupling_c,
@@ -109,24 +110,6 @@ class SaddleCandidate:
     value: ExtReal
 
 
-class _Built(Sequence):
-    """A tuple of n items whose item i is build(i), made at its first read."""
-
-    def __init__(self, n: int, build):
-        self._n, self._build, self._items = n, build, {}
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if not -self._n <= i < self._n:
-            raise IndexError(i)
-        i %= self._n
-        if i not in self._items:
-            self._items[i] = self._build(i)
-        return self._items[i]
-
-
 def _float_cell(row, w: DualPoint):
     """phi(x, y) - <y, y*> at the attaining row (y, phi(x, y)): one IEEE
     subtraction on floats (a - b is a + (-b)); a Fraction meeting a float
@@ -146,10 +129,10 @@ class CLagrangian:
     key's ExtReal (funcrep's rule over ``scale``).  ``table``, the cells
     in that order, is built from the keys at its first read; ``row_sup``
     and ``col_inf`` build one ExtReal per x and per dual point.
-    ``slice_conjugates`` are, per x in x-grid order, the sweep's own tables
-    of the conjugates of the ``slices`` (the rows of the cached
-    phi_on_product), keyed as ``c_conjugate`` keys them, each at its
-    first read.
+    ``slices`` are the rows of the cached phi_on_product, keyed as it is,
+    and ``slice_conjugates`` are, per x in x-grid order, the sweep's own
+    tables of their conjugates, keyed as ``c_conjugate`` keys them; no
+    table builds an ExtReal before its ``values`` are read.
 
     On a finite cell
     L(x, w) = phi(x, y) - <y, y*> at the kernel's attaining row y: its
@@ -188,11 +171,11 @@ class CLagrangian:
         return tuple(map(self.cell, self.keys))
 
     @cached_property
-    def slice_conjugates(self) -> _Built:
+    def slice_conjugates(self) -> Tuple[SampledFn, ...]:
         D, conjugates = self._sweep
         scale = None if D is None else D * D
-        return _Built(len(conjugates), lambda i: SampledFn.keyed(
-            self.w_grid, [best for best, _ in conjugates[i]], scale, self.slices[i].backend))
+        return tuple(SampledFn.keyed(self.w_grid, [best for best, _ in rows], scale, sl.backend)
+                     for sl, rows in zip(self.slices, conjugates))
 
     @cached_property
     def tops(self) -> list:
@@ -249,8 +232,8 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
     the table is built.  Each cell is held to the table's key by
     cross-multiplication, key·d² = -sup·scale (d is 1 as given), with
     +-inf as floats.  ``rows`` holds phi(x, .)^c per x, in x-grid order:
-    the check's own sups, each an ExtReal by funcrep's rule for a table
-    over d², a row built at its first read.
+    the check's own sups as the keys of a table on the Y-side dual grid,
+    over d² (with no scale on the values as given).
     """
     L = lagrangian_table(P)
     d, ys, ws, slices, _ = _check_ints(P.y_grid.points, P.dual_y_grid.points, L.slices)
@@ -260,21 +243,20 @@ def dual_slice_audit(P: PerturbationProblem) -> dict:
         columns = _columns(list(zip(*ys)), len(ys))
         gated = [[c if g < w.alpha else None for g, c in zip(columns(w.ustar), columns(w.xstar))] for w in ws]
         shut = [{k for k, c in enumerate(column) if c is None} for column in gated]
-        sups = [_sups(tagged, gated, shut) for tagged in slices]
+        sups = [_sups(raw, gated, shut) for raw in slices]
     dd = 1 if d is None else d * d
-    scale, cell = L.scale, funcrep._cell_rule(dd, P.backend)
-    ok = all(key * dd == -v * scale for key, v in zip(L.keys, chain.from_iterable(sups)))
-    rows = _Built(len(sups), lambda i: tuple(map(cell, sups[i])))
+    ok = all(key * dd == -v * L.scale for key, v in zip(L.keys, chain.from_iterable(sups)))
+    rows = [SampledFn.keyed(P.dual_y_grid, row, None if d is None else dd, P.backend) for row in sups]
     return {"ok": ok, "rows": rows}
 
 
 def _hull_rows(ys, ws, slices) -> list:
-    """Per tagged slice over the int points ys of a 1-D Y, its sups at the
-    int dual points ws, by ``_sups``' rules: -inf on an empty Y_x, +inf
-    at every w when the slice is -inf on Y_x, and +inf where some y of
-    Y_x shuts the gate, y·v* >= alpha.  y·v* is largest over Y_x at its
-    least or its greatest y, so those two decide each gate.  An open cell
-    is the Fenchel value at y*, read off the slice's lower hull
+    """Per slice, its raw values over the int points ys of a 1-D Y, its
+    sups at the int dual points ws, by ``_sups``' rules: -inf on an empty
+    Y_x, +inf at every w when the slice is -inf on Y_x, and +inf where
+    some y of Y_x shuts the gate, y·v* >= alpha.  y·v* is largest over
+    Y_x at its least or its greatest y, so those two decide each gate.  An
+    open cell is the Fenchel value at y*, read off the slice's lower hull
     (``_hull_sups``) once per distinct y*.  Y is sorted once."""
     order = sorted(range(len(ys)), key=ys.__getitem__)
     ys = [ys[k] for k in order]
@@ -282,9 +264,9 @@ def _hull_rows(ys, ws, slices) -> list:
     at = {s: i for i, s in enumerate(slopes)}
     codes = [(at[w.xstar[0]], w.ustar[0], w.alpha) for w in ws]
     out = []
-    for tagged in slices:
-        dom = [(y, tagged[k][1]) for y, k in zip(ys, order) if tagged[k][0] != "+"]
-        if not dom or any(v is None for _, v in dom):
+    for raw in slices:
+        dom = [(y, raw[k]) for y, k in zip(ys, order) if raw[k] < inf]
+        if not dom or not all(-inf < v for _, v in dom):
             out.append([inf if dom else -inf] * len(ws))
             continue
         lo, hi = dom[0][0], dom[-1][0]
@@ -423,25 +405,25 @@ def find_convexity_violation(
     """
     rows = sorted(values, key=lambda r: r[0])
     points = [x for x, _ in rows]
-    _, xs, _, (tags,), _ = _check_ints([(x,) for x in points], (), [_classify(v for _, v in rows)])
+    _, xs, _, (vs,), _ = _check_ints([(x,) for x in points], (), [[v._v for _, v in rows]])
     xs = [x for x, in xs]
     n = len(rows)
     for i in range(n):
-        t1, v1 = tags[i]
-        if t1 == "+":
+        v1 = vs[i]
+        if v1 == inf:
             continue
         for k in range(i + 2, n):
-            t3, v3 = tags[k]
-            if t3 == "+":
+            v3 = vs[k]
+            if v3 == inf:
                 continue
-            ends_neg_inf = t1 == "-" or t3 == "-"
+            ends_neg_inf = v1 == -inf or v3 == -inf
             for j in range(i + 1, k):
-                t2, v2 = tags[j]
+                v2 = vs[j]
                 if ends_neg_inf:
-                    if t2 != "-":
+                    if v2 != -inf:
                         return (points[i], points[j], points[k])
                     continue
-                if t2 != "f":
+                if not -inf < v2 < inf:
                     continue
                 if v2 * (xs[k] - xs[i]) > v1 * (xs[k] - xs[j]) + v3 * (xs[j] - xs[i]):
                     return (points[i], points[j], points[k])

@@ -6,11 +6,12 @@ minorizes the function difference over the whole grid.  On a grid the
 conjugate characterization is exact: w is an eps-subgradient of f at x0
 iff f(x0) and c(x0, w) are finite and f(x0) + f^c(w) <= c(x0, w) + eps.
 Every membership question is answered by that one rule, :func:`_member`,
-on the tagged payloads (``SampledFn.tagged``) of a conjugate computed once
--- the problem's ``f0_conj``, ``psi_block_min`` or ``g_on_dual_y``, or one
-``c_conjugate`` sweep for :func:`eps_c_subdifferential` -- and a raw
-coupling (``conjugation._coupling``, None for +inf): no pass and no
-ExtReal per pair.  Every check that takes couplings reads one form,
+on the raw values (``SampledFn.raw``, +-inf as floats) of a conjugate
+computed once -- the problem's ``f0_conj``, ``psi_block_min`` or
+``g_on_dual_y``, or one ``c_conjugate`` sweep for
+:func:`eps_c_subdifferential` -- and a raw coupling
+(``conjugation._coupling``, None for +inf): no pass and no ExtReal per
+pair.  Every check that takes couplings reads one form,
 ``_Form``, from one ``conjugation._check_ints`` call, which scales the
 values itself when every coordinate, slope, alpha and finite payload is
 exact (points and slopes times d, the rest times d²), never with the
@@ -56,7 +57,7 @@ from typing import Iterator, Optional, Tuple
 
 from econvex import conjugation
 from econvex.conjugation import DualGrid, DualPoint, c_conjugate, coupling_c
-from econvex.conjugation import _check_ints, _classify, _sup_minus
+from econvex.conjugation import _check_ints, _sup_minus
 from econvex.duality import PerturbationProblem
 from econvex.extreal import BackendMismatchError, ExtReal, NaNError, scalar
 from econvex.funcrep import SampledFn
@@ -91,7 +92,7 @@ class SubdiffSet:
 
 def conjugate_value(f: SampledFn, w: DualPoint) -> ExtReal:
     """f^c at a single dual point, by the definitional sweep."""
-    return _sup_minus((conjugation._coupling(p, w) for p in f.grid.points), _classify(f.values))
+    return _sup_minus((conjugation._coupling(p, w) for p in f.grid.points), f.raw())
 
 
 def _zero_eps(f: SampledFn):
@@ -99,9 +100,10 @@ def _zero_eps(f: SampledFn):
 
 
 def _on_grid(f: SampledFn, x0):
-    """x0 as stored on f's grid (raises off-grid) and f(x0)."""
-    x0 = f.grid.points[f.grid.index_of(x0)]
-    return x0, f.value_at(x0)
+    """x0 as stored on f's grid (raises off-grid) and the raw value of
+    f(x0), +-inf as a float."""
+    i = f.grid.index_of(x0)
+    return f.grid.points[i], f.raw()[i]
 
 
 def _nonnegative(eps):
@@ -113,13 +115,14 @@ def _nonnegative(eps):
 
 
 def _member(fx, conj, c, eps) -> bool:
-    """w in the eps-subdifferential of f at x0, from the tagged rows of
-    f(x0) and f^c(w), the raw coupling c = c(x0, w) (None for +inf) and
-    eps, all of one scale or all as given: f(x0) and c finite, and
-    f(x0) + f^c(w) <= c + eps with the +-inf conventions."""
-    (ftag, fv), (gtag, gv) = fx, conj
-    return ftag == "f" and c is not None and (
-        gtag == "-" or (fv + gv if gtag == "f" else inf) <= c + eps)
+    """w in the eps-subdifferential of f at x0, from the raw values of
+    f(x0) and f^c(w) (+-inf as floats), the raw coupling c = c(x0, w)
+    (None for +inf) and eps, all of one scale or all as given: f(x0) and
+    c finite, and f(x0) + f^c(w) <= c + eps with the +-inf conventions.
+    The sum is taken only below f^c(w) = +inf: an int past the floats'
+    range cannot meet a float infinity."""
+    return -inf < fx < inf and c is not None and (
+        conj == -inf or (fx + conj if conj < inf else inf) <= c + eps)
 
 
 def _given(values) -> None:
@@ -133,7 +136,7 @@ def _given(values) -> None:
 
 
 class _Form:
-    """Points, dual points and tables of tagged rows (table 0 a function f
+    """Points, dual points and tables of raw values (table 0 a function f
     on the points, the others tables on the dual points) as a membership
     check reads them, from one ``_check_ints`` call: scaled by d when every
     value is exact, as given when d is None.  Per point i the raw coupling
@@ -157,17 +160,19 @@ class _Form:
         """Per dual point, whether it is in the eps-subdifferential of f at
         point i by the rows of table k (``_member``).  On the form's ints
         an exact eps = p/q meets the terms only in the comparison: the
-        terms times q against p·d².  Otherwise eps, the coupling row and
-        the rows of f(x_i) and of table k are taken as given (``_given``)."""
+        terms times q against p·d², only the int terms: an int past the
+        floats' range cannot meet a float infinity.  Otherwise eps, the
+        coupling row and the finite values of f(x_i) and of table k are
+        taken as given (``_given``)."""
         _nonnegative(eps)
         fx, conjs, cs = self.tables[0][i], self.tables[k], self.row(i)
         if self.d is not None and eps.__class__ in (Fraction, int):
             e, q = eps.numerator * self.d * self.d, eps.denominator
             if q != 1:
-                fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
+                fx, *conjs = [q * p if p.__class__ is int else p for p in [fx, *conjs]]
                 cs = [None if c is None else q * c for c in cs]
         else:
-            _given([c for c in cs if c is not None] + [p for t, p in (fx, *conjs) if t == "f"] + [eps])
+            _given([c for c in cs if c is not None] + [p for p in (fx, *conjs) if -inf < p < inf] + [eps])
             e = eps
         return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
 
@@ -176,6 +181,7 @@ def is_c_subgradient(f: SampledFn, x0, w: DualPoint, eps=None) -> bool:
     """Definitional membership over the grid, with the eps relaxation."""
     eps = _zero_eps(f) if eps is None else _nonnegative(eps)
     x0, fx0 = _on_grid(f, x0)
+    fx0 = ExtReal(fx0)
     if not fx0.is_finite:
         return False
     cx0 = coupling_c(x0, w)
@@ -197,7 +203,7 @@ def is_c_subgradient_via_conjugate(
     if eps is None:
         eps = _zero_eps(f)
     x0, fx0 = _on_grid(f, x0)
-    return _Form([x0], [w], [_classify([fx0]), _classify([f_conj_at_w])]).members(0, 1, eps)[0]
+    return _Form([x0], [w], [[fx0], [f_conj_at_w._v]]).members(0, 1, eps)[0]
 
 
 def _x_side(P: PerturbationProblem, *tables) -> Tuple[tuple, _Form]:
@@ -208,7 +214,7 @@ def _x_side(P: PerturbationProblem, *tables) -> Tuple[tuple, _Form]:
     every = {id(t): t for t in (*have, *tables)}
     if len(every) > len(have):
         have = tuple(every.values())
-        form = _Form(P.x_grid.points, P.x_side_grid.points, [t.tagged() for t in (P.f0, *have)])
+        form = _Form(P.x_grid.points, P.x_side_grid.points, [P.f0, *have])
         P._x_side_cache = have, form
     return have, form
 
@@ -228,7 +234,7 @@ def c_subdifferential(f: SampledFn, x0, w_grid: DualGrid) -> SubdiffSet:
 def eps_c_subdifferential(f: SampledFn, x0, eps, w_grid: DualGrid) -> SubdiffSet:
     point, fx0 = _on_grid(f, x0)
     _nonnegative(eps)  # before the sweep
-    form = _Form([point], w_grid.points, [_classify([fx0]), c_conjugate(f, w_grid).tagged()])
+    form = _Form([point], w_grid.points, [[fx0], c_conjugate(f, w_grid)])
     flags = form.members(0, 1, eps)
     return SubdiffSet(tuple(x0), eps, tuple(compress(w_grid.points, flags)))
 
@@ -271,25 +277,25 @@ def transfer_audit(f: SampledFn, f_conj: SampledFn, f_biconj: SampledFn) -> Tran
     (x, w) is its own coupling and its own two tests, grouped by no
     slope, on one form (``_Form``) over f's grid and f_conj's: its ints
     when the inputs are exact, and otherwise the values as given, checked
-    once over every coupling, every table's row and zero.  The tables are
-    read as tagged rows (``SampledFn.tagged``), and the surrogate compares
-    the rows of f and f^{cc'} on the same footing.
+    once over every coupling, every table's finite value and zero.  The
+    tables are read as raw values (``SampledFn.raw``), and the surrogate
+    compares those of f and f^{cc'} on the same footing.
     """
     if len(f_biconj.keys) != len(f.keys):
         raise ValueError("f_biconj must lie on the grid of f")
-    form = _Form(f.grid.points, f_conj.grid.points, [g.tagged() for g in (f, f_conj, f_biconj)])
+    form = _Form(f.grid.points, f_conj.grid.points, [f, f_conj, f_biconj])
     rows = [form.row(i) for i in range(len(f.grid))]
     zero = _zero_eps(f)
     if form.d is None:
         _given([c for cs in rows for c in cs if c is not None]
-               + [p for t in form.tables for tag, p in t if tag == "f"] + [zero])
+               + [p for t in form.tables for p in t if -inf < p < inf] + [zero])
     fs, conjs, hulls = form.tables
     surrogate = hulls == fs
     forward_ok = True
     counterexamples = []
-    for i, (x, (htag, hv), cs) in enumerate(zip(f.grid.points, hulls, rows)):
+    for i, (x, hv, cs) in enumerate(zip(f.grid.points, hulls, rows)):
         for w, conj, c, primal in zip(f_conj.grid.points, conjs, cs, form.members(i, 1, zero)):
-            dual = c is not None and conj[0] == htag == "f" and conj[1] + hv == c
+            dual = c is not None and -inf < conj < inf and -inf < hv < inf and conj + hv == c
             if primal and not dual:
                 forward_ok = False
             if dual and not primal:
@@ -317,8 +323,8 @@ def _embedded_memberships(P: PerturbationProblem) -> Iterator[Tuple[Tuple, DualP
     G = g_on_dual_y.  Grid points are finite, so a float dot is +-0.0,
     which compares as 0."""
     zero = _zero_eps(P.f0)
-    duals = list(zip(P.g_on_dual_y.grid.points, P.g_on_dual_y.tagged()))
-    for x, fx0 in zip(P.f0.grid.points, P.f0.tagged()):
+    duals = list(zip(P.g_on_dual_y.grid.points, P.g_on_dual_y.raw()))
+    for x, fx0 in zip(P.f0.grid.points, P.f0.raw()):
         for w, conj in duals:
             yield x, w, _member(fx0, conj, zero, zero)
 

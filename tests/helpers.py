@@ -142,8 +142,9 @@ def reference_cprime_conjugate(g, x_grid):
 
 def _numbers(value):
     """The numbers a term was given: tuples, lists, sets and dual points
-    are opened, and tags (strings) and None (+inf) are skipped."""
-    if value is None or isinstance(value, str):
+    are opened, and None (a shut coupling) and the float +-inf of raw
+    values are skipped."""
+    if value is None or value.__class__ is float and abs(value) == math.inf:
         return
     if isinstance(value, (tuple, list, set, frozenset)):
         for v in value:

@@ -12,7 +12,7 @@ Also the two partner couplings, each the conditional coupling with its
 arguments reordered or concatenated: `coupling_cprime(w, x)` is
 c(x, w), and `coupling_cbar` is c on the product space.
 
-And `sup_minus`, the sup of raw couplings minus tagged values taken term
+And `sup_minus`, the sup of raw couplings minus raw values taken term
 by term, point by point, with the +-inf conventions spelled out: the
 second route that `conjugation._sups` and its one-column form
 `_sup_minus` are held to; `prime_conjugate_value`, g^{c'} at one
@@ -45,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 from math import inf
 
 from econvex import conjugation, extreal, funcrep
-from econvex.conjugation import DualGrid, DualPoint, _check_ints, _classify, _sup_minus, _sups, _value
+from econvex.conjugation import _OVERFLOW, DualGrid, DualPoint, _check_ints, _sup_minus, _sups
 from econvex.conjugation import _coerce_vec, _key, coupling_c, tensor_dual_grid
 from econvex.duality import PerturbationProblem
 from econvex.esets import Interval1, dots
@@ -176,25 +176,29 @@ def coupling_cbar(x, y, pair: DualPoint) -> ExtReal:
 # ---------------------------------------------------------------------------
 
 
-def sup_minus(couplings, rows) -> ExtReal:
-    """sup of each raw coupling (None for +inf) minus its row's value,
-    with the +-inf conventions: f^c(w) pairs w with every grid point,
-    g^{c'}(x) x with every dual point."""
+def sup_minus(couplings, raw) -> ExtReal:
+    """sup of each raw coupling (None for +inf) minus its raw value (+-inf
+    as floats), with the +-inf conventions: f^c(w) pairs w with every
+    grid point, g^{c'}(x) x with every dual point."""
     best = None  # raw finite payload of the running sup, None = -inf so far
-    for c, (tag, payload) in zip(couplings, rows):
-        if tag == "+":
+    for c, payload in zip(couplings, raw):
+        if payload == inf:
             continue  # both (+inf)-(+inf) and finite-(+inf) are -inf
-        if c is None or tag == "-":
+        if c is None or payload == -inf:
             return POS_INF  # +inf - (finite or -inf), finite - (-inf)
         term = c - payload
         if best is None or term > best:
             best = term
-    return NEG_INF if best is None else _value(best)
+    if best is None:
+        return NEG_INF
+    if best != best:
+        raise NaNError(_OVERFLOW)
+    return ExtReal(best)
 
 
 def prime_conjugate_value(g: SampledFn, x) -> ExtReal:
     """g^{c'} at a single primal point, by the definitional sweep."""
-    return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), _classify(g.values))
+    return _sup_minus((conjugation._coupling(x, w) for w in g.grid.points), g.raw())
 
 
 def slice_audit_all_pairs(P) -> dict:
@@ -202,14 +206,14 @@ def slice_audit_all_pairs(P) -> dict:
     dual point's coupling column over Y taken by ``_coupling``, on the
     check's own ints when every input is exact, each (x, w) its own
     ``_sups`` of the column minus the slice, with no hull and nothing
-    grouped by slope; the slices are read as their tagged values."""
+    grouped by slope; the slices are read as their raw values."""
     L = lagrangian_table(P)
     d, ys, ws, slices, _ = _check_ints(
-        P.y_grid.points, P.dual_y_grid.points, [sl.tagged() for sl in L.slices])
+        P.y_grid.points, P.dual_y_grid.points, [sl.raw() for sl in L.slices])
     dd = 1 if d is None else d * d
     columns = [[conjugation._coupling(y, w) for y in ys] for w in ws]
     shut = [{k for k, c in enumerate(column) if c is None} for column in columns]
-    sups = [_sups(tagged, columns, shut) for tagged in slices]
+    sups = [_sups(raw, columns, shut) for raw in slices]
     scale, cell = L.scale, funcrep._cell_rule(dd, P.backend)
     ok = all(key * dd == -v * scale for key, v in zip(L.keys, itertools.chain.from_iterable(sups)))
     rows = [tuple(map(cell, row)) for row in sups]
@@ -237,16 +241,16 @@ def _as_given(couplings, values) -> list:
 
 
 def _finite(tables):
-    """The finite payloads of the tables' tagged rows."""
-    return [p for rows in tables for tag, p in rows if tag == "f"]
+    """The finite payloads of the tables' raw values."""
+    return [p for raw in tables for p in raw if -inf < p < inf]
 
 
 def memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
-    """Per dual point, given the tagged row of f^c there, whether it is in
+    """Per dual point, given the raw value of f^c there, whether it is in
     the eps-subdifferential of f at the grid point x0, where f is fx0: one
     raw coupling per dual point, on the check's own ints when every input
     is exact and on the values as given otherwise."""
-    d, (x,), ws, ((fx,), conjs), (e,) = _check_ints([x0], duals, [_classify([fx0]), conjs], [eps])
+    d, (x,), ws, ((fx,), conjs), (e,) = _check_ints([x0], duals, [[fx0._v], conjs], [eps])
     cs = [conjugation._coupling(x, w) for w in ws]
     if d is None:
         cs = _as_given(cs, _finite([[fx], conjs]) + [e])
@@ -254,12 +258,12 @@ def memberships(x0, fx0: ExtReal, duals, conjs, eps) -> list:
 
 
 def _decide(fx, conjs, cs, e, q=1) -> list:
-    """``_member`` per dual point, on the tagged rows fx and conjs, the raw
-    couplings cs and e, all of one scale, with fx, conjs and cs times q
-    first: an exact eps = p/q that stayed out of the scale d meets the
-    terms here only, as e = p·d²."""
+    """``_member`` per dual point, on the raw values fx and conjs, the raw
+    couplings cs and e, all of one scale, with the ints of fx, conjs and
+    cs times q first: an exact eps = p/q that stayed out of the scale d
+    meets the terms here only, as e = p·d²."""
     if q != 1:
-        fx, *conjs = [(tag, None if p is None else q * p) for tag, p in [fx, *conjs]]
+        fx, *conjs = [q * p if p.__class__ is int else p for p in [fx, *conjs]]
         cs = [None if c is None else q * c for c in cs]
     return [_member(fx, g, c, e) for g, c in zip(conjs, cs)]
 

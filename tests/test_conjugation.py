@@ -1495,7 +1495,7 @@ def expected_lifts(case):
         dom = dom_rows(h)
         if dom is None:
             continue
-        payloads = [v for tag, v in h.tagged() if tag == "f"]  # dom's values, also of an exact table
+        payloads = [v for v in h.raw() if -math.inf < v < math.inf]  # dom's values, also of an exact table
         ws = [w for w, _ in duals] if duals else [w for w, _ in dom]
         out.append(certified(grid.points, ([w.ustar for w in ws], [w.xstar for w in ws]),
                              ([w.alpha for w in ws], payloads)))
@@ -1957,33 +1957,6 @@ class TestTensorDualGrids:
                     projected, index = grid.projected(d)
                 assert built == [] and len(index) == len(grid)
 
-    @given(stacked_grid(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_extended_and_projected_check_only_the_blocks_they_add(self, case, data):
-        """Counts only: ``extended`` and ``projected`` build a lookup dict
-        (``_distinct``) for each list of a block they add, a zipped
-        block's points or a product's three lists, and none for a block
-        they keep."""
-        grid, _, _, n, d, probes = case
-        checked, real = [], conjugation._distinct
-
-        def counted(entries):
-            checked.append(entries)
-            return real(entries)
-
-        def added(new, kept):
-            return [entries for *lists, given in new.blocks[kept:]
-                    for entries in (lists if given is None else [given])]
-
-        with mock.patch.object(conjugation, "_distinct", counted):
-            extended = grid.extended(dict.fromkeys(probes))
-        assert extended.blocks[:len(grid.blocks)] == grid.blocks
-        assert checked == added(extended, len(grid.blocks))
-        del checked[:]
-        with mock.patch.object(conjugation, "_distinct", counted):
-            projected, _ = grid.projected(data.draw(st.just(d) | st.integers(1, n)))
-        assert checked == added(projected, 0)
-
 
 # ---------------------------------------------------------------------------
 # The one definitional sup against its term-by-term oracle
@@ -1995,11 +1968,11 @@ SUP_VALUES = (0, 1, -1, 2, Fraction(1, 2))
 
 @st.composite
 def sup_minus_case(draw):
-    """(couplings, tagged rows) of one column.  A coupling is None (a shut
+    """(couplings, raw values) of one column.  A coupling is None (a shut
     gate) one time in six; in the float backend it may also be NaN (inf·0
     in <p, x*>) or an infinity (a dot that overflows), and a zero may
-    carry either sign.  A row is +inf or -inf one time in five each, and
-    one draw in five makes every row +inf (an empty domain).  Rational
+    carry either sign.  A value is +inf or -inf one time in five each, and
+    one draw in five makes every value +inf (an empty domain).  Rational
     draws keep plain ints beside Fractions, as the checks' ints do."""
     backend = draw(st.sampled_from(["rational", "float"]))
     n = draw(st.integers(0, 6))
@@ -2019,7 +1992,7 @@ def sup_minus_case(draw):
         couplings.append({"shut": None, "nan": math.nan, "inf": math.inf,
                           "-inf": -math.inf}.get(kind) if kind != "value" else number())
         tag = "+" if empty else draw(st.sampled_from(["f", "f", "f", "+", "-"]))
-        rows.append((tag, number() if tag == "f" else None))
+        rows.append(number() if tag == "f" else math.inf if tag == "+" else -math.inf)
     return couplings, rows
 
 
@@ -2039,12 +2012,12 @@ class TestOneDefinitionalSup:
     NaN, in both backends."""
 
     @given(sup_minus_case())
-    @example(([math.nan, 1.0], [("f", 0.0), ("f", 0.0)]))
-    @example(([1.0, math.nan], [("f", 0.0), ("f", 0.0)]))
-    @example(([0.0, -0.0], [("f", 0.0), ("f", 0.0)]))
-    @example(([-0.0, 0.0], [("f", 0.0), ("f", 0.0)]))
-    @example(([None, 1], [("+", None), ("f", Fraction(1, 2))]))
-    @example(([math.nan, 1.0], [("f", 0.0), ("-", None)]))
+    @example(([math.nan, 1.0], [0.0, 0.0]))
+    @example(([1.0, math.nan], [0.0, 0.0]))
+    @example(([0.0, -0.0], [0.0, 0.0]))
+    @example(([-0.0, 0.0], [0.0, 0.0]))
+    @example(([None, 1], [math.inf, Fraction(1, 2)]))
+    @example(([math.nan, 1.0], [0.0, -math.inf]))
     @example(([], []))
     @settings(max_examples=500, deadline=None)
     def test_sup_minus_is_the_term_by_term_sup(self, case):
@@ -2054,9 +2027,9 @@ class TestOneDefinitionalSup:
 
     def test_a_nan_sup_raises_naming_the_slopes(self):
         with pytest.raises(NaNError, match="grids.xstar/grids.ystar: <grid point, slope> overflows"):
-            conjugation._sup_minus([math.nan, 1.0], [("f", 0.0), ("f", 0.0)])
+            conjugation._sup_minus([math.nan, 1.0], [0.0, 0.0])
 
     def test_the_signed_zero_tie_keeps_the_first_term(self):
-        rows = [("f", 0.0), ("f", 0.0)]
+        rows = [0.0, 0.0]
         assert repr(conjugation._sup_minus([-0.0, 0.0], rows)) == "ExtReal(-0.0)"
         assert repr(conjugation._sup_minus([0.0, -0.0], rows)) == "ExtReal(0.0)"

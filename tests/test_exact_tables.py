@@ -7,7 +7,9 @@ The reductions that compare keys (``p_fn``, ``psi_prime_x_minima``,
 over the columns and blocks of ``.values``; an exact table's ``.values``
 to the pointwise walk of ``helpers.evaluate``, repr for repr, payload
 type included; and a problem whose phi table is exact to its twin whose
-table is given by its values."""
+table is given by its values.  Every kind of table reads its values,
+their payloads (``raw``) and its backend off one encoding of its keys,
++-inf as floats, and builds no ExtReal before its values are read."""
 
 import json
 import math
@@ -28,6 +30,7 @@ from helpers import (
     expressions,
     ext_values,
     fenchel_abs_duality_grid,
+    fenchel_abs_wide_grid,
 )
 from oracles import x_side
 
@@ -37,6 +40,8 @@ from econvex.duality import PerturbationProblem
 from econvex.esets import EPolyhedron, Halfspace
 from econvex.extreal import BackendMismatchError, ExtReal, scalar
 from econvex.funcrep import Abs, Affine, Grid, Indicator, PerturbFn, SampledFn, Sum, columns, product_grid
+from econvex.lagrangian import dual_slice_audit, lagrangian_table
+from econvex.subdifferential import _Form, _member
 
 
 def shape(v: ExtReal):
@@ -202,3 +207,75 @@ def test_a_rational_duality_builds_extreals_per_point_not_per_cell(tmp_path, cap
         assert cli.main(["duality", str(problem)]) == 0
     capsys.readouterr()
     assert len(built) <= 3 * (W + X + Y) < X * Y
+
+
+@st.composite
+def encoded_tables(draw, backend):
+    """A table of up to five points in one of three kinds: given by its
+    values (drawn ExtReals, +-inf and -0.0 among them), exact (int keys
+    over a drawn scale, a power of two on floats, and float +-inf), or
+    ``keyed`` with no scale (the payloads of drawn values)."""
+    n = draw(st.integers(0, 5))
+    grid = Grid(1, [(k,) for k in range(n)], backend)
+    kind = draw(st.sampled_from(["values", "exact", "given"]))
+    if kind == "exact":
+        scale = draw(st.sampled_from([1, 4, 2**40] + ([3, 12] if backend == "rational" else [])))
+        key = st.integers(-2**60, 2**60) | st.sampled_from([0, 1, -1, math.inf, -math.inf])
+        return SampledFn.keyed(grid, draw(st.lists(key, min_size=n, max_size=n)), scale, backend)
+    values = draw(ext_values(n, backend, QUARTERS | st.just(-0.0)))
+    if kind == "values":
+        return SampledFn(grid, values)
+    return SampledFn.keyed(grid, [v._v for v in values], None, backend)
+
+
+class TestOneEncoding:
+    """A table's keys are its one encoding below ExtReal: ``raw``,
+    ``cell`` and ``backend`` read them with no ExtReal, and agree with the
+    values built from them."""
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_raw_cell_and_backend_are_the_values(self, backend, data):
+        fn = data.draw(encoded_tables(backend))
+        with built_extreals() as built:
+            raw, kind = fn.raw(), fn.backend
+        assert built == []
+        cells = [repr(fn.cell(k)) for k in fn.keys]
+        values = fn.values
+        assert [repr(p) for p in raw] == [repr(v._v) for v in values]
+        assert cells == [repr(v) for v in values]
+        finite = [v.backend for v in values if v.is_finite]
+        assert kind == (backend if fn.scale else next(iter(finite), None))
+        assert set(finite) <= {kind}
+
+    def test_an_int_past_the_floats_meets_an_infinity(self):
+        """An int f(x0) past 2^1024 is never added to a float infinity:
+        against f^c(w) = +inf it is no member, against -inf it is one."""
+        big = 2**1100
+        assert _member(big, math.inf, 0, 0) is False
+        assert _member(big, -math.inf, 0, 0) is True
+        zero, one = Fraction(0), Fraction(1)
+        duals = [DualPoint((zero,), (zero,), one), DualPoint((one,), (zero,), one)]
+        form = _Form([(zero,)], duals, [[Fraction(big)], [math.inf, -math.inf]])
+        assert form.d == 1
+        assert form.members(0, 1, Fraction(1, 2**2000)) == [False, True]
+
+
+@pytest.mark.parametrize("doc", [fenchel_abs_duality_grid(41), fenchel_abs_wide_grid(41, 41)],
+                         ids=["ds41f", "lw41f"])
+def test_float_tables_build_no_extreal_before_their_values(doc):
+    """Counts only: on the float problems of the duality and the wide
+    Lagrangian benchmarks, phi_on_product, the Lagrangian's slices and
+    slice conjugates and the slice check's rows are tables of raw keys,
+    and none builds an ExtReal until its values are read."""
+    P = problemio.loads(json.dumps(dict(doc, backend="float"))).build()
+    with built_extreals() as built:
+        L = lagrangian_table(P)
+        audit = dual_slice_audit(P)
+        tables = [P.phi_on_product, *L.slices, *L.slice_conjugates, *audit["rows"]]
+    assert built == [] and audit["ok"]
+    assert all("values" not in vars(table) for table in tables)
+    with built_extreals() as built:
+        P.phi_on_product.values
+    assert len(built) == len(P.product)

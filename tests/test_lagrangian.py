@@ -34,7 +34,6 @@ from econvex import catalog, cli, conjugation, extreal, funcrep, lagrangian, pro
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
-    _classify,
     _coupling,
     _split_dom,
     coupling_c,
@@ -179,7 +178,7 @@ class TestDualSliceAudit:
             if empty and len(Q.dual_y_grid) > 0:
                 audit = dual_slice_audit(Q)
                 assert audit["ok"]
-                assert set(audit["rows"][empty[0]]) == {NEG_INF}
+                assert set(audit["rows"][empty[0]].values) == {NEG_INF}
                 rows = funcrep.rows(lagrangian_table(Q).table, len(Q.x_grid))
                 assert set(rows[empty[0]]) == {POS_INF}
                 break
@@ -210,11 +209,10 @@ def tagged(v):
 
 
 def exact_payloads(fn):
-    """fn's payloads (``SampledFn.payloads``) as exact numbers: an int key
-    over the scale as a Fraction, any other payload as its type and
-    rendering (a float +-inf, or a value as given with the sign of its
-    zero)."""
-    return [Fraction(p, fn.scale) if p.__class__ is int else (type(p), repr(p)) for p in fn.payloads()]
+    """fn's keys (``SampledFn.keys``) as exact numbers: an int key over
+    the scale as a Fraction, any other key as its type and rendering (a
+    float +-inf, or a payload as given with the sign of its zero)."""
+    return [Fraction(p, fn.scale) if p.__class__ is int else (type(p), repr(p)) for p in fn.keys]
 
 
 def assert_table_matches_definition(P):
@@ -348,7 +346,7 @@ class TestDualSliceSweep:
         for x, row in zip(P.x_grid.points, audit["rows"]):
             values = [P.phi.value(x, y, P.backend) for y in P.y_grid.points]
             reference = reference_c_conjugate(SampledFn(P.y_grid, values), P.dual_y_grid)
-            assert [tagged(v) for v in row] == [tagged(v) for v in reference.values], x
+            assert [tagged(v) for v in row.values] == [tagged(v) for v in reference.values], x
         assert audit["ok"]
 
     @pytest.mark.parametrize("name", CATALOG_PROBLEMS)
@@ -544,7 +542,7 @@ class TestHullAgainstAllPairs:
     def test_the_check_is_the_all_pairs_oracle(self, P):
         got, want = dual_slice_audit(P), slice_audit_all_pairs(P)
         assert got["ok"] is want["ok"] is True
-        assert [[tagged(v) for v in row] for row in got["rows"]] == [
+        assert [[tagged(v) for v in row.values] for row in got["rows"]] == [
             [tagged(v) for v in row] for row in want["rows"]]
 
     @given(SLICE_CASES, st.data())
@@ -604,9 +602,9 @@ class TestIntegerSliceCheck:
         inputs = [c for y in P.y_grid.points for c in y]
         inputs += [c for ww in P.dual_y_grid.points for c in (*ww.xstar, *ww.ustar, ww.alpha)]
         for x, row in zip(P.x_grid.points, rows):
-            sl = _classify(P.phi.value(x, y, P.backend) for y in P.y_grid.points)
-            inputs += [p for tag, p in sl if tag == "f"]
-            for ww, column, cell in zip(P.dual_y_grid.points, columns, row):
+            sl = [P.phi.value(x, y, P.backend)._v for y in P.y_grid.points]
+            inputs += [p for p in sl if -math.inf < p < math.inf]
+            for ww, column, cell in zip(P.dual_y_grid.points, columns, row.values):
                 assert tagged(cell) == tagged(sup_minus(column, sl)), (x, ww)
         assert paths == [all(c.__class__ in (Fraction, int) for c in inputs)]
 
@@ -635,7 +633,7 @@ class TestIntegerSliceCheck:
         L = lagrangian_table(P)
         assert L.scale == 1 and L.keys == (Fraction(-1, 6),)
         assert dual_slice_audit(P)["ok"]
-        assert dual_slice_audit(P)["rows"][0] == (ExtReal(Fraction(1, 6)),)
+        assert dual_slice_audit(P)["rows"][0].values == (ExtReal(Fraction(1, 6)),)
         L.keys = (Fraction(-1, 6) * 36,)
         assert not dual_slice_audit(P)["ok"]
 
@@ -843,14 +841,14 @@ def test_a_report_builds_extreals_per_point_not_per_cell(backend):
 def test_the_slice_conjugates_are_the_sweeps_int_tables(name, backend):
     """Counts only: where the table's one sweep runs on ints (rational, or
     lifted floats), each slice conjugate is that sweep's exact table, and
-    reading the tables, their keys and their payloads builds no ExtReal."""
+    reading the tables and their keys builds no ExtReal."""
     P = twin(name, backend)
     P.phi_on_product
     with scaling_log() as log:
         L = CLagrangian(P)
     with built_extreals() as built:
         tables = L.slice_conjugates
-        payloads = [fn.payloads() for fn in tables]
+        payloads = [fn.keys for fn in tables]
     assert log == [True] and built == []
     assert len(tables) == len(P.x_grid) and all(fn.scale is not None for fn in tables)
     assert all(p.__class__ is int or p in (-math.inf, math.inf) for ps in payloads for p in ps)
@@ -858,16 +856,20 @@ def test_the_slice_conjugates_are_the_sweeps_int_tables(name, backend):
 
 def test_a_flat_float_slice_conjugate_is_built_at_its_first_read():
     """Counts only: on thirds' float twin the sweep runs on the floats as
-    given, and reading one slice conjugate builds that slice's 16 ExtReals,
-    not all |X|·|W_y| = 112."""
+    given; reading the slice conjugates builds no ExtReal, and reading one
+    table's values builds that slice's 16, not all |X|·|W_y| = 112."""
     P = twin("thirds", "float")
     L = CLagrangian(P)
     assert len(P.x_grid) * len(P.dual_y_grid) == 112
     with built_extreals() as built:
         first = L.slice_conjugates[0]
-    assert len(built) == len(P.dual_y_grid) == 16 and first.scale is None
+    assert built == [] and first.scale is None
+    with built_extreals() as built:
+        first.values
+    assert len(built) == len(P.dual_y_grid) == 16
     with built_extreals() as built:
         assert L.slice_conjugates[0] is first and L.slice_conjugates[-len(P.x_grid)] is first
+        first.values
     assert built == []
 
 

@@ -27,7 +27,6 @@ from econvex import conjugation, funcrep
 from econvex.conjugation import (
     DualGrid,
     DualPoint,
-    _classify,
     c_conjugate,
     coupling_c,
     cprime_conjugate,
@@ -603,7 +602,7 @@ def form_members(P):
             eps = scalar(e, P.backend)
             audit = theorem44_audit(P, x, eps)
             for members, table in ((audit["lhs"], P.f0_conj), (audit["projection"], P.psi_block_min)):
-                per_call = memberships(x, P.f0.value_at(x), table.grid.points, table.tagged(), eps)
+                per_call = memberships(x, P.f0.value_at(x), table.grid.points, table.raw(), eps)
                 assert members == tuple(compress(table.grid.points, per_call))
             scan = tuple(w for w in P.x_side_grid.points if is_c_subgradient(P.f0, x, w, eps))
             assert audit["lhs"] == scan
@@ -680,7 +679,7 @@ def reference(x0, fx0, duals, conjs, eps) -> list:
 
 def reference_members(f, x, eps, table):
     return tuple(compress(table.grid.points,
-                          reference(x, f.value_at(x), table.grid.points, table.tagged(), eps)))
+                          reference(x, f.value_at(x), table.grid.points, table.raw(), eps)))
 
 
 def reference_transfer(f, f_conj, f_biconj):
@@ -689,7 +688,7 @@ def reference_transfer(f, f_conj, f_biconj):
     zero = scalar(0, f.grid.backend)
     forward_ok, counterexamples = True, []
     for (x, fx), h in zip(f.items(), f_biconj.values):
-        flags = reference(x, fx, f_conj.grid.points, f_conj.tagged(), zero)
+        flags = reference(x, fx, f_conj.grid.points, f_conj.raw(), zero)
         for (w, g), primal in zip(f_conj.items(), flags):
             c = coupling_c(x, w)
             dual = c.is_finite and g.is_finite and h.is_finite and g + h == c
@@ -742,7 +741,7 @@ class TestEveryRouteMatchesTheOracle:
 
         pairs = [*P.f0_conj.items(), *other.f0_conj.items(), (nan_point, P.f0_conj.values[0])]
         for w0, g in pairs:
-            expected = outcome(lambda: reference(x, f.value_at(x), [w0], _classify([g]), eps)[0])
+            expected = outcome(lambda: reference(x, f.value_at(x), [w0], [g._v], eps)[0])
             assert outcome(lambda: is_c_subgradient_via_conjugate(f, g, x, w0, eps)) == expected
 
         for f_conj in (P.f0_conj, other.f0_conj):

@@ -43,13 +43,14 @@ ALLOWED = {
     "esets.EnvelopeFn.attained": "an envelope query that no report prints",
     "extreal.ExtReal.__setattr__": "the immutability guard: only a faulty write enters it",
     "extreal.ExtReal.__hash__": _DUNDER,
+    "extreal.ExtReal.backend": "a value's backend for tests and callers; a table reads its own off its keys",
     "extreal.fold_sum": "the extended sum that tests/helpers.evaluate and the acceptance tests check against",
     "funcrep.Grid._index": "the lazy index of a grid built by _of, which no command looks a point up on",
     "funcrep.Grid.__iter__": _DUNDER,
     "funcrep.Expr.sample": "the abstract node method; every node overrides it",
     "funcrep.Affine.of": "a constructor for tests; the loader builds its forms itself",
     "funcrep.Indicator.of": "a constructor for tests; the loader builds its forms itself",
-    "lagrangian._Built.__len__": _DUNDER,
+    "funcrep.PerturbFn.sample": "phi as ExtReals at points, behind PerturbFn.value; tables read sample_keys",
     "lagrangian.CLagrangian.table": "the cells as ExtReals; commands read the keys",
     "subdifferential.SubdiffSet.__contains__": _DUNDER,
     "subdifferential._on_grid": "the point lookup of the definitional subgradient routes",
